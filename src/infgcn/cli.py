@@ -62,14 +62,25 @@ def load_run_config(path):
         raise SchemaError(f"{path}: no such config") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path}: config must be a JSON object")
     unknown = sorted(set(d) - _RUN_KEYS)
     if unknown:
         raise SchemaError(f"{path}: unknown config key {unknown[0]!r}")
     opt = dict(_OPT_DEFAULTS)
-    extra = sorted(set(d.get("optimizer", {})) - set(_OPT_DEFAULTS))
+    given = d.get("optimizer", {})
+    if not isinstance(given, dict):
+        raise SchemaError(f"{path}: optimizer must be an object")
+    extra = sorted(set(given) - set(_OPT_DEFAULTS))
     if extra:
         raise SchemaError(f"{path}: unknown optimizer key {extra[0]!r}")
-    opt.update(d.get("optimizer", {}))
+    opt.update(given)
+    for name in ("lr", "patience", "decay_factor"):
+        value = opt[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{path}: optimizer.{name} must be a number")
+    if not isinstance(d.get("split") or {}, dict):
+        raise SchemaError(f"{path}: split must be an object")
     cfg = RunConfig(dataset=d.get("dataset"),
                     out_dir=d.get("out_dir", "runs"),
                     model=_model_config(d.get("model", {})),

@@ -39,7 +39,6 @@ __all__ = [
     "init_conv_layer",
     "init_residual_layer",
     "radial_forward",
-    "radial_dr",
     "radial_backward",
     "conv_forward",
     "conv_backward",
@@ -212,19 +211,6 @@ def radial_forward(params, r, counters=None):
                      + h1.size * params.w2.shape[1]
                      + h2.size * params.head_w.shape[1])
     return out
-
-
-def radial_dr(params, r):
-    """Analytic d phi / d r, same shape as radial_forward output."""
-    r = np.asarray(r, dtype=float)
-    e = _embed(params, r)
-    de = e * (-(r[:, None] - params.centers) / params.width ** 2)
-    a1 = e @ params.w1 + params.b1
-    h1 = silu(a1)
-    dh1 = (de @ params.w1) * _act_grad("silu")(a1)
-    a2 = h1 @ params.w2 + params.b2
-    dh2 = (dh1 @ params.w2) * _act_grad("silu")(a2)
-    return dh2 @ params.head_w
 
 
 def radial_backward(params, r, grad_out):

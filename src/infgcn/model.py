@@ -175,14 +175,7 @@ def loss_l2(pred, target, volume_weight=1.0):
 
 def nmae(pred, target):
     """Sum |pred - target| / sum |target|, reported as a percentage."""
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise DomainError("prediction and target lengths differ")
-    denom = float(np.sum(np.abs(target)))
-    if denom == 0.0:
-        raise DomainError("NMAE undefined for an all-zero target")
-    return 100.0 * float(np.sum(np.abs(pred - target))) / denom
+    return NMAEAccumulator().add(pred, target).value()
 
 
 class NMAEAccumulator:

@@ -10,7 +10,7 @@ degree ``l`` orders are stored ascending, ``m = -l..l``; negative orders carry
 is ``l*l + l + m``, so degrees ``0..L`` pack into ``(L+1)**2`` slots.  For
 ``l = 1`` the components are ``(y, z, x) * sqrt(3/(4 pi))``.
 
-``wigner_block(l, R)`` returns the orthogonal matrix ``D`` with
+``wigner_blocks(L, R)[l]`` is the orthogonal matrix ``D`` with
 
     Y_l(R rhat) = D Y_l(rhat)      equivalently   Y_l(R^-1 rhat) = D^T Y_l(rhat)
 
@@ -23,21 +23,15 @@ orthonormal rows (``Q Q^T = I``).  Tables are built from the exact rational
 coupling coefficients of the complex basis and the unitary real<->complex
 change of basis; for ``l+k+J`` odd the raw transform is purely imaginary and
 the table keeps the imaginary part, a unit-modulus rescaling that preserves
-both orthonormality and the intertwining property.
-
-Tables are cached in memory and, by default, on disk under
-``$INFGCN_CACHE_DIR`` (default ``~/.cache/infgcn``) as flat little-endian
-float64 blobs with a JSON index; missing files are regenerated.
+both orthonormality and the intertwining property.  Tables are built on
+first use and memoized in memory.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -221,7 +215,10 @@ def _real_cg(l, k, J):
     AJ = _real_from_complex_basis(J)
     Al = _real_from_complex_basis(l)
     Ak = _real_from_complex_basis(k)
-    Ct = np.einsum("PM,am,bn,Mmn->Pab", AJ.conj(), Al, Ak, C)
+    # conj(AJ)[P,M] Al[a,m] Ak[b,n] C[M,m,n], one operand at a time
+    Ct = np.tensordot(AJ.conj(), C, axes=(1, 0))   # (P, m, n)
+    Ct = np.tensordot(Ct, Al, axes=(1, 1))         # (P, n, a)
+    Ct = np.tensordot(Ct, Ak, axes=(1, 1))         # (P, a, b)
     re, im = np.abs(Ct.real).max(), np.abs(Ct.imag).max()
     table = Ct.real if re >= im else Ct.imag
     resid = min(re, im)
@@ -249,67 +246,26 @@ class CGTable:
         return self.dense.reshape(2 * self.J + 1, -1)
 
 
-def default_cache_dir():
-    root = os.environ.get("INFGCN_CACHE_DIR", os.path.join("~", ".cache", "infgcn"))
-    return Path(root).expanduser() / "cg"
-
-
 _MEMO: dict = {}
 
 
-def _cache_paths(cache_dir, l, k, J):
-    d = Path(cache_dir)
-    return d / f"cg_{l}_{k}_{J}.f64", d / "index.json"
-
-
-def _load_index(index_path):
-    try:
-        with open(index_path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-
-
-def cg_table(l, k, J, cache_dir="default"):
+def cg_table(l, k, J):
     """Real Clebsch-Gordan table coupling degrees (l, k) to J.
 
     Raises DomainError when (l, k, J) violates the triangle inequality.
-    ``cache_dir``: "default" uses the package cache, None disables the disk
-    layer, any path uses that directory.  Blobs are little-endian float64 in
-    C order, shapes listed in index.json, regenerated when absent.
     """
+    hit = _MEMO.get((l, k, J))
+    if hit is not None:
+        return hit
     if l < 0 or k < 0 or J < 0:
         raise DomainError("degrees must be non-negative")
     if not abs(l - k) <= J <= l + k:
         raise DomainError(
             f"degree triple ({l},{k},{J}) violates |l-k| <= J <= l+k")
-    cdir = default_cache_dir() if cache_dir == "default" else cache_dir
-    memo_key = (l, k, J, str(cdir) if cdir is not None else None)
-    hit = _MEMO.get(memo_key)
-    if hit is not None:
-        return hit
-    shape = (2 * J + 1, 2 * l + 1, 2 * k + 1)
-    dense = None
-    if cdir is not None:
-        blob, index_path = _cache_paths(cdir, l, k, J)
-        key = f"{l},{k},{J}"
-        idx = _load_index(index_path)
-        if blob.exists() and idx.get(key) == list(shape):
-            raw = np.fromfile(blob, dtype="<f8")
-            if raw.size == shape[0] * shape[1] * shape[2]:
-                dense = raw.reshape(shape)
-        if dense is None:
-            dense = _real_cg(l, k, J)
-            blob.parent.mkdir(parents=True, exist_ok=True)
-            dense.astype("<f8").tofile(blob)
-            idx[key] = list(shape)
-            with open(index_path, "w") as fh:
-                json.dump(idx, fh, sort_keys=True)
-    else:
-        dense = _real_cg(l, k, J)
+    dense = _real_cg(l, k, J)
     dense.setflags(write=False)
     table = CGTable(l=l, k=k, J=J, dense=dense)
-    _MEMO[memo_key] = table
+    _MEMO[(l, k, J)] = table
     return table
 
 
@@ -322,31 +278,13 @@ _PI_XYZ_TO_YZX = np.array([[0.0, 1.0, 0.0],
                            [1.0, 0.0, 0.0]])
 
 
-def wigner_block(l, R, validate=True):
-    """Orthogonal (2l+1)x(2l+1) block D with Y_l(R rhat) = D Y_l(rhat).
+def wigner_blocks(l_max, R, validate=True):
+    """Orthogonal blocks D_l, l = 0..l_max, with Y_l(R rhat) = D_l Y_l(rhat).
 
-    l = 1 is the similarity-transformed rotation matrix itself (the real
+    D_1 is the similarity-transformed rotation matrix itself (the real
     harmonics of degree one are (y, z, x) up to a common scale); higher
     degrees follow by coupling the (l-1, 1) product back to degree l.
     """
-    if validate:
-        R = check_rotation(R)
-    else:
-        R = np.asarray(R, dtype=float)
-    if l < 0:
-        raise DomainError("degree must be >= 0")
-    if l == 0:
-        return np.ones((1, 1))
-    D1 = _PI_XYZ_TO_YZX @ R @ _PI_XYZ_TO_YZX.T
-    D = D1
-    for j in range(2, l + 1):
-        Q = cg_table(j - 1, 1, j).matrix()
-        D = Q @ np.kron(D, D1) @ Q.T
-    return D
-
-
-def wigner_blocks(l_max, R, validate=True):
-    """All blocks 0..l_max in one pass (shares the recursion)."""
     if validate:
         R = check_rotation(R)
     out = [np.ones((1, 1))]
@@ -458,7 +396,7 @@ def rotate_tensor(f, R):
     return SphericalTensor(f.layout, out)
 
 
-def tensor_product(a, b, J, cache_dir="default"):
+def tensor_product(a, b, J):
     """Couple two single-degree tensors to degree J.
 
     C_{J M} = sum_{m1 m2} a_{l m1} b_{k m2} Q[M, m1, m2], per channel.
@@ -471,6 +409,6 @@ def tensor_product(a, b, J, cache_dir="default"):
     (k, cb), = b.layout.entries
     if ca != cb:
         raise DomainError(f"channel mismatch: {ca} vs {cb}")
-    Q = cg_table(l, k, J, cache_dir=cache_dir).dense
+    Q = cg_table(l, k, J).dense
     out = np.einsum("Mab,ca,cb->cM", Q, a.blocks[l], b.blocks[k])
     return SphericalTensor(IrrepLayout(((J, ca),)), {J: out})

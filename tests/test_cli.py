@@ -63,6 +63,21 @@ def test_run_config_defaults_and_validation(tmp_path):
             cli.load_run_config(path)
 
 
+@pytest.mark.parametrize("bad, needle", [
+    ([], "JSON object"),
+    ({"optimizer": [1]}, "optimizer must be an object"),
+    ({"optimizer": {"lr": "fast"}}, "optimizer.lr"),
+    ({"optimizer": {"patience": None}}, "optimizer.patience"),
+    ({"optimizer": {"decay_factor": [0.5]}}, "optimizer.decay_factor"),
+    ({"split": ["rec000"]}, "split must be an object")])
+def test_main_rejects_malformed_config(tmp_path, capsys, bad, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["gradcheck", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and needle in err
+
+
 def test_train_zero_iterations_keeps_init(tmp_path):
     dataio.make_synthetic_dataset(tmp_path / "data", seed=5,
                                   shape=(8, 8, 8))

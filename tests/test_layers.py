@@ -61,25 +61,6 @@ def test_radial_rejects_out_of_range():
         layers.radial_forward(p, np.array([-0.1]))
 
 
-def test_radial_dr_matches_central_differences():
-    rng = np.random.default_rng(3)
-    p = layers.init_radial_net(rng, 3.0, 6, zero_head=False)
-    r = np.array([0.3, 1.2, 2.7])
-    analytic = layers.radial_dr(p, r)
-
-    def central(ri, h):
-        return (layers.radial_forward(p, np.array([ri + h]))
-                - layers.radial_forward(p, np.array([ri - h])))[0] / (2 * h)
-
-    for i, ri in enumerate(r):
-        # the narrow distance embedding makes plain central differences at
-        # this h only ~3e-5 accurate; one Richardson step removes the h^2 term
-        h = 1e-4 * max(1.0, ri)
-        fd = (4.0 * central(ri, h / 2) - central(ri, h)) / 3.0
-        rel = np.abs(fd - analytic[i]) / np.maximum(np.abs(fd), 1e-6)
-        assert rel.max() < 1e-5
-
-
 def test_radial_backward_matches_fd():
     rng = np.random.default_rng(4)
     p = layers.init_radial_net(rng, 3.0, 5, zero_head=False)

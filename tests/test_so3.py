@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,13 +116,13 @@ def test_wigner_orthogonal():
     rng = np.random.default_rng(4)
     R = so3.random_rotation(rng)
     for l in range(8):
-        D = so3.wigner_block(l, R)
+        D = so3.wigner_blocks(l, R)[l]
         assert np.abs(D @ D.T - np.eye(2 * l + 1)).max() < 1e-10
 
 
 def test_wigner_identity_rotation():
     for l in range(5):
-        D = so3.wigner_block(l, np.eye(3))
+        D = so3.wigner_blocks(l, np.eye(3))[l]
         assert np.abs(D - np.eye(2 * l + 1)).max() < 1e-14
 
 
@@ -126,16 +130,16 @@ def test_wigner_l1_z_quarter_turn():
     # quarter turn about z maps x->y, y->-x; in (y, z, x) component order the
     # block is a signed permutation
     R = so3.axis_angle_rotation([0, 0, 1], math.pi / 2.0)
-    D = so3.wigner_block(1, R)
+    D = so3.wigner_blocks(1, R)[1]
     expect = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
     assert np.abs(D - expect).max() < 1e-14
 
 
 def test_bad_rotation_rejected():
     with pytest.raises(DomainError):
-        so3.wigner_block(2, np.eye(3) * 1.001)
+        so3.wigner_blocks(2, np.eye(3) * 1.001)
     with pytest.raises(DomainError):
-        so3.wigner_block(2, -np.eye(3))  # det -1
+        so3.wigner_blocks(2, -np.eye(3))  # det -1
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +213,20 @@ def test_cg_matches_exact_coupling_oracle():
         assert abs(want - got) < 1e-12
 
 
-def test_cg_disk_cache_roundtrip(tmp_path):
-    t1 = so3.cg_table(2, 1, 2, cache_dir=tmp_path)
-    blob = tmp_path / "cg_2_1_2.f64"
-    assert blob.exists()
-    raw = np.fromfile(blob, dtype="<f8").reshape(5, 5, 3)
-    assert np.array_equal(raw, t1.dense)
-    # wipe the in-process memo and reload from disk
-    so3._MEMO.pop((2, 1, 2, str(tmp_path)), None)
-    t2 = so3.cg_table(2, 1, 2, cache_dir=tmp_path)
-    assert np.array_equal(t1.dense, t2.dense)
-
-
-def test_cg_cache_regenerated_when_absent(tmp_path):
-    so3.cg_table(1, 1, 2, cache_dir=tmp_path)
-    (tmp_path / "cg_1_1_2.f64").unlink()
-    so3._MEMO.pop((1, 1, 2, str(tmp_path)), None)
-    t = so3.cg_table(1, 1, 2, cache_dir=tmp_path)
-    assert (tmp_path / "cg_1_1_2.f64").exists()
-    Q = t.matrix()
-    assert np.abs(Q @ Q.T - np.eye(5)).max() < 1e-10
+def test_cg_tables_write_no_cache(tmp_path):
+    # every cache location the package could derive points into tmp_path
+    env = dict(os.environ, HOME=str(tmp_path / "home"),
+               XDG_CACHE_HOME=str(tmp_path / "xdg"),
+               INFGCN_CACHE_DIR=str(tmp_path / "infgcn"))
+    src = str(Path(so3.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("from infgcn import layers, so3\n"
+            "for p in layers.make_paths(7):\n"
+            "    so3.cg_table(*p)\n")
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                   check=True, timeout=120)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,21 @@ with Q the real Clebsch-Gordan blocks from so3. Radial nets see only |r|,
 so the angular structure is carried entirely by the harmonics and the
 coupling coefficients; that is what makes the layer equivariant.
 
-The forward pass is staged so multiplies can be metered per stage:
-``assembly`` builds the channel-free G_J = sum_M Y Q blocks, ``mixing``
-combines them with the per-path radial scalars, ``matvec`` applies the
-assembled kernel to the gathered neighbor features. The matvec stage costs
-exactly |E| * C * (L+1)^4 multiplies, the compressed-vector budget.
+The convolution runs from a ``ConvPlan``, built once per l_max from the CG
+tables and memoized: it groups the paths by (l, k), the J of one pair being
+contiguous in the radial output. For each pair it runs three stages, metered
+by multiply count: ``assembly`` builds the channel-free
+G_J = sum_M Y_J^M Q_JM of every path of the pair, one GEMM per path written
+in place; ``mixing`` combines them with the pair's radial scalars in one
+batched matmul; ``matvec`` applies the kernel to the gathered neighbor
+features in one einsum. The matvec stage costs exactly
+|E| * C * (L+1)^4 multiplies, the compressed-vector budget. The backward
+pass rebuilds G the same way rather than keeping it from the forward pass,
+where it would hold ~21 MB per layer at 76 edges.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,11 +40,13 @@ __all__ = [
     "OpCounters",
     "RadialNetParams",
     "ConvLayerParams",
+    "ConvPlan",
     "ResidualParams",
     "make_paths",
     "init_radial_net",
     "init_conv_layer",
     "init_residual_layer",
+    "conv_plan",
     "radial_forward",
     "radial_backward",
     "conv_forward",
@@ -48,6 +57,9 @@ __all__ = [
     "residual_backward",
     "silu",
 ]
+
+CONV_MODES = ("channel", "fc")
+ACTIVATIONS = ("silu", "identity")
 
 _EPS_NORM = 1e-12  # inside the gate's sqrt, keeps the derivative finite at 0
 _EPS_EDGE = 1e-12  # shorter displacements have no usable direction
@@ -256,7 +268,7 @@ class ConvLayerParams:
 
 def init_conv_layer(rng, l_max, channels, cutoff, mode="channel",
                     zero_head=True):
-    if mode not in ("channel", "fc"):
+    if mode not in CONV_MODES:
         raise DomainError(f"unknown conv mode {mode!r}")
     paths = make_paths(l_max)
     per_path = channels if mode == "channel" else channels * channels
@@ -290,16 +302,77 @@ def _phi_per_path(params, r, counters=None):
                        params.channels, params.channels)
 
 
-def _coupling_blocks(paths, Y, counters=None):
-    """Channel-free G_J^{lk}[e] = sum_M Y_J^M(rhat_e) Q_{JM}^{lk}."""
-    out = {}
-    for (l, k, J) in paths:
-        Q = so3.cg_table(l, k, J).dense  # (2J+1, 2l+1, 2k+1)
-        Yb = Y[:, so3.block_slice(J)]
-        out[(l, k, J)] = np.einsum("eM,Mab->eab", Yb, Q)
-        if counters is not None:
-            counters.add("assembly", Yb.shape[0] * Q.size)
-    return out
+@dataclass(frozen=True)
+class ConvPlan:
+    """Coupling tables of every path up to one ``l_max``, grouped by (l, k).
+
+    ``pairs`` lists ``(l, k, p0, p1, tables)`` in path order: the paths of
+    one (l, k) pair are ``phi[:, p0:p1]``, in ascending J, and ``tables``
+    holds each one's ``(2J+1, (2l+1)(2k+1))`` matricized CG table. Tables
+    are read-only, so one plan is shared by every caller and thread.
+    ``assembly`` and ``mixing`` are the per-edge sizes of those stages.
+    """
+    l_max: int
+    pairs: tuple = field(repr=False)
+    assembly: int
+    mixing: int
+
+
+_PLANS: dict = {}
+
+
+def conv_plan(l_max):
+    """The coupling plan for ``l_max``, built on first use and memoized.
+
+    Threads that build the same plan at once get equal plans and the memo
+    keeps the last, so the hot path takes no lock.
+    """
+    plan = _PLANS.get(l_max)
+    if plan is None:
+        plan = _PLANS[l_max] = _build_plan(l_max)
+    return plan
+
+
+def _build_plan(l_max):
+    pairs, p0 = [], 0
+    for (l, k), paths in itertools.groupby(make_paths(l_max),
+                                           key=lambda p: p[:2]):
+        tables = tuple(so3.cg_table(l, k, J).dense.reshape(2 * J + 1, -1)
+                       for _, _, J in paths)
+        pairs.append((l, k, p0, p0 + len(tables), tables))
+        p0 += len(tables)
+    return ConvPlan(
+        l_max=l_max, pairs=tuple(pairs),
+        assembly=sum(q.size for *_, ts in pairs for q in ts),
+        mixing=sum(q.shape[1] for *_, ts in pairs for q in ts))
+
+
+def _coupling_blocks(Y, pair):
+    """Channel-free G_J^{lk}[e] = sum_M Y_J^M(rhat_e) Q_{JM}^{lk} for the
+    paths of one pair, shape (E, n_J, (2l+1)(2k+1))."""
+    l, k, p0, p1, tables = pair
+    G = np.empty((Y.shape[0], p1 - p0, (2 * l + 1) * (2 * k + 1)))
+    for j, q in enumerate(tables):
+        J = abs(l - k) + j
+        np.matmul(Y[:, so3.block_slice(J)], q, out=G[:, j])
+    return G
+
+
+def _mix(phi, G, pair):
+    """Kernel W^{lk}[e] = sum_J phi_J^{lk}(r_e) G_J^{lk}[e], shaped
+    (E, C, 2l+1, 2k+1) or, in fc mode, (E, C, C, 2l+1, 2k+1)."""
+    l, k, p0, p1, _ = pair
+    ph = phi[:, p0:p1].reshape(G.shape[0], p1 - p0, -1)
+    W = np.matmul(ph.transpose(0, 2, 1), G)
+    return W.reshape(phi.shape[:1] + phi.shape[2:] + (2 * l + 1, 2 * k + 1))
+
+
+def _edge_terms(graph, params, counters=None):
+    """Distances, harmonics up to 2L, per-path radial scalars and the plan."""
+    r, rhat = _edge_geometry(graph)
+    Y = so3.eval_real_sh(2 * params.l_max, rhat, check_unit=False)
+    phi = _phi_per_path(params, r, counters)
+    return r, Y, phi, conv_plan(params.l_max)
 
 
 def conv_forward(graph, feats, params, counters=None):
@@ -312,37 +385,23 @@ def conv_forward(graph, feats, params, counters=None):
         out.blocks[l] += params.self_w[l][None, :, None] * feats.blocks[l]
     if graph.n_edges == 0:
         return out
-    r, rhat = _edge_geometry(graph)
-    Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
-    phi = _phi_per_path(params, r, counters)
-    G = _coupling_blocks(params.paths, Y, counters)
+    r, Y, phi, plan = _edge_terms(graph, params, counters)
     src, dst = graph.edge_src, graph.edge_dst
+    E = graph.n_edges
+    spec = "ecab,ecb->eca" if params.mode == "channel" else "ecdab,edb->eca"
+    fk = [feats.blocks[k][dst] for k in range(L + 1)]
+    msg = [np.zeros((E, C, 2 * l + 1)) for l in range(L + 1)]
+    for pair in plan.pairs:
+        l, k = pair[:2]
+        W = _mix(phi, _coupling_blocks(Y, pair), pair)
+        msg[l] += np.einsum(spec, W, fk[k])
+    if counters is not None:
+        cc = C if params.mode == "channel" else C * C
+        counters.add("assembly", E * plan.assembly)
+        counters.add("mixing", E * cc * plan.mixing)
+        counters.add("matvec", E * cc * (L + 1) ** 4)
     for l in range(L + 1):
-        msg = np.zeros((graph.n_edges, C, 2 * l + 1))
-        for k in range(L + 1):
-            shape = ((graph.n_edges, C, 2 * l + 1, 2 * k + 1)
-                     if params.mode == "channel" else
-                     (graph.n_edges, C, C, 2 * l + 1, 2 * k + 1))
-            W = np.zeros(shape)
-            for p, (pl, pk, J) in enumerate(params.paths):
-                if (pl, pk) != (l, k):
-                    continue
-                g = G[(l, k, J)]
-                if params.mode == "channel":
-                    W += phi[:, p, :, None, None] * g[:, None, :, :]
-                else:
-                    W += phi[:, p, :, :, None, None] * g[:, None, None, :, :]
-                if counters is not None:
-                    counters.add("mixing", phi[:, p].size * g[0].size)
-            fk = feats.blocks[k][dst]
-            if params.mode == "channel":
-                msg += np.einsum("ecab,ecb->eca", W, fk)
-            else:
-                msg += np.einsum("ecdab,edb->eca", W, fk)
-            if counters is not None:
-                cc = C if params.mode == "channel" else C * C
-                counters.add("matvec", fk.shape[0] * cc * (2 * l + 1) * (2 * k + 1))
-        np.add.at(out.blocks[l], src, msg)
+        np.add.at(out.blocks[l], src, msg[l])
     return out
 
 
@@ -361,32 +420,31 @@ def conv_backward(graph, feats, params, grad_out):
         return grad_f, {"self_w": grad_self, "radial": radial_backward(
             params.radial, np.zeros(0),
             np.zeros((0, params.radial.out_dim)))}
-    r, rhat = _edge_geometry(graph)
-    Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
-    phi = _phi_per_path(params, r)
-    G = _coupling_blocks(params.paths, Y)
+    r, Y, phi, plan = _edge_terms(graph, params)
     src, dst = graph.edge_src, graph.edge_dst
-    grad_phi = np.zeros_like(phi)
-    for l in range(L + 1):
-        gmsg = grad_out.blocks[l][src]  # (E, C, 2l+1)
-        for k in range(L + 1):
-            fk = feats.blocks[k][dst]
-            acc_fk = np.zeros_like(fk)
-            for p, (pl, pk, J) in enumerate(params.paths):
-                if (pl, pk) != (l, k):
-                    continue
-                g = G[(l, k, J)]
-                if params.mode == "channel":
-                    grad_phi[:, p] = np.einsum("eca,ecb,eab->ec", gmsg, fk, g)
-                    acc_fk += phi[:, p, :, None] * np.einsum(
-                        "eca,eab->ecb", gmsg, g)
-                else:
-                    grad_phi[:, p] = np.einsum("eca,edb,eab->ecd", gmsg, fk, g)
-                    acc_fk += np.einsum("ecd,eca,eab->edb",
-                                        phi[:, p], gmsg, g)
-            np.add.at(grad_f.blocks[k], dst, acc_fk)
-    grad_radial = radial_backward(
-        params.radial, r, grad_phi.reshape(graph.n_edges, -1))
+    E = graph.n_edges
+    channel = params.mode == "channel"
+    spec = "ecab,eca->ecb" if channel else "ecdab,eca->edb"
+    gmsg = [grad_out.blocks[l][src] for l in range(L + 1)]
+    fk = [feats.blocks[k][dst] for k in range(L + 1)]
+    acc = [np.zeros_like(f) for f in fk]
+    grad_phi = np.empty_like(phi)
+    for pair in plan.pairs:
+        l, k, p0, p1, _ = pair
+        G = _coupling_blocks(Y, pair)
+        # d loss / d W^{lk} is the outer product of the message gradient
+        # and the neighbor feature, per channel or per channel pair
+        if channel:
+            outer = gmsg[l][:, :, :, None] * fk[k][:, :, None, :]
+        else:
+            outer = gmsg[l][:, :, None, :, None] * fk[k][:, None, :, None, :]
+        outer = outer.reshape(E, -1, G.shape[2])
+        grad_phi[:, p0:p1] = np.matmul(G, outer.transpose(0, 2, 1)).reshape(
+            (E, p1 - p0) + phi.shape[2:])
+        acc[k] += np.einsum(spec, _mix(phi, G, pair), gmsg[l])
+    for k in range(L + 1):
+        np.add.at(grad_f.blocks[k], dst, acc[k])
+    grad_radial = radial_backward(params.radial, r, grad_phi.reshape(E, -1))
     return grad_f, {"self_w": grad_self, "radial": grad_radial}
 
 

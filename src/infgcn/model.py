@@ -8,7 +8,10 @@ radial table. Densities are in electrons per Bohr^3 throughout.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass, asdict
 
@@ -60,6 +63,14 @@ class ModelConfig:
             raise DomainError("config integers must be positive")
         if self.cutoff <= 0.0:
             raise DomainError("cutoff must be positive")
+        if self.mode not in layers.CONV_MODES:
+            raise DomainError(f"mode must be one of {layers.CONV_MODES}, "
+                              f"got {self.mode!r}")
+        for name in ("act0", "act_l"):
+            if getattr(self, name) not in layers.ACTIVATIONS:
+                raise DomainError(f"{name} must be one of {layers.ACTIVATIONS}"
+                                  f", got {getattr(self, name)!r}")
+        self.basis_spec()  # rejects an unknown spacing or r_min >= r_max
 
     def basis_spec(self):
         # feature channels double as radial-basis indices
@@ -217,12 +228,24 @@ def save_checkpoint(params, path):
         "exponents": params.config.basis_spec().exponents.tolist(),
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(hbytes)))
-        fh.write(hbytes)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    # write a sibling temp file, then rename it over the target: a crash
+    # mid-write leaves the previous checkpoint intact
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", len(hbytes)))
+            fh.write(hbytes)
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -170,19 +169,21 @@ def _cg_complex_scalar(j1, m1, j2, m2, J, M):
     if abs(m1) > j1 or abs(m2) > j2 or abs(M) > J:
         return 0.0
     f = math.factorial
-    pref = Fraction(
-        (2 * J + 1) * f(j1 + j2 - J) * f(j1 - j2 + J) * f(-j1 + j2 + J),
-        f(j1 + j2 + J + 1),
-    ) * Fraction(f(J + M) * f(J - M) * f(j1 - m1) * f(j1 + m1)
-                 * f(j2 - m2) * f(j2 + m2))
-    total = Fraction(0)
+    # exact rationals as integer numerator / denominator; int true division
+    # rounds correctly, so each ratio is converted to float exactly once
+    pref_num = ((2 * J + 1) * f(j1 + j2 - J) * f(j1 - j2 + J)
+                * f(-j1 + j2 + J) * f(J + M) * f(J - M) * f(j1 - m1)
+                * f(j1 + m1) * f(j2 - m2) * f(j2 + m2))
+    pref_den = f(j1 + j2 + J + 1)
     t_lo = max(0, j2 - J - m1, j1 - J + m2)
     t_hi = min(j1 + j2 - J, j1 - m1, j2 + m2)
-    for t in range(t_lo, t_hi + 1):
-        den = (f(t) * f(j1 + j2 - J - t) * f(j1 - m1 - t) * f(j2 + m2 - t)
-               * f(J - j2 + m1 + t) * f(J - j1 - m2 + t))
-        total += Fraction((-1) ** t, den)
-    return float(total) * math.sqrt(float(pref))
+    dens = [f(t) * f(j1 + j2 - J - t) * f(j1 - m1 - t) * f(j2 + m2 - t)
+            * f(J - j2 + m1 + t) * f(J - j1 - m2 + t)
+            for t in range(t_lo, t_hi + 1)]
+    common = math.lcm(*dens)
+    total = sum((-1) ** t * (common // d)
+                for t, d in zip(range(t_lo, t_hi + 1), dens))
+    return (total / common) * math.sqrt(pref_num / pref_den)
 
 
 def _complex_cg(l, k, J):

@@ -4,7 +4,7 @@ import types as pytypes
 import numpy as np
 import pytest
 
-from infgcn import cli, dataio, geometry, model, so3
+from infgcn import cli, dataio, geometry, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError, SchemaError
 
 SMALL_MODEL = {"l_max": 1, "channels": 2, "n_layers": 1, "cutoff": 3.0,
@@ -233,6 +233,9 @@ def test_equivariance_check_passes_and_degrades(monkeypatch):
         return table
 
     monkeypatch.setattr(so3, "cg_table", crooked)
+    # the conv plan memoizes the tables it was built from; an empty memo
+    # makes this run build its plan from the crooked table
+    monkeypatch.setattr(layers, "_PLANS", {})
     broken = cli.cmd_equivariance_check(mcfg, seed=2)
     assert not broken["pass"]
     assert broken["max_rel_deviation"] > 1e-7

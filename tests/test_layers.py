@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -208,6 +211,189 @@ def test_conv_counters_closed_form():
         assembly = sum((2 * J + 1) * (2 * l + 1) * (2 * k + 1)
                        for (l, k, J) in layers.make_paths(L))
         assert counters.counts["assembly"] == E * assembly
+
+
+# The per-path loops that conv_forward and conv_backward replaced, kept as
+# the reference the batched plan must reproduce.
+
+
+def _reference_blocks(paths, Y):
+    return {(l, k, J): np.einsum("eM,Mab->eab", Y[:, so3.block_slice(J)],
+                                 so3.cg_table(l, k, J).dense)
+            for (l, k, J) in paths}
+
+
+def _reference_conv_forward(graph, feats, params):
+    L, C = params.l_max, params.channels
+    out = layers.NodeFeatures.zeros(feats.n_nodes, L, C)
+    for l in range(L + 1):
+        out.blocks[l] += params.self_w[l][None, :, None] * feats.blocks[l]
+    if graph.n_edges == 0:
+        return out
+    r, rhat = layers._edge_geometry(graph)
+    Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
+    phi = layers._phi_per_path(params, r)
+    G = _reference_blocks(params.paths, Y)
+    src, dst = graph.edge_src, graph.edge_dst
+    for l in range(L + 1):
+        msg = np.zeros((graph.n_edges, C, 2 * l + 1))
+        for k in range(L + 1):
+            shape = ((graph.n_edges, C, 2 * l + 1, 2 * k + 1)
+                     if params.mode == "channel" else
+                     (graph.n_edges, C, C, 2 * l + 1, 2 * k + 1))
+            W = np.zeros(shape)
+            for p, (pl, pk, J) in enumerate(params.paths):
+                if (pl, pk) != (l, k):
+                    continue
+                g = G[(l, k, J)]
+                if params.mode == "channel":
+                    W += phi[:, p, :, None, None] * g[:, None, :, :]
+                else:
+                    W += phi[:, p, :, :, None, None] * g[:, None, None, :, :]
+            fk = feats.blocks[k][dst]
+            if params.mode == "channel":
+                msg += np.einsum("ecab,ecb->eca", W, fk)
+            else:
+                msg += np.einsum("ecdab,edb->eca", W, fk)
+        np.add.at(out.blocks[l], src, msg)
+    return out
+
+
+def _reference_conv_backward(graph, feats, params, grad_out):
+    L, C = params.l_max, params.channels
+    grad_f = layers.NodeFeatures.zeros(feats.n_nodes, L, C)
+    grad_self = np.zeros_like(params.self_w)
+    for l in range(L + 1):
+        g = grad_out.blocks[l]
+        grad_f.blocks[l] += params.self_w[l][None, :, None] * g
+        grad_self[l] = np.einsum("nca,nca->c", g, feats.blocks[l])
+    if graph.n_edges == 0:
+        return grad_f, {"self_w": grad_self, "radial": layers.radial_backward(
+            params.radial, np.zeros(0),
+            np.zeros((0, params.radial.out_dim)))}
+    r, rhat = layers._edge_geometry(graph)
+    Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
+    phi = layers._phi_per_path(params, r)
+    G = _reference_blocks(params.paths, Y)
+    src, dst = graph.edge_src, graph.edge_dst
+    grad_phi = np.zeros_like(phi)
+    for l in range(L + 1):
+        gmsg = grad_out.blocks[l][src]
+        for k in range(L + 1):
+            fk = feats.blocks[k][dst]
+            acc_fk = np.zeros_like(fk)
+            for p, (pl, pk, J) in enumerate(params.paths):
+                if (pl, pk) != (l, k):
+                    continue
+                g = G[(l, k, J)]
+                if params.mode == "channel":
+                    grad_phi[:, p] = np.einsum("eca,ecb,eab->ec", gmsg, fk, g)
+                    acc_fk += phi[:, p, :, None] * np.einsum(
+                        "eca,eab->ecb", gmsg, g)
+                else:
+                    grad_phi[:, p] = np.einsum("eca,edb,eab->ecd", gmsg, fk, g)
+                    acc_fk += np.einsum("ecd,eca,eab->edb",
+                                        phi[:, p], gmsg, g)
+            np.add.at(grad_f.blocks[k], dst, acc_fk)
+    grad_radial = layers.radial_backward(
+        params.radial, r, grad_phi.reshape(graph.n_edges, -1))
+    return grad_f, {"self_w": grad_self, "radial": grad_radial}
+
+
+def _assert_close(got, want):
+    # summation order differs from the reference; 1e-12 of the scale
+    tol = 1e-12 * max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(got - want).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("mode", ["channel", "fc"])
+@pytest.mark.parametrize("l_max", [1, 2, 3, 7])
+@pytest.mark.parametrize("n_atoms", [5, 0])
+def test_conv_matches_reference_loop(mode, l_max, n_atoms):
+    rng = np.random.default_rng(100 + l_max)
+    if n_atoms:
+        graph, feats, params = small_instance(
+            rng, n_atoms=n_atoms, l_max=l_max, channels=3, mode=mode)
+        assert graph.n_edges > 0
+    else:  # two atoms out of each other's reach: an edge-free graph
+        graph = geometry.MolecularGraph.from_coords(
+            np.zeros(2, dtype=int), np.array([[0.0, 0, 0], [10.0, 0, 0]]),
+            3.0)
+        assert graph.n_edges == 0
+        feats = random_feats(rng, 2, l_max, 3)
+        params = layers.init_conv_layer(rng, l_max, 3, 3.0, mode=mode,
+                                        zero_head=False)
+    params.self_w[:] = rng.standard_normal(params.self_w.shape)
+    grad_out = random_feats(rng, graph.n_atoms, l_max, 3)
+
+    got = layers.conv_forward(graph, feats, params)
+    want = _reference_conv_forward(graph, feats, params)
+    for l in want.blocks:
+        _assert_close(got.blocks[l], want.blocks[l])
+
+    got_f, got_p = layers.conv_backward(graph, feats, params, grad_out)
+    want_f, want_p = _reference_conv_backward(graph, feats, params, grad_out)
+    for l in want_f.blocks:
+        _assert_close(got_f.blocks[l], want_f.blocks[l])
+    _assert_close(got_p["self_w"], want_p["self_w"])
+    assert got_p["radial"].keys() == want_p["radial"].keys()
+    for key, want_g in want_p["radial"].items():
+        _assert_close(got_p["radial"][key], want_g)
+
+
+def test_conv_plan_built_once(monkeypatch):
+    calls = []
+    real = so3.cg_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(so3, "cg_table", counting)
+    monkeypatch.setattr(layers, "_PLANS", {})
+    rng = np.random.default_rng(24)
+    graph, feats, params = small_instance(rng, l_max=3)
+    layers.conv_forward(graph, feats, params)
+    assert sorted(calls) == sorted(params.paths)
+    calls.clear()
+    layers.conv_forward(graph, feats, params)
+    layers.conv_backward(graph, feats, params, feats)
+    assert calls == []
+
+
+def test_conv_plan_concurrent_first_build(monkeypatch):
+    # racing first builds (of the CG tables too) take no lock; every thread
+    # must still get a plan equal to a serial build, and the memo one of them
+    want = layers._build_plan(4)
+    monkeypatch.setattr(layers, "_PLANS", {})
+    monkeypatch.setattr(so3, "_MEMO", {})
+    n_threads = 6
+    barrier = threading.Barrier(n_threads)
+    got = [None] * n_threads
+
+    def build(i):
+        barrier.wait(timeout=30)
+        got[i] = layers.conv_plan(4)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert any(layers._PLANS[4] is plan for plan in got)
+    for plan in got:
+        assert (plan.assembly, plan.mixing) == (want.assembly, want.mixing)
+        assert len(plan.pairs) == len(want.pairs)
+        for a, b in zip(plan.pairs, want.pairs):
+            assert a[:4] == b[:4]
+            assert all(np.array_equal(x, y) for x, y in zip(a[4], b[4]))
 
 
 def test_gate_zero_stays_zero():

@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,14 @@ def test_config_defaults():
         model.ModelConfig(n_layers=0)
     with pytest.raises(DomainError):
         model.ModelConfig(cutoff=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", "dense"), ("act0", "relu"), ("act_l", "tanh"),
+    ("spacing", "log"), ("r_min", 5.0), ("r_min", 7.5)])
+def test_config_rejects_unknown_choice_naming_field(field, value):
+    with pytest.raises(DomainError, match=field):
+        model.ModelConfig(**{field: value})
 
 
 def test_init_features_isotropic():
@@ -180,6 +190,46 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(DomainError):
         model.load_checkpoint(trailing)
+
+
+class _DiskFullAt:
+    """File wrapper whose ``fail_at``-th write stores half its bytes, then
+    raises as a full disk would."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(model.init_params(SMALL, seed=11), path)
+    before = path.read_bytes()
+    # writes 1-3 are the magic, header length and header; 5 is the second
+    # array of the blob
+    monkeypatch.setattr(model, "open",
+                        lambda *a, **kw: _DiskFullAt(open(*a, **kw), 5),
+                        raising=False)
+    with pytest.raises(OSError):
+        model.save_checkpoint(
+            model.init_params(SMALL, seed=12, zero_heads=False), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_deterministic_forward():

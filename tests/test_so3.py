@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,42 @@ def test_cg_matches_exact_coupling_oracle():
         want = float(CG(j1, m1, j2, m2, J, M).doit().evalf())
         got = so3._cg_complex_scalar(j1, m1, j2, m2, J, M)
         assert abs(want - got) < 1e-12
+
+
+def _fraction_cg_scalar(j1, m1, j2, m2, J, M):
+    """Reference Racah sum in exact Fractions (the earlier implementation)."""
+    if m1 + m2 != M:
+        return 0.0
+    if not abs(j1 - j2) <= J <= j1 + j2:
+        return 0.0
+    if abs(m1) > j1 or abs(m2) > j2 or abs(M) > J:
+        return 0.0
+    f = math.factorial
+    pref = Fraction(
+        (2 * J + 1) * f(j1 + j2 - J) * f(j1 - j2 + J) * f(-j1 + j2 + J),
+        f(j1 + j2 + J + 1),
+    ) * Fraction(f(J + M) * f(J - M) * f(j1 - m1) * f(j1 + m1)
+                 * f(j2 - m2) * f(j2 + m2))
+    total = Fraction(0)
+    t_lo = max(0, j2 - J - m1, j1 - J + m2)
+    t_hi = min(j1 + j2 - J, j1 - m1, j2 + m2)
+    for t in range(t_lo, t_hi + 1):
+        den = (f(t) * f(j1 + j2 - J - t) * f(j1 - m1 - t) * f(j2 + m2 - t)
+               * f(J - j2 + m1 + t) * f(J - j1 - m2 + t))
+        total += Fraction((-1) ** t, den)
+    return float(total) * math.sqrt(float(pref))
+
+
+def test_cg_integer_racah_sum_is_bit_identical(monkeypatch):
+    # both sums are exact rationals rounded once, so every L=7 table must
+    # come out bit for bit the same
+    paths = [(l, k, J) for l in range(8) for k in range(8)
+             for J in range(abs(l - k), l + k + 1)]
+    assert len(paths) == 344
+    tables = [so3._real_cg(*p) for p in paths]
+    monkeypatch.setattr(so3, "_cg_complex_scalar", _fraction_cg_scalar)
+    for p, got in zip(paths, tables):
+        assert np.array_equal(got, so3._real_cg(*p)), p
 
 
 def test_cg_tables_write_no_cache(tmp_path):

@@ -11,6 +11,13 @@ with real harmonics Y from :mod:`infgcn.so3` and the per-function constant
 r_k via a_k = 1/(2 r_k^2); radii are spaced linearly (default) or
 geometrically between r_min and r_max, so the first exponent is the tightest.
 
+The basis factors into a radial part E_n = exp(-a_n |d|^2) that does not
+depend on l and an angular part |d|^l Y_lm(dhat) that does not depend on n.
+`expand_density` folds c_{n l} into the coefficients, contracts E with them
+in one batched GEMM per chunk of queries and only then multiplies by the
+angular factor, so a chunk of q queries holds (U, q, n) and (U, q, S) arrays
+for U centers and S = (l_max+1)^2, never a (U, q, n, S) table of basis values.
+
 All lengths are Bohr; densities are e/Bohr^3.
 """
 
@@ -91,66 +98,86 @@ def eval_basis_block(spec, center, points):
     At the center itself every l > 0 entry is exactly zero.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = points - np.asarray(center, dtype=float)
-    return _eval_displacements(spec, d)
+    E, Y = _factors(spec, points - np.asarray(center, dtype=float))
+    return (E[..., :, None] * _norm_columns(spec)) * Y[..., None, :]
 
 
-def _eval_displacements(spec, d):
-    """Core evaluation for displacement vectors d of shape (..., 3)."""
+def _factors(spec, d):
+    """The two factors of the basis at displacements d of shape (..., 3).
+
+    Returns E (..., n_radial) with E[..., n] = exp(-a_n |d|^2) and
+    Y (..., (l_max+1)**2) with Y[..., lm] = |d|^l Y_lm(dhat); a basis value
+    is c_{n l} E[..., n] Y[..., lm].
+    """
     r2 = np.einsum("...i,...i->...", d, d)
     r = np.sqrt(r2)
     safe = np.where(r > 0.0, r, 1.0)
     dirs = d / safe[..., None]
     dirs[r == 0.0] = (0.0, 0.0, 1.0)
     Y = so3.eval_real_sh(spec.l_max, dirs, check_unit=False)
-    # radial part per (point, n): exp(-a r^2); angular-degree factor r^l
-    expo = np.exp(-np.multiply.outer(r2, spec.exponents))          # (..., n)
-    out = np.empty(d.shape[:-1] + (spec.n_radial, spec.n_sh))
-    norms = spec.norm_table()                                       # (n, L+1)
     rl = np.ones_like(r)
-    for l in range(spec.l_max + 1):
-        if l > 0:
-            rl = rl * r
-        sl = so3.block_slice(l)
-        out[..., sl] = (expo * norms[:, l])[..., None] \
-            * (rl[..., None] * Y[..., sl])[..., None, :]
-    return out
+    for l in range(1, spec.l_max + 1):
+        rl = rl * r
+        Y[..., so3.block_slice(l)] *= rl[..., None]
+    E = np.exp(-np.multiply.outer(r2, spec.exponents))
+    return E, Y
+
+
+def _norm_columns(spec):
+    """(n_radial, (l_max+1)**2) table of c_{n l}, repeated over m."""
+    return np.repeat(spec.norm_table(),
+                     2 * np.arange(spec.l_max + 1) + 1, axis=1)
+
+
+def _points(name, a):
+    """``a`` as an (N, 3) float array; DomainError naming ``name`` otherwise."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise DomainError(f"{name} must have shape (N, 3), got {a.shape}")
+    return a
 
 
 def expand_density(spec, coeffs, centers, queries, chunk=512):
     """Multicentric expansion  rho(x) = sum_u sum_{n l m} f[u,n,lm] psi(x - r_u).
 
     coeffs: (U, n_radial, (l_max+1)**2); centers: (U, 3); queries: (Q, 3).
-    Returns (Q,).  Linear in the coefficients; queries are processed in
-    chunks so the (q, U, n, S) evaluation tensor stays small.
+    Returns (Q,).  Linear in the coefficients.  Per chunk of queries the
+    radial factor E (U, q, n) meets the coefficients, with c_{n l} folded in,
+    in one batched GEMM, and the result is contracted with the angular factor
+    Y (U, q, S); the chunks bound the size of Y.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    centers = _points("centers", centers)
+    queries = _points("queries", queries)
     if coeffs.shape != (centers.shape[0], spec.n_radial, spec.n_sh):
         raise DomainError(
             f"coeffs shape {coeffs.shape} does not match spec/centers "
             f"({centers.shape[0]}, {spec.n_radial}, {spec.n_sh})")
+    cf = coeffs * _norm_columns(spec)
     out = np.empty(queries.shape[0])
     for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
-        d = queries[lo:hi, None, :] - centers[None, :, :]
-        B = _eval_displacements(spec, d)                 # (q, U, n, S)
-        out[lo:hi] = np.einsum("quns,uns->q", B, coeffs)
+        E, Y = _factors(spec, queries[None, lo:hi] - centers[:, None])
+        out[lo:hi] = np.einsum("uqs,uqs->q", E @ cf, Y)
     return out
 
 
 def expand_density_backward(spec, grad_out, centers, queries, chunk=512):
     """Adjoint of expand_density with respect to the coefficients."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    centers = _points("centers", centers)
+    queries = _points("queries", queries)
+    grad_out = np.asarray(grad_out, dtype=float)
+    if grad_out.shape != (queries.shape[0],):
+        raise DomainError(
+            f"grad_out shape {grad_out.shape} does not match queries "
+            f"({queries.shape[0]},)")
     grad = np.zeros((centers.shape[0], spec.n_radial, spec.n_sh))
     for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
-        d = queries[lo:hi, None, :] - centers[None, :, :]
-        B = _eval_displacements(spec, d)
-        grad += np.einsum("quns,q->uns", B, grad_out[lo:hi])
-    return grad
+        E, Y = _factors(spec, queries[None, lo:hi] - centers[:, None])
+        Y *= grad_out[lo:hi, None]
+        grad += E.transpose(0, 2, 1) @ Y
+    return grad * _norm_columns(spec)
 
 
 def overlap_integral_numeric(spec, i, j, displacement, n_points=20, tol=1e-6):

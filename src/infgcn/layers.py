@@ -127,12 +127,9 @@ class OpCounters:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; the numerator picks 1 or exp(x) by sign
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(x):

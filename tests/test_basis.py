@@ -170,6 +170,136 @@ def test_expand_backward_is_adjoint():
     assert abs(lhs - rhs) < 1e-10
 
 
+def _reference_eval_displacements(spec, d):
+    """The broadcast (..., n, S) evaluation the factored expansion replaced."""
+    r2 = np.einsum("...i,...i->...", d, d)
+    r = np.sqrt(r2)
+    safe = np.where(r > 0.0, r, 1.0)
+    dirs = d / safe[..., None]
+    dirs[r == 0.0] = (0.0, 0.0, 1.0)
+    Y = so3.eval_real_sh(spec.l_max, dirs, check_unit=False)
+    expo = np.exp(-np.multiply.outer(r2, spec.exponents))
+    out = np.empty(d.shape[:-1] + (spec.n_radial, spec.n_sh))
+    norms = spec.norm_table()
+    rl = np.ones_like(r)
+    for l in range(spec.l_max + 1):
+        if l > 0:
+            rl = rl * r
+        sl = so3.block_slice(l)
+        out[..., sl] = (expo * norms[:, l])[..., None] \
+            * (rl[..., None] * Y[..., sl])[..., None, :]
+    return out
+
+
+def _reference_expand(spec, coeffs, centers, queries):
+    B = _reference_eval_displacements(
+        spec, queries[:, None, :] - centers[None, :, :])
+    return np.einsum("quns,uns->q", B, coeffs)
+
+
+def _reference_expand_backward(spec, grad_out, centers, queries):
+    B = _reference_eval_displacements(
+        spec, queries[:, None, :] - centers[None, :, :])
+    return np.einsum("quns,q->uns", B, grad_out)
+
+
+@pytest.mark.parametrize("l_max,n_queries,chunk", [
+    (0, 37, 512), (2, 37, 512), (7, 37, 512),
+    (2, 37, 16), (7, 1030, 512), (2, 9, 1), (7, 0, 512)])
+def test_expand_matches_broadcast_reference(l_max, n_queries, chunk):
+    spec = basis.RadialBasisSpec.default(l_max=l_max, n=5)
+    rng = np.random.default_rng(7)
+    centers = rng.standard_normal((4, 3))
+    queries = rng.standard_normal((n_queries, 3)) * 2.0
+    if n_queries:
+        queries[0] = centers[2]
+    coeffs = rng.standard_normal((4, 5, spec.n_sh))
+    g = rng.standard_normal(n_queries)
+
+    got = basis.expand_density(spec, coeffs, centers, queries, chunk=chunk)
+    want = _reference_expand(spec, coeffs, centers, queries)
+    assert got.shape == (n_queries,)
+    assert np.abs(got - want).max(initial=0.0) \
+        <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+    got = basis.expand_density_backward(spec, g, centers, queries, chunk=chunk)
+    want = _reference_expand_backward(spec, g, centers, queries)
+    assert got.shape == coeffs.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    block = basis.eval_basis_block(spec, centers[2], queries)
+    want = _reference_eval_displacements(spec, queries - centers[2])
+    assert np.abs(block - want).max(initial=0.0) \
+        <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def test_expand_query_on_center_drops_l_above_zero():
+    # at its own center only the l = 0 functions are nonzero, exactly
+    spec = basis.RadialBasisSpec.default(l_max=7, n=4)
+    rng = np.random.default_rng(8)
+    center = rng.standard_normal((1, 3))
+    coeffs = rng.standard_normal((1, 4, spec.n_sh))
+    coeffs[:, :, 0] = 0.0
+    assert basis.expand_density(spec, coeffs, center, center)[0] == 0.0
+    grad = basis.expand_density_backward(spec, np.array([1.5]), center, center)
+    assert np.all(grad[:, :, 1:] == 0.0)
+    assert np.all(grad[:, :, 0] != 0.0)
+
+
+@pytest.mark.parametrize("call,field", [
+    ("forward_queries", "queries"),
+    ("forward_centers", "centers"),
+    ("backward_queries", "queries"),
+    ("backward_centers", "centers"),
+    ("backward_long_grad", "grad_out"),
+    ("backward_column_grad", "grad_out"),
+])
+def test_expand_rejects_bad_shapes_naming_field(call, field):
+    spec = basis.RadialBasisSpec.default(l_max=1, n=2)
+    rng = np.random.default_rng(9)
+    centers = rng.standard_normal((3, 3))
+    queries = rng.standard_normal((6, 3))
+    coeffs = rng.standard_normal((3, 2, 4))
+    g = rng.standard_normal(6)
+    calls = {
+        "forward_queries": lambda: basis.expand_density(
+            spec, coeffs, centers, queries[:, :2]),
+        "forward_centers": lambda: basis.expand_density(
+            spec, coeffs, centers[:, :2], queries),
+        "backward_queries": lambda: basis.expand_density_backward(
+            spec, g, centers, np.hstack([queries, queries[:, :1]])),
+        "backward_centers": lambda: basis.expand_density_backward(
+            spec, g, centers[None], queries),
+        "backward_long_grad": lambda: basis.expand_density_backward(
+            spec, np.append(g, 1.0), centers, queries),
+        "backward_column_grad": lambda: basis.expand_density_backward(
+            spec, g[:, None], centers, queries),
+    }
+    with pytest.raises(DomainError, match=field):
+        calls[call]()
+
+
+def test_expand_peak_memory_stays_small():
+    # the factored path holds (U, q, S) factors per chunk, not the 170 MB
+    # (q, U, n, S) basis tensor of the broadcast evaluation
+    import tracemalloc
+
+    spec = basis.RadialBasisSpec.default(l_max=7, n=16)
+    rng = np.random.default_rng(10)
+    centers = rng.standard_normal((18, 3)) * 2.0
+    queries = rng.standard_normal((1024, 3)) * 3.0
+    coeffs = rng.standard_normal((18, 16, spec.n_sh))
+    g = rng.standard_normal(1024)
+    tracemalloc.start()
+    try:
+        basis.expand_density(spec, coeffs, centers, queries)
+        basis.expand_density_backward(spec, g, centers, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_overlap_self_is_one():
     spec = basis.RadialBasisSpec.default(l_max=3, n=4)
     for n in range(4):

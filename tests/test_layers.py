@@ -396,6 +396,28 @@ def test_conv_plan_concurrent_first_build(monkeypatch):
             assert all(np.array_equal(x, y) for x, y in zip(a[4], b[4]))
 
 
+def _reference_sigmoid(x):
+    """The masked sigmoid that the branch-free layers._sigmoid replaced."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2055, 128)) * 8.0
+    x.ravel()[:8] = (0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
+                     1e-300, -1e-300)
+    with np.errstate(over="raise", invalid="raise"):
+        got = layers._sigmoid(x)
+        want = _reference_sigmoid(x)
+    assert np.array_equal(got, want)
+    assert got.ravel()[:6].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+
+
 def test_gate_zero_stays_zero():
     rng = np.random.default_rng(15)
     feats = random_feats(rng, 4, 2, 3)

@@ -328,37 +328,54 @@ def cmd_graphon_demo(out_dir, seed=0, n_nodes=256):
         csv_path=os.path.join(out_dir, "eigenvalue_decay.csv"))
 
 
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="infgcn",
         description="equivariant density model and graphon laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="path to a run-config JSON file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--deterministic", action="store_true")
+    def command(name, summary, config="required", seed=True, jobs=False,
+                deterministic=False):
+        """A subcommand with only the shared flags its cmd_* function
+        reads; ``config`` is "required", "optional" or None."""
+        p = sub.add_parser(name, help=summary)
+        if config is not None:
+            p.add_argument("--config", required=config == "required",
+                           help="path to a run-config JSON file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if jobs:
+            p.add_argument("--jobs", type=_jobs, default=1,
+                           help="records evaluated at once (at least 1)")
+        if deterministic:
+            p.add_argument("--deterministic", action="store_true",
+                           help="zero wall-clock fields in the report")
+        return p
 
-    common(sub.add_parser("train", help="train on a dataset directory"))
-    pe = sub.add_parser("eval", help="full-grid partitioned NMAE")
-    common(pe)
+    command("train", "train on a dataset directory", deterministic=True)
+    pe = command("eval", "full-grid partitioned NMAE", jobs=True,
+                 deterministic=True)
     pe.add_argument("--checkpoint", required=True)
     pe.add_argument("--rotated", action="store_true",
                     help="rotate atoms and resample the target grid")
-    pp = sub.add_parser("predict", help="write prediction and error CUBEs")
-    common(pp)
+    pp = command("predict", "write prediction and error CUBEs", seed=False,
+                 jobs=True)
     pp.add_argument("--checkpoint", required=True)
     pp.add_argument("--out", default=None)
-    pq = sub.add_parser("equivariance-check",
-                        help="two-branch rotation test")
-    common(pq, config_required=False)
-    pg = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(pg, config_required=False)
+    command("equivariance-check", "two-branch rotation test",
+            config="optional")
+    pg = command("gradcheck", "finite-difference gradient check",
+                 config="optional")
     pg.add_argument("--n-params", type=int, default=200)
-    pd = sub.add_parser("graphon-demo", help="graphon equivalence report")
-    common(pd, config_required=False)
+    pd = command("graphon-demo", "graphon equivalence report",
+                 config=None)
     pd.add_argument("--out", default="graphon_demo")
     pd.add_argument("--nodes", type=int, default=256)
     return parser

@@ -91,17 +91,14 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
     w = np.asarray(volume_weight, dtype=float)
     grad_dens = 2.0 * w * (dens - target)
 
+    g = basis.expand_density_backward(
+        trace["spec"], grad_dens, graph.atom_coord, trace["queries"])
     if params.residual is not None:
         grad_fr, rgrads = layers.residual_backward(
-            trace["queries"], graph.atom_coord, trace["final"],
+            trace["queries"], graph.atom_coord, trace["coeffs"],
             params.residual, grad_dens)
+        g += grad_fr
         _accumulate_radial(grads, "residual", rgrads["radial"])
-    grad_coeffs = basis.expand_density_backward(
-        trace["spec"], grad_dens, graph.atom_coord, trace["queries"])
-    g = model.coeff_grad_to_features(grad_coeffs, cfg.l_max, cfg.channels)
-    if params.residual is not None:
-        for l in g.blocks:
-            g.blocks[l] += grad_fr.blocks[l]
 
     for i in reversed(range(cfg.n_layers)):
         g = layers.gate_backward(trace["pre_gate"][i], g, cfg.act0, cfg.act_l)
@@ -110,7 +107,7 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
         grads[f"conv{i}.self_w"] += cgrads["self_w"]
         _accumulate_radial(grads, f"conv{i}", cgrads["radial"])
 
-    np.add.at(grads["embed"], graph.atom_type, g.blocks[0][:, :, 0])
+    np.add.at(grads["embed"], graph.atom_type, g[:, :, 0])
     for name in grads:
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteError(f"non-finite gradient for {name}")

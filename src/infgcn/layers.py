@@ -1,10 +1,11 @@
 """Equivariant network layers: radial nets, tensor-product convolution,
 norm-gated nonlinearity, and the scalar residual layer.
 
-Features live on graph nodes as one block per degree, ``blocks[l]`` of shape
-(n_nodes, channels, 2l+1). The convolution couples degree k features into
-degree l messages through every admissible filter degree J with
-|l - k| <= J <= l + k; the kernel for one edge is
+Features live on graph nodes as one array of shape (n_nodes, channels,
+(l_max+1)^2), the layout of ``basis.expand_density``'s coefficients: degree l
+occupies ``[..., so3.block_slice(l)]``, orders m = -l..l. The convolution
+couples degree k features into degree l messages through every admissible
+filter degree J with |l - k| <= J <= l + k; the kernel for one edge is
 
     W^{lk}(r) = sum_J phi_J^{lk}(|r|) sum_M Y_J^M(rhat) Q_{JM}^{lk}
 
@@ -36,7 +37,6 @@ from . import so3
 from .errors import DomainError
 
 __all__ = [
-    "NodeFeatures",
     "OpCounters",
     "RadialNetParams",
     "ConvLayerParams",
@@ -76,44 +76,6 @@ def make_paths(l_max):
 
 
 @dataclass
-class NodeFeatures:
-    """Per-node spherical-tensor features, uniform channel count."""
-
-    l_max: int
-    channels: int
-    blocks: dict
-
-    @staticmethod
-    def zeros(n_nodes, l_max, channels):
-        return NodeFeatures(l_max, channels, {
-            l: np.zeros((n_nodes, channels, 2 * l + 1))
-            for l in range(l_max + 1)})
-
-    @property
-    def n_nodes(self):
-        return self.blocks[0].shape[0]
-
-    def copy(self):
-        return NodeFeatures(self.l_max, self.channels,
-                            {l: b.copy() for l, b in self.blocks.items()})
-
-    def rotate(self, R):
-        """Apply the degree-l rotation matrix to every block."""
-        D = so3.wigner_blocks(self.l_max, R)
-        return NodeFeatures(self.l_max, self.channels,
-                            {l: self.blocks[l] @ D[l].T
-                             for l in range(self.l_max + 1)})
-
-    def flat(self):
-        return np.concatenate([b.reshape(-1) for _, b in
-                               sorted(self.blocks.items())])
-
-    def max_abs_diff(self, other):
-        return max(np.abs(self.blocks[l] - other.blocks[l]).max()
-                   for l in self.blocks)
-
-
-@dataclass
 class OpCounters:
     """Multiply counters keyed by stage name."""
 
@@ -139,7 +101,7 @@ def silu(x):
 
 def _act(name):
     if name == "silu":
-        return lambda x: x * _sigmoid(x)
+        return silu
     if name == "identity":
         return lambda x: x
     raise DomainError(f"unknown activation {name!r}")
@@ -277,9 +239,50 @@ def init_conv_layer(rng, l_max, channels, cutoff, mode="channel",
         self_w=np.ones((l_max + 1, channels)))
 
 
-def _check_layout(feats, l_max, channels):
-    if feats.l_max != l_max or feats.channels != channels:
-        raise DomainError("feature layout does not match layer parameters")
+def _check_shape(name, a, shape):
+    """``a`` as a float array of ``shape``; DomainError naming ``name``
+    otherwise. A ``None`` entry matches any length, and the last axis of a
+    3-D feature array must hold whole degrees, (l_max+1)^2 entries."""
+    a = np.asarray(a, dtype=float)
+    ok = a.ndim == len(shape) and all(
+        want is None or want == got for want, got in zip(shape, a.shape))
+    if ok and a.ndim == 3:
+        ok = a.shape[2] > 0 and math.isqrt(a.shape[2]) ** 2 == a.shape[2]
+    if not ok:
+        dims = ["*" if w is None else str(w) for w in shape]
+        if len(shape) == 3 and shape[2] is None:
+            dims[2] = "(l_max+1)^2"
+        raise DomainError(f"{name} must have shape ({', '.join(dims)}), "
+                          f"got {a.shape}")
+    return a
+
+
+def _feature_shape(n, params):
+    return (n, params.channels, so3.num_sh(params.l_max))
+
+
+def _degree_sums(x):
+    """Sums over the orders of each degree: (..., (L+1)^2) -> (..., L+1)."""
+    starts = [l * l for l in range(math.isqrt(x.shape[-1]))]
+    return np.add.reduceat(x, starts, axis=-1)
+
+
+def _per_order(x):
+    """Per-degree values repeated over their orders: (..., L+1) ->
+    (..., (L+1)^2)."""
+    return np.repeat(x, 2 * np.arange(x.shape[-1]) + 1, axis=-1)
+
+
+def _take_degree(x, idx, l):
+    """Rows ``idx`` of the degree-l entries of a feature array, contiguous
+    (``np.take`` gathers this strided view about twice as fast as
+    ``x[idx, :, sl]``)."""
+    return np.take(x[:, :, so3.block_slice(l)], idx, axis=0)
+
+
+def _gather_degrees(x, idx):
+    """Rows ``idx`` of a feature array, one contiguous copy per degree."""
+    return [_take_degree(x, idx, l) for l in range(math.isqrt(x.shape[-1]))]
 
 
 def _edge_geometry(graph):
@@ -334,8 +337,7 @@ def _build_plan(l_max):
     pairs, p0 = [], 0
     for (l, k), paths in itertools.groupby(make_paths(l_max),
                                            key=lambda p: p[:2]):
-        tables = tuple(so3.cg_table(l, k, J).dense.reshape(2 * J + 1, -1)
-                       for _, _, J in paths)
+        tables = tuple(so3.cg_table(l, k, J).matrix() for _, _, J in paths)
         pairs.append((l, k, p0, p0 + len(tables), tables))
         p0 += len(tables)
     return ConvPlan(
@@ -374,19 +376,16 @@ def _edge_terms(graph, params, counters=None):
 
 def conv_forward(graph, feats, params, counters=None):
     """One message-passing step: self-interaction plus neighbor messages."""
-    _check_layout(feats, params.l_max, params.channels)
+    feats = _check_shape("feats", feats, _feature_shape(graph.n_atoms, params))
     L, C = params.l_max, params.channels
-    n = feats.n_nodes
-    out = NodeFeatures.zeros(n, L, C)
-    for l in range(L + 1):
-        out.blocks[l] += params.self_w[l][None, :, None] * feats.blocks[l]
+    out = _per_order(params.self_w.T) * feats
     if graph.n_edges == 0:
         return out
     r, Y, phi, plan = _edge_terms(graph, params, counters)
     src, dst = graph.edge_src, graph.edge_dst
     E = graph.n_edges
     spec = "ecab,ecb->eca" if params.mode == "channel" else "ecdab,edb->eca"
-    fk = [feats.blocks[k][dst] for k in range(L + 1)]
+    fk = _gather_degrees(feats, dst)
     msg = [np.zeros((E, C, 2 * l + 1)) for l in range(L + 1)]
     for pair in plan.pairs:
         l, k = pair[:2]
@@ -397,21 +396,17 @@ def conv_forward(graph, feats, params, counters=None):
         counters.add("assembly", E * plan.assembly)
         counters.add("mixing", E * cc * plan.mixing)
         counters.add("matvec", E * cc * (L + 1) ** 4)
-    for l in range(L + 1):
-        np.add.at(out.blocks[l], src, msg[l])
+    np.add.at(out, src, np.concatenate(msg, axis=2))
     return out
 
 
 def conv_backward(graph, feats, params, grad_out):
     """Adjoint of conv_forward: gradients for features and parameters."""
-    _check_layout(feats, params.l_max, params.channels)
-    L, C = params.l_max, params.channels
-    grad_f = NodeFeatures.zeros(feats.n_nodes, L, C)
-    grad_self = np.zeros_like(params.self_w)
-    for l in range(L + 1):
-        g = grad_out.blocks[l]
-        grad_f.blocks[l] += params.self_w[l][None, :, None] * g
-        grad_self[l] = np.einsum("nca,nca->c", g, feats.blocks[l])
+    shape = _feature_shape(graph.n_atoms, params)
+    feats = _check_shape("feats", feats, shape)
+    grad_out = _check_shape("grad_out", grad_out, shape)
+    grad_f = _per_order(params.self_w.T) * grad_out
+    grad_self = _degree_sums((grad_out * feats).sum(axis=0)).T
     if graph.n_edges == 0:
         # empty sums in radial_backward already yield zero gradients
         return grad_f, {"self_w": grad_self, "radial": radial_backward(
@@ -422,8 +417,8 @@ def conv_backward(graph, feats, params, grad_out):
     E = graph.n_edges
     channel = params.mode == "channel"
     spec = "ecab,eca->ecb" if channel else "ecdab,eca->edb"
-    gmsg = [grad_out.blocks[l][src] for l in range(L + 1)]
-    fk = [feats.blocks[k][dst] for k in range(L + 1)]
+    gmsg = _gather_degrees(grad_out, src)
+    fk = _gather_degrees(feats, dst)
     acc = [np.zeros_like(f) for f in fk]
     grad_phi = np.empty_like(phi)
     for pair in plan.pairs:
@@ -439,8 +434,7 @@ def conv_backward(graph, feats, params, grad_out):
         grad_phi[:, p0:p1] = np.matmul(G, outer.transpose(0, 2, 1)).reshape(
             (E, p1 - p0) + phi.shape[2:])
         acc[k] += np.einsum(spec, _mix(phi, G, pair), gmsg[l])
-    for k in range(L + 1):
-        np.add.at(grad_f.blocks[k], dst, acc[k])
+    np.add.at(grad_f, dst, np.concatenate(acc, axis=2))
     grad_radial = radial_backward(params.radial, r, grad_phi.reshape(E, -1))
     return grad_f, {"self_w": grad_self, "radial": grad_radial}
 
@@ -449,38 +443,36 @@ def conv_backward(graph, feats, params, grad_out):
 # gate nonlinearity
 
 
+def _gate_norms(feats):
+    """Per-degree norms, (n, C, L+1), kept off zero by the epsilon."""
+    return np.sqrt(_degree_sums(feats * feats) + _EPS_NORM)
+
+
 def gate_forward(feats, act0="silu", act_l="silu"):
     """Scalar activation on degree 0, norm gating on higher degrees.
 
     ``act_l="identity"`` bypasses the gate entirely (multiplier one), so the
     layer reduces to the identity operator on every degree.
     """
-    s0 = _act(act0)
-    out = {0: s0(feats.blocks[0])}
-    for l in range(1, feats.l_max + 1):
-        f = feats.blocks[l]
-        if act_l == "identity":
-            out[l] = f.copy()
-            continue
-        nrm = np.sqrt(np.einsum("nca,nca->nc", f, f) + _EPS_NORM)
-        out[l] = _act(act_l)(nrm)[:, :, None] * f
-    return NodeFeatures(feats.l_max, feats.channels, out)
+    feats = _check_shape("feats", feats, (None, None, None))
+    out = feats.copy()
+    if act_l != "identity":
+        out *= _per_order(_act(act_l)(_gate_norms(feats)))
+    out[:, :, 0] = _act(act0)(feats[:, :, 0])
+    return out
 
 
 def gate_backward(feats, grad_out, act0="silu", act_l="silu"):
-    g0 = _act_grad(act0)
-    out = {0: g0(feats.blocks[0]) * grad_out.blocks[0]}
-    for l in range(1, feats.l_max + 1):
-        f = feats.blocks[l]
-        g = grad_out.blocks[l]
-        if act_l == "identity":
-            out[l] = g.copy()
-            continue
-        nrm = np.sqrt(np.einsum("nca,nca->nc", f, f) + _EPS_NORM)
-        dot = np.einsum("nca,nca->nc", g, f)
-        out[l] = (_act(act_l)(nrm)[:, :, None] * g
-                  + (_act_grad(act_l)(nrm) * dot / nrm)[:, :, None] * f)
-    return NodeFeatures(feats.l_max, feats.channels, out)
+    feats = _check_shape("feats", feats, (None, None, None))
+    grad_out = _check_shape("grad_out", grad_out, feats.shape)
+    out = grad_out.copy()
+    if act_l != "identity":
+        nrm = _gate_norms(feats)
+        dot = _degree_sums(grad_out * feats)
+        out = (_per_order(_act(act_l)(nrm)) * grad_out
+               + _per_order(_act_grad(act_l)(nrm) * dot / nrm) * feats)
+    out[:, :, 0] = _act_grad(act0)(feats[:, :, 0]) * grad_out[:, :, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +516,9 @@ def _residual_edges(queries, coords, cutoff):
 
 def residual_forward(queries, coords, feats, params, counters=None):
     """Invariant scalar z per query from neighborhood feature contraction."""
-    queries = np.asarray(queries, dtype=float)
-    coords = np.asarray(coords, dtype=float)
-    _check_layout(feats, params.l_max, params.channels)
+    queries = _check_shape("queries", queries, (None, 3))
+    coords = _check_shape("coords", coords, (None, 3))
+    feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     z = np.zeros(queries.shape[0])
     qi, vi, r, rhat, degen = _residual_edges(queries, coords, params.cutoff)
     if qi.size == 0:
@@ -539,7 +531,8 @@ def residual_forward(queries, coords, feats, params, counters=None):
         t = Y[:, so3.block_slice(k)] @ Q  # (E, 2k+1)
         if k > 0:
             t[degen] = 0.0
-        contrib = np.einsum("ec,ecb,eb->e", phi[:, k], feats.blocks[k][vi], t)
+        contrib = np.einsum("ec,ecb,eb->e", phi[:, k],
+                            _take_degree(feats, vi, k), t)
         np.add.at(z, qi, contrib)
         if counters is not None:
             counters.add("residual", t.size * (params.channels + 1))
@@ -548,9 +541,11 @@ def residual_forward(queries, coords, feats, params, counters=None):
 
 def residual_backward(queries, coords, feats, params, grad_z):
     """Adjoint of residual_forward for features and radial parameters."""
-    queries = np.asarray(queries, dtype=float)
-    coords = np.asarray(coords, dtype=float)
-    grad_f = NodeFeatures.zeros(feats.n_nodes, params.l_max, params.channels)
+    queries = _check_shape("queries", queries, (None, 3))
+    coords = _check_shape("coords", coords, (None, 3))
+    feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
+    grad_z = _check_shape("grad_z", grad_z, (len(queries),))
+    grad_f = np.zeros_like(feats)
     qi, vi, r, rhat, degen = _residual_edges(queries, coords, params.cutoff)
     zero_phi = np.zeros((r.size, params.radial.out_dim))
     if qi.size == 0:
@@ -561,14 +556,15 @@ def residual_backward(queries, coords, feats, params, grad_z):
     ge = grad_z[qi]
     grad_phi = np.zeros_like(phi)
     for k in range(params.l_max + 1):
+        sl = so3.block_slice(k)
         Q = so3.cg_table(0, k, k).dense[:, 0, :]
-        t = Y[:, so3.block_slice(k)] @ Q
+        t = Y[:, sl] @ Q
         if k > 0:
             t[degen] = 0.0
-        fk = feats.blocks[k][vi]
-        grad_phi[:, k] = ge[:, None] * np.einsum("ecb,eb->ec", fk, t)
+        grad_phi[:, k] = ge[:, None] * np.einsum(
+            "ecb,eb->ec", _take_degree(feats, vi, k), t)
         gfk = (ge[:, None] * phi[:, k])[:, :, None] * t[:, None, :]
-        np.add.at(grad_f.blocks[k], vi, gfk)
+        np.add.at(grad_f[:, :, sl], vi, gfk)
     grad_radial = radial_backward(params.radial, r,
                                   grad_phi.reshape(r.size, -1))
     return grad_f, {"radial": grad_radial}

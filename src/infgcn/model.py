@@ -26,8 +26,6 @@ __all__ = [
     "NMAEAccumulator",
     "init_params",
     "init_features",
-    "features_to_coeffs",
-    "coeff_grad_to_features",
     "forward_trace",
     "predict_density",
     "loss_l2",
@@ -110,35 +108,20 @@ def init_params(config, seed=0, zero_heads=True):
 
 
 def init_features(params, atom_types):
-    """Isotropic initial tensors: embeddings on degree 0, zeros above."""
+    """Isotropic initial features, (U, channels, (l_max+1)**2): embeddings
+    on degree 0, zeros above."""
     types = np.asarray(atom_types, dtype=int)
     cfg = params.config
     if np.any(types < 0) or np.any(types >= cfg.vocab):
         raise DomainError("atom type outside the embedding vocabulary")
-    f = layers.NodeFeatures.zeros(types.size, cfg.l_max, cfg.channels)
-    f.blocks[0][:, :, 0] = params.embed[types]
+    f = np.zeros((types.size, cfg.channels, so3.num_sh(cfg.l_max)))
+    f[:, :, 0] = params.embed[types]
     return f
 
 
-def features_to_coeffs(feats):
-    """(U, channels, n_sh) coefficient array from per-degree blocks."""
-    n_sh = so3.num_sh(feats.l_max)
-    out = np.zeros((feats.n_nodes, feats.channels, n_sh))
-    for l in range(feats.l_max + 1):
-        out[:, :, so3.block_slice(l)] = feats.blocks[l]
-    return out
-
-
-def coeff_grad_to_features(grad_coeffs, l_max, channels):
-    blocks = {l: grad_coeffs[:, :, so3.block_slice(l)].copy()
-              for l in range(l_max + 1)}
-    return layers.NodeFeatures(l_max, channels, blocks)
-
-
-def _check_finite(arrs, op_name):
-    for a in arrs:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError(f"non-finite values produced by {op_name}")
+def _check_finite(a, op_name):
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"non-finite values produced by {op_name}")
 
 
 def forward_trace(params, graph, queries, counters=None):
@@ -152,20 +135,19 @@ def forward_trace(params, graph, queries, counters=None):
     for i, cp in enumerate(params.convs):
         pre_conv.append(f)
         h = layers.conv_forward(graph, f, cp, counters)
-        _check_finite(h.blocks.values(), f"conv_forward[{i}]")
+        _check_finite(h, f"conv_forward[{i}]")
         pre_gate.append(h)
         f = layers.gate_forward(h, cfg.act0, cfg.act_l)
-    coeffs = features_to_coeffs(f)
     spec = cfg.basis_spec()
-    dens = basis.expand_density(spec, coeffs, graph.atom_coord, queries)
-    _check_finite([dens], "expand_density")
+    dens = basis.expand_density(spec, f, graph.atom_coord, queries)
+    _check_finite(dens, "expand_density")
     if params.residual is not None:
         z = layers.residual_forward(queries, graph.atom_coord, f,
                                     params.residual, counters)
-        _check_finite([z], "residual_forward")
+        _check_finite(z, "residual_forward")
         dens = dens + z
-    trace = {"pre_conv": pre_conv, "pre_gate": pre_gate, "final": f,
-             "coeffs": coeffs, "queries": queries, "spec": spec}
+    trace = {"pre_conv": pre_conv, "pre_gate": pre_gate, "coeffs": f,
+             "queries": queries, "spec": spec}
     return dens, trace
 
 

@@ -1,5 +1,5 @@
-"""Real-spherical-harmonic SO(3) machinery: harmonics, Wigner blocks,
-Clebsch-Gordan tables, spherical tensors.
+"""Real-spherical-harmonic SO(3) machinery: harmonics, Wigner blocks and
+Clebsch-Gordan tables.
 
 Conventions
 -----------
@@ -299,117 +299,3 @@ def wigner_blocks(l_max, R, validate=True):
         D = Q @ np.kron(D, D1) @ Q.T
         out.append(D)
     return out
-
-
-# ---------------------------------------------------------------------------
-# spherical tensors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IrrepLayout:
-    """Ordered list of (degree, channels) with strictly ascending degrees."""
-    entries: tuple
-
-    def __post_init__(self):
-        ent = tuple((int(l), int(c)) for l, c in self.entries)
-        if not ent:
-            raise DomainError("layout must contain at least one degree")
-        degs = [l for l, _ in ent]
-        if any(l < 0 for l in degs):
-            raise DomainError("degrees must be non-negative")
-        if sorted(set(degs)) != degs:
-            raise DomainError("degrees must be strictly ascending and unique")
-        if any(c <= 0 for _, c in ent):
-            raise DomainError("channel counts must be positive")
-        object.__setattr__(self, "entries", ent)
-
-    @staticmethod
-    def uniform(l_max, channels):
-        return IrrepLayout(tuple((l, channels) for l in range(l_max + 1)))
-
-    @property
-    def degrees(self):
-        return tuple(l for l, _ in self.entries)
-
-    def channels(self, l):
-        for ll, c in self.entries:
-            if ll == l:
-                return c
-        raise DomainError(f"degree {l} not in layout")
-
-    @property
-    def flat_len(self):
-        return sum(c * (2 * l + 1) for l, c in self.entries)
-
-
-@dataclass
-class SphericalTensor:
-    """Typed container: one (channels, 2l+1) block per layout degree."""
-    layout: IrrepLayout
-    blocks: dict
-
-    def __post_init__(self):
-        for l, c in self.layout.entries:
-            b = np.asarray(self.blocks[l], dtype=float)
-            if b.shape != (c, 2 * l + 1):
-                raise DomainError(
-                    f"block {l} has shape {b.shape}, expected {(c, 2 * l + 1)}")
-            self.blocks[l] = b
-
-    @staticmethod
-    def zeros(layout):
-        return SphericalTensor(
-            layout, {l: np.zeros((c, 2 * l + 1)) for l, c in layout.entries})
-
-    @staticmethod
-    def single(l, vec):
-        vec = np.atleast_2d(np.asarray(vec, dtype=float))
-        return SphericalTensor(IrrepLayout(((l, vec.shape[0]),)), {l: vec})
-
-    def flat(self):
-        return np.concatenate(
-            [self.blocks[l].reshape(-1) for l, _ in self.layout.entries])
-
-    @staticmethod
-    def from_flat(layout, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (layout.flat_len,):
-            raise DomainError(
-                f"flat vector has length {vec.shape}, layout needs {layout.flat_len}")
-        blocks, ofs = {}, 0
-        for l, c in layout.entries:
-            n = c * (2 * l + 1)
-            blocks[l] = vec[ofs:ofs + n].reshape(c, 2 * l + 1).copy()
-            ofs += n
-        return SphericalTensor(layout, blocks)
-
-    def norm(self):
-        return math.sqrt(sum(float((b * b).sum()) for b in self.blocks.values()))
-
-
-def rotate_tensor(f, R):
-    """Rotate every degree block by its Wigner matrix (coefficients of the
-    rotated function: expanding the result at x equals expanding f at R^-1 x)."""
-    R = check_rotation(R)
-    l_max = max(f.layout.degrees)
-    blocks = wigner_blocks(l_max, R, validate=False)
-    out = {l: f.blocks[l] @ blocks[l].T for l, _ in f.layout.entries}
-    return SphericalTensor(f.layout, out)
-
-
-def tensor_product(a, b, J):
-    """Couple two single-degree tensors to degree J.
-
-    C_{J M} = sum_{m1 m2} a_{l m1} b_{k m2} Q[M, m1, m2], per channel.
-    Raises DomainError for multi-degree layouts, channel mismatch, or a
-    degree triple outside the triangle range.
-    """
-    if len(a.layout.entries) != 1 or len(b.layout.entries) != 1:
-        raise DomainError("tensor_product expects single-degree tensors")
-    (l, ca), = a.layout.entries
-    (k, cb), = b.layout.entries
-    if ca != cb:
-        raise DomainError(f"channel mismatch: {ca} vs {cb}")
-    Q = cg_table(l, k, J).dense
-    out = np.einsum("Mab,ca,cb->cM", Q, a.blocks[l], b.blocks[k])
-    return SphericalTensor(IrrepLayout(((J, ca),)), {J: out})

@@ -143,13 +143,14 @@ def test_a4_so3_algebra():
 
     tp = 0.0
     for (l, k, j) in [(1, 1, 2), (2, 3, 4), (5, 7, 3), (7, 7, 14)]:
-        a = so3.SphericalTensor.single(l, rng.standard_normal((2, 2 * l + 1)))
-        b = so3.SphericalTensor.single(k, rng.standard_normal((2, 2 * k + 1)))
+        a = rng.standard_normal((2, 2 * l + 1))
+        b = rng.standard_normal((2, 2 * k + 1))
         rr = so3.random_rotation(rng)
-        lhs = so3.rotate_tensor(so3.tensor_product(a, b, j), rr)
-        rhs = so3.tensor_product(so3.rotate_tensor(a, rr),
-                                 so3.rotate_tensor(b, rr), j)
-        tp = max(tp, np.abs(lhs.blocks[j] - rhs.blocks[j]).max())
+        d = so3.wigner_blocks(max(l, k, j), rr)
+        q = so3.cg_table(l, k, j).dense
+        lhs = np.einsum("Mab,ca,cb->cM", q, a, b) @ d[j].T
+        rhs = np.einsum("Mab,ca,cb->cM", q, a @ d[l].T, b @ d[k].T)
+        tp = max(tp, np.abs(lhs - rhs).max())
 
     _report("A4", hom < 1e-9 and rot_id < 1e-9 and unit < 1e-10 and tp < 1e-9,
             "homomorphism=%.1e (<1e-9) rotation_id=%.1e (<1e-9) "

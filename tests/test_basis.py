@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coeff_rotation import rotate_coeffs
 from infgcn import basis, so3
 from infgcn.errors import AccuracyError, DomainError
 
@@ -148,12 +149,8 @@ def test_expand_equivariance():
     ref = basis.expand_density(spec, coeffs, centers, q)
     for _ in range(5):
         R = so3.random_rotation(rng)
-        blocks = so3.wigner_blocks(4, R)
-        rot = np.empty_like(coeffs)
-        for l in range(5):
-            sl = so3.block_slice(l)
-            rot[..., sl] = coeffs[..., sl] @ blocks[l].T
-        got = basis.expand_density(spec, rot, centers @ R.T, q @ R.T)
+        got = basis.expand_density(spec, rotate_coeffs(coeffs, R),
+                                   centers @ R.T, q @ R.T)
         assert np.abs(got - ref).max() < 1e-8
 
 

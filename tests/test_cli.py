@@ -1,5 +1,4 @@
 import json
-import types as pytypes
 
 import numpy as np
 import pytest
@@ -229,7 +228,7 @@ def test_equivariance_check_passes_and_degrades(monkeypatch):
         if (l, k, J) == (1, 0, 1):
             dense = table.dense.copy()
             dense[0, 0, 0] += 5.0
-            return pytypes.SimpleNamespace(dense=dense)
+            return so3.CGTable(l, k, J, dense)
         return table
 
     monkeypatch.setattr(so3, "cg_table", crooked)
@@ -276,6 +275,40 @@ def test_main_train_then_eval(tmp_path, capsys):
                      "--rotated"]) == 0
     eval_rep = json.loads(capsys.readouterr().out)
     assert eval_rep["rotated"] and np.isfinite(eval_rep["aggregate_nmae"])
+
+
+_CKPT = ["--config", "run.json", "--checkpoint", "model.ckpt"]
+
+
+def test_parser_registers_flags_where_they_are_read():
+    parse = cli._build_parser().parse_args
+    args = parse(["eval", *_CKPT, "--jobs", "2", "--seed", "5",
+                  "--deterministic"])
+    assert (args.jobs, args.seed, args.deterministic) == (2, 5, True)
+    assert parse(["predict", *_CKPT, "--jobs", "3"]).jobs == 3
+    args = parse(["train", "--config", "run.json", "--seed", "4",
+                  "--deterministic"])
+    assert (args.seed, args.deterministic) == (4, True)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--config", "run.json", "--jobs", "4"],
+     "unrecognized arguments: --jobs 4"),
+    (["predict", *_CKPT, "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["predict", *_CKPT, "--deterministic"],
+     "unrecognized arguments: --deterministic"),
+    (["gradcheck", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["graphon-demo", "--config", "run.json"],
+     "unrecognized arguments: --config run.json"),
+    (["eval", *_CKPT, "--jobs", "0"], "--jobs: must be at least 1, got 0"),
+    (["predict", *_CKPT, "--jobs", "-1"], "--jobs: must be at least 1"),
+])
+def test_main_rejects_flags_the_command_does_not_read(argv, message,
+                                                      capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_split_with_unknown_record_rejected(tmp_path):

@@ -4,14 +4,15 @@ import threading
 import numpy as np
 import pytest
 
+from coeff_rotation import rotate_coeffs
 from infgcn import geometry, layers, so3
 from infgcn.errors import DomainError
 
 
 def random_feats(rng, n, l_max, channels):
-    return layers.NodeFeatures(l_max, channels, {
-        l: rng.standard_normal((n, channels, 2 * l + 1))
-        for l in range(l_max + 1)})
+    """(n, channels, (l_max+1)^2) features, drawn one degree at a time."""
+    return np.concatenate([rng.standard_normal((n, channels, 2 * l + 1))
+                           for l in range(l_max + 1)], axis=2)
 
 
 def small_instance(rng, n_atoms=5, l_max=2, channels=3, cutoff=3.0,
@@ -98,8 +99,9 @@ def test_conv_no_edges_is_self_interaction():
     params.self_w[:] = rng.standard_normal(params.self_w.shape)
     out = layers.conv_forward(graph, feats, params)
     for l in range(3):
-        want = params.self_w[l][None, :, None] * feats.blocks[l]
-        assert np.array_equal(out.blocks[l], want)
+        sl = so3.block_slice(l)
+        want = params.self_w[l][None, :, None] * feats[:, :, sl]
+        assert np.array_equal(out[:, :, sl], want)
 
 
 def test_conv_zero_head_reduces_to_self_interaction():
@@ -107,8 +109,7 @@ def test_conv_zero_head_reduces_to_self_interaction():
     graph, feats, params = small_instance(rng, zero_head=True)
     assert graph.n_edges > 0
     out = layers.conv_forward(graph, feats, params)
-    for l in range(feats.l_max + 1):
-        assert np.allclose(out.blocks[l], feats.blocks[l], atol=1e-15)
+    assert np.allclose(out, feats, atol=1e-15)
 
 
 def test_conv_translation_invariance_bitwise():
@@ -123,8 +124,7 @@ def test_conv_translation_invariance_bitwise():
                                              coords + shift, 3.0)
     out1 = layers.conv_forward(g1, feats, params)
     out2 = layers.conv_forward(g2, feats, params)
-    for l in range(3):
-        assert np.array_equal(out1.blocks[l], out2.blocks[l])
+    assert np.array_equal(out1, out2)
 
 
 def _conv_equivariance_err(rng, l_max, mode, layers_n=1, gate=False):
@@ -148,9 +148,9 @@ def _conv_equivariance_err(rng, l_max, mode, layers_n=1, gate=False):
                 f = layers.gate_forward(f)
         return f
 
-    plain = run(graph, feats).rotate(R)
-    rotated = run(graph_r, feats.rotate(R))
-    return rotated.max_abs_diff(plain)
+    plain = rotate_coeffs(run(graph, feats), R)
+    rotated = run(graph_r, rotate_coeffs(feats, R))
+    return np.abs(rotated - plain).max()
 
 
 def test_conv_equivariance_single_layer():
@@ -182,8 +182,7 @@ def test_conv_deterministic():
     graph, feats, params = small_instance(rng)
     a = layers.conv_forward(graph, feats, params)
     b = layers.conv_forward(graph, feats, params)
-    for l in a.blocks:
-        assert np.array_equal(a.blocks[l], b.blocks[l])
+    assert np.array_equal(a, b)
 
 
 def test_conv_layout_mismatch():
@@ -194,13 +193,62 @@ def test_conv_layout_mismatch():
         layers.conv_forward(graph, bad, params)
 
 
+@pytest.mark.parametrize("call, field", [
+    ("conv_forward_degrees", "feats"), ("conv_forward_nodes", "feats"),
+    ("conv_forward_channels", "feats"), ("conv_backward_feats", "feats"),
+    ("conv_backward_degrees", "grad_out"), ("gate_forward_split", "feats"),
+    ("gate_forward_2d", "feats"), ("gate_backward_degrees", "grad_out"),
+    ("residual_forward_degrees", "feats"),
+    ("residual_backward_degrees", "feats"),
+    ("residual_backward_long", "grad_z"),
+    ("residual_backward_column", "grad_z"),
+    ("residual_forward_queries", "queries"),
+    ("residual_backward_coords", "coords")])
+def test_layers_reject_bad_shapes_naming_argument(call, field):
+    rng = np.random.default_rng(25)
+    graph, feats, params = small_instance(rng, n_atoms=4, l_max=2, channels=3)
+    res = layers.init_residual_layer(rng, 2, 3, 3.0)
+    coords = graph.atom_coord
+    q = rng.uniform(-1.0, 1.0, size=(5, 3))
+    extra = random_feats(rng, 4, 3, 3)  # one degree more than the layer
+    calls = {
+        "conv_forward_degrees": lambda: layers.conv_forward(
+            graph, extra, params),
+        "conv_forward_nodes": lambda: layers.conv_forward(
+            graph, feats[:3], params),
+        "conv_forward_channels": lambda: layers.conv_forward(
+            graph, feats[:, :2], params),
+        "conv_backward_feats": lambda: layers.conv_backward(
+            graph, extra, params, feats),
+        "conv_backward_degrees": lambda: layers.conv_backward(
+            graph, feats, params, extra),
+        "gate_forward_split": lambda: layers.gate_forward(feats[:, :, :5]),
+        "gate_forward_2d": lambda: layers.gate_forward(feats[:, 0]),
+        "gate_backward_degrees": lambda: layers.gate_backward(feats, extra),
+        "residual_forward_degrees": lambda: layers.residual_forward(
+            q, coords, extra, res),
+        "residual_backward_degrees": lambda: layers.residual_backward(
+            q, coords, extra, res, np.zeros(5)),
+        "residual_backward_long": lambda: layers.residual_backward(
+            q, coords, feats, res, np.zeros(6)),
+        "residual_backward_column": lambda: layers.residual_backward(
+            q, coords, feats, res, np.zeros((5, 1))),
+        "residual_forward_queries": lambda: layers.residual_forward(
+            q[:, :2], coords, feats, res),
+        "residual_backward_coords": lambda: layers.residual_backward(
+            q, coords.T, feats, res, np.zeros(5)),
+    }
+    with pytest.raises(DomainError, match=f"^{field} must have shape"):
+        calls[call]()
+
+
 def test_conv_counters_closed_form():
     rng = np.random.default_rng(14)
     for L in (1, 2, 3):
         graph, feats, params = small_instance(rng, l_max=L)
         counters = layers.OpCounters()
         layers.conv_forward(graph, feats, params, counters)
-        E, C = graph.n_edges, feats.channels
+        E, C = graph.n_edges, params.channels
         matvec = sum((2 * l + 1) * (2 * k + 1)
                      for l in range(L + 1) for k in range(L + 1))
         assert matvec == (L + 1) ** 4
@@ -223,13 +271,19 @@ def _reference_blocks(paths, Y):
             for (l, k, J) in paths}
 
 
+def _blocks(x):
+    """The per-degree blocks of a feature array, as copies."""
+    return {l: x[:, :, so3.block_slice(l)].copy()
+            for l in range(int(np.sqrt(x.shape[2])))}
+
+
 def _reference_conv_forward(graph, feats, params):
     L, C = params.l_max, params.channels
-    out = layers.NodeFeatures.zeros(feats.n_nodes, L, C)
-    for l in range(L + 1):
-        out.blocks[l] += params.self_w[l][None, :, None] * feats.blocks[l]
+    feats = _blocks(feats)
+    out = {l: params.self_w[l][None, :, None] * feats[l]
+           for l in range(L + 1)}
     if graph.n_edges == 0:
-        return out
+        return np.concatenate(list(out.values()), axis=2)
     r, rhat = layers._edge_geometry(graph)
     Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
     phi = layers._phi_per_path(params, r)
@@ -250,27 +304,29 @@ def _reference_conv_forward(graph, feats, params):
                     W += phi[:, p, :, None, None] * g[:, None, :, :]
                 else:
                     W += phi[:, p, :, :, None, None] * g[:, None, None, :, :]
-            fk = feats.blocks[k][dst]
+            fk = feats[k][dst]
             if params.mode == "channel":
                 msg += np.einsum("ecab,ecb->eca", W, fk)
             else:
                 msg += np.einsum("ecdab,edb->eca", W, fk)
-        np.add.at(out.blocks[l], src, msg)
-    return out
+        np.add.at(out[l], src, msg)
+    return np.concatenate(list(out.values()), axis=2)
 
 
 def _reference_conv_backward(graph, feats, params, grad_out):
-    L, C = params.l_max, params.channels
-    grad_f = layers.NodeFeatures.zeros(feats.n_nodes, L, C)
+    L = params.l_max
+    feats, grad_out = _blocks(feats), _blocks(grad_out)
+    grad_f = {}
     grad_self = np.zeros_like(params.self_w)
     for l in range(L + 1):
-        g = grad_out.blocks[l]
-        grad_f.blocks[l] += params.self_w[l][None, :, None] * g
-        grad_self[l] = np.einsum("nca,nca->c", g, feats.blocks[l])
+        g = grad_out[l]
+        grad_f[l] = params.self_w[l][None, :, None] * g
+        grad_self[l] = np.einsum("nca,nca->c", g, feats[l])
     if graph.n_edges == 0:
-        return grad_f, {"self_w": grad_self, "radial": layers.radial_backward(
-            params.radial, np.zeros(0),
-            np.zeros((0, params.radial.out_dim)))}
+        return np.concatenate(list(grad_f.values()), axis=2), {
+            "self_w": grad_self, "radial": layers.radial_backward(
+                params.radial, np.zeros(0),
+                np.zeros((0, params.radial.out_dim)))}
     r, rhat = layers._edge_geometry(graph)
     Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
     phi = layers._phi_per_path(params, r)
@@ -278,9 +334,9 @@ def _reference_conv_backward(graph, feats, params, grad_out):
     src, dst = graph.edge_src, graph.edge_dst
     grad_phi = np.zeros_like(phi)
     for l in range(L + 1):
-        gmsg = grad_out.blocks[l][src]
+        gmsg = grad_out[l][src]
         for k in range(L + 1):
-            fk = feats.blocks[k][dst]
+            fk = feats[k][dst]
             acc_fk = np.zeros_like(fk)
             for p, (pl, pk, J) in enumerate(params.paths):
                 if (pl, pk) != (l, k):
@@ -294,10 +350,11 @@ def _reference_conv_backward(graph, feats, params, grad_out):
                     grad_phi[:, p] = np.einsum("eca,edb,eab->ecd", gmsg, fk, g)
                     acc_fk += np.einsum("ecd,eca,eab->edb",
                                         phi[:, p], gmsg, g)
-            np.add.at(grad_f.blocks[k], dst, acc_fk)
+            np.add.at(grad_f[k], dst, acc_fk)
     grad_radial = layers.radial_backward(
         params.radial, r, grad_phi.reshape(graph.n_edges, -1))
-    return grad_f, {"self_w": grad_self, "radial": grad_radial}
+    return np.concatenate(list(grad_f.values()), axis=2), {
+        "self_w": grad_self, "radial": grad_radial}
 
 
 def _assert_close(got, want):
@@ -328,13 +385,15 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
 
     got = layers.conv_forward(graph, feats, params)
     want = _reference_conv_forward(graph, feats, params)
-    for l in want.blocks:
-        _assert_close(got.blocks[l], want.blocks[l])
+    for l in range(l_max + 1):
+        sl = so3.block_slice(l)
+        _assert_close(got[:, :, sl], want[:, :, sl])
 
     got_f, got_p = layers.conv_backward(graph, feats, params, grad_out)
     want_f, want_p = _reference_conv_backward(graph, feats, params, grad_out)
-    for l in want_f.blocks:
-        _assert_close(got_f.blocks[l], want_f.blocks[l])
+    for l in range(l_max + 1):
+        sl = so3.block_slice(l)
+        _assert_close(got_f[:, :, sl], want_f[:, :, sl])
     _assert_close(got_p["self_w"], want_p["self_w"])
     assert got_p["radial"].keys() == want_p["radial"].keys()
     for key, want_g in want_p["radial"].items():
@@ -421,28 +480,25 @@ def test_sigmoid_bit_identical_to_masked_reference():
 def test_gate_zero_stays_zero():
     rng = np.random.default_rng(15)
     feats = random_feats(rng, 4, 2, 3)
-    for l in (1, 2):
-        feats.blocks[l][:] = 0.0
+    feats[:, :, 1:] = 0.0
     out = layers.gate_forward(feats)
-    for l in (1, 2):
-        assert np.all(out.blocks[l] == 0.0)
+    assert np.all(out[:, :, 1:] == 0.0)
 
 
 def test_gate_identity_passthrough():
     rng = np.random.default_rng(16)
     feats = random_feats(rng, 4, 2, 3)
     out = layers.gate_forward(feats, act0="identity", act_l="identity")
-    for l in range(3):
-        assert np.allclose(out.blocks[l], feats.blocks[l], atol=1e-15)
+    assert np.allclose(out, feats, atol=1e-15)
 
 
 def test_gate_commutes_with_rotation():
     rng = np.random.default_rng(17)
     feats = random_feats(rng, 4, 3, 2)
     R = so3.random_rotation(rng)
-    a = layers.gate_forward(feats.rotate(R))
-    b = layers.gate_forward(feats).rotate(R)
-    assert a.max_abs_diff(b) < 1e-10
+    a = layers.gate_forward(rotate_coeffs(feats, R))
+    b = rotate_coeffs(layers.gate_forward(feats), R)
+    assert np.abs(a - b).max() < 1e-10
 
 
 def test_gate_backward_matches_fd():
@@ -451,13 +507,12 @@ def test_gate_backward_matches_fd():
     weight = random_feats(rng, 3, 2, 2)
 
     def loss(f):
-        out = layers.gate_forward(f)
-        return sum(float((weight.blocks[l] * out.blocks[l]).sum())
-                   for l in out.blocks)
+        return float((weight * layers.gate_forward(f)).sum())
 
     grad = layers.gate_backward(feats, weight)
     for l in range(3):
-        arr = feats.blocks[l]
+        sl = so3.block_slice(l)
+        arr = feats[:, :, sl]
         for fi in rng.choice(arr.size, size=4, replace=False):
             idx = np.unravel_index(fi, arr.shape)
             h = 1e-6
@@ -468,7 +523,7 @@ def test_gate_backward_matches_fd():
             dn = loss(feats)
             arr[idx] = old
             fd = (up - dn) / (2 * h)
-            got = grad.blocks[l][idx]
+            got = grad[:, :, sl][idx]
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-5
 
 
@@ -479,14 +534,14 @@ def test_conv_backward_matches_fd():
     weight = random_feats(rng, 3, 2, 2)
 
     def loss():
-        out = layers.conv_forward(graph, feats, params)
-        return sum(float((weight.blocks[l] * out.blocks[l]).sum())
-                   for l in out.blocks)
+        return float((weight * layers.conv_forward(graph, feats,
+                                                   params)).sum())
 
     grad_f, grad_p = layers.conv_backward(graph, feats, params, weight)
     # feature gradients
     for l in range(3):
-        arr = feats.blocks[l]
+        sl = so3.block_slice(l)
+        arr = feats[:, :, sl]
         for fi in rng.choice(arr.size, size=4, replace=False):
             idx = np.unravel_index(fi, arr.shape)
             h = 1e-6
@@ -497,7 +552,7 @@ def test_conv_backward_matches_fd():
             dn = loss()
             arr[idx] = old
             fd = (up - dn) / (2 * h)
-            got = grad_f.blocks[l][idx]
+            got = grad_f[:, :, sl][idx]
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-4
     # parameter gradients: self-interaction and radial trunk plus head
     checks = [(params.self_w, grad_p["self_w"]),
@@ -528,7 +583,7 @@ def test_residual_far_query_and_zero_features():
     params = layers.init_residual_layer(rng, 2, 3, 3.0, zero_head=False)
     far = np.array([[50.0, 0.0, 0.0]])
     assert layers.residual_forward(far, coords, feats, params)[0] == 0.0
-    zero = layers.NodeFeatures.zeros(4, 2, 3)
+    zero = np.zeros((4, 3, 9))
     q = np.array([[0.2, 0.1, -0.3]])
     assert layers.residual_forward(q, coords, zero, params)[0] == 0.0
 
@@ -542,7 +597,7 @@ def test_residual_rotation_invariance():
     z = layers.residual_forward(queries, coords, feats, params)
     R = so3.random_rotation(rng)
     z_rot = layers.residual_forward(queries @ R.T, coords @ R.T,
-                                    feats.rotate(R), params)
+                                    rotate_coeffs(feats, R), params)
     assert np.abs(z - z_rot).max() < 1e-8
 
 
@@ -556,7 +611,8 @@ def test_residual_query_on_atom_invariant():
     R = so3.axis_angle_rotation(np.array([0.0, 0.0, 1.0]), 0.83)
     # rotate about the query point itself so it stays on the atom
     shift = lambda x: (x - q[0]) @ R.T + q[0]
-    z_rot = layers.residual_forward(q, shift(coords), feats.rotate(R), params)
+    z_rot = layers.residual_forward(q, shift(coords), rotate_coeffs(feats, R),
+                                    params)
     assert abs(z[0] - z_rot[0]) < 1e-8
     assert np.isfinite(z[0])
 
@@ -576,7 +632,8 @@ def test_residual_backward_matches_fd():
     grad_f, grad_p = layers.residual_backward(queries, coords, feats,
                                               params, weight)
     for l in range(3):
-        arr = feats.blocks[l]
+        sl = so3.block_slice(l)
+        arr = feats[:, :, sl]
         for fi in rng.choice(arr.size, size=3, replace=False):
             idx = np.unravel_index(fi, arr.shape)
             h = 1e-6
@@ -587,7 +644,7 @@ def test_residual_backward_matches_fd():
             dn = loss()
             arr[idx] = old
             fd = (up - dn) / (2 * h)
-            got = grad_f.blocks[l][idx]
+            got = grad_f[:, :, sl][idx]
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-4
     arr, g = params.radial.head_w, grad_p["radial"]["head_w"]
     for fi in rng.choice(arr.size, size=4, replace=False):

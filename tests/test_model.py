@@ -41,15 +41,15 @@ def test_init_features_isotropic():
     params = model.init_params(SMALL, seed=1)
     types = np.array([2, 2, 0])
     f = model.init_features(params, types)
-    assert np.array_equal(f.blocks[0][0], f.blocks[0][1])
-    for l in (1, 2):
-        assert np.all(f.blocks[l] == 0.0)
-    assert np.array_equal(f.blocks[0][:, :, 0], params.embed[types])
+    assert f.shape == (3, SMALL.channels, 9)
+    assert np.array_equal(f[0], f[1])
+    assert np.all(f[:, :, 1:] == 0.0)
+    assert np.array_equal(f[:, :, 0], params.embed[types])
     with pytest.raises(DomainError):
         model.init_features(params, np.array([4]))
     params.embed[1] = 0.0
     z = model.init_features(params, np.array([1]))
-    assert np.all(z.blocks[0] == 0.0)
+    assert np.all(z == 0.0)
 
 
 def test_zero_params_zero_output():

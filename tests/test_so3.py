@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from infgcn import so3
 from infgcn.errors import DomainError
@@ -153,18 +152,22 @@ def test_cg_scalar_case():
     assert abs(t.dense[0, 0, 0] - 1.0) < 1e-15
 
 
+def _couple(l, k, J, a, b):
+    """Degree-J coupling of a degree-l and a degree-k vector, per channel."""
+    return np.einsum("Mab,...a,...b->...M", so3.cg_table(l, k, J).dense, a, b)
+
+
 def test_cg_110_is_scaled_dot():
     t = so3.cg_table(1, 1, 0).dense[0]
     assert np.abs(np.abs(t) - np.eye(3) / math.sqrt(3.0)).max() < 1e-12
     # and the J=0 output is rotation invariant
     rng = np.random.default_rng(5)
-    a = so3.SphericalTensor.single(1, rng.standard_normal(3))
-    b = so3.SphericalTensor.single(1, rng.standard_normal(3))
-    ref = so3.tensor_product(a, b, 0).blocks[0]
+    a = rng.standard_normal(3)
+    b = rng.standard_normal(3)
+    ref = _couple(1, 1, 0, a, b)
     for _ in range(50):
-        R = so3.random_rotation(rng)
-        got = so3.tensor_product(
-            so3.rotate_tensor(a, R), so3.rotate_tensor(b, R), 0).blocks[0]
+        D = so3.wigner_blocks(1, so3.random_rotation(rng))[1]
+        got = _couple(1, 1, 0, a @ D.T, b @ D.T)
         assert np.abs(got - ref).max() < 1e-10
 
 
@@ -173,9 +176,7 @@ def test_cg_111_is_scaled_cross():
     for _ in range(10):
         a3 = rng.standard_normal(3)
         b3 = rng.standard_normal(3)
-        ta = so3.SphericalTensor.single(1, a3[[1, 2, 0]])
-        tb = so3.SphericalTensor.single(1, b3[[1, 2, 0]])
-        c = so3.tensor_product(ta, tb, 1).blocks[1][0]
+        c = _couple(1, 1, 1, a3[[1, 2, 0]], b3[[1, 2, 0]])
         cross = np.cross(a3, b3)[[1, 2, 0]]
         # proportional with a fixed unit-scale constant (-1/sqrt2 here)
         assert np.abs(c + cross / math.sqrt(2.0)).max() < 1e-12
@@ -267,7 +268,7 @@ def test_cg_tables_write_no_cache(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# tensor product / rotate_tensor
+# coupling and rotating coefficient blocks
 # ---------------------------------------------------------------------------
 
 def test_tensor_product_equivariance():
@@ -275,94 +276,51 @@ def test_tensor_product_equivariance():
     triples = [(1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 3, 4), (4, 4, 2),
                (5, 7, 3), (7, 7, 14)]
     for (l, k, J) in triples:
-        a = so3.SphericalTensor.single(l, rng.standard_normal((2, 2 * l + 1)))
-        b = so3.SphericalTensor.single(k, rng.standard_normal((2, 2 * k + 1)))
-        R = so3.random_rotation(rng)
-        lhs = so3.rotate_tensor(so3.tensor_product(a, b, J), R)
-        rhs = so3.tensor_product(
-            so3.rotate_tensor(a, R), so3.rotate_tensor(b, R), J)
-        assert np.abs(lhs.blocks[J] - rhs.blocks[J]).max() < 1e-9
+        a = rng.standard_normal((2, 2 * l + 1))
+        b = rng.standard_normal((2, 2 * k + 1))
+        D = so3.wigner_blocks(max(l, k, J), so3.random_rotation(rng))
+        lhs = _couple(l, k, J, a, b) @ D[J].T
+        rhs = _couple(l, k, J, a @ D[l].T, b @ D[k].T)
+        assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_tensor_product_bilinear():
     rng = np.random.default_rng(9)
     a1 = rng.standard_normal(5)
     a2 = rng.standard_normal(5)
-    b = so3.SphericalTensor.single(1, rng.standard_normal(3))
-    lhs = so3.tensor_product(
-        so3.SphericalTensor.single(2, 2.0 * a1 + a2), b, 2).blocks[2]
-    rhs = (2.0 * so3.tensor_product(so3.SphericalTensor.single(2, a1), b, 2).blocks[2]
-           + so3.tensor_product(so3.SphericalTensor.single(2, a2), b, 2).blocks[2])
+    b = rng.standard_normal(3)
+    lhs = _couple(2, 1, 2, 2.0 * a1 + a2, b)
+    rhs = 2.0 * _couple(2, 1, 2, a1, b) + _couple(2, 1, 2, a2, b)
     assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_tensor_product_layout_errors():
-    a = so3.SphericalTensor.single(1, np.ones(3))
-    b = so3.SphericalTensor.single(1, np.ones((2, 3)))
-    with pytest.raises(DomainError):
-        so3.tensor_product(a, b, 1)  # channel mismatch
-    multi = so3.SphericalTensor.zeros(so3.IrrepLayout(((0, 1), (1, 1))))
-    with pytest.raises(DomainError):
-        so3.tensor_product(multi, a, 1)
 
 
 def test_rotate_tensor_norm_and_reconstruction():
     rng = np.random.default_rng(10)
-    lay = so3.IrrepLayout(((0, 2), (1, 2), (3, 2)))
-    f = so3.SphericalTensor(
-        lay, {l: rng.standard_normal((2, 2 * l + 1)) for l in (0, 1, 3)})
+    degrees = (0, 1, 3)
+    f = {l: rng.standard_normal((2, 2 * l + 1)) for l in degrees}
+    norm = lambda t: math.sqrt(sum(float((b * b).sum()) for b in t.values()))
     for _ in range(5):
         R = so3.random_rotation(rng)
-        g = so3.rotate_tensor(f, R)
-        assert abs(f.norm() - g.norm()) < 1e-10
+        D = so3.wigner_blocks(3, R)
+        g = {l: f[l] @ D[l].T for l in degrees}
+        assert abs(norm(f) - norm(g)) < 1e-10
         d = unit_vectors(rng, 100)
         Y_at = so3.eval_real_sh(3, d)
         Y_pre = so3.eval_real_sh(3, d @ R)  # rows are R^-1 applied to d
-        for produced, source in ((g, Y_pre),):
-            lhs = sum(np.einsum("cm,qm->cq", produced.blocks[l],
-                                Y_at[:, so3.block_slice(l)])
-                      for l, _ in lay.entries)
-            rhs = sum(np.einsum("cm,qm->cq", f.blocks[l],
-                                source[:, so3.block_slice(l)])
-                      for l, _ in lay.entries)
-            assert np.abs(lhs - rhs).max() < 1e-8
+        lhs = sum(np.einsum("cm,qm->cq", g[l], Y_at[:, so3.block_slice(l)])
+                  for l in degrees)
+        rhs = sum(np.einsum("cm,qm->cq", f[l], Y_pre[:, so3.block_slice(l)])
+                  for l in degrees)
+        assert np.abs(lhs - rhs).max() < 1e-8
 
 
 def test_rotation_commutes_with_truncation():
     # dropping degrees above a threshold before or after rotating gives the
     # same floats: blocks rotate independently
     rng = np.random.default_rng(11)
-    lay = so3.IrrepLayout(((0, 1), (1, 1), (2, 1), (3, 1)))
-    f = so3.SphericalTensor(
-        lay, {l: rng.standard_normal((1, 2 * l + 1)) for l in range(4)})
+    f = [rng.standard_normal((1, 2 * l + 1)) for l in range(4)]
     R = so3.random_rotation(rng)
-    rot = so3.rotate_tensor(f, R)
-    trunc_lay = so3.IrrepLayout(((0, 1), (1, 1)))
-    trunc_first = so3.rotate_tensor(
-        so3.SphericalTensor(trunc_lay, {l: f.blocks[l] for l in (0, 1)}), R)
+    full = so3.wigner_blocks(3, R)
+    truncated = so3.wigner_blocks(1, R)
     for l in (0, 1):
-        assert np.array_equal(trunc_first.blocks[l], rot.blocks[l])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)),
-                min_size=1, max_size=4, unique_by=lambda e: e[0]),
-       st.integers(0, 2 ** 31 - 1))
-def test_flat_roundtrip_lossless(entries, seed):
-    lay = so3.IrrepLayout(tuple(sorted(entries)))
-    rng = np.random.default_rng(seed)
-    f = so3.SphericalTensor(
-        lay, {l: rng.standard_normal((c, 2 * l + 1)) for l, c in lay.entries})
-    vec = f.flat()
-    back = so3.SphericalTensor.from_flat(lay, vec)
-    for l, _ in lay.entries:
-        assert np.array_equal(back.blocks[l], f.blocks[l])
-
-
-def test_layout_validation():
-    with pytest.raises(DomainError):
-        so3.IrrepLayout(((1, 1), (0, 1)))  # not ascending
-    with pytest.raises(DomainError):
-        so3.IrrepLayout(((0, 0),))  # zero channels
-    with pytest.raises(DomainError):
-        so3.SphericalTensor.from_flat(so3.IrrepLayout(((1, 1),)), np.zeros(4))
+        assert np.array_equal(f[l] @ truncated[l].T, f[l] @ full[l].T)

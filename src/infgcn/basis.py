@@ -17,6 +17,9 @@ depend on l and an angular part |d|^l Y_lm(dhat) that does not depend on n.
 in one batched GEMM per chunk of queries and only then multiplies by the
 angular factor, so a chunk of q queries holds (U, q, n) and (U, q, S) arrays
 for U centers and S = (l_max+1)^2, never a (U, q, n, S) table of basis values.
+The adjoint needs the same two factors; given the forward's cache it reads
+them instead of evaluating the harmonics again, at the price of holding every
+chunk's factors (~6 MB per 512 queries at 18 centers) until it runs.
 
 All lengths are Bohr; densities are e/Bohr^3.
 """
@@ -137,14 +140,24 @@ def _points(name, a):
     return a
 
 
-def expand_density(spec, coeffs, centers, queries, chunk=512):
+def _factor_chunks(spec, centers, queries, chunk):
+    """(slice, (E, Y)) for each chunk of queries: the two basis factors at
+    the displacements from every center, (U, q, n) and (U, q, S)."""
+    for lo in range(0, queries.shape[0], chunk):
+        sl = slice(lo, lo + chunk)
+        yield sl, _factors(spec, queries[None, sl] - centers[:, None])
+
+
+def expand_density(spec, coeffs, centers, queries, chunk=512, cache=None):
     """Multicentric expansion  rho(x) = sum_u sum_{n l m} f[u,n,lm] psi(x - r_u).
 
     coeffs: (U, n_radial, (l_max+1)**2); centers: (U, 3); queries: (Q, 3).
     Returns (Q,).  Linear in the coefficients.  Per chunk of queries the
     radial factor E (U, q, n) meets the coefficients, with c_{n l} folded in,
     in one batched GEMM, and the result is contracted with the angular factor
-    Y (U, q, S); the chunks bound the size of Y.
+    Y (U, q, S); the chunks bound the size of Y. A ``cache`` dict receives
+    every chunk's factors under ``chunks`` for ``expand_density_backward``,
+    which holds all of them at once.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     centers = _points("centers", centers)
@@ -155,15 +168,21 @@ def expand_density(spec, coeffs, centers, queries, chunk=512):
             f"({centers.shape[0]}, {spec.n_radial}, {spec.n_sh})")
     cf = coeffs * _norm_columns(spec)
     out = np.empty(queries.shape[0])
-    for lo in range(0, queries.shape[0], chunk):
-        hi = min(lo + chunk, queries.shape[0])
-        E, Y = _factors(spec, queries[None, lo:hi] - centers[:, None])
-        out[lo:hi] = np.einsum("uqs,uqs->q", E @ cf, Y)
+    chunks = _factor_chunks(spec, centers, queries, chunk)
+    if cache is not None:
+        chunks = cache["chunks"] = list(chunks)
+    for sl, (E, Y) in chunks:
+        out[sl] = np.einsum("uqs,uqs->q", E @ cf, Y)
     return out
 
 
-def expand_density_backward(spec, grad_out, centers, queries, chunk=512):
-    """Adjoint of expand_density with respect to the coefficients."""
+def expand_density_backward(spec, grad_out, centers, queries, chunk=512,
+                            cache=None):
+    """Adjoint of expand_density with respect to the coefficients.
+
+    ``cache`` is the dict ``expand_density`` filled for the same centers,
+    queries and chunk; without one the factors are computed chunk by chunk.
+    """
     centers = _points("centers", centers)
     queries = _points("queries", queries)
     grad_out = np.asarray(grad_out, dtype=float)
@@ -172,11 +191,10 @@ def expand_density_backward(spec, grad_out, centers, queries, chunk=512):
             f"grad_out shape {grad_out.shape} does not match queries "
             f"({queries.shape[0]},)")
     grad = np.zeros((centers.shape[0], spec.n_radial, spec.n_sh))
-    for lo in range(0, queries.shape[0], chunk):
-        hi = min(lo + chunk, queries.shape[0])
-        E, Y = _factors(spec, queries[None, lo:hi] - centers[:, None])
-        Y *= grad_out[lo:hi, None]
-        grad += E.transpose(0, 2, 1) @ Y
+    chunks = (_factor_chunks(spec, centers, queries, chunk) if cache is None
+              else cache["chunks"])
+    for sl, (E, Y) in chunks:
+        grad += E.transpose(0, 2, 1) @ (Y * grad_out[sl, None])
     return grad * _norm_columns(spec)
 
 

@@ -53,6 +53,19 @@ def build_radius_graph(coords, cutoff):
     return src, dst, diff[src, dst]
 
 
+def _atom_indices(name, a, n_atoms):
+    """``a`` as a 1-D integer array of atom indices in [0, n_atoms);
+    DomainError naming ``name`` otherwise."""
+    a = np.asarray(a)
+    if a.size == 0:
+        a = a.astype(np.intp)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be a 1-D integer array")
+    if a.size and (a.min() < 0 or a.max() >= n_atoms):
+        raise DomainError(f"{name} holds an index outside [0, {n_atoms})")
+    return a
+
+
 @dataclass(frozen=True)
 class MolecularGraph:
     atom_type: np.ndarray
@@ -69,10 +82,25 @@ class MolecularGraph:
             raise DomainError("atom_type must be 1-D non-negative integers")
         if coords.shape != (types.size, 3):
             raise DomainError("atom_coord must have shape (n_atoms, 3)")
-        if np.any(np.asarray(self.edge_src) == np.asarray(self.edge_dst)):
+        src = _atom_indices("edge_src", self.edge_src, types.size)
+        dst = _atom_indices("edge_dst", self.edge_dst, types.size)
+        vec = np.asarray(self.edge_vec, dtype=float)
+        if dst.shape != src.shape:
+            raise DomainError(f"edge_dst has {dst.size} entries, edge_src "
+                              f"{src.size}")
+        if vec.shape != (src.size, 3):
+            raise DomainError(f"edge_vec must have shape ({src.size}, 3), "
+                              f"got {vec.shape}")
+        if np.any(src[1:] < src[:-1]):
+            # the layers sum messages over runs of one source
+            raise DomainError("edge_src must be sorted")
+        if np.any(src == dst):
             raise DomainError("self edges are not allowed")
         object.__setattr__(self, "atom_type", types)
         object.__setattr__(self, "atom_coord", coords)
+        object.__setattr__(self, "edge_src", src)
+        object.__setattr__(self, "edge_dst", dst)
+        object.__setattr__(self, "edge_vec", vec)
 
     @classmethod
     def from_coords(cls, atom_type, atom_coord, cutoff):

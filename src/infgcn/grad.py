@@ -6,8 +6,11 @@ Every differentiable operation in the package carries a hand-written adjoint
 trace and exposes the result through a flat parameter registry, plus a
 finite-difference verifier and the two optimizers used for training.
 
-There is no tape. The operation set is small and closed, so the chain is
-written out explicitly in `loss_and_grad`.
+There is no tape: the operation set is small and closed, so the chain is
+written out explicitly in `loss_and_grad`. What the trace carries instead is
+one cache per layer, filled by its forward (`model.forward_trace`) and read
+by its backward, so no adjoint recomputes radial nets, harmonics, residual
+pairs or basis factors. Each cache is dropped once its backward has run.
 """
 
 import math
@@ -92,18 +95,21 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
     grad_dens = 2.0 * w * (dens - target)
 
     g = basis.expand_density_backward(
-        trace["spec"], grad_dens, graph.atom_coord, trace["queries"])
+        trace["spec"], grad_dens, graph.atom_coord, trace["queries"],
+        cache=trace.pop("basis_cache"))
     if params.residual is not None:
         grad_fr, rgrads = layers.residual_backward(
             trace["queries"], graph.atom_coord, trace["coeffs"],
-            params.residual, grad_dens)
+            params.residual, grad_dens, cache=trace.pop("residual_cache"))
         g += grad_fr
         _accumulate_radial(grads, "residual", rgrads["radial"])
 
+    conv_caches = trace.pop("conv_caches")
     for i in reversed(range(cfg.n_layers)):
         g = layers.gate_backward(trace["pre_gate"][i], g, cfg.act0, cfg.act_l)
         g, cgrads = layers.conv_backward(graph, trace["pre_conv"][i],
-                                         params.convs[i], g)
+                                         params.convs[i], g,
+                                         cache=conv_caches.pop())
         grads[f"conv{i}.self_w"] += cgrads["self_w"]
         _accumulate_radial(grads, f"conv{i}", cgrads["radial"])
 
@@ -231,11 +237,24 @@ def optimize_step(state, params, grads, registry):
     if state.method == "gradient-descent":
         flat -= state.lr * g
     else:
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-        mhat = state.m / (1.0 - state.beta1 ** state.step)
-        vhat = state.v / (1.0 - state.beta2 ** state.step)
-        flat -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g;
+        # flat -= lr mhat / (sqrt(vhat) + eps), evaluated in that order
+        # with one scratch vector, and g (a fresh copy) as the other
+        m, v = state.m, state.v
+        tmp = np.multiply(1.0 - state.beta1, g)
+        m *= state.beta1
+        m += tmp
+        np.multiply(1.0 - state.beta2, g, out=tmp)
+        tmp *= g
+        v *= state.beta2
+        v += tmp
+        np.divide(v, 1.0 - state.beta2 ** state.step, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, 1.0 - state.beta1 ** state.step, out=g)
+        g *= state.lr
+        g /= tmp
+        flat -= g
     registry.unflatten(params, flat)
     return params, state
 

@@ -21,9 +21,23 @@ G_J = sum_M Y_J^M Q_JM of every path of the pair, one GEMM per path written
 in place; ``mixing`` combines them with the pair's radial scalars in one
 batched matmul; ``matvec`` applies the kernel to the gathered neighbor
 features in one einsum. The matvec stage costs exactly
-|E| * C * (L+1)^4 multiplies, the compressed-vector budget. The backward
-pass rebuilds G the same way rather than keeping it from the forward pass,
-where it would hold ~21 MB per layer at 76 edges.
+|E| * C * (L+1)^4 multiplies, the compressed-vector budget.
+
+Every forward with an adjoint takes an optional ``cache`` dict and fills it
+with what its backward needs; the backward reads the same dict, and builds
+it with the same helper when called without one. Caches depend on the
+geometry and the parameters, never on the features. The radial net keeps
+its activations, the convolution its distances, harmonics up to 2L,
+per-path radial scalars and the edges' order by destination, and the
+residual layer its query-atom pairs, their coupled harmonics and radial
+scalars. The convolution still rebuilds G in the backward pass: kept, it
+would hold ~21 MB per layer at 76 edges, while rebuilding costs ~4 ms.
+Scatters onto nodes are sums over sorted runs of one index, not
+unbuffered scatter-adds: conv edges are sorted by source, and their
+gradients permuted into destination order, each run summed by one
+``np.add.reduceat``; residual pairs are sorted by atom, and an atom's
+feature gradient is one GEMM per degree over its run of pairs. The
+residual output sums pairs per query with ``np.bincount``.
 """
 from __future__ import annotations
 
@@ -168,30 +182,41 @@ def _embed(params, r):
     return np.exp(-0.5 * ((r[:, None] - params.centers) / params.width) ** 2)
 
 
-def radial_forward(params, r, counters=None):
-    """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim)."""
+def radial_forward(params, r, counters=None, cache=None):
+    """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
+
+    A ``cache`` dict receives the activations ``e``, ``a1``, ``h1``, ``a2``
+    and ``h2`` that ``radial_backward`` reads.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0) or np.any(r > params.cutoff + 1e-9):
         raise DomainError("distance outside [0, cutoff]")
-    e = _embed(params, r)
-    h1 = silu(e @ params.w1 + params.b1)
-    h2 = silu(h1 @ params.w2 + params.b2)
-    out = h2 @ params.head_w + params.head_b
+    # rebinding a and h frees each layer's arrays once the next exists, so
+    # an uncached call holds no more memory than the layers need
+    h = _embed(params, r)
+    if cache is not None:
+        cache["e"] = h
+    for i, (w, b) in enumerate([(params.w1, params.b1),
+                                (params.w2, params.b2)], 1):
+        a = h @ w + b
+        h = silu(a)
+        if cache is not None:
+            cache[f"a{i}"], cache[f"h{i}"] = a, h
+    out = h @ params.head_w + params.head_b
     if counters is not None:
-        counters.add("radial", e.size * params.w1.shape[1]
-                     + h1.size * params.w2.shape[1]
-                     + h2.size * params.head_w.shape[1])
+        counters.add("radial", r.size * (params.w1.size + params.w2.size
+                                         + params.head_w.size))
     return out
 
 
-def radial_backward(params, r, grad_out):
-    """Gradients of sum(grad_out * phi) with respect to trainable arrays."""
-    r = np.asarray(r, dtype=float)
-    e = _embed(params, r)
-    a1 = e @ params.w1 + params.b1
-    h1 = silu(a1)
-    a2 = h1 @ params.w2 + params.b2
-    h2 = silu(a2)
+def radial_backward(params, r, grad_out, cache=None):
+    """Gradients of sum(grad_out * phi) with respect to trainable arrays,
+    from the activations ``radial_forward`` left in ``cache`` (recomputed
+    when none is given)."""
+    if cache is None:
+        cache = {}
+        radial_forward(params, r, cache=cache)
+    e, a1, h1, a2, h2 = (cache[k] for k in ("e", "a1", "h1", "a2", "h2"))
     g_head_w = h2.T @ grad_out
     g_head_b = grad_out.sum(axis=0)
     g_h2 = grad_out @ params.head_w.T
@@ -285,6 +310,19 @@ def _gather_degrees(x, idx):
     return [_take_degree(x, idx, l) for l in range(math.isqrt(x.shape[-1]))]
 
 
+def _segments(idx):
+    """Runs of equal values in a sorted index array: (values, run starts)."""
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    return idx[starts], starts
+
+
+def _segment_add(out, segments, x):
+    """``out[idx[i]] += x[i]`` for a sorted ``idx`` given by its
+    ``_segments``; each run is summed with one ``np.add.reduceat``."""
+    rows, starts = segments
+    out[rows] += np.add.reduceat(x, starts, axis=0)
+
+
 def _edge_geometry(graph):
     vec = graph.edge_vec
     r = np.sqrt(np.einsum("ex,ex->e", vec, vec))
@@ -293,8 +331,8 @@ def _edge_geometry(graph):
     return r, vec / r[:, None]
 
 
-def _phi_per_path(params, r, counters=None):
-    phi = radial_forward(params.radial, r, counters)
+def _phi_per_path(params, r, counters=None, cache=None):
+    phi = radial_forward(params.radial, r, counters, cache)
     n_edge = r.shape[0]
     if params.mode == "channel":
         return phi.reshape(n_edge, len(params.paths), params.channels)
@@ -366,26 +404,39 @@ def _mix(phi, G, pair):
     return W.reshape(phi.shape[:1] + phi.shape[2:] + (2 * l + 1, 2 * k + 1))
 
 
-def _edge_terms(graph, params, counters=None):
-    """Distances, harmonics up to 2L, per-path radial scalars and the plan."""
+def _edge_terms(graph, params, counters=None, cache=None):
+    """The edge terms both conv passes need, in ``cache`` when given:
+    distances ``r``, harmonics ``Y`` up to 2L, per-path radial scalars
+    ``phi`` and the edges' destination runs, ``dst_order`` and its
+    ``dst_segments``. Only a given cache also receives the radial net's
+    activations, under ``radial``."""
+    terms = {} if cache is None else cache
     r, rhat = _edge_geometry(graph)
-    Y = so3.eval_real_sh(2 * params.l_max, rhat, check_unit=False)
-    phi = _phi_per_path(params, r, counters)
-    return r, Y, phi, conv_plan(params.l_max)
+    radial = None if cache is None else {}
+    order = np.argsort(graph.edge_dst, kind="stable")
+    terms.update(
+        r=r, Y=so3.eval_real_sh(2 * params.l_max, rhat, check_unit=False),
+        phi=_phi_per_path(params, r, counters, radial), radial=radial,
+        dst_order=order, dst_segments=_segments(graph.edge_dst[order]))
+    return terms
 
 
-def conv_forward(graph, feats, params, counters=None):
-    """One message-passing step: self-interaction plus neighbor messages."""
+def conv_forward(graph, feats, params, counters=None, cache=None):
+    """One message-passing step: self-interaction plus neighbor messages.
+
+    A ``cache`` dict receives the edge terms ``conv_backward`` reads; it
+    stays empty on an edge-free graph.
+    """
     feats = _check_shape("feats", feats, _feature_shape(graph.n_atoms, params))
     L, C = params.l_max, params.channels
     out = _per_order(params.self_w.T) * feats
     if graph.n_edges == 0:
         return out
-    r, Y, phi, plan = _edge_terms(graph, params, counters)
-    src, dst = graph.edge_src, graph.edge_dst
+    terms = _edge_terms(graph, params, counters, cache)
+    Y, phi, plan = terms["Y"], terms["phi"], conv_plan(L)
     E = graph.n_edges
     spec = "ecab,ecb->eca" if params.mode == "channel" else "ecdab,edb->eca"
-    fk = _gather_degrees(feats, dst)
+    fk = _gather_degrees(feats, graph.edge_dst)
     msg = [np.zeros((E, C, 2 * l + 1)) for l in range(L + 1)]
     for pair in plan.pairs:
         l, k = pair[:2]
@@ -396,12 +447,17 @@ def conv_forward(graph, feats, params, counters=None):
         counters.add("assembly", E * plan.assembly)
         counters.add("mixing", E * cc * plan.mixing)
         counters.add("matvec", E * cc * (L + 1) ** 4)
-    np.add.at(out, src, np.concatenate(msg, axis=2))
+    # edges are sorted by source (MolecularGraph checks it)
+    _segment_add(out, _segments(graph.edge_src), np.concatenate(msg, axis=2))
     return out
 
 
-def conv_backward(graph, feats, params, grad_out):
-    """Adjoint of conv_forward: gradients for features and parameters."""
+def conv_backward(graph, feats, params, grad_out, cache=None):
+    """Adjoint of conv_forward: gradients for features and parameters.
+
+    ``cache`` is the dict ``conv_forward`` filled for the same graph and
+    parameters; without one the edge terms are computed here.
+    """
     shape = _feature_shape(graph.n_atoms, params)
     feats = _check_shape("feats", feats, shape)
     grad_out = _check_shape("grad_out", grad_out, shape)
@@ -412,13 +468,13 @@ def conv_backward(graph, feats, params, grad_out):
         return grad_f, {"self_w": grad_self, "radial": radial_backward(
             params.radial, np.zeros(0),
             np.zeros((0, params.radial.out_dim)))}
-    r, Y, phi, plan = _edge_terms(graph, params)
-    src, dst = graph.edge_src, graph.edge_dst
+    terms = _edge_terms(graph, params, cache={}) if cache is None else cache
+    Y, phi, plan = terms["Y"], terms["phi"], conv_plan(params.l_max)
     E = graph.n_edges
     channel = params.mode == "channel"
     spec = "ecab,eca->ecb" if channel else "ecdab,eca->edb"
-    gmsg = _gather_degrees(grad_out, src)
-    fk = _gather_degrees(feats, dst)
+    gmsg = _gather_degrees(grad_out, graph.edge_src)
+    fk = _gather_degrees(feats, graph.edge_dst)
     acc = [np.zeros_like(f) for f in fk]
     grad_phi = np.empty_like(phi)
     for pair in plan.pairs:
@@ -434,8 +490,10 @@ def conv_backward(graph, feats, params, grad_out):
         grad_phi[:, p0:p1] = np.matmul(G, outer.transpose(0, 2, 1)).reshape(
             (E, p1 - p0) + phi.shape[2:])
         acc[k] += np.einsum(spec, _mix(phi, G, pair), gmsg[l])
-    np.add.at(grad_f, dst, np.concatenate(acc, axis=2))
-    grad_radial = radial_backward(params.radial, r, grad_phi.reshape(E, -1))
+    _segment_add(grad_f, terms["dst_segments"],
+                 np.concatenate(acc, axis=2)[terms["dst_order"]])
+    grad_radial = radial_backward(params.radial, terms["r"],
+                                  grad_phi.reshape(E, -1), terms["radial"])
     return grad_f, {"self_w": grad_self, "radial": grad_radial}
 
 
@@ -497,74 +555,102 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
                           cutoff=float(cutoff), radial=radial)
 
 
-def _residual_edges(queries, coords, cutoff):
-    """Query-atom pairs within the cutoff. Returns (q_idx, v_idx, r, rhat).
+def _residual_terms(queries, coords, params, counters=None, cache=None):
+    """The pair terms both residual passes need, in ``cache`` when given:
+    the query-atom pairs within the cutoff, sorted by atom, as ``qi``,
+    ``vi``, ``r`` and ``degen`` with the atoms' runs in ``atom_segments``;
+    and, when there are pairs, per degree k the coupled harmonics
+    ``t[k] = Y_k @ Q`` (E, 2k+1) and the radial scalars ``phi``
+    (E, L+1, C). Only a given cache also receives the radial net's
+    activations, under ``radial``.
 
-    A query sitting exactly on an atom keeps its isotropic k = 0 term but
-    contributes nothing through k >= 1, where no direction exists; the
-    direction is set to an arbitrary unit vector and the caller masks it.
+    A query sitting exactly on an atom (``degen``) keeps its isotropic
+    k = 0 term but contributes nothing through k >= 1, where no direction
+    exists: its direction is set to an arbitrary unit vector and its rows of
+    ``t[k]`` are zeroed.
     """
+    terms = {} if cache is None else cache
     diff = coords[None, :, :] - queries[:, None, :]
     dist = np.sqrt(np.einsum("qvx,qvx->qv", diff, diff))
-    qi, vi = np.nonzero(dist <= cutoff)
+    vi, qi = np.nonzero((dist <= params.cutoff).T)
     r = dist[qi, vi]
-    degenerate = r < _EPS_EDGE
-    safe = np.where(degenerate[:, None], np.array([0.0, 0.0, 1.0]),
+    degen = r < _EPS_EDGE
+    terms.update(qi=qi, vi=vi, r=r, degen=degen, atom_segments=_segments(vi))
+    if qi.size == 0:
+        return terms
+    radial = terms["radial"] = None if cache is None else {}
+    phi = radial_forward(params.radial, r, counters, radial)
+    terms["phi"] = phi.reshape(r.size, params.l_max + 1, params.channels)
+    rhat = np.where(degen[:, None], np.array([0.0, 0.0, 1.0]),
                     diff[qi, vi] / np.maximum(r, _EPS_EDGE)[:, None])
-    return qi, vi, r, safe, degenerate
+    Y = so3.eval_real_sh(params.l_max, rhat, check_unit=False)
+    terms["t"] = []
+    for k in range(params.l_max + 1):
+        Q = so3.cg_table(0, k, k).dense[:, 0, :]  # (2k+1, 2k+1)
+        tk = Y[:, so3.block_slice(k)] @ Q
+        if k > 0:
+            tk[degen] = 0.0
+        terms["t"].append(tk)
+    return terms
 
 
-def residual_forward(queries, coords, feats, params, counters=None):
-    """Invariant scalar z per query from neighborhood feature contraction."""
+def residual_forward(queries, coords, feats, params, counters=None,
+                     cache=None):
+    """Invariant scalar z per query from neighborhood feature contraction.
+
+    A ``cache`` dict receives the pair terms ``residual_backward`` reads.
+    """
     queries = _check_shape("queries", queries, (None, 3))
     coords = _check_shape("coords", coords, (None, 3))
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
-    z = np.zeros(queries.shape[0])
-    qi, vi, r, rhat, degen = _residual_edges(queries, coords, params.cutoff)
+    terms = _residual_terms(queries, coords, params, counters, cache)
+    qi, vi = terms["qi"], terms["vi"]
     if qi.size == 0:
-        return z
-    Y = so3.eval_real_sh(params.l_max, rhat, check_unit=False)
-    phi = radial_forward(params.radial, r, counters).reshape(
-        r.size, params.l_max + 1, params.channels)
+        return np.zeros(queries.shape[0])
+    phi, t = terms["phi"], terms["t"]
+    contrib = np.zeros(qi.size)
     for k in range(params.l_max + 1):
-        Q = so3.cg_table(0, k, k).dense[:, 0, :]  # (2k+1, 2k+1)
-        t = Y[:, so3.block_slice(k)] @ Q  # (E, 2k+1)
-        if k > 0:
-            t[degen] = 0.0
-        contrib = np.einsum("ec,ecb,eb->e", phi[:, k],
-                            _take_degree(feats, vi, k), t)
-        np.add.at(z, qi, contrib)
+        contrib += np.einsum("ec,ecb,eb->e", phi[:, k],
+                             _take_degree(feats, vi, k), t[k])
         if counters is not None:
-            counters.add("residual", t.size * (params.channels + 1))
-    return z
+            counters.add("residual", t[k].size * (params.channels + 1))
+    return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
 
 
-def residual_backward(queries, coords, feats, params, grad_z):
-    """Adjoint of residual_forward for features and radial parameters."""
+def residual_backward(queries, coords, feats, params, grad_z, cache=None):
+    """Adjoint of residual_forward for features and radial parameters.
+
+    ``cache`` is the dict ``residual_forward`` filled for the same queries,
+    coordinates and parameters; without one the pair terms are computed
+    here.
+    """
     queries = _check_shape("queries", queries, (None, 3))
     coords = _check_shape("coords", coords, (None, 3))
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     grad_z = _check_shape("grad_z", grad_z, (len(queries),))
     grad_f = np.zeros_like(feats)
-    qi, vi, r, rhat, degen = _residual_edges(queries, coords, params.cutoff)
-    zero_phi = np.zeros((r.size, params.radial.out_dim))
+    terms = (_residual_terms(queries, coords, params, cache={})
+             if cache is None else cache)
+    qi, vi = terms["qi"], terms["vi"]
     if qi.size == 0:
-        return grad_f, {"radial": radial_backward(params.radial, r, zero_phi)}
-    Y = so3.eval_real_sh(params.l_max, rhat, check_unit=False)
-    phi = radial_forward(params.radial, r).reshape(
-        r.size, params.l_max + 1, params.channels)
+        # empty sums in radial_backward already yield zero gradients
+        return grad_f, {"radial": radial_backward(
+            params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
+    phi, t = terms["phi"], terms["t"]
     ge = grad_z[qi]
-    grad_phi = np.zeros_like(phi)
+    grad_phi = np.empty_like(phi)
     for k in range(params.l_max + 1):
-        sl = so3.block_slice(k)
-        Q = so3.cg_table(0, k, k).dense[:, 0, :]
-        t = Y[:, sl] @ Q
-        if k > 0:
-            t[degen] = 0.0
         grad_phi[:, k] = ge[:, None] * np.einsum(
-            "ecb,eb->ec", _take_degree(feats, vi, k), t)
-        gfk = (ge[:, None] * phi[:, k])[:, :, None] * t[:, None, :]
-        np.add.at(grad_f[:, :, sl], vi, gfk)
-    grad_radial = radial_backward(params.radial, r,
-                                  grad_phi.reshape(r.size, -1))
+            "ecb,eb->ec", _take_degree(feats, vi, k), t[k])
+    # the feature gradient of atom u, degree k, sums (ge phi_k) outer t_k
+    # over u's run of pairs: one GEMM per run and degree, with no
+    # (pairs, C, 2k+1) array of outer products
+    gphi = ge[:, None, None] * phi
+    rows, starts = terms["atom_segments"]
+    for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
+        for k in range(params.l_max + 1):
+            grad_f[u, :, so3.block_slice(k)] = gphi[lo:hi, k].T @ t[k][lo:hi]
+    grad_radial = radial_backward(params.radial, terms["r"],
+                                  grad_phi.reshape(qi.size, -1),
+                                  terms["radial"])
     return grad_f, {"radial": grad_radial}

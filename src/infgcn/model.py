@@ -124,35 +124,54 @@ def _check_finite(a, op_name):
         raise NonFiniteError(f"non-finite values produced by {op_name}")
 
 
-def forward_trace(params, graph, queries, counters=None):
-    """Run the network, keeping the intermediates the adjoint pass needs."""
+def _forward(params, graph, queries, counters, keep):
+    """The network's forward pass. With ``keep`` each layer that has an
+    adjoint fills a cache for it; without, the layers build none."""
     cfg = params.config
     queries = np.asarray(queries, dtype=float)
     if not np.all(np.isfinite(queries)):
         raise DomainError("queries must be finite")
+
+    def cache():
+        return {} if keep else None
+
     f = init_features(params, graph.atom_type)
-    pre_conv, pre_gate = [], []
+    pre_conv, pre_gate, conv_caches = [], [], []
     for i, cp in enumerate(params.convs):
         pre_conv.append(f)
-        h = layers.conv_forward(graph, f, cp, counters)
+        conv_caches.append(cache())
+        h = layers.conv_forward(graph, f, cp, counters, cache=conv_caches[i])
         _check_finite(h, f"conv_forward[{i}]")
         pre_gate.append(h)
         f = layers.gate_forward(h, cfg.act0, cfg.act_l)
     spec = cfg.basis_spec()
-    dens = basis.expand_density(spec, f, graph.atom_coord, queries)
+    basis_cache, residual_cache = cache(), cache()
+    dens = basis.expand_density(spec, f, graph.atom_coord, queries,
+                                cache=basis_cache)
     _check_finite(dens, "expand_density")
     if params.residual is not None:
         z = layers.residual_forward(queries, graph.atom_coord, f,
-                                    params.residual, counters)
+                                    params.residual, counters,
+                                    cache=residual_cache)
         _check_finite(z, "residual_forward")
         dens = dens + z
     trace = {"pre_conv": pre_conv, "pre_gate": pre_gate, "coeffs": f,
-             "queries": queries, "spec": spec}
+             "queries": queries, "spec": spec, "conv_caches": conv_caches,
+             "basis_cache": basis_cache, "residual_cache": residual_cache}
     return dens, trace
 
 
+def forward_trace(params, graph, queries, counters=None):
+    """Run the network, keeping the intermediates the adjoint pass needs:
+    each layer's input and pre-gate output, and the caches its backward
+    reads (``conv_caches`` per layer, ``basis_cache``, ``residual_cache``).
+    """
+    return _forward(params, graph, queries, counters, keep=True)
+
+
 def predict_density(params, graph, queries, counters=None):
-    dens, _ = forward_trace(params, graph, queries, counters)
+    """Densities at ``queries``; the forward pass alone, keeping no caches."""
+    dens, _ = _forward(params, graph, queries, counters, keep=False)
     return dens
 
 

@@ -213,16 +213,30 @@ def test_expand_matches_broadcast_reference(l_max, n_queries, chunk):
     coeffs = rng.standard_normal((4, 5, spec.n_sh))
     g = rng.standard_normal(n_queries)
 
-    got = basis.expand_density(spec, coeffs, centers, queries, chunk=chunk)
+    cache = {}
+    got = basis.expand_density(spec, coeffs, centers, queries, chunk=chunk,
+                               cache=cache)
+    assert np.array_equal(got, basis.expand_density(
+        spec, coeffs, centers, queries, chunk=chunk))
+    assert len(cache["chunks"]) == -(-n_queries // chunk)
     want = _reference_expand(spec, coeffs, centers, queries)
     assert got.shape == (n_queries,)
     assert np.abs(got - want).max(initial=0.0) \
         <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
 
-    got = basis.expand_density_backward(spec, g, centers, queries, chunk=chunk)
+    # the backward reading the forward's cache (twice: it must not write
+    # into it) and the one evaluating its own factors
     want = _reference_expand_backward(spec, g, centers, queries)
-    assert got.shape == coeffs.shape
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    tol = 1e-12 * max(1.0, np.abs(want).max())
+    uncached = basis.expand_density_backward(spec, g, centers, queries,
+                                             chunk=chunk)
+    for _ in range(2):
+        got = basis.expand_density_backward(spec, g, centers, queries,
+                                            chunk=chunk, cache=cache)
+        assert got.shape == coeffs.shape
+        assert np.abs(got - want).max() <= tol
+        assert np.abs(got - uncached).max() <= tol
+    assert np.abs(uncached - want).max() <= tol
 
     block = basis.eval_basis_block(spec, centers[2], queries)
     want = _reference_eval_displacements(spec, queries - centers[2])

@@ -54,6 +54,22 @@ def test_graph_rejects_self_edges():
             np.array([0]), np.array([0]), np.zeros((1, 3)), 3.0)
 
 
+@pytest.mark.parametrize("src, dst, vec, field", [
+    ([0, 1], [1], np.zeros((2, 3)), "edge_dst"),
+    ([0, 1], [1, 0], np.zeros((3, 3)), "edge_vec"),
+    ([0, 1], [1, 0], np.zeros((2, 2)), "edge_vec"),
+    ([0, 1], [5, 0], np.zeros((2, 3)), "edge_dst"),
+    ([-1, 1], [1, 0], np.zeros((2, 3)), "edge_src"),
+    ([1, 0], [0, 1], np.zeros((2, 3)), "edge_src"),
+    ([0.0, 1.0], [1, 0], np.zeros((2, 3)), "edge_src"),
+], ids=["dst_shorter", "vec_longer", "vec_not_3d", "dst_outside",
+        "src_negative", "src_unsorted", "src_float"])
+def test_graph_validates_edge_arrays_naming_field(src, dst, vec, field):
+    with pytest.raises(DomainError, match=f"^{field}"):
+        geometry.MolecularGraph(np.array([0, 1]), np.zeros((2, 3)),
+                                np.array(src), np.array(dst), vec, 3.0)
+
+
 def test_grid_coordinates_trivial():
     g = geometry.VoxelGrid((2, 1, 1), 2.0 * np.eye(3), np.zeros(3), np.zeros(2))
     got = geometry.grid_coordinates(g)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from infgcn import geometry, grad, model
+from infgcn import geometry, grad, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError
 
 
@@ -235,3 +237,121 @@ def test_training_loop_is_deterministic():
         return reg.flatten(params)
 
     assert np.array_equal(run(), run())
+
+def _allocating_adam(state, flat, g):
+    """The Adam update as optimize_step wrote it with fresh arrays, kept as
+    the reference for the in-place one."""
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    mhat = state.m / (1.0 - state.beta1 ** state.step)
+    vhat = state.v / (1.0 - state.beta2 ** state.step)
+    return flat - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+
+
+def test_adam_in_place_matches_allocating_update():
+    cfg = model.ModelConfig(l_max=2, channels=3, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=30, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=31)
+    reg = grad.ParamRegistry(params)
+    state = grad.init_optimizer(reg, lr=1e-2)
+    ref = grad.init_optimizer(reg, lr=1e-2)
+    m, v = state.m, state.v
+    flat = reg.flatten(params)
+    for step in range(1, 6):
+        _, grads = grad.loss_and_grad(params, graph, queries, target)
+        ref.step = step
+        flat = _allocating_adam(ref, flat, reg.flatten_grads(grads))
+        grad.optimize_step(state, params, grads, reg)
+        assert state.step == step
+        assert np.array_equal(state.m, ref.m)
+        assert np.array_equal(state.v, ref.v)
+        assert np.array_equal(reg.flatten(params), flat)
+    assert state.m is m and state.v is v  # updated in place
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_loss_and_grad_runs_radial_nets_and_harmonics_once(monkeypatch):
+    # default model, 1024 queries: 3 conv layers and the residual layer run
+    # a radial net each, and harmonics are evaluated once per conv layer,
+    # once for the residual layer and once per 512-query basis chunk. The
+    # backward passes read the forward's caches, so these are all the calls
+    # (a backward that recomputed its forward would double both counts).
+    cfg = model.ModelConfig()
+    params = model.init_params(cfg, seed=0, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=32, n_atoms=5,
+                                           n_queries=1024)
+    counts = {}
+    _count_calls(monkeypatch, layers, "radial_forward", counts)
+    _count_calls(monkeypatch, so3, "eval_real_sh", counts)
+    grad.loss_and_grad(params, graph, queries, target)
+    assert counts == {"radial_forward": 4, "eval_real_sh": 6}
+
+
+def _molecule(seed, n_atoms=18, half_width=2.8, min_sep=1.8):
+    """A QM9-sized molecule: atoms drawn in a cube, at least ``min_sep``
+    bohr apart, under the default cutoff."""
+    rng = np.random.default_rng(seed)
+    coords = []
+    while len(coords) < n_atoms:
+        p = rng.uniform(-half_width, half_width, 3)
+        if all(np.linalg.norm(p - q) >= min_sep for q in coords):
+            coords.append(p)
+    types = rng.integers(0, 5, size=n_atoms)
+    return geometry.MolecularGraph.from_coords(types, np.array(coords), 3.0)
+
+
+def _traced_peak(fn):
+    """Peak of traced allocations (numpy's included) while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_density_builds_no_caches():
+    # 18 atoms, the first 4096 nodes of a 24^3 grid over a 10 bohr box: the
+    # forward-only path peaked at 31 MB before the caches existed; keeping
+    # the basis factors alone would add ~47 MB, the radial activations of
+    # the residual layer ~20 MB
+    graph = _molecule(0)
+    params = model.init_params(model.ModelConfig(), seed=0, zero_heads=False)
+    grid = geometry.VoxelGrid((24, 24, 24), 10.0 * np.eye(3),
+                              np.full(3, -5.0), np.zeros(24 ** 3))
+    queries = geometry.grid_coordinates(grid)[:4096]
+    model.predict_density(params, graph, queries[:8])  # build the CG memo
+    peak = _traced_peak(lambda: model.predict_density(params, graph, queries))
+    assert peak < 40.0
+
+
+def test_training_step_memory_stays_below_allocating_step():
+    # one loss_and_grad + optimize_step at 18 atoms and 1024 queries: the
+    # caches the backward reads must fit under the peak the step had when
+    # the backward recomputed its forward and Adam allocated its
+    # temporaries, 154 MB on this input
+    graph = _molecule(0)
+    params = model.init_params(model.ModelConfig(), seed=0, zero_heads=False)
+    rng = np.random.default_rng(1)
+    queries = rng.uniform(-5.0, 5.0, size=(1024, 3))
+    target = rng.standard_normal(1024)
+    reg = grad.ParamRegistry(params)
+    state = grad.init_optimizer(reg)
+    grad.loss_and_grad(params, graph, queries[:8], target[:8])
+
+    def step():
+        _, grads = grad.loss_and_grad(params, graph, queries, target)
+        grad.optimize_step(state, params, grads, reg)
+
+    assert _traced_peak(step) < 154.0

@@ -88,6 +88,22 @@ def test_radial_backward_matches_fd():
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-5
 
 
+def test_radial_backward_with_forward_cache_matches_uncached():
+    rng = np.random.default_rng(41)
+    p = layers.init_radial_net(rng, 3.0, 6, zero_head=False)
+    r = rng.uniform(0.0, 3.0, size=9)
+    weight = rng.standard_normal((9, 6))
+    cache = {}
+    out = layers.radial_forward(p, r, cache=cache)
+    assert np.array_equal(out, layers.radial_forward(p, r))
+    assert sorted(cache) == ["a1", "a2", "e", "h1", "h2"]
+    cached = layers.radial_backward(p, r, weight, cache=cache)
+    uncached = layers.radial_backward(p, r, weight)
+    assert cached.keys() == uncached.keys()
+    for key, g in uncached.items():
+        _assert_close(cached[key], g)
+
+
 def test_conv_no_edges_is_self_interaction():
     rng = np.random.default_rng(5)
     coords = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
@@ -383,21 +399,32 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
     params.self_w[:] = rng.standard_normal(params.self_w.shape)
     grad_out = random_feats(rng, graph.n_atoms, l_max, 3)
 
-    got = layers.conv_forward(graph, feats, params)
+    cache = {}
+    got = layers.conv_forward(graph, feats, params, cache=cache)
+    assert np.array_equal(got, layers.conv_forward(graph, feats, params))
+    assert bool(cache) == (graph.n_edges > 0)
     want = _reference_conv_forward(graph, feats, params)
     for l in range(l_max + 1):
         sl = so3.block_slice(l)
         _assert_close(got[:, :, sl], want[:, :, sl])
 
-    got_f, got_p = layers.conv_backward(graph, feats, params, grad_out)
+    # the backward reading the forward's cache and the one building its own
+    # must both match the reference, and each other
+    cached = layers.conv_backward(graph, feats, params, grad_out, cache=cache)
+    uncached = layers.conv_backward(graph, feats, params, grad_out)
     want_f, want_p = _reference_conv_backward(graph, feats, params, grad_out)
-    for l in range(l_max + 1):
-        sl = so3.block_slice(l)
-        _assert_close(got_f[:, :, sl], want_f[:, :, sl])
-    _assert_close(got_p["self_w"], want_p["self_w"])
-    assert got_p["radial"].keys() == want_p["radial"].keys()
-    for key, want_g in want_p["radial"].items():
-        _assert_close(got_p["radial"][key], want_g)
+    for got_f, got_p in (cached, uncached):
+        for l in range(l_max + 1):
+            sl = so3.block_slice(l)
+            _assert_close(got_f[:, :, sl], want_f[:, :, sl])
+        _assert_close(got_p["self_w"], want_p["self_w"])
+        assert got_p["radial"].keys() == want_p["radial"].keys()
+        for key, want_g in want_p["radial"].items():
+            _assert_close(got_p["radial"][key], want_g)
+    _assert_close(cached[0], uncached[0])
+    _assert_close(cached[1]["self_w"], uncached[1]["self_w"])
+    for key, g in uncached[1]["radial"].items():
+        _assert_close(cached[1]["radial"][key], g)
 
 
 def test_conv_plan_built_once(monkeypatch):
@@ -658,3 +685,32 @@ def test_residual_backward_matches_fd():
         arr[idx] = old
         fd = (up - dn) / (2 * h)
         assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8) < 1e-4
+
+@pytest.mark.parametrize("case", ["query_on_atom", "no_pairs"])
+def test_residual_backward_with_forward_cache_matches_uncached(case):
+    rng = np.random.default_rng(42)
+    coords = rng.uniform(-1.0, 1.0, size=(4, 3))
+    feats = random_feats(rng, 4, 3, 2)
+    params = layers.init_residual_layer(rng, 3, 2, 3.0, zero_head=False)
+    if case == "query_on_atom":
+        queries = rng.uniform(-2.0, 2.0, size=(9, 3))
+        queries[3] = coords[2]
+    else:
+        queries = rng.uniform(20.0, 30.0, size=(5, 3))
+    grad_z = rng.standard_normal(len(queries))
+    cache = {}
+    z = layers.residual_forward(queries, coords, feats, params, cache=cache)
+    assert np.array_equal(
+        z, layers.residual_forward(queries, coords, feats, params))
+    assert (cache["qi"].size == 0) == (case == "no_pairs")
+    assert np.all(np.diff(cache["vi"]) >= 0)  # pairs come sorted by atom
+    got_f, got_p = layers.residual_backward(queries, coords, feats, params,
+                                            grad_z, cache=cache)
+    want_f, want_p = layers.residual_backward(queries, coords, feats, params,
+                                              grad_z)
+    _assert_close(got_f, want_f)
+    assert got_p["radial"].keys() == want_p["radial"].keys()
+    for key, g in want_p["radial"].items():
+        _assert_close(got_p["radial"][key], g)
+    if case == "no_pairs":
+        assert not np.any(want_f)

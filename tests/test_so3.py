@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coeff_rotation import rotate_coeffs
 from infgcn import so3
 from infgcn.errors import DomainError
 
@@ -315,12 +316,14 @@ def test_rotate_tensor_norm_and_reconstruction():
 
 
 def test_rotation_commutes_with_truncation():
-    # dropping degrees above a threshold before or after rotating gives the
-    # same floats: blocks rotate independently
+    # rotating an L=3 coefficient array and dropping degrees above 1 gives
+    # the same floats as rotating the truncated array: blocks rotate
+    # independently, and the higher degrees ignore the lower ones
     rng = np.random.default_rng(11)
-    f = [rng.standard_normal((1, 2 * l + 1)) for l in range(4)]
+    x = rng.standard_normal((2, 5, 16))
     R = so3.random_rotation(rng)
-    full = so3.wigner_blocks(3, R)
-    truncated = so3.wigner_blocks(1, R)
-    for l in (0, 1):
-        assert np.array_equal(f[l] @ truncated[l].T, f[l] @ full[l].T)
+    full = rotate_coeffs(x, R)
+    assert np.array_equal(full[..., :4], rotate_coeffs(x[..., :4], R))
+    high = x.copy()
+    high[..., :4] = 0.0
+    assert np.array_equal(full[..., 4:], rotate_coeffs(high, R)[..., 4:])

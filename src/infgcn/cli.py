@@ -150,38 +150,32 @@ def cmd_train(cfg, deterministic=False):
     log_path = os.path.join(cfg.out_dir, "train_log.jsonl")
     model.save_checkpoint(params, ckpt_path)
     best = math.inf
-    last_good = registry.flatten(params)
     nb = min(cfg.batch_size, len(train))
     with open(log_path, "w") as log:
         for step in range(1, cfg.n_iter + 1):
             t0 = time.perf_counter()
             start = ((step - 1) * nb) % len(train)
             mean_loss = 0.0
-            summed = None
+            summed = np.zeros(registry.n_params)
             try:
                 for t in range(nb):
                     rec = train[(start + t) % len(train)]
                     k = min(cfg.train_sample, rec["grid"].n_voxels)
                     qs = geometry.sample_queries(rec["grid"], k,
                                                  (cfg.seed, step, t))
-                    loss, grads = grad.loss_and_grad(
+                    loss, g = grad.loss_and_grad(
                         params, rec["graph"], qs.points, qs.targets,
                         volume_weight=qs.weight)
                     mean_loss += loss / nb
-                    if summed is None:
-                        summed = grads
-                    else:
-                        for key in summed:
-                            summed[key] += grads[key]
-                for key in summed:
-                    summed[key] /= nb
+                    summed += g
+                summed /= nb
                 grad.optimize_step(state, params, summed, registry)
             except NonFiniteError:
-                registry.unflatten(params, last_good)
+                # neither call writes params before it raises, so they
+                # still hold the last good step
                 model.save_checkpoint(
                     params, os.path.join(cfg.out_dir, "last_good.ckpt"))
                 raise
-            last_good = registry.flatten(params)
             nmae_val = None
             if step % cfg.val_every == 0 or step == cfg.n_iter:
                 nmae_val = _sample_nmae(params, val, cfg, step)

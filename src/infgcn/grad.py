@@ -3,8 +3,10 @@
 Every differentiable operation in the package carries a hand-written adjoint
 (`layers.conv_backward`, `layers.gate_backward`, `layers.residual_backward`,
 `basis.expand_density_backward`); this module chains them along the forward
-trace and exposes the result through a flat parameter registry, plus a
-finite-difference verifier and the two optimizers used for training.
+trace into one gradient vector laid out like ``params.flat`` (the layout is
+`model.ParamRegistry`, re-exported here). The finite-difference verifier
+perturbs single entries of ``params.flat``; the two optimizers used for
+training update it in place.
 
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is
@@ -20,61 +22,7 @@ import numpy as np
 
 from . import basis, layers, model
 from .errors import DomainError, NonFiniteError
-
-
-class ParamRegistry:
-    """Ordered view of a model's trainable arrays as one flat vector.
-
-    Order is fixed by ``ModelParams.named_arrays`` at construction; flatten
-    and unflatten round-trip bitwise.
-    """
-
-    def __init__(self, params):
-        self.names = []
-        self.shapes = []
-        self.offsets = []
-        total = 0
-        for name, arr in params.named_arrays():
-            self.names.append(name)
-            self.shapes.append(arr.shape)
-            self.offsets.append(total)
-            total += arr.size
-        self.n_params = total
-
-    def flatten(self, params):
-        return np.concatenate(
-            [np.asarray(a, dtype=float).ravel()
-             for _, a in params.named_arrays()])
-
-    def flatten_grads(self, grads):
-        parts = []
-        for name, shape in zip(self.names, self.shapes):
-            g = grads[name]
-            if g.shape != shape:
-                raise DomainError(
-                    f"gradient for {name} has shape {g.shape}, want {shape}")
-            parts.append(g.ravel())
-        return np.concatenate(parts)
-
-    def unflatten(self, params, flat):
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise DomainError("flat vector length does not match registry")
-        for (name, arr), off, shape in zip(params.named_arrays(),
-                                           self.offsets, self.shapes):
-            arr[...] = flat[off:off + arr.size].reshape(shape)
-        return params
-
-    def slot_of(self, index):
-        """Name and within-array offset for a flat index."""
-        if not 0 <= index < self.n_params:
-            raise DomainError("flat index out of range")
-        pos = np.searchsorted(self.offsets, index, side="right") - 1
-        return self.names[pos], index - self.offsets[pos]
-
-
-def zero_grads(params):
-    return {name: np.zeros_like(a) for name, a in params.named_arrays()}
+from .model import ParamRegistry
 
 
 def _accumulate_radial(grads, prefix, radial_grads):
@@ -84,12 +32,15 @@ def _accumulate_radial(grads, prefix, radial_grads):
 
 def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
                   counters=None):
-    """Loss and exact gradients of loss_l2(predict_density) in one pass."""
+    """Loss and exact gradients of loss_l2(predict_density) in one pass,
+    the gradients as one vector laid out like ``params.flat``."""
     cfg = params.config
     target = np.asarray(target, dtype=float)
     dens, trace = model.forward_trace(params, graph, queries, counters)
     loss = model.loss_l2(dens, target, volume_weight)
-    grads = zero_grads(params)
+    registry = ParamRegistry(params)
+    flat_grad = np.zeros(registry.n_params)
+    grads = registry.views(flat_grad)
 
     w = np.asarray(volume_weight, dtype=float)
     grad_dens = 2.0 * w * (dens - target)
@@ -114,10 +65,10 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
         _accumulate_radial(grads, f"conv{i}", cgrads["radial"])
 
     np.add.at(grads["embed"], graph.atom_type, g[:, :, 0])
-    for name in grads:
-        if not np.all(np.isfinite(grads[name])):
-            raise NonFiniteError(f"non-finite gradient for {name}")
-    return loss, grads
+    if not np.all(np.isfinite(flat_grad)):
+        name, _ = registry.slot_of(int(np.argmin(np.isfinite(flat_grad))))
+        raise NonFiniteError(f"non-finite gradient for {name}")
+    return loss, flat_grad
 
 
 def check_gradient(params, graph, queries, target, n_sampled=200, h=1e-5,
@@ -131,22 +82,15 @@ def check_gradient(params, graph, queries, target, n_sampled=200, h=1e-5,
     counted as agreeing; central differences cannot resolve them.
     """
     registry = ParamRegistry(params)
-    loss0, grads = loss_and_grad(params, graph, queries, target,
-                                 volume_weight)
-    flat_g = registry.flatten_grads(grads)
-    flat = registry.flatten(params)
+    loss0, flat_g = loss_and_grad(params, graph, queries, target,
+                                  volume_weight)
 
-    if names is None:
-        pool = np.arange(registry.n_params)
-    else:
-        keep = []
-        for name, off, shape in zip(registry.names, registry.offsets,
-                                    registry.shapes):
-            if name in names:
-                keep.append(np.arange(off, off + int(np.prod(shape))))
-        if not keep:
-            raise DomainError("no registry arrays match the given names")
-        pool = np.concatenate(keep)
+    index = registry.views(np.arange(registry.n_params))
+    keep = [index[name].ravel() for name in registry.names
+            if names is None or name in names]
+    if not keep:
+        raise DomainError("no registry arrays match the given names")
+    pool = np.concatenate(keep)
     rng = np.random.default_rng(seed)
     k = min(int(n_sampled), pool.size)
     idx = rng.choice(pool, size=k, replace=False)
@@ -154,29 +98,26 @@ def check_gradient(params, graph, queries, target, n_sampled=200, h=1e-5,
     floor = 1e-6 * max(1.0, abs(loss0))
     errs = np.zeros(k)
     worst = None
-    work = flat.copy()
 
-    def eval_at(i, value):
-        work[i] = value
-        registry.unflatten(params, work)
+    def loss_at(i, value):
+        params.flat[i] = value
         d = model.predict_density(params, graph, queries)
         return model.loss_l2(d, target, volume_weight)
 
-    try:
-        for j, i in enumerate(idx):
-            theta = flat[i]
-            step = h * max(1.0, abs(theta))
-            lp = eval_at(i, theta + step)
-            lm = eval_at(i, theta - step)
-            work[i] = theta
-            fd = (lp - lm) / (2.0 * step)
-            an = flat_g[i]
-            scale = max(abs(fd), abs(an))
-            errs[j] = abs(fd - an) / scale if scale > floor else 0.0
-            if worst is None or errs[j] > worst[0]:
-                worst = (errs[j], *registry.slot_of(int(i)), fd, an)
-    finally:
-        registry.unflatten(params, flat)
+    for j, i in enumerate(idx):
+        theta = params.flat[i]
+        step = h * max(1.0, abs(theta))
+        try:
+            lp = loss_at(i, theta + step)
+            lm = loss_at(i, theta - step)
+        finally:
+            params.flat[i] = theta
+        fd = (lp - lm) / (2.0 * step)
+        an = flat_g[i]
+        scale = max(abs(fd), abs(an))
+        errs[j] = abs(fd - an) / scale if scale > floor else 0.0
+        if worst is None or errs[j] > worst[0]:
+            worst = (errs[j], *registry.slot_of(int(i)), fd, an)
 
     report = {
         "n_sampled": k,
@@ -226,20 +167,21 @@ def init_optimizer(registry, method="adaptive-moments", lr=1e-3,
 
 
 def optimize_step(state, params, grads, registry):
-    """One optimizer update, in place. Returns (params, state)."""
-    g = registry.flatten_grads(grads)
+    """One optimizer update of ``params.flat``, in place, from the gradient
+    vector ``loss_and_grad`` returns. Returns (params, state)."""
+    g = np.asarray(grads, dtype=float)
+    if g.shape != (registry.n_params,) or g.shape != state.m.shape:
+        raise DomainError("gradient length does not match optimizer state")
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("non-finite gradient passed to optimize_step")
-    if g.shape != state.m.shape:
-        raise DomainError("gradient length does not match optimizer state")
-    flat = registry.flatten(params)
+    flat = params.flat
     state.step += 1
     if state.method == "gradient-descent":
         flat -= state.lr * g
     else:
         # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g;
         # flat -= lr mhat / (sqrt(vhat) + eps), evaluated in that order
-        # with one scratch vector, and g (a fresh copy) as the other
+        # with two scratch vectors; g is left as it came
         m, v = state.m, state.v
         tmp = np.multiply(1.0 - state.beta1, g)
         m *= state.beta1
@@ -251,11 +193,10 @@ def optimize_step(state, params, grads, registry):
         np.divide(v, 1.0 - state.beta2 ** state.step, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += state.eps
-        np.divide(m, 1.0 - state.beta1 ** state.step, out=g)
-        g *= state.lr
-        g /= tmp
-        flat -= g
-    registry.unflatten(params, flat)
+        upd = np.divide(m, 1.0 - state.beta1 ** state.step)
+        upd *= state.lr
+        upd /= tmp
+        flat -= upd
     return params, state
 
 

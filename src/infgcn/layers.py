@@ -24,19 +24,18 @@ features in one einsum. The matvec stage costs exactly
 |E| * C * (L+1)^4 multiplies, the compressed-vector budget.
 
 Every forward with an adjoint takes an optional ``cache`` dict and fills it
-with what its backward needs; the backward reads the same dict, and builds
-it with the same helper when called without one. Caches depend on the
-geometry and the parameters, never on the features. The radial net keeps
-its activations, the convolution its distances, harmonics up to 2L,
-per-path radial scalars and the edges' order by destination, and the
-residual layer its query-atom pairs, their coupled harmonics and radial
-scalars. The convolution still rebuilds G in the backward pass: kept, it
-would hold ~21 MB per layer at 76 edges, while rebuilding costs ~4 ms.
-Scatters onto nodes are sums over sorted runs of one index, not
-unbuffered scatter-adds: conv edges are sorted by source, and their
-gradients permuted into destination order, each run summed by one
-``np.add.reduceat``; residual pairs are sorted by atom, and an atom's
-feature gradient is one GEMM per degree over its run of pairs. The
+with what its backward needs; the backward reads the same dict, and fills
+it itself when called without one. The radial net keeps its activations,
+the convolution its distances, harmonics up to 2L, per-path radial scalars
+and the edges' order by destination, and the residual layer its query-atom
+pairs, their coupled harmonics, radial scalars and the features'
+projection ``s`` on the harmonics. The convolution still rebuilds G in the
+backward pass: kept, it would hold ~21 MB per layer at 76 edges, while
+rebuilding costs ~4 ms. Scatters onto nodes are sums over sorted runs of
+one index, not unbuffered scatter-adds: conv edges are sorted by source,
+and their gradients permuted into destination order, each run summed by
+one ``np.add.reduceat``; residual pairs are sorted by atom, and ``s`` and
+an atom's feature gradient are one GEMM per degree over its run. The
 residual output sums pairs per query with ``np.bincount``.
 """
 from __future__ import annotations
@@ -152,12 +151,10 @@ class RadialNetParams:
     def out_dim(self):
         return self.head_b.size
 
-    def named_arrays(self, prefix):
-        """Trainable arrays only; the embedding is a fixed featurizer."""
-        return [(prefix + ".w1", self.w1), (prefix + ".b1", self.b1),
-                (prefix + ".w2", self.w2), (prefix + ".b2", self.b2),
-                (prefix + ".head_w", self.head_w),
-                (prefix + ".head_b", self.head_b)]
+    def slots(self, prefix):
+        """(name, owner, attribute) of each array but the fixed embedding."""
+        return [(f"{prefix}.{a}", self, a)
+                for a in ("w1", "b1", "w2", "b2", "head_w", "head_b")]
 
 
 def _glorot(rng, shape):
@@ -245,9 +242,9 @@ class ConvLayerParams:
     radial: RadialNetParams
     self_w: np.ndarray  # (l_max+1, channels)
 
-    def named_arrays(self, prefix):
-        return (self.radial.named_arrays(prefix + ".radial")
-                + [(prefix + ".self_w", self.self_w)])
+    def slots(self, prefix):
+        return (self.radial.slots(prefix + ".radial")
+                + [(prefix + ".self_w", self, "self_w")])
 
 
 def init_conv_layer(rng, l_max, channels, cutoff, mode="channel",
@@ -298,16 +295,12 @@ def _per_order(x):
     return np.repeat(x, 2 * np.arange(x.shape[-1]) + 1, axis=-1)
 
 
-def _take_degree(x, idx, l):
-    """Rows ``idx`` of the degree-l entries of a feature array, contiguous
-    (``np.take`` gathers this strided view about twice as fast as
-    ``x[idx, :, sl]``)."""
-    return np.take(x[:, :, so3.block_slice(l)], idx, axis=0)
-
-
 def _gather_degrees(x, idx):
-    """Rows ``idx`` of a feature array, one contiguous copy per degree."""
-    return [_take_degree(x, idx, l) for l in range(math.isqrt(x.shape[-1]))]
+    """Rows ``idx`` of a feature array, one contiguous copy per degree
+    (``np.take`` gathers a strided degree view about twice as fast as
+    ``x[idx, :, sl]``)."""
+    return [np.take(x[:, :, so3.block_slice(l)], idx, axis=0)
+            for l in range(math.isqrt(x.shape[-1]))]
 
 
 def _segments(idx):
@@ -544,8 +537,8 @@ class ResidualParams:
     cutoff: float
     radial: RadialNetParams
 
-    def named_arrays(self, prefix):
-        return self.radial.named_arrays(prefix + ".radial")
+    def slots(self, prefix):
+        return self.radial.slots(prefix + ".radial")
 
 
 def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
@@ -598,22 +591,28 @@ def residual_forward(queries, coords, feats, params, counters=None,
                      cache=None):
     """Invariant scalar z per query from neighborhood feature contraction.
 
-    A ``cache`` dict receives the pair terms ``residual_backward`` reads.
+    A ``cache`` dict receives the pair terms ``residual_backward`` reads
+    and the projection ``s`` of these features.
     """
     queries = _check_shape("queries", queries, (None, 3))
     coords = _check_shape("coords", coords, (None, 3))
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     terms = _residual_terms(queries, coords, params, counters, cache)
-    qi, vi = terms["qi"], terms["vi"]
+    qi, t = terms["qi"], terms.get("t")
     if qi.size == 0:
         return np.zeros(queries.shape[0])
-    phi, t = terms["phi"], terms["t"]
-    contrib = np.zeros(qi.size)
-    for k in range(params.l_max + 1):
-        contrib += np.einsum("ec,ecb,eb->e", phi[:, k],
-                             _take_degree(feats, vi, k), t[k])
-        if counters is not None:
-            counters.add("residual", t[k].size * (params.channels + 1))
+    # s[e, k] = t[k][e] @ feats[vi[e], :, block k].T, (E, L+1, C): each
+    # pair's degree-k atom features projected on its coupled harmonics, one
+    # GEMM per atom run and degree
+    s = terms["s"] = np.empty((qi.size, params.l_max + 1, params.channels))
+    rows, starts = terms["atom_segments"]
+    for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
+        for k in range(params.l_max + 1):
+            s[lo:hi, k] = t[k][lo:hi] @ feats[u, :, so3.block_slice(k)].T
+    if counters is not None:
+        counters.add("residual",
+                     sum(tk.size for tk in t) * (params.channels + 1))
+    contrib = np.einsum("ekc,ekc->e", terms["phi"], s)
     return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
 
 
@@ -621,36 +620,34 @@ def residual_backward(queries, coords, feats, params, grad_z, cache=None):
     """Adjoint of residual_forward for features and radial parameters.
 
     ``cache`` is the dict ``residual_forward`` filled for the same queries,
-    coordinates and parameters; without one the pair terms are computed
-    here.
+    coordinates, features and parameters; without one the forward is run
+    here to fill it.
     """
     queries = _check_shape("queries", queries, (None, 3))
     coords = _check_shape("coords", coords, (None, 3))
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     grad_z = _check_shape("grad_z", grad_z, (len(queries),))
     grad_f = np.zeros_like(feats)
-    terms = (_residual_terms(queries, coords, params, cache={})
-             if cache is None else cache)
-    qi, vi = terms["qi"], terms["vi"]
+    if cache is None:
+        cache = {}
+        residual_forward(queries, coords, feats, params, cache=cache)
+    qi = cache["qi"]
     if qi.size == 0:
         # empty sums in radial_backward already yield zero gradients
         return grad_f, {"radial": radial_backward(
             params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
-    phi, t = terms["phi"], terms["t"]
+    phi, t = cache["phi"], cache["t"]
     ge = grad_z[qi]
-    grad_phi = np.empty_like(phi)
-    for k in range(params.l_max + 1):
-        grad_phi[:, k] = ge[:, None] * np.einsum(
-            "ecb,eb->ec", _take_degree(feats, vi, k), t[k])
     # the feature gradient of atom u, degree k, sums (ge phi_k) outer t_k
     # over u's run of pairs: one GEMM per run and degree, with no
     # (pairs, C, 2k+1) array of outer products
     gphi = ge[:, None, None] * phi
-    rows, starts = terms["atom_segments"]
+    rows, starts = cache["atom_segments"]
     for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
         for k in range(params.l_max + 1):
             grad_f[u, :, so3.block_slice(k)] = gphi[lo:hi, k].T @ t[k][lo:hi]
-    grad_radial = radial_backward(params.radial, terms["r"],
+    grad_phi = ge[:, None, None] * cache["s"]
+    grad_radial = radial_backward(params.radial, cache["r"],
                                   grad_phi.reshape(qi.size, -1),
-                                  terms["radial"])
+                                  cache["radial"])
     return grad_f, {"radial": grad_radial}

@@ -5,6 +5,9 @@ The degree-l, channel-n feature of an atom doubles as the coefficient of
 basis function psi_{nlm} centered on that atom, so the network output is
 read off directly as a coefficient field and expanded with the shared
 radial table. Densities are in electrons per Bohr^3 throughout.
+
+Every trainable array is a view into one float64 vector, ``params.flat``,
+laid out by `ParamRegistry`; a checkpoint's blob is that vector.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import json
 import os
 import secrets
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import DomainError, NonFiniteError
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "ParamRegistry",
     "NMAEAccumulator",
     "init_params",
     "init_features",
@@ -84,14 +88,60 @@ class ModelParams:
     embed: np.ndarray  # (vocab, channels), degree-0 initial features
     convs: list
     residual: object  # ResidualParams or None
+    flat: np.ndarray = field(default=None, repr=False)  # arrays view it
+
+    def slots(self):
+        """``(name, owner, attribute)`` of each trainable array, in order."""
+        out = [("embed", self, "embed")]
+        for i, cp in enumerate(self.convs):
+            out.extend(cp.slots(f"conv{i}"))
+        if self.residual is not None:
+            out.extend(self.residual.slots("residual"))
+        return out
 
     def named_arrays(self):
-        out = [("embed", self.embed)]
-        for i, cp in enumerate(self.convs):
-            out.extend(cp.named_arrays(f"conv{i}"))
-        if self.residual is not None:
-            out.extend(self.residual.named_arrays("residual"))
-        return out
+        return [(name, getattr(owner, attr))
+                for name, owner, attr in self.slots()]
+
+
+class ParamRegistry:
+    """The layout of the flat parameter vector: each trainable array's name,
+    shape and offset, in ``named_arrays`` order. Parameters, gradients,
+    optimizer moments and the checkpoint blob all share it.
+    """
+
+    def __init__(self, params):
+        named = params.named_arrays()
+        self.names = [name for name, _ in named]
+        self.shapes = [a.shape for _, a in named]
+        self.offsets = np.cumsum([0] + [a.size for _, a in named]).tolist()
+        self.n_params = self.offsets.pop()
+
+    def views(self, vec):
+        """Per-name views of a vector in this layout."""
+        ends = self.offsets[1:] + [self.n_params]
+        return {name: vec[lo:hi].reshape(shape) for name, shape, lo, hi
+                in zip(self.names, self.shapes, self.offsets, ends)}
+
+    def flatten(self, params):
+        """A copy of the parameter vector."""
+        return params.flat.copy()
+
+    def unflatten(self, params, flat):
+        """Write ``flat`` into the parameter vector, which every array
+        views; nothing is rebound."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (self.n_params,):
+            raise DomainError("flat vector length does not match registry")
+        params.flat[...] = flat
+        return params
+
+    def slot_of(self, index):
+        """Name and within-array offset for a flat index."""
+        if not 0 <= index < self.n_params:
+            raise DomainError("flat index out of range")
+        pos = np.searchsorted(self.offsets, index, side="right") - 1
+        return self.names[pos], index - self.offsets[pos]
 
 
 def init_params(config, seed=0, zero_heads=True):
@@ -104,7 +154,13 @@ def init_params(config, seed=0, zero_heads=True):
     res = (layers.init_residual_layer(rng, config.l_max, config.channels,
                                       config.cutoff, zero_head=zero_heads)
            if config.residual else None)
-    return ModelParams(config=config, embed=embed, convs=convs, residual=res)
+    params = ModelParams(config=config, embed=embed, convs=convs,
+                         residual=res)
+    params.flat = np.concatenate([a.ravel() for _, a in params.named_arrays()])
+    views = ParamRegistry(params).views(params.flat)
+    for name, owner, attr in params.slots():
+        setattr(owner, attr, views[name])
+    return params
 
 
 def init_features(params, atom_types):
@@ -217,15 +273,14 @@ class NMAEAccumulator:
 
 
 def count_parameters(params):
-    return sum(a.size for _, a in params.named_arrays())
+    return params.flat.size
 
 
 def save_checkpoint(params, path):
     """Magic line, JSON header, then a little-endian float64 blob."""
-    arrays = params.named_arrays()
     header = {
         "config": asdict(params.config),
-        "arrays": [[name, list(a.shape)] for name, a in arrays],
+        "arrays": [[name, list(a.shape)] for name, a in params.named_arrays()],
         "exponents": params.config.basis_spec().exponents.tolist(),
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
@@ -238,8 +293,7 @@ def save_checkpoint(params, path):
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(hbytes)))
             fh.write(hbytes)
-            for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -254,18 +308,31 @@ def load_checkpoint(path):
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise DomainError("not a model checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        cfg = ModelConfig(**header["config"])
+        raw = fh.read(4)
+        if len(raw) != 4:
+            raise DomainError("checkpoint truncated in the header length")
+        try:
+            header = json.loads(fh.read(struct.unpack("<I", raw)[0]).decode())
+        except ValueError:  # undecodable bytes or malformed JSON
+            header = None
+        if not isinstance(header, dict):
+            raise DomainError("checkpoint header JSON is not a valid object")
+        try:
+            cfg = ModelConfig(**header["config"])
+            layout = header["arrays"]
+        except KeyError as exc:
+            raise DomainError(f"checkpoint header has no {exc}") from None
+        except TypeError as exc:  # an unknown field names itself
+            raise DomainError(f"checkpoint config: {exc}") from None
         params = init_params(cfg, seed=0, zero_heads=True)
         want = [[name, list(a.shape)] for name, a in params.named_arrays()]
-        if want != [[n, list(s)] for n, s in header["arrays"]]:
+        if layout != want:
             raise DomainError("checkpoint layout does not match its config")
-        for _, a in params.named_arrays():
-            raw = fh.read(a.size * 8)
-            if len(raw) != a.size * 8:
-                raise DomainError("checkpoint truncated")
-            a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
+        blob = params.flat.view(np.uint8)  # read in place, no bytes copy
+        if fh.readinto(blob) != blob.size:
+            raise DomainError("checkpoint truncated")
+        if params.flat.dtype != np.dtype("<f8"):  # a big-endian host
+            params.flat.byteswap(inplace=True)
         if fh.read(1):
             raise DomainError("trailing bytes after checkpoint blob")
     return params

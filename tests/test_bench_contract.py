@@ -1,0 +1,79 @@
+"""The benchmark under ``perfbench/`` calls the package by name: the
+functions it wraps, the arguments its hooks read, and the training step it
+times. These tests import it, unchanged, and check that it still fits."""
+
+import inspect
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from infgcn import dataio
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+# the call arguments each argument-reading hook binds by name
+HOOK_ARGS = {
+    "layers.conv_forward": ("graph", "params", "counters"),
+    "layers.radial_forward": ("counters",),
+    "layers.residual_forward": ("counters",),
+    "basis.expand_density": ("queries", "centers", "spec"),
+    "basis.expand_density_backward": ("queries", "centers", "spec"),
+    "model.predict_density": ("queries",),
+}
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import child
+    import probes
+    import tracer
+    return child, probes, tracer
+
+
+def test_probed_functions_bind_the_arguments_hooks_read(bench):
+    _, probes, tracer = bench
+    for module, attrs in probes.FUNCTIONS:
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), \
+                f"{module.__name__}.{attr}"
+    hooks = tracer.Tracer(probes.TARGETS)
+    probes.make_hooks(hooks)
+    reading = {label for label, hook in hooks.hooks.items()
+               if isinstance(hook, probes._Bound)}
+    assert reading == set(HOOK_ARGS)
+    fns = {label: getattr(module, attr) for label, module, attr
+           in probes.TARGETS}
+    for label, names in HOOK_ARGS.items():
+        params = inspect.signature(fns[label]).parameters
+        assert all(n in params for n in names), (label, names)
+
+
+def test_train_workload_reset_repeats_the_trajectory(bench, tmp_path):
+    # run_op resets the workload after the trajectory's last step, from the
+    # copy of the initial parameters it took; an unflatten that rebinds the
+    # buffer instead of writing into it would leave the arrays trained
+    child = bench[0]
+    stems = dataio.make_synthetic_dataset(tmp_path / "data", seed=3,
+                                          n_atoms=3, shape=(8, 8, 8))
+    work = child.TrainWorkload({
+        "seed": 5, "queries": 32, "traj_len": 2, "lr": 1e-2,
+        "stem": stems[0], "ckpt_out": str(tmp_path / "traj.ckpt")})
+    recs, after_step1 = [], None
+    for _ in range(3):
+        rec, _ = child.run_op(work)
+        recs.append(rec)
+        # the arrays the forward reads are the buffer the optimizer wrote
+        assert np.array_equal(np.concatenate(
+            [a.ravel() for _, a in work.params.named_arrays()]),
+            work.params.flat)
+        if after_step1 is None:
+            after_step1 = work.params.flat.copy()
+    assert [r["error"] for r in recs] == [None] * 3
+    assert [r["step"] for r in recs] == [1, 2, 1]
+    assert recs[2]["loss"] == recs[0]["loss"]
+    assert (tmp_path / "traj.ckpt").exists()
+    assert np.array_equal(work.params.flat, after_step1)

@@ -187,6 +187,18 @@ def test_eval_config_mismatch_rejected(tmp_path):
         cli.cmd_eval(cfg, ckpt)
 
 
+def test_main_eval_rejects_corrupt_checkpoint(tmp_path, capsys):
+    data, ckpt = oracle_instance(tmp_path)
+    raw = ckpt.read_bytes()
+    corrupt = tmp_path / "corrupt.ckpt"
+    corrupt.write_bytes(raw[:14])  # cut inside the header JSON
+    config = write_config(tmp_path, data, tmp_path / "out")
+    assert cli.main(["eval", "--config", str(config),
+                     "--checkpoint", str(corrupt)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "header JSON" in err
+
+
 def test_predict_round_trips_through_cube(tmp_path):
     data, ckpt = oracle_instance(tmp_path, seed=11)
     cfg = cli.load_run_config(write_config(tmp_path, data, tmp_path / "out"))

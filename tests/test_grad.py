@@ -18,10 +18,12 @@ def make_instance(cfg, seed=0, n_atoms=4, n_queries=12):
 
 
 class ScalarParams:
-    """Minimal named_arrays provider for optimizer unit tests."""
+    """Minimal parameter object for optimizer unit tests: one array, a view
+    of its flat buffer."""
 
     def __init__(self, x0):
-        self.x = np.array([float(x0)])
+        self.flat = np.array([float(x0)])
+        self.x = self.flat[:1]
 
     def named_arrays(self):
         return [("x", self.x)]
@@ -57,7 +59,8 @@ def test_unused_embedding_row_gets_zero_grad():
     graph = geometry.MolecularGraph.from_coords(types, coords, cfg.cutoff)
     queries = rng.uniform(-1.0, 1.0, size=(10, 3))
     target = rng.standard_normal(10)
-    _, grads = grad.loss_and_grad(params, graph, queries, target)
+    _, flat_grad = grad.loss_and_grad(params, graph, queries, target)
+    grads = grad.ParamRegistry(params).views(flat_grad)
     assert np.all(grads["embed"][3] == 0.0)
     assert np.all(grads["embed"][4] == 0.0)
     assert np.any(grads["embed"][:3] != 0.0)
@@ -72,10 +75,9 @@ def test_linear_head_matches_closed_form():
                             act_l="identity", r_max=3.0)
     params = model.init_params(cfg, seed=4, zero_heads=False)
     graph, queries, target = make_instance(cfg, seed=5, n_queries=8)
-    loss, grads = grad.loss_and_grad(params, graph, queries, target)
+    loss, flat_g = grad.loss_and_grad(params, graph, queries, target)
     reg = grad.ParamRegistry(params)
     flat = reg.flatten(params)
-    flat_g = reg.flatten_grads(grads)
     base = model.predict_density(params, graph, queries)
     resid = base - target
 
@@ -163,7 +165,7 @@ def test_zero_feature_block_has_finite_gradient():
     graph, queries, target = make_instance(cfg, seed=17)
     loss, grads = grad.loss_and_grad(params, graph, queries, target)
     assert np.isfinite(loss)
-    for g in grads.values():
+    for g in grad.ParamRegistry(params).views(grads).values():
         assert np.all(np.isfinite(g))
 
 
@@ -171,7 +173,7 @@ def test_gradient_descent_zero_grad_is_identity():
     p = ScalarParams(2.5)
     reg = grad.ParamRegistry(p)
     state = grad.init_optimizer(reg, method="gradient-descent", lr=0.1)
-    grad.optimize_step(state, p, {"x": np.zeros(1)}, reg)
+    grad.optimize_step(state, p, np.zeros(1), reg)
     assert p.x[0] == 2.5
     assert state.step == 1
 
@@ -182,7 +184,7 @@ def test_quadratic_descent_is_monotone():
     state = grad.init_optimizer(reg, method="gradient-descent", lr=0.1)
     losses = [p.x[0] ** 2]
     for _ in range(40):
-        grad.optimize_step(state, p, {"x": 2.0 * p.x}, reg)
+        grad.optimize_step(state, p, 2.0 * p.x, reg)
         losses.append(p.x[0] ** 2)
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 1e-3
@@ -193,7 +195,7 @@ def test_adaptive_moments_converges():
     reg = grad.ParamRegistry(p)
     state = grad.init_optimizer(reg, method="adaptive-moments", lr=0.05)
     for _ in range(400):
-        grad.optimize_step(state, p, {"x": 2.0 * p.x}, reg)
+        grad.optimize_step(state, p, 2.0 * p.x, reg)
     assert abs(p.x[0]) < 1e-2
     with pytest.raises(DomainError):
         grad.init_optimizer(reg, method="momentum")
@@ -219,7 +221,7 @@ def test_non_finite_gradient_aborts():
     reg = grad.ParamRegistry(p)
     state = grad.init_optimizer(reg)
     with pytest.raises(NonFiniteError):
-        grad.optimize_step(state, p, {"x": np.array([np.nan])}, reg)
+        grad.optimize_step(state, p, np.array([np.nan]), reg)
 
 
 def test_training_loop_is_deterministic():
@@ -261,13 +263,47 @@ def test_adam_in_place_matches_allocating_update():
     for step in range(1, 6):
         _, grads = grad.loss_and_grad(params, graph, queries, target)
         ref.step = step
-        flat = _allocating_adam(ref, flat, reg.flatten_grads(grads))
+        flat = _allocating_adam(ref, flat, grads)
         grad.optimize_step(state, params, grads, reg)
         assert state.step == step
         assert np.array_equal(state.m, ref.m)
         assert np.array_equal(state.v, ref.v)
         assert np.array_equal(reg.flatten(params), flat)
     assert state.m is m and state.v is v  # updated in place
+
+
+def _assert_views_of_flat(params):
+    """Every trainable array is a view of ``params.flat`` at its offset."""
+    for name, a in params.named_arrays():
+        assert np.shares_memory(a, params.flat), name
+    assert np.array_equal(
+        np.concatenate([a.ravel() for _, a in params.named_arrays()]),
+        params.flat)
+
+
+def test_param_arrays_stay_views_of_one_buffer(tmp_path):
+    cfg = model.ModelConfig(l_max=2, channels=3, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=40, zero_heads=False)
+    _assert_views_of_flat(params)
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(params, path)
+    loaded = model.load_checkpoint(path)
+    _assert_views_of_flat(loaded)
+    assert np.array_equal(loaded.flat, params.flat)
+    reg = grad.ParamRegistry(loaded)
+    buf = loaded.flat
+    # distinct values, so an array viewing the wrong offset shows
+    reg.unflatten(loaded, np.arange(reg.n_params) * 1e-3)
+    assert loaded.flat is buf
+    _assert_views_of_flat(loaded)
+    graph, queries, target = make_instance(cfg, seed=41)
+    state = grad.init_optimizer(reg)
+    _, grads = grad.loss_and_grad(loaded, graph, queries, target)
+    before = loaded.flat.copy()
+    grad.optimize_step(state, loaded, grads, reg)
+    assert loaded.flat is buf and not np.array_equal(loaded.flat, before)
+    _assert_views_of_flat(loaded)
 
 
 def _count_calls(monkeypatch, module, name, counts):

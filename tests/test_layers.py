@@ -189,7 +189,7 @@ def test_channel_mode_has_fewer_parameters():
     rng = np.random.default_rng(11)
     ch = layers.init_conv_layer(rng, 2, 4, 3.0, mode="channel")
     fc = layers.init_conv_layer(rng, 2, 4, 3.0, mode="fc")
-    size = lambda p: sum(a.size for _, a in p.named_arrays("x"))
+    size = lambda p: sum(getattr(o, a).size for _, o, a in p.slots("x"))
     assert size(ch) < size(fc)
 
 
@@ -714,3 +714,75 @@ def test_residual_backward_with_forward_cache_matches_uncached(case):
         _assert_close(got_p["radial"][key], g)
     if case == "no_pairs":
         assert not np.any(want_f)
+
+
+def _reference_residual_forward(queries, coords, feats, params):
+    """The residual forward as a per-degree gather of pair features and a
+    3-operand einsum, kept as the reference for the per-atom projection."""
+    terms = layers._residual_terms(queries, coords, params)
+    qi, vi = terms["qi"], terms["vi"]
+    if qi.size == 0:
+        return np.zeros(len(queries))
+    contrib = np.zeros(qi.size)
+    for k in range(params.l_max + 1):
+        fk = feats[vi][:, :, so3.block_slice(k)]
+        contrib += np.einsum("ec,ecb,eb->e", terms["phi"][:, k], fk,
+                             terms["t"][k])
+    return np.bincount(qi, weights=contrib, minlength=len(queries))
+
+
+def _reference_residual_backward(queries, coords, feats, params, grad_z):
+    """The residual adjoint with the same gathers and einsums, and the
+    feature gradient scattered pair by pair."""
+    terms = layers._residual_terms(queries, coords, params, cache={})
+    qi, vi = terms["qi"], terms["vi"]
+    grad_f = np.zeros_like(feats)
+    if qi.size == 0:
+        return grad_f, {"radial": layers.radial_backward(
+            params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
+    phi, t = terms["phi"], terms["t"]
+    ge = grad_z[qi]
+    grad_phi = np.empty_like(phi)
+    for k in range(params.l_max + 1):
+        sl = so3.block_slice(k)
+        grad_phi[:, k] = ge[:, None] * np.einsum(
+            "ecb,eb->ec", feats[vi][:, :, sl], t[k])
+        outer = (ge[:, None] * phi[:, k])[:, :, None] * t[k][:, None, :]
+        block = np.zeros_like(grad_f[:, :, sl])
+        np.add.at(block, vi, outer)
+        grad_f[:, :, sl] = block
+    return grad_f, {"radial": layers.radial_backward(
+        params.radial, terms["r"], grad_phi.reshape(qi.size, -1))}
+
+
+@pytest.mark.parametrize("l_max,channels", [(3, 2), (7, 16)])
+@pytest.mark.parametrize("case", ["query_on_atom", "no_pairs"])
+def test_residual_matches_reference_einsum(l_max, channels, case):
+    rng = np.random.default_rng(43)
+    coords = rng.uniform(-1.5, 1.5, size=(6, 3))
+    feats = random_feats(rng, 6, l_max, channels)
+    params = layers.init_residual_layer(rng, l_max, channels, 3.0,
+                                        zero_head=False)
+    if case == "query_on_atom":
+        queries = rng.uniform(-2.5, 2.5, size=(40, 3))
+        queries[7] = coords[4]
+    else:
+        queries = rng.uniform(20.0, 30.0, size=(5, 3))
+    grad_z = rng.standard_normal(len(queries))
+    counters, cache = layers.OpCounters(), {}
+    z = layers.residual_forward(queries, coords, feats, params, counters,
+                                cache=cache)
+    _assert_close(z, _reference_residual_forward(queries, coords, feats,
+                                                 params))
+    n_pairs = cache["qi"].size
+    assert (n_pairs == 0) == (case == "no_pairs")
+    assert counters.counts.get("residual", 0) == \
+        n_pairs * (l_max + 1) ** 2 * (channels + 1)
+    want_f, want_p = _reference_residual_backward(queries, coords, feats,
+                                                  params, grad_z)
+    for c in (cache, None):
+        got_f, got_p = layers.residual_backward(queries, coords, feats,
+                                                params, grad_z, cache=c)
+        _assert_close(got_f, want_f)
+        for key, g in want_p["radial"].items():
+            _assert_close(got_p["radial"][key], g)

@@ -1,4 +1,7 @@
+import dataclasses
 import errno
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -190,6 +193,61 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(DomainError):
         model.load_checkpoint(trailing)
+    for name, blob, needle in _corrupt_headers(raw):
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(blob)
+        with pytest.raises(DomainError, match=needle):
+            model.load_checkpoint(bad)
+
+
+def _corrupt_headers(raw):
+    """(name, file bytes, expected message) for damaged checkpoint headers,
+    built from the valid checkpoint ``raw``."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    blob = raw[12 + hlen:]
+
+    def with_header(h):
+        hb = json.dumps(h).encode()
+        return raw[:8] + struct.pack("<I", len(hb)) + hb + blob
+
+    no_arrays = {k: v for k, v in header.items() if k != "arrays"}
+    no_config = {k: v for k, v in header.items() if k != "config"}
+    extra = dict(header, config=dict(header["config"], depth=3))
+    return [
+        ("cut_length", raw[:10], "header length"),
+        ("cut_header", raw[:12 + hlen // 2], "header JSON"),
+        ("not_utf8", raw[:12] + b"\xff" * hlen + blob, "header JSON"),
+        ("not_object", with_header([1, 2]), "header JSON"),
+        ("no_arrays", with_header(no_arrays), "'arrays'"),
+        ("no_config", with_header(no_config), "'config'"),
+        ("unknown_field", with_header(extra), "depth"),
+    ]
+
+
+def _reference_checkpoint_bytes(params):
+    """The checkpoint bytes as the per-array writer produced them: magic,
+    header length, header, then each named array in turn."""
+    arrays = params.named_arrays()
+    header = {
+        "config": dataclasses.asdict(params.config),
+        "arrays": [[name, list(a.shape)] for name, a in arrays],
+        "exponents": params.config.basis_spec().exponents.tolist(),
+    }
+    hbytes = json.dumps(header, sort_keys=True).encode()
+    out = [b"INFGCN1\n", struct.pack("<I", len(hbytes)), hbytes]
+    out.extend(np.ascontiguousarray(a, dtype="<f8").tobytes()
+               for _, a in arrays)
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("cfg", [SMALL, model.ModelConfig(
+    l_max=2, channels=3, mode="fc", residual=False)])
+def test_checkpoint_bytes_match_per_array_writer(tmp_path, cfg):
+    params = model.init_params(cfg, seed=13, zero_heads=False)
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(params, path)
+    assert path.read_bytes() == _reference_checkpoint_bytes(params)
 
 
 class _DiskFullAt:
@@ -220,10 +278,9 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(model.init_params(SMALL, seed=11), path)
     before = path.read_bytes()
-    # writes 1-3 are the magic, header length and header; 5 is the second
-    # array of the blob
+    # writes 1-3 are the magic, header length and header; 4 is the blob
     monkeypatch.setattr(model, "open",
-                        lambda *a, **kw: _DiskFullAt(open(*a, **kw), 5),
+                        lambda *a, **kw: _DiskFullAt(open(*a, **kw), 4),
                         raising=False)
     with pytest.raises(OSError):
         model.save_checkpoint(

@@ -134,7 +134,8 @@ def _sample_nmae(params, recs, cfg, step):
         k = min(cfg.inf_sample, rec["grid"].n_voxels)
         qs = geometry.sample_queries(rec["grid"], k,
                                      (cfg.seed, 7919, step, ridx))
-        pred = model.predict_density(params, rec["graph"], qs.points)
+        pred = model.predict_density(params, rec["graph"], qs.points,
+                                     coeffs=model.encode(params, rec["graph"]))
         acc.add(pred, qs.targets)
     return acc.value()
 
@@ -207,11 +208,12 @@ def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
             transform = lambda pts: c + (pts - c) @ R.T
     graph = geometry.MolecularGraph.from_coords(rec["types"], coords,
                                                 params.config.cutoff)
+    coeffs = model.encode(params, graph)
     acc = model.NMAEAccumulator()
     for batch in geometry.partition_grid(grid, cfg.inf_sample):
         pts = batch.points if transform is None else transform(batch.points)
-        pred = model.predict_density(params, graph, pts)
-        acc.add(pred, batch.targets)
+        acc.add(model.predict_density(params, graph, pts, coeffs=coeffs),
+                batch.targets)
     return acc
 
 
@@ -243,7 +245,10 @@ def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
               "records": per_record, "aggregate_nmae": pooled.value(),
               "n_records": len(recs)}
     if not deterministic:
-        report["wall_ms"] = int((time.perf_counter() - t0) * 1000)
+        wall = time.perf_counter() - t0
+        report["wall_ms"] = int(wall * 1000)
+        report["voxels_per_s"] = round(
+            sum(rec["grid"].n_voxels for rec in recs) / wall, 1)
     return report
 
 
@@ -258,8 +263,9 @@ def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     _, recs = _load_dataset(cfg)
 
     def run(rec):
-        grid = rec["grid"]
-        parts = [model.predict_density(params, rec["graph"], b.points)
+        grid, graph = rec["grid"], rec["graph"]
+        coeffs = model.encode(params, graph)
+        parts = [model.predict_density(params, graph, b.points, coeffs=coeffs)
                  for b in geometry.partition_grid(grid, cfg.inf_sample)]
         pred = np.concatenate(parts)
         numbers = rec["types"] + 1  # vocab indices to nuclear charges

@@ -97,9 +97,6 @@ class OpCounters:
     def add(self, key, n):
         self.counts[key] = self.counts.get(key, 0) + int(n)
 
-    def total(self):
-        return sum(self.counts.values())
-
 
 def _sigmoid(x):
     # exp(-|x|) never overflows; the numerator picks 1 or exp(x) by sign

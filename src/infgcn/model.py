@@ -6,6 +6,13 @@ basis function psi_{nlm} centered on that atom, so the network output is
 read off directly as a coefficient field and expanded with the shared
 radial table. Densities are in electrons per Bohr^3 throughout.
 
+The pass has two stages. `encode` runs the graph layers (embeddings, then
+conv + gate per layer) and returns the coefficient field; it never sees a
+query. The decode stage expands that field at the queries and adds the
+residual layer. `predict_density` runs both, or only the decode when given
+``coeffs=``, so a molecule is encoded once and decoded per query batch;
+`forward_trace` runs both and keeps what the backward pass reads.
+
 Every trainable array is a view into one float64 vector, ``params.flat``,
 laid out by `ParamRegistry`; a checkpoint's blob is that vector.
 """
@@ -30,6 +37,7 @@ __all__ = [
     "NMAEAccumulator",
     "init_params",
     "init_features",
+    "encode",
     "forward_trace",
     "predict_density",
     "loss_l2",
@@ -180,54 +188,72 @@ def _check_finite(a, op_name):
         raise NonFiniteError(f"non-finite values produced by {op_name}")
 
 
-def _forward(params, graph, queries, counters, keep):
-    """The network's forward pass. With ``keep`` each layer that has an
-    adjoint fills a cache for it; without, the layers build none."""
+def _encode(params, graph, counters, keep):
+    """Embeddings, then conv + gate per layer: the coefficient field, and
+    each layer's input, pre-gate output and (with ``keep``) conv cache."""
     cfg = params.config
-    queries = np.asarray(queries, dtype=float)
-    if not np.all(np.isfinite(queries)):
-        raise DomainError("queries must be finite")
-
-    def cache():
-        return {} if keep else None
-
     f = init_features(params, graph.atom_type)
     pre_conv, pre_gate, conv_caches = [], [], []
     for i, cp in enumerate(params.convs):
         pre_conv.append(f)
-        conv_caches.append(cache())
+        conv_caches.append({} if keep else None)
         h = layers.conv_forward(graph, f, cp, counters, cache=conv_caches[i])
         _check_finite(h, f"conv_forward[{i}]")
         pre_gate.append(h)
         f = layers.gate_forward(h, cfg.act0, cfg.act_l)
+    return f, {"pre_conv": pre_conv, "pre_gate": pre_gate,
+               "conv_caches": conv_caches}
+
+
+def _forward(params, graph, queries, counters, keep, coeffs=None):
+    """Encode unless ``coeffs`` is given, then decode at ``queries``. With
+    ``keep`` each layer that has an adjoint fills a cache for it."""
+    cfg = params.config
+    queries = np.asarray(queries, dtype=float)
+    if not np.all(np.isfinite(queries)):
+        raise DomainError("queries must be finite")
+    if coeffs is None:
+        coeffs, trace = _encode(params, graph, counters, keep)
+    else:  # expand_density rejects a misshapen coeffs, naming it
+        coeffs, trace = np.asarray(coeffs, dtype=float), {}
+        if not np.all(np.isfinite(coeffs)):
+            raise NonFiniteError("coeffs holds non-finite values")
     spec = cfg.basis_spec()
-    basis_cache, residual_cache = cache(), cache()
-    dens = basis.expand_density(spec, f, graph.atom_coord, queries,
+    basis_cache, residual_cache = ({}, {}) if keep else (None, None)
+    dens = basis.expand_density(spec, coeffs, graph.atom_coord, queries,
                                 cache=basis_cache)
     _check_finite(dens, "expand_density")
     if params.residual is not None:
-        z = layers.residual_forward(queries, graph.atom_coord, f,
+        z = layers.residual_forward(queries, graph.atom_coord, coeffs,
                                     params.residual, counters,
                                     cache=residual_cache)
         _check_finite(z, "residual_forward")
         dens = dens + z
-    trace = {"pre_conv": pre_conv, "pre_gate": pre_gate, "coeffs": f,
-             "queries": queries, "spec": spec, "conv_caches": conv_caches,
-             "basis_cache": basis_cache, "residual_cache": residual_cache}
+    trace.update(coeffs=coeffs, queries=queries, spec=spec,
+                 basis_cache=basis_cache, residual_cache=residual_cache)
     return dens, trace
 
 
+def encode(params, graph, counters=None):
+    """The network's coefficient field, (U, channels, (l_max+1)**2): the
+    graph layers alone, which never see a query. Pass it as ``coeffs`` to
+    `predict_density` to decode any number of query batches."""
+    return _encode(params, graph, counters, keep=False)[0]
+
+
 def forward_trace(params, graph, queries, counters=None):
-    """Run the network, keeping the intermediates the adjoint pass needs:
+    """Encode and decode, keeping the intermediates the adjoint pass needs:
     each layer's input and pre-gate output, and the caches its backward
     reads (``conv_caches`` per layer, ``basis_cache``, ``residual_cache``).
     """
     return _forward(params, graph, queries, counters, keep=True)
 
 
-def predict_density(params, graph, queries, counters=None):
-    """Densities at ``queries``; the forward pass alone, keeping no caches."""
-    dens, _ = _forward(params, graph, queries, counters, keep=False)
+def predict_density(params, graph, queries, counters=None, coeffs=None):
+    """Densities at ``queries``, keeping no caches. With ``coeffs`` from
+    `encode` only the decode runs; without, the graph is encoded first."""
+    dens, _ = _forward(params, graph, queries, counters, keep=False,
+                       coeffs=coeffs)
     return dens
 
 

@@ -145,7 +145,54 @@ def test_eval_oracle_checkpoint_is_storage_noise_only(tmp_path):
     report = cli.cmd_eval(cfg, ckpt, deterministic=True)
     assert report["aggregate_nmae"] < 1e-4
     assert report["records"]["orc"] < 1e-4
-    assert "wall_ms" not in report
+    assert "wall_ms" not in report and "voxels_per_s" not in report
+    timed = cli.cmd_eval(cfg, ckpt)
+    assert timed["aggregate_nmae"] == report["aggregate_nmae"]
+    assert timed["voxels_per_s"] > 0 and timed["wall_ms"] >= 0
+
+
+def test_main_eval_deterministic_stdout_is_byte_identical(tmp_path, capsys):
+    data, ckpt = oracle_instance(tmp_path, seed=5)
+    argv = ["eval", "--config", str(write_config(tmp_path, data, tmp_path)),
+            "--checkpoint", str(ckpt), "--deterministic"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "wall_ms" not in outs[0] and "voxels_per_s" not in outs[0]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_records_are_encoded_once_and_decoded_per_batch(tmp_path, monkeypatch,
+                                                        command):
+    mcfg = dict(SMALL_MODEL, n_layers=2)
+    dataio.make_synthetic_dataset(tmp_path / "data", n_records=2, seed=14,
+                                  shape=(8, 8, 8))
+    ckpt = tmp_path / "init.ckpt"
+    model.save_checkpoint(
+        model.init_params(model.ModelConfig(**mcfg), seed=15), ckpt)
+    cfg = cli.load_run_config(write_config(
+        tmp_path, tmp_path / "data", tmp_path / "out", model=mcfg,
+        inf_sample=37))
+    calls = {"conv": 0, "predict": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(layers, "conv_forward",
+                        counted(layers.conv_forward, "conv"))
+    monkeypatch.setattr(model, "predict_density",
+                        counted(model.predict_density, "predict"))
+    if command == "eval":
+        cli.cmd_eval(cfg, ckpt, deterministic=True)
+    else:
+        cli.cmd_predict(cfg, ckpt, out_dir=tmp_path / "cubes")
+    assert calls["conv"] == 2 * 2  # n_layers x n_records
+    assert calls["predict"] == 2 * -(-512 // 37)  # every batch is predicted
 
 
 def test_eval_partition_and_jobs_invariance(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from infgcn import basis, geometry, layers, model, so3
-from infgcn.errors import DomainError
+from infgcn.errors import DomainError, NonFiniteError
 
 SMALL = model.ModelConfig(l_max=2, channels=3, n_layers=2, cutoff=3.0,
                           vocab=4, r_min=0.5, r_max=3.0)
@@ -75,6 +75,43 @@ def test_no_residual_is_pure_expansion():
     direct = basis.expand_density(cfg.basis_spec(), trace["coeffs"],
                                   graph.atom_coord, q)
     assert np.array_equal(dens, direct)
+
+
+@pytest.mark.parametrize("mode", ["channel", "fc"])
+@pytest.mark.parametrize("residual", [True, False])
+def test_encode_then_decode_matches_one_pass(mode, residual):
+    rng = np.random.default_rng(21)
+    cfg = dataclasses.replace(SMALL, mode=mode, residual=residual)
+    params = model.init_params(cfg, seed=22, zero_heads=False)
+    lone = geometry.MolecularGraph.from_coords(
+        [1, 2], [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0 * cfg.cutoff]], cfg.cutoff)
+    assert lone.n_edges == 0
+    for graph in (small_instance(rng, cfg=cfg), lone):
+        # one query sits on an atom, where only l = 0 basis terms survive
+        q = np.vstack([graph.atom_coord[:1], rng.uniform(-2, 2, (13, 3))])
+        coeffs = model.encode(params, graph)
+        assert np.array_equal(
+            model.predict_density(params, graph, q, coeffs=coeffs),
+            model.predict_density(params, graph, q))
+        dens, trace = model.forward_trace(params, graph, q)
+        assert np.array_equal(trace["coeffs"], coeffs)
+        assert np.array_equal(dens, model.predict_density(params, graph, q))
+
+
+def test_predict_rejects_bad_coeffs_naming_them():
+    rng = np.random.default_rng(23)
+    params = model.init_params(SMALL, seed=24, zero_heads=False)
+    graph = small_instance(rng)
+    q = rng.uniform(-1, 1, size=(4, 3))
+    coeffs = model.encode(params, graph)
+    for bad in (coeffs[1:], coeffs[:, :-1], coeffs[:, :, :4], coeffs[0]):
+        with pytest.raises(DomainError, match="coeffs"):
+            model.predict_density(params, graph, q, coeffs=bad)
+    for value in (np.nan, np.inf):
+        bad = coeffs.copy()
+        bad[2, 1, 3] = value
+        with pytest.raises(NonFiniteError, match="coeffs"):
+            model.predict_density(params, graph, q, coeffs=bad)
 
 
 def test_full_model_equivariance():

@@ -5,7 +5,7 @@ A basis function with radial index n and angular indices (l, m) centered at
 
     psi_{n l m}(x) = c_{n l} * exp(-a_n |d|^2) * |d|^l * Y_lm(dhat),  d = x - r_u
 
-with real harmonics Y from :mod:`infgcn.so3` and the per-function constant
+with the real solid harmonic |d|^l Y_lm(dhat) of ``so3.eval_real_sh`` and
 ``c_{n l} = sqrt(2 (2 a_n)^(l+3/2) / Gamma(l+3/2))`` that makes every
 (n, l, m) unit-norm in L2(R^3).  Exponents derive from characteristic radii
 r_k via a_k = 1/(2 r_k^2); radii are spaced linearly (default) or
@@ -33,6 +33,8 @@ import numpy as np
 
 from . import so3
 from .errors import AccuracyError, DomainError
+
+_CHUNK = 512  # queries per block of basis factors
 
 
 def make_exponents(r_min=0.5, r_max=5.0, n=16, spacing="linear"):
@@ -113,15 +115,7 @@ def _factors(spec, d):
     is c_{n l} E[..., n] Y[..., lm].
     """
     r2 = np.einsum("...i,...i->...", d, d)
-    r = np.sqrt(r2)
-    safe = np.where(r > 0.0, r, 1.0)
-    dirs = d / safe[..., None]
-    dirs[r == 0.0] = (0.0, 0.0, 1.0)
-    Y = so3.eval_real_sh(spec.l_max, dirs, check_unit=False)
-    rl = np.ones_like(r)
-    for l in range(1, spec.l_max + 1):
-        rl = rl * r
-        Y[..., so3.block_slice(l)] *= rl[..., None]
+    Y = so3.eval_real_sh(spec.l_max, d)
     E = np.exp(-np.multiply.outer(r2, spec.exponents))
     return E, Y
 
@@ -140,15 +134,15 @@ def _points(name, a):
     return a
 
 
-def _factor_chunks(spec, centers, queries, chunk):
+def _factor_chunks(spec, centers, queries):
     """(slice, (E, Y)) for each chunk of queries: the two basis factors at
     the displacements from every center, (U, q, n) and (U, q, S)."""
-    for lo in range(0, queries.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, queries.shape[0], _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
         yield sl, _factors(spec, queries[None, sl] - centers[:, None])
 
 
-def expand_density(spec, coeffs, centers, queries, chunk=512, cache=None):
+def expand_density(spec, coeffs, centers, queries, cache=None):
     """Multicentric expansion  rho(x) = sum_u sum_{n l m} f[u,n,lm] psi(x - r_u).
 
     coeffs: (U, n_radial, (l_max+1)**2); centers: (U, 3); queries: (Q, 3).
@@ -168,7 +162,7 @@ def expand_density(spec, coeffs, centers, queries, chunk=512, cache=None):
             f"({centers.shape[0]}, {spec.n_radial}, {spec.n_sh})")
     cf = coeffs * _norm_columns(spec)
     out = np.empty(queries.shape[0])
-    chunks = _factor_chunks(spec, centers, queries, chunk)
+    chunks = _factor_chunks(spec, centers, queries)
     if cache is not None:
         chunks = cache["chunks"] = list(chunks)
     for sl, (E, Y) in chunks:
@@ -176,12 +170,11 @@ def expand_density(spec, coeffs, centers, queries, chunk=512, cache=None):
     return out
 
 
-def expand_density_backward(spec, grad_out, centers, queries, chunk=512,
-                            cache=None):
+def expand_density_backward(spec, grad_out, centers, queries, cache=None):
     """Adjoint of expand_density with respect to the coefficients.
 
-    ``cache`` is the dict ``expand_density`` filled for the same centers,
-    queries and chunk; without one the factors are computed chunk by chunk.
+    ``cache`` is the dict ``expand_density`` filled for the same centers
+    and queries; without one the factors are computed chunk by chunk.
     """
     centers = _points("centers", centers)
     queries = _points("queries", queries)
@@ -191,7 +184,7 @@ def expand_density_backward(spec, grad_out, centers, queries, chunk=512,
             f"grad_out shape {grad_out.shape} does not match queries "
             f"({queries.shape[0]},)")
     grad = np.zeros((centers.shape[0], spec.n_radial, spec.n_sh))
-    chunks = (_factor_chunks(spec, centers, queries, chunk) if cache is None
+    chunks = (_factor_chunks(spec, centers, queries) if cache is None
               else cache["chunks"])
     for sl, (E, Y) in chunks:
         grad += E.transpose(0, 2, 1) @ (Y * grad_out[sl, None])
@@ -236,19 +229,10 @@ def _overlap_gh(spec, i, j, displacement, n_points):
     g = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     x = c + g * scale
     wt = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    s1 = _solid_harmonic(x, l1, m1)
-    s2 = _solid_harmonic(x - r, l2, m2)
+    s1 = so3.eval_real_sh(l1, x)[:, so3.sh_index(l1, m1)]
+    s2 = so3.eval_real_sh(l2, x - r)[:, so3.sh_index(l2, m2)]
     c1 = float(normalization_constant(a1, l1))
     c2 = float(normalization_constant(a2, l2))
     total = float(np.dot(wt, s1 * s2))
     return c1 * c2 * math.exp(-mu * float(r @ r)) * scale ** 3 * total
 
-
-def _solid_harmonic(x, l, m):
-    """|x|^l Y_lm(xhat); zero at the origin for l > 0."""
-    rr = np.linalg.norm(x, axis=-1)
-    safe = np.where(rr > 0.0, rr, 1.0)
-    dirs = x / safe[..., None]
-    dirs[rr == 0.0] = (0.0, 0.0, 1.0)
-    Y = so3.eval_real_sh(l, dirs, check_unit=False)[..., so3.sh_index(l, m)]
-    return Y * rr ** l

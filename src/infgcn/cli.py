@@ -195,7 +195,7 @@ def cmd_train(cfg, deterministic=False):
 
 
 def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
-    coords, grid = rec["coords"], rec["grid"]
+    graph, coords, grid = rec["graph"], rec["coords"], rec["grid"]
     transform = None
     if rotated:
         R = so3.random_rotation(np.random.default_rng((seed, 4242, ridx)))
@@ -206,8 +206,8 @@ def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
             # analytic variant: rotate atoms and query points, keep targets
             coords = c + (coords - c) @ R.T
             transform = lambda pts: c + (pts - c) @ R.T
-    graph = geometry.MolecularGraph.from_coords(rec["types"], coords,
-                                                params.config.cutoff)
+        graph = geometry.MolecularGraph.from_coords(rec["types"], coords,
+                                                    params.config.cutoff)
     coeffs = model.encode(params, graph)
     acc = model.NMAEAccumulator()
     for batch in geometry.partition_grid(grid, cfg.inf_sample):

@@ -97,7 +97,8 @@ def load_record(stem):
 
     n_values = shape[0] * shape[1] * shape[2]
     try:
-        raw = open(blob_path, "rb").read()
+        with open(blob_path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise SchemaError(f"{blob_path}: missing density blob") from None
     if len(raw) != 4 * n_values:

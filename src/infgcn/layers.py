@@ -28,7 +28,7 @@ with what its backward needs; the backward reads the same dict, and fills
 it itself when called without one. The radial net keeps its activations,
 the convolution its distances, harmonics up to 2L, per-path radial scalars
 and the edges' order by destination, and the residual layer its query-atom
-pairs, their coupled harmonics, radial scalars and the features'
+pairs, their harmonics, radial scalars and the features'
 projection ``s`` on the harmonics. The convolution still rebuilds G in the
 backward pass: kept, it would hold ~21 MB per layer at 76 edges, while
 rebuilding costs ~4 ms. Scatters onto nodes are sums over sorted runs of
@@ -405,7 +405,7 @@ def _edge_terms(graph, params, counters=None, cache=None):
     radial = None if cache is None else {}
     order = np.argsort(graph.edge_dst, kind="stable")
     terms.update(
-        r=r, Y=so3.eval_real_sh(2 * params.l_max, rhat, check_unit=False),
+        r=r, Y=so3.eval_real_sh(2 * params.l_max, rhat),
         phi=_phi_per_path(params, r, counters, radial), radial=radial,
         dst_order=order, dst_segments=_segments(graph.edge_dst[order]))
     return terms
@@ -548,39 +548,28 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
 def _residual_terms(queries, coords, params, counters=None, cache=None):
     """The pair terms both residual passes need, in ``cache`` when given:
     the query-atom pairs within the cutoff, sorted by atom, as ``qi``,
-    ``vi``, ``r`` and ``degen`` with the atoms' runs in ``atom_segments``;
-    and, when there are pairs, per degree k the coupled harmonics
-    ``t[k] = Y_k @ Q`` (E, 2k+1) and the radial scalars ``phi``
-    (E, L+1, C). Only a given cache also receives the radial net's
-    activations, under ``radial``.
+    ``vi`` and ``r`` with the atoms' runs in ``atom_segments``; and, when
+    there are pairs, the harmonics ``Y`` (E, (L+1)^2) of their directions
+    and the radial scalars ``phi`` (E, L+1, C). Only a given cache also
+    receives the radial net's activations, under ``radial``.
 
-    A query sitting exactly on an atom (``degen``) keeps its isotropic
-    k = 0 term but contributes nothing through k >= 1, where no direction
-    exists: its direction is set to an arbitrary unit vector and its rows of
-    ``t[k]`` are zeroed.
+    A query sitting exactly on an atom has no direction; it gets the zero
+    vector, whose solid harmonics vanish for k >= 1, so the pair keeps its
+    isotropic k = 0 term and contributes nothing through higher degrees.
     """
     terms = {} if cache is None else cache
     diff = coords[None, :, :] - queries[:, None, :]
     dist = np.sqrt(np.einsum("qvx,qvx->qv", diff, diff))
     vi, qi = np.nonzero((dist <= params.cutoff).T)
     r = dist[qi, vi]
-    degen = r < _EPS_EDGE
-    terms.update(qi=qi, vi=vi, r=r, degen=degen, atom_segments=_segments(vi))
+    terms.update(qi=qi, vi=vi, r=r, atom_segments=_segments(vi))
     if qi.size == 0:
         return terms
     radial = terms["radial"] = None if cache is None else {}
     phi = radial_forward(params.radial, r, counters, radial)
     terms["phi"] = phi.reshape(r.size, params.l_max + 1, params.channels)
-    rhat = np.where(degen[:, None], np.array([0.0, 0.0, 1.0]),
-                    diff[qi, vi] / np.maximum(r, _EPS_EDGE)[:, None])
-    Y = so3.eval_real_sh(params.l_max, rhat, check_unit=False)
-    terms["t"] = []
-    for k in range(params.l_max + 1):
-        Q = so3.cg_table(0, k, k).dense[:, 0, :]  # (2k+1, 2k+1)
-        tk = Y[:, so3.block_slice(k)] @ Q
-        if k > 0:
-            tk[degen] = 0.0
-        terms["t"].append(tk)
+    rhat = diff[qi, vi] / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
+    terms["Y"] = so3.eval_real_sh(params.l_max, rhat)
     return terms
 
 
@@ -595,20 +584,20 @@ def residual_forward(queries, coords, feats, params, counters=None,
     coords = _check_shape("coords", coords, (None, 3))
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     terms = _residual_terms(queries, coords, params, counters, cache)
-    qi, t = terms["qi"], terms.get("t")
+    qi, Y = terms["qi"], terms.get("Y")
     if qi.size == 0:
         return np.zeros(queries.shape[0])
-    # s[e, k] = t[k][e] @ feats[vi[e], :, block k].T, (E, L+1, C): each
-    # pair's degree-k atom features projected on its coupled harmonics, one
+    # s[e, k] = Y[e, block k] @ feats[vi[e], :, block k].T, (E, L+1, C):
+    # each pair's degree-k atom features projected on its harmonics, one
     # GEMM per atom run and degree
     s = terms["s"] = np.empty((qi.size, params.l_max + 1, params.channels))
     rows, starts = terms["atom_segments"]
     for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
         for k in range(params.l_max + 1):
-            s[lo:hi, k] = t[k][lo:hi] @ feats[u, :, so3.block_slice(k)].T
+            sl = so3.block_slice(k)
+            s[lo:hi, k] = Y[lo:hi, sl] @ feats[u, :, sl].T
     if counters is not None:
-        counters.add("residual",
-                     sum(tk.size for tk in t) * (params.channels + 1))
+        counters.add("residual", Y.size * (params.channels + 1))
     contrib = np.einsum("ekc,ekc->e", terms["phi"], s)
     return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
 
@@ -633,16 +622,17 @@ def residual_backward(queries, coords, feats, params, grad_z, cache=None):
         # empty sums in radial_backward already yield zero gradients
         return grad_f, {"radial": radial_backward(
             params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
-    phi, t = cache["phi"], cache["t"]
+    phi, Y = cache["phi"], cache["Y"]
     ge = grad_z[qi]
-    # the feature gradient of atom u, degree k, sums (ge phi_k) outer t_k
+    # the feature gradient of atom u, degree k, sums (ge phi_k) outer Y_k
     # over u's run of pairs: one GEMM per run and degree, with no
     # (pairs, C, 2k+1) array of outer products
     gphi = ge[:, None, None] * phi
     rows, starts = cache["atom_segments"]
     for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
         for k in range(params.l_max + 1):
-            grad_f[u, :, so3.block_slice(k)] = gphi[lo:hi, k].T @ t[k][lo:hi]
+            sl = so3.block_slice(k)
+            grad_f[u, :, sl] = gphi[lo:hi, k].T @ Y[lo:hi, sl]
     grad_phi = ge[:, None, None] * cache["s"]
     grad_radial = radial_backward(params.radial, cache["r"],
                                   grad_phi.reshape(qi.size, -1),

@@ -1,10 +1,12 @@
-"""Real-spherical-harmonic SO(3) machinery: harmonics, Wigner blocks and
-Clebsch-Gordan tables.
+"""Real-spherical-harmonic SO(3) machinery: solid harmonics, Wigner blocks
+and Clebsch-Gordan tables.
 
 Conventions
 -----------
 Real (tesseral) spherical harmonics, orthonormal on the unit sphere, with the
-Condon-Shortley phase absorbed (no ``(-1)^m`` in the real basis).  Within
+Condon-Shortley phase absorbed (no ``(-1)^m`` in the real basis).
+``eval_real_sh`` returns the solid harmonics ``|d|^l Y_lm(dhat)``: Y_lm on
+unit vectors, and zero at ``d = 0`` for every ``l > 0``.  Within
 degree ``l`` orders are stored ascending, ``m = -l..l``; negative orders carry
 ``sin(|m| phi)``, positive orders ``cos(m phi)``.  The flat index of ``(l, m)``
 is ``l*l + l + m``, so degrees ``0..L`` pack into ``(L+1)**2`` slots.  For
@@ -37,7 +39,6 @@ import numpy as np
 from .errors import DomainError
 
 _ROT_TOL = 1e-12
-_SH_UNIT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -95,36 +96,26 @@ def block_slice(l):
     return slice(l * l, (l + 1) * (l + 1))
 
 
-def eval_real_sh(l_max, dirs, check_unit=True):
-    """Evaluate real spherical harmonics Y_lm for all l <= l_max.
+def eval_real_sh(l_max, d):
+    """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max.
 
-    Parameters
-    ----------
-    l_max : int
-    dirs : (..., 3) array of unit vectors
-    check_unit : validate |dir| = 1 within 1e-9 and raise DomainError otherwise
-
-    Returns
-    -------
-    (..., (l_max+1)**2) array, flat index l*l + l + m.
+    ``d`` is a (..., 3) array of displacements of any length; on unit vectors
+    this is Y_lm itself, and at d = 0 every l > 0 entry is exactly zero.
+    Returns (..., (l_max+1)**2), flat index l*l + l + m.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.shape[-1] != 3:
-        raise DomainError("directions must have a trailing dimension of 3")
-    if check_unit:
-        nrm = np.linalg.norm(dirs, axis=-1)
-        bad = np.abs(nrm - 1.0)
-        if bad.size and bad.max() > _SH_UNIT_TOL:
-            raise DomainError(
-                f"directions must be unit vectors: max | |r|-1 | = {bad.max():.3e}")
-    x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
-    out = np.empty(dirs.shape[:-1] + (num_sh(l_max),), dtype=float)
+    d = np.asarray(d, dtype=float)
+    if d.shape[-1] != 3:
+        raise DomainError("displacements must have a trailing dimension of 3")
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    r2 = x * x + y * y + z * z
+    out = np.empty(d.shape[:-1] + (num_sh(l_max),), dtype=float)
 
-    # q[m][l] holds Q_lm(z) = P_lm(z) / (1-z^2)^(m/2), a polynomial in z,
-    # with no Condon-Shortley factor.  c_m + i s_m = (x + i y)^m absorbs the
-    # (1-z^2)^(m/2) weight, so the poles need no special casing.
+    # q holds r^(l-m) Q_lm(z/r) with Q_lm(t) = P_lm(t) / (1-t^2)^(m/2) and no
+    # Condon-Shortley factor; the r^2 in the three-term step keeps it a
+    # polynomial. c_m + i s_m = (x + i y)^m supplies r^m (1-t^2)^(m/2), so
+    # neither the poles nor the origin need special casing.
     c = np.ones_like(z)
     s = np.zeros_like(z)
     q_mm = np.ones_like(z)  # Q_mm = (2m-1)!!
@@ -140,7 +131,8 @@ def eval_real_sh(l_max, dirs, check_unit=True):
             elif l == m + 1:
                 q = (2 * m + 1) * z * q_mm
             else:
-                q = ((2 * l - 1) * z * q_curr - (l + m - 1) * q_prev) / (l - m)
+                q = ((2 * l - 1) * z * q_curr
+                     - (l + m - 1) * r2 * q_prev) / (l - m)
             if l > m:
                 q_prev, q_curr = q_curr, q
             else:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_train_writes_log_and_checkpoint(tmp_path):
         tmp_path, tmp_path / "data", tmp_path / "out"))
     report = cli.cmd_train(cfg)
     lines = [json.loads(l) for l in
-             open(report["log"]).read().splitlines()]
+             Path(report["log"]).read_text().splitlines()]
     assert [l["step"] for l in lines] == [1, 2, 3, 4, 5, 6]
     for l in lines:
         assert np.isfinite(l["loss"])
@@ -117,7 +118,7 @@ def test_train_deterministic_repeat(tmp_path):
         cfg = cli.load_run_config(write_config(
             tmp_path, tmp_path / "data", tmp_path / run, n_iter=4))
         report = cli.cmd_train(cfg, deterministic=True)
-        logs.append(open(report["log"], "rb").read())
+        logs.append(Path(report["log"]).read_bytes())
     assert logs[0] == logs[1]
 
 
@@ -193,6 +194,39 @@ def test_records_are_encoded_once_and_decoded_per_batch(tmp_path, monkeypatch,
         cli.cmd_predict(cfg, ckpt, out_dir=tmp_path / "cubes")
     assert calls["conv"] == 2 * 2  # n_layers x n_records
     assert calls["predict"] == 2 * -(-512 // 37)  # every batch is predicted
+
+
+def test_unrotated_eval_reuses_the_loaded_graphs(tmp_path, monkeypatch):
+    # the dataset loader builds each record's graph; an unrotated eval
+    # reads it instead of building an equal one again
+    dataio.make_synthetic_dataset(tmp_path / "data", n_records=2, seed=16,
+                                  shape=(8, 8, 8))
+    mcfg = model.ModelConfig(**SMALL_MODEL)
+    params = model.init_params(mcfg, seed=17, zero_heads=False)
+    ckpt = tmp_path / "init.ckpt"
+    model.save_checkpoint(params, ckpt)
+    cfg = cli.load_run_config(write_config(
+        tmp_path, tmp_path / "data", tmp_path / "out", inf_sample=100))
+    real = geometry.build_radius_graph
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "build_radius_graph", counted)
+    rep = cli.cmd_eval(cfg, ckpt, deterministic=True)
+    assert len(calls) == 2  # once per record, by the loader
+    monkeypatch.setattr(geometry, "build_radius_graph", real)
+    for stem in dataio.list_records(tmp_path / "data"):
+        types, coords, grid = dataio.load_record(stem)
+        graph = geometry.MolecularGraph.from_coords(types, coords,
+                                                    mcfg.cutoff)
+        pred = model.predict_density(params, graph,
+                                     geometry.grid_coordinates(grid))
+        want = model.nmae(pred, grid.values)
+        got = rep["records"][Path(stem).name]
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_eval_partition_and_jobs_invariance(tmp_path):

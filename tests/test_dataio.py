@@ -1,4 +1,7 @@
+import gc
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,17 @@ def test_minimal_record(tmp_path):
     assert types.shape == (1,) and types[0] == 6
     assert loaded.n_voxels == 8
     assert np.array_equal(loaded.values, np.arange(8.0))
+
+
+def test_load_record_closes_the_blob(tmp_path):
+    stem = dataio.make_synthetic_dataset(tmp_path, seed=2,
+                                         shape=(4, 4, 4))[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataio.load_record(stem)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] \
+        == []
 
 
 def test_round_trip_general_cell(tmp_path):
@@ -169,7 +183,7 @@ def test_synthetic_dataset_matches_truth(tmp_path):
     assert len(stems) == 2
     types, coords, grid = dataio.load_record(stems[0])
     assert types.size == 5 and grid.n_voxels == 1000
-    truth = json.loads(open(stems[0] + ".truth.json").read())
+    truth = json.loads(Path(stems[0] + ".truth.json").read_text())
     spec = basis.RadialBasisSpec(np.array(truth["exponents"]),
                                  truth["l_max"])
     want = basis.expand_density(spec, np.array(truth["coeffs"]), coords,

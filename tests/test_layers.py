@@ -301,7 +301,7 @@ def _reference_conv_forward(graph, feats, params):
     if graph.n_edges == 0:
         return np.concatenate(list(out.values()), axis=2)
     r, rhat = layers._edge_geometry(graph)
-    Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
+    Y = so3.eval_real_sh(2 * L, rhat)
     phi = layers._phi_per_path(params, r)
     G = _reference_blocks(params.paths, Y)
     src, dst = graph.edge_src, graph.edge_dst
@@ -344,7 +344,7 @@ def _reference_conv_backward(graph, feats, params, grad_out):
                 params.radial, np.zeros(0),
                 np.zeros((0, params.radial.out_dim)))}
     r, rhat = layers._edge_geometry(graph)
-    Y = so3.eval_real_sh(2 * L, rhat, check_unit=False)
+    Y = so3.eval_real_sh(2 * L, rhat)
     phi = layers._phi_per_path(params, r)
     G = _reference_blocks(params.paths, Y)
     src, dst = graph.edge_src, graph.edge_dst
@@ -716,6 +716,24 @@ def test_residual_backward_with_forward_cache_matches_uncached(case):
         assert not np.any(want_f)
 
 
+def _reference_coupled_harmonics(queries, coords, params, qi, vi):
+    """Per degree k the pairs' unit-direction harmonics coupled with the
+    scalar through CG(0, k, k), (E, 2k+1); a query on an atom gets an
+    arbitrary direction and its k >= 1 rows are zeroed."""
+    d = coords[vi] - queries[qi]
+    r = np.linalg.norm(d, axis=1)
+    degen = r < 1e-12
+    d[degen] = (0.0, 0.0, 1.0)
+    Y = so3.eval_real_sh(params.l_max, d / np.linalg.norm(d, axis=1)[:, None])
+    t = []
+    for k in range(params.l_max + 1):
+        tk = Y[:, so3.block_slice(k)] @ so3.cg_table(0, k, k).dense[:, 0, :]
+        if k > 0:
+            tk[degen] = 0.0
+        t.append(tk)
+    return t
+
+
 def _reference_residual_forward(queries, coords, feats, params):
     """The residual forward as a per-degree gather of pair features and a
     3-operand einsum, kept as the reference for the per-atom projection."""
@@ -723,11 +741,11 @@ def _reference_residual_forward(queries, coords, feats, params):
     qi, vi = terms["qi"], terms["vi"]
     if qi.size == 0:
         return np.zeros(len(queries))
+    t = _reference_coupled_harmonics(queries, coords, params, qi, vi)
     contrib = np.zeros(qi.size)
     for k in range(params.l_max + 1):
         fk = feats[vi][:, :, so3.block_slice(k)]
-        contrib += np.einsum("ec,ecb,eb->e", terms["phi"][:, k], fk,
-                             terms["t"][k])
+        contrib += np.einsum("ec,ecb,eb->e", terms["phi"][:, k], fk, t[k])
     return np.bincount(qi, weights=contrib, minlength=len(queries))
 
 
@@ -740,7 +758,8 @@ def _reference_residual_backward(queries, coords, feats, params, grad_z):
     if qi.size == 0:
         return grad_f, {"radial": layers.radial_backward(
             params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
-    phi, t = terms["phi"], terms["t"]
+    phi = terms["phi"]
+    t = _reference_coupled_harmonics(queries, coords, params, qi, vi)
     ge = grad_z[qi]
     grad_phi = np.empty_like(phi)
     for k in range(params.l_max + 1):
@@ -755,6 +774,30 @@ def _reference_residual_backward(queries, coords, feats, params, grad_z):
         params.radial, terms["r"], grad_phi.reshape(qi.size, -1))}
 
 
+def test_residual_layer_reads_no_coupling_tables(monkeypatch):
+    # CG(0, k, k) is the identity, so the residual layer contracts the
+    # harmonics with the features directly
+    rng = np.random.default_rng(44)
+    coords = rng.uniform(-1.5, 1.5, size=(6, 3))
+    feats = random_feats(rng, 6, 7, 4)
+    params = layers.init_residual_layer(rng, 7, 4, 3.0, zero_head=False)
+    queries = rng.uniform(-2.5, 2.5, size=(40, 3))
+    queries[7] = coords[4]
+    calls = []
+    real = so3.cg_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(so3, "cg_table", counting)
+    cache = {}
+    layers.residual_forward(queries, coords, feats, params, cache=cache)
+    layers.residual_backward(queries, coords, feats, params,
+                             rng.standard_normal(40), cache=cache)
+    assert cache["qi"].size > 0 and calls == []
+
+
 @pytest.mark.parametrize("l_max,channels", [(3, 2), (7, 16)])
 @pytest.mark.parametrize("case", ["query_on_atom", "no_pairs"])
 def test_residual_matches_reference_einsum(l_max, channels, case):
@@ -766,6 +809,7 @@ def test_residual_matches_reference_einsum(l_max, channels, case):
     if case == "query_on_atom":
         queries = rng.uniform(-2.5, 2.5, size=(40, 3))
         queries[7] = coords[4]
+        queries[8] = coords[1] + 3e-13  # closer than any usable direction
     else:
         queries = rng.uniform(20.0, 30.0, size=(5, 3))
     grad_z = rng.standard_normal(len(queries))

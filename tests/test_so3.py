@@ -80,9 +80,23 @@ def test_gram_deterministic_quadrature():
     assert np.abs(G - np.eye(64)).max() < 1e-10
 
 
-def test_non_unit_direction_rejected():
-    with pytest.raises(DomainError):
-        so3.eval_real_sh(2, np.array([0.0, 0.0, 2.0]))
+def test_solid_harmonics_scale_with_length():
+    # eval_real_sh(s u) = |s u|^l Y_lm(u): each degree-l block of a scaled
+    # unit vector is s^l times the spherical harmonics, down to the origin,
+    # where only degree zero survives
+    rng = np.random.default_rng(12)
+    u = unit_vectors(rng, 50)
+    u[0] = (0.0, 0.0, 1.0)
+    unit = so3.eval_real_sh(7, u)
+    for scale in (1e-4, 0.3, 1.0, 2.5, 40.0):
+        got = so3.eval_real_sh(7, scale * u)
+        for l in range(8):
+            sl = so3.block_slice(l)
+            assert np.abs(got[:, sl] - scale ** l * unit[:, sl]).max() \
+                <= 1e-12 * scale ** l
+    Y = so3.eval_real_sh(7, np.zeros((2, 3)))
+    assert np.all(Y[:, 0] == 1.0 / (2.0 * math.sqrt(math.pi)))
+    assert np.all(Y[:, 1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ def build_radius_graph(coords, cutoff):
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise DomainError("coords must have shape (n, 3)")
+    if not np.all(np.isfinite(coords)):
+        # a NaN atom fails every cutoff test and would silently lose its edges
+        raise DomainError("coords must be finite")
     if cutoff <= 0.0:
         raise DomainError("cutoff must be positive")
     diff = coords[None, :, :] - coords[:, None, :]

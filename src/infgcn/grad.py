@@ -63,6 +63,7 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
                                          cache=conv_caches.pop())
         grads[f"conv{i}.self_w"] += cgrads["self_w"]
         _accumulate_radial(grads, f"conv{i}", cgrads["radial"])
+        del cgrads  # parameter-sized in fc mode: gone before the next layer
 
     np.add.at(grads["embed"], graph.atom_type, g[:, :, 0])
     if not np.all(np.isfinite(flat_grad)):

@@ -27,16 +27,27 @@ Every forward with an adjoint takes an optional ``cache`` dict and fills it
 with what its backward needs; the backward reads the same dict, and fills
 it itself when called without one. The radial net keeps its activations,
 the convolution its distances, harmonics up to 2L, per-path radial scalars
-and the edges' order by destination, and the residual layer its query-atom
-pairs, their harmonics, radial scalars and the features'
-projection ``s`` on the harmonics. The convolution still rebuilds G in the
-backward pass: kept, it would hold ~21 MB per layer at 76 edges, while
-rebuilding costs ~4 ms. Scatters onto nodes are sums over sorted runs of
-one index, not unbuffered scatter-adds: conv edges are sorted by source,
-and their gradients permuted into destination order, each run summed by
-one ``np.add.reduceat``; residual pairs are sorted by atom, and ``s`` and
-an atom's feature gradient are one GEMM per degree over its run. The
+(channel mode only) and the edges' order by destination, and the residual
+layer its query-atom pairs, their harmonics, radial scalars and the
+features' projection ``s`` on the harmonics. The convolution still rebuilds
+G in the backward pass: kept, it would hold ~21 MB per layer at 76 edges,
+while rebuilding costs ~4 ms. In fc mode it also redoes the radial net's
+head GEMM from the cached last hidden layer, because fc's per-path scalars
+are C times channel mode's (~53 MB per layer at L=7, C=16, 76 edges).
+Scatters onto nodes are sums over sorted runs of one index, not
+unbuffered scatter-adds: conv edges are sorted by source, and their
+gradients permuted into destination order, each run summed by one
+``np.add.reduceat``; residual pairs are sorted by atom, and ``s`` and an
+atom's feature gradient are one GEMM per degree over its run. The
 residual output sums pairs per query with ``np.bincount``.
+
+The radial net is the decode path's largest cost: the residual layer runs
+it on every query-atom pair. Its Gaussian embedding flushes its subnormal
+tail to zero, which keeps both GEMMs that read it at full speed. A call
+without a cache, as in ``model.predict_density``, runs in blocks of
+``_ROWS`` rows with in-place bias adds and SiLUs, so its activations stay
+cache-sized; a cached call keeps whole arrays, since the backward reads
+every row of them. Both give bit-identical outputs.
 """
 from __future__ import annotations
 
@@ -99,14 +110,30 @@ class OpCounters:
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; the numerator picks 1 or exp(x) by sign
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # exp(-|x|) never overflows; the numerator picks 1 or exp(x) by sign:
+    # np.where(x >= 0, 1.0, e) / (1.0 + e), computed in place in e
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e)
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, d, out=e)
 
 
-def silu(x):
+def silu(x, out=None):
+    """x * sigmoid(x); ``out`` may be ``x`` itself."""
     x = np.asarray(x, dtype=float)
-    return x * _sigmoid(x)
+    return np.multiply(x, _sigmoid(x), out=out)
+
+
+def _silu_grad(x):
+    """silu'(x) = s (1 + x (1 - s)) with s = sigmoid(x), in that order."""
+    s = _sigmoid(x)
+    g = np.subtract(1.0, s)
+    g *= x
+    g += 1.0
+    g *= s
+    return g
 
 
 def _act(name):
@@ -119,12 +146,9 @@ def _act(name):
 
 def _act_grad(name):
     if name == "silu":
-        def g(x):
-            s = _sigmoid(x)
-            return s * (1.0 + x * (1.0 - s))
-        return g
+        return _silu_grad
     if name == "identity":
-        return lambda x: np.ones_like(x)
+        return np.ones_like
     raise DomainError(f"unknown activation {name!r}")
 
 
@@ -172,31 +196,63 @@ def init_radial_net(rng, cutoff, out_dim, n_embed=64, hidden=128,
         head_w=head_w, head_b=np.zeros(out_dim))
 
 
+_TINY = np.finfo(float).tiny
+_ROWS = 1024  # rows per block of an uncached radial_forward
+
+
 def _embed(params, r):
-    return np.exp(-0.5 * ((r[:, None] - params.centers) / params.width) ** 2)
+    """Gaussian embedding of distances, (E, n_embed). Entries below the
+    smallest normal float are set to zero: GEMMs over subnormal operands
+    run several times slower, and next to the nearest center's Gaussian,
+    at least exp(-1/8) since centers are one width apart, they vanish in
+    rounding."""
+    e = np.exp(-0.5 * ((r[:, None] - params.centers) / params.width) ** 2)
+    np.copyto(e, 0.0, where=e < _TINY)
+    return e
+
+
+def _row_blocks(n):
+    """(lo, hi) row blocks of at most about ``_ROWS`` rows. No block but a
+    one-row whole has a single row: numpy sends a one-row product to a
+    matrix-vector kernel whose sums round differently from a GEMM's."""
+    starts = list(range(0, max(n - 1, 1), _ROWS))
+    return zip(starts, starts[1:] + [n])
 
 
 def radial_forward(params, r, counters=None, cache=None):
     """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
 
-    A ``cache`` dict receives the activations ``e``, ``a1``, ``h1``, ``a2``
-    and ``h2`` that ``radial_backward`` reads.
+    The Gaussian embedding's subnormal tail is flushed to zero (``_embed``).
+    Without a ``cache`` the net runs in blocks of ``_ROWS`` rows into one
+    preallocated output, with the bias adds and SiLUs in place, so its
+    activations stay cache-sized; every row's arithmetic is unchanged, so
+    the output is bit-identical to a whole-array pass. A ``cache`` dict
+    receives the whole activations ``e``, ``a1``, ``h1``, ``a2`` and ``h2``
+    that ``radial_backward`` reads, so that path cannot block.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > params.cutoff + 1e-9):
+    # written so that NaN fails it too
+    if not np.all((r >= 0.0) & (r <= params.cutoff + 1e-9)):
         raise DomainError("distance outside [0, cutoff]")
-    # rebinding a and h frees each layer's arrays once the next exists, so
-    # an uncached call holds no more memory than the layers need
-    h = _embed(params, r)
-    if cache is not None:
-        cache["e"] = h
-    for i, (w, b) in enumerate([(params.w1, params.b1),
-                                (params.w2, params.b2)], 1):
-        a = h @ w + b
-        h = silu(a)
-        if cache is not None:
+    hidden = [(params.w1, params.b1), (params.w2, params.b2)]
+    if cache is None:
+        out = np.empty((r.size, params.out_dim))
+        for lo, hi in _row_blocks(r.size):
+            h = _embed(params, r[lo:hi])
+            for w, b in hidden:
+                h = h @ w
+                h += b
+                silu(h, out=h)
+            np.matmul(h, params.head_w, out=out[lo:hi])
+            out[lo:hi] += params.head_b
+    else:
+        h = cache["e"] = _embed(params, r)
+        for i, (w, b) in enumerate(hidden, 1):
+            a = h @ w
+            a += b
+            h = silu(a)
             cache[f"a{i}"], cache[f"h{i}"] = a, h
-    out = h @ params.head_w + params.head_b
+        out = h @ params.head_w + params.head_b
     if counters is not None:
         counters.add("radial", r.size * (params.w1.size + params.w2.size
                                          + params.head_w.size))
@@ -213,12 +269,12 @@ def radial_backward(params, r, grad_out, cache=None):
     e, a1, h1, a2, h2 = (cache[k] for k in ("e", "a1", "h1", "a2", "h2"))
     g_head_w = h2.T @ grad_out
     g_head_b = grad_out.sum(axis=0)
-    g_h2 = grad_out @ params.head_w.T
-    g_a2 = g_h2 * _act_grad("silu")(a2)
+    g_a2 = grad_out @ params.head_w.T
+    g_a2 *= _silu_grad(a2)
     g_w2 = h1.T @ g_a2
     g_b2 = g_a2.sum(axis=0)
-    g_h1 = g_a2 @ params.w2.T
-    g_a1 = g_h1 * _act_grad("silu")(a1)
+    g_a1 = g_a2 @ params.w2.T
+    g_a1 *= _silu_grad(a1)
     g_w1 = e.T @ g_a1
     g_b1 = g_a1.sum(axis=0)
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
@@ -399,7 +455,8 @@ def _edge_terms(graph, params, counters=None, cache=None):
     distances ``r``, harmonics ``Y`` up to 2L, per-path radial scalars
     ``phi`` and the edges' destination runs, ``dst_order`` and its
     ``dst_segments``. Only a given cache also receives the radial net's
-    activations, under ``radial``."""
+    activations, under ``radial``; in fc mode ``conv_forward`` drops
+    ``phi`` from it once used."""
     terms = {} if cache is None else cache
     r, rhat = _edge_geometry(graph)
     radial = None if cache is None else {}
@@ -437,6 +494,10 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
         counters.add("assembly", E * plan.assembly)
         counters.add("mixing", E * cc * plan.mixing)
         counters.add("matvec", E * cc * (L + 1) ** 4)
+    if cache is not None and params.mode == "fc":
+        # fc's phi is (E, paths, C, C), C times channel mode's; the backward
+        # redoes its head GEMM from the radial cache's h2 instead of keeping it
+        del cache["phi"]
     # edges are sorted by source (MolecularGraph checks it)
     _segment_add(out, _segments(graph.edge_src), np.concatenate(msg, axis=2))
     return out
@@ -459,8 +520,13 @@ def conv_backward(graph, feats, params, grad_out, cache=None):
             params.radial, np.zeros(0),
             np.zeros((0, params.radial.out_dim)))}
     terms = _edge_terms(graph, params, cache={}) if cache is None else cache
-    Y, phi, plan = terms["Y"], terms["phi"], conv_plan(params.l_max)
+    Y, plan = terms["Y"], conv_plan(params.l_max)
     E = graph.n_edges
+    phi = terms.get("phi")
+    if phi is None:  # fc mode's forward dropped it from the cache
+        rp = params.radial
+        phi = (terms["radial"]["h2"] @ rp.head_w + rp.head_b).reshape(
+            E, len(params.paths), params.channels, params.channels)
     channel = params.mode == "channel"
     spec = "ecab,eca->ecb" if channel else "ecdab,eca->edb"
     gmsg = _gather_degrees(grad_out, graph.edge_src)
@@ -482,6 +548,9 @@ def conv_backward(graph, feats, params, grad_out, cache=None):
         acc[k] += np.einsum(spec, _mix(phi, G, pair), gmsg[l])
     _segment_add(grad_f, terms["dst_segments"],
                  np.concatenate(acc, axis=2)[terms["dst_order"]])
+    # in fc mode both are as large as grad_phi; free them before the radial
+    # backward allocates its parameter-sized gradients
+    del phi, outer
     grad_radial = radial_backward(params.radial, terms["r"],
                                   grad_phi.reshape(E, -1), terms["radial"])
     return grad_f, {"self_w": grad_self, "radial": grad_radial}
@@ -545,6 +614,16 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
                           cutoff=float(cutoff), radial=radial)
 
 
+def _check_points(name, a):
+    """``a`` as a finite (N, 3) float array; DomainError naming ``name``
+    otherwise. A NaN point would fail every cutoff test and silently drop
+    out of the pairs."""
+    a = _check_shape(name, a, (None, 3))
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} must be finite")
+    return a
+
+
 def _residual_terms(queries, coords, params, counters=None, cache=None):
     """The pair terms both residual passes need, in ``cache`` when given:
     the query-atom pairs within the cutoff, sorted by atom, as ``qi``,
@@ -580,8 +659,8 @@ def residual_forward(queries, coords, feats, params, counters=None,
     A ``cache`` dict receives the pair terms ``residual_backward`` reads
     and the projection ``s`` of these features.
     """
-    queries = _check_shape("queries", queries, (None, 3))
-    coords = _check_shape("coords", coords, (None, 3))
+    queries = _check_points("queries", queries)
+    coords = _check_points("coords", coords)
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     terms = _residual_terms(queries, coords, params, counters, cache)
     qi, Y = terms["qi"], terms.get("Y")
@@ -609,8 +688,8 @@ def residual_backward(queries, coords, feats, params, grad_z, cache=None):
     coordinates, features and parameters; without one the forward is run
     here to fill it.
     """
-    queries = _check_shape("queries", queries, (None, 3))
-    coords = _check_shape("coords", coords, (None, 3))
+    queries = _check_points("queries", queries)
+    coords = _check_points("coords", coords)
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     grad_z = _check_shape("grad_z", grad_z, (len(queries),))
     grad_f = np.zeros_like(feats)

@@ -96,21 +96,37 @@ def block_slice(l):
     return slice(l * l, (l + 1) * (l + 1))
 
 
+_SH_BLOCK = 8192  # points per block of eval_real_sh
+
+
 def eval_real_sh(l_max, d):
     """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max.
 
     ``d`` is a (..., 3) array of displacements of any length; on unit vectors
     this is Y_lm itself, and at d = 0 every l > 0 entry is exactly zero.
-    Returns (..., (l_max+1)**2), flat index l*l + l + m.
+    Returns a C-contiguous (..., (l_max+1)**2) array, flat index l*l + l + m.
+    Points are taken in blocks of ``_SH_BLOCK``. Within a block each (l, m)
+    is written as one contiguous row of an ((l_max+1)**2, n) buffer, which
+    is then transposed into the output: no write strides across the last
+    axis, and the buffer and the recursion's temporaries stay cache-sized.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
     d = np.asarray(d, dtype=float)
     if d.shape[-1] != 3:
         raise DomainError("displacements must have a trailing dimension of 3")
-    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    pts = d.reshape(-1, 3)
+    out = np.empty((pts.shape[0], num_sh(l_max)))
+    for lo in range(0, pts.shape[0], _SH_BLOCK):
+        out[lo:lo + _SH_BLOCK] = _sh_rows(l_max, pts[lo:lo + _SH_BLOCK]).T
+    return out.reshape(d.shape[:-1] + (out.shape[1],))
+
+
+def _sh_rows(l_max, pts):
+    """``eval_real_sh`` of (n, 3) points as an ((l_max+1)**2, n) array."""
+    x, y, z = pts.T.copy()
     r2 = x * x + y * y + z * z
-    out = np.empty(d.shape[:-1] + (num_sh(l_max),), dtype=float)
+    out = np.empty((num_sh(l_max), x.size))
 
     # q holds r^(l-m) Q_lm(z/r) with Q_lm(t) = P_lm(t) / (1-t^2)^(m/2) and no
     # Condon-Shortley factor; the r^2 in the three-term step keeps it a
@@ -140,11 +156,11 @@ def eval_real_sh(l_max, d):
             nlm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
                             * math.factorial(l - m) / math.factorial(l + m))
             if m == 0:
-                out[..., sh_index(l, 0)] = nlm * q
+                np.multiply(nlm, q, out=out[sh_index(l, 0)])
             else:
-                f = math.sqrt(2.0) * nlm
-                out[..., sh_index(l, m)] = f * q * c
-                out[..., sh_index(l, -m)] = f * q * s
+                fq = math.sqrt(2.0) * nlm * q
+                np.multiply(fq, c, out=out[sh_index(l, m)])
+                np.multiply(fq, s, out=out[sh_index(l, -m)])
     return out
 
 

@@ -36,6 +36,17 @@ def test_radius_graph_brute_force_oracle():
         assert np.array_equal(vec[e], r)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_radius_graph_rejects_non_finite_coords(bad):
+    # a NaN atom fails every cutoff test, so it used to get no edges
+    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, bad]])
+    with pytest.raises(DomainError, match="^coords must be finite"):
+        geometry.build_radius_graph(coords, 3.0)
+    with pytest.raises(DomainError, match="^coords must be finite"):
+        geometry.MolecularGraph.from_coords(np.zeros(3, dtype=int), coords,
+                                            3.0)
+
+
 def test_graph_symmetry_exact():
     rng = np.random.default_rng(4)
     g = geometry.MolecularGraph.from_coords(

@@ -372,6 +372,22 @@ def test_predict_density_builds_no_caches():
     assert peak < 40.0
 
 
+def test_fc_training_step_keeps_no_per_path_scalars():
+    # fc mode's phi is (E, paths, C, C): ~26 MB per layer at L=5, C=16 and
+    # 88 edges. Keeping all three through the backward, and the previous
+    # layer's gradients into the next, peaked at 286 MB on this input
+    graph = _molecule(0)
+    cfg = model.ModelConfig(mode="fc", l_max=5, channels=16)
+    params = model.init_params(cfg, seed=0, zero_heads=False)
+    rng = np.random.default_rng(1)
+    queries = rng.uniform(-5.0, 5.0, size=(1024, 3))
+    target = rng.standard_normal(1024)
+    grad.loss_and_grad(params, graph, queries[:8], target[:8])
+    peak = _traced_peak(
+        lambda: grad.loss_and_grad(params, graph, queries, target))
+    assert peak < 240.0
+
+
 def test_training_step_memory_stays_below_allocating_step():
     # one loss_and_grad + optimize_step at 18 atoms and 1024 queries: the
     # caches the backward reads must fit under the peak the step had when

@@ -63,6 +63,31 @@ def test_radial_rejects_out_of_range():
         layers.radial_forward(p, np.array([3.5]))
     with pytest.raises(DomainError):
         layers.radial_forward(p, np.array([-0.1]))
+    with pytest.raises(DomainError):  # NaN fails both comparisons
+        layers.radial_forward(p, np.array([1.0, np.nan]))
+
+
+def test_embed_has_no_subnormal_entries():
+    # width = cutoff/63, so every r in [0, cutoff] has centers 37.6-38.6
+    # widths away, where the Gaussian is subnormal
+    rng = np.random.default_rng(3)
+    p = layers.init_radial_net(rng, 3.0, 4)
+    e = layers._embed(p, np.linspace(0.0, 3.0, 20001))
+    assert np.all((e == 0.0) | (e >= np.finfo(float).tiny))
+    assert np.all(e.max(axis=1) >= np.exp(-0.125))
+
+
+@pytest.mark.parametrize("n", [0, 1, layers._ROWS, layers._ROWS + 1,
+                               2 * layers._ROWS + 7])
+def test_uncached_radial_forward_is_bit_identical_to_cached(n):
+    # the uncached pass runs in row blocks, the cached one on whole arrays
+    rng = np.random.default_rng(42)
+    p = layers.init_radial_net(rng, 3.0, 40, zero_head=False)
+    r = rng.uniform(0.0, 3.0, size=n)
+    cached = layers.radial_forward(p, r, cache={})
+    uncached = layers.radial_forward(p, r)
+    assert uncached.shape == (n, 40)
+    assert np.array_equal(uncached, cached)
 
 
 def test_radial_backward_matches_fd():
@@ -403,6 +428,8 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
     got = layers.conv_forward(graph, feats, params, cache=cache)
     assert np.array_equal(got, layers.conv_forward(graph, feats, params))
     assert bool(cache) == (graph.n_edges > 0)
+    # fc mode's C-times-larger phi is redone in the backward, not kept
+    assert ("phi" in cache) == (bool(cache) and mode == "channel")
     want = _reference_conv_forward(graph, feats, params)
     for l in range(l_max + 1):
         sl = so3.block_slice(l)
@@ -502,6 +529,20 @@ def test_sigmoid_bit_identical_to_masked_reference():
         want = _reference_sigmoid(x)
     assert np.array_equal(got, want)
     assert got.ravel()[:6].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_silu_and_its_derivative_bit_identical_to_reference_forms():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2055, 128)) * 8.0
+    x.ravel()[:6] = (0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300)
+    s = _reference_sigmoid(x)
+    want = x * s
+    assert np.array_equal(layers.silu(x), want)
+    inplace = x.copy()
+    assert layers.silu(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, want)
+    assert np.array_equal(layers._act_grad("silu")(x),
+                          s * (1.0 + x * (1.0 - s)))
 
 
 def test_gate_zero_stays_zero():
@@ -714,6 +755,25 @@ def test_residual_backward_with_forward_cache_matches_uncached(case):
         _assert_close(got_p["radial"][key], g)
     if case == "no_pairs":
         assert not np.any(want_f)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("queries", np.nan), ("coords", np.nan), ("coords", np.inf)])
+def test_residual_rejects_non_finite_points_naming_them(field, bad):
+    # a NaN point fails every cutoff test, so it silently got z = 0 or
+    # dropped out of the pairs
+    rng = np.random.default_rng(26)
+    res = layers.init_residual_layer(rng, 2, 3, 3.0)
+    points = {"queries": rng.uniform(-1.0, 1.0, size=(5, 3)),
+              "coords": rng.uniform(-1.0, 1.0, size=(4, 3))}
+    points[field][1, 2] = bad
+    feats = random_feats(rng, 4, 2, 3)
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        layers.residual_forward(points["queries"], points["coords"], feats,
+                                res)
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        layers.residual_backward(points["queries"], points["coords"], feats,
+                                 res, np.ones(5))
 
 
 def _reference_coupled_harmonics(queries, coords, params, qi, vi):

@@ -80,6 +80,56 @@ def test_gram_deterministic_quadrature():
     assert np.abs(G - np.eye(64)).max() < 1e-10
 
 
+def _reference_eval_real_sh(l_max, d):
+    """The per-column writer that eval_real_sh's row-major buffer replaced:
+    the same recursion, each (l, m) written straight into out[..., lm]."""
+    d = np.asarray(d, dtype=float)
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    r2 = x * x + y * y + z * z
+    out = np.empty(d.shape[:-1] + (so3.num_sh(l_max),), dtype=float)
+    c, s, q_mm = np.ones_like(z), np.zeros_like(z), np.ones_like(z)
+    for m in range(0, l_max + 1):
+        if m > 0:
+            c, s = x * c - y * s, x * s + y * c
+            q_mm = q_mm * (2 * m - 1)
+        q_prev, q_curr = q_mm, None
+        for l in range(m, l_max + 1):
+            if l == m:
+                q = q_mm
+            elif l == m + 1:
+                q = (2 * m + 1) * z * q_mm
+            else:
+                q = ((2 * l - 1) * z * q_curr
+                     - (l + m - 1) * r2 * q_prev) / (l - m)
+            if l > m:
+                q_prev, q_curr = q_curr, q
+            else:
+                q_curr = q
+            nlm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                            * math.factorial(l - m) / math.factorial(l + m))
+            if m == 0:
+                out[..., so3.sh_index(l, 0)] = nlm * q
+            else:
+                f = math.sqrt(2.0) * nlm
+                out[..., so3.sh_index(l, m)] = f * q * c
+                out[..., so3.sh_index(l, -m)] = f * q * s
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (37, 3), (4, 9, 3),
+                                   (3, so3._SH_BLOCK // 2 + 1, 3)])
+def test_sh_row_major_buffer_matches_per_column_reference(shape):
+    rng = np.random.default_rng(13)
+    # a strided view, so the input's own layout differs from the output's
+    d = (3.0 * rng.standard_normal(shape[:-1] + (5,)))[..., 1:4]
+    if d.ndim > 1 and d.size:
+        d[(0,) * (d.ndim - 1)] = 0.0
+    got = so3.eval_real_sh(7, d)
+    assert got.shape == shape[:-1] + (64,)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _reference_eval_real_sh(7, d))
+
+
 def test_solid_harmonics_scale_with_length():
     # eval_real_sh(s u) = |s u|^l Y_lm(u): each degree-l block of a scaled
     # unit vector is s^l times the spherical harmonics, down to the origin,

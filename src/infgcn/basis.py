@@ -17,9 +17,9 @@ depend on l and an angular part |d|^l Y_lm(dhat) that does not depend on n.
 in one batched GEMM per chunk of queries and only then multiplies by the
 angular factor, so a chunk of q queries holds (U, q, n) and (U, q, S) arrays
 for U centers and S = (l_max+1)^2, never a (U, q, n, S) table of basis values.
-The adjoint needs the same two factors; given the forward's cache it reads
-them instead of evaluating the harmonics again, at the price of holding every
-chunk's factors (~6 MB per 512 queries at 18 centers) until it runs.
+The adjoint needs the same two factors and reads them from the forward's
+cache instead of evaluating the harmonics again, at the price of holding
+every chunk's factors (~6 MB per 512 queries at 18 centers) until it runs.
 
 All lengths are Bohr; densities are e/Bohr^3.
 """
@@ -96,17 +96,6 @@ class RadialBasisSpec:
                          for l in range(self.l_max + 1)], axis=1)
 
 
-def eval_basis_block(spec, center, points):
-    """Evaluate all (n, l, m) basis functions of one center.
-
-    Returns (Q, n_radial, (l_max+1)**2); points of shape (Q, 3).
-    At the center itself every l > 0 entry is exactly zero.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    E, Y = _factors(spec, points - np.asarray(center, dtype=float))
-    return (E[..., :, None] * _norm_columns(spec)) * Y[..., None, :]
-
-
 def _factors(spec, d):
     """The two factors of the basis at displacements d of shape (..., 3).
 
@@ -170,12 +159,10 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
     return out
 
 
-def expand_density_backward(spec, grad_out, centers, queries, cache=None):
-    """Adjoint of expand_density with respect to the coefficients.
-
-    ``cache`` is the dict ``expand_density`` filled for the same centers
-    and queries; without one the factors are computed chunk by chunk.
-    """
+def expand_density_backward(spec, grad_out, centers, queries, cache):
+    """Adjoint of expand_density with respect to the coefficients, from the
+    factors in the ``cache`` that ``expand_density`` filled for the same
+    centers and queries."""
     centers = _points("centers", centers)
     queries = _points("queries", queries)
     grad_out = np.asarray(grad_out, dtype=float)
@@ -184,9 +171,7 @@ def expand_density_backward(spec, grad_out, centers, queries, cache=None):
             f"grad_out shape {grad_out.shape} does not match queries "
             f"({queries.shape[0]},)")
     grad = np.zeros((centers.shape[0], spec.n_radial, spec.n_sh))
-    chunks = (_factor_chunks(spec, centers, queries) if cache is None
-              else cache["chunks"])
-    for sl, (E, Y) in chunks:
+    for sl, (E, Y) in cache["chunks"]:
         grad += E.transpose(0, 2, 1) @ (Y * grad_out[sl, None])
     return grad * _norm_columns(spec)
 

@@ -110,6 +110,11 @@ def _load_dataset(cfg):
     for stem in stems:
         name = os.path.basename(stem)
         types, coords, grid = dataio.load_record(stem)
+        if grid.pbc:
+            raise SchemaError(
+                f"{stem}.json: field 'pbc' is true, but periodic cells are "
+                "not modelled yet: graphs, the residual layer and the basis "
+                "expansion ignore lattice images")
         graph = geometry.MolecularGraph.from_coords(types, coords,
                                                     cfg.model.cutoff)
         records[name] = {"name": name, "types": types, "coords": coords,
@@ -157,7 +162,6 @@ def cmd_train(cfg, deterministic=False):
             t0 = time.perf_counter()
             start = ((step - 1) * nb) % len(train)
             mean_loss = 0.0
-            summed = np.zeros(registry.n_params)
             try:
                 for t in range(nb):
                     rec = train[(start + t) % len(train)]
@@ -168,7 +172,10 @@ def cmd_train(cfg, deterministic=False):
                         params, rec["graph"], qs.points, qs.targets,
                         volume_weight=qs.weight)
                     mean_loss += loss / nb
-                    summed += g
+                    if t == 0:
+                        summed = g
+                    else:
+                        summed += g
                 summed /= nb
                 grad.optimize_step(state, params, summed, registry)
             except NonFiniteError:

@@ -24,22 +24,25 @@ features in one einsum. The matvec stage costs exactly
 |E| * C * (L+1)^4 multiplies, the compressed-vector budget.
 
 Every forward with an adjoint takes an optional ``cache`` dict and fills it
-with what its backward needs; the backward reads the same dict, and fills
-it itself when called without one. The radial net keeps its activations,
-the convolution its distances, harmonics up to 2L, per-path radial scalars
-(channel mode only) and the edges' order by destination, and the residual
-layer its query-atom pairs, their harmonics, radial scalars and the
-features' projection ``s`` on the harmonics. The convolution still rebuilds
-G in the backward pass: kept, it would hold ~21 MB per layer at 76 edges,
-while rebuilding costs ~4 ms. In fc mode it also redoes the radial net's
-head GEMM from the cached last hidden layer, because fc's per-path scalars
-are C times channel mode's (~53 MB per layer at L=7, C=16, 76 edges).
-Scatters onto nodes are sums over sorted runs of one index, not
-unbuffered scatter-adds: conv edges are sorted by source, and their
-gradients permuted into destination order, each run summed by one
-``np.add.reduceat``; residual pairs are sorted by atom, and ``s`` and an
-atom's feature gradient are one GEMM per degree over its run. The
-residual output sums pairs per query with ``np.bincount``.
+with what its backward needs, and the backward requires that dict. The
+radial net keeps its activations, the convolution its harmonics up to 2L,
+per-path radial scalars (channel mode only) and the edges' order by
+destination, and the residual layer its query-atom pairs, their harmonics,
+radial scalars and the features' projection ``s`` on the harmonics. A
+backward returns the gradient of its input and writes its parameter
+gradients into ``grads``, a twin of its parameters whose arrays view the
+flat gradient vector (``model.bind``); every entry is overwritten, so the
+twin needs no zeroing. The convolution still rebuilds G in the backward
+pass: kept, it would hold ~21 MB per layer at 76 edges, while rebuilding
+costs ~4 ms. In fc mode it also redoes the radial net's head GEMM from the
+cached last hidden layer, because fc's per-path scalars are C times
+channel mode's (~53 MB per layer at L=7, C=16, 76 edges). Scatters onto
+nodes are sums over sorted runs of one index, not unbuffered scatter-adds:
+conv edges are sorted by source, and their gradients permuted into
+destination order, each run summed by one ``np.add.reduceat``; residual
+pairs are sorted by atom, and ``s`` and an atom's feature gradient are one
+GEMM per degree over its run. The residual output sums pairs per query
+with ``np.bincount``.
 
 The radial net is the decode path's largest cost: the residual layer runs
 it on every query-atom pair. Its Gaussian embedding flushes its subnormal
@@ -259,26 +262,29 @@ def radial_forward(params, r, counters=None, cache=None):
     return out
 
 
-def radial_backward(params, r, grad_out, cache=None):
-    """Gradients of sum(grad_out * phi) with respect to trainable arrays,
-    from the activations ``radial_forward`` left in ``cache`` (recomputed
-    when none is given)."""
-    if cache is None:
-        cache = {}
-        radial_forward(params, r, cache=cache)
+def radial_backward(params, grad_out, grads, cache):
+    """Gradients of sum(grad_out * phi), from the activations
+    ``radial_forward`` left in ``cache``, written into the six trainable
+    arrays of ``grads``."""
     e, a1, h1, a2, h2 = (cache[k] for k in ("e", "a1", "h1", "a2", "h2"))
-    g_head_w = h2.T @ grad_out
-    g_head_b = grad_out.sum(axis=0)
-    g_a2 = grad_out @ params.head_w.T
-    g_a2 *= _silu_grad(a2)
-    g_w2 = h1.T @ g_a2
-    g_b2 = g_a2.sum(axis=0)
-    g_a1 = g_a2 @ params.w2.T
-    g_a1 *= _silu_grad(a1)
-    g_w1 = e.T @ g_a1
-    g_b1 = g_a1.sum(axis=0)
-    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
-            "head_w": g_head_w, "head_b": g_head_b}
+    # from the head down: each layer's weight and bias gradients from its
+    # input x and output gradient g, then g through the weight and the SiLU
+    # that produced x from a
+    g = grad_out
+    for x, w, b, a in ((h2, "head_w", "head_b", a2), (h1, "w2", "b2", a1),
+                       (e, "w1", "b1", None)):
+        np.matmul(x.T, g, out=getattr(grads, w))
+        g.sum(axis=0, out=getattr(grads, b))
+        if a is not None:
+            g = g @ getattr(params, w).T
+            g *= _silu_grad(a)
+
+
+def _zero_radial(grads):
+    """Zero gradients for a radial net that saw no input: an edge-free
+    graph, or no query-atom pair within the cutoff."""
+    for _, owner, attr in grads.slots(""):
+        getattr(owner, attr).fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +458,8 @@ def _mix(phi, G, pair):
 
 def _edge_terms(graph, params, counters=None, cache=None):
     """The edge terms both conv passes need, in ``cache`` when given:
-    distances ``r``, harmonics ``Y`` up to 2L, per-path radial scalars
-    ``phi`` and the edges' destination runs, ``dst_order`` and its
-    ``dst_segments``. Only a given cache also receives the radial net's
+    harmonics ``Y`` up to 2L, per-path radial scalars ``phi`` and the
+    edges' destination runs, ``dst_order`` and its ``dst_segments``. Only a given cache also receives the radial net's
     activations, under ``radial``; in fc mode ``conv_forward`` drops
     ``phi`` from it once used."""
     terms = {} if cache is None else cache
@@ -462,7 +467,7 @@ def _edge_terms(graph, params, counters=None, cache=None):
     radial = None if cache is None else {}
     order = np.argsort(graph.edge_dst, kind="stable")
     terms.update(
-        r=r, Y=so3.eval_real_sh(2 * params.l_max, rhat),
+        Y=so3.eval_real_sh(2 * params.l_max, rhat),
         phi=_phi_per_path(params, r, counters, radial), radial=radial,
         dst_order=order, dst_segments=_segments(graph.edge_dst[order]))
     return terms
@@ -503,29 +508,25 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     return out
 
 
-def conv_backward(graph, feats, params, grad_out, cache=None):
-    """Adjoint of conv_forward: gradients for features and parameters.
-
-    ``cache`` is the dict ``conv_forward`` filled for the same graph and
-    parameters; without one the edge terms are computed here.
+def conv_backward(graph, feats, params, grad_out, grads, cache):
+    """Adjoint of conv_forward: returns the feature gradient and writes the
+    parameter gradients into ``grads``, from the ``cache`` that
+    ``conv_forward`` filled for the same graph and parameters.
     """
     shape = _feature_shape(graph.n_atoms, params)
     feats = _check_shape("feats", feats, shape)
     grad_out = _check_shape("grad_out", grad_out, shape)
     grad_f = _per_order(params.self_w.T) * grad_out
-    grad_self = _degree_sums((grad_out * feats).sum(axis=0)).T
+    grads.self_w[...] = _degree_sums((grad_out * feats).sum(axis=0)).T
     if graph.n_edges == 0:
-        # empty sums in radial_backward already yield zero gradients
-        return grad_f, {"self_w": grad_self, "radial": radial_backward(
-            params.radial, np.zeros(0),
-            np.zeros((0, params.radial.out_dim)))}
-    terms = _edge_terms(graph, params, cache={}) if cache is None else cache
-    Y, plan = terms["Y"], conv_plan(params.l_max)
+        _zero_radial(grads.radial)
+        return grad_f
+    Y, plan = cache["Y"], conv_plan(params.l_max)
     E = graph.n_edges
-    phi = terms.get("phi")
+    phi = cache.get("phi")
     if phi is None:  # fc mode's forward dropped it from the cache
         rp = params.radial
-        phi = (terms["radial"]["h2"] @ rp.head_w + rp.head_b).reshape(
+        phi = (cache["radial"]["h2"] @ rp.head_w + rp.head_b).reshape(
             E, len(params.paths), params.channels, params.channels)
     channel = params.mode == "channel"
     spec = "ecab,eca->ecb" if channel else "ecdab,eca->edb"
@@ -546,14 +547,11 @@ def conv_backward(graph, feats, params, grad_out, cache=None):
         grad_phi[:, p0:p1] = np.matmul(G, outer.transpose(0, 2, 1)).reshape(
             (E, p1 - p0) + phi.shape[2:])
         acc[k] += np.einsum(spec, _mix(phi, G, pair), gmsg[l])
-    _segment_add(grad_f, terms["dst_segments"],
-                 np.concatenate(acc, axis=2)[terms["dst_order"]])
-    # in fc mode both are as large as grad_phi; free them before the radial
-    # backward allocates its parameter-sized gradients
-    del phi, outer
-    grad_radial = radial_backward(params.radial, terms["r"],
-                                  grad_phi.reshape(E, -1), terms["radial"])
-    return grad_f, {"self_w": grad_self, "radial": grad_radial}
+    _segment_add(grad_f, cache["dst_segments"],
+                 np.concatenate(acc, axis=2)[cache["dst_order"]])
+    radial_backward(params.radial, grad_phi.reshape(E, -1), grads.radial,
+                    cache["radial"])
+    return grad_f
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +624,8 @@ def _check_points(name, a):
 
 def _residual_terms(queries, coords, params, counters=None, cache=None):
     """The pair terms both residual passes need, in ``cache`` when given:
-    the query-atom pairs within the cutoff, sorted by atom, as ``qi``,
-    ``vi`` and ``r`` with the atoms' runs in ``atom_segments``; and, when
+    the query-atom pairs within the cutoff, sorted by atom, as ``qi`` and
+    ``vi`` with the atoms' runs in ``atom_segments``; and, when
     there are pairs, the harmonics ``Y`` (E, (L+1)^2) of their directions
     and the radial scalars ``phi`` (E, L+1, C). Only a given cache also
     receives the radial net's activations, under ``radial``.
@@ -641,7 +639,7 @@ def _residual_terms(queries, coords, params, counters=None, cache=None):
     dist = np.sqrt(np.einsum("qvx,qvx->qv", diff, diff))
     vi, qi = np.nonzero((dist <= params.cutoff).T)
     r = dist[qi, vi]
-    terms.update(qi=qi, vi=vi, r=r, atom_segments=_segments(vi))
+    terms.update(qi=qi, vi=vi, atom_segments=_segments(vi))
     if qi.size == 0:
         return terms
     radial = terms["radial"] = None if cache is None else {}
@@ -681,26 +679,21 @@ def residual_forward(queries, coords, feats, params, counters=None,
     return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
 
 
-def residual_backward(queries, coords, feats, params, grad_z, cache=None):
-    """Adjoint of residual_forward for features and radial parameters.
-
-    ``cache`` is the dict ``residual_forward`` filled for the same queries,
-    coordinates, features and parameters; without one the forward is run
-    here to fill it.
+def residual_backward(queries, coords, feats, params, grad_z, grads, cache):
+    """Adjoint of residual_forward: returns the feature gradient and writes
+    the radial gradients into ``grads``, from the ``cache`` that
+    ``residual_forward`` filled for the same queries, coordinates, features
+    and parameters.
     """
     queries = _check_points("queries", queries)
     coords = _check_points("coords", coords)
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     grad_z = _check_shape("grad_z", grad_z, (len(queries),))
     grad_f = np.zeros_like(feats)
-    if cache is None:
-        cache = {}
-        residual_forward(queries, coords, feats, params, cache=cache)
     qi = cache["qi"]
     if qi.size == 0:
-        # empty sums in radial_backward already yield zero gradients
-        return grad_f, {"radial": radial_backward(
-            params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
+        _zero_radial(grads.radial)
+        return grad_f
     phi, Y = cache["phi"], cache["Y"]
     ge = grad_z[qi]
     # the feature gradient of atom u, degree k, sums (ge phi_k) outer Y_k
@@ -713,7 +706,6 @@ def residual_backward(queries, coords, feats, params, grad_z, cache=None):
             sl = so3.block_slice(k)
             grad_f[u, :, sl] = gphi[lo:hi, k].T @ Y[lo:hi, sl]
     grad_phi = ge[:, None, None] * cache["s"]
-    grad_radial = radial_backward(params.radial, cache["r"],
-                                  grad_phi.reshape(qi.size, -1),
-                                  cache["radial"])
-    return grad_f, {"radial": grad_radial}
+    radial_backward(params.radial, grad_phi.reshape(qi.size, -1),
+                    grads.radial, cache["radial"])
+    return grad_f

@@ -23,7 +23,7 @@ import json
 import os
 import secrets
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "ParamRegistry",
     "NMAEAccumulator",
     "init_params",
+    "bind",
     "init_features",
     "encode",
     "forward_trace",
@@ -164,11 +165,26 @@ def init_params(config, seed=0, zero_heads=True):
            if config.residual else None)
     params = ModelParams(config=config, embed=embed, convs=convs,
                          residual=res)
-    params.flat = np.concatenate([a.ravel() for _, a in params.named_arrays()])
-    views = ParamRegistry(params).views(params.flat)
-    for name, owner, attr in params.slots():
+    return bind(params, np.concatenate([a.ravel()
+                                        for _, a in params.named_arrays()]))
+
+
+def bind(params, flat):
+    """A copy of ``params`` whose trainable arrays view ``flat``, a vector
+    in its `ParamRegistry` layout. Only ``params`` and its layer and radial
+    net objects are copied; fixed arrays, such as the radial embedding's
+    centers, are shared. Bound to a gradient vector it is the twin each
+    backward pass writes its parameter gradients into."""
+    def twin(layer):
+        return replace(layer, radial=replace(layer.radial))
+
+    out = replace(
+        params, convs=[twin(cp) for cp in params.convs], flat=flat,
+        residual=None if params.residual is None else twin(params.residual))
+    views = ParamRegistry(out).views(flat)
+    for name, owner, attr in out.slots():
         setattr(owner, attr, views[name])
-    return params
+    return out
 
 
 def init_features(params, atom_types):

@@ -80,10 +80,18 @@ def test_normalization_by_radial_quadrature():
             assert abs(val - 1.0) < 1e-6
 
 
+def _eval_basis_block(spec, center, points):
+    """All (n, l, m) basis functions of one center at points (Q, 3), as
+    (Q, n_radial, (l_max+1)**2), from the expansion's two factors."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    E, Y = basis._factors(spec, points - np.asarray(center, dtype=float))
+    return (E[..., :, None] * basis._norm_columns(spec)) * Y[..., None, :]
+
+
 def test_eval_at_center():
     spec = basis.RadialBasisSpec.default(l_max=3, n=4)
     center = np.array([0.3, -0.2, 1.0])
-    B = basis.eval_basis_block(spec, center, center[None, :])[0]
+    B = _eval_basis_block(spec, center, center[None, :])[0]
     norms = spec.norm_table()
     y00 = 1.0 / (2.0 * math.sqrt(math.pi))
     assert np.allclose(B[:, 0], norms[:, 0] * y00, atol=1e-14)
@@ -94,8 +102,8 @@ def test_eval_parity():
     spec = basis.RadialBasisSpec.default(l_max=4, n=3)
     rng = np.random.default_rng(1)
     d = rng.standard_normal(3)
-    plus = basis.eval_basis_block(spec, np.zeros(3), d[None, :])[0]
-    minus = basis.eval_basis_block(spec, np.zeros(3), -d[None, :])[0]
+    plus = _eval_basis_block(spec, np.zeros(3), d[None, :])[0]
+    minus = _eval_basis_block(spec, np.zeros(3), -d[None, :])[0]
     for l in range(5):
         sl = so3.block_slice(l)
         assert np.allclose(minus[:, sl], (-1.0) ** l * plus[:, sl], atol=1e-12)
@@ -107,8 +115,8 @@ def test_eval_rotates_with_wigner():
     pts = rng.standard_normal((20, 3)) * 1.5
     for _ in range(5):
         R = so3.random_rotation(rng)
-        B = basis.eval_basis_block(spec, np.zeros(3), pts)
-        BR = basis.eval_basis_block(spec, np.zeros(3), pts @ R.T)
+        B = _eval_basis_block(spec, np.zeros(3), pts)
+        BR = _eval_basis_block(spec, np.zeros(3), pts @ R.T)
         blocks = so3.wigner_blocks(5, R)
         for l in range(6):
             sl = so3.block_slice(l)
@@ -121,7 +129,7 @@ def test_expand_single_function():
     coeffs[0, 1, so3.sh_index(2, -1)] = 1.0
     q = np.array([[0.4, 0.1, -0.3]])
     got = basis.expand_density(spec, coeffs, np.zeros((1, 3)), q)
-    want = basis.eval_basis_block(spec, np.zeros(3), q)[0, 1, so3.sh_index(2, -1)]
+    want = _eval_basis_block(spec, np.zeros(3), q)[0, 1, so3.sh_index(2, -1)]
     assert abs(got[0] - want) < 1e-14
 
 
@@ -161,8 +169,10 @@ def test_expand_backward_is_adjoint():
     q = rng.standard_normal((17, 3))
     coeffs = rng.standard_normal((2, 3, 9))
     g = rng.standard_normal(17)
-    lhs = float(np.dot(g, basis.expand_density(spec, coeffs, centers, q)))
-    grad = basis.expand_density_backward(spec, g, centers, q)
+    cache = {}
+    lhs = float(np.dot(g, basis.expand_density(spec, coeffs, centers, q,
+                                               cache=cache)))
+    grad = basis.expand_density_backward(spec, g, centers, q, cache)
     rhs = float((grad * coeffs).sum())
     assert abs(lhs - rhs) < 1e-10
 
@@ -225,20 +235,17 @@ def test_expand_matches_broadcast_reference(l_max, n_queries, chunk,
     assert np.abs(got - want).max(initial=0.0) \
         <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
 
-    # the backward reading the forward's cache (twice: it must not write
-    # into it) and the one evaluating its own factors
+    # the backward reading the forward's cache, twice: it must not write
+    # into it
     want = _reference_expand_backward(spec, g, centers, queries)
     tol = 1e-12 * max(1.0, np.abs(want).max())
-    uncached = basis.expand_density_backward(spec, g, centers, queries)
     for _ in range(2):
         got = basis.expand_density_backward(spec, g, centers, queries,
                                             cache=cache)
         assert got.shape == coeffs.shape
         assert np.abs(got - want).max() <= tol
-        assert np.abs(got - uncached).max() <= tol
-    assert np.abs(uncached - want).max() <= tol
 
-    block = basis.eval_basis_block(spec, centers[2], queries)
+    block = _eval_basis_block(spec, centers[2], queries)
     want = _reference_eval_displacements(spec, queries - centers[2])
     assert np.abs(block - want).max(initial=0.0) \
         <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
@@ -251,8 +258,11 @@ def test_expand_query_on_center_drops_l_above_zero():
     center = rng.standard_normal((1, 3))
     coeffs = rng.standard_normal((1, 4, spec.n_sh))
     coeffs[:, :, 0] = 0.0
-    assert basis.expand_density(spec, coeffs, center, center)[0] == 0.0
-    grad = basis.expand_density_backward(spec, np.array([1.5]), center, center)
+    cache = {}
+    assert basis.expand_density(spec, coeffs, center, center,
+                                cache=cache)[0] == 0.0
+    grad = basis.expand_density_backward(spec, np.array([1.5]), center,
+                                         center, cache)
     assert np.all(grad[:, :, 1:] == 0.0)
     assert np.all(grad[:, :, 0] != 0.0)
 
@@ -272,27 +282,29 @@ def test_expand_rejects_bad_shapes_naming_field(call, field):
     queries = rng.standard_normal((6, 3))
     coeffs = rng.standard_normal((3, 2, 4))
     g = rng.standard_normal(6)
+    cache = {}  # the backward checks shapes before it reads its cache
     calls = {
         "forward_queries": lambda: basis.expand_density(
             spec, coeffs, centers, queries[:, :2]),
         "forward_centers": lambda: basis.expand_density(
             spec, coeffs, centers[:, :2], queries),
         "backward_queries": lambda: basis.expand_density_backward(
-            spec, g, centers, np.hstack([queries, queries[:, :1]])),
+            spec, g, centers, np.hstack([queries, queries[:, :1]]), cache),
         "backward_centers": lambda: basis.expand_density_backward(
-            spec, g, centers[None], queries),
+            spec, g, centers[None], queries, cache),
         "backward_long_grad": lambda: basis.expand_density_backward(
-            spec, np.append(g, 1.0), centers, queries),
+            spec, np.append(g, 1.0), centers, queries, cache),
         "backward_column_grad": lambda: basis.expand_density_backward(
-            spec, g[:, None], centers, queries),
+            spec, g[:, None], centers, queries, cache),
     }
     with pytest.raises(DomainError, match=field):
         calls[call]()
 
 
 def test_expand_peak_memory_stays_small():
-    # the factored path holds (U, q, S) factors per chunk, not the 170 MB
-    # (q, U, n, S) basis tensor of the broadcast evaluation
+    # the factored path keeps the (U, q, n) and (U, q, S) factors of each
+    # 512-query chunk, ~6 MB a chunk here, not the 170 MB (q, U, n, S)
+    # basis tensor of the broadcast evaluation
     import tracemalloc
 
     spec = basis.RadialBasisSpec.default(l_max=7, n=16)
@@ -303,8 +315,9 @@ def test_expand_peak_memory_stays_small():
     g = rng.standard_normal(1024)
     tracemalloc.start()
     try:
-        basis.expand_density(spec, coeffs, centers, queries)
-        basis.expand_density_backward(spec, g, centers, queries)
+        cache = {}
+        basis.expand_density(spec, coeffs, centers, queries, cache=cache)
+        basis.expand_density_backward(spec, g, centers, queries, cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

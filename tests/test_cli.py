@@ -412,3 +412,17 @@ def test_split_with_unknown_record_rejected(tmp_path):
         split={"train": ["rec000"], "val": ["ghost"]}))
     with pytest.raises(SchemaError, match="ghost"):
         cli.cmd_train(cfg)
+
+def test_periodic_record_is_rejected_naming_it(tmp_path):
+    # graphs, the residual layer and the basis expansion ignore lattice
+    # images, so a periodic record would be silently mispredicted
+    stems = dataio.make_synthetic_dataset(tmp_path / "data", n_records=2,
+                                          seed=14, shape=(6, 6, 6))
+    types, coords, grid = dataio.load_record(stems[1])
+    dataio.save_record(stems[1], types, coords, geometry.VoxelGrid(
+        grid.shape, grid.cell, grid.origin, grid.values, pbc=True))
+    assert dataio.load_record(stems[1])[2].pbc  # the loader accepts it
+    cfg = cli.load_run_config(write_config(
+        tmp_path, tmp_path / "data", tmp_path / "out", n_iter=0))
+    with pytest.raises(SchemaError, match=r"rec001\.json: field 'pbc'"):
+        cli.cmd_train(cfg)

@@ -306,6 +306,22 @@ def test_param_arrays_stay_views_of_one_buffer(tmp_path):
     _assert_views_of_flat(loaded)
 
 
+def test_bind_views_another_vector_and_leaves_params_alone():
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=42, zero_heads=False)
+    before = params.flat.copy()
+    vec = np.arange(params.flat.size) * 1e-3
+    bound = model.bind(params, vec)
+    assert bound.flat is vec
+    _assert_views_of_flat(bound)
+    _assert_views_of_flat(params)
+    assert np.array_equal(params.flat, before)
+    # fixed arrays and the config are shared, not copied
+    assert bound.convs[1].radial.centers is params.convs[1].radial.centers
+    assert bound.config is params.config
+
+
 def _count_calls(monkeypatch, module, name, counts):
     real = getattr(module, name)
 

@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -24,6 +25,41 @@ def small_instance(rng, n_atoms=5, l_max=2, channels=3, cutoff=3.0,
     params = layers.init_conv_layer(rng, l_max, channels, cutoff,
                                     mode=mode, zero_head=zero_head)
     return graph, feats, params
+
+
+def nan_twin(layer):
+    """A gradient twin of ``layer``: a copy whose trainable arrays are NaN,
+    so an entry a backward fails to write shows."""
+    twin = copy.deepcopy(layer)
+    for _, owner, attr in twin.slots("grad"):
+        getattr(owner, attr).fill(np.nan)
+    return twin
+
+
+def _reference_radial_backward(params, r, grad_out):
+    """The radial adjoint in one whole-array pass that computes its own
+    activations, as radial_backward did when called without a cache."""
+    e = layers._embed(params, r)
+    a1 = e @ params.w1 + params.b1
+    h1 = layers.silu(a1)
+    a2 = h1 @ params.w2 + params.b2
+    h2 = layers.silu(a2)
+    g_a2 = (grad_out @ params.head_w.T) * layers._silu_grad(a2)
+    g_a1 = (g_a2 @ params.w2.T) * layers._silu_grad(a1)
+    return {"w1": e.T @ g_a1, "b1": g_a1.sum(axis=0),
+            "w2": h1.T @ g_a2, "b2": g_a2.sum(axis=0),
+            "head_w": h2.T @ grad_out, "head_b": grad_out.sum(axis=0)}
+
+
+def _assert_grads_close(twin, want):
+    """Every trainable array of a gradient twin against a reference's
+    gradients, ``{"self_w": ..., "radial": {name: ...}}``."""
+    if "self_w" in want:
+        _assert_close(twin.self_w, want["self_w"])
+    radial = getattr(twin, "radial", twin)
+    assert sorted(want["radial"]) == sorted(a for *_, a in radial.slots(""))
+    for key, g in want["radial"].items():
+        _assert_close(getattr(radial, key), g)
 
 
 def test_paths_l1_explicit():
@@ -95,7 +131,9 @@ def test_radial_backward_matches_fd():
     p = layers.init_radial_net(rng, 3.0, 5, zero_head=False)
     r = rng.uniform(0.1, 2.9, size=4)
     weight = rng.standard_normal((4, 5))
-    grads = layers.radial_backward(p, r, weight)
+    cache, grads = {}, nan_twin(p)
+    layers.radial_forward(p, r, cache=cache)
+    layers.radial_backward(p, weight, grads, cache)
     for name in ("w1", "b1", "w2", "b2", "head_w", "head_b"):
         arr = getattr(p, name)
         flat_idx = rng.choice(arr.size, size=min(5, arr.size), replace=False)
@@ -109,11 +147,11 @@ def test_radial_backward_matches_fd():
             dn = float((weight * layers.radial_forward(p, r)).sum())
             arr[idx] = old
             fd = (up - dn) / (2 * h)
-            got = grads[name][idx]
+            got = getattr(grads, name)[idx]
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-5
 
 
-def test_radial_backward_with_forward_cache_matches_uncached():
+def test_radial_backward_from_forward_cache_matches_reference():
     rng = np.random.default_rng(41)
     p = layers.init_radial_net(rng, 3.0, 6, zero_head=False)
     r = rng.uniform(0.0, 3.0, size=9)
@@ -122,11 +160,10 @@ def test_radial_backward_with_forward_cache_matches_uncached():
     out = layers.radial_forward(p, r, cache=cache)
     assert np.array_equal(out, layers.radial_forward(p, r))
     assert sorted(cache) == ["a1", "a2", "e", "h1", "h2"]
-    cached = layers.radial_backward(p, r, weight, cache=cache)
-    uncached = layers.radial_backward(p, r, weight)
-    assert cached.keys() == uncached.keys()
-    for key, g in uncached.items():
-        _assert_close(cached[key], g)
+    grads = nan_twin(p)
+    assert layers.radial_backward(p, weight, grads, cache) is None
+    _assert_grads_close(
+        grads, {"radial": _reference_radial_backward(p, r, weight)})
 
 
 def test_conv_no_edges_is_self_interaction():
@@ -252,6 +289,9 @@ def test_layers_reject_bad_shapes_naming_argument(call, field):
     coords = graph.atom_coord
     q = rng.uniform(-1.0, 1.0, size=(5, 3))
     extra = random_feats(rng, 4, 3, 3)  # one degree more than the layer
+    # a backward checks shapes before it reads its cache or gradient twin:
+    # an empty cache would raise KeyError, a None twin AttributeError
+    twin, cache = None, {}
     calls = {
         "conv_forward_degrees": lambda: layers.conv_forward(
             graph, extra, params),
@@ -260,24 +300,24 @@ def test_layers_reject_bad_shapes_naming_argument(call, field):
         "conv_forward_channels": lambda: layers.conv_forward(
             graph, feats[:, :2], params),
         "conv_backward_feats": lambda: layers.conv_backward(
-            graph, extra, params, feats),
+            graph, extra, params, feats, twin, cache),
         "conv_backward_degrees": lambda: layers.conv_backward(
-            graph, feats, params, extra),
+            graph, feats, params, extra, twin, cache),
         "gate_forward_split": lambda: layers.gate_forward(feats[:, :, :5]),
         "gate_forward_2d": lambda: layers.gate_forward(feats[:, 0]),
         "gate_backward_degrees": lambda: layers.gate_backward(feats, extra),
         "residual_forward_degrees": lambda: layers.residual_forward(
             q, coords, extra, res),
         "residual_backward_degrees": lambda: layers.residual_backward(
-            q, coords, extra, res, np.zeros(5)),
+            q, coords, extra, res, np.zeros(5), twin, cache),
         "residual_backward_long": lambda: layers.residual_backward(
-            q, coords, feats, res, np.zeros(6)),
+            q, coords, feats, res, np.zeros(6), twin, cache),
         "residual_backward_column": lambda: layers.residual_backward(
-            q, coords, feats, res, np.zeros((5, 1))),
+            q, coords, feats, res, np.zeros((5, 1)), twin, cache),
         "residual_forward_queries": lambda: layers.residual_forward(
             q[:, :2], coords, feats, res),
         "residual_backward_coords": lambda: layers.residual_backward(
-            q, coords.T, feats, res, np.zeros(5)),
+            q, coords.T, feats, res, np.zeros(5), twin, cache),
     }
     with pytest.raises(DomainError, match=f"^{field} must have shape"):
         calls[call]()
@@ -365,7 +405,7 @@ def _reference_conv_backward(graph, feats, params, grad_out):
         grad_self[l] = np.einsum("nca,nca->c", g, feats[l])
     if graph.n_edges == 0:
         return np.concatenate(list(grad_f.values()), axis=2), {
-            "self_w": grad_self, "radial": layers.radial_backward(
+            "self_w": grad_self, "radial": _reference_radial_backward(
                 params.radial, np.zeros(0),
                 np.zeros((0, params.radial.out_dim)))}
     r, rhat = layers._edge_geometry(graph)
@@ -392,7 +432,7 @@ def _reference_conv_backward(graph, feats, params, grad_out):
                     acc_fk += np.einsum("ecd,eca,eab->edb",
                                         phi[:, p], gmsg, g)
             np.add.at(grad_f[k], dst, acc_fk)
-    grad_radial = layers.radial_backward(
+    grad_radial = _reference_radial_backward(
         params.radial, r, grad_phi.reshape(graph.n_edges, -1))
     return np.concatenate(list(grad_f.values()), axis=2), {
         "self_w": grad_self, "radial": grad_radial}
@@ -435,23 +475,13 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
         sl = so3.block_slice(l)
         _assert_close(got[:, :, sl], want[:, :, sl])
 
-    # the backward reading the forward's cache and the one building its own
-    # must both match the reference, and each other
-    cached = layers.conv_backward(graph, feats, params, grad_out, cache=cache)
-    uncached = layers.conv_backward(graph, feats, params, grad_out)
+    grads = nan_twin(params)
+    got_f = layers.conv_backward(graph, feats, params, grad_out, grads, cache)
     want_f, want_p = _reference_conv_backward(graph, feats, params, grad_out)
-    for got_f, got_p in (cached, uncached):
-        for l in range(l_max + 1):
-            sl = so3.block_slice(l)
-            _assert_close(got_f[:, :, sl], want_f[:, :, sl])
-        _assert_close(got_p["self_w"], want_p["self_w"])
-        assert got_p["radial"].keys() == want_p["radial"].keys()
-        for key, want_g in want_p["radial"].items():
-            _assert_close(got_p["radial"][key], want_g)
-    _assert_close(cached[0], uncached[0])
-    _assert_close(cached[1]["self_w"], uncached[1]["self_w"])
-    for key, g in uncached[1]["radial"].items():
-        _assert_close(cached[1]["radial"][key], g)
+    for l in range(l_max + 1):
+        sl = so3.block_slice(l)
+        _assert_close(got_f[:, :, sl], want_f[:, :, sl])
+    _assert_grads_close(grads, want_p)
 
 
 def test_conv_plan_built_once(monkeypatch):
@@ -469,8 +499,9 @@ def test_conv_plan_built_once(monkeypatch):
     layers.conv_forward(graph, feats, params)
     assert sorted(calls) == sorted(params.paths)
     calls.clear()
-    layers.conv_forward(graph, feats, params)
-    layers.conv_backward(graph, feats, params, feats)
+    cache = {}
+    layers.conv_forward(graph, feats, params, cache=cache)
+    layers.conv_backward(graph, feats, params, feats, nan_twin(params), cache)
     assert calls == []
 
 
@@ -605,7 +636,9 @@ def test_conv_backward_matches_fd():
         return float((weight * layers.conv_forward(graph, feats,
                                                    params)).sum())
 
-    grad_f, grad_p = layers.conv_backward(graph, feats, params, weight)
+    cache, grads = {}, nan_twin(params)
+    layers.conv_forward(graph, feats, params, cache=cache)
+    grad_f = layers.conv_backward(graph, feats, params, weight, grads, cache)
     # feature gradients
     for l in range(3):
         sl = so3.block_slice(l)
@@ -623,10 +656,10 @@ def test_conv_backward_matches_fd():
             got = grad_f[:, :, sl][idx]
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-4
     # parameter gradients: self-interaction and radial trunk plus head
-    checks = [(params.self_w, grad_p["self_w"]),
-              (params.radial.head_w, grad_p["radial"]["head_w"]),
-              (params.radial.w1, grad_p["radial"]["w1"]),
-              (params.radial.b2, grad_p["radial"]["b2"])]
+    checks = [(params.self_w, grads.self_w),
+              (params.radial.head_w, grads.radial.head_w),
+              (params.radial.w1, grads.radial.w1),
+              (params.radial.b2, grads.radial.b2)]
     for arr, g in checks:
         for fi in rng.choice(arr.size, size=4, replace=False):
             idx = np.unravel_index(fi, arr.shape)
@@ -697,8 +730,10 @@ def test_residual_backward_matches_fd():
         return float((weight * layers.residual_forward(
             queries, coords, feats, params)).sum())
 
-    grad_f, grad_p = layers.residual_backward(queries, coords, feats,
-                                              params, weight)
+    cache, grads = {}, nan_twin(params)
+    layers.residual_forward(queries, coords, feats, params, cache=cache)
+    grad_f = layers.residual_backward(queries, coords, feats, params, weight,
+                                      grads, cache)
     for l in range(3):
         sl = so3.block_slice(l)
         arr = feats[:, :, sl]
@@ -714,7 +749,7 @@ def test_residual_backward_matches_fd():
             fd = (up - dn) / (2 * h)
             got = grad_f[:, :, sl][idx]
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) < 1e-4
-    arr, g = params.radial.head_w, grad_p["radial"]["head_w"]
+    arr, g = params.radial.head_w, grads.radial.head_w
     for fi in rng.choice(arr.size, size=4, replace=False):
         idx = np.unravel_index(fi, arr.shape)
         h = 1e-5
@@ -726,36 +761,6 @@ def test_residual_backward_matches_fd():
         arr[idx] = old
         fd = (up - dn) / (2 * h)
         assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8) < 1e-4
-
-@pytest.mark.parametrize("case", ["query_on_atom", "no_pairs"])
-def test_residual_backward_with_forward_cache_matches_uncached(case):
-    rng = np.random.default_rng(42)
-    coords = rng.uniform(-1.0, 1.0, size=(4, 3))
-    feats = random_feats(rng, 4, 3, 2)
-    params = layers.init_residual_layer(rng, 3, 2, 3.0, zero_head=False)
-    if case == "query_on_atom":
-        queries = rng.uniform(-2.0, 2.0, size=(9, 3))
-        queries[3] = coords[2]
-    else:
-        queries = rng.uniform(20.0, 30.0, size=(5, 3))
-    grad_z = rng.standard_normal(len(queries))
-    cache = {}
-    z = layers.residual_forward(queries, coords, feats, params, cache=cache)
-    assert np.array_equal(
-        z, layers.residual_forward(queries, coords, feats, params))
-    assert (cache["qi"].size == 0) == (case == "no_pairs")
-    assert np.all(np.diff(cache["vi"]) >= 0)  # pairs come sorted by atom
-    got_f, got_p = layers.residual_backward(queries, coords, feats, params,
-                                            grad_z, cache=cache)
-    want_f, want_p = layers.residual_backward(queries, coords, feats, params,
-                                              grad_z)
-    _assert_close(got_f, want_f)
-    assert got_p["radial"].keys() == want_p["radial"].keys()
-    for key, g in want_p["radial"].items():
-        _assert_close(got_p["radial"][key], g)
-    if case == "no_pairs":
-        assert not np.any(want_f)
-
 
 @pytest.mark.parametrize("field, bad", [
     ("queries", np.nan), ("coords", np.nan), ("coords", np.inf)])
@@ -773,7 +778,7 @@ def test_residual_rejects_non_finite_points_naming_them(field, bad):
                                 res)
     with pytest.raises(DomainError, match=f"^{field} must be finite"):
         layers.residual_backward(points["queries"], points["coords"], feats,
-                                 res, np.ones(5))
+                                 res, np.ones(5), None, {})
 
 
 def _reference_coupled_harmonics(queries, coords, params, qi, vi):
@@ -812,11 +817,11 @@ def _reference_residual_forward(queries, coords, feats, params):
 def _reference_residual_backward(queries, coords, feats, params, grad_z):
     """The residual adjoint with the same gathers and einsums, and the
     feature gradient scattered pair by pair."""
-    terms = layers._residual_terms(queries, coords, params, cache={})
+    terms = layers._residual_terms(queries, coords, params)
     qi, vi = terms["qi"], terms["vi"]
     grad_f = np.zeros_like(feats)
     if qi.size == 0:
-        return grad_f, {"radial": layers.radial_backward(
+        return grad_f, {"radial": _reference_radial_backward(
             params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
     phi = terms["phi"]
     t = _reference_coupled_harmonics(queries, coords, params, qi, vi)
@@ -830,8 +835,9 @@ def _reference_residual_backward(queries, coords, feats, params, grad_z):
         block = np.zeros_like(grad_f[:, :, sl])
         np.add.at(block, vi, outer)
         grad_f[:, :, sl] = block
-    return grad_f, {"radial": layers.radial_backward(
-        params.radial, terms["r"], grad_phi.reshape(qi.size, -1))}
+    r = np.linalg.norm(coords[vi] - queries[qi], axis=1)
+    return grad_f, {"radial": _reference_radial_backward(
+        params.radial, r, grad_phi.reshape(qi.size, -1))}
 
 
 def test_residual_layer_reads_no_coupling_tables(monkeypatch):
@@ -854,7 +860,7 @@ def test_residual_layer_reads_no_coupling_tables(monkeypatch):
     cache = {}
     layers.residual_forward(queries, coords, feats, params, cache=cache)
     layers.residual_backward(queries, coords, feats, params,
-                             rng.standard_normal(40), cache=cache)
+                             rng.standard_normal(40), nan_twin(params), cache)
     assert cache["qi"].size > 0 and calls == []
 
 
@@ -876,17 +882,67 @@ def test_residual_matches_reference_einsum(l_max, channels, case):
     counters, cache = layers.OpCounters(), {}
     z = layers.residual_forward(queries, coords, feats, params, counters,
                                 cache=cache)
+    assert np.array_equal(
+        z, layers.residual_forward(queries, coords, feats, params))
     _assert_close(z, _reference_residual_forward(queries, coords, feats,
                                                  params))
     n_pairs = cache["qi"].size
     assert (n_pairs == 0) == (case == "no_pairs")
+    assert np.all(np.diff(cache["vi"]) >= 0)  # pairs come sorted by atom
     assert counters.counts.get("residual", 0) == \
         n_pairs * (l_max + 1) ** 2 * (channels + 1)
+    grads = nan_twin(params)
+    got_f = layers.residual_backward(queries, coords, feats, params, grad_z,
+                                     grads, cache)
     want_f, want_p = _reference_residual_backward(queries, coords, feats,
                                                   params, grad_z)
-    for c in (cache, None):
-        got_f, got_p = layers.residual_backward(queries, coords, feats,
-                                                params, grad_z, cache=c)
-        _assert_close(got_f, want_f)
-        for key, g in want_p["radial"].items():
-            _assert_close(got_p["radial"][key], g)
+    _assert_close(got_f, want_f)
+    _assert_grads_close(grads, want_p)
+    if case == "no_pairs":
+        assert not np.any(got_f)
+
+
+@pytest.mark.parametrize("layer", ["channel", "fc", "residual"])
+@pytest.mark.parametrize("reach", ["connected", "disconnected"])
+def test_backwards_overwrite_every_gradient_entry(layer, reach):
+    # loss_and_grad hands each backward a twin viewing its gradient vector
+    # and does not zero it per layer: every entry must be written, and a
+    # layer with no edges or no query-atom pairs writes exact zeros
+    rng = np.random.default_rng(61)
+    far = reach == "disconnected"
+    coords = (np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]) if far
+              else rng.uniform(-1.5, 1.5, size=(5, 3)))
+    feats = random_feats(rng, len(coords), 2, 3)
+    cache = {}
+    if layer == "residual":
+        params = layers.init_residual_layer(rng, 2, 3, 3.0, zero_head=False)
+        queries = rng.uniform(20.0, 30.0, size=(6, 3)) if far else \
+            rng.uniform(-2.0, 2.0, size=(6, 3))
+        grad_z = rng.standard_normal(6)
+        layers.residual_forward(queries, coords, feats, params, cache=cache)
+        assert (cache["qi"].size == 0) == far
+        grads = nan_twin(params)
+        got_f = layers.residual_backward(queries, coords, feats, params,
+                                         grad_z, grads, cache)
+        want_f, want_p = _reference_residual_backward(queries, coords, feats,
+                                                      params, grad_z)
+    else:
+        graph = geometry.MolecularGraph.from_coords(
+            np.zeros(len(coords), dtype=int), coords, 3.0)
+        assert (graph.n_edges == 0) == far
+        params = layers.init_conv_layer(rng, 2, 3, 3.0, mode=layer,
+                                        zero_head=False)
+        grad_out = random_feats(rng, len(coords), 2, 3)
+        layers.conv_forward(graph, feats, params, cache=cache)
+        grads = nan_twin(params)
+        got_f = layers.conv_backward(graph, feats, params, grad_out, grads,
+                                     cache)
+        want_f, want_p = _reference_conv_backward(graph, feats, params,
+                                                  grad_out)
+    written = [getattr(owner, attr) for _, owner, attr in grads.slots("")]
+    assert all(np.all(np.isfinite(a)) for a in written)
+    _assert_close(got_f, want_f)
+    _assert_grads_close(grads, want_p)
+    if far:
+        assert not any(np.any(getattr(o, a))
+                       for _, o, a in grads.radial.slots(""))

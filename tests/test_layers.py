@@ -902,6 +902,37 @@ def test_residual_matches_reference_einsum(l_max, channels, case):
         assert not np.any(got_f)
 
 
+@pytest.mark.parametrize("case", ["query_on_atom", "no_pairs"])
+def test_residual_backward_with_forward_cache_matches_uncached(case):
+    # the backward reads the pairs, radial features and harmonics the
+    # forward cached; the reference recomputes all of them from scratch
+    rng = np.random.default_rng(42)
+    coords = rng.uniform(-1.0, 1.0, size=(4, 3))
+    feats = random_feats(rng, 4, 3, 2)
+    params = layers.init_residual_layer(rng, 3, 2, 3.0, zero_head=False)
+    if case == "query_on_atom":
+        queries = rng.uniform(-2.0, 2.0, size=(9, 3))
+        queries[3] = coords[2]
+    else:
+        queries = rng.uniform(20.0, 30.0, size=(5, 3))
+    grad_z = rng.standard_normal(len(queries))
+    cache = {}
+    z = layers.residual_forward(queries, coords, feats, params, cache=cache)
+    assert np.array_equal(
+        z, layers.residual_forward(queries, coords, feats, params))
+    assert (cache["qi"].size == 0) == (case == "no_pairs")
+    assert np.all(np.diff(cache["vi"]) >= 0)  # pairs come sorted by atom
+    grads = nan_twin(params)
+    got_f = layers.residual_backward(queries, coords, feats, params, grad_z,
+                                     grads, cache)
+    want_f, want_p = _reference_residual_backward(queries, coords, feats,
+                                                  params, grad_z)
+    _assert_close(got_f, want_f)
+    _assert_grads_close(grads, want_p)
+    if case == "no_pairs":
+        assert not np.any(want_f)
+
+
 @pytest.mark.parametrize("layer", ["channel", "fc", "residual"])
 @pytest.mark.parametrize("reach", ["connected", "disconnected"])
 def test_backwards_overwrite_every_gradient_entry(layer, reach):

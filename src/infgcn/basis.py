@@ -21,6 +21,12 @@ The adjoint needs the same two factors and reads them from the forward's
 cache instead of evaluating the harmonics again, at the price of holding
 every chunk's factors (~6 MB per 512 queries at 18 centers) until it runs.
 
+On a box of voxels (``axes=``, from `geometry.partition_grid` on a
+diagonal cell) the harmonics are polynomials (`so3.sh_monomials`) and the
+Gaussian factors per axis, so the density is a sum of products of 1-D
+tables (x - c_x)^i exp(-a_n (x - c_x)^2), contracted in three GEMMs
+(`_expand_box`). It evaluates no harmonic at a voxel and has no adjoint.
+
 All lengths are Bohr; densities are e/Bohr^3.
 """
 
@@ -35,6 +41,7 @@ from . import so3
 from .errors import AccuracyError, DomainError
 
 _CHUNK = 512  # queries per block of basis factors
+_TINY = np.finfo(float).tiny
 
 
 def make_exponents(r_min=0.5, r_max=5.0, n=16, spacing="linear"):
@@ -131,7 +138,7 @@ def _factor_chunks(spec, centers, queries):
         yield sl, _factors(spec, queries[None, sl] - centers[:, None])
 
 
-def expand_density(spec, coeffs, centers, queries, cache=None):
+def expand_density(spec, coeffs, centers, queries, cache=None, axes=None):
     """Multicentric expansion  rho(x) = sum_u sum_{n l m} f[u,n,lm] psi(x - r_u).
 
     coeffs: (U, n_radial, (l_max+1)**2); centers: (U, 3); queries: (Q, 3).
@@ -141,6 +148,11 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
     Y (U, q, S); the chunks bound the size of Y. A ``cache`` dict receives
     every chunk's factors under ``chunks`` for ``expand_density_backward``,
     which holds all of them at once.
+
+    ``axes=(xs, ys, zs)`` declares that ``queries`` is the box of points
+    (xs[i], ys[j], zs[k]) in X-fastest order, which is checked exactly; the
+    density is then decoded from per-axis factor tables (`_expand_box`).
+    That path has no adjoint, so ``axes`` with a ``cache`` is an error.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     centers = _points("centers", centers)
@@ -150,6 +162,12 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
             f"coeffs shape {coeffs.shape} does not match spec/centers "
             f"({centers.shape[0]}, {spec.n_radial}, {spec.n_sh})")
     cf = coeffs * _norm_columns(spec)
+    if axes is not None:
+        if cache is not None:
+            raise DomainError("axes: the box path keeps no cache for the "
+                              "adjoint")
+        axes = _box_axes(axes, queries)
+        return _expand_box(spec, cf, centers, axes)
     out = np.empty(queries.shape[0])
     chunks = _factor_chunks(spec, centers, queries)
     if cache is not None:
@@ -157,6 +175,55 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
     for sl, (E, Y) in chunks:
         out[sl] = np.einsum("uqs,uqs->q", E @ cf, Y)
     return out
+
+
+def _box_axes(axes, queries):
+    """``axes`` as three 1-D float arrays whose box, X fastest, is exactly
+    ``queries``; DomainError otherwise."""
+    if len(axes) != 3:
+        raise DomainError(f"axes must hold three arrays, got {len(axes)}")
+    xs, ys, zs = (np.asarray(t, dtype=float) for t in axes)
+    if xs.ndim != 1 or ys.ndim != 1 or zs.ndim != 1:
+        raise DomainError("axes must be three 1-D arrays")
+    box = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
+                   axis=-1).reshape(-1, 3)
+    if not np.array_equal(box, queries):
+        raise DomainError("queries are not the box that axes describe")
+    return xs, ys, zs
+
+
+def _axis_table(spec, t, c):
+    """(U * n_radial, l_max+1, T) table of (t - c_u)^i exp(-a_n (t - c_u)^2)
+    along one axis, for the center coordinates ``c`` (U,) and the axis
+    coordinates ``t`` (T,). Entries below the smallest normal float are set
+    to zero, as in ``layers._embed``: GEMMs over subnormal operands run
+    several times slower."""
+    d = t - c[:, None]                                          # (U, T)
+    gauss = np.exp(-np.multiply.outer(d * d, spec.exponents))   # (U, T, n)
+    powers = d[:, None, :] ** np.arange(spec.l_max + 1)[:, None]  # (U, i, T)
+    tab = gauss.transpose(0, 2, 1)[:, :, None, :] * powers[:, None]
+    np.copyto(tab, 0.0, where=np.abs(tab) < _TINY)
+    return tab.reshape(-1, spec.l_max + 1, t.size)
+
+
+def _expand_box(spec, cf, centers, axes):
+    """rho on the box ``axes`` from 1-D factor tables. A GTO is
+    c_{nl} exp(-a_n |d|^2) times a polynomial in d of degree l, and the
+    Gaussian factors per axis, so
+
+        rho = sum_{u,n} sum_{ijk} g[u,n,i,j,k] X[u,n,i](x) Y[u,n,j](y) Z[u,n,k](z)
+
+    with the monomial coefficients g = cf @ so3.sh_monomials and the tables
+    of `_axis_table`; three GEMMs contract z, then y, then x with the sum
+    over centers and radial functions."""
+    n = spec.l_max + 1
+    g = cf.reshape(-1, spec.n_sh) @ so3.sh_monomials(spec.l_max).reshape(
+        spec.n_sh, -1)                                      # (UN, i*j*k)
+    X, Y, Z = (_axis_table(spec, t, centers[:, a]) for a, t in enumerate(axes))
+    a = g.reshape(-1, n * n, n) @ Z                         # (UN, i*j, z)
+    b = a.reshape(-1, n, n, Z.shape[2]).transpose(0, 1, 3, 2) @ Y[:, None]
+    b = b.reshape(X.shape[0] * n, Z.shape[2] * Y.shape[2])  # (UN*i, z*y)
+    return (b.T @ X.reshape(-1, X.shape[2])).reshape(-1)    # (z, y, x)
 
 
 def expand_density_backward(spec, grad_out, centers, queries, cache):

@@ -124,6 +124,8 @@ def _load_dataset(cfg):
         names = (cfg.split or {}).get(key)
         if names is None:
             return list(records.values())
+        if not names:
+            raise SchemaError(f"split[{key!r}]: the list is empty")
         missing = [n for n in names if n not in records]
         if missing:
             raise SchemaError(f"split[{key!r}]: unknown record "
@@ -218,8 +220,11 @@ def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
     coeffs = model.encode(params, graph)
     acc = model.NMAEAccumulator()
     for batch in geometry.partition_grid(grid, cfg.inf_sample):
-        pts = batch.points if transform is None else transform(batch.points)
-        acc.add(model.predict_density(params, graph, pts, coeffs=coeffs),
+        pts, axes = batch.points, batch.axes
+        if transform is not None:  # rotated points are no longer a box
+            pts, axes = transform(pts), None
+        acc.add(model.predict_density(params, graph, pts, coeffs=coeffs,
+                                      axes=axes),
                 batch.targets)
     return acc
 
@@ -272,7 +277,8 @@ def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     def run(rec):
         grid, graph = rec["grid"], rec["graph"]
         coeffs = model.encode(params, graph)
-        parts = [model.predict_density(params, graph, b.points, coeffs=coeffs)
+        parts = [model.predict_density(params, graph, b.points, coeffs=coeffs,
+                                       axes=b.axes)
                  for b in geometry.partition_grid(grid, cfg.inf_sample)]
         pred = np.concatenate(parts)
         numbers = rec["types"] + 1  # vocab indices to nuclear charges

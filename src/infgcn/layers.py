@@ -114,12 +114,14 @@ class OpCounters:
 
 def _sigmoid(x):
     # exp(-|x|) never overflows; the numerator picks 1 or exp(x) by sign:
-    # np.where(x >= 0, 1.0, e) / (1.0 + e), computed in place in e
+    # np.where(x >= 0, 1.0, e) / (1.0 + e), computed in place in e; as
+    # e <= 1, max(e, x >= 0) makes that pick without a masked copy and
+    # keeps a NaN
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = np.add(1.0, e)
-    np.copyto(e, 1.0, where=x >= 0)
+    np.maximum(e, x >= 0, out=e)
     return np.divide(e, d, out=e)
 
 

@@ -164,6 +164,77 @@ def _sh_rows(l_max, pts):
     return out
 
 
+_MONOMIALS: dict = {}
+
+
+def sh_monomials(l_max):
+    """The solid harmonics as polynomials: an array T of shape
+    ((l_max+1)**2, n, n, n), n = l_max + 1, with
+
+        |d|^l Y_lm(dhat) = sum_{ijk} T[l*l + l + m, i, j, k] x^i y^j z^k.
+
+    Row (l, m) is non-zero only where i + j + k = l (120 monomials against 64
+    harmonics at l_max = 7). Built on first use by ``_sh_rows``' recursion
+    run on coefficient arrays, and memoized; like ``layers.conv_plan`` the
+    memo takes no lock, since racing builds give equal tables.
+    """
+    table = _MONOMIALS.get(l_max)
+    if table is None:
+        table = _MONOMIALS[l_max] = _build_sh_monomials(l_max)
+    return table
+
+
+def _build_sh_monomials(l_max):
+    if l_max < 0:
+        raise DomainError("l_max must be >= 0")
+    n = l_max + 1
+
+    def times(p, axis):
+        out = np.zeros_like(p)
+        dst, src = [slice(None)] * 3, [slice(None)] * 3
+        dst[axis], src[axis] = slice(1, None), slice(None, -1)
+        out[tuple(dst)] = p[tuple(src)]
+        return out
+
+    def product(p, f):
+        out = np.zeros_like(p)
+        for i, j in zip(*np.nonzero(f[:, :, 0])):
+            out[i:, j:] += f[i, j, 0] * p[:n - i, :n - j]
+        return out
+
+    def r2(p):
+        return sum(times(times(p, a), a) for a in range(3))
+
+    one = np.zeros((n, n, n))
+    one[0, 0, 0] = 1.0
+    out = np.empty((num_sh(l_max), n, n, n))
+    c, s, q_mm = one, np.zeros_like(one), one
+    for m in range(0, l_max + 1):
+        if m > 0:
+            c, s = times(c, 0) - times(s, 1), times(s, 0) + times(c, 1)
+            q_mm = q_mm * (2 * m - 1)
+        q_prev = q_curr = None
+        for l in range(m, l_max + 1):
+            if l == m:
+                q = q_mm
+            elif l == m + 1:
+                q = (2 * m + 1) * times(q_mm, 2)
+            else:
+                q = ((2 * l - 1) * times(q_curr, 2)
+                     - (l + m - 1) * r2(q_prev)) / (l - m)
+            q_prev, q_curr = (q_curr, q) if l > m else (None, q)
+            nlm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                            * math.factorial(l - m) / math.factorial(l + m))
+            if m == 0:
+                out[sh_index(l, 0)] = nlm * q
+            else:
+                fq = math.sqrt(2.0) * nlm * q
+                out[sh_index(l, m)] = product(fq, c)
+                out[sh_index(l, -m)] = product(fq, s)
+    out.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan tables
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coeff_rotation import rotate_coeffs
-from infgcn import basis, so3
+from infgcn import basis, geometry, so3
 from infgcn.errors import AccuracyError, DomainError
 
 
@@ -299,6 +299,48 @@ def test_expand_rejects_bad_shapes_naming_field(call, field):
     }
     with pytest.raises(DomainError, match=field):
         calls[call]()
+
+
+@pytest.mark.parametrize("l_max", [7, 2])
+@pytest.mark.parametrize("far", [False, True])
+def test_expand_on_boxes_matches_dense_path(l_max, far):
+    # box batches of a non-cubic grid that are planes (35, 70, 315 voxels
+    # fit 1, 2 and 9 planes), rows of one plane (7, 20) and row segments
+    # (1, 3, 6); centers in the box, or up to ~20 bohr outside it
+    spec = basis.RadialBasisSpec.default(l_max=l_max, n=6)
+    rng = np.random.default_rng(11)
+    grid = geometry.VoxelGrid((7, 5, 9), np.diag([4.2, 3.1, 5.3]),
+                              np.array([-2.0, -1.5, -2.5]), np.zeros(315))
+    centers = rng.uniform(-1.5, 1.5, (4, 3))
+    if far:
+        centers[:2] += [[15.0, -9.0, 4.0], [-3.0, 2.0, -12.0]]
+    coeffs = rng.standard_normal((4, 6, spec.n_sh))
+    want = basis.expand_density(spec, coeffs, centers,
+                                geometry.grid_coordinates(grid))
+    tol = 1e-12 * np.abs(want).max()
+    for bs in (1, 3, 6, 7, 20, 35, 70, 315):
+        for b in geometry.partition_grid(grid, bs):
+            got = basis.expand_density(spec, coeffs, centers, b.points,
+                                       axes=b.axes)
+            assert np.abs(got - want[b.indices]).max() <= tol
+
+
+def test_expand_box_rejects_wrong_axes_and_a_cache():
+    spec = basis.RadialBasisSpec.default(l_max=2, n=3)
+    rng = np.random.default_rng(12)
+    centers = rng.standard_normal((2, 3))
+    coeffs = rng.standard_normal((2, 3, spec.n_sh))
+    xs, ys, zs = np.arange(3.0), np.arange(2.0), np.arange(4.0)
+    box = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
+                   axis=-1).reshape(-1, 3)
+    basis.expand_density(spec, coeffs, centers, box, axes=(xs, ys, zs))
+    for axes in ((ys, xs, zs), (xs, ys, zs + 1e-15), (xs, ys, zs[:3]),
+                 (xs, ys), (xs[:, None], ys, zs)):
+        with pytest.raises(DomainError, match="axes"):
+            basis.expand_density(spec, coeffs, centers, box, axes=axes)
+    with pytest.raises(DomainError, match="axes"):
+        basis.expand_density(spec, coeffs, centers, box, cache={},
+                             axes=(xs, ys, zs))
 
 
 def test_expand_peak_memory_stays_small():

@@ -177,10 +177,13 @@ def test_records_are_encoded_once_and_decoded_per_batch(tmp_path, monkeypatch,
         tmp_path, tmp_path / "data", tmp_path / "out", model=mcfg,
         inf_sample=37))
     calls = {"conv": 0, "predict": 0}
+    queries = []
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
             calls[key] += 1
+            if key == "predict":
+                queries.append(args[2])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -192,8 +195,16 @@ def test_records_are_encoded_once_and_decoded_per_batch(tmp_path, monkeypatch,
         cli.cmd_eval(cfg, ckpt, deterministic=True)
     else:
         cli.cmd_predict(cfg, ckpt, out_dir=tmp_path / "cubes")
+    grids = [dataio.load_record(stem)[2]
+             for stem in dataio.list_records(tmp_path / "data")]
     assert calls["conv"] == 2 * 2  # n_layers x n_records
-    assert calls["predict"] == 2 * -(-512 // 37)  # every batch is predicted
+    # every batch is predicted, once
+    assert calls["predict"] == sum(len(geometry.partition_grid(g, 37))
+                                   for g in grids)
+    # and together the batches' queries are every grid node exactly once
+    got = np.concatenate(queries)
+    want = np.concatenate([geometry.grid_coordinates(g) for g in grids])
+    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
 
 
 def test_unrotated_eval_reuses_the_loaded_graphs(tmp_path, monkeypatch):
@@ -412,6 +423,21 @@ def test_split_with_unknown_record_rejected(tmp_path):
         split={"train": ["rec000"], "val": ["ghost"]}))
     with pytest.raises(SchemaError, match="ghost"):
         cli.cmd_train(cfg)
+
+@pytest.mark.parametrize("key", ["train", "val"])
+def test_empty_split_rejected_naming_it(tmp_path, key):
+    # an empty train split divided by zero; an empty val split failed
+    # later with an NMAE DomainError that named neither
+    dataio.make_synthetic_dataset(tmp_path / "data", seed=13,
+                                  shape=(6, 6, 6))
+    split = {"train": ["rec000"], "val": ["rec000"]}
+    split[key] = []
+    cfg = cli.load_run_config(write_config(
+        tmp_path, tmp_path / "data", tmp_path / "out", n_iter=1,
+        val_every=1, split=split))
+    with pytest.raises(SchemaError, match=rf"split\['{key}'\]"):
+        cli.cmd_train(cfg)
+
 
 def test_periodic_record_is_rejected_naming_it(tmp_path):
     # graphs, the residual layer and the basis expansion ignore lattice

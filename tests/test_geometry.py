@@ -163,6 +163,35 @@ def test_partition_sizes_and_order():
         geometry.partition_grid(g, 0)
 
 
+@pytest.mark.parametrize("bs,n_batches", [
+    (315, 1), (70, 5), (35, 9),      # whole planes of 7 x 5 voxels
+    (34, 18), (20, 27), (7, 45),     # whole rows of one plane
+    (6, 90), (3, 135), (1, 315)])    # segments of one row
+def test_partition_batches_are_boxes(bs, n_batches):
+    g = geometry.VoxelGrid((7, 5, 9), np.diag([4.2, -3.1, 5.3]),
+                           np.array([-2.0, 0.0, 1.5]), np.arange(315.0))
+    nodes = geometry.grid_coordinates(g)
+    batches = geometry.partition_grid(g, bs)
+    assert len(batches) == n_batches
+    assert np.array_equal(np.concatenate([b.indices for b in batches]),
+                          np.arange(315))
+    for b in batches:
+        assert b.indices.size <= bs
+        i, j, k = (np.unique(v) for v in np.unravel_index(
+            b.indices, (9, 5, 7))[::-1])
+        assert i.size * j.size * k.size == b.indices.size  # a box
+        xs, ys, zs = b.axes
+        box = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
+                       axis=-1).reshape(-1, 3)
+        assert box.tobytes() == b.points.tobytes()
+        assert np.array_equal(b.points, nodes[b.indices])
+    sheared = geometry.VoxelGrid(g.shape, g.cell + [[0, 0.3, 0], [0] * 3,
+                                                    [0] * 3],
+                                 g.origin, g.values)
+    assert all(b.axes is None for b in geometry.partition_grid(sheared, bs))
+    assert geometry.sample_queries(g, 5, rng_seed=0).axes is None
+
+
 def test_partition_sum_matches_single_pass():
     g = _random_grid(np.random.default_rng(9))
     batches = geometry.partition_grid(g, 17)

@@ -130,6 +130,27 @@ def test_sh_row_major_buffer_matches_per_column_reference(shape):
     assert np.array_equal(got, _reference_eval_real_sh(7, d))
 
 
+@pytest.mark.parametrize("l_max", [0, 1, 2, 7])
+def test_sh_monomials_reproduce_solid_harmonics(l_max):
+    # sum_{ijk} T[lm, i, j, k] x^i y^j z^k = |d|^l Y_lm(dhat), within 1e-13
+    # of |d|^l out to 10 bohr, with only degree-l monomials in row (l, m)
+    rng = np.random.default_rng(21)
+    d = unit_vectors(rng, 500) * rng.uniform(0.0, 10.0, (500, 1))
+    table = so3.sh_monomials(l_max)
+    n = l_max + 1
+    assert table.shape == (so3.num_sh(l_max), n, n, n)
+    assert so3.sh_monomials(l_max) is table
+    px, py, pz = (d[:, a, None] ** np.arange(n) for a in range(3))
+    got = np.einsum("sijk,qi,qj,qk->qs", table, px, py, pz)
+    degree = np.repeat(np.arange(n), 2 * np.arange(n) + 1)
+    scale = np.linalg.norm(d, axis=1)[:, None] ** degree
+    assert np.all(np.abs(got - so3.eval_real_sh(l_max, d)) <= 1e-13 * scale)
+    i, j, k = np.indices((n, n, n))
+    off_degree = (i + j + k)[None] != degree[:, None, None, None]
+    assert np.all(table[np.broadcast_to(off_degree, table.shape)] == 0.0)
+    assert np.count_nonzero(table.any(axis=0)) == (n + 2) * (n + 1) * n // 6
+
+
 def test_solid_harmonics_scale_with_length():
     # eval_real_sh(s u) = |s u|^l Y_lm(u): each degree-l block of a scaled
     # unit vector is s^l times the spherical harmonics, down to the origin,

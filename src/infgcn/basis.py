@@ -21,11 +21,14 @@ The adjoint needs the same two factors and reads them from the forward's
 cache instead of evaluating the harmonics again, at the price of holding
 every chunk's factors (~6 MB per 512 queries at 18 centers) until it runs.
 
-On a box of voxels (``axes=``, from `geometry.partition_grid` on a
-diagonal cell) the harmonics are polynomials (`so3.sh_monomials`) and the
-Gaussian factors per axis, so the density is a sum of products of 1-D
+When the queries are a box of points (xs[i], ys[j], zs[k]) in X-fastest
+order, as `geometry.partition_grid` makes on an axis-aligned cell, and no
+cache is asked for, the harmonics are polynomials (`so3.sh_monomials`) and
+the Gaussian factors per axis, so the density is a sum of products of 1-D
 tables (x - c_x)^i exp(-a_n (x - c_x)^2), contracted in three GEMMs
-(`_expand_box`). It evaluates no harmonic at a voxel and has no adjoint.
+(`_expand_box`). That path evaluates no harmonic at a voxel and has no
+adjoint; other queries, and every forward that fills a cache, take the
+dense path.
 
 All lengths are Bohr; densities are e/Bohr^3.
 """
@@ -42,6 +45,11 @@ from .errors import AccuracyError, DomainError
 
 _CHUNK = 512  # queries per block of basis factors
 _TINY = np.finfo(float).tiny
+# smallest box of queries decoded from 1-D tables: their fixed cost (the
+# coefficients mapped onto monomials, the tables built) beats the dense path
+# only above ~100 points at l_max 2 and ~150 at l_max 7 (18 centers, BLAS on
+# one thread)
+_BOX_MIN = 256
 
 
 def make_exponents(r_min=0.5, r_max=5.0, n=16, spacing="linear"):
@@ -138,7 +146,7 @@ def _factor_chunks(spec, centers, queries):
         yield sl, _factors(spec, queries[None, sl] - centers[:, None])
 
 
-def expand_density(spec, coeffs, centers, queries, cache=None, axes=None):
+def expand_density(spec, coeffs, centers, queries, cache=None):
     """Multicentric expansion  rho(x) = sum_u sum_{n l m} f[u,n,lm] psi(x - r_u).
 
     coeffs: (U, n_radial, (l_max+1)**2); centers: (U, 3); queries: (Q, 3).
@@ -149,10 +157,8 @@ def expand_density(spec, coeffs, centers, queries, cache=None, axes=None):
     every chunk's factors under ``chunks`` for ``expand_density_backward``,
     which holds all of them at once.
 
-    ``axes=(xs, ys, zs)`` declares that ``queries`` is the box of points
-    (xs[i], ys[j], zs[k]) in X-fastest order, which is checked exactly; the
-    density is then decoded from per-axis factor tables (`_expand_box`).
-    That path has no adjoint, so ``axes`` with a ``cache`` is an error.
+    Without a ``cache``, queries that are exactly a box (`_box_axes`) are
+    decoded from per-axis factor tables instead (`_expand_box`).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     centers = _points("centers", centers)
@@ -162,11 +168,8 @@ def expand_density(spec, coeffs, centers, queries, cache=None, axes=None):
             f"coeffs shape {coeffs.shape} does not match spec/centers "
             f"({centers.shape[0]}, {spec.n_radial}, {spec.n_sh})")
     cf = coeffs * _norm_columns(spec)
+    axes = None if cache is not None else _box_axes(queries)
     if axes is not None:
-        if cache is not None:
-            raise DomainError("axes: the box path keeps no cache for the "
-                              "adjoint")
-        axes = _box_axes(axes, queries)
         return _expand_box(spec, cf, centers, axes)
     out = np.empty(queries.shape[0])
     chunks = _factor_chunks(spec, centers, queries)
@@ -177,19 +180,26 @@ def expand_density(spec, coeffs, centers, queries, cache=None, axes=None):
     return out
 
 
-def _box_axes(axes, queries):
-    """``axes`` as three 1-D float arrays whose box, X fastest, is exactly
-    ``queries``; DomainError otherwise."""
-    if len(axes) != 3:
-        raise DomainError(f"axes must hold three arrays, got {len(axes)}")
-    xs, ys, zs = (np.asarray(t, dtype=float) for t in axes)
-    if xs.ndim != 1 or ys.ndim != 1 or zs.ndim != 1:
-        raise DomainError("axes must be three 1-D arrays")
-    box = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
-                   axis=-1).reshape(-1, 3)
-    if not np.array_equal(box, queries):
-        raise DomainError("queries are not the box that axes describe")
-    return xs, ys, zs
+def _leading_run(a):
+    """Number of leading rows of ``a`` equal to its first row."""
+    moved = (a != a[0]).reshape(a.shape[0], -1).any(axis=1)
+    return int(moved.argmax()) if moved.any() else a.shape[0]
+
+
+def _box_axes(queries):
+    """(xs, ys, zs) when ``queries`` is exactly the box of points
+    (xs[i], ys[j], zs[k]), X fastest, of at least ``_BOX_MIN`` points; else
+    None."""
+    if queries.shape[0] < _BOX_MIN:
+        return None
+    nx = _leading_run(queries[:, 1:])
+    ny = _leading_run(queries[::nx, 2])
+    if queries.shape[0] % (nx * ny):
+        return None
+    axes = queries[:nx, 0], queries[:nx * ny:nx, 1], queries[::nx * ny, 2]
+    box = np.stack(np.broadcast_arrays(axes[0], axes[1][:, None],
+                                       axes[2][:, None, None]), axis=-1)
+    return axes if np.array_equal(box.reshape(-1, 3), queries) else None
 
 
 def _axis_table(spec, t, c):

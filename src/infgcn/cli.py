@@ -220,11 +220,8 @@ def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
     coeffs = model.encode(params, graph)
     acc = model.NMAEAccumulator()
     for batch in geometry.partition_grid(grid, cfg.inf_sample):
-        pts, axes = batch.points, batch.axes
-        if transform is not None:  # rotated points are no longer a box
-            pts, axes = transform(pts), None
-        acc.add(model.predict_density(params, graph, pts, coeffs=coeffs,
-                                      axes=axes),
+        pts = batch.points if transform is None else transform(batch.points)
+        acc.add(model.predict_density(params, graph, pts, coeffs=coeffs),
                 batch.targets)
     return acc
 
@@ -277,8 +274,7 @@ def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     def run(rec):
         grid, graph = rec["grid"], rec["graph"]
         coeffs = model.encode(params, graph)
-        parts = [model.predict_density(params, graph, b.points, coeffs=coeffs,
-                                       axes=b.axes)
+        parts = [model.predict_density(params, graph, b.points, coeffs=coeffs)
                  for b in geometry.partition_grid(grid, cfg.inf_sample)]
         pred = np.concatenate(parts)
         numbers = rec["types"] + 1  # vocab indices to nuclear charges

@@ -167,7 +167,6 @@ class QuerySample:
     targets: np.ndarray
     weight: float
     indices: np.ndarray | None = None
-    axes: tuple | None = None  # (xs, ys, zs) of a box batch on a diagonal cell
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -218,44 +217,22 @@ def sample_queries(grid, k, rng_seed):
 def partition_grid(grid, batch_size):
     """Deterministic batches covering every voxel exactly once, flat order.
 
-    Each batch is a box of at most ``batch_size`` voxels: whole z-planes when
-    a plane fits, else whole rows of one plane when a row fits, else
-    segments of one row, so its flat indices are one contiguous run. On a
-    diagonal cell a batch carries ``axes``, its x, y and z node coordinates,
-    whose product is exactly its ``points``.
+    When a z-plane fits in ``batch_size``, batches are whole planes (the
+    size rounded down to a multiple of nx * ny), so on an axis-aligned cell
+    each is a box that ``basis.expand_density`` decodes from 1-D tables.
     """
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
-    nx, ny, nz = grid.shape
-    if batch_size >= nx * ny:
-        p = batch_size // (nx * ny)
-        boxes = [((0, nx), (0, ny), (k, min(k + p, nz)))
-                 for k in range(0, nz, p)]
-    elif batch_size >= nx:
-        r = batch_size // nx
-        boxes = [((0, nx), (j, min(j + r, ny)), (k, k + 1))
-                 for k in range(nz) for j in range(0, ny, r)]
-    else:
-        boxes = [((i, min(i + batch_size, nx)), (j, j + 1), (k, k + 1))
-                 for k in range(nz) for j in range(ny)
-                 for i in range(0, nx, batch_size)]
-    lines = None
-    if np.array_equal(grid.cell, np.diag(np.diag(grid.cell))):
-        # node coordinates along each axis as _coords_at computes them; at
-        # other nodes the off-diagonal terms it adds are exact zeros
-        lines = [_coords_at(grid, np.arange(nx))[:, 0],
-                 _coords_at(grid, nx * np.arange(ny))[:, 1],
-                 _coords_at(grid, nx * ny * np.arange(nz))[:, 2]]
+    plane = grid.shape[0] * grid.shape[1]
+    if batch_size >= plane:
+        batch_size -= batch_size % plane
     out = []
-    for (x0, x1), (y0, y1), (z0, z1) in boxes:
-        start = x0 + nx * (y0 + ny * z0)
-        idx = np.arange(start, start + (x1 - x0) * (y1 - y0) * (z1 - z0))
-        axes = None if lines is None else (
-            lines[0][x0:x1], lines[1][y0:y1], lines[2][z0:z1])
+    for start in range(0, grid.n_voxels, batch_size):
+        idx = np.arange(start, min(start + batch_size, grid.n_voxels))
         out.append(QuerySample(points=_coords_at(grid, idx),
                                targets=grid.values[idx],
                                weight=grid.voxel_volume,
-                               indices=idx, axes=axes))
+                               indices=idx))
     return out
 
 

@@ -221,7 +221,7 @@ def _encode(params, graph, counters, keep):
                "conv_caches": conv_caches}
 
 
-def _forward(params, graph, queries, counters, keep, coeffs=None, axes=None):
+def _forward(params, graph, queries, counters, keep, coeffs=None):
     """Encode unless ``coeffs`` is given, then decode at ``queries``. With
     ``keep`` each layer that has an adjoint fills a cache for it."""
     cfg = params.config
@@ -237,7 +237,7 @@ def _forward(params, graph, queries, counters, keep, coeffs=None, axes=None):
     spec = cfg.basis_spec()
     basis_cache, residual_cache = ({}, {}) if keep else (None, None)
     dens = basis.expand_density(spec, coeffs, graph.atom_coord, queries,
-                                cache=basis_cache, axes=axes)
+                                cache=basis_cache)
     _check_finite(dens, "expand_density")
     if params.residual is not None:
         z = layers.residual_forward(queries, graph.atom_coord, coeffs,
@@ -265,14 +265,11 @@ def forward_trace(params, graph, queries, counters=None):
     return _forward(params, graph, queries, counters, keep=True)
 
 
-def predict_density(params, graph, queries, counters=None, coeffs=None,
-                    axes=None):
+def predict_density(params, graph, queries, counters=None, coeffs=None):
     """Densities at ``queries``, keeping no caches. With ``coeffs`` from
-    `encode` only the decode runs; without, the graph is encoded first.
-    ``axes`` from a `geometry.partition_grid` batch lets the basis expansion
-    decode the box from 1-D tables (``basis.expand_density``)."""
+    `encode` only the decode runs; without, the graph is encoded first."""
     dens, _ = _forward(params, graph, queries, counters, keep=False,
-                       coeffs=coeffs, axes=axes)
+                       coeffs=coeffs)
     return dens
 
 

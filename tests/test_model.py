@@ -99,8 +99,9 @@ def test_encode_then_decode_matches_one_pass(mode, residual):
 
 
 def test_partitioned_box_decode_matches_one_dense_pass():
-    # the box batches of a diagonal cell decode from 1-D tables; a sheared
-    # cell's batches carry no axes and keep the dense path
+    # whole-plane batches of a diagonal cell decode from 1-D tables; flat
+    # batches and a sheared cell's batches keep the dense path, as does the
+    # cached forward of training
     rng = np.random.default_rng(25)
     cfg = dataclasses.replace(SMALL, l_max=3)
     params = model.init_params(cfg, seed=26, zero_heads=False)
@@ -108,18 +109,14 @@ def test_partitioned_box_decode_matches_one_dense_pass():
     coeffs = model.encode(params, graph)
     for cell in (np.diag([4.0, 3.5, 4.5]),
                  [[4.0, 0.0, 0.0], [0.5, 3.5, 0.0], [0.0, 0.0, 4.5]]):
-        grid = geometry.VoxelGrid((6, 5, 7), cell, np.full(3, -2.0),
-                                  np.zeros(210))
-        whole = model.predict_density(params, graph,
-                                      geometry.grid_coordinates(grid),
-                                      coeffs=coeffs)
-        for bs in (3, 12, 60):
-            batches = geometry.partition_grid(grid, bs)
-            assert all((b.axes is None) == (cell[1][0] != 0.0)
-                       for b in batches)
+        grid = geometry.VoxelGrid((16, 17, 4), cell, np.full(3, -2.0),
+                                  np.zeros(1088))
+        nodes = geometry.grid_coordinates(grid)
+        whole, _ = model.forward_trace(params, graph, nodes)
+        for bs in (100, 272, 600):
             got = np.concatenate([model.predict_density(
-                params, graph, b.points, coeffs=coeffs, axes=b.axes)
-                for b in batches])
+                params, graph, b.points, coeffs=coeffs)
+                for b in geometry.partition_grid(grid, bs)])
             assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
 
 

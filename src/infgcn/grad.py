@@ -8,7 +8,9 @@ trace into one gradient vector laid out like ``params.flat`` (the layout is
 parameter gradients straight into that vector, through a copy of the
 parameters bound to it (`model.bind`). The finite-difference verifier
 perturbs single entries of ``params.flat``; the two optimizers used for
-training update it in place.
+training update it in place, one ``_SLICE``-entry slice of the parameters,
+moments and gradient at a time through two slice-sized scratch buffers, so
+a step allocates nothing parameter-sized but its finiteness mask.
 
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is
@@ -134,6 +136,7 @@ def check_gradient(params, graph, queries, target, n_sampled=200, h=1e-5,
 # optimizers
 
 _METHODS = ("gradient-descent", "adaptive-moments")
+_SLICE = 65536  # entries per slice of an optimizer update
 
 
 @dataclass
@@ -164,35 +167,43 @@ def init_optimizer(registry, method="adaptive-moments", lr=1e-3,
 
 def optimize_step(state, params, grads, registry):
     """One optimizer update of ``params.flat``, in place, from the gradient
-    vector ``loss_and_grad`` returns. Returns (params, state)."""
+    vector ``loss_and_grad`` returns. Returns (params, state).
+
+    The whole gradient is checked before any entry is written, so a
+    non-finite gradient raises with parameters and state untouched."""
     g = np.asarray(grads, dtype=float)
     if g.shape != (registry.n_params,) or g.shape != state.m.shape:
         raise DomainError("gradient length does not match optimizer state")
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("non-finite gradient passed to optimize_step")
-    flat = params.flat
     state.step += 1
-    if state.method == "gradient-descent":
-        flat -= state.lr * g
-    else:
-        # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g;
-        # flat -= lr mhat / (sqrt(vhat) + eps), evaluated in that order
-        # with two scratch vectors; g is left as it came
-        m, v = state.m, state.v
-        tmp = np.multiply(1.0 - state.beta1, g)
-        m *= state.beta1
-        m += tmp
-        np.multiply(1.0 - state.beta2, g, out=tmp)
-        tmp *= g
-        v *= state.beta2
-        v += tmp
-        np.divide(v, 1.0 - state.beta2 ** state.step, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += state.eps
-        upd = np.divide(m, 1.0 - state.beta1 ** state.step)
-        upd *= state.lr
-        upd /= tmp
-        flat -= upd
+    c1 = 1.0 - state.beta1 ** state.step
+    c2 = 1.0 - state.beta2 ** state.step
+    scratch = np.empty((2, min(_SLICE, g.size)))
+    for lo in range(0, g.size, _SLICE):
+        sl = slice(lo, lo + _SLICE)
+        gs = g[sl]
+        tmp, upd = scratch[:, :gs.size]
+        if state.method == "gradient-descent":
+            np.multiply(state.lr, gs, out=upd)
+        else:
+            # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g;
+            # upd = lr mhat / (sqrt(vhat) + eps), evaluated in that order
+            m, v = state.m[sl], state.v[sl]
+            np.multiply(1.0 - state.beta1, gs, out=tmp)
+            m *= state.beta1
+            m += tmp
+            np.multiply(1.0 - state.beta2, gs, out=tmp)
+            tmp *= gs
+            v *= state.beta2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += state.eps
+            np.divide(m, c1, out=upd)
+            upd *= state.lr
+            upd /= tmp
+        params.flat[sl] -= upd
     return params, state
 
 

@@ -32,17 +32,19 @@ radial scalars and the features' projection ``s`` on the harmonics. A
 backward returns the gradient of its input and writes its parameter
 gradients into ``grads``, a twin of its parameters whose arrays view the
 flat gradient vector (``model.bind``); every entry is overwritten, so the
-twin needs no zeroing. The convolution still rebuilds G in the backward
-pass: kept, it would hold ~21 MB per layer at 76 edges, while rebuilding
-costs ~4 ms. In fc mode it also redoes the radial net's head GEMM from the
-cached last hidden layer, because fc's per-path scalars are C times
-channel mode's (~53 MB per layer at L=7, C=16, 76 edges). Scatters onto
-nodes are sums over sorted runs of one index, not unbuffered scatter-adds:
-conv edges are sorted by source, and their gradients permuted into
-destination order, each run summed by one ``np.add.reduceat``; residual
-pairs are sorted by atom, and ``s`` and an atom's feature gradient are one
-GEMM per degree over its run. The residual output sums pairs per query
-with ``np.bincount``.
+twin needs no zeroing. The convolution's backward rebuilds G (kept, it
+would hold ~21 MB per layer at 76 edges, while rebuilding costs ~4 ms) but
+never the kernel W: per pair it forms U_J = gmsg G_J, the message gradient
+through each path's coupling block, and takes the radial scalars'
+gradient and the neighbor features' from U alone. In fc mode it also
+redoes the radial net's head GEMM from the cached last hidden layer,
+because fc's per-path scalars are C times channel mode's (~53 MB per
+layer at L=7, C=16, 76 edges). Scatters onto nodes are sums over sorted
+runs of one index, not unbuffered scatter-adds: conv edges are sorted by
+source, and their gradients permuted into destination order, each run
+summed by one ``np.add.reduceat``; residual pairs are sorted by atom, and
+``s`` and an atom's feature gradient are one GEMM per degree over its run.
+The residual output sums pairs per query with ``np.bincount``.
 
 The radial net is the decode path's largest cost: the residual layer runs
 it on every query-atom pair. Its Gaussian embedding flushes its subnormal
@@ -531,24 +533,30 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
         phi = (cache["radial"]["h2"] @ rp.head_w + rp.head_b).reshape(
             E, len(params.paths), params.channels, params.channels)
     channel = params.mode == "channel"
-    spec = "ecab,eca->ecb" if channel else "ecdab,eca->edb"
     gmsg = _gather_degrees(grad_out, graph.edge_src)
     fk = _gather_degrees(feats, graph.edge_dst)
     acc = [np.zeros_like(f) for f in fk]
     grad_phi = np.empty_like(phi)
+    C = params.channels
     for pair in plan.pairs:
         l, k, p0, p1, _ = pair
-        G = _coupling_blocks(Y, pair)
-        # d loss / d W^{lk} is the outer product of the message gradient
-        # and the neighbor feature, per channel or per channel pair
+        nJ, B = p1 - p0, 2 * k + 1
+        G = _coupling_blocks(Y, pair).reshape(E, nJ, 2 * l + 1, B)
+        # U[e,J,c,b] = sum_a gmsg[e,c,a] G_J[e,a,b], the message gradient
+        # through each path's block. Both gradients contract U, so neither
+        # the kernel W nor the outer product gmsg (x) f_k is formed
+        U = np.matmul(gmsg[l][:, None], G)
         if channel:
-            outer = gmsg[l][:, :, :, None] * fk[k][:, :, None, :]
+            # grad_phi[e,J,c] = sum_b U f_k;  acc_k[e,c,b] = sum_J phi U
+            grad_phi[:, p0:p1] = np.einsum("ejcb,ecb->ejc", U, fk[k])
+            acc[k] += np.einsum("ejc,ejcb->ecb", phi[:, p0:p1], U)
         else:
-            outer = gmsg[l][:, :, None, :, None] * fk[k][:, None, :, None, :]
-        outer = outer.reshape(E, -1, G.shape[2])
-        grad_phi[:, p0:p1] = np.matmul(G, outer.transpose(0, 2, 1)).reshape(
-            (E, p1 - p0) + phi.shape[2:])
-        acc[k] += np.einsum(spec, _mix(phi, G, pair), gmsg[l])
+            # grad_phi[e,J,c,d] = sum_b U[e,J,c,b] f_k[e,d,b];
+            # acc_k[e,d,b] = sum_{J,c} phi[e,J,c,d] U[e,J,c,b]
+            np.matmul(U, fk[k][:, None].transpose(0, 1, 3, 2),
+                      out=grad_phi[:, p0:p1])
+            ph = phi[:, p0:p1].reshape(E, nJ * C, C)
+            acc[k] += np.matmul(ph.transpose(0, 2, 1), U.reshape(E, -1, B))
     _segment_add(grad_f, cache["dst_segments"],
                  np.concatenate(acc, axis=2)[cache["dst_order"]])
     radial_backward(params.radial, grad_phi.reshape(E, -1), grads.radial,

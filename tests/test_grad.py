@@ -272,6 +272,68 @@ def test_adam_in_place_matches_allocating_update():
     assert state.m is m and state.v is v  # updated in place
 
 
+def _sliced_instance(monkeypatch, method):
+    # 7-entry slices: the update spans many slices and ends in a partial one
+    monkeypatch.setattr(grad, "_SLICE", 7)
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=1, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=33, zero_heads=False)
+    reg = grad.ParamRegistry(params)
+    assert reg.n_params % 7 and reg.n_params > 10 * 7
+    return params, reg, grad.init_optimizer(reg, method=method, lr=1e-2)
+
+
+@pytest.mark.parametrize("method", grad._METHODS)
+def test_sliced_update_matches_allocating_update(monkeypatch, method):
+    params, reg, state = _sliced_instance(monkeypatch, method)
+    ref = grad.init_optimizer(reg, method=method, lr=1e-2)
+    flat = params.flat.copy()
+    rng = np.random.default_rng(34)
+    for step in range(1, 6):
+        grads = rng.standard_normal(reg.n_params) * 10.0 ** rng.integers(-3, 3)
+        ref.step = step
+        if method == "gradient-descent":
+            flat = flat - ref.lr * grads
+        else:
+            flat = _allocating_adam(ref, flat, grads)
+        grad.optimize_step(state, params, grads, reg)
+        assert np.array_equal(state.m, ref.m)
+        assert np.array_equal(state.v, ref.v)
+        assert np.array_equal(params.flat, flat)
+    assert state.step == 5
+
+
+@pytest.mark.parametrize("method", grad._METHODS)
+def test_non_finite_gradient_in_last_slice_writes_nothing(monkeypatch,
+                                                          method):
+    params, reg, state = _sliced_instance(monkeypatch, method)
+    rng = np.random.default_rng(35)
+    for _ in range(2):
+        grad.optimize_step(state, params, rng.standard_normal(reg.n_params),
+                           reg)
+    before = [params.flat.copy(), state.m.copy(), state.v.copy()]
+    grads = rng.standard_normal(reg.n_params)
+    grads[-1] = np.nan
+    with pytest.raises(NonFiniteError):
+        grad.optimize_step(state, params, grads, reg)
+    for got, want in zip([params.flat, state.m, state.v], before):
+        assert np.array_equal(got, want)
+    assert state.step == 2
+
+
+def test_optimizer_step_allocates_no_parameter_sized_temporary():
+    # 2.2M parameters, 18 MB per flat vector: the update allocated two such
+    # temporaries (34.3 MB peak); in slices only the finiteness check's
+    # 2.2 MB mask is parameter-sized
+    params = model.init_params(model.ModelConfig(), seed=0, zero_heads=False)
+    reg = grad.ParamRegistry(params)
+    state = grad.init_optimizer(reg)
+    grads = np.random.default_rng(36).standard_normal(reg.n_params)
+    grad.optimize_step(state, params, grads, reg)
+    peak = _traced_peak(lambda: grad.optimize_step(state, params, grads, reg))
+    assert peak < 4.0
+
+
 def _assert_views_of_flat(params):
     """Every trainable array is a view of ``params.flat`` at its offset."""
     for name, a in params.named_arrays():

@@ -484,6 +484,25 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
     _assert_grads_close(grads, want_p)
 
 
+@pytest.mark.parametrize("mode", ["channel", "fc"])
+def test_conv_backward_forms_no_kernel(monkeypatch, mode):
+    # the adjoint contracts U = gmsg G with phi and the features; it never
+    # mixes the kernel W the forward builds
+    calls = []
+    real = layers._mix
+    monkeypatch.setattr(layers, "_mix",
+                        lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(23)
+    graph, feats, params = small_instance(rng, l_max=3, mode=mode)
+    cache = {}
+    layers.conv_forward(graph, feats, params, cache=cache)
+    assert len(calls) == len(layers.conv_plan(3).pairs)
+    calls.clear()
+    layers.conv_backward(graph, feats, params, random_feats(rng, 5, 3, 3),
+                         nan_twin(params), cache)
+    assert calls == []
+
+
 def test_conv_plan_built_once(monkeypatch):
     calls = []
     real = so3.cg_table

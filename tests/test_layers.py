@@ -490,8 +490,12 @@ def test_conv_backward_forms_no_kernel(monkeypatch, mode):
     # mixes the kernel W the forward builds
     calls = []
     real = layers._mix
-    monkeypatch.setattr(layers, "_mix",
-                        lambda *a: calls.append(1) or real(*a))
+
+    def counting(*args):
+        calls.append(args[2][:2])
+        return real(*args)
+
+    monkeypatch.setattr(layers, "_mix", counting)
     rng = np.random.default_rng(23)
     graph, feats, params = small_instance(rng, l_max=3, mode=mode)
     cache = {}

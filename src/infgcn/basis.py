@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import so3
+from . import geometry, so3
 from .errors import AccuracyError, DomainError
 
 _CHUNK = 512  # queries per block of basis factors
@@ -130,14 +130,6 @@ def _norm_columns(spec):
                      2 * np.arange(spec.l_max + 1) + 1, axis=1)
 
 
-def _points(name, a):
-    """``a`` as an (N, 3) float array; DomainError naming ``name`` otherwise."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.ndim != 2 or a.shape[1] != 3:
-        raise DomainError(f"{name} must have shape (N, 3), got {a.shape}")
-    return a
-
-
 def _factor_chunks(spec, centers, queries):
     """(slice, (E, Y)) for each chunk of queries: the two basis factors at
     the displacements from every center, (U, q, n) and (U, q, S)."""
@@ -161,8 +153,8 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
     decoded from per-axis factor tables instead (`_expand_box`).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    centers = _points("centers", centers)
-    queries = _points("queries", queries)
+    centers = geometry.check_points("centers", centers)
+    queries = geometry.check_points("queries", queries)
     if coeffs.shape != (centers.shape[0], spec.n_radial, spec.n_sh):
         raise DomainError(
             f"coeffs shape {coeffs.shape} does not match spec/centers "
@@ -240,8 +232,8 @@ def expand_density_backward(spec, grad_out, centers, queries, cache):
     """Adjoint of expand_density with respect to the coefficients, from the
     factors in the ``cache`` that ``expand_density`` filled for the same
     centers and queries."""
-    centers = _points("centers", centers)
-    queries = _points("queries", queries)
+    centers = geometry.check_points("centers", centers)
+    queries = geometry.check_points("queries", queries)
     grad_out = np.asarray(grad_out, dtype=float)
     if grad_out.shape != (queries.shape[0],):
         raise DomainError(

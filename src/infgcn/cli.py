@@ -203,6 +203,23 @@ def cmd_train(cfg, deterministic=False):
             "checkpoint": ckpt_path, "log": log_path}
 
 
+def _load_model(cfg, checkpoint):
+    """The checkpoint's parameters, which must be for the run's model."""
+    params = model.load_checkpoint(checkpoint)
+    if params.config != cfg.model:
+        raise DomainError("checkpoint model config does not match the run "
+                          "config")
+    return params
+
+
+def _map_records(fn, items, jobs):
+    """``[fn(x) for x in items]``, on ``jobs`` threads when above one."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
     graph, coords, grid = rec["graph"], rec["coords"], rec["grid"]
     transform = None
@@ -229,20 +246,13 @@ def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
 def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
              jobs=1, deterministic=False):
     """Full-grid partitioned NMAE per record plus the pooled aggregate."""
-    params = model.load_checkpoint(checkpoint)
-    if params.config != cfg.model:
-        raise DomainError("checkpoint model config does not match the run "
-                          "config")
+    params = _load_model(cfg, checkpoint)
     seed = cfg.seed if seed is None else seed
     _, recs = _load_dataset(cfg)
     t0 = time.perf_counter()
     work = [(params, rec, cfg, rotated, resample, seed, i)
             for i, rec in enumerate(recs)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            accs = list(pool.map(lambda a: _eval_record(*a), work))
-    else:
-        accs = [_eval_record(*a) for a in work]
+    accs = _map_records(lambda a: _eval_record(*a), work, jobs)
     pooled = model.NMAEAccumulator()
     per_record = {}
     for rec, acc in zip(recs, accs):
@@ -263,10 +273,7 @@ def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
 
 def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     """Full-grid prediction and error CUBE files for every record."""
-    params = model.load_checkpoint(checkpoint)
-    if params.config != cfg.model:
-        raise DomainError("checkpoint model config does not match the run "
-                          "config")
+    params = _load_model(cfg, checkpoint)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     _, recs = _load_dataset(cfg)
@@ -290,11 +297,7 @@ def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
             paths[tag] = path
         return rec["name"], paths, model.nmae(pred, grid.values)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, recs))
-    else:
-        rows = [run(rec) for rec in recs]
+    rows = _map_records(run, recs, jobs)
     return {"out_dir": out,
             "records": {name: {**paths, "nmae": err}
                         for name, paths, err in rows}}

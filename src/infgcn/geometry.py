@@ -1,4 +1,5 @@
-"""Discrete geometry: radius graphs, voxel grids, query sampling, resampling.
+"""Discrete geometry: point checks, radius pairs and graphs, voxel grids,
+query sampling, resampling.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -23,6 +24,8 @@ __all__ = [
     "MolecularGraph",
     "VoxelGrid",
     "QuerySample",
+    "check_points",
+    "radius_pairs",
     "build_radius_graph",
     "grid_coordinates",
     "fractional_coords",
@@ -34,26 +37,46 @@ __all__ = [
 ]
 
 
+def check_points(name, a):
+    """``a`` as a finite (N, 3) float array; DomainError naming ``name``
+    otherwise. A NaN point would fail every cutoff test and silently drop
+    out of the pairs."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise DomainError(f"{name} must have shape (N, 3), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} must be finite")
+    return a
+
+
+def radius_pairs(centers, points, cutoff):
+    """Every (center, point) pair within ``cutoff``, sorted by (i, j).
+
+    ``centers`` and ``points`` are (N, 3) arrays as ``check_points``
+    returns them. Returns (i, j, vec, dist) with vec[e] = points[j[e]] -
+    centers[i[e]] and dist[e] = |vec[e]| <= cutoff. The one cutoff search
+    of the package: the radius graph and the residual layer's query-atom
+    pairs both come from it. Dense over all pairs; fine at desk scale.
+    """
+    if cutoff <= 0.0:
+        raise DomainError("cutoff must be positive")
+    diff = points[None, :, :] - centers[:, None, :]
+    dist = np.sqrt(np.einsum("ijx,ijx->ij", diff, diff))
+    i, j = np.nonzero(dist <= cutoff)  # row-major, already sorted by (i, j)
+    return i, j, diff[i, j], dist[i, j]
+
+
 def build_radius_graph(coords, cutoff):
     """All ordered pairs within ``cutoff``, sorted by (u, v), no self edges.
 
     Returns (src, dst, vec) where vec[e] = coords[dst[e]] - coords[src[e]].
-    Brute force over all pairs; fine at desk scale.
+    Self edges are dropped by index, so two coincident atoms keep their
+    zero-length edges and fail conv's check instead of vanishing.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise DomainError("coords must have shape (n, 3)")
-    if not np.all(np.isfinite(coords)):
-        # a NaN atom fails every cutoff test and would silently lose its edges
-        raise DomainError("coords must be finite")
-    if cutoff <= 0.0:
-        raise DomainError("cutoff must be positive")
-    diff = coords[None, :, :] - coords[:, None, :]
-    dist = np.sqrt(np.einsum("uvx,uvx->uv", diff, diff))
-    keep = dist <= cutoff
-    np.fill_diagonal(keep, False)
-    src, dst = np.nonzero(keep)  # row-major, already sorted by (u, v)
-    return src, dst, diff[src, dst]
+    coords = check_points("coords", coords)
+    src, dst, vec, _ = radius_pairs(coords, coords, cutoff)
+    keep = src != dst
+    return src[keep], dst[keep], vec[keep]
 
 
 def _atom_indices(name, a, n_atoms):

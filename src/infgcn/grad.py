@@ -62,10 +62,6 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
                                  g, grads.convs[i], cache=conv_caches.pop())
 
     np.add.at(grads.embed, graph.atom_type, g[:, :, 0])
-    if not np.all(np.isfinite(flat_grad)):
-        name, _ = ParamRegistry(params).slot_of(
-            int(np.argmin(np.isfinite(flat_grad))))
-        raise NonFiniteError(f"non-finite gradient for {name}")
     return loss, flat_grad
 
 
@@ -170,12 +166,14 @@ def optimize_step(state, params, grads, registry):
     vector ``loss_and_grad`` returns. Returns (params, state).
 
     The whole gradient is checked before any entry is written, so a
-    non-finite gradient raises with parameters and state untouched."""
+    non-finite gradient raises, naming the first array it reaches, with
+    parameters and state untouched."""
     g = np.asarray(grads, dtype=float)
     if g.shape != (registry.n_params,) or g.shape != state.m.shape:
         raise DomainError("gradient length does not match optimizer state")
     if not np.all(np.isfinite(g)):
-        raise NonFiniteError("non-finite gradient passed to optimize_step")
+        name, _ = registry.slot_of(int(np.isfinite(g).argmin()))
+        raise NonFiniteError(f"non-finite gradient for {name}")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3
+from . import geometry, so3
 from .errors import DomainError
 
 __all__ = [
@@ -284,13 +284,6 @@ def radial_backward(params, grad_out, grads, cache):
             g *= _silu_grad(a)
 
 
-def _zero_radial(grads):
-    """Zero gradients for a radial net that saw no input: an edge-free
-    graph, or no query-atom pair within the cutoff."""
-    for _, owner, attr in grads.slots(""):
-        getattr(owner, attr).fill(0.0)
-
-
 # ---------------------------------------------------------------------------
 # tensor-product convolution
 
@@ -455,7 +448,7 @@ def _mix(phi, G, pair):
     """Kernel W^{lk}[e] = sum_J phi_J^{lk}(r_e) G_J^{lk}[e], shaped
     (E, C, 2l+1, 2k+1) or, in fc mode, (E, C, C, 2l+1, 2k+1)."""
     l, k, p0, p1, _ = pair
-    ph = phi[:, p0:p1].reshape(G.shape[0], p1 - p0, -1)
+    ph = phi[:, p0:p1].reshape(G.shape[0], p1 - p0, math.prod(phi.shape[2:]))
     W = np.matmul(ph.transpose(0, 2, 1), G)
     return W.reshape(phi.shape[:1] + phi.shape[2:] + (2 * l + 1, 2 * k + 1))
 
@@ -480,14 +473,11 @@ def _edge_terms(graph, params, counters=None, cache=None):
 def conv_forward(graph, feats, params, counters=None, cache=None):
     """One message-passing step: self-interaction plus neighbor messages.
 
-    A ``cache`` dict receives the edge terms ``conv_backward`` reads; it
-    stays empty on an edge-free graph.
+    A ``cache`` dict receives the edge terms ``conv_backward`` reads.
     """
     feats = _check_shape("feats", feats, _feature_shape(graph.n_atoms, params))
     L, C = params.l_max, params.channels
     out = _per_order(params.self_w.T) * feats
-    if graph.n_edges == 0:
-        return out
     terms = _edge_terms(graph, params, counters, cache)
     Y, phi, plan = terms["Y"], terms["phi"], conv_plan(L)
     E = graph.n_edges
@@ -522,9 +512,6 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
     grad_out = _check_shape("grad_out", grad_out, shape)
     grad_f = _per_order(params.self_w.T) * grad_out
     grads.self_w[...] = _degree_sums((grad_out * feats).sum(axis=0)).T
-    if graph.n_edges == 0:
-        _zero_radial(grads.radial)
-        return grad_f
     Y, plan = cache["Y"], conv_plan(params.l_max)
     E = graph.n_edges
     phi = cache.get("phi")
@@ -556,11 +543,11 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
             np.matmul(U, fk[k][:, None].transpose(0, 1, 3, 2),
                       out=grad_phi[:, p0:p1])
             ph = phi[:, p0:p1].reshape(E, nJ * C, C)
-            acc[k] += np.matmul(ph.transpose(0, 2, 1), U.reshape(E, -1, B))
+            acc[k] += np.matmul(ph.transpose(0, 2, 1), U.reshape(E, nJ * C, B))
     _segment_add(grad_f, cache["dst_segments"],
                  np.concatenate(acc, axis=2)[cache["dst_order"]])
-    radial_backward(params.radial, grad_phi.reshape(E, -1), grads.radial,
-                    cache["radial"])
+    radial_backward(params.radial, grad_phi.reshape(E, params.radial.out_dim),
+                    grads.radial, cache["radial"])
     return grad_f
 
 
@@ -622,21 +609,11 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
                           cutoff=float(cutoff), radial=radial)
 
 
-def _check_points(name, a):
-    """``a`` as a finite (N, 3) float array; DomainError naming ``name``
-    otherwise. A NaN point would fail every cutoff test and silently drop
-    out of the pairs."""
-    a = _check_shape(name, a, (None, 3))
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} must be finite")
-    return a
-
-
 def _residual_terms(queries, coords, params, counters=None, cache=None):
     """The pair terms both residual passes need, in ``cache`` when given:
-    the query-atom pairs within the cutoff, sorted by atom, as ``qi`` and
-    ``vi`` with the atoms' runs in ``atom_segments``; and, when
-    there are pairs, the harmonics ``Y`` (E, (L+1)^2) of their directions
+    the query-atom pairs within the cutoff (``geometry.radius_pairs``),
+    sorted by atom, as ``qi`` and ``vi`` with the atoms' runs in
+    ``atom_segments``; the harmonics ``Y`` (E, (L+1)^2) of their directions
     and the radial scalars ``phi`` (E, L+1, C). Only a given cache also
     receives the radial net's activations, under ``radial``.
 
@@ -645,17 +622,13 @@ def _residual_terms(queries, coords, params, counters=None, cache=None):
     isotropic k = 0 term and contributes nothing through higher degrees.
     """
     terms = {} if cache is None else cache
-    diff = coords[None, :, :] - queries[:, None, :]
-    dist = np.sqrt(np.einsum("qvx,qvx->qv", diff, diff))
-    vi, qi = np.nonzero((dist <= params.cutoff).T)
-    r = dist[qi, vi]
+    vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
     terms.update(qi=qi, vi=vi, atom_segments=_segments(vi))
-    if qi.size == 0:
-        return terms
     radial = terms["radial"] = None if cache is None else {}
     phi = radial_forward(params.radial, r, counters, radial)
     terms["phi"] = phi.reshape(r.size, params.l_max + 1, params.channels)
-    rhat = diff[qi, vi] / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
+    # vec runs from atom to query; negated it is exactly atom minus query
+    rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
     terms["Y"] = so3.eval_real_sh(params.l_max, rhat)
     return terms
 
@@ -667,13 +640,11 @@ def residual_forward(queries, coords, feats, params, counters=None,
     A ``cache`` dict receives the pair terms ``residual_backward`` reads
     and the projection ``s`` of these features.
     """
-    queries = _check_points("queries", queries)
-    coords = _check_points("coords", coords)
+    queries = geometry.check_points("queries", queries)
+    coords = geometry.check_points("coords", coords)
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     terms = _residual_terms(queries, coords, params, counters, cache)
-    qi, Y = terms["qi"], terms.get("Y")
-    if qi.size == 0:
-        return np.zeros(queries.shape[0])
+    qi, Y = terms["qi"], terms["Y"]
     # s[e, k] = Y[e, block k] @ feats[vi[e], :, block k].T, (E, L+1, C):
     # each pair's degree-k atom features projected on its harmonics, one
     # GEMM per atom run and degree
@@ -695,16 +666,12 @@ def residual_backward(queries, coords, feats, params, grad_z, grads, cache):
     ``residual_forward`` filled for the same queries, coordinates, features
     and parameters.
     """
-    queries = _check_points("queries", queries)
-    coords = _check_points("coords", coords)
+    queries = geometry.check_points("queries", queries)
+    coords = geometry.check_points("coords", coords)
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
     grad_z = _check_shape("grad_z", grad_z, (len(queries),))
     grad_f = np.zeros_like(feats)
-    qi = cache["qi"]
-    if qi.size == 0:
-        _zero_radial(grads.radial)
-        return grad_f
-    phi, Y = cache["phi"], cache["Y"]
+    qi, phi, Y = cache["qi"], cache["phi"], cache["Y"]
     ge = grad_z[qi]
     # the feature gradient of atom u, degree k, sums (ge phi_k) outer Y_k
     # over u's run of pairs: one GEMM per run and degree, with no
@@ -716,6 +683,7 @@ def residual_backward(queries, coords, feats, params, grad_z, grads, cache):
             sl = so3.block_slice(k)
             grad_f[u, :, sl] = gphi[lo:hi, k].T @ Y[lo:hi, sl]
     grad_phi = ge[:, None, None] * cache["s"]
-    radial_backward(params.radial, grad_phi.reshape(qi.size, -1),
+    radial_backward(params.radial,
+                    grad_phi.reshape(qi.size, params.radial.out_dim),
                     grads.radial, cache["radial"])
     return grad_f

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import basis, layers, so3
+from . import basis, geometry, layers, so3
 from .errors import DomainError, NonFiniteError
 
 __all__ = [
@@ -225,9 +225,7 @@ def _forward(params, graph, queries, counters, keep, coeffs=None):
     """Encode unless ``coeffs`` is given, then decode at ``queries``. With
     ``keep`` each layer that has an adjoint fills a cache for it."""
     cfg = params.config
-    queries = np.asarray(queries, dtype=float)
-    if not np.all(np.isfinite(queries)):
-        raise DomainError("queries must be finite")
+    queries = geometry.check_points("queries", queries)
     if coeffs is None:
         coeffs, trace = _encode(params, graph, counters, keep)
     else:  # expand_density rejects a misshapen coeffs, naming it

@@ -358,15 +358,14 @@ _PI_XYZ_TO_YZX = np.array([[0.0, 1.0, 0.0],
                            [1.0, 0.0, 0.0]])
 
 
-def wigner_blocks(l_max, R, validate=True):
+def wigner_blocks(l_max, R):
     """Orthogonal blocks D_l, l = 0..l_max, with Y_l(R rhat) = D_l Y_l(rhat).
 
     D_1 is the similarity-transformed rotation matrix itself (the real
     harmonics of degree one are (y, z, x) up to a common scale); higher
     degrees follow by coupling the (l-1, 1) product back to degree l.
     """
-    if validate:
-        R = check_rotation(R)
+    R = check_rotation(R)
     out = [np.ones((1, 1))]
     if l_max == 0:
         return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from infgcn import geometry, so3
+from infgcn import geometry, layers, so3
 from infgcn.errors import DomainError
 
 
@@ -34,6 +34,54 @@ def test_radius_graph_brute_force_oracle():
     for e, (u, v, r) in enumerate(want):
         assert src[e] == u and dst[e] == v
         assert np.array_equal(vec[e], r)
+
+
+def test_radius_pairs_brute_force_oracle():
+    rng = np.random.default_rng(1)
+    centers = rng.uniform(-3.0, 3.0, size=(7, 3))
+    points = rng.uniform(-3.0, 3.0, size=(12, 3))
+    cutoff = 2.5
+    # a pair exactly at the cutoff: points[5] - centers[3] = (1.5, 2, 0)
+    # holds exactly, and so does its length 2.5
+    centers[3], points[5] = (0.5, -1.0, 0.25), (2.0, 1.0, 0.25)
+    want = []
+    for i in range(7):
+        for j in range(12):
+            d = points[j] - centers[i]
+            r = math.sqrt(float(d @ d))
+            if r <= cutoff:
+                want.append((i, j, d, r))
+    i, j, vec, dist = geometry.radius_pairs(centers, points, cutoff)
+    assert list(zip(i.tolist(), j.tolist())) == [w[:2] for w in want]
+    assert (3, 5) in zip(i.tolist(), j.tolist())
+    for e, (_, _, d, r) in enumerate(want):
+        assert np.array_equal(vec[e], d)  # from the center to the point
+        assert abs(dist[e] - r) <= 1e-15 * cutoff
+    with pytest.raises(DomainError, match="^cutoff must be positive"):
+        geometry.radius_pairs(centers, points, 0.0)
+
+
+def test_radius_pairs_is_the_one_cutoff_search(monkeypatch):
+    # the radius graph and the residual layer's query-atom pairs both come
+    # from radius_pairs, so a change to the search (lattice images, say)
+    # reaches both
+    calls = []
+    real = geometry.radius_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "radius_pairs", counting)
+    rng = np.random.default_rng(2)
+    coords = rng.uniform(-1.5, 1.5, size=(5, 3))
+    geometry.build_radius_graph(coords, 3.0)
+    assert len(calls) == 1
+    res = layers.init_residual_layer(rng, 2, 3, 3.0)
+    feats = rng.standard_normal((5, 3, 9))
+    layers.residual_forward(rng.uniform(-2.0, 2.0, size=(6, 3)), coords,
+                            feats, res)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

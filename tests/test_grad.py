@@ -224,6 +224,19 @@ def test_non_finite_gradient_aborts():
         grad.optimize_step(state, p, np.array([np.nan]), reg)
 
 
+def test_non_finite_gradient_names_its_array():
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=36)
+    reg = grad.ParamRegistry(params)
+    state = grad.init_optimizer(reg)
+    grads = np.zeros(reg.n_params)
+    reg.views(grads)["conv1.radial.head_w"][2, 1] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^non-finite gradient for "
+                       r"conv1\.radial\.head_w$"):
+        grad.optimize_step(state, params, grads, reg)
+
+
 def test_training_loop_is_deterministic():
     cfg = model.ModelConfig(l_max=1, channels=2, n_layers=1, cutoff=3.0,
                             vocab=3, r_max=3.0)

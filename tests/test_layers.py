@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coeff_rotation import rotate_coeffs
-from infgcn import geometry, layers, so3
+from infgcn import basis, geometry, layers, so3
 from infgcn.errors import DomainError
 
 
@@ -467,9 +467,9 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
     cache = {}
     got = layers.conv_forward(graph, feats, params, cache=cache)
     assert np.array_equal(got, layers.conv_forward(graph, feats, params))
-    assert bool(cache) == (graph.n_edges > 0)
-    # fc mode's C-times-larger phi is redone in the backward, not kept
-    assert ("phi" in cache) == (bool(cache) and mode == "channel")
+    # fc mode's C-times-larger phi is redone in the backward, not kept;
+    # an edge-free graph fills the cache too, with zero-row arrays
+    assert ("phi" in cache) == (mode == "channel")
     want = _reference_conv_forward(graph, feats, params)
     for l in range(l_max + 1):
         sl = so3.block_slice(l)
@@ -792,22 +792,32 @@ def test_residual_backward_matches_fd():
         assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8) < 1e-4
 
 @pytest.mark.parametrize("field, bad", [
-    ("queries", np.nan), ("coords", np.nan), ("coords", np.inf)])
+    ("queries", np.nan), ("coords", np.nan), ("coords", np.inf),
+    ("centers", np.nan), ("centers", np.inf)])
 def test_residual_rejects_non_finite_points_naming_them(field, bad):
     # a NaN point fails every cutoff test, so it silently got z = 0 or
-    # dropped out of the pairs
+    # dropped out of the pairs; the basis expansion, which calls the atoms
+    # centers, returned NaN densities. Both decoders share the check.
     rng = np.random.default_rng(26)
     res = layers.init_residual_layer(rng, 2, 3, 3.0)
-    points = {"queries": rng.uniform(-1.0, 1.0, size=(5, 3)),
-              "coords": rng.uniform(-1.0, 1.0, size=(4, 3))}
-    points[field][1, 2] = bad
+    queries = rng.uniform(-1.0, 1.0, size=(5, 3))
+    atoms = rng.uniform(-1.0, 1.0, size=(4, 3))
+    (queries if field == "queries" else atoms)[1, 2] = bad
     feats = random_feats(rng, 4, 2, 3)
-    with pytest.raises(DomainError, match=f"^{field} must be finite"):
-        layers.residual_forward(points["queries"], points["coords"], feats,
-                                res)
-    with pytest.raises(DomainError, match=f"^{field} must be finite"):
-        layers.residual_backward(points["queries"], points["coords"], feats,
-                                 res, np.ones(5), None, {})
+    spec = basis.RadialBasisSpec.default(l_max=2, n=3)
+    calls = []
+    if field != "centers":
+        calls += [lambda: layers.residual_forward(queries, atoms, feats, res),
+                  lambda: layers.residual_backward(queries, atoms, feats, res,
+                                                   np.ones(5), None, {})]
+    if field != "coords":
+        coeffs = np.ones((4, spec.n_radial, spec.n_sh))
+        calls += [lambda: basis.expand_density(spec, coeffs, atoms, queries),
+                  lambda: basis.expand_density_backward(
+                      spec, np.ones(5), atoms, queries, {})]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            call()
 
 
 def _reference_coupled_harmonics(queries, coords, params, qi, vi):

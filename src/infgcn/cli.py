@@ -79,8 +79,16 @@ def load_run_config(path):
         value = opt[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{path}: optimizer.{name} must be a number")
-    if not isinstance(d.get("split") or {}, dict):
+    split = d.get("split")
+    if split is not None and not isinstance(split, dict):
         raise SchemaError(f"{path}: split must be an object")
+    for key, names in (split or {}).items():
+        if key not in ("train", "val"):
+            raise SchemaError(f"{path}: unknown split key {key!r}")
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            raise SchemaError(f"{path}: split[{key!r}] must be a list of "
+                              "record names")
     cfg = RunConfig(dataset=d.get("dataset"),
                     out_dir=d.get("out_dir", "runs"),
                     model=_model_config(d.get("model", {})),
@@ -91,12 +99,14 @@ def load_run_config(path):
                     n_iter=d.get("n_iter", 100),
                     val_every=d.get("val_every", 25),
                     seed=d.get("seed", 0),
-                    split=d.get("split"))
+                    split=split)
     for name in ("train_sample", "inf_sample", "batch_size", "val_every"):
         if not isinstance(getattr(cfg, name), int) or getattr(cfg, name) < 1:
             raise SchemaError(f"{path}: {name} must be a positive integer")
-    if not isinstance(cfg.n_iter, int) or cfg.n_iter < 0:
-        raise SchemaError(f"{path}: n_iter must be a non-negative integer")
+    for name in ("n_iter", "seed"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise SchemaError(f"{path}: {name} must be a non-negative integer")
     return cfg
 
 
@@ -340,11 +350,16 @@ def cmd_graphon_demo(out_dir, seed=0, n_nodes=256):
         csv_path=os.path.join(out_dir, "eigenvalue_decay.csv"))
 
 
-def _jobs(text):
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "integer"  # argparse's "invalid integer value: ..."
+    return parse
 
 
 def _build_parser():
@@ -362,9 +377,9 @@ def _build_parser():
             p.add_argument("--config", required=config == "required",
                            help="path to a run-config JSON file")
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_int_at_least(0), default=None)
         if jobs:
-            p.add_argument("--jobs", type=_jobs, default=1,
+            p.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="records evaluated at once (at least 1)")
         if deterministic:
             p.add_argument("--deterministic", action="store_true",

@@ -58,8 +58,8 @@ def radius_pairs(centers, points, cutoff):
     of the package: the radius graph and the residual layer's query-atom
     pairs both come from it. Dense over all pairs; fine at desk scale.
     """
-    if cutoff <= 0.0:
-        raise DomainError("cutoff must be positive")
+    if not 0.0 < cutoff < np.inf:  # NaN too: it would match no pair
+        raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
     diff = points[None, :, :] - centers[:, None, :]
     dist = np.sqrt(np.einsum("ijx,ijx->ij", diff, diff))
     i, j = np.nonzero(dist <= cutoff)  # row-major, already sorted by (i, j)

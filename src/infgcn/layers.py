@@ -88,7 +88,6 @@ __all__ = [
 ]
 
 CONV_MODES = ("channel", "fc")
-ACTIVATIONS = ("silu", "identity")
 
 _EPS_NORM = 1e-12  # inside the gate's sqrt, keeps the derivative finite at 0
 _EPS_EDGE = 1e-12  # shorter displacements have no usable direction
@@ -143,20 +142,16 @@ def _silu_grad(x):
     return g
 
 
+_ACTS = {"silu": (silu, _silu_grad), "identity": (lambda x: x, np.ones_like)}
+ACTIVATIONS = tuple(_ACTS)
+
+
 def _act(name):
-    if name == "silu":
-        return silu
-    if name == "identity":
-        return lambda x: x
-    raise DomainError(f"unknown activation {name!r}")
-
-
-def _act_grad(name):
-    if name == "silu":
-        return _silu_grad
-    if name == "identity":
-        return np.ones_like
-    raise DomainError(f"unknown activation {name!r}")
+    """The activation ``name`` and its derivative, (f, f')."""
+    try:
+        return _ACTS[name]
+    except KeyError:
+        raise DomainError(f"unknown activation {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +419,8 @@ def _build_plan(l_max):
     pairs, p0 = [], 0
     for (l, k), paths in itertools.groupby(make_paths(l_max),
                                            key=lambda p: p[:2]):
-        tables = tuple(so3.cg_table(l, k, J).matrix() for _, _, J in paths)
+        tables = tuple(so3.cg_table(l, k, J).reshape(2 * J + 1, -1)
+                       for _, _, J in paths)
         pairs.append((l, k, p0, p0 + len(tables), tables))
         p0 += len(tables)
     return ConvPlan(
@@ -569,8 +565,8 @@ def gate_forward(feats, act0="silu", act_l="silu"):
     feats = _check_shape("feats", feats, (None, None, None))
     out = feats.copy()
     if act_l != "identity":
-        out *= _per_order(_act(act_l)(_gate_norms(feats)))
-    out[:, :, 0] = _act(act0)(feats[:, :, 0])
+        out *= _per_order(_act(act_l)[0](_gate_norms(feats)))
+    out[:, :, 0] = _act(act0)[0](feats[:, :, 0])
     return out
 
 
@@ -581,9 +577,10 @@ def gate_backward(feats, grad_out, act0="silu", act_l="silu"):
     if act_l != "identity":
         nrm = _gate_norms(feats)
         dot = _degree_sums(grad_out * feats)
-        out = (_per_order(_act(act_l)(nrm)) * grad_out
-               + _per_order(_act_grad(act_l)(nrm) * dot / nrm) * feats)
-    out[:, :, 0] = _act_grad(act0)(feats[:, :, 0]) * grad_out[:, :, 0]
+        f, df = _act(act_l)
+        out = (_per_order(f(nrm)) * grad_out
+               + _per_order(df(nrm) * dot / nrm) * feats)
+    out[:, :, 0] = _act(act0)[1](feats[:, :, 0]) * grad_out[:, :, 0]
     return out
 
 

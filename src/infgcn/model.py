@@ -72,8 +72,9 @@ class ModelConfig:
             raise DomainError("config integers must be non-negative")
         if self.n_layers < 1 or self.channels < 1 or self.vocab < 1:
             raise DomainError("config integers must be positive")
-        if self.cutoff <= 0.0:
-            raise DomainError("cutoff must be positive")
+        if not 0.0 < self.cutoff < np.inf:
+            raise DomainError("cutoff must be positive and finite, got "
+                              f"{self.cutoff}")
         if self.mode not in layers.CONV_MODES:
             raise DomainError(f"mode must be one of {layers.CONV_MODES}, "
                               f"got {self.mode!r}")

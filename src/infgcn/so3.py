@@ -11,6 +11,9 @@ degree ``l`` orders are stored ascending, ``m = -l..l``; negative orders carry
 ``sin(|m| phi)``, positive orders ``cos(m phi)``.  The flat index of ``(l, m)``
 is ``l*l + l + m``, so degrees ``0..L`` pack into ``(L+1)**2`` slots.  For
 ``l = 1`` the components are ``(y, z, x) * sqrt(3/(4 pi))``.
+``sh_monomials(L)`` holds the same functions as polynomial coefficients;
+both come from one degree/order recursion, ``_sh_recursion``, run on point
+coordinates or on monomial coefficient arrays.
 
 ``wigner_blocks(L, R)[l]`` is the orthogonal matrix ``D`` with
 
@@ -20,19 +23,19 @@ which is exactly the matrix that rotates coefficient vectors: expanding
 ``D @ f`` on the harmonics at ``x`` equals expanding ``f`` at ``R^-1 x``.
 With this choice ``D(R1 @ R2) = D(R1) @ D(R2)``.
 
-``cg_table(l, k, J)`` couples two real blocks to a real block with
-orthonormal rows (``Q Q^T = I``).  Tables are built from the exact rational
-coupling coefficients of the complex basis and the unitary real<->complex
-change of basis; for ``l+k+J`` odd the raw transform is purely imaginary and
-the table keeps the imaginary part, a unit-modulus rescaling that preserves
-both orthonormality and the intertwining property.  Tables are built on
-first use and memoized in memory.
+``cg_table(l, k, J)`` is a read-only (2J+1, 2l+1, 2k+1) array coupling two
+real blocks to a real block with orthonormal rows (``Q Q^T = I``).  Tables
+are built from the exact rational coupling coefficients of the complex basis
+and the unitary real<->complex change of basis; for ``l+k+J`` odd the raw
+transform is purely imaginary and the table keeps the imaginary part, a
+unit-modulus rescaling that preserves both orthonormality and the
+intertwining property.  Tables are built on first use and memoized in
+memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,49 +121,62 @@ def eval_real_sh(l_max, d):
     pts = d.reshape(-1, 3)
     out = np.empty((pts.shape[0], num_sh(l_max)))
     for lo in range(0, pts.shape[0], _SH_BLOCK):
-        out[lo:lo + _SH_BLOCK] = _sh_rows(l_max, pts[lo:lo + _SH_BLOCK]).T
+        x, y, z = pts[lo:lo + _SH_BLOCK].T.copy()
+        rows = np.empty((num_sh(l_max), x.size))
+        _sh_recursion(l_max, x, y, z, np.ones_like(z), np.multiply, rows)
+        out[lo:lo + _SH_BLOCK] = rows.T
     return out.reshape(d.shape[:-1] + (out.shape[1],))
 
 
-def _sh_rows(l_max, pts):
-    """``eval_real_sh`` of (n, 3) points as an ((l_max+1)**2, n) array."""
-    x, y, z = pts.T.copy()
-    r2 = x * x + y * y + z * z
-    out = np.empty((num_sh(l_max), x.size))
+def _sh_recursion(l_max, x, y, z, one, mul, out):
+    """Write |d|^l Y_lm into ``out[l*l + l + m]`` for every l <= l_max.
 
+    ``x``, ``y``, ``z`` and ``one`` are the coordinates and the constant 1
+    as elements of an algebra whose product is ``mul(a, b, out=None)``:
+    float arrays of points with ``np.multiply``, or monomial coefficient
+    arrays with ``_poly_mul``. Sums and scalar multiples are numpy's own.
+    Each product puts its sparser factor first, the one ``_poly_mul`` loops
+    over.
+    """
+    r2 = mul(x, x) + mul(y, y) + mul(z, z)
     # q holds r^(l-m) Q_lm(z/r) with Q_lm(t) = P_lm(t) / (1-t^2)^(m/2) and no
     # Condon-Shortley factor; the r^2 in the three-term step keeps it a
     # polynomial. c_m + i s_m = (x + i y)^m supplies r^m (1-t^2)^(m/2), so
     # neither the poles nor the origin need special casing.
-    c = np.ones_like(z)
-    s = np.zeros_like(z)
-    q_mm = np.ones_like(z)  # Q_mm = (2m-1)!!
+    c, s, q_mm = one, np.zeros_like(one), one  # Q_mm = (2m-1)!!
     for m in range(0, l_max + 1):
         if m > 0:
-            c, s = x * c - y * s, x * s + y * c
+            c, s = mul(x, c) - mul(y, s), mul(x, s) + mul(y, c)
             q_mm = q_mm * (2 * m - 1)
-        q_prev = q_mm
-        q_curr = None
+        q_prev = q_curr = None
         for l in range(m, l_max + 1):
             if l == m:
                 q = q_mm
             elif l == m + 1:
-                q = (2 * m + 1) * z * q_mm
+                q = mul((2 * m + 1) * z, q_mm)
             else:
-                q = ((2 * l - 1) * z * q_curr
-                     - (l + m - 1) * r2 * q_prev) / (l - m)
-            if l > m:
-                q_prev, q_curr = q_curr, q
-            else:
-                q_curr = q
+                q = (mul((2 * l - 1) * z, q_curr)
+                     - mul((l + m - 1) * r2, q_prev)) / (l - m)
+            q_prev, q_curr = q_curr, q
             nlm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
                             * math.factorial(l - m) / math.factorial(l + m))
             if m == 0:
                 np.multiply(nlm, q, out=out[sh_index(l, 0)])
             else:
                 fq = math.sqrt(2.0) * nlm * q
-                np.multiply(fq, c, out=out[sh_index(l, m)])
-                np.multiply(fq, s, out=out[sh_index(l, -m)])
+                mul(c, fq, out=out[sh_index(l, m)])
+                mul(s, fq, out=out[sh_index(l, -m)])
+
+
+def _poly_mul(f, p, out=None):
+    """Product of two (n, n, n) monomial coefficient arrays (index [i, j, k]
+    for x^i y^j z^k), truncated to degree n - 1 per variable; one shifted
+    add of ``p`` per non-zero term of ``f``."""
+    out = np.empty_like(p) if out is None else out
+    out[...] = 0.0
+    n = p.shape[0]
+    for i, j, k in zip(*np.nonzero(f)):
+        out[i:, j:, k:] += f[i, j, k] * p[:n - i, :n - j, :n - k]
     return out
 
 
@@ -168,71 +184,30 @@ _MONOMIALS: dict = {}
 
 
 def sh_monomials(l_max):
-    """The solid harmonics as polynomials: an array T of shape
+    """The solid harmonics as polynomials: a read-only array T of shape
     ((l_max+1)**2, n, n, n), n = l_max + 1, with
 
         |d|^l Y_lm(dhat) = sum_{ijk} T[l*l + l + m, i, j, k] x^i y^j z^k.
 
     Row (l, m) is non-zero only where i + j + k = l (120 monomials against 64
-    harmonics at l_max = 7). Built on first use by ``_sh_rows``' recursion
-    run on coefficient arrays, and memoized; like ``layers.conv_plan`` the
-    memo takes no lock, since racing builds give equal tables.
+    harmonics at l_max = 7). ``eval_real_sh``'s recursion builds it on
+    coefficient arrays of side n + 1, so that x, y and z exist at l_max = 0,
+    and it is memoized; like ``layers.conv_plan`` the memo takes no lock,
+    since racing builds give equal tables.
     """
     table = _MONOMIALS.get(l_max)
     if table is None:
-        table = _MONOMIALS[l_max] = _build_sh_monomials(l_max)
+        if l_max < 0:
+            raise DomainError("l_max must be >= 0")
+        n = l_max + 1
+        x, y, z, one = np.zeros((4, n + 1, n + 1, n + 1))
+        x[1, 0, 0] = y[0, 1, 0] = z[0, 0, 1] = one[0, 0, 0] = 1.0
+        full = np.empty((num_sh(l_max),) + one.shape)
+        _sh_recursion(l_max, x, y, z, one, _poly_mul, full)
+        table = np.ascontiguousarray(full[:, :n, :n, :n])
+        table.setflags(write=False)
+        _MONOMIALS[l_max] = table
     return table
-
-
-def _build_sh_monomials(l_max):
-    if l_max < 0:
-        raise DomainError("l_max must be >= 0")
-    n = l_max + 1
-
-    def times(p, axis):
-        out = np.zeros_like(p)
-        dst, src = [slice(None)] * 3, [slice(None)] * 3
-        dst[axis], src[axis] = slice(1, None), slice(None, -1)
-        out[tuple(dst)] = p[tuple(src)]
-        return out
-
-    def product(p, f):
-        out = np.zeros_like(p)
-        for i, j in zip(*np.nonzero(f[:, :, 0])):
-            out[i:, j:] += f[i, j, 0] * p[:n - i, :n - j]
-        return out
-
-    def r2(p):
-        return sum(times(times(p, a), a) for a in range(3))
-
-    one = np.zeros((n, n, n))
-    one[0, 0, 0] = 1.0
-    out = np.empty((num_sh(l_max), n, n, n))
-    c, s, q_mm = one, np.zeros_like(one), one
-    for m in range(0, l_max + 1):
-        if m > 0:
-            c, s = times(c, 0) - times(s, 1), times(s, 0) + times(c, 1)
-            q_mm = q_mm * (2 * m - 1)
-        q_prev = q_curr = None
-        for l in range(m, l_max + 1):
-            if l == m:
-                q = q_mm
-            elif l == m + 1:
-                q = (2 * m + 1) * times(q_mm, 2)
-            else:
-                q = ((2 * l - 1) * times(q_curr, 2)
-                     - (l + m - 1) * r2(q_prev)) / (l - m)
-            q_prev, q_curr = (q_curr, q) if l > m else (None, q)
-            nlm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                            * math.factorial(l - m) / math.factorial(l + m))
-            if m == 0:
-                out[sh_index(l, 0)] = nlm * q
-            else:
-                fq = math.sqrt(2.0) * nlm * q
-                out[sh_index(l, m)] = product(fq, c)
-                out[sh_index(l, -m)] = product(fq, s)
-    out.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,42 +284,26 @@ def _real_cg(l, k, J):
     return np.ascontiguousarray(table)
 
 
-@dataclass(frozen=True)
-class CGTable:
-    """Real coupling table for degrees (l, k) -> J.
-
-    ``dense[M, m1, m2]`` couples a degree-l and a degree-k vector to degree J;
-    rows (flattened over m1, m2) are orthonormal.
-    """
-    l: int
-    k: int
-    J: int
-    dense: np.ndarray = field(repr=False)
-
-    def matrix(self):
-        """(2J+1, (2l+1)(2k+1)) matricization, m1-major."""
-        return self.dense.reshape(2 * self.J + 1, -1)
-
-
 _MEMO: dict = {}
 
 
 def cg_table(l, k, J):
-    """Real Clebsch-Gordan table coupling degrees (l, k) to J.
-
-    Raises DomainError when (l, k, J) violates the triangle inequality.
+    """Real Clebsch-Gordan table coupling degrees (l, k) to J: a read-only
+    (2J+1, 2l+1, 2k+1) array, index (M, m1, m2), whose rows flattened over
+    (m1, m2) are orthonormal; ``.reshape(2*J + 1, -1)`` is its m1-major
+    matricization. Raises DomainError when (l, k, J) violates the triangle
+    inequality.
     """
-    hit = _MEMO.get((l, k, J))
-    if hit is not None:
-        return hit
+    table = _MEMO.get((l, k, J))
+    if table is not None:
+        return table
     if l < 0 or k < 0 or J < 0:
         raise DomainError("degrees must be non-negative")
     if not abs(l - k) <= J <= l + k:
         raise DomainError(
             f"degree triple ({l},{k},{J}) violates |l-k| <= J <= l+k")
-    dense = _real_cg(l, k, J)
-    dense.setflags(write=False)
-    table = CGTable(l=l, k=k, J=J, dense=dense)
+    table = _real_cg(l, k, J)
+    table.setflags(write=False)
     _MEMO[(l, k, J)] = table
     return table
 
@@ -373,7 +332,7 @@ def wigner_blocks(l_max, R):
     out.append(D1)
     D = D1
     for j in range(2, l_max + 1):
-        Q = cg_table(j - 1, 1, j).matrix()
+        Q = cg_table(j - 1, 1, j).reshape(2 * j + 1, -1)
         D = Q @ np.kron(D, D1) @ Q.T
         out.append(D)
     return out

@@ -137,7 +137,7 @@ def test_a4_so3_algebra():
     for l in range(8):
         for k in range(8):
             for j in range(abs(l - k), l + k + 1):
-                q = so3.cg_table(l, k, j).matrix()
+                q = so3.cg_table(l, k, j).reshape(2 * j + 1, -1)
                 unit = max(unit,
                            np.abs(q @ q.T - np.eye(2 * j + 1)).max())
 
@@ -147,7 +147,7 @@ def test_a4_so3_algebra():
         b = rng.standard_normal((2, 2 * k + 1))
         rr = so3.random_rotation(rng)
         d = so3.wigner_blocks(max(l, k, j), rr)
-        q = so3.cg_table(l, k, j).dense
+        q = so3.cg_table(l, k, j)
         lhs = np.einsum("Mab,ca,cb->cM", q, a, b) @ d[j].T
         rhs = np.einsum("Mab,ca,cb->cM", q, a @ d[l].T, b @ d[k].T)
         tp = max(tp, np.abs(lhs - rhs).max())

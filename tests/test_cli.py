@@ -69,7 +69,15 @@ def test_run_config_defaults_and_validation(tmp_path):
     ({"optimizer": {"lr": "fast"}}, "optimizer.lr"),
     ({"optimizer": {"patience": None}}, "optimizer.patience"),
     ({"optimizer": {"decay_factor": [0.5]}}, "optimizer.decay_factor"),
-    ({"split": ["rec000"]}, "split must be an object")])
+    ({"split": ["rec000"]}, "split must be an object"),
+    ({"seed": "a"}, "seed must be a non-negative integer"),
+    ({"seed": 1.5}, "seed must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": True}, "seed must be a non-negative integer"),
+    ({"split": {"train": "rec000"}}, "split['train'] must be a list"),
+    ({"split": {"val": 5}}, "split['val'] must be a list"),
+    ({"split": {"train": [0]}}, "split['train'] must be a list"),
+    ({"split": {"tain": ["rec000"]}}, "unknown split key 'tain'")])
 def test_main_rejects_malformed_config(tmp_path, capsys, bad, needle):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -330,9 +338,8 @@ def test_equivariance_check_passes_and_degrades(monkeypatch):
     def crooked(l, k, J):
         table = real(l, k, J)
         if (l, k, J) == (1, 0, 1):
-            dense = table.dense.copy()
-            dense[0, 0, 0] += 5.0
-            return so3.CGTable(l, k, J, dense)
+            table = table.copy()
+            table[0, 0, 0] += 5.0
         return table
 
     monkeypatch.setattr(so3, "cg_table", crooked)
@@ -406,6 +413,9 @@ def test_parser_registers_flags_where_they_are_read():
      "unrecognized arguments: --config run.json"),
     (["eval", *_CKPT, "--jobs", "0"], "--jobs: must be at least 1, got 0"),
     (["predict", *_CKPT, "--jobs", "-1"], "--jobs: must be at least 1"),
+    (["train", "--config", "run.json", "--seed", "-1"],
+     "--seed: must be at least 0, got -1"),
+    (["eval", *_CKPT, "--seed", "x"], "--seed: invalid integer value: 'x'"),
 ])
 def test_main_rejects_flags_the_command_does_not_read(argv, message,
                                                       capsys):

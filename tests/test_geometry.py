@@ -57,8 +57,9 @@ def test_radius_pairs_brute_force_oracle():
     for e, (_, _, d, r) in enumerate(want):
         assert np.array_equal(vec[e], d)  # from the center to the point
         assert abs(dist[e] - r) <= 1e-15 * cutoff
-    with pytest.raises(DomainError, match="^cutoff must be positive"):
-        geometry.radius_pairs(centers, points, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="^cutoff must be positive"):
+            geometry.radius_pairs(centers, points, bad)
 
 
 def test_radius_pairs_is_the_one_cutoff_search(monkeypatch):

@@ -27,8 +27,9 @@ def test_config_defaults():
     assert cfg.residual and cfg.mode == "channel"
     with pytest.raises(DomainError):
         model.ModelConfig(n_layers=0)
-    with pytest.raises(DomainError):
-        model.ModelConfig(cutoff=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="cutoff"):
+            model.ModelConfig(cutoff=bad)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -151,6 +151,26 @@ def test_sh_monomials_reproduce_solid_harmonics(l_max):
     assert np.count_nonzero(table.any(axis=0)) == (n + 2) * (n + 1) * n // 6
 
 
+def test_one_harmonic_recursion(monkeypatch):
+    # the harmonics on points and the polynomial table both come from
+    # _sh_recursion, so a change to the recursion reaches both
+    calls = []
+    real = so3._sh_recursion
+
+    def counting(l_max, x, y, z, one, mul, out):
+        calls.append((l_max, mul))
+        real(l_max, x, y, z, one, mul, out)
+
+    monkeypatch.setattr(so3, "_sh_recursion", counting)
+    monkeypatch.setattr(so3, "_MONOMIALS", {})
+    so3.eval_real_sh(3, np.ones((5, 3)))
+    assert calls == [(3, np.multiply)]
+    table = so3.sh_monomials(3)
+    assert len(calls) == 2 and calls[1][0] == 3
+    assert calls[1][1] is not np.multiply
+    assert not table.flags.writeable
+
+
 def test_solid_harmonics_scale_with_length():
     # eval_real_sh(s u) = |s u|^l Y_lm(u): each degree-l block of a scaled
     # unit vector is s^l times the spherical harmonics, down to the origin,
@@ -234,17 +254,17 @@ def test_bad_rotation_rejected():
 
 def test_cg_scalar_case():
     t = so3.cg_table(0, 0, 0)
-    assert t.dense.shape == (1, 1, 1)
-    assert abs(t.dense[0, 0, 0] - 1.0) < 1e-15
+    assert t.shape == (1, 1, 1)
+    assert abs(t[0, 0, 0] - 1.0) < 1e-15
 
 
 def _couple(l, k, J, a, b):
     """Degree-J coupling of a degree-l and a degree-k vector, per channel."""
-    return np.einsum("Mab,...a,...b->...M", so3.cg_table(l, k, J).dense, a, b)
+    return np.einsum("Mab,...a,...b->...M", so3.cg_table(l, k, J), a, b)
 
 
 def test_cg_110_is_scaled_dot():
-    t = so3.cg_table(1, 1, 0).dense[0]
+    t = so3.cg_table(1, 1, 0)[0]
     assert np.abs(np.abs(t) - np.eye(3) / math.sqrt(3.0)).max() < 1e-12
     # and the J=0 output is rotation invariant
     rng = np.random.default_rng(5)
@@ -272,7 +292,7 @@ def test_cg_unitarity_full_range():
     for l in range(8):
         for k in range(8):
             for J in range(abs(l - k), l + k + 1):
-                Q = so3.cg_table(l, k, J).matrix()
+                Q = so3.cg_table(l, k, J).reshape(2 * J + 1, -1)
                 assert np.abs(Q @ Q.T - np.eye(2 * J + 1)).max() < 1e-10
 
 

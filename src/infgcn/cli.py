@@ -75,10 +75,15 @@ def load_run_config(path):
     if extra:
         raise SchemaError(f"{path}: unknown optimizer key {extra[0]!r}")
     opt.update(given)
-    for name in ("lr", "patience", "decay_factor"):
+    for name, ok, what in (
+            ("lr", lambda v: 0 < v < math.inf, "a positive finite number"),
+            ("patience", lambda v: isinstance(v, int) and v >= 0,
+             "a non-negative integer"),
+            ("decay_factor", lambda v: 0 < v <= 1, "a number in (0, 1]")):
         value = opt[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}: optimizer.{name} must be a number")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not ok(value)):
+            raise SchemaError(f"{path}: optimizer.{name} must be {what}")
     split = d.get("split")
     if split is not None and not isinstance(split, dict):
         raise SchemaError(f"{path}: split must be an object")
@@ -101,7 +106,8 @@ def load_run_config(path):
                     seed=d.get("seed", 0),
                     split=split)
     for name in ("train_sample", "inf_sample", "batch_size", "val_every"):
-        if not isinstance(getattr(cfg, name), int) or getattr(cfg, name) < 1:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SchemaError(f"{path}: {name} must be a positive integer")
     for name in ("n_iter", "seed"):
         value = getattr(cfg, name)

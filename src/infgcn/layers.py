@@ -46,13 +46,11 @@ summed by one ``np.add.reduceat``; residual pairs are sorted by atom, and
 ``s`` and an atom's feature gradient are one GEMM per degree over its run.
 The residual output sums pairs per query with ``np.bincount``.
 
-The radial net is the decode path's largest cost: the residual layer runs
-it on every query-atom pair. Its Gaussian embedding flushes its subnormal
-tail to zero, which keeps both GEMMs that read it at full speed. A call
-without a cache, as in ``model.predict_density``, runs in blocks of
-``_ROWS`` rows with in-place bias adds and SiLUs, so its activations stay
-cache-sized; a cached call keeps whole arrays, since the backward reads
-every row of them. Both give bit-identical outputs.
+The residual layer runs its radial net on every query-atom pair. Its
+Gaussian embedding flushes its subnormal tail to zero, which keeps both
+GEMMs that read it at full speed. A call without a cache decodes a large
+batch from a checked piecewise Chebyshev table of the net, built on every
+call (``radial_forward``); cached calls and backwards use the exact net.
 """
 from __future__ import annotations
 
@@ -199,7 +197,14 @@ def init_radial_net(rng, cutoff, out_dim, n_embed=64, hidden=128,
 
 
 _TINY = np.finfo(float).tiny
-_ROWS = 1024  # rows per block of an uncached radial_forward
+# decode tables: K intervals of [0, cutoff] at degree P, coefficients
+# _CHEB @ f from values at first-kind Chebyshev nodes, checked at interval
+# ends and quarter points (with P even, the midpoints are nodes)
+_K, _P = 64, 16
+_NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
+_CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
+_CHEB[0] /= 2
+_CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
 
 
 def _embed(params, r):
@@ -213,51 +218,81 @@ def _embed(params, r):
     return e
 
 
-def _row_blocks(n):
-    """(lo, hi) row blocks of at most about ``_ROWS`` rows. No block but a
-    one-row whole has a single row: numpy sends a one-row product to a
-    matrix-vector kernel whose sums round differently from a GEMM's."""
-    starts = list(range(0, max(n - 1, 1), _ROWS))
-    return zip(starts, starts[1:] + [n])
+def _net(params, r, cache=None):
+    """The exact net on every distance, one whole-array pass. A ``cache``
+    receives the activations; without one, the SiLUs run in place."""
+    h = _embed(params, r)
+    if cache is not None:
+        cache["e"] = h
+    for i, (w, b) in enumerate(((params.w1, params.b1),
+                                (params.w2, params.b2)), 1):
+        a = h @ w
+        a += b
+        h = silu(a, out=a if cache is None else None)
+        if cache is not None:
+            cache[f"a{i}"], cache[f"h{i}"] = a, h
+    out = h @ params.head_w
+    out += params.head_b
+    return out
+
+
+def _table_eval(coef, h, r):
+    """The table ``coef`` on intervals of width ``h`` at ``r``: rows grouped
+    by one stable argsort, one GEMM per interval writing its rows."""
+    cell = np.minimum((r / h).astype(np.intp), _K - 1)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    t = (r[order] - cell * h) * (2 / h) - 1
+    T = np.empty((_P + 1, r.size))  # T_j(t) by the three-term recurrence
+    T[0], T[1] = 1.0, t
+    for j in range(2, _P + 1):
+        T[j] = 2 * t * T[j - 1] - T[j - 2]
+    out = np.empty((r.size, coef.shape[2]))
+    cells, starts = _segments(cell)
+    for i, lo, hi in zip(cells, starts, np.append(starts[1:], r.size)):
+        out[order[lo:hi]] = T[:, lo:hi].T @ coef[i]
+    return out
+
+
+def _table(params):
+    """The net's table, (K, P+1, out_dim), or None where a check point
+    misses the exact net by over 1e-13 of max|phi| or is not finite."""
+    h = params.cutoff / _K
+    nodes = ((np.arange(_K)[:, None] + (_NODES + 1) / 2) * h).ravel()
+    checks = _CHECKS * params.cutoff
+    exact = _net(params, np.concatenate([nodes, checks]))
+    coef = np.matmul(_CHEB, exact[:nodes.size].reshape(_K, _P + 1, -1))
+    err = np.abs(_table_eval(coef, h, checks) - exact[nodes.size:]).max()
+    return coef if err <= 1e-13 * np.abs(exact).max() else None
 
 
 def radial_forward(params, r, counters=None, cache=None):
     """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
 
-    The Gaussian embedding's subnormal tail is flushed to zero (``_embed``).
-    Without a ``cache`` the net runs in blocks of ``_ROWS`` rows into one
-    preallocated output, with the bias adds and SiLUs in place, so its
-    activations stay cache-sized; every row's arithmetic is unchanged, so
-    the output is bit-identical to a whole-array pass. A ``cache`` dict
-    receives the whole activations ``e``, ``a1``, ``h1``, ``a2`` and ``h2``
-    that ``radial_backward`` reads, so that path cannot block.
+    A ``cache`` dict receives the activations ``radial_backward`` reads.
+    Without one, phi, smooth in one scalar on [0, cutoff], is decoded from
+    a table (``_table``) built from the current parameters on each call and
+    kept by none, when building, checking and evaluating it take at most
+    half the exact pass's multiplies and its coefficients are no larger than
+    the output (so never for conv heads or small batches); a failed check
+    falls back to the exact pass. ``radial`` counts the multiplies done.
     """
     r = np.asarray(r, dtype=float)
     # written so that NaN fails it too
     if not np.all((r >= 0.0) & (r <= params.cutoff + 1e-9)):
         raise DomainError("distance outside [0, cutoff]")
-    hidden = [(params.w1, params.b1), (params.w2, params.b2)]
-    if cache is None:
-        out = np.empty((r.size, params.out_dim))
-        for lo, hi in _row_blocks(r.size):
-            h = _embed(params, r[lo:hi])
-            for w, b in hidden:
-                h = h @ w
-                h += b
-                silu(h, out=h)
-            np.matmul(h, params.head_w, out=out[lo:hi])
-            out[lo:hi] += params.head_b
-    else:
-        h = cache["e"] = _embed(params, r)
-        for i, (w, b) in enumerate(hidden, 1):
-            a = h @ w
-            a += b
-            h = silu(a)
-            cache[f"a{i}"], cache[f"h{i}"] = a, h
-        out = h @ params.head_w + params.head_b
+    row = params.w1.size + params.w2.size + params.head_w.size
+    n_table, per_row = _K * (_P + 1), (_P + 1) * params.out_dim
+    # the nodes' and checks' exact rows, the transform and the checks' rows
+    table = (n_table + _CHECKS.size) * (row + per_row)
+    use = (cache is None and n_table <= r.size
+           and 2 * (table + r.size * per_row) <= r.size * row)
+    coef = _table(params) if use else None
+    out = (_net(params, r, cache) if coef is None
+           else _table_eval(coef, params.cutoff / _K, r))
     if counters is not None:
-        counters.add("radial", r.size * (params.w1.size + params.w2.size
-                                         + params.head_w.size))
+        counters.add("radial", (table if use else 0)
+                     + r.size * (row if coef is None else per_row))
     return out
 
 

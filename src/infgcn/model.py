@@ -155,7 +155,23 @@ class ParamRegistry:
 
 
 def init_params(config, seed=0, zero_heads=True):
-    rng = np.random.default_rng(seed)
+    params = _build(config, np.random.default_rng(seed), zero_heads)
+    return bind(params, np.concatenate([a.ravel()
+                                        for _, a in params.named_arrays()]))
+
+
+class _NoDraws:
+    """A random generator for shapes alone: every draw is a broadcast 0."""
+
+    def standard_normal(self, size):
+        return np.broadcast_to(0.0, size)
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
+def _build(config, rng, zero_heads):
+    """The parameters, their random arrays drawn from ``rng``."""
     embed = rng.standard_normal((config.vocab, config.channels))
     convs = [layers.init_conv_layer(rng, config.l_max, config.channels,
                                     config.cutoff, mode=config.mode,
@@ -164,10 +180,7 @@ def init_params(config, seed=0, zero_heads=True):
     res = (layers.init_residual_layer(rng, config.l_max, config.channels,
                                       config.cutoff, zero_head=zero_heads)
            if config.residual else None)
-    params = ModelParams(config=config, embed=embed, convs=convs,
-                         residual=res)
-    return bind(params, np.concatenate([a.ravel()
-                                        for _, a in params.named_arrays()]))
+    return ModelParams(config=config, embed=embed, convs=convs, residual=res)
 
 
 def bind(params, flat):
@@ -365,10 +378,16 @@ def load_checkpoint(path):
             raise DomainError(f"checkpoint header has no {exc}") from None
         except TypeError as exc:  # an unknown field names itself
             raise DomainError(f"checkpoint config: {exc}") from None
-        params = init_params(cfg, seed=0, zero_heads=True)
-        want = [[name, list(a.shape)] for name, a in params.named_arrays()]
+        # the layout from the config alone, with no random draws
+        skeleton = _build(cfg, _NoDraws(), zero_heads=True)
+        want = [[name, list(a.shape)] for name, a in skeleton.named_arrays()]
         if layout != want:
             raise DomainError("checkpoint layout does not match its config")
+        # free the skeleton's zero heads (17 MB at the defaults) first: the
+        # vector reuses their memory, and a heap holding both is not trimmed
+        n = ParamRegistry(skeleton).n_params
+        skeleton = bind(skeleton, np.broadcast_to(0.0, n))
+        params = bind(skeleton, np.empty(n))
         blob = params.flat.view(np.uint8)  # read in place, no bytes copy
         if fh.readinto(blob) != blob.size:
             raise DomainError("checkpoint truncated")

@@ -52,6 +52,10 @@ def test_run_config_defaults_and_validation(tmp_path):
         == (1024, 4096, 64)
     assert cfg.optimizer == {"method": "adaptive-moments", "lr": 1e-3,
                              "patience": 10, "decay_factor": 0.5}
+    # the edges of each optimizer range load
+    path.write_text(json.dumps({"dataset": "d", "optimizer": {
+        "lr": 2, "patience": 0, "decay_factor": 1}}))
+    assert cli.load_run_config(path).optimizer["decay_factor"] == 1
     for bad, needle in (
             ({"dataset": "d", "typo": 1}, "typo"),
             ({"dataset": "d", "optimizer": {"momentum": 0.9}}, "momentum"),
@@ -77,7 +81,21 @@ def test_run_config_defaults_and_validation(tmp_path):
     ({"split": {"train": "rec000"}}, "split['train'] must be a list"),
     ({"split": {"val": 5}}, "split['val'] must be a list"),
     ({"split": {"train": [0]}}, "split['train'] must be a list"),
-    ({"split": {"tain": ["rec000"]}}, "unknown split key 'tain'")])
+    ({"split": {"tain": ["rec000"]}}, "unknown split key 'tain'"),
+    ({"train_sample": True}, "train_sample must be a positive integer"),
+    ({"inf_sample": True}, "inf_sample must be a positive integer"),
+    ({"batch_size": True}, "batch_size must be a positive integer"),
+    ({"val_every": True}, "val_every must be a positive integer"),
+    ({"optimizer": {"lr": -1}}, "optimizer.lr must be a positive finite"),
+    ({"optimizer": {"lr": 0}}, "optimizer.lr must be a positive finite"),
+    ({"optimizer": {"lr": float("nan")}}, "optimizer.lr"),
+    ({"optimizer": {"lr": float("inf")}}, "optimizer.lr"),
+    ({"optimizer": {"decay_factor": 2}}, "optimizer.decay_factor must be"),
+    ({"optimizer": {"decay_factor": 0}}, "optimizer.decay_factor"),
+    ({"optimizer": {"decay_factor": float("nan")}}, "optimizer.decay_factor"),
+    ({"optimizer": {"patience": 0.5}}, "optimizer.patience must be a non-"),
+    ({"optimizer": {"patience": -1}}, "optimizer.patience"),
+    ({"optimizer": {"patience": True}}, "optimizer.patience")])
 def test_main_rejects_malformed_config(tmp_path, capsys, bad, needle):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))

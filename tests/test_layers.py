@@ -113,17 +113,86 @@ def test_embed_has_no_subnormal_entries():
     assert np.all(e.max(axis=1) >= np.exp(-0.125))
 
 
-@pytest.mark.parametrize("n", [0, 1, layers._ROWS, layers._ROWS + 1,
-                               2 * layers._ROWS + 7])
+def _row_mults(p):
+    """Multiplies of one exact row of a radial net."""
+    return p.w1.size + p.w2.size + p.head_w.size
+
+
+# every size is below the smallest batch a decode table pays for at
+# out_dim 40 (2,746 rows), so the uncached pass runs the exact net
+@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2055])
 def test_uncached_radial_forward_is_bit_identical_to_cached(n):
-    # the uncached pass runs in row blocks, the cached one on whole arrays
     rng = np.random.default_rng(42)
     p = layers.init_radial_net(rng, 3.0, 40, zero_head=False)
     r = rng.uniform(0.0, 3.0, size=n)
     cached = layers.radial_forward(p, r, cache={})
-    uncached = layers.radial_forward(p, r)
+    counters = layers.OpCounters()
+    uncached = layers.radial_forward(p, r, counters)
     assert uncached.shape == (n, 40)
     assert np.array_equal(uncached, cached)
+    assert counters.counts["radial"] == n * _row_mults(p)
+
+
+def _scaled_net(scale, out_dim=8, seed=43):
+    """A radial net with its hidden weights scaled: phi's derivatives, and
+    so the decode table's error, grow with them."""
+    p = layers.init_radial_net(np.random.default_rng(seed), 3.0, out_dim,
+                               zero_head=False)
+    p.w1 *= scale
+    p.w2 *= scale
+    return p
+
+
+def _decode_distances(rng, p, n=4000):
+    """``n`` distances a decode table pays for, among them 0, the cutoff,
+    just past it (inside the check's slack) and every interval edge."""
+    h = p.cutoff / layers._K
+    edges = np.arange(layers._K + 1) * h
+    special = np.concatenate([[0.0, p.cutoff, p.cutoff + 1e-10], edges,
+                              np.nextafter(edges[1:], 0.0),
+                              np.nextafter(edges[:-1], np.inf)])
+    return np.concatenate([special,
+                           rng.uniform(0.0, p.cutoff, n - special.size)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_uncached_radial_decode_table_matches_exact_net(scale):
+    rng = np.random.default_rng(44)
+    p = _scaled_net(scale)
+    r = _decode_distances(rng, p)
+    exact = layers.radial_forward(p, r, cache={})
+    counters = layers.OpCounters()
+    got = layers.radial_forward(p, r, counters)
+    # the table ran: fewer multiplies than the exact pass, at most half
+    assert 2 * counters.counts["radial"] <= r.size * _row_mults(p)
+    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.array_equal(got, layers.radial_forward(p, r))
+
+
+def test_uncached_radial_decode_falls_back_on_large_weights():
+    # x10 weights: no table of this size comes within 1e-13 of scale
+    rng = np.random.default_rng(45)
+    p = _scaled_net(10.0)
+    r = _decode_distances(rng, p)
+    counters = layers.OpCounters()
+    got = layers.radial_forward(p, r, counters)
+    assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
+    assert counters.counts["radial"] > r.size * _row_mults(p)
+
+
+@pytest.mark.parametrize("out_dim", [40, 5504])
+@pytest.mark.parametrize("n", [20, 76])
+def test_conv_sized_radial_batches_never_build_a_table(monkeypatch, out_dim,
+                                                       n):
+    # 5,504 = 344 paths x 16 channels, the default conv head
+    rng = np.random.default_rng(46)
+    p = layers.init_radial_net(rng, 3.0, out_dim, zero_head=False)
+    r = rng.uniform(0.0, 3.0, size=n)
+    monkeypatch.setattr(layers, "_table", None)  # a table build would fail
+    counters = layers.OpCounters()
+    got = layers.radial_forward(p, r, counters)
+    assert counters.counts["radial"] == n * _row_mults(p)
+    assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
 
 
 def test_radial_backward_matches_fd():

@@ -224,6 +224,57 @@ def test_count_parameters_closed_form():
     assert model.count_parameters(params) == want
 
 
+def _reference_flat(cfg, seed, zero_heads):
+    """init_params' flat vector, drawn array by array: embeddings, then per
+    conv layer its radial net and self weights, then the residual layer's
+    radial net."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(shape):
+        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-bound, bound, size=shape)
+
+    def radial(out):  # the head is drawn first
+        head = (np.zeros((128, out)) if zero_heads
+                else 0.01 * glorot((128, out)))
+        w1, w2 = glorot((64, 128)), glorot((128, 128))
+        return [w1, np.zeros(128), w2, np.zeros(128), head, np.zeros(out)]
+
+    arrays = [rng.standard_normal((cfg.vocab, cfg.channels))]
+    per_path = cfg.channels if cfg.mode == "channel" else cfg.channels ** 2
+    for _ in range(cfg.n_layers):
+        arrays += radial(len(layers.make_paths(cfg.l_max)) * per_path)
+        arrays.append(np.ones((cfg.l_max + 1, cfg.channels)))
+    if cfg.residual:
+        arrays += radial((cfg.l_max + 1) * cfg.channels)
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+@pytest.mark.parametrize("mode", ["channel", "fc"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_init_params_matches_reference_draws(mode, seed):
+    cfg = dataclasses.replace(SMALL, mode=mode)
+    for zero_heads in (True, False):
+        params = model.init_params(cfg, seed=seed, zero_heads=zero_heads)
+        assert np.array_equal(params.flat,
+                              _reference_flat(cfg, seed, zero_heads))
+
+
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    params = model.init_params(SMALL, seed=9, zero_heads=False)
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(params, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded = model.load_checkpoint(path)
+    assert np.array_equal(loaded.flat, params.flat)
+    for (_, a), (_, b) in zip(loaded.named_arrays(), params.named_arrays()):
+        assert np.shares_memory(a, loaded.flat) and np.array_equal(a, b)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = model.init_params(SMALL, seed=7, zero_heads=False)
     path = tmp_path / "model.ckpt"

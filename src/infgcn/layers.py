@@ -46,11 +46,8 @@ summed by one ``np.add.reduceat``; residual pairs are sorted by atom, and
 ``s`` and an atom's feature gradient are one GEMM per degree over its run.
 The residual output sums pairs per query with ``np.bincount``.
 
-The residual layer runs its radial net on every query-atom pair. Its
-Gaussian embedding flushes its subnormal tail to zero, which keeps both
-GEMMs that read it at full speed. A call without a cache decodes a large
-batch from a checked piecewise Chebyshev table of the net, built on every
-call (``radial_forward``); cached calls and backwards use the exact net.
+The residual layer runs its radial net on every query-atom pair; uncached,
+a large batch is decoded from a checked table of it (``radial_forward``).
 """
 from __future__ import annotations
 
@@ -187,7 +184,8 @@ def init_radial_net(rng, cutoff, out_dim, n_embed=64, hidden=128,
                     zero_head=True):
     centers = np.linspace(0.0, cutoff, n_embed)
     width = centers[1] - centers[0]
-    head_w = (np.zeros((hidden, out_dim)) if zero_head
+    # a generator for shapes alone (model._NoDraws) has its own zeros
+    head_w = (getattr(rng, "zeros", np.zeros)((hidden, out_dim)) if zero_head
               else 0.01 * _glorot(rng, (hidden, out_dim)))
     return RadialNetParams(
         centers=centers, width=float(width), cutoff=float(cutoff),
@@ -197,9 +195,9 @@ def init_radial_net(rng, cutoff, out_dim, n_embed=64, hidden=128,
 
 
 _TINY = np.finfo(float).tiny
-# decode tables: K intervals of [0, cutoff] at degree P, coefficients
-# _CHEB @ f from values at first-kind Chebyshev nodes, checked at interval
-# ends and quarter points (with P even, the midpoints are nodes)
+_ROWS = 1024  # rows per block of an uncached exact radial pass
+# decode tables: K intervals of [0, cutoff] at degree P from values at
+# first-kind Chebyshev nodes, checked at interval ends and quarter points
 _K, _P = 64, 16
 _NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
 _CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
@@ -208,30 +206,29 @@ _CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
 
 
 def _embed(params, r):
-    """Gaussian embedding of distances, (E, n_embed). Entries below the
-    smallest normal float are set to zero: GEMMs over subnormal operands
-    run several times slower, and next to the nearest center's Gaussian,
-    at least exp(-1/8) since centers are one width apart, they vanish in
-    rounding."""
+    """Gaussian embedding of distances, (E, n_embed), its subnormal entries
+    set to zero: GEMMs over them run several times slower, and beside the
+    nearest center's Gaussian (>= exp(-1/8)) they vanish in rounding."""
     e = np.exp(-0.5 * ((r[:, None] - params.centers) / params.width) ** 2)
     np.copyto(e, 0.0, where=e < _TINY)
     return e
 
 
-def _net(params, r, cache=None):
-    """The exact net on every distance, one whole-array pass. A ``cache``
-    receives the activations; without one, the SiLUs run in place."""
+def _net(params, r, cache=None, out=None):
+    """The exact net, into ``out`` if given; ``cache`` gets activations."""
     h = _embed(params, r)
     if cache is not None:
         cache["e"] = h
     for i, (w, b) in enumerate(((params.w1, params.b1),
                                 (params.w2, params.b2)), 1):
-        a = h @ w
-        a += b
-        h = silu(a, out=a if cache is None else None)
-        if cache is not None:
-            cache[f"a{i}"], cache[f"h{i}"] = a, h
-    out = h @ params.head_w
+        h = h @ w  # frees the layer's input before the SiLU's temporary
+        h += b
+        if cache is None:
+            silu(h, out=h)
+        else:
+            cache[f"a{i}"] = h
+            h = cache[f"h{i}"] = silu(h)
+    out = np.matmul(h, params.head_w, out=out)
     out += params.head_b
     return out
 
@@ -243,14 +240,11 @@ def _table_eval(coef, h, r):
     order = np.argsort(cell, kind="stable")
     cell = cell[order]
     t = (r[order] - cell * h) * (2 / h) - 1
-    T = np.empty((_P + 1, r.size))  # T_j(t) by the three-term recurrence
-    T[0], T[1] = 1.0, t
-    for j in range(2, _P + 1):
-        T[j] = 2 * t * T[j - 1] - T[j - 2]
+    T = np.polynomial.chebyshev.chebvander(t, _P)  # T_j(t), (E, P+1)
     out = np.empty((r.size, coef.shape[2]))
     cells, starts = _segments(cell)
     for i, lo, hi in zip(cells, starts, np.append(starts[1:], r.size)):
-        out[order[lo:hi]] = T[:, lo:hi].T @ coef[i]
+        out[order[lo:hi]] = T[lo:hi] @ coef[i]
     return out
 
 
@@ -270,12 +264,12 @@ def radial_forward(params, r, counters=None, cache=None):
     """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
 
     A ``cache`` dict receives the activations ``radial_backward`` reads.
-    Without one, phi, smooth in one scalar on [0, cutoff], is decoded from
-    a table (``_table``) built from the current parameters on each call and
-    kept by none, when building, checking and evaluating it take at most
-    half the exact pass's multiplies and its coefficients are no larger than
-    the output (so never for conv heads or small batches); a failed check
-    falls back to the exact pass. ``radial`` counts the multiplies done.
+    Without one, phi, smooth in one scalar, comes from a ``_table`` built
+    from the current parameters on each call, when that costs at most half
+    the exact pass's multiplies and its coefficients are no larger than the
+    output (never for conv heads or small batches). Otherwise, or when its
+    check fails, the exact net runs, uncached in blocks of ``_ROWS`` rows.
+    ``radial`` counts the multiplies done.
     """
     r = np.asarray(r, dtype=float)
     # written so that NaN fails it too
@@ -288,8 +282,15 @@ def radial_forward(params, r, counters=None, cache=None):
     use = (cache is None and n_table <= r.size
            and 2 * (table + r.size * per_row) <= r.size * row)
     coef = _table(params) if use else None
-    out = (_net(params, r, cache) if coef is None
-           else _table_eval(coef, params.cutoff / _K, r))
+    if coef is not None:
+        out = _table_eval(coef, params.cutoff / _K, r)
+    elif cache is not None:
+        out = _net(params, r, cache)
+    else:  # cache-sized blocks, none of one row (GEMV rounds differently)
+        out = np.empty((r.size, params.out_dim))
+        starts = list(range(0, max(r.size - 1, 1), _ROWS))
+        for lo, hi in zip(starts, starts[1:] + [r.size]):
+            _net(params, r[lo:hi], out=out[lo:hi])
     if counters is not None:
         counters.add("radial", (table if use else 0)
                      + r.size * (row if coef is None else per_row))

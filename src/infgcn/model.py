@@ -161,13 +161,17 @@ def init_params(config, seed=0, zero_heads=True):
 
 
 class _NoDraws:
-    """A random generator for shapes alone: every draw is a broadcast 0."""
+    """A random generator for shapes alone: its draws and its zeros (for
+    ``layers.init_radial_net``'s zero heads) are broadcast 0s, so building
+    parameters from it allocates nothing large."""
 
-    def standard_normal(self, size):
-        return np.broadcast_to(0.0, size)
+    def zeros(self, shape):
+        return np.broadcast_to(0.0, shape)
 
     def uniform(self, low, high, size):
-        return np.broadcast_to(0.0, size)
+        return self.zeros(size)
+
+    standard_normal = zeros
 
 
 def _build(config, rng, zero_heads):
@@ -378,16 +382,11 @@ def load_checkpoint(path):
             raise DomainError(f"checkpoint header has no {exc}") from None
         except TypeError as exc:  # an unknown field names itself
             raise DomainError(f"checkpoint config: {exc}") from None
-        # the layout from the config alone, with no random draws
         skeleton = _build(cfg, _NoDraws(), zero_heads=True)
         want = [[name, list(a.shape)] for name, a in skeleton.named_arrays()]
         if layout != want:
             raise DomainError("checkpoint layout does not match its config")
-        # free the skeleton's zero heads (17 MB at the defaults) first: the
-        # vector reuses their memory, and a heap holding both is not trimmed
-        n = ParamRegistry(skeleton).n_params
-        skeleton = bind(skeleton, np.broadcast_to(0.0, n))
-        params = bind(skeleton, np.empty(n))
+        params = bind(skeleton, np.empty(ParamRegistry(skeleton).n_params))
         blob = params.flat.view(np.uint8)  # read in place, no bytes copy
         if fh.readinto(blob) != blob.size:
             raise DomainError("checkpoint truncated")

@@ -80,6 +80,20 @@ def test_a1_training_surrogate(workdir):
             % (nm, rep["steps"], wall))
 
 
+def test_a1_checkpoint_decodes_from_its_checked_table(workdir):
+    # a trained residual radial net, not only an initial one, passes its
+    # decode table's check, so eval's large batches take the table
+    _, ckpt = _eval_artifacts(workdir)
+    radial = model.load_checkpoint(ckpt).residual.radial
+    r = np.linspace(0.0, radial.cutoff, 4 * 4096 + 1)  # every interval edge
+    counters = layers.OpCounters()
+    got = layers.radial_forward(radial, r, counters)
+    exact = layers.radial_forward(radial, r, cache={})
+    row = radial.w1.size + radial.w2.size + radial.head_w.size
+    assert 2 * counters.counts["radial"] <= r.size * row  # no fallback
+    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
 def test_a2_equivariance(workdir):
     # Two branches: rotate inputs vs. predict-then-compare, 20 random
     # rotations on a randomly initialized default model; plus NMAE under an

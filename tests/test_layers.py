@@ -119,8 +119,10 @@ def _row_mults(p):
 
 
 # every size is below the smallest batch a decode table pays for at
-# out_dim 40 (2,746 rows), so the uncached pass runs the exact net
-@pytest.mark.parametrize("n", [0, 1, 1024, 1025, 2055])
+# out_dim 40 (2,746 rows), so the uncached pass runs the exact net, in row
+# blocks, and the cached one on whole arrays
+@pytest.mark.parametrize("n", [0, 1, layers._ROWS, layers._ROWS + 1,
+                               2 * layers._ROWS + 7])
 def test_uncached_radial_forward_is_bit_identical_to_cached(n):
     rng = np.random.default_rng(42)
     p = layers.init_radial_net(rng, 3.0, 40, zero_head=False)
@@ -178,6 +180,23 @@ def test_uncached_radial_decode_falls_back_on_large_weights():
     got = layers.radial_forward(p, r, counters)
     assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
     assert counters.counts["radial"] > r.size * _row_mults(p)
+
+
+def test_uncached_radial_fallback_runs_in_row_blocks():
+    # after a failed check the exact net runs in blocks of _ROWS rows, so
+    # the peak is a few blocks' activations, not one 128-wide activation
+    # of the whole batch
+    import tracemalloc
+
+    p = _scaled_net(10.0)
+    r = np.random.default_rng(47).uniform(0.0, p.cutoff, 16 * layers._ROWS)
+    tracemalloc.start()
+    try:
+        layers.radial_forward(p, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r.size * 128 * 8 / 2
 
 
 @pytest.mark.parametrize("out_dim", [40, 5504])

@@ -113,12 +113,17 @@ def load_run_config(path):
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise SchemaError(f"{path}: {name} must be a non-negative integer")
+    for name, types in (("dataset", (str, type(None))), ("out_dir", str)):
+        if not isinstance(getattr(cfg, name), types):
+            raise SchemaError(f"{path}: {name} must be a string")
     return cfg
 
 
 def _load_dataset(cfg):
     if not cfg.dataset:
         raise SchemaError("config: 'dataset' is required for this command")
+    if not os.path.isdir(cfg.dataset):
+        raise SchemaError(f"{cfg.dataset}: dataset is not a directory")
     stems = dataio.list_records(cfg.dataset)
     if not stems:
         raise SchemaError(f"{cfg.dataset}: no records found")
@@ -165,8 +170,8 @@ def _sample_nmae(params, recs, cfg, step):
 
 def cmd_train(cfg, deterministic=False):
     """Sampled-query training loop with plateau decay and best checkpoint."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train, val = _load_dataset(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     params = model.init_params(cfg.model, seed=cfg.seed)
     registry = grad.ParamRegistry(params)
     state = grad.init_optimizer(registry, **cfg.optimizer)

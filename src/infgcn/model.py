@@ -68,10 +68,14 @@ class ModelConfig:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if min(self.l_max, self.channels, self.n_layers, self.vocab) < 0:
-            raise DomainError("config integers must be non-negative")
-        if self.n_layers < 1 or self.channels < 1 or self.vocab < 1:
-            raise DomainError("config integers must be positive")
+        for name in ("l_max", "channels", "n_layers", "vocab"):
+            value, low = getattr(self, name), int(name != "l_max")
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, np.integer)) and value >= low):
+                raise DomainError(f"{name} must be an integer >= {low}, got "
+                                  f"{value!r}")
+        if not isinstance(self.residual, (bool, np.bool_)):
+            raise DomainError(f"residual must be bool, got {self.residual!r}")
         if not 0.0 < self.cutoff < np.inf:
             raise DomainError("cutoff must be positive and finite, got "
                               f"{self.cutoff}")

@@ -95,11 +95,20 @@ def test_run_config_defaults_and_validation(tmp_path):
     ({"optimizer": {"decay_factor": float("nan")}}, "optimizer.decay_factor"),
     ({"optimizer": {"patience": 0.5}}, "optimizer.patience must be a non-"),
     ({"optimizer": {"patience": -1}}, "optimizer.patience"),
-    ({"optimizer": {"patience": True}}, "optimizer.patience")])
-def test_main_rejects_malformed_config(tmp_path, capsys, bad, needle):
+    ({"optimizer": {"patience": True}}, "optimizer.patience"),
+    ({"model": {"l_max": 2.5}}, "l_max must be an integer >= 0, got 2.5"),
+    ({"model": {"l_max": True}}, "l_max must be an integer >= 0, got True"),
+    ({"model": {"residual": 2}}, "residual must be bool, got 2"),
+    ({"out_dir": 5}, "out_dir must be a string"),
+    ({"dataset": ["x"]}, "dataset must be a string"),
+    ({"dataset": "no-such-dir"}, "no-such-dir: dataset is not a directory")])
+def test_main_rejects_malformed_config(tmp_path, monkeypatch, capsys, bad,
+                                       needle):
+    # train reads every field, the dataset directory too
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    assert cli.main(["gradcheck", "--config", str(path)]) == 1
+    assert cli.main(["train", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and needle in err
 
@@ -264,6 +273,32 @@ def test_unrotated_eval_reuses_the_loaded_graphs(tmp_path, monkeypatch):
         want = model.nmae(pred, grid.values)
         got = rep["records"][Path(stem).name]
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_eval_builds_one_decode_table_for_all_records(tmp_path, monkeypatch):
+    # both records' decode batches take the residual net's table, built
+    # from the same parameters, so it is built once
+    dataio.make_synthetic_dataset(tmp_path / "data", n_records=2, seed=16,
+                                  shape=(16, 16, 16))
+    ckpt = tmp_path / "init.ckpt"
+    model.save_checkpoint(model.init_params(
+        model.ModelConfig(**SMALL_MODEL), seed=17, zero_heads=False), ckpt)
+    cfg = cli.load_run_config(write_config(
+        tmp_path, tmp_path / "data", tmp_path / "out", inf_sample=4096))
+    calls = {"_table": 0, "_decode_table": 0}
+
+    def counted(name):
+        fn = getattr(layers, name)
+
+        def wrapper(p):
+            calls[name] += 1
+            return fn(p)
+        monkeypatch.setattr(layers, name, wrapper)
+
+    counted("_table")
+    counted("_decode_table")
+    cli.cmd_eval(cfg, ckpt, jobs=1, deterministic=True)
+    assert calls == {"_table": 1, "_decode_table": 2}
 
 
 def test_eval_partition_and_jobs_invariance(tmp_path):

@@ -118,23 +118,6 @@ def _row_mults(p):
     return p.w1.size + p.w2.size + p.head_w.size
 
 
-# every size is below the smallest batch a decode table pays for at
-# out_dim 40 (2,746 rows), so the uncached pass runs the exact net, in row
-# blocks, and the cached one on whole arrays
-@pytest.mark.parametrize("n", [0, 1, layers._ROWS, layers._ROWS + 1,
-                               2 * layers._ROWS + 7])
-def test_uncached_radial_forward_is_bit_identical_to_cached(n):
-    rng = np.random.default_rng(42)
-    p = layers.init_radial_net(rng, 3.0, 40, zero_head=False)
-    r = rng.uniform(0.0, 3.0, size=n)
-    cached = layers.radial_forward(p, r, cache={})
-    counters = layers.OpCounters()
-    uncached = layers.radial_forward(p, r, counters)
-    assert uncached.shape == (n, 40)
-    assert np.array_equal(uncached, cached)
-    assert counters.counts["radial"] == n * _row_mults(p)
-
-
 def _scaled_net(scale, out_dim=8, seed=43):
     """A radial net with its hidden weights scaled: phi's derivatives, and
     so the decode table's error, grow with them."""
@@ -143,6 +126,27 @@ def _scaled_net(scale, out_dim=8, seed=43):
     p.w1 *= scale
     p.w2 *= scale
     return p
+
+
+# the uncached pass runs the exact net in row blocks, the cached one on
+# whole arrays. The largest size is above the smallest batch a decode table
+# pays for at out_dim 40 (1,342 rows), so the net's hidden weights are
+# scaled x10, where no table passes its check, and a first uncached call
+# leaves that failed check in the memo: the counted call then runs only the
+# blocked exact pass
+@pytest.mark.parametrize("n", [0, 1, layers._ROWS, layers._ROWS + 1,
+                               2 * layers._ROWS + 7])
+def test_uncached_radial_forward_is_bit_identical_to_cached(n):
+    rng = np.random.default_rng(42)
+    p = _scaled_net(10.0, out_dim=40, seed=42)
+    r = rng.uniform(0.0, 3.0, size=n)
+    cached = layers.radial_forward(p, r, cache={})
+    layers.radial_forward(p, r)
+    counters = layers.OpCounters()
+    uncached = layers.radial_forward(p, r, counters)
+    assert uncached.shape == (n, 40)
+    assert np.array_equal(uncached, cached)
+    assert counters.counts["radial"] == n * _row_mults(p)
 
 
 def _decode_distances(rng, p, n=4000):
@@ -212,6 +216,86 @@ def test_conv_sized_radial_batches_never_build_a_table(monkeypatch, out_dim,
     got = layers.radial_forward(p, r, counters)
     assert counters.counts["radial"] == n * _row_mults(p)
     assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
+
+
+def _counting_table(monkeypatch):
+    """Patch ``layers._table`` to record each build; returns the record."""
+    builds, real = [], layers._table
+    monkeypatch.setattr(layers, "_table",
+                        lambda p: builds.append(p) or real(p))
+    return builds
+
+
+def test_decode_table_is_built_once_per_net(monkeypatch):
+    builds = _counting_table(monkeypatch)
+    p = _scaled_net(1.0)
+    r = np.random.default_rng(48).uniform(0.0, p.cutoff, 1400)
+    first = layers.radial_forward(p, r)
+    counters = layers.OpCounters()
+    assert np.array_equal(layers.radial_forward(p, r, counters), first)
+    assert len(builds) == 1
+    # a hit charges only the evaluation
+    assert counters.counts["radial"] == r.size * (layers._P + 1) * p.out_dim
+    # one bit of any array or scalar of the net is a different net
+    for name in ("cutoff", "width", "centers", "w1", "b1", "w2", "b2",
+                 "head_w", "head_b"):
+        q = copy.deepcopy(p)
+        value = getattr(q, name)
+        if isinstance(value, float):
+            setattr(q, name, np.nextafter(value, np.inf))
+        else:
+            value.flat[3] = np.nextafter(value.flat[3], np.inf)
+        layers.radial_forward(q, r)
+        layers.radial_forward(p, r)
+    assert len(builds) == 1 + 2 * 9
+
+
+def test_decode_table_concurrent_first_build():
+    # racing first builds take no lock: every thread must still get the
+    # serial result, and the memo must keep a table equal to the serial one
+    p = _scaled_net(1.0)
+    r = np.random.default_rng(50).uniform(0.0, p.cutoff, 4000)
+    want = layers.radial_forward(p, r)
+    table = layers._DECODE[1]
+    layers._DECODE = None  # restored by the autouse fixture
+    n_threads = 6
+    barrier = threading.Barrier(n_threads)
+    got = [None] * n_threads
+
+    def decode(i):
+        barrier.wait(timeout=30)
+        got[i] = layers.radial_forward(p, r)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decode, args=(i,))
+                   for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(g, want) for g in got)
+    assert np.array_equal(layers._DECODE[1], table)
+
+
+def test_failed_decode_check_is_paid_once(monkeypatch):
+    # x3 weights: this net's table misses its check, so every call runs
+    # the blocked exact pass, and only the first builds and checks a table
+    builds = _counting_table(monkeypatch)
+    p = _scaled_net(3.0)
+    rng = np.random.default_rng(51)
+    for i in range(3):
+        r = rng.uniform(0.0, p.cutoff, 3800)
+        counters = layers.OpCounters()
+        got = layers.radial_forward(p, r, counters)
+        assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
+        exact = r.size * _row_mults(p)
+        assert (counters.counts["radial"] > exact) == (i == 0)
+    assert len(builds) == 1 and layers._DECODE[1] is None
 
 
 def test_radial_backward_matches_fd():

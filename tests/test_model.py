@@ -34,7 +34,9 @@ def test_config_defaults():
 
 @pytest.mark.parametrize("field, value", [
     ("mode", "dense"), ("act0", "relu"), ("act_l", "tanh"),
-    ("spacing", "log"), ("r_min", 5.0), ("r_min", 7.5)])
+    ("spacing", "log"), ("r_min", 5.0), ("r_min", 7.5), ("l_max", 2.5),
+    ("l_max", True), ("l_max", -1), ("channels", 0), ("n_layers", "2"),
+    ("vocab", None), ("residual", 2), ("residual", "no")])
 def test_config_rejects_unknown_choice_naming_field(field, value):
     with pytest.raises(DomainError, match=field):
         model.ModelConfig(**{field: value})
@@ -97,6 +99,32 @@ def test_encode_then_decode_matches_one_pass(mode, residual):
         dens, trace = model.forward_trace(params, graph, q)
         assert np.array_equal(trace["coeffs"], coeffs)
         assert np.array_equal(dens, model.predict_density(params, graph, q))
+
+
+def test_decode_table_follows_in_place_parameter_updates(monkeypatch):
+    # the residual net's decode table is memoized across predictions; an
+    # in-place update of params.flat, as optimize_step makes, must not
+    # leave a stale table in use
+    rng = np.random.default_rng(23)
+    params = model.init_params(SMALL, seed=24, zero_heads=False)
+    graph = small_instance(rng)
+    q = rng.uniform(-2, 2, size=(1500, 3))
+    builds, real = [], layers._table
+    monkeypatch.setattr(layers, "_table",
+                        lambda p: builds.append(p) or real(p))
+    first = model.predict_density(params, graph, q)
+    assert np.array_equal(model.predict_density(params, graph, q), first)
+    assert len(builds) == 1  # the pairs are a table-sized batch, built once
+    reg = model.ParamRegistry(params)
+    i = reg.names.index("residual.radial.w1")
+    params.flat[reg.offsets[i]:reg.offsets[i + 1]] *= 1.5
+    second = model.predict_density(params, graph, q)
+    assert len(builds) == 2 and not np.array_equal(second, first)
+    assert not any(np.shares_memory(a, params.flat)
+                   for a in layers._DECODE[0])
+    monkeypatch.setattr(layers, "_DECODE", None)
+    assert np.array_equal(model.predict_density(params, graph, q), second)
+    assert len(builds) == 3
 
 
 def test_partitioned_box_decode_matches_one_dense_pass():

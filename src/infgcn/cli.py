@@ -105,14 +105,13 @@ def load_run_config(path):
                     val_every=d.get("val_every", 25),
                     seed=d.get("seed", 0),
                     split=split)
-    for name in ("train_sample", "inf_sample", "batch_size", "val_every"):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise SchemaError(f"{path}: {name} must be a positive integer")
-    for name in ("n_iter", "seed"):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise SchemaError(f"{path}: {name} must be a non-negative integer")
+    for name, low in (("train_sample", 1), ("inf_sample", 1),
+                      ("batch_size", 1), ("val_every", 1), ("n_iter", 0),
+                      ("seed", 0)):
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            kind = "positive" if low else "non-negative"
+            raise SchemaError(f"{path}: {name} must be a {kind} integer")
     for name, types in (("dataset", (str, type(None))), ("out_dir", str)):
         if not isinstance(getattr(cfg, name), types):
             raise SchemaError(f"{path}: {name} must be a string")

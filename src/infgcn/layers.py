@@ -47,8 +47,7 @@ summed by one ``np.add.reduceat``; residual pairs are sorted by atom, and
 The residual output sums pairs per query with ``np.bincount``.
 
 The residual layer runs its radial net on every query-atom pair; uncached,
-a large batch is decoded from a checked table of it, built once per
-parameter state (``radial_forward``).
+a large batch is decoded from a checked, memoized table (``radial_forward``).
 """
 from __future__ import annotations
 
@@ -204,7 +203,8 @@ _NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
 _CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
 _CHEB[0] /= 2
 _CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
-_DECODE = None  # (copies of the last tabled net's arrays, its _table)
+_KEEP = 1 << 21  # bytes of the largest table the decode memo keeps
+_DECODE = None  # (bit-compared copies of the kept net's fields, its _table)
 
 
 def _embed(params, r):
@@ -262,18 +262,18 @@ def _table(params):
     return coef if err <= 1e-13 * np.abs(exact).max() else None
 
 
-def _decode_table(params):
-    """``_table(params)`` and whether this call built it; the last net's
-    table is kept, keyed by the bit patterns of all the net's fields."""
+def _decode_table(params, keep):
+    """``_table(params)``, kept if ``keep``, and whether this call built it."""
     global _DECODE
     key = [np.asarray(v, dtype=float) for v in vars(params).values()]
     memo = _DECODE  # read once: a racing thread stores an equal entry
-    if memo is not None and all(np.array_equal(
+    if keep and memo is not None and all(np.array_equal(
             a.view(np.int64), b.view(np.int64)) for a, b in zip(memo[0], key)):
         return memo[1], False
-    # copies: optimize_step updates params.flat, which the arrays view
-    memo = _DECODE = tuple(a.copy() for a in key), _table(params)
-    return memo[1], True
+    coef = _table(params)
+    if keep:  # copies: optimize_step updates params.flat, which they view
+        _DECODE = tuple(a.copy() for a in key), coef
+    return coef, True
 
 
 def radial_forward(params, r, counters=None, cache=None):
@@ -282,11 +282,12 @@ def radial_forward(params, r, counters=None, cache=None):
     A ``cache`` dict receives the activations ``radial_backward`` reads.
     Without one, phi, smooth in one scalar, comes from a ``_table`` when
     building, checking and evaluating it cost no more multiplies than the
-    exact pass: from 1,425 distances at the residual head's 128 outputs,
-    1,659 at a default conv head's (a ~46 MB table). The last table or
-    failed check is kept with copies of its net's arrays (~1.4 MB for the
-    residual net) until their bits change. Otherwise the exact net runs,
-    uncached in blocks of ``_ROWS`` rows. ``radial`` counts multiplies done.
+    exact pass (1,425 distances at 128 outputs). A table of at most
+    ``_KEEP`` bytes, or its failed check, is kept with copies of its net's
+    arrays until their bits change; a larger one (a conv head's) is built
+    per call, so must cost half the exact pass (3,889 edges at 5,504
+    outputs). Else the exact net runs uncached, in ``_ROWS``-row blocks.
+    ``radial`` counts the multiplies done.
     """
     r = np.asarray(r, dtype=float)
     # written so that NaN fails it too
@@ -296,8 +297,10 @@ def radial_forward(params, r, counters=None, cache=None):
     per_row = (_P + 1) * params.out_dim
     # the nodes' and checks' exact rows, the transform and the checks' rows
     table = (_K * (_P + 1) + _CHECKS.size) * (row + per_row)
-    use = cache is None and table + r.size * per_row <= r.size * row
-    coef, built = _decode_table(params) if use else (None, False)
+    keep = _K * per_row * 8 <= _KEEP
+    cost = (2 - keep) * (table + r.size * per_row)  # twice if built per call
+    use = cache is None and cost <= r.size * row
+    coef, built = _decode_table(params, keep) if use else (None, False)
     if coef is not None:
         out = _table_eval(coef, params.cutoff / _K, r)
     elif cache is not None:

@@ -104,13 +104,15 @@ def test_run_config_defaults_and_validation(tmp_path):
     ({"dataset": "no-such-dir"}, "no-such-dir: dataset is not a directory")])
 def test_main_rejects_malformed_config(tmp_path, monkeypatch, capsys, bad,
                                        needle):
-    # train reads every field, the dataset directory too
+    # both commands load the config; only train reads the dataset directory
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    assert cli.main(["train", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and needle in err
+    reads_data = isinstance(bad, dict) and isinstance(bad.get("dataset"), str)
+    for command in ("train",) if reads_data else ("gradcheck", "train"):
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and needle in err, command
 
 
 def test_train_zero_iterations_keeps_init(tmp_path):
@@ -290,9 +292,9 @@ def test_eval_builds_one_decode_table_for_all_records(tmp_path, monkeypatch):
     def counted(name):
         fn = getattr(layers, name)
 
-        def wrapper(p):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(p)
+            return fn(*args)
         monkeypatch.setattr(layers, name, wrapper)
 
     counted("_table")

@@ -298,6 +298,30 @@ def test_failed_decode_check_is_paid_once(monkeypatch):
     assert len(builds) == 1 and layers._DECODE[1] is None
 
 
+def test_tables_too_large_to_keep_pay_their_build_each_call(monkeypatch):
+    # 300 outputs: a 2.6 MB table, over _KEEP, as a conv head's is. It is
+    # built on every call that uses it, so it must cost at most half the
+    # exact pass, and the memo stays as it was
+    builds = _counting_table(monkeypatch)
+    p = layers.init_radial_net(np.random.default_rng(52), 3.0, 300,
+                               zero_head=False)
+    assert layers._K * (layers._P + 1) * p.out_dim * 8 > layers._KEEP
+    rng = np.random.default_rng(53)
+    for n, tabled in ((2000, False), (3400, True), (3400, True)):
+        # at 2,000 a table charged once would pay, one charged twice not
+        r = rng.uniform(0.0, p.cutoff, n)
+        exact = layers.radial_forward(p, r, cache={})
+        counters = layers.OpCounters()
+        got = layers.radial_forward(p, r, counters)
+        exact_mults = r.size * _row_mults(p)
+        if tabled:
+            assert 2 * counters.counts["radial"] <= exact_mults
+        else:
+            assert counters.counts["radial"] == exact_mults
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert len(builds) == 2 and layers._DECODE is None
+
+
 def test_radial_backward_matches_fd():
     rng = np.random.default_rng(4)
     p = layers.init_radial_net(rng, 3.0, 5, zero_head=False)

@@ -51,6 +51,8 @@ _TINY = np.finfo(float).tiny
 # one thread)
 _BOX_MIN = 256
 
+SPACINGS = ("linear", "geometric")  # of the radii make_exponents spans
+
 
 def make_exponents(r_min=0.5, r_max=5.0, n=16, spacing="linear"):
     """Gaussian exponents a_k = 1/(2 r_k^2) for radii spanning [r_min, r_max]."""
@@ -58,13 +60,10 @@ def make_exponents(r_min=0.5, r_max=5.0, n=16, spacing="linear"):
         raise DomainError("need 0 < r_min < r_max")
     if n < 1:
         raise DomainError("need at least one radial function")
-    if spacing == "linear":
-        radii = np.linspace(r_min, r_max, n)
-    elif spacing == "geometric":
-        radii = np.geomspace(r_min, r_max, n)
-    else:
+    if spacing not in SPACINGS:
         raise DomainError(f"unknown spacing {spacing!r}")
-    return 1.0 / (2.0 * radii ** 2)
+    space = np.linspace if spacing == "linear" else np.geomspace
+    return 1.0 / (2.0 * space(r_min, r_max, n) ** 2)
 
 
 def normalization_constant(a, l):

@@ -18,40 +18,27 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import dataio, geometry, grad, graphon, model, so3
+from . import dataio, geometry, grad, graphon, model, schema, so3
 from .errors import AccuracyError, DomainError, NonFiniteError, SchemaError
+from .model import ModelConfig
 
 _ERRORS = (AccuracyError, DomainError, NonFiniteError, SchemaError)
-
-_OPT_DEFAULTS = {"method": "adaptive-moments", "lr": 1e-3, "patience": 10,
-                 "decay_factor": 0.5}
-_RUN_KEYS = {"dataset", "out_dir", "model", "optimizer", "train_sample",
-             "inf_sample", "batch_size", "n_iter", "val_every", "seed",
-             "split"}
 
 
 @dataclasses.dataclass
 class RunConfig:
-    dataset: str
-    out_dir: str
-    model: model.ModelConfig
-    optimizer: dict
-    train_sample: int = 1024
-    inf_sample: int = 4096
-    batch_size: int = 64
-    n_iter: int = 100
-    val_every: int = 25
-    seed: int = 0
-    split: dict = None
-
-
-def _model_config(block):
-    if not isinstance(block, dict):
-        raise SchemaError("config: 'model' must be an object")
-    try:
-        return model.ModelConfig(**block)
-    except TypeError as exc:
-        raise SchemaError(f"config: bad model field ({exc})") from None
+    """A run's dataset, outputs, model and optimizer blocks and sizes."""
+    dataset: str = schema.spec(None)
+    out_dir: str = schema.spec("runs")
+    model: ModelConfig = schema.spec(ModelConfig())
+    optimizer: dict = schema.spec({}, of=grad.OptimizerConfig)
+    train_sample: int = schema.spec(1024, low=1)
+    inf_sample: int = schema.spec(4096, low=1)
+    batch_size: int = schema.spec(64, low=1)
+    n_iter: int = schema.spec(100, low=0)
+    val_every: int = schema.spec(25, low=1)
+    seed: int = schema.spec(0, low=0)
+    split: dict = schema.spec(None, keys=("train", "val"))
 
 
 def load_run_config(path):
@@ -60,62 +47,12 @@ def load_run_config(path):
             d = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such config") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(d, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(d) - _RUN_KEYS)
-    if unknown:
-        raise SchemaError(f"{path}: unknown config key {unknown[0]!r}")
-    opt = dict(_OPT_DEFAULTS)
-    given = d.get("optimizer", {})
-    if not isinstance(given, dict):
-        raise SchemaError(f"{path}: optimizer must be an object")
-    extra = sorted(set(given) - set(_OPT_DEFAULTS))
-    if extra:
-        raise SchemaError(f"{path}: unknown optimizer key {extra[0]!r}")
-    opt.update(given)
-    for name, ok, what in (
-            ("lr", lambda v: 0 < v < math.inf, "a positive finite number"),
-            ("patience", lambda v: isinstance(v, int) and v >= 0,
-             "a non-negative integer"),
-            ("decay_factor", lambda v: 0 < v <= 1, "a number in (0, 1]")):
-        value = opt[name]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not ok(value)):
-            raise SchemaError(f"{path}: optimizer.{name} must be {what}")
-    split = d.get("split")
-    if split is not None and not isinstance(split, dict):
-        raise SchemaError(f"{path}: split must be an object")
-    for key, names in (split or {}).items():
-        if key not in ("train", "val"):
-            raise SchemaError(f"{path}: unknown split key {key!r}")
-        if not (isinstance(names, list)
-                and all(isinstance(n, str) for n in names)):
-            raise SchemaError(f"{path}: split[{key!r}] must be a list of "
-                              "record names")
-    cfg = RunConfig(dataset=d.get("dataset"),
-                    out_dir=d.get("out_dir", "runs"),
-                    model=_model_config(d.get("model", {})),
-                    optimizer=opt,
-                    train_sample=d.get("train_sample", 1024),
-                    inf_sample=d.get("inf_sample", 4096),
-                    batch_size=d.get("batch_size", 64),
-                    n_iter=d.get("n_iter", 100),
-                    val_every=d.get("val_every", 25),
-                    seed=d.get("seed", 0),
-                    split=split)
-    for name, low in (("train_sample", 1), ("inf_sample", 1),
-                      ("batch_size", 1), ("val_every", 1), ("n_iter", 0),
-                      ("seed", 0)):
-        v = getattr(cfg, name)
-        if isinstance(v, bool) or not isinstance(v, int) or v < low:
-            kind = "positive" if low else "non-negative"
-            raise SchemaError(f"{path}: {name} must be a {kind} integer")
-    for name, types in (("dataset", (str, type(None))), ("out_dir", str)):
-        if not isinstance(getattr(cfg, name), types):
-            raise SchemaError(f"{path}: {name} must be a string")
-    return cfg
+    return schema.from_dict(RunConfig, d,
+                            lambda msg: SchemaError(f"{path}: {msg}"))
 
 
 def _load_dataset(cfg):
@@ -410,39 +347,34 @@ def _build_parser():
             config="optional")
     pg = command("gradcheck", "finite-difference gradient check",
                  config="optional")
-    pg.add_argument("--n-params", type=int, default=200)
+    pg.add_argument("--n-params", type=_int_at_least(1), default=200)
     pd = command("graphon-demo", "graphon equivalence report",
                  config=None)
     pd.add_argument("--out", default="graphon_demo")
-    pd.add_argument("--nodes", type=int, default=256)
+    pd.add_argument("--nodes", type=_int_at_least(1), default=256)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        path = getattr(args, "config", None)  # graphon-demo reads none
+        cfg = load_run_config(path) if path else RunConfig()
         if args.command == "train":
-            cfg = load_run_config(args.config)
             if args.seed is not None:
                 cfg.seed = args.seed
             report = cmd_train(cfg, deterministic=args.deterministic)
         elif args.command == "eval":
-            cfg = load_run_config(args.config)
             report = cmd_eval(cfg, args.checkpoint, rotated=args.rotated,
                               seed=args.seed, jobs=args.jobs,
                               deterministic=args.deterministic)
         elif args.command == "predict":
-            cfg = load_run_config(args.config)
             report = cmd_predict(cfg, args.checkpoint, out_dir=args.out,
                                  jobs=args.jobs)
         elif args.command == "equivariance-check":
-            mcfg = (load_run_config(args.config).model if args.config
-                    else model.ModelConfig())
-            report = cmd_equivariance_check(mcfg, seed=args.seed or 0)
+            report = cmd_equivariance_check(cfg.model, seed=args.seed or 0)
         elif args.command == "gradcheck":
-            mcfg = (load_run_config(args.config).model if args.config
-                    else model.ModelConfig())
-            report = cmd_gradcheck(mcfg, seed=args.seed or 0,
+            report = cmd_gradcheck(cfg.model, seed=args.seed or 0,
                                    n_sampled=args.n_params)
         else:
             report = cmd_graphon_demo(args.out, seed=args.seed or 0,

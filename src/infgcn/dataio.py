@@ -31,7 +31,7 @@ def _field(meta, name, path):
 def _as_floats(value, shape, name, path):
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{path}: field {name!r} is not numeric") from None
     if arr.shape != shape:
         raise SchemaError(
@@ -56,18 +56,18 @@ def load_record(stem):
     if not isinstance(meta, dict):
         raise SchemaError(f"{meta_path}: metadata must be an object")
 
-    types = np.asarray(_field(meta, "atom_type", meta_path))
-    if types.ndim != 1 or types.size == 0 or \
-            not np.issubdtype(types.dtype, np.integer):
+    types = _field(meta, "atom_type", meta_path)
+    if not (isinstance(types, list) and types
+            and all(type(t) is int and abs(t) < 2**63 for t in types)):
         raise SchemaError(f"{meta_path}: field 'atom_type' must be a "
                           "non-empty list of integers")
-    n_atoms = types.size
+    n_atoms = len(types)
     coords = _as_floats(_field(meta, "atom_coord", meta_path),
                         (n_atoms, 3), "atom_coord", meta_path)
 
     shape_raw = _field(meta, "shape", meta_path)
     if (not isinstance(shape_raw, list) or len(shape_raw) != 3
-            or any(not isinstance(s, int) or s < 1 for s in shape_raw)):
+            or any(type(s) is not int or s < 1 for s in shape_raw)):
         raise SchemaError(f"{meta_path}: field 'shape' must be 3 positive "
                           "integers")
     shape = tuple(shape_raw)
@@ -122,7 +122,7 @@ def load_record(stem):
         cell = cell * scale[:, None]
 
     grid = geometry.VoxelGrid(shape, cell, origin, values, pbc=pbc)
-    return types.astype(int), coords, grid
+    return np.array(types), coords, grid
 
 
 def save_record(stem, types, coords, grid, units=None):

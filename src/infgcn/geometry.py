@@ -161,8 +161,10 @@ class VoxelGrid:
         cell = np.asarray(self.cell, dtype=float)
         if cell.shape != (3, 3):
             raise DomainError("cell must be a 3x3 matrix")
-        if abs(np.linalg.det(cell)) < 1e-300:
-            raise DomainError("cell is singular")
+        with np.errstate(over="ignore", invalid="ignore"):
+            volume = abs(np.linalg.det(cell))
+        if not 1e-300 <= volume < np.inf:  # NaN fails too
+            raise DomainError("cell is singular or its volume overflows")
         origin = np.asarray(self.origin, dtype=float).reshape(3)
         values = np.asarray(self.values, dtype=float).reshape(-1)
         if values.size != shape[0] * shape[1] * shape[2]:

@@ -21,11 +21,11 @@ backward has run.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import basis, layers, model
+from . import basis, layers, model, schema
 from .errors import DomainError, NonFiniteError
 from .model import ParamRegistry
 
@@ -136,29 +136,31 @@ _SLICE = 65536  # entries per slice of an optimizer update
 
 
 @dataclass
-class OptimizerState:
-    method: str
-    lr: float
-    m: np.ndarray
-    v: np.ndarray
+class OptimizerConfig:
+    """The optimizer block of a run config: `init_optimizer`'s keywords."""
+    method: str = schema.spec("adaptive-moments", choices=_METHODS)
+    lr: float = schema.spec(1e-3, low=0)
+    patience: int = schema.spec(10, low=0)
+    decay_factor: float = schema.spec(0.5, low=0, high=1)
+
+
+@dataclass
+class OptimizerState(OptimizerConfig):
+    m: np.ndarray = None  # first and second moments, like params.flat
+    v: np.ndarray = None
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    decay_factor: float = 0.5
-    patience: int = 10
     best_val: float = field(default=math.inf)
     stale: int = 0
 
 
-def init_optimizer(registry, method="adaptive-moments", lr=1e-3,
-                   patience=10, decay_factor=0.5):
-    if method not in _METHODS:
-        raise DomainError(f"unknown optimizer method {method!r}")
+def init_optimizer(registry, **options):
+    """Fresh state for ``registry``; ``options`` are `OptimizerConfig`'s."""
+    cfg = schema.from_dict(OptimizerConfig, options, DomainError, "optimizer")
     n = registry.n_params
-    return OptimizerState(method=method, lr=float(lr), m=np.zeros(n),
-                          v=np.zeros(n), patience=int(patience),
-                          decay_factor=float(decay_factor))
+    return OptimizerState(**asdict(cfg), m=np.zeros(n), v=np.zeros(n))
 
 
 def optimize_step(state, params, grads, registry):

@@ -203,7 +203,7 @@ _NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
 _CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
 _CHEB[0] /= 2
 _CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
-_KEEP = 1 << 21  # bytes of the largest table the decode memo keeps
+_KEEP = 1 << 21  # bytes of the largest decode table (a conv head's is over)
 _DECODE = None  # (bit-compared copies of the kept net's fields, its _table)
 
 
@@ -262,17 +262,16 @@ def _table(params):
     return coef if err <= 1e-13 * np.abs(exact).max() else None
 
 
-def _decode_table(params, keep):
-    """``_table(params)``, kept if ``keep``, and whether this call built it."""
+def _decode_table(params):
+    """``_table(params)``, kept, and whether this call built it."""
     global _DECODE
     key = [np.asarray(v, dtype=float) for v in vars(params).values()]
     memo = _DECODE  # read once: a racing thread stores an equal entry
-    if keep and memo is not None and all(np.array_equal(
+    if memo is not None and all(np.array_equal(
             a.view(np.int64), b.view(np.int64)) for a, b in zip(memo[0], key)):
         return memo[1], False
     coef = _table(params)
-    if keep:  # copies: optimize_step updates params.flat, which they view
-        _DECODE = tuple(a.copy() for a in key), coef
+    _DECODE = tuple(a.copy() for a in key), coef  # key views params.flat
     return coef, True
 
 
@@ -281,13 +280,11 @@ def radial_forward(params, r, counters=None, cache=None):
 
     A ``cache`` dict receives the activations ``radial_backward`` reads.
     Without one, phi, smooth in one scalar, comes from a ``_table`` when
-    building, checking and evaluating it cost no more multiplies than the
-    exact pass (1,425 distances at 128 outputs). A table of at most
-    ``_KEEP`` bytes, or its failed check, is kept with copies of its net's
-    arrays until their bits change; a larger one (a conv head's) is built
-    per call, so must cost half the exact pass (3,889 edges at 5,504
-    outputs). Else the exact net runs uncached, in ``_ROWS``-row blocks.
-    ``radial`` counts the multiplies done.
+    the table fits in ``_KEEP`` bytes and building, checking and
+    evaluating it cost no more multiplies than the exact pass (1,425
+    distances at 128 outputs). The table, or its failed check, is kept
+    until its net's arrays change. Else the exact net runs uncached, in
+    ``_ROWS``-row blocks. ``radial`` counts the multiplies done.
     """
     r = np.asarray(r, dtype=float)
     # written so that NaN fails it too
@@ -297,15 +294,15 @@ def radial_forward(params, r, counters=None, cache=None):
     per_row = (_P + 1) * params.out_dim
     # the nodes' and checks' exact rows, the transform and the checks' rows
     table = (_K * (_P + 1) + _CHECKS.size) * (row + per_row)
-    keep = _K * per_row * 8 <= _KEEP
-    cost = (2 - keep) * (table + r.size * per_row)  # twice if built per call
-    use = cache is None and cost <= r.size * row
-    coef, built = _decode_table(params, keep) if use else (None, False)
+    use = (cache is None and _K * per_row * 8 <= _KEEP
+           and table + r.size * per_row <= r.size * row)
+    coef, built = _decode_table(params) if use else (None, False)
     if coef is not None:
         out = _table_eval(coef, params.cutoff / _K, r)
     elif cache is not None:
         out = _net(params, r, cache)
-    else:  # cache-sized blocks, none of one row (GEMV rounds differently)
+    else:  # cache-sized blocks, none of one row (GEMV rounds differently):
+        # the cached pass's bits at 40, 128 and 5,504 outputs, not at 300
         out = np.empty((r.size, params.out_dim))
         starts = list(range(0, max(r.size - 1, 1), _ROWS))
         for lo, hi in zip(starts, starts[1:] + [r.size]):

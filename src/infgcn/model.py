@@ -16,8 +16,6 @@ residual layer. `predict_density` runs both, or only the decode when given
 Every trainable array is a view into one float64 vector, ``params.flat``,
 laid out by `ParamRegistry`; a checkpoint's blob is that vector.
 """
-from __future__ import annotations
-
 import contextlib
 import json
 import os
@@ -27,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import basis, geometry, layers, so3
+from . import basis, geometry, layers, schema, so3
 from .errors import DomainError, NonFiniteError
 
 __all__ = [
@@ -54,39 +52,23 @@ _MAGIC = b"INFGCN1\n"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    l_max: int = 7
-    channels: int = 16
-    n_layers: int = 3
-    cutoff: float = 3.0
-    vocab: int = 5
-    residual: bool = True
-    mode: str = "channel"  # "channel" or "fc" tensor product
-    act0: str = "silu"
-    act_l: str = "silu"
-    r_min: float = 0.5
-    r_max: float = 5.0
-    spacing: str = "linear"
+    """The model's hyperparameters, each checked on construction."""
+    l_max: int = schema.spec(7, low=0, what="an integer >= 0")
+    channels: int = schema.spec(16, low=1)
+    n_layers: int = schema.spec(3, low=1)
+    cutoff: float = schema.spec(3.0, low=0)
+    vocab: int = schema.spec(5, low=1)
+    residual: bool = schema.spec(True)
+    mode: str = schema.spec("channel", choices=layers.CONV_MODES)
+    act0: str = schema.spec("silu", choices=layers.ACTIVATIONS)
+    act_l: str = schema.spec("silu", choices=layers.ACTIVATIONS)
+    r_min: float = schema.spec(0.5, low=0)
+    r_max: float = schema.spec(5.0, low=0)
+    spacing: str = schema.spec("linear", choices=basis.SPACINGS)
 
     def __post_init__(self):
-        for name in ("l_max", "channels", "n_layers", "vocab"):
-            value, low = getattr(self, name), int(name != "l_max")
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, np.integer)) and value >= low):
-                raise DomainError(f"{name} must be an integer >= {low}, got "
-                                  f"{value!r}")
-        if not isinstance(self.residual, (bool, np.bool_)):
-            raise DomainError(f"residual must be bool, got {self.residual!r}")
-        if not 0.0 < self.cutoff < np.inf:
-            raise DomainError("cutoff must be positive and finite, got "
-                              f"{self.cutoff}")
-        if self.mode not in layers.CONV_MODES:
-            raise DomainError(f"mode must be one of {layers.CONV_MODES}, "
-                              f"got {self.mode!r}")
-        for name in ("act0", "act_l"):
-            if getattr(self, name) not in layers.ACTIVATIONS:
-                raise DomainError(f"{name} must be one of {layers.ACTIVATIONS}"
-                                  f", got {getattr(self, name)!r}")
-        self.basis_spec()  # rejects an unknown spacing or r_min >= r_max
+        schema.check(self, DomainError)
+        basis.make_exponents(self.r_min, self.r_max, 2)  # r_min < r_max
 
     def basis_spec(self):
         # feature channels double as radial-basis indices
@@ -380,12 +362,11 @@ def load_checkpoint(path):
         if not isinstance(header, dict):
             raise DomainError("checkpoint header JSON is not a valid object")
         try:
-            cfg = ModelConfig(**header["config"])
-            layout = header["arrays"]
+            config, layout = header["config"], header["arrays"]
         except KeyError as exc:
             raise DomainError(f"checkpoint header has no {exc}") from None
-        except TypeError as exc:  # an unknown field names itself
-            raise DomainError(f"checkpoint config: {exc}") from None
+        cfg = schema.from_dict(ModelConfig, config,
+                               lambda msg: DomainError(f"checkpoint: {msg}"))
         skeleton = _build(cfg, _NoDraws(), zero_heads=True)
         want = [[name, list(a.shape)] for name, a in skeleton.named_arrays()]
         if layout != want:

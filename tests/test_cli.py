@@ -1,10 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_values import VALUES
 
-from infgcn import cli, dataio, geometry, layers, model, so3
+from infgcn import cli, dataio, geometry, grad, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError, SchemaError
 
 SMALL_MODEL = {"l_max": 1, "channels": 2, "n_layers": 1, "cutoff": 3.0,
@@ -101,7 +107,17 @@ def test_run_config_defaults_and_validation(tmp_path):
     ({"model": {"residual": 2}}, "residual must be bool, got 2"),
     ({"out_dir": 5}, "out_dir must be a string"),
     ({"dataset": ["x"]}, "dataset must be a string"),
-    ({"dataset": "no-such-dir"}, "no-such-dir: dataset is not a directory")])
+    ({"dataset": "no-such-dir"}, "no-such-dir: dataset is not a directory"),
+    ({"model": {"cutoff": True}}, "model.cutoff must be a positive finite"),
+    ({"model": {"r_max": True}}, "model.r_max must be a positive finite"),
+    ({"model": {"cutoff": "3"}}, "model.cutoff"),
+    ({"model": {"r_min": "x"}}, "model.r_min"),
+    ({"model": {"r_max": float("inf")}}, "model.r_max"),
+    ({"model": {"cutoff": 10**400}}, "model.cutoff"),
+    ({"optimizer": {"lr": 10**400}}, "optimizer.lr"),
+    ({"optimizer": {"method": "sgd"}}, "optimizer.method must be one of"),
+    ({"optimizer": {"method": 5}}, "optimizer.method"),
+    ({"optimizer": {"method": ["x"]}}, "optimizer.method")])
 def test_main_rejects_malformed_config(tmp_path, monkeypatch, capsys, bad,
                                        needle):
     # both commands load the config; only train reads the dataset directory
@@ -113,6 +129,66 @@ def test_main_rejects_malformed_config(tmp_path, monkeypatch, capsys, bad,
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and needle in err, command
+
+
+# (block, field) for every field a run config declares
+_CONFIG_FIELDS = (
+    [(None, f.name) for f in dataclasses.fields(cli.RunConfig)]
+    + [(block, f.name) for block, cls in (("model", model.ModelConfig),
+                                          ("optimizer", grad.OptimizerConfig))
+       for f in dataclasses.fields(cls)]
+    + [("split", "train"), ("split", "val")])
+
+
+def _assert_typed(obj, cls):
+    """Each field of ``obj``, a ``cls`` or a dict of its fields, has its
+    declared type."""
+    if isinstance(obj, dict):
+        assert set(obj) == {f.name for f in dataclasses.fields(cls)}
+    for f in dataclasses.fields(cls):
+        v = obj[f.name] if isinstance(obj, dict) else getattr(obj, f.name)
+        if dataclasses.is_dataclass(f.type):
+            _assert_typed(v, f.type)
+        elif f.name == "optimizer":
+            _assert_typed(v, grad.OptimizerConfig)
+        elif f.name == "split":
+            assert v is None or all(
+                isinstance(n, str) for names in v.values() for n in names)
+        else:
+            assert type(v) is f.type or (v is None and f.default is None)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(value=VALUES, run=st.sampled_from(_CONFIG_FIELDS))
+def test_fuzzed_config_loads_typed_or_names_the_field(tmp_path_factory,
+                                                      value, run):
+    # the value goes into every field in turn; main runs one of them, and
+    # train then stops at the missing dataset unless the config failed
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    for block, name in _CONFIG_FIELDS:
+        d = {"dataset": str(tmp_path_factory.getbasetemp() / "no-data")}
+        if block is None:
+            d[name], label = value, name
+        else:
+            d[block] = {name: value}
+            label = (f"split[{name!r}]" if block == "split"
+                     else f"{block}.{name}")
+        path.write_text(json.dumps(d))
+        try:
+            cfg = cli.load_run_config(path)
+        except SchemaError as exc:
+            assert label in str(exc)
+        except DomainError as exc:  # only the r_min < r_max rule is left
+            assert name in ("r_min", "r_max") and name in str(exc)
+        else:
+            _assert_typed(cfg, cli.RunConfig)
+            # a bool, an int to Python, loads only where one is declared
+            assert not isinstance(value, bool) or name == "residual"
+        if (block, name) == run and name != "dataset":
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.main(["train", "--config", str(path)]) == 1
+            assert err.getvalue().startswith("error:")
 
 
 def test_train_zero_iterations_keeps_init(tmp_path):
@@ -471,6 +547,9 @@ def test_parser_registers_flags_where_they_are_read():
     (["train", "--config", "run.json", "--seed", "-1"],
      "--seed: must be at least 0, got -1"),
     (["eval", *_CKPT, "--seed", "x"], "--seed: invalid integer value: 'x'"),
+    (["gradcheck", "--n-params", "0"], "--n-params: must be at least 1, got 0"),
+    (["gradcheck", "--n-params", "-5"], "--n-params: must be at least 1"),
+    (["graphon-demo", "--nodes", "0"], "--nodes: must be at least 1, got 0"),
 ])
 def test_main_rejects_flags_the_command_does_not_read(argv, message,
                                                       capsys):

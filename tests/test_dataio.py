@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_values import EDGES, NUMBERS, VALUES
 
 from infgcn import basis, dataio, geometry
-from infgcn.errors import SchemaError
+from infgcn.errors import DomainError, SchemaError
 
 
 def toy_record(tmp_path, name="rec", pbc=False, cell=None, shape=(4, 3, 2)):
@@ -99,6 +102,9 @@ def test_schema_errors_name_the_field(tmp_path):
         ("set", ("cell", [[1, 2], [3, 4]]), "cell"),
         ("set", ("atom_type", [1.5]), "atom_type"),
         ("set", ("units", {"length": "furlong"}), "furlong"),
+        ("set", ("shape", [True, 3, 8]), "shape"),
+        ("set", ("atom_type", [[1], 6, 8]), "atom_type"),
+        ("set", ("atom_coord", [[10**400, 0, 0]] * 3), "atom_coord"),
     ]
     for kind, what, needle in cases:
         meta = dict(base)
@@ -112,6 +118,42 @@ def test_schema_errors_name_the_field(tmp_path):
     (tmp_path / "rec.json").write_text("{not json")
     with pytest.raises(SchemaError, match="invalid JSON"):
         dataio.load_record(stem)
+
+
+_META_FIELDS = ["atom_type", "atom_coord", "shape", "cell", "origin", "pbc",
+                "endpoint_inclusive", "units"]
+# besides any JSON value, rows of numbers shaped like the numeric fields
+_ROW = st.lists(EDGES | NUMBERS, min_size=3, max_size=3)
+_META_VALUES = VALUES | _ROW | st.lists(_ROW, min_size=3, max_size=3)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(value=_META_VALUES)
+def test_fuzzed_record_loads_typed_or_names_the_field(tmp_path_factory,
+                                                      value):
+    # the value goes into every metadata field in turn
+    base = tmp_path_factory.getbasetemp()
+    if not (base / "rec.bin").exists():
+        toy_record(base)
+    (base / "fuzz.bin").write_bytes((base / "rec.bin").read_bytes())
+    for name in _META_FIELDS:
+        meta = json.loads((base / "rec.json").read_text())
+        meta[name] = value
+        (base / "fuzz.json").write_text(json.dumps(meta))
+        try:
+            types, coords, grid = dataio.load_record(base / "fuzz")
+        except (SchemaError, DomainError) as exc:
+            # a new atom count fails atom_coord's shape; a bad unit is named
+            needles = {"atom_type": ("atom_type", "atom_coord"),
+                       "units": ("unit",)}.get(name, (name,))
+            assert any(n in str(exc) for n in needles)
+        else:
+            assert types.dtype == int and types.ndim == 1
+            assert coords.dtype == float and coords.shape == (types.size, 3)
+            assert all(type(n) is int and n >= 1 for n in grid.shape)
+            for a in (coords, grid.cell, grid.origin):
+                assert a.dtype == float and np.all(np.isfinite(a))
+            assert type(grid.pbc) is bool
 
 
 def test_pbc_with_inclusive_endpoint_rejected(tmp_path):

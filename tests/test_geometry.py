@@ -162,6 +162,11 @@ def test_singular_cell_rejected():
     bad = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DomainError):
         geometry.VoxelGrid((2, 2, 2), bad, np.zeros(3), np.zeros(8))
+    # a volume past the float range overflowed with a RuntimeWarning and
+    # was accepted as infinite
+    for bad in (np.diag([1e300] * 3), np.full((3, 3), np.nan)):
+        with pytest.raises(DomainError, match="cell"):
+            geometry.VoxelGrid((2, 2, 2), bad, np.zeros(3), np.zeros(8))
 
 
 def _random_grid(rng, shape=(6, 5, 4), pbc=False):

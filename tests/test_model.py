@@ -36,7 +36,9 @@ def test_config_defaults():
     ("mode", "dense"), ("act0", "relu"), ("act_l", "tanh"),
     ("spacing", "log"), ("r_min", 5.0), ("r_min", 7.5), ("l_max", 2.5),
     ("l_max", True), ("l_max", -1), ("channels", 0), ("n_layers", "2"),
-    ("vocab", None), ("residual", 2), ("residual", "no")])
+    ("vocab", None), ("residual", 2), ("residual", "no"), ("cutoff", True),
+    ("r_max", True), ("cutoff", "3"), ("r_min", "x"), ("cutoff", 10**400),
+    ("r_max", float("inf"))])
 def test_config_rejects_unknown_choice_naming_field(field, value):
     with pytest.raises(DomainError, match=field):
         model.ModelConfig(**{field: value})
@@ -353,6 +355,7 @@ def _corrupt_headers(raw):
     no_arrays = {k: v for k, v in header.items() if k != "arrays"}
     no_config = {k: v for k, v in header.items() if k != "config"}
     extra = dict(header, config=dict(header["config"], depth=3))
+    bool_cutoff = dict(header, config=dict(header["config"], cutoff=True))
     return [
         ("cut_length", raw[:10], "header length"),
         ("cut_header", raw[:12 + hlen // 2], "header JSON"),
@@ -361,6 +364,7 @@ def _corrupt_headers(raw):
         ("no_arrays", with_header(no_arrays), "'arrays'"),
         ("no_config", with_header(no_config), "'config'"),
         ("unknown_field", with_header(extra), "depth"),
+        ("bool_cutoff", with_header(bool_cutoff), "cutoff"),
     ]
 
 

@@ -29,6 +29,14 @@ def _field(meta, name, path):
 
 
 def _as_floats(value, shape, name, path):
+    stack = [value]
+    while stack:  # numpy would parse "1" and take true as 1.0
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            raise SchemaError(f"{path}: field {name!r} holds a "
+                              f"{type(item).__name__}, not a number")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):

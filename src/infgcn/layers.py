@@ -13,38 +13,40 @@ with Q the real Clebsch-Gordan blocks from so3. Radial nets see only |r|,
 so the angular structure is carried entirely by the harmonics and the
 coupling coefficients; that is what makes the layer equivariant.
 
-The convolution runs from a ``ConvPlan``, built once per l_max from the CG
-tables and memoized: it groups the paths by (l, k), the J of one pair being
-contiguous in the radial output. For each pair it runs three stages, metered
-by multiply count: ``assembly`` builds the channel-free
-G_J = sum_M Y_J^M Q_JM of every path of the pair, one GEMM per path written
-in place; ``mixing`` combines them with the pair's radial scalars in one
-batched matmul; ``matvec`` applies the kernel to the gathered neighbor
-features in one einsum. The matvec stage costs exactly
-|E| * C * (L+1)^4 multiplies, the compressed-vector budget.
+The convolution runs in each edge's frame (eSCN, arXiv 2302.03655): with
+R_e taking rhat onto z-hat, W^{lk}(r) = D_l(R_e)^T W^{lk}(z-hat) D_k(R_e),
+and only Y_J^0 survives at z-hat, so W^{lk}(z-hat) is one sparse matrix for
+every edge, non-zero where |m| = |m'| (624 of 4,096 entries at L = 7).
+D_l(R_e) = J_l Z_l(-theta) J_l^T Z_l(-phi) is never formed: J_l is fixed
+and Z_l turns each (m, -m) pair by the edge's azimuth or polar angle. A
+``ConvPlan``, built once per l_max and memoized, holds J_l and each (l, k)
+pair's M = 0 CG rows at the non-zero entries. Edge arrays are slot-major,
+((L+1)^2, E, C). Three stages are metered by multiply count: ``rotation``
+turns neighbor features into the edge frame and messages back;
+``mixing`` combines each pair's radial scalars into its non-zero entries
+(one GEMM); ``matvec`` applies the kernel, written into a dense
+(2l+1) x (2k+1) block, at exactly |E| * C * (L+1)^4 multiplies, the
+compressed-vector budget.
 
 Every forward with an adjoint takes an optional ``cache`` dict and fills it
 with what its backward needs, and the backward requires that dict. The
-radial net keeps its activations, the convolution its harmonics up to 2L,
-per-path radial scalars (channel mode only) and the edges' order by
-destination, and the residual layer its query-atom pairs, their harmonics,
-radial scalars and the features' projection ``s`` on the harmonics. A
-backward returns the gradient of its input and writes its parameter
-gradients into ``grads``, a twin of its parameters whose arrays view the
-flat gradient vector (``model.bind``); every entry is overwritten, so the
-twin needs no zeroing. The convolution's backward rebuilds G (kept, it
-would hold ~21 MB per layer at 76 edges, while rebuilding costs ~4 ms) but
-never the kernel W: per pair it forms U_J = gmsg G_J, the message gradient
-through each path's coupling block, and takes the radial scalars'
-gradient and the neighbor features' from U alone. In fc mode it also
-redoes the radial net's head GEMM from the cached last hidden layer,
-because fc's per-path scalars are C times channel mode's (~53 MB per
-layer at L=7, C=16, 76 edges). Scatters onto nodes are sums over sorted
-runs of one index, not unbuffered scatter-adds: conv edges are sorted by
-source, and their gradients permuted into destination order, each run
-summed by one ``np.add.reduceat``; residual pairs are sorted by atom, and
-``s`` and an atom's feature gradient are one GEMM per degree over its run.
-The residual output sums pairs per query with ``np.bincount``.
+radial net keeps its activations, the convolution its edges' frames (cos
+and sin of m phi and m theta), per-path radial scalars (channel mode only)
+and the edges' order by destination, and the residual layer its query-atom
+pairs, their harmonics, radial scalars and the features' projection ``s``
+on the harmonics. A backward returns the gradient of its input and writes
+its parameter gradients into ``grads``, a twin of its parameters whose
+arrays view the flat gradient vector (``model.bind``); every entry is
+overwritten, so the twin needs no zeroing. The convolution's backward reads
+the edge-frame kernel at its non-zero entries only and never builds a
+dense W. In fc mode it redoes the radial net's head GEMM from the cached
+last hidden layer, because fc's per-path scalars are C times channel
+mode's (~53 MB per layer at L=7, C=16, 76 edges). Scatters onto nodes are
+sums over sorted runs of one index, not unbuffered scatter-adds: conv edges
+are sorted by source, and their gradients permuted into destination order,
+each run summed by one ``np.add.reduceat``; residual pairs are sorted by
+atom, and ``s`` and an atom's feature gradient are one GEMM per degree over
+its run. The residual output sums pairs per query with ``np.bincount``.
 
 The residual layer runs its radial net on every query-atom pair; uncached,
 a large batch is decoded from a checked, memoized table (``radial_forward``).
@@ -398,25 +400,10 @@ def _per_order(x):
     return np.repeat(x, 2 * np.arange(x.shape[-1]) + 1, axis=-1)
 
 
-def _gather_degrees(x, idx):
-    """Rows ``idx`` of a feature array, one contiguous copy per degree
-    (``np.take`` gathers a strided degree view about twice as fast as
-    ``x[idx, :, sl]``)."""
-    return [np.take(x[:, :, so3.block_slice(l)], idx, axis=0)
-            for l in range(math.isqrt(x.shape[-1]))]
-
-
 def _segments(idx):
     """Runs of equal values in a sorted index array: (values, run starts)."""
     starts = np.flatnonzero(np.diff(idx, prepend=-1))
     return idx[starts], starts
-
-
-def _segment_add(out, segments, x):
-    """``out[idx[i]] += x[i]`` for a sorted ``idx`` given by its
-    ``_segments``; each run is summed with one ``np.add.reduceat``."""
-    rows, starts = segments
-    out[rows] += np.add.reduceat(x, starts, axis=0)
 
 
 def _edge_geometry(graph):
@@ -438,21 +425,36 @@ def _phi_per_path(params, r, counters=None, cache=None):
 
 @dataclass(frozen=True)
 class ConvPlan:
-    """Coupling tables of every path up to one ``l_max``, grouped by (l, k).
+    """The edge-frame coupling of every path up to one ``l_max``.
 
-    ``pairs`` lists ``(l, k, p0, p1, tables)`` in path order: the paths of
-    one (l, k) pair are ``phi[:, p0:p1]``, in ascending J, and ``tables``
-    holds each one's ``(2J+1, (2l+1)(2k+1))`` matricized CG table. Tables
-    are read-only, so one plan is shared by every caller and thread.
-    ``assembly`` and ``mixing`` are the per-edge sizes of those stages.
+    Turned onto z-hat, an edge keeps only its M = 0 harmonic,
+    c_J = Y_J^0(z-hat), so the kernel of a pair (l, k) is one sparse matrix
+    for every edge, W^{lk} = sum_J phi_J c_J Q_{J0}^{lk}, non-zero only
+    where |m| = |m'|. ``pairs`` lists ``(l, k, p0, p1, qz, a, b, nz)`` in
+    path order: the paths of one pair are ``phi[..., p0:p1]``, in
+    ascending J, and row J of ``qz`` holds c_J Q_{J0} at the pair's
+    non-zero entries. Entry i lies in slot ``a[i]`` (degree l) and slot
+    ``b[i]`` (degree k) of the (L+1)^2-slot layout, at flat index ``nz[i]``
+    of the (2l+1, 2k+1) block; the first 2 min(l, k) + 1 entries have
+    m = m', in ascending m, the rest m = -m' != 0. ``wigner`` holds
+    J_l = D_l(R_x(-pi/2)), ``orders`` each slot's m and ``flip`` the slot of
+    (l, -m). ``mixing`` counts that stage's multiplies per edge and
+    channel entry (C of them, C * C in fc mode), ``rotation`` those of one
+    frame rotation per edge and channel. Arrays are read-only, so one plan
+    is shared by every caller and thread.
     """
     l_max: int
     pairs: tuple = field(repr=False)
-    assembly: int
+    wigner: tuple = field(repr=False)
+    orders: np.ndarray = field(repr=False)
+    flip: np.ndarray = field(repr=False)
     mixing: int
+    rotation: int
 
 
 _PLANS: dict = {}
+# R_x(-pi/2), taking z-hat to y-hat: J_l Z_l(a) J_l^T is D_l of R_y(a)
+_TURN_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 def conv_plan(l_max):
@@ -471,51 +473,133 @@ def _build_plan(l_max):
     pairs, p0 = [], 0
     for (l, k), paths in itertools.groupby(make_paths(l_max),
                                            key=lambda p: p[:2]):
-        tables = tuple(so3.cg_table(l, k, J).reshape(2 * J + 1, -1)
-                       for _, _, J in paths)
-        pairs.append((l, k, p0, p0 + len(tables), tables))
-        p0 += len(tables)
-    return ConvPlan(
+        m = np.arange(-min(l, k), min(l, k) + 1)
+        ma = np.concatenate([m, -m[m != 0]])  # m = m', then m = -m' != 0
+        mb = np.concatenate([m, m[m != 0]])
+        qz = np.array([math.sqrt((2 * J + 1) / (4 * math.pi))
+                       * so3.cg_table(l, k, J)[J, l + ma, k + mb]
+                       for _, _, J in paths])
+        pairs.append((l, k, p0, p0 + len(qz), qz, l * l + l + ma,
+                      k * k + k + mb, (l + ma) * (2 * k + 1) + k + mb))
+        p0 += len(qz)
+    orders = np.concatenate([np.arange(-l, l + 1) for l in range(l_max + 1)])
+    plan = ConvPlan(
         l_max=l_max, pairs=tuple(pairs),
-        assembly=sum(q.size for *_, ts in pairs for q in ts),
-        mixing=sum(q.shape[1] for *_, ts in pairs for q in ts))
+        wigner=tuple(so3.wigner_blocks(l_max, _TURN_X)), orders=orders,
+        flip=np.arange(orders.size) - 2 * orders,
+        mixing=sum(p[4].size for p in pairs),
+        rotation=2 * sum((2 * l + 1) ** 2 for l in range(l_max + 1))
+        + 4 * orders.size)
+    for a in (orders, plan.flip, *plan.wigner,
+              *(a for p in pairs for a in p[4:])):
+        a.setflags(write=False)
+    return plan
 
 
-def _coupling_blocks(Y, pair):
-    """Channel-free G_J^{lk}[e] = sum_M Y_J^M(rhat_e) Q_{JM}^{lk} for the
-    paths of one pair, shape (E, n_J, (2l+1)(2k+1))."""
-    l, k, p0, p1, tables = pair
-    G = np.empty((Y.shape[0], p1 - p0, (2 * l + 1) * (2 * k + 1)))
-    for j, q in enumerate(tables):
-        J = abs(l - k) + j
-        np.matmul(Y[:, so3.block_slice(J)], q, out=G[:, j])
-    return G
+def _frame(rhat, plan):
+    """cos(m phi), sin(m phi), cos(m theta) and sin(m theta) at each (l, m)
+    slot, ((L+1)^2, E, 1) each, for each edge's azimuth phi and polar angle
+    theta. Along +-z, phi = atan2(0, 0) = 0; any phi turns such an edge
+    onto z-hat."""
+    x, y, z = rhat.T
+    return tuple(f(np.multiply.outer(plan.orders, angle))[:, :, None]
+                 for angle in (np.arctan2(y, x), np.arctan2(np.hypot(x, y), z))
+                 for f in (np.cos, np.sin))
 
 
-def _mix(phi, G, pair):
-    """Kernel W^{lk}[e] = sum_J phi_J^{lk}(r_e) G_J^{lk}[e], shaped
-    (E, C, 2l+1, 2k+1) or, in fc mode, (E, C, C, 2l+1, 2k+1)."""
-    l, k, p0, p1, _ = pair
-    ph = phi[:, p0:p1].reshape(G.shape[0], p1 - p0, math.prod(phi.shape[2:]))
-    W = np.matmul(ph.transpose(0, 2, 1), G)
-    return W.reshape(phi.shape[:1] + phi.shape[2:] + (2 * l + 1, 2 * k + 1))
+def _wigner(x, blocks, transpose=False):
+    """J_l^T, or J_l, applied to each degree's rows of a C-contiguous
+    slot-major ``x``, ((L+1)^2, ...)."""
+    rows = x.reshape(x.shape[0], -1)
+    out = np.empty_like(rows)
+    for l, J in enumerate(blocks):
+        sl = so3.block_slice(l)
+        np.matmul(J if transpose else J.T, rows[sl], out=out[sl])
+    return out.reshape(x.shape)
 
 
-def _edge_terms(graph, params, counters=None, cache=None):
-    """The edge terms both conv passes need, in ``cache`` when given:
-    harmonics ``Y`` up to 2L, per-path radial scalars ``phi`` and the
-    edges' destination runs ``dst_order``, ``dst_segments``. Only a given
-    cache gets the radial net's activations, under ``radial``; in fc mode
-    ``conv_forward`` drops ``phi`` from it once used."""
+def _rotate(x, frame, plan, inverse=False):
+    """Each edge's features ``x`` ((L+1)^2, E, C) turned into its frame,
+    D(R_e) x with R_e taking the edge onto z-hat, or with ``inverse`` back,
+    D(R_e)^T x. D_l(R_e) = J_l Z_l(-theta) J_l^T Z_l(-phi), where Z_l(a)
+    turns each (m, -m) pair: (Z x)_m = cos(m a) x_m - sin(m a) x_{-m}."""
+    cos_phi, sin_phi, cos_theta, sin_theta = frame
+
+    def turn(y, c, s):  # Z(-angle), or Z(angle) with inverse
+        t = y[plan.flip]
+        t *= s
+        y = y * c
+        return np.subtract(y, t, out=y) if inverse else np.add(y, t, out=y)
+
+    if not inverse:
+        x = turn(x, cos_phi, sin_phi)
+    x = _wigner(turn(_wigner(x, plan.wigner), cos_theta, sin_theta),
+                plan.wigner, transpose=True)
+    return turn(x, cos_phi, sin_phi) if inverse else x
+
+
+def _edge_terms(graph, params, plan, counters=None, cache=None):
+    """The edge terms both conv passes need, in ``cache`` when given: the
+    edge frames ``frame`` (``_frame``), the per-path radial scalars ``phi``
+    (``_path_rows``) and the edges' destination runs ``dst_order``,
+    ``dst_segments``. Only a given cache gets the radial net's activations,
+    under ``radial``; in fc mode ``conv_forward`` drops ``phi`` from it
+    once used."""
     terms = {} if cache is None else cache
     r, rhat = _edge_geometry(graph)
     radial = None if cache is None else {}
     order = np.argsort(graph.edge_dst, kind="stable")
+    phi = _phi_per_path(params, r, counters, radial)
     terms.update(
-        Y=so3.eval_real_sh(2 * params.l_max, rhat),
-        phi=_phi_per_path(params, r, counters, radial), radial=radial,
-        dst_order=order, dst_segments=_segments(graph.edge_dst[order]))
+        frame=_frame(rhat, plan), phi=_path_rows(phi, params),
+        radial=radial, dst_order=order,
+        dst_segments=_segments(graph.edge_dst[order]))
     return terms
+
+
+def _path_rows(phi, params):
+    """Per-path radial scalars, (E, paths, C) or in fc mode (E, paths, C, C),
+    as a C-contiguous (paths, E * X) array, X = C or C * C."""
+    shape = (len(phi), len(params.paths), math.prod(_channel_dims(params)))
+    rows = np.ascontiguousarray(phi.reshape(shape).transpose(1, 0, 2))
+    return rows.reshape(shape[1], shape[0] * shape[2])
+
+
+def _to_edges(x, idx):
+    """Rows ``idx`` of node features (n, C, (L+1)^2), slot-major:
+    ((L+1)^2, len(idx), C)."""
+    return np.take(np.ascontiguousarray(x.transpose(2, 0, 1)), idx, axis=1)
+
+
+def _to_nodes(out, segments, x):
+    """``out[idx[i]] += x[:, i].T`` for slot-major edge rows ``x`` and a
+    sorted ``idx`` given by its ``_segments``; each run is summed with one
+    ``np.add.reduceat``."""
+    rows, starts = segments
+    out[rows] += np.add.reduceat(x, starts, axis=1).transpose(1, 2, 0)
+
+
+# per mode, over slot-major operands: the matvec's einsum, and per non-zero
+# kernel entry the (g, f) products behind grad phi and the kernel's
+# transpose applied to g
+_MODES = {"channel": ("abec,bec->aec", np.multiply, np.multiply),
+          "fc": ("abecd,bed->aec",
+                 lambda g, f: np.einsum("nec,ned->necd", g, f),
+                 lambda w, g: np.matmul(g[..., None, :], w)[..., 0, :])}
+
+
+def _channel_dims(params):
+    return (params.channels,) * (1 if params.mode == "channel" else 2)
+
+
+def _kernel(zero, phi, pair, tail):
+    """The pair's dense edge-frame kernel W, (2l+1, 2k+1) + ``tail`` (edges
+    and channel entries), as a view of the zero buffer ``zero``: only its
+    non-zero rows are written, and the caller clears them."""
+    l, k, p0, p1, qz, _, _, nz = pair
+    W = zero[:(2 * l + 1) * (2 * k + 1)]
+    W[nz] = qz.T @ phi[p0:p1]
+    return W.reshape((2 * l + 1, 2 * k + 1) + tail)
 
 
 def conv_forward(graph, feats, params, counters=None, cache=None):
@@ -524,29 +608,31 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     A ``cache`` dict receives the edge terms ``conv_backward`` reads.
     """
     feats = _check_shape("feats", feats, _feature_shape(graph.n_atoms, params))
-    L, C = params.l_max, params.channels
+    L, C, E = params.l_max, params.channels, graph.n_edges
     out = _per_order(params.self_w.T) * feats
-    terms = _edge_terms(graph, params, counters, cache)
-    Y, phi, plan = terms["Y"], terms["phi"], conv_plan(L)
-    E = graph.n_edges
-    spec = "ecab,ecb->eca" if params.mode == "channel" else "ecdab,edb->eca"
-    fk = _gather_degrees(feats, graph.edge_dst)
-    msg = [np.zeros((E, C, 2 * l + 1)) for l in range(L + 1)]
+    plan = conv_plan(L)
+    terms = _edge_terms(graph, params, plan, counters, cache)
+    frame, phi = terms["frame"], terms["phi"]
+    dims, spec = _channel_dims(params), _MODES[params.mode][0]
+    f = _rotate(_to_edges(feats, graph.edge_dst), frame, plan)
+    msg = np.zeros_like(f)
+    zero, tail = np.zeros(((2 * L + 1) ** 2, phi.shape[1])), (E,) + dims
     for pair in plan.pairs:
-        l, k = pair[:2]
-        W = _mix(phi, _coupling_blocks(Y, pair), pair)
-        msg[l] += np.einsum(spec, W, fk[k])
+        l, k, *_, nz = pair
+        W = _kernel(zero, phi, pair, tail)
+        msg[so3.block_slice(l)] += np.einsum(spec, W, f[so3.block_slice(k)])
+        zero[nz] = 0.0
     if counters is not None:
-        cc = C if params.mode == "channel" else C * C
-        counters.add("assembly", E * plan.assembly)
-        counters.add("mixing", E * cc * plan.mixing)
-        counters.add("matvec", E * cc * (L + 1) ** 4)
+        counters.add("rotation", 2 * E * C * plan.rotation)
+        counters.add("mixing", phi.shape[1] * plan.mixing)
+        counters.add("matvec", phi.shape[1] * (L + 1) ** 4)
     if cache is not None and params.mode == "fc":
-        # fc's phi is (E, paths, C, C), C times channel mode's; the backward
-        # redoes its head GEMM from the radial cache's h2 instead of keeping it
+        # fc's phi is (paths, E * C * C), C times channel mode's; the
+        # backward redoes its head GEMM from the radial cache's h2 instead
         del cache["phi"]
     # edges are sorted by source (MolecularGraph checks it)
-    _segment_add(out, _segments(graph.edge_src), np.concatenate(msg, axis=2))
+    _to_nodes(out, _segments(graph.edge_src),
+              _rotate(msg, frame, plan, inverse=True))
     return out
 
 
@@ -560,40 +646,31 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
     grad_out = _check_shape("grad_out", grad_out, shape)
     grad_f = _per_order(params.self_w.T) * grad_out
     grads.self_w[...] = _degree_sums((grad_out * feats).sum(axis=0)).T
-    Y, plan = cache["Y"], conv_plan(params.l_max)
-    E = graph.n_edges
+    plan, frame, E = conv_plan(params.l_max), cache["frame"], graph.n_edges
     phi = cache.get("phi")
     if phi is None:  # fc mode's forward dropped it from the cache
         rp = params.radial
-        phi = (cache["radial"]["h2"] @ rp.head_w + rp.head_b).reshape(
-            E, len(params.paths), params.channels, params.channels)
-    channel = params.mode == "channel"
-    gmsg = _gather_degrees(grad_out, graph.edge_src)
-    fk = _gather_degrees(feats, graph.edge_dst)
-    acc = [np.zeros_like(f) for f in fk]
+        phi = _path_rows(cache["radial"]["h2"] @ rp.head_w + rp.head_b, params)
+    dims, (_, outer, adjoint) = _channel_dims(params), _MODES[params.mode]
+    # in the edge frame the kernel is sparse: both gradients read it at its
+    # non-zero entries only
+    g = _rotate(_to_edges(grad_out, graph.edge_src), frame, plan)
+    f = _rotate(_to_edges(feats, graph.edge_dst), frame, plan)
+    grad_fe = np.zeros_like(f)
     grad_phi = np.empty_like(phi)
-    C = params.channels
-    for pair in plan.pairs:
-        l, k, p0, p1, _ = pair
-        nJ, B = p1 - p0, 2 * k + 1
-        G = _coupling_blocks(Y, pair).reshape(E, nJ, 2 * l + 1, B)
-        # U[e,J,c,b] = sum_a gmsg[e,c,a] G_J[e,a,b], the message gradient
-        # through each path's block. Both gradients contract U, so neither
-        # the kernel W nor the outer product gmsg (x) f_k is formed
-        U = np.matmul(gmsg[l][:, None], G)
-        if channel:
-            # grad_phi[e,J,c] = sum_b U f_k;  acc_k[e,c,b] = sum_J phi U
-            grad_phi[:, p0:p1] = np.einsum("ejcb,ecb->ejc", U, fk[k])
-            acc[k] += np.einsum("ejc,ejcb->ecb", phi[:, p0:p1], U)
-        else:
-            # grad_phi[e,J,c,d] = sum_b U[e,J,c,b] f_k[e,d,b];
-            # acc_k[e,d,b] = sum_{J,c} phi[e,J,c,d] U[e,J,c,b]
-            np.matmul(U, fk[k][:, None].transpose(0, 1, 3, 2),
-                      out=grad_phi[:, p0:p1])
-            ph = phi[:, p0:p1].reshape(E, nJ * C, C)
-            acc[k] += np.matmul(ph.transpose(0, 2, 1), U.reshape(E, nJ * C, B))
-    _segment_add(grad_f, cache["dst_segments"],
-                 np.concatenate(acc, axis=2)[cache["dst_order"]])
+    for l, k, p0, p1, qz, a, b, _ in plan.pairs:
+        ga = g[a]
+        np.matmul(qz, outer(ga, f[b]).reshape(len(a), phi.shape[1]),
+                  out=grad_phi[p0:p1])
+        t = adjoint((qz.T @ phi[p0:p1]).reshape((len(a), E) + dims), ga)
+        # the first d entries (m = m') hit distinct slots in order, and so
+        # do the rest (m = -m')
+        d = 2 * min(l, k) + 1
+        grad_fe[b[0]:b[0] + d] += t[:d]
+        grad_fe[b[d:]] += t[d:]
+    grad_fe = _rotate(grad_fe, frame, plan, inverse=True)
+    _to_nodes(grad_f, cache["dst_segments"], grad_fe[:, cache["dst_order"]])
+    grad_phi = grad_phi.reshape((len(phi), E) + dims).swapaxes(0, 1)
     radial_backward(params.radial, grad_phi.reshape(E, params.radial.out_dim),
                     grads.radial, cache["radial"])
     return grad_f

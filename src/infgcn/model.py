@@ -348,7 +348,12 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DomainError(f"cannot read checkpoint {os.fspath(path)!r}: "
+                          f"{exc.strerror or exc}") from None
+    with fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise DomainError("not a model checkpoint (bad magic)")

@@ -21,7 +21,9 @@ coordinates or on monomial coefficient arrays.
 
 which is exactly the matrix that rotates coefficient vectors: expanding
 ``D @ f`` on the harmonics at ``x`` equals expanding ``f`` at ``R^-1 x``.
-With this choice ``D(R1 @ R2) = D(R1) @ D(R2)``.
+With this choice ``D(R1 @ R2) = D(R1) @ D(R2)``. ``layers.conv_plan`` keeps
+``wigner_blocks(L, R_x(-pi/2))``, from which the convolution composes each
+edge's frame rotation with turns about z.
 
 ``cg_table(l, k, J)`` is a read-only (2J+1, 2l+1, 2k+1) array coupling two
 real blocks to a real block with orthonormal rows (``Q Q^T = I``).  Tables
@@ -192,8 +194,8 @@ def sh_monomials(l_max):
     Row (l, m) is non-zero only where i + j + k = l (120 monomials against 64
     harmonics at l_max = 7). ``eval_real_sh``'s recursion builds it on
     coefficient arrays of side n + 1, so that x, y and z exist at l_max = 0,
-    and it is memoized; like ``layers.conv_plan`` the memo takes no lock,
-    since racing builds give equal tables.
+    and it is memoized; like ``cg_table`` and ``layers.conv_plan`` the memo
+    takes no lock, since racing builds give equal tables.
     """
     table = _MONOMIALS.get(l_max)
     if table is None:

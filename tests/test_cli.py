@@ -430,6 +430,18 @@ def test_main_eval_rejects_corrupt_checkpoint(tmp_path, capsys):
     assert "error:" in err and "header JSON" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_main_rejects_missing_checkpoint_naming_it(tmp_path, capsys,
+                                                   command):
+    data, _ = oracle_instance(tmp_path)
+    config = write_config(tmp_path, data, tmp_path / "out")
+    missing = tmp_path / "nope.ckpt"
+    assert cli.main([command, "--config", str(config),
+                     "--checkpoint", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.ckpt" in err
+
+
 def test_predict_round_trips_through_cube(tmp_path):
     data, ckpt = oracle_instance(tmp_path, seed=11)
     cfg = cli.load_run_config(write_config(tmp_path, data, tmp_path / "out"))
@@ -461,14 +473,16 @@ def test_equivariance_check_passes_and_degrades(monkeypatch):
 
     # negative control: corrupting one coupling entry must break
     # equivariance. A uniform rescale would not (CG blocks stay valid
-    # intertwiners under scaling), and paths consuming degree >= 1 inputs
-    # are nearly silent at init, so hit (1, 0, 1), which carries the O(1)
-    # scalar features.
+    # intertwiners under scaling). Paths consuming degree >= 1 inputs are
+    # nearly silent at init, and the edge-frame kernel of a path from the
+    # O(1) scalar features is one M = 0, m = m' = 0 entry, equivariant at
+    # any value; so hit the (1, 1, 2) table that the edge frames' Wigner
+    # block J_2 is built from.
     real = so3.cg_table
 
     def crooked(l, k, J):
         table = real(l, k, J)
-        if (l, k, J) == (1, 0, 1):
+        if (l, k, J) == (1, 1, 2):
             table = table.copy()
             table[0, 0, 0] += 5.0
         return table

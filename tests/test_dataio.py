@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from json_values import EDGES, NUMBERS, VALUES
 
@@ -127,8 +127,17 @@ _ROW = st.lists(EDGES | NUMBERS, min_size=3, max_size=3)
 _META_VALUES = VALUES | _ROW | st.lists(_ROW, min_size=3, max_size=3)
 
 
+def _leaves(value):
+    """The non-list items of a nested JSON list, or the value itself."""
+    if not isinstance(value, list):
+        return [value]
+    return [leaf for item in value for leaf in _leaves(item)]
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(value=_META_VALUES)
+@example(value=["1", 2, 3])  # numpy parses the string
+@example(value=[[True, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 def test_fuzzed_record_loads_typed_or_names_the_field(tmp_path_factory,
                                                       value):
     # the value goes into every metadata field in turn
@@ -154,6 +163,10 @@ def test_fuzzed_record_loads_typed_or_names_the_field(tmp_path_factory,
             for a in (coords, grid.cell, grid.origin):
                 assert a.dtype == float and np.all(np.isfinite(a))
             assert type(grid.pbc) is bool
+            if name in ("atom_coord", "cell", "origin"):
+                # a string or a bool is not a coordinate, though numpy
+                # converts both
+                assert all(type(x) in (int, float) for x in _leaves(value))
 
 
 def test_pbc_with_inclusive_endpoint_rejected(tmp_path):

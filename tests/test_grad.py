@@ -409,19 +409,21 @@ def _count_calls(monkeypatch, module, name, counts):
 
 def test_loss_and_grad_runs_radial_nets_and_harmonics_once(monkeypatch):
     # default model, 1024 queries: 3 conv layers and the residual layer run
-    # a radial net each, and harmonics are evaluated once per conv layer,
-    # once for the residual layer and once per 512-query basis chunk. The
-    # backward passes read the forward's caches, so these are all the calls
-    # (a backward that recomputed its forward would double both counts).
+    # a radial net each, edge frames are built once per conv layer, and
+    # harmonics are evaluated once for the residual layer and once per
+    # 512-query basis chunk. The backward passes read the forward's caches,
+    # so these are all the calls (a backward that recomputed its forward
+    # would double every count).
     cfg = model.ModelConfig()
     params = model.init_params(cfg, seed=0, zero_heads=False)
     graph, queries, target = make_instance(cfg, seed=32, n_atoms=5,
                                            n_queries=1024)
     counts = {}
     _count_calls(monkeypatch, layers, "radial_forward", counts)
+    _count_calls(monkeypatch, layers, "_frame", counts)
     _count_calls(monkeypatch, so3, "eval_real_sh", counts)
     grad.loss_and_grad(params, graph, queries, target)
-    assert counts == {"radial_forward": 4, "eval_real_sh": 6}
+    assert counts == {"radial_forward": 4, "_frame": 3, "eval_real_sh": 3}
 
 
 def _molecule(seed, n_atoms=18, half_width=2.8, min_sep=1.8):

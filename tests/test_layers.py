@@ -511,16 +511,26 @@ def test_conv_counters_closed_form():
         counters = layers.OpCounters()
         layers.conv_forward(graph, feats, params, counters)
         E, C = graph.n_edges, params.channels
+        assert sorted(counters.counts) == ["matvec", "mixing", "radial",
+                                           "rotation"]
         matvec = sum((2 * l + 1) * (2 * k + 1)
                      for l in range(L + 1) for k in range(L + 1))
         assert matvec == (L + 1) ** 4
         assert counters.counts["matvec"] == E * C * (L + 1) ** 4
-        mixing = sum((2 * l + 1) * (2 * k + 1)
-                     for (l, k, J) in layers.make_paths(L))
+        # in the edge frame a pair's kernel is non-zero only where
+        # |m| = |m'|: 1 + 4 min(l, k) entries, each mixing the pair's
+        # 2 min(l, k) + 1 paths
+        mixing = sum((2 * min(l, k) + 1) * (4 * min(l, k) + 1)
+                     for l in range(L + 1) for k in range(L + 1))
         assert counters.counts["mixing"] == E * C * mixing
-        assembly = sum((2 * J + 1) * (2 * l + 1) * (2 * k + 1)
-                       for (l, k, J) in layers.make_paths(L))
-        assert counters.counts["assembly"] == E * assembly
+        # two rotations (features in, messages out), each two products with
+        # J_l per degree and two (m, -m) turns of two multiplies per slot
+        rotation = 2 * sum((2 * l + 1) ** 2 for l in range(L + 1)) \
+            + 4 * (L + 1) ** 2
+        assert counters.counts["rotation"] == 2 * E * C * rotation
+    plan = layers.conv_plan(7)
+    assert sum(pair[7].size for pair in plan.pairs) == 624
+    assert plan.mixing == 5160
 
 
 # The per-path loops that conv_forward and conv_backward replaced, kept as
@@ -667,21 +677,21 @@ def test_conv_matches_reference_loop(mode, l_max, n_atoms):
 
 @pytest.mark.parametrize("mode", ["channel", "fc"])
 def test_conv_backward_forms_no_kernel(monkeypatch, mode):
-    # the adjoint contracts U = gmsg G with phi and the features; it never
-    # mixes the kernel W the forward builds
+    # the adjoint reads the edge-frame kernel at its non-zero entries only;
+    # it never builds the dense W the forward's matvec takes
     calls = []
-    real = layers._mix
+    real = layers._kernel
 
     def counting(*args):
         calls.append(args[2][:2])
         return real(*args)
 
-    monkeypatch.setattr(layers, "_mix", counting)
+    monkeypatch.setattr(layers, "_kernel", counting)
     rng = np.random.default_rng(23)
     graph, feats, params = small_instance(rng, l_max=3, mode=mode)
     cache = {}
     layers.conv_forward(graph, feats, params, cache=cache)
-    assert len(calls) == len(layers.conv_plan(3).pairs)
+    assert calls == [pair[:2] for pair in layers.conv_plan(3).pairs]
     calls.clear()
     layers.conv_backward(graph, feats, params, random_feats(rng, 5, 3, 3),
                          nan_twin(params), cache)
@@ -701,7 +711,9 @@ def test_conv_plan_built_once(monkeypatch):
     rng = np.random.default_rng(24)
     graph, feats, params = small_instance(rng, l_max=3)
     layers.conv_forward(graph, feats, params)
-    assert sorted(calls) == sorted(params.paths)
+    # every path's table, and the couplings wigner_blocks builds J_l from
+    wigner = [(j - 1, 1, j) for j in range(2, 4)]
+    assert sorted(calls) == sorted(list(params.paths) + wigner)
     calls.clear()
     cache = {}
     layers.conv_forward(graph, feats, params, cache=cache)
@@ -737,11 +749,58 @@ def test_conv_plan_concurrent_first_build(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert any(layers._PLANS[4] is plan for plan in got)
     for plan in got:
-        assert (plan.assembly, plan.mixing) == (want.assembly, want.mixing)
+        assert (plan.l_max, plan.mixing, plan.rotation) == (
+            want.l_max, want.mixing, want.rotation)
+        for x, y in zip((plan.orders, plan.flip) + plan.wigner,
+                        (want.orders, want.flip) + want.wigner):
+            assert np.array_equal(x, y)
+        assert len(plan.wigner) == len(want.wigner)
         assert len(plan.pairs) == len(want.pairs)
         for a, b in zip(plan.pairs, want.pairs):
             assert a[:4] == b[:4]
-            assert all(np.array_equal(x, y) for x, y in zip(a[4], b[4]))
+            assert all(np.array_equal(x, y) for x, y in zip(a[4:], b[4:]))
+
+
+def _edge_rotation(rhat):
+    """R_e = R_y(-theta) R_z(-phi), taking the unit vector ``rhat`` onto
+    z-hat, from its azimuth and polar angle."""
+    x, y, z = rhat
+    phi, theta = np.arctan2(y, x), np.arctan2(np.hypot(x, y), z)
+    return (so3.axis_angle_rotation([0, 1, 0], -theta)
+            @ so3.axis_angle_rotation([0, 0, 1], -phi))
+
+
+def test_edge_frame_rotation_matches_wigner_blocks():
+    L = 7
+    S = so3.num_sh(L)
+    rng = np.random.default_rng(41)
+    rhat = rng.standard_normal((6, 3))
+    rhat /= np.linalg.norm(rhat, axis=1, keepdims=True)
+    # along +-z, phi = atan2(0, 0), and atan2(+0, -0) = pi
+    poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0],
+             [-0.0, -0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+    rhat = np.concatenate([rhat, poles])
+    plan = layers.conv_plan(L)
+    frame = layers._frame(rhat, plan)
+    # the unit vectors of every slot, one per channel: column j of D
+    eye = np.broadcast_to(np.eye(S)[:, None, :], (S, len(rhat), S)).copy()
+    D = layers._rotate(eye, frame, plan)
+    DT = layers._rotate(eye, frame, plan, inverse=True)
+    Y = so3.eval_real_sh(L, rhat)
+    z_hat = so3.eval_real_sh(L, np.array([0.0, 0.0, 1.0]))
+    for e, r in enumerate(rhat):
+        R = _edge_rotation(r)
+        assert np.abs(R @ r - [0.0, 0.0, 1.0]).max() <= 1e-15
+        for l, want in enumerate(so3.wigner_blocks(L, R)):
+            sl = so3.block_slice(l)
+            assert np.abs(D[sl, e, sl] - want).max() <= 1e-12
+            assert np.abs(DT[sl, e, sl] - want.T).max() <= 1e-12
+            # nothing leaks between degrees
+            assert not np.any(np.delete(D[:, e, sl], sl, axis=0))
+        # D Y(rhat) = Y(R rhat) = Y(z-hat), through the same code path
+        turned = layers._rotate(np.ascontiguousarray(Y[e][:, None, None]),
+                                tuple(t[:, e:e + 1] for t in frame), plan)
+        assert np.abs(turned[:, 0, 0] - z_hat).max() <= 1e-12
 
 
 def _reference_sigmoid(x):

@@ -92,6 +92,17 @@ def _load_dataset(cfg):
     return pick("train"), pick("val")
 
 
+def _make_out_dir(path, name):
+    """Create the output directory ``path``; SchemaError naming the setting
+    ``name`` when it cannot be, as when a file has that path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"{name}: cannot create directory {path!r} "
+                          f"({exc.strerror or exc})") from None
+    return path
+
+
 def _sample_nmae(params, recs, cfg, step):
     acc = model.NMAEAccumulator()
     for ridx, rec in enumerate(recs):
@@ -107,7 +118,7 @@ def _sample_nmae(params, recs, cfg, step):
 def cmd_train(cfg, deterministic=False):
     """Sampled-query training loop with plateau decay and best checkpoint."""
     train, val = _load_dataset(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir, "out_dir")
     params = model.init_params(cfg.model, seed=cfg.seed)
     registry = grad.ParamRegistry(params)
     state = grad.init_optimizer(registry, **cfg.optimizer)
@@ -231,8 +242,8 @@ def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
 def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     """Full-grid prediction and error CUBE files for every record."""
     params = _load_model(cfg, checkpoint)
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    out = _make_out_dir(out_dir or cfg.out_dir,
+                        "--out" if out_dir else "out_dir")
     _, recs = _load_dataset(cfg)
 
     def run(rec):
@@ -290,7 +301,7 @@ def cmd_gradcheck(mcfg, seed=0, n_sampled=200):
 
 
 def cmd_graphon_demo(out_dir, seed=0, n_nodes=256):
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir, "--out")
     return graphon.graphon_demo_report(
         n_nodes=n_nodes, seed=seed,
         json_path=os.path.join(out_dir, "report.json"),

@@ -29,12 +29,17 @@ turns neighbor features into the edge frame and messages back;
 compressed-vector budget.
 
 Every forward with an adjoint takes an optional ``cache`` dict and fills it
-with what its backward needs, and the backward requires that dict. The
-radial net keeps its activations, the convolution its edges' frames (cos
-and sin of m phi and m theta), per-path radial scalars (channel mode only)
-and the edges' order by destination, and the residual layer its query-atom
-pairs, their harmonics, radial scalars and the features' projection ``s``
-on the harmonics. A backward returns the gradient of its input and writes
+with what its backward needs, and the backward requires that dict; what
+only the backward reads is built only for a cache. The radial net keeps
+its activations ``e``, ``a1``, ``h1``, ``a2``, ``h2``. The convolution
+keeps its edges' frames ``frame`` (cos and sin of m phi and m theta), the
+neighbor features turned into them ``f``, the per-path radial scalars
+``phi`` (channel mode only), the radial net's cache ``radial`` and the
+edges' destination runs ``dst_order`` and ``dst_segments``. The residual
+layer keeps its query-atom pairs ``qi`` and ``vi``, sorted by atom, with
+the atoms' runs ``atom_segments``, their harmonics ``Y``, radial scalars
+``phi``, the radial cache ``radial`` and the features' projection ``s`` on
+the harmonics. A backward returns the gradient of its input and writes
 its parameter gradients into ``grads``, a twin of its parameters whose
 arrays view the flat gradient vector (``model.bind``); every entry is
 overwritten, so the twin needs no zeroing. The convolution's backward reads
@@ -406,23 +411,6 @@ def _segments(idx):
     return idx[starts], starts
 
 
-def _edge_geometry(graph):
-    vec = graph.edge_vec
-    r = np.sqrt(np.einsum("ex,ex->e", vec, vec))
-    if np.any(r < _EPS_EDGE):
-        raise DomainError("coincident atoms produce directionless edges")
-    return r, vec / r[:, None]
-
-
-def _phi_per_path(params, r, counters=None, cache=None):
-    phi = radial_forward(params.radial, r, counters, cache)
-    n_edge = r.shape[0]
-    if params.mode == "channel":
-        return phi.reshape(n_edge, len(params.paths), params.channels)
-    return phi.reshape(n_edge, len(params.paths),
-                       params.channels, params.channels)
-
-
 @dataclass(frozen=True)
 class ConvPlan:
     """The edge-frame coupling of every path up to one ``l_max``.
@@ -496,12 +484,12 @@ def _build_plan(l_max):
     return plan
 
 
-def _frame(rhat, plan):
+def _frame(vec, plan):
     """cos(m phi), sin(m phi), cos(m theta) and sin(m theta) at each (l, m)
-    slot, ((L+1)^2, E, 1) each, for each edge's azimuth phi and polar angle
-    theta. Along +-z, phi = atan2(0, 0) = 0; any phi turns such an edge
-    onto z-hat."""
-    x, y, z = rhat.T
+    slot, ((L+1)^2, E, 1) each, for each edge vector's azimuth phi and
+    polar angle theta, which do not depend on its length. Along +-z,
+    phi = atan2(0, 0) = 0; any phi turns such an edge onto z-hat."""
+    x, y, z = vec.T
     return tuple(f(np.multiply.outer(plan.orders, angle))[:, :, None]
                  for angle in (np.arctan2(y, x), np.arctan2(np.hypot(x, y), z))
                  for f in (np.cos, np.sin))
@@ -538,28 +526,9 @@ def _rotate(x, frame, plan, inverse=False):
     return turn(x, cos_phi, sin_phi) if inverse else x
 
 
-def _edge_terms(graph, params, plan, counters=None, cache=None):
-    """The edge terms both conv passes need, in ``cache`` when given: the
-    edge frames ``frame`` (``_frame``), the per-path radial scalars ``phi``
-    (``_path_rows``) and the edges' destination runs ``dst_order``,
-    ``dst_segments``. Only a given cache gets the radial net's activations,
-    under ``radial``; in fc mode ``conv_forward`` drops ``phi`` from it
-    once used."""
-    terms = {} if cache is None else cache
-    r, rhat = _edge_geometry(graph)
-    radial = None if cache is None else {}
-    order = np.argsort(graph.edge_dst, kind="stable")
-    phi = _phi_per_path(params, r, counters, radial)
-    terms.update(
-        frame=_frame(rhat, plan), phi=_path_rows(phi, params),
-        radial=radial, dst_order=order,
-        dst_segments=_segments(graph.edge_dst[order]))
-    return terms
-
-
 def _path_rows(phi, params):
-    """Per-path radial scalars, (E, paths, C) or in fc mode (E, paths, C, C),
-    as a C-contiguous (paths, E * X) array, X = C or C * C."""
+    """The radial net's (E, paths * X) output, X = C or in fc mode C * C, as
+    a C-contiguous (paths, E * X) array."""
     shape = (len(phi), len(params.paths), math.prod(_channel_dims(params)))
     rows = np.ascontiguousarray(phi.reshape(shape).transpose(1, 0, 2))
     return rows.reshape(shape[1], shape[0] * shape[2])
@@ -605,16 +574,29 @@ def _kernel(zero, phi, pair, tail):
 def conv_forward(graph, feats, params, counters=None, cache=None):
     """One message-passing step: self-interaction plus neighbor messages.
 
-    A ``cache`` dict receives the edge terms ``conv_backward`` reads.
+    A ``cache`` dict receives what ``conv_backward`` reads.
     """
     feats = _check_shape("feats", feats, _feature_shape(graph.n_atoms, params))
     L, C, E = params.l_max, params.channels, graph.n_edges
     out = _per_order(params.self_w.T) * feats
-    plan = conv_plan(L)
-    terms = _edge_terms(graph, params, plan, counters, cache)
-    frame, phi = terms["frame"], terms["phi"]
-    dims, spec = _channel_dims(params), _MODES[params.mode][0]
+    plan, vec = conv_plan(L), graph.edge_vec
+    r = np.sqrt(np.einsum("ex,ex->e", vec, vec))
+    if np.any(r < _EPS_EDGE):
+        raise DomainError("coincident atoms produce directionless edges")
+    radial = None if cache is None else {}
+    phi = _path_rows(radial_forward(params.radial, r, counters, radial),
+                     params)
+    frame = _frame(vec, plan)
     f = _rotate(_to_edges(feats, graph.edge_dst), frame, plan)
+    if cache is not None:
+        order = np.argsort(graph.edge_dst, kind="stable")
+        cache.update(frame=frame, f=f, radial=radial, dst_order=order,
+                     dst_segments=_segments(graph.edge_dst[order]))
+        if params.mode == "channel":
+            # fc's phi is C times larger; its backward redoes the head GEMM
+            # from the radial cache's h2 instead
+            cache["phi"] = phi
+    dims, spec = _channel_dims(params), _MODES[params.mode][0]
     msg = np.zeros_like(f)
     zero, tail = np.zeros(((2 * L + 1) ** 2, phi.shape[1])), (E,) + dims
     for pair in plan.pairs:
@@ -626,10 +608,6 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
         counters.add("rotation", 2 * E * C * plan.rotation)
         counters.add("mixing", phi.shape[1] * plan.mixing)
         counters.add("matvec", phi.shape[1] * (L + 1) ** 4)
-    if cache is not None and params.mode == "fc":
-        # fc's phi is (paths, E * C * C), C times channel mode's; the
-        # backward redoes its head GEMM from the radial cache's h2 instead
-        del cache["phi"]
     # edges are sorted by source (MolecularGraph checks it)
     _to_nodes(out, _segments(graph.edge_src),
               _rotate(msg, frame, plan, inverse=True))
@@ -647,15 +625,14 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
     grad_f = _per_order(params.self_w.T) * grad_out
     grads.self_w[...] = _degree_sums((grad_out * feats).sum(axis=0)).T
     plan, frame, E = conv_plan(params.l_max), cache["frame"], graph.n_edges
-    phi = cache.get("phi")
-    if phi is None:  # fc mode's forward dropped it from the cache
+    phi, f = cache.get("phi"), cache["f"]
+    if phi is None:  # fc mode's forward kept no phi
         rp = params.radial
         phi = _path_rows(cache["radial"]["h2"] @ rp.head_w + rp.head_b, params)
     dims, (_, outer, adjoint) = _channel_dims(params), _MODES[params.mode]
     # in the edge frame the kernel is sparse: both gradients read it at its
     # non-zero entries only
     g = _rotate(_to_edges(grad_out, graph.edge_src), frame, plan)
-    f = _rotate(_to_edges(feats, graph.edge_dst), frame, plan)
     grad_fe = np.zeros_like(f)
     grad_phi = np.empty_like(phi)
     for l, k, p0, p1, qz, a, b, _ in plan.pairs:
@@ -735,54 +712,41 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
                           cutoff=float(cutoff), radial=radial)
 
 
-def _residual_terms(queries, coords, params, counters=None, cache=None):
-    """The pair terms both residual passes need, in ``cache`` when given:
-    the query-atom pairs within the cutoff (``geometry.radius_pairs``),
-    sorted by atom, as ``qi`` and ``vi`` with the atoms' runs in
-    ``atom_segments``; the harmonics ``Y`` (E, (L+1)^2) of their directions
-    and the radial scalars ``phi`` (E, L+1, C). Only a given cache also
-    receives the radial net's activations, under ``radial``.
-
-    A query sitting exactly on an atom has no direction; it gets the zero
-    vector, whose solid harmonics vanish for k >= 1, so the pair keeps its
-    isotropic k = 0 term and contributes nothing through higher degrees.
-    """
-    terms = {} if cache is None else cache
-    vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
-    terms.update(qi=qi, vi=vi, atom_segments=_segments(vi))
-    radial = terms["radial"] = None if cache is None else {}
-    phi = radial_forward(params.radial, r, counters, radial)
-    terms["phi"] = phi.reshape(r.size, params.l_max + 1, params.channels)
-    # vec runs from atom to query; negated it is exactly atom minus query
-    rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
-    terms["Y"] = so3.eval_real_sh(params.l_max, rhat)
-    return terms
-
-
 def residual_forward(queries, coords, feats, params, counters=None,
                      cache=None):
     """Invariant scalar z per query from neighborhood feature contraction.
 
-    A ``cache`` dict receives the pair terms ``residual_backward`` reads
-    and the projection ``s`` of these features.
+    A ``cache`` dict receives what ``residual_backward`` reads. A query
+    sitting exactly on an atom has no direction; it gets the zero vector,
+    whose solid harmonics vanish for k >= 1, so the pair keeps its isotropic
+    k = 0 term and contributes nothing through higher degrees.
     """
     queries = geometry.check_points("queries", queries)
     coords = geometry.check_points("coords", coords)
     feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
-    terms = _residual_terms(queries, coords, params, counters, cache)
-    qi, Y = terms["qi"], terms["Y"]
+    L, C = params.l_max, params.channels
+    vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
+    radial = None if cache is None else {}
+    phi = radial_forward(params.radial, r, counters, radial)
+    phi = phi.reshape(r.size, L + 1, C)
+    # vec runs from atom to query; negated it is exactly atom minus query
+    rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
+    Y = so3.eval_real_sh(L, rhat)
     # s[e, k] = Y[e, block k] @ feats[vi[e], :, block k].T, (E, L+1, C):
     # each pair's degree-k atom features projected on its harmonics, one
     # GEMM per atom run and degree
-    s = terms["s"] = np.empty((qi.size, params.l_max + 1, params.channels))
-    rows, starts = terms["atom_segments"]
+    s = np.empty((qi.size, L + 1, C))
+    rows, starts = segments = _segments(vi)
     for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
-        for k in range(params.l_max + 1):
+        for k in range(L + 1):
             sl = so3.block_slice(k)
             s[lo:hi, k] = Y[lo:hi, sl] @ feats[u, :, sl].T
     if counters is not None:
-        counters.add("residual", Y.size * (params.channels + 1))
-    contrib = np.einsum("ekc,ekc->e", terms["phi"], s)
+        counters.add("residual", Y.size * (C + 1))
+    if cache is not None:
+        cache.update(qi=qi, vi=vi, atom_segments=segments, radial=radial,
+                     phi=phi, Y=Y, s=s)
+    contrib = np.einsum("ekc,ekc->e", phi, s)
     return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
 
 

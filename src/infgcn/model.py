@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _MAGIC = b"INFGCN1\n"
+# the most parameters a config may ask for: one flat vector is then 800 MB,
+# and training holds four (parameters, gradient, Adam's two moments)
+_MAX_PARAMS = 10**8
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,23 @@ class ModelConfig:
     def __post_init__(self):
         schema.check(self, DomainError)
         basis.make_exponents(self.r_min, self.r_max, 2)  # r_min < r_max
+        if self.n_params() > _MAX_PARAMS:
+            raise DomainError("l_max, channels, n_layers, vocab and mode ask "
+                              f"for over {_MAX_PARAMS:,} parameters")
+
+    def n_params(self):
+        """The flat parameter count `init_params` lays out, from the sizes
+        alone: no array or path list is built."""
+        L, C = self.l_max, self.channels
+        paths = (L + 1) ** 2 + L * (L + 1) * (2 * L + 1) // 3  # make_paths
+
+        def radial(out):  # init_radial_net: 64 -> 128 -> 128 -> out
+            return 64 * 128 + 128 * 128 + 2 * 128 + 129 * out
+
+        per_path = C if self.mode == "channel" else C * C
+        return (self.vocab * C
+                + self.n_layers * (radial(paths * per_path) + (L + 1) * C)
+                + self.residual * radial((L + 1) * C))
 
     def basis_spec(self):
         # feature channels double as radial-basis indices
@@ -325,7 +345,6 @@ def save_checkpoint(params, path):
     header = {
         "config": asdict(params.config),
         "arrays": [[name, list(a.shape)] for name, a in params.named_arrays()],
-        "exponents": params.config.basis_spec().exponents.tolist(),
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
     # write a sibling temp file, then rename it over the target: a crash

@@ -117,7 +117,8 @@ def test_run_config_defaults_and_validation(tmp_path):
     ({"optimizer": {"lr": 10**400}}, "optimizer.lr"),
     ({"optimizer": {"method": "sgd"}}, "optimizer.method must be one of"),
     ({"optimizer": {"method": 5}}, "optimizer.method"),
-    ({"optimizer": {"method": ["x"]}}, "optimizer.method")])
+    ({"optimizer": {"method": ["x"]}}, "optimizer.method"),
+    ({"model": {"channels": 10**12}}, "over 100,000,000 parameters")])
 def test_main_rejects_malformed_config(tmp_path, monkeypatch, capsys, bad,
                                        needle):
     # both commands load the config; only train reads the dataset directory
@@ -178,8 +179,9 @@ def test_fuzzed_config_loads_typed_or_names_the_field(tmp_path_factory,
             cfg = cli.load_run_config(path)
         except SchemaError as exc:
             assert label in str(exc)
-        except DomainError as exc:  # only the r_min < r_max rule is left
-            assert name in ("r_min", "r_max") and name in str(exc)
+        except DomainError as exc:  # r_min < r_max, and the size bound
+            assert name in ("r_min", "r_max", "l_max", "channels",
+                            "n_layers", "vocab") and name in str(exc)
         else:
             _assert_typed(cfg, cli.RunConfig)
             # a bool, an int to Python, loads only where one is declared
@@ -440,6 +442,28 @@ def test_main_rejects_missing_checkpoint_naming_it(tmp_path, capsys,
                      "--checkpoint", str(missing)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nope.ckpt" in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("train", "out_dir"), ("predict", "out_dir"), ("predict", "--out"),
+    ("graphon-demo", "--out")])
+def test_main_rejects_a_file_as_output_directory(tmp_path, capsys, command,
+                                                 name):
+    data, ckpt = oracle_instance(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = write_config(tmp_path, data,
+                          taken if name == "out_dir" else tmp_path / "out")
+    argv = {"train": ["train", "--config", str(config)],
+            "predict": ["predict", "--config", str(config),
+                        "--checkpoint", str(ckpt)],
+            "graphon-demo": ["graphon-demo", "--nodes", "16"]}[command]
+    if name == "--out":
+        argv += ["--out", str(taken)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and str(taken) in err
+    assert taken.read_text() == ""
 
 
 def test_predict_round_trips_through_cube(tmp_path):

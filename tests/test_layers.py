@@ -543,6 +543,16 @@ def _reference_blocks(paths, Y):
             for (l, k, J) in paths}
 
 
+def _reference_edge_terms(graph, params):
+    """Each edge's length and direction, from the raw edge vectors, and its
+    per-path radial scalars, (E, paths, C) or in fc mode (E, paths, C, C)."""
+    r = np.linalg.norm(graph.edge_vec, axis=1)
+    dims = (params.channels,) * (1 if params.mode == "channel" else 2)
+    phi = layers.radial_forward(params.radial, r)
+    return r, graph.edge_vec / r[:, None], phi.reshape(
+        (graph.n_edges, len(params.paths)) + dims)
+
+
 def _blocks(x):
     """The per-degree blocks of a feature array, as copies."""
     return {l: x[:, :, so3.block_slice(l)].copy()
@@ -556,9 +566,8 @@ def _reference_conv_forward(graph, feats, params):
            for l in range(L + 1)}
     if graph.n_edges == 0:
         return np.concatenate(list(out.values()), axis=2)
-    r, rhat = layers._edge_geometry(graph)
+    r, rhat, phi = _reference_edge_terms(graph, params)
     Y = so3.eval_real_sh(2 * L, rhat)
-    phi = layers._phi_per_path(params, r)
     G = _reference_blocks(params.paths, Y)
     src, dst = graph.edge_src, graph.edge_dst
     for l in range(L + 1):
@@ -599,9 +608,8 @@ def _reference_conv_backward(graph, feats, params, grad_out):
             "self_w": grad_self, "radial": _reference_radial_backward(
                 params.radial, np.zeros(0),
                 np.zeros((0, params.radial.out_dim)))}
-    r, rhat = layers._edge_geometry(graph)
+    r, rhat, phi = _reference_edge_terms(graph, params)
     Y = so3.eval_real_sh(2 * L, rhat)
-    phi = layers._phi_per_path(params, r)
     G = _reference_blocks(params.paths, Y)
     src, dst = graph.edge_src, graph.edge_dst
     grad_phi = np.zeros_like(phi)
@@ -696,6 +704,33 @@ def test_conv_backward_forms_no_kernel(monkeypatch, mode):
     layers.conv_backward(graph, feats, params, random_feats(rng, 5, 3, 3),
                          nan_twin(params), cache)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["channel", "fc"])
+def test_conv_backward_reads_the_forwards_rotated_features(monkeypatch,
+                                                           mode):
+    # one forward and backward turn the features, the messages, the
+    # message gradients and the feature gradients once each: the backward
+    # reads the rotated features ``f`` the forward cached
+    calls = []
+    real = layers._rotate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("inverse", False))
+        return real(*args, **kwargs)
+
+    rng = np.random.default_rng(24)
+    graph, feats, params = small_instance(rng, l_max=3, mode=mode)
+    uncached = layers.conv_forward(graph, feats, params)
+    monkeypatch.setattr(layers, "_rotate", counting)
+    cache = {}
+    assert np.array_equal(
+        layers.conv_forward(graph, feats, params, cache=cache), uncached)
+    keys = {"frame", "f", "radial", "dst_order", "dst_segments"}
+    assert set(cache) == (keys | {"phi"} if mode == "channel" else keys)
+    layers.conv_backward(graph, feats, params, random_feats(rng, 5, 3, 3),
+                         nan_twin(params), cache)
+    assert calls == [False, True, False, True]
 
 
 def test_conv_plan_built_once(monkeypatch):
@@ -1081,28 +1116,29 @@ def _reference_coupled_harmonics(queries, coords, params, qi, vi):
 def _reference_residual_forward(queries, coords, feats, params):
     """The residual forward as a per-degree gather of pair features and a
     3-operand einsum, kept as the reference for the per-atom projection."""
-    terms = layers._residual_terms(queries, coords, params)
-    qi, vi = terms["qi"], terms["vi"]
+    vi, qi, _, r = geometry.radius_pairs(coords, queries, params.cutoff)
     if qi.size == 0:
         return np.zeros(len(queries))
+    phi = layers.radial_forward(params.radial, r).reshape(
+        r.size, params.l_max + 1, params.channels)
     t = _reference_coupled_harmonics(queries, coords, params, qi, vi)
     contrib = np.zeros(qi.size)
     for k in range(params.l_max + 1):
         fk = feats[vi][:, :, so3.block_slice(k)]
-        contrib += np.einsum("ec,ecb,eb->e", terms["phi"][:, k], fk, t[k])
+        contrib += np.einsum("ec,ecb,eb->e", phi[:, k], fk, t[k])
     return np.bincount(qi, weights=contrib, minlength=len(queries))
 
 
 def _reference_residual_backward(queries, coords, feats, params, grad_z):
     """The residual adjoint with the same gathers and einsums, and the
     feature gradient scattered pair by pair."""
-    terms = layers._residual_terms(queries, coords, params)
-    qi, vi = terms["qi"], terms["vi"]
+    vi, qi, _, r = geometry.radius_pairs(coords, queries, params.cutoff)
     grad_f = np.zeros_like(feats)
     if qi.size == 0:
         return grad_f, {"radial": _reference_radial_backward(
             params.radial, np.zeros(0), np.zeros((0, params.radial.out_dim)))}
-    phi = terms["phi"]
+    phi = layers.radial_forward(params.radial, r).reshape(
+        r.size, params.l_max + 1, params.channels)
     t = _reference_coupled_harmonics(queries, coords, params, qi, vi)
     ge = grad_z[qi]
     grad_phi = np.empty_like(phi)
@@ -1114,7 +1150,6 @@ def _reference_residual_backward(queries, coords, feats, params, grad_z):
         block = np.zeros_like(grad_f[:, :, sl])
         np.add.at(block, vi, outer)
         grad_f[:, :, sl] = block
-    r = np.linalg.norm(coords[vi] - queries[qi], axis=1)
     return grad_f, {"radial": _reference_radial_backward(
         params.radial, r, grad_phi.reshape(qi.size, -1))}
 
@@ -1165,6 +1200,8 @@ def test_residual_matches_reference_einsum(l_max, channels, case):
         z, layers.residual_forward(queries, coords, feats, params))
     _assert_close(z, _reference_residual_forward(queries, coords, feats,
                                                  params))
+    assert set(cache) == {"qi", "vi", "atom_segments", "radial", "phi", "Y",
+                          "s"}
     n_pairs = cache["qi"].size
     assert (n_pairs == 0) == (case == "no_pairs")
     assert np.all(np.diff(cache["vi"]) >= 0)  # pairs come sorted by atom

@@ -38,10 +38,19 @@ def test_config_defaults():
     ("l_max", True), ("l_max", -1), ("channels", 0), ("n_layers", "2"),
     ("vocab", None), ("residual", 2), ("residual", "no"), ("cutoff", True),
     ("r_max", True), ("cutoff", "3"), ("r_min", "x"), ("cutoff", 10**400),
-    ("r_max", float("inf"))])
+    ("r_max", float("inf")), ("channels", 10**12), ("l_max", 10**6),
+    ("vocab", 10**12)])
 def test_config_rejects_unknown_choice_naming_field(field, value):
     with pytest.raises(DomainError, match=field):
         model.ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("cfg", [
+    model.ModelConfig(), SMALL, model.ModelConfig(mode="fc", l_max=3),
+    model.ModelConfig(l_max=0, channels=1, n_layers=1, residual=False)])
+def test_n_params_counts_the_built_layout(cfg):
+    # the size bound reads this count, so it must be the layout's own
+    assert cfg.n_params() == model.count_parameters(model.init_params(cfg))
 
 
 def test_init_features_isotropic():
@@ -368,14 +377,15 @@ def _corrupt_headers(raw):
     ]
 
 
-def _reference_checkpoint_bytes(params):
+def _reference_checkpoint_bytes(params, **extra):
     """The checkpoint bytes as the per-array writer produced them: magic,
-    header length, header, then each named array in turn."""
+    header length, header (with any ``extra`` entries), then each named
+    array in turn."""
     arrays = params.named_arrays()
     header = {
         "config": dataclasses.asdict(params.config),
         "arrays": [[name, list(a.shape)] for name, a in arrays],
-        "exponents": params.config.basis_spec().exponents.tolist(),
+        **extra,
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
     out = [b"INFGCN1\n", struct.pack("<I", len(hbytes)), hbytes]
@@ -391,6 +401,21 @@ def test_checkpoint_bytes_match_per_array_writer(tmp_path, cfg):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(params, path)
     assert path.read_bytes() == _reference_checkpoint_bytes(params)
+
+
+def test_checkpoint_loads_with_or_without_exponents_entry(tmp_path):
+    # files written before the entry was dropped carry the basis exponents,
+    # which the config already determines; the reader ignores them
+    params = model.init_params(SMALL, seed=14, zero_heads=False)
+    old = _reference_checkpoint_bytes(
+        params, exponents=SMALL.basis_spec().exponents.tolist())
+    for name, raw in (("old", old), ("new", _reference_checkpoint_bytes(
+            params))):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(raw)
+        loaded = model.load_checkpoint(path)
+        assert loaded.config == SMALL
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
 
 class _DiskFullAt:

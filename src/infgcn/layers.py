@@ -19,14 +19,14 @@ and only Y_J^0 survives at z-hat, so W^{lk}(z-hat) is one sparse matrix for
 every edge, non-zero where |m| = |m'| (624 of 4,096 entries at L = 7).
 D_l(R_e) = J_l Z_l(-theta) J_l^T Z_l(-phi) is never formed: J_l is fixed
 and Z_l turns each (m, -m) pair by the edge's azimuth or polar angle. A
-``ConvPlan``, built once per l_max and memoized, holds J_l and each (l, k)
-pair's M = 0 CG rows at the non-zero entries. Edge arrays are slot-major,
-((L+1)^2, E, C). Three stages are metered by multiply count: ``rotation``
-turns neighbor features into the edge frame and messages back;
-``mixing`` combines each pair's radial scalars into its non-zero entries
-(one GEMM); ``matvec`` applies the kernel, written into a dense
-(2l+1) x (2k+1) block, at exactly |E| * C * (L+1)^4 multiplies, the
-compressed-vector budget.
+``ConvPlan``, built once per process for each l_max, holds J_l and each
+(l, k) pair's M = 0 CG rows at the non-zero entries, the only coupling
+data kept. Edge arrays are slot-major, ((L+1)^2, E, C). Three stages are
+metered by multiply count: ``rotation`` turns neighbor features into the
+edge frame and messages back; ``mixing`` combines each pair's radial
+scalars into its non-zero entries (one GEMM); ``matvec`` applies the
+kernel, written into a dense (2l+1) x (2k+1) block, at exactly
+|E| * C * (L+1)^4 multiplies, the compressed-vector budget.
 
 Every forward with an adjoint takes an optional ``cache`` dict and fills it
 with what its backward needs, and the backward requires that dict; what
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +163,10 @@ def _act(name):
 
 @dataclass
 class RadialNetParams:
-    centers: np.ndarray  # (64,), fixed
+    N_EMBED = 64   # Gaussians embedding a distance
+    HIDDEN = 128   # width of both hidden layers
+
+    centers: np.ndarray  # (N_EMBED,), fixed
     width: float         # fixed
     cutoff: float
     w1: np.ndarray
@@ -187,8 +191,8 @@ def _glorot(rng, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_radial_net(rng, cutoff, out_dim, n_embed=64, hidden=128,
-                    zero_head=True):
+def init_radial_net(rng, cutoff, out_dim, zero_head=True):
+    n_embed, hidden = RadialNetParams.N_EMBED, RadialNetParams.HIDDEN
     centers = np.linspace(0.0, cutoff, n_embed)
     width = centers[1] - centers[0]
     # a generator for shapes alone (model._NoDraws) has its own zeros
@@ -215,7 +219,7 @@ _DECODE = None  # (bit-compared copies of the kept net's fields, its _table)
 
 
 def _embed(params, r):
-    """Gaussian embedding of distances, (E, n_embed), its subnormal entries
+    """Gaussian embedding of distances, (E, N_EMBED), its subnormal entries
     set to zero: GEMMs over them run several times slower, and beside the
     nearest center's Gaussian (>= exp(-1/8)) they vanish in rounding."""
     e = np.exp(-0.5 * ((r[:, None] - params.centers) / params.width) ** 2)
@@ -441,19 +445,23 @@ class ConvPlan:
 
 
 _PLANS: dict = {}
+_PLAN_LOCK = threading.Lock()
 # R_x(-pi/2), taking z-hat to y-hat: J_l Z_l(a) J_l^T is D_l of R_y(a)
 _TURN_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 def conv_plan(l_max):
-    """The coupling plan for ``l_max``, built on first use and memoized.
-
-    Threads that build the same plan at once get equal plans and the memo
-    keeps the last, so the hot path takes no lock.
+    """The coupling plan for ``l_max``, built once per process: the first
+    build runs under a lock and checks the memo again inside it, so threads
+    asking at once (``eval --jobs N``) share one build. A built plan is read
+    without the lock.
     """
     plan = _PLANS.get(l_max)
     if plan is None:
-        plan = _PLANS[l_max] = _build_plan(l_max)
+        with _PLAN_LOCK:
+            plan = _PLANS.get(l_max)
+            if plan is None:
+                plan = _PLANS[l_max] = _build_plan(l_max)
     return plan
 
 

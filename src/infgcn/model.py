@@ -41,7 +41,6 @@ __all__ = [
     "predict_density",
     "loss_l2",
     "nmae",
-    "count_parameters",
     "save_checkpoint",
     "load_checkpoint",
     "equivariance_report",
@@ -82,8 +81,10 @@ class ModelConfig:
         L, C = self.l_max, self.channels
         paths = (L + 1) ** 2 + L * (L + 1) * (2 * L + 1) // 3  # make_paths
 
-        def radial(out):  # init_radial_net: 64 -> 128 -> 128 -> out
-            return 64 * 128 + 128 * 128 + 2 * 128 + 129 * out
+        e, h = layers.RadialNetParams.N_EMBED, layers.RadialNetParams.HIDDEN
+
+        def radial(out):  # init_radial_net: e -> h -> h -> out
+            return e * h + h * h + 2 * h + (h + 1) * out
 
         per_path = C if self.mode == "channel" else C * C
         return (self.vocab * C
@@ -336,12 +337,10 @@ class NMAEAccumulator:
         return 100.0 * self.abs_err / self.abs_target
 
 
-def count_parameters(params):
-    return params.flat.size
-
-
 def save_checkpoint(params, path):
-    """Magic line, JSON header, then a little-endian float64 blob."""
+    """Magic line, JSON header, then a little-endian float64 blob. An
+    ``OSError`` while writing or replacing becomes a DomainError naming
+    ``path``."""
     header = {
         "config": asdict(params.config),
         "arrays": [[name, list(a.shape)] for name, a in params.named_arrays()],
@@ -360,9 +359,12 @@ def save_checkpoint(params, path):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write checkpoint {os.fspath(path)!r}: "
+                              f"{exc.strerror or exc}") from None
         raise
 
 
@@ -406,20 +408,17 @@ def load_checkpoint(path):
     return params
 
 
-def equivariance_report(params, graph, queries, rotations=None, seed=0,
-                        center=None):
+def equivariance_report(params, graph, queries, seed=0):
     """Two-branch rotation comparison; returns the worst relative deviation.
 
-    Each rotation is applied to atoms and queries about ``center`` (default:
-    the centroid of the query cloud); the rotated-branch prediction is
-    compared against the unrotated one pointwise.
+    Each of 20 random rotations drawn from ``seed`` is applied to atoms and
+    queries about the centroid of the query cloud; the rotated-branch
+    prediction is compared against the unrotated one pointwise.
     """
-    if rotations is None:
-        rng = np.random.default_rng(seed)
-        rotations = [so3.random_rotation(rng) for _ in range(20)]
+    rng = np.random.default_rng(seed)
+    rotations = [so3.random_rotation(rng) for _ in range(20)]
     queries = np.asarray(queries, dtype=float)
-    c = (queries.mean(axis=0) if center is None
-         else np.asarray(center, dtype=float))
+    c = queries.mean(axis=0)
     base = predict_density(params, graph, queries)
     scale = max(float(np.abs(base).max()), 1e-12)
     worst = 0.0

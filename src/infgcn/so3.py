@@ -25,14 +25,15 @@ With this choice ``D(R1 @ R2) = D(R1) @ D(R2)``. ``layers.conv_plan`` keeps
 ``wigner_blocks(L, R_x(-pi/2))``, from which the convolution composes each
 edge's frame rotation with turns about z.
 
-``cg_table(l, k, J)`` is a read-only (2J+1, 2l+1, 2k+1) array coupling two
-real blocks to a real block with orthonormal rows (``Q Q^T = I``).  Tables
-are built from the exact rational coupling coefficients of the complex basis
+``cg_table(l, k, J)`` is a (2J+1, 2l+1, 2k+1) array coupling two real
+blocks to a real block with orthonormal rows (``Q Q^T = I``).  Tables are
+built from the exact rational coupling coefficients of the complex basis
 and the unitary real<->complex change of basis; for ``l+k+J`` odd the raw
 transform is purely imaginary and the table keeps the imaginary part, a
 unit-modulus rescaling that preserves both orthonormality and the
-intertwining property.  Tables are built on first use and memoized in
-memory.
+intertwining property.  No table is kept: each call builds its own, and
+``layers.conv_plan``, built once per process for each l_max, is the one
+cache of coupling data.
 """
 
 from __future__ import annotations
@@ -43,20 +44,18 @@ import numpy as np
 
 from .errors import DomainError
 
-_ROT_TOL = 1e-12
-
-
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------
 
-def check_rotation(R, tol=_ROT_TOL):
-    """Validate that R is a proper rotation (orthogonal within tol, det +1)."""
+def check_rotation(R):
+    """Validate that R is a proper rotation (orthogonal within 1e-12,
+    det +1)."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise DomainError(f"rotation must be 3x3, got shape {R.shape}")
     err = np.abs(R.T @ R - np.eye(3)).max()
-    if err > tol:
+    if err > 1e-12:
         raise DomainError(f"matrix is not orthogonal: max |R^T R - I| = {err:.3e}")
     det = np.linalg.det(R)
     if abs(det - 1.0) > 1e-10:
@@ -194,8 +193,8 @@ def sh_monomials(l_max):
     Row (l, m) is non-zero only where i + j + k = l (120 monomials against 64
     harmonics at l_max = 7). ``eval_real_sh``'s recursion builds it on
     coefficient arrays of side n + 1, so that x, y and z exist at l_max = 0,
-    and it is memoized; like ``cg_table`` and ``layers.conv_plan`` the memo
-    takes no lock, since racing builds give equal tables.
+    and it is memoized. The memo takes no lock: racing builds give equal
+    tables, and a duplicate cold build costs ~5 ms at l_max = 7.
     """
     table = _MONOMIALS.get(l_max)
     if table is None:
@@ -286,28 +285,20 @@ def _real_cg(l, k, J):
     return np.ascontiguousarray(table)
 
 
-_MEMO: dict = {}
-
-
 def cg_table(l, k, J):
-    """Real Clebsch-Gordan table coupling degrees (l, k) to J: a read-only
+    """Real Clebsch-Gordan table coupling degrees (l, k) to J: a new
     (2J+1, 2l+1, 2k+1) array, index (M, m1, m2), whose rows flattened over
     (m1, m2) are orthonormal; ``.reshape(2*J + 1, -1)`` is its m1-major
     matricization. Raises DomainError when (l, k, J) violates the triangle
-    inequality.
+    inequality. Nothing is memoized: callers that reuse tables keep what
+    they read, as ``layers.conv_plan`` keeps each path's M = 0 row.
     """
-    table = _MEMO.get((l, k, J))
-    if table is not None:
-        return table
     if l < 0 or k < 0 or J < 0:
         raise DomainError("degrees must be non-negative")
     if not abs(l - k) <= J <= l + k:
         raise DomainError(
             f"degree triple ({l},{k},{J}) violates |l-k| <= J <= l+k")
-    table = _real_cg(l, k, J)
-    table.setflags(write=False)
-    _MEMO[(l, k, J)] = table
-    return table
+    return _real_cg(l, k, J)
 
 
 # ---------------------------------------------------------------------------

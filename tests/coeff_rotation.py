@@ -1,4 +1,6 @@
-"""Rotation of coefficient arrays for the equivariance tests."""
+"""so3 helpers shared by the tests: rotation of coefficient arrays, and
+coupling tables kept for the test session."""
+import functools
 import math
 
 import numpy as np
@@ -17,3 +19,13 @@ def rotate_coeffs(x, R):
         sl = so3.block_slice(l)
         out[..., sl] = x[..., sl] @ d.T
     return out
+
+
+@functools.cache
+def cg_table(l, k, J):
+    """``so3.cg_table(l, k, J)``, read-only and kept: the package keeps no
+    table, and the reference loops and table sweeps ask for the same ones
+    many times."""
+    table = so3.cg_table(l, k, J)
+    table.setflags(write=False)
+    return table

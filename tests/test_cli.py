@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,32 @@ def test_eval_partition_and_jobs_invariance(tmp_path):
     assert max(vals) - min(vals) < 1e-12
 
 
+def test_cold_two_thread_eval_builds_the_conv_plan_once(tmp_path,
+                                                        monkeypatch):
+    # both records' encodes ask for the plan at once: one thread builds it
+    # and the other waits for that build. The build is held open long
+    # enough for both threads to reach it
+    dataio.make_synthetic_dataset(tmp_path / "data", n_records=2, seed=18,
+                                  shape=(8, 8, 8))
+    ckpt = tmp_path / "init.ckpt"
+    model.save_checkpoint(model.init_params(
+        model.ModelConfig(**SMALL_MODEL), seed=19), ckpt)
+    cfg = cli.load_run_config(write_config(
+        tmp_path, tmp_path / "data", tmp_path / "out"))
+    builds = []
+    real = layers._build_plan
+
+    def slow(l_max):
+        builds.append(l_max)
+        time.sleep(0.2)
+        return real(l_max)
+
+    monkeypatch.setattr(layers, "_build_plan", slow)
+    monkeypatch.setattr(layers, "_PLANS", {})
+    cli.cmd_eval(cfg, ckpt, jobs=2, deterministic=True)
+    assert builds == [SMALL_MODEL["l_max"]]
+
+
 def test_eval_rotated_exact_queries_match_unrotated(tmp_path):
     data, _ = oracle_instance(tmp_path, seed=10)
     mcfg = model.ModelConfig(**SMALL_MODEL)
@@ -464,6 +491,20 @@ def test_main_rejects_a_file_as_output_directory(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: ") and str(taken) in err
     assert taken.read_text() == ""
+
+
+def test_main_train_names_an_unwritable_checkpoint(tmp_path, capsys):
+    # a directory where model.ckpt goes: replacing it fails with an
+    # OSError, which must leave main as a typed error and no temp file
+    data, _ = oracle_instance(tmp_path)
+    out = tmp_path / "out"
+    (out / "model.ckpt").mkdir(parents=True)
+    config = write_config(tmp_path, data, out, n_iter=1)
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.ckpt" in err
+    assert [p.name for p in out.iterdir()] == ["model.ckpt"]
+    assert list((out / "model.ckpt").iterdir()) == []
 
 
 def test_predict_round_trips_through_cube(tmp_path):

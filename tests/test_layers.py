@@ -1,11 +1,12 @@
 import copy
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from coeff_rotation import rotate_coeffs
+from coeff_rotation import cg_table, rotate_coeffs
 from infgcn import basis, geometry, layers, so3
 from infgcn.errors import DomainError
 
@@ -539,7 +540,7 @@ def test_conv_counters_closed_form():
 
 def _reference_blocks(paths, Y):
     return {(l, k, J): np.einsum("eM,Mab->eab", Y[:, so3.block_slice(J)],
-                                 so3.cg_table(l, k, J))
+                                 cg_table(l, k, J))
             for (l, k, J) in paths}
 
 
@@ -750,18 +751,37 @@ def test_conv_plan_built_once(monkeypatch):
     wigner = [(j - 1, 1, j) for j in range(2, 4)]
     assert sorted(calls) == sorted(list(params.paths) + wigner)
     calls.clear()
+    # a built plan is read without the lock
+    monkeypatch.setattr(layers, "_PLAN_LOCK", _NoLock())
     cache = {}
     layers.conv_forward(graph, feats, params, cache=cache)
     layers.conv_backward(graph, feats, params, feats, nan_twin(params), cache)
     assert calls == []
 
 
+class _NoLock:
+    def __enter__(self):
+        raise AssertionError("a built plan was read under the lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
 def test_conv_plan_concurrent_first_build(monkeypatch):
-    # racing first builds (of the CG tables too) take no lock; every thread
-    # must still get a plan equal to a serial build, and the memo one of them
+    # threads that ask for a plan at once share one build, held open long
+    # enough for every thread to reach it, and get the same plan, equal to
+    # a serial build
     want = layers._build_plan(4)
+    builds = []
+    real = layers._build_plan
+
+    def slow(l_max):
+        builds.append(l_max)
+        time.sleep(0.2)
+        return real(l_max)
+
+    monkeypatch.setattr(layers, "_build_plan", slow)
     monkeypatch.setattr(layers, "_PLANS", {})
-    monkeypatch.setattr(so3, "_MEMO", {})
     n_threads = 6
     barrier = threading.Barrier(n_threads)
     got = [None] * n_threads
@@ -782,18 +802,19 @@ def test_conv_plan_concurrent_first_build(monkeypatch):
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
-    assert any(layers._PLANS[4] is plan for plan in got)
-    for plan in got:
-        assert (plan.l_max, plan.mixing, plan.rotation) == (
-            want.l_max, want.mixing, want.rotation)
-        for x, y in zip((plan.orders, plan.flip) + plan.wigner,
-                        (want.orders, want.flip) + want.wigner):
-            assert np.array_equal(x, y)
-        assert len(plan.wigner) == len(want.wigner)
-        assert len(plan.pairs) == len(want.pairs)
-        for a, b in zip(plan.pairs, want.pairs):
-            assert a[:4] == b[:4]
-            assert all(np.array_equal(x, y) for x, y in zip(a[4:], b[4:]))
+    assert builds == [4]
+    plan = layers._PLANS[4]
+    assert all(p is plan for p in got)
+    assert (plan.l_max, plan.mixing, plan.rotation) == (
+        want.l_max, want.mixing, want.rotation)
+    for x, y in zip((plan.orders, plan.flip) + plan.wigner,
+                    (want.orders, want.flip) + want.wigner):
+        assert np.array_equal(x, y)
+    assert len(plan.wigner) == len(want.wigner)
+    assert len(plan.pairs) == len(want.pairs)
+    for a, b in zip(plan.pairs, want.pairs):
+        assert a[:4] == b[:4]
+        assert all(np.array_equal(x, y) for x, y in zip(a[4:], b[4:]))
 
 
 def _edge_rotation(rhat):

@@ -50,7 +50,7 @@ def test_config_rejects_unknown_choice_naming_field(field, value):
     model.ModelConfig(l_max=0, channels=1, n_layers=1, residual=False)])
 def test_n_params_counts_the_built_layout(cfg):
     # the size bound reads this count, so it must be the layout's own
-    assert cfg.n_params() == model.count_parameters(model.init_params(cfg))
+    assert cfg.n_params() == model.init_params(cfg).flat.size
 
 
 def test_init_features_isotropic():
@@ -260,7 +260,7 @@ def test_count_parameters_closed_form():
     want = (3 * 2                      # embedding table
             + radial(n_paths * 2) + 2 * 2   # conv radial + self weights
             + radial(2 * 2))           # residual head: (l_max+1)*channels
-    assert model.count_parameters(params) == want
+    assert params.flat.size == want
 
 
 def _reference_flat(cfg, seed, zero_heads):
@@ -450,7 +450,7 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "open",
                         lambda *a, **kw: _DiskFullAt(open(*a, **kw), 4),
                         raising=False)
-    with pytest.raises(OSError):
+    with pytest.raises(DomainError, match="model.ckpt.*No space left"):
         model.save_checkpoint(
             model.init_params(SMALL, seed=12, zero_heads=False), path)
     assert path.read_bytes() == before

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coeff_rotation import rotate_coeffs
+from coeff_rotation import cg_table, rotate_coeffs
 from infgcn import so3
 from infgcn.errors import DomainError
 
@@ -260,7 +260,7 @@ def test_cg_scalar_case():
 
 def _couple(l, k, J, a, b):
     """Degree-J coupling of a degree-l and a degree-k vector, per channel."""
-    return np.einsum("Mab,...a,...b->...M", so3.cg_table(l, k, J), a, b)
+    return np.einsum("Mab,...a,...b->...M", cg_table(l, k, J), a, b)
 
 
 def test_cg_110_is_scaled_dot():
@@ -292,7 +292,7 @@ def test_cg_unitarity_full_range():
     for l in range(8):
         for k in range(8):
             for J in range(abs(l - k), l + k + 1):
-                Q = so3.cg_table(l, k, J).reshape(2 * J + 1, -1)
+                Q = cg_table(l, k, J).reshape(2 * J + 1, -1)
                 assert np.abs(Q @ Q.T - np.eye(2 * J + 1)).max() < 1e-10
 
 

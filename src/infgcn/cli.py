@@ -9,6 +9,7 @@ zeroed so reports for a fixed seed are byte-identical.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -45,8 +46,9 @@ def load_run_config(path):
     try:
         with open(path) as fh:
             d = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"{path}: no such config") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read config "
+                          f"({exc.strerror or exc})") from None
     except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(d, dict):
@@ -103,16 +105,36 @@ def _make_out_dir(path, name):
     return path
 
 
+def _decode(params, graph, batches, transform=None):
+    """Encode ``graph`` once and concatenate `model.predict_density` over the
+    points of each query sample in ``batches``, mapped through
+    ``transform`` when given."""
+    coeffs = model.encode(params, graph)
+    return np.concatenate([
+        model.predict_density(params, graph, b.points if transform is None
+                              else transform(b.points), coeffs=coeffs)
+        for b in batches])
+
+
 def _sample_nmae(params, recs, cfg, step):
-    acc = model.NMAEAccumulator()
+    preds, targets = [], []
     for ridx, rec in enumerate(recs):
         k = min(cfg.inf_sample, rec["grid"].n_voxels)
         qs = geometry.sample_queries(rec["grid"], k,
                                      (cfg.seed, 7919, step, ridx))
-        pred = model.predict_density(params, rec["graph"], qs.points,
-                                     coeffs=model.encode(params, rec["graph"]))
-        acc.add(pred, qs.targets)
-    return acc.value()
+        preds.append(_decode(params, rec["graph"], [qs]))
+        targets.append(qs.targets)
+    return model.nmae(np.concatenate(preds), np.concatenate(targets))
+
+
+def _write_log(path, text, mode="a"):
+    """Write to the training log; an OSError becomes a DomainError."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write training log {path!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def cmd_train(cfg, deterministic=False):
@@ -127,45 +149,44 @@ def cmd_train(cfg, deterministic=False):
     model.save_checkpoint(params, ckpt_path)
     best = math.inf
     nb = min(cfg.batch_size, len(train))
-    with open(log_path, "w") as log:
-        for step in range(1, cfg.n_iter + 1):
-            t0 = time.perf_counter()
-            start = ((step - 1) * nb) % len(train)
-            mean_loss = 0.0
-            try:
-                for t in range(nb):
-                    rec = train[(start + t) % len(train)]
-                    k = min(cfg.train_sample, rec["grid"].n_voxels)
-                    qs = geometry.sample_queries(rec["grid"], k,
-                                                 (cfg.seed, step, t))
-                    loss, g = grad.loss_and_grad(
-                        params, rec["graph"], qs.points, qs.targets,
-                        volume_weight=qs.weight)
-                    mean_loss += loss / nb
-                    if t == 0:
-                        summed = g
-                    else:
-                        summed += g
-                summed /= nb
-                grad.optimize_step(state, params, summed, registry)
-            except NonFiniteError:
-                # neither call writes params before it raises, so they
-                # still hold the last good step
-                model.save_checkpoint(
-                    params, os.path.join(cfg.out_dir, "last_good.ckpt"))
-                raise
-            nmae_val = None
-            if step % cfg.val_every == 0 or step == cfg.n_iter:
-                nmae_val = _sample_nmae(params, val, cfg, step)
-                grad.plateau_update(state, nmae_val)
-                if nmae_val < best:
-                    best = nmae_val
-                    model.save_checkpoint(params, ckpt_path)
-            wall = 0 if deterministic else int(
-                (time.perf_counter() - t0) * 1000)
-            log.write(json.dumps(
-                {"step": step, "loss": mean_loss, "nmae_val": nmae_val,
-                 "lr": state.lr, "wall_ms": wall}, sort_keys=True) + "\n")
+    _write_log(log_path, "", "w")
+    for step in range(1, cfg.n_iter + 1):
+        t0 = time.perf_counter()
+        start = ((step - 1) * nb) % len(train)
+        mean_loss = 0.0
+        try:
+            for t in range(nb):
+                rec = train[(start + t) % len(train)]
+                k = min(cfg.train_sample, rec["grid"].n_voxels)
+                qs = geometry.sample_queries(rec["grid"], k,
+                                             (cfg.seed, step, t))
+                loss, g = grad.loss_and_grad(
+                    params, rec["graph"], qs.points, qs.targets,
+                    volume_weight=qs.weight)
+                mean_loss += loss / nb
+                if t == 0:
+                    summed = g
+                else:
+                    summed += g
+            summed /= nb
+            grad.optimize_step(state, params, summed, registry)
+        except NonFiniteError:
+            # neither call writes params before it raises, so they
+            # still hold the last good step
+            model.save_checkpoint(
+                params, os.path.join(cfg.out_dir, "last_good.ckpt"))
+            raise
+        nmae_val = None
+        if step % cfg.val_every == 0 or step == cfg.n_iter:
+            nmae_val = _sample_nmae(params, val, cfg, step)
+            grad.plateau_update(state, nmae_val)
+            if nmae_val < best:
+                best = nmae_val
+                model.save_checkpoint(params, ckpt_path)
+        wall = 0 if deterministic else int((time.perf_counter() - t0) * 1000)
+        _write_log(log_path, json.dumps(
+            {"step": step, "loss": mean_loss, "nmae_val": nmae_val,
+             "lr": state.lr, "wall_ms": wall}, sort_keys=True) + "\n")
     return {"steps": cfg.n_iter,
             "best_nmae_val": None if math.isinf(best) else best,
             "checkpoint": ckpt_path, "log": log_path}
@@ -180,15 +201,16 @@ def _load_model(cfg, checkpoint):
     return params
 
 
-def _map_records(fn, items, jobs):
-    """``[fn(x) for x in items]``, on ``jobs`` threads when above one."""
+def _map_records(fn, jobs, *items):
+    """``list(map(fn, *items))``, on ``jobs`` threads when above one."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+            return list(pool.map(fn, *items))
+    return list(map(fn, *items))
 
 
-def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
+def _eval_record(params, cfg, rotated, resample, seed, ridx, rec):
+    """Predictions over the record's (rotated) grid, and its values."""
     graph, coords, grid = rec["graph"], rec["coords"], rec["grid"]
     transform = None
     if rotated:
@@ -202,13 +224,8 @@ def _eval_record(params, rec, cfg, rotated, resample, seed, ridx):
             transform = lambda pts: c + (pts - c) @ R.T
         graph = geometry.MolecularGraph.from_coords(rec["types"], coords,
                                                     params.config.cutoff)
-    coeffs = model.encode(params, graph)
-    acc = model.NMAEAccumulator()
-    for batch in geometry.partition_grid(grid, cfg.inf_sample):
-        pts = batch.points if transform is None else transform(batch.points)
-        acc.add(model.predict_density(params, graph, pts, coeffs=coeffs),
-                batch.targets)
-    return acc
+    batches = geometry.partition_grid(grid, cfg.inf_sample)
+    return _decode(params, graph, batches, transform), grid.values
 
 
 def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
@@ -218,18 +235,15 @@ def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
     seed = cfg.seed if seed is None else seed
     _, recs = _load_dataset(cfg)
     t0 = time.perf_counter()
-    work = [(params, rec, cfg, rotated, resample, seed, i)
-            for i, rec in enumerate(recs)]
-    accs = _map_records(lambda a: _eval_record(*a), work, jobs)
-    pooled = model.NMAEAccumulator()
-    per_record = {}
-    for rec, acc in zip(recs, accs):
-        per_record[rec["name"]] = acc.value()
-        pooled.abs_err += acc.abs_err
-        pooled.abs_target += acc.abs_target
+    preds, targets = zip(*_map_records(
+        functools.partial(_eval_record, params, cfg, rotated, resample, seed),
+        jobs, range(len(recs)), recs))
     report = {"checkpoint": os.fspath(checkpoint), "rotated": bool(rotated),
               "resampled": bool(resample and rotated),
-              "records": per_record, "aggregate_nmae": pooled.value(),
+              "records": {rec["name"]: model.nmae(pred, target)
+                          for rec, pred, target in zip(recs, preds, targets)},
+              "aggregate_nmae": model.nmae(np.concatenate(preds),
+                                           np.concatenate(targets)),
               "n_records": len(recs)}
     if not deterministic:
         wall = time.perf_counter() - t0
@@ -247,25 +261,20 @@ def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     _, recs = _load_dataset(cfg)
 
     def run(rec):
-        grid, graph = rec["grid"], rec["graph"]
-        coeffs = model.encode(params, graph)
-        parts = [model.predict_density(params, graph, b.points, coeffs=coeffs)
-                 for b in geometry.partition_grid(grid, cfg.inf_sample)]
-        pred = np.concatenate(parts)
+        grid = rec["grid"]
+        pred = _decode(params, rec["graph"],
+                       geometry.partition_grid(grid, cfg.inf_sample))
         numbers = rec["types"] + 1  # vocab indices to nuclear charges
-        pred_grid = geometry.VoxelGrid(grid.shape, grid.cell, grid.origin,
-                                       pred, grid.pbc)
-        err_grid = geometry.VoxelGrid(grid.shape, grid.cell, grid.origin,
-                                      pred - grid.values, grid.pbc)
         paths = {}
-        for tag, g in (("pred", pred_grid), ("err", err_grid)):
+        for tag, values in (("pred", pred), ("err", pred - grid.values)):
             path = os.path.join(out, f"{rec['name']}.{tag}.cube")
-            dataio.export_cube(path, g, numbers, rec["coords"],
+            dataio.export_cube(path, dataclasses.replace(grid, values=values),
+                               numbers, rec["coords"],
                                comment=f"{tag} for {rec['name']}")
             paths[tag] = path
         return rec["name"], paths, model.nmae(pred, grid.values)
 
-    rows = _map_records(run, recs, jobs)
+    rows = _map_records(run, jobs, recs)
     return {"out_dir": out,
             "records": {name: {**paths, "nmae": err}
                         for name, paths, err in rows}}

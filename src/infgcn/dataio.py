@@ -8,13 +8,15 @@ lengths are Bohr and densities e-/Bohr^3 internally; Angstrom input is
 converted at the loader boundary.
 """
 
+import contextlib
 import json
 import os
+import secrets
 
 import numpy as np
 
 from . import basis, geometry, so3
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 BOHR_PER_ANGSTROM = 1.8897259886
 
@@ -57,8 +59,9 @@ def load_record(stem):
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"{meta_path}: no such record") from None
+    except OSError as exc:
+        raise SchemaError(f"{meta_path}: cannot read record "
+                          f"({exc.strerror or exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{meta_path}: invalid JSON ({exc})") from None
     if not isinstance(meta, dict):
@@ -107,8 +110,9 @@ def load_record(stem):
     try:
         with open(blob_path, "rb") as fh:
             raw = fh.read()
-    except FileNotFoundError:
-        raise SchemaError(f"{blob_path}: missing density blob") from None
+    except OSError as exc:
+        raise SchemaError(f"{blob_path}: cannot read density blob "
+                          f"({exc.strerror or exc})") from None
     if len(raw) != 4 * n_values:
         raise SchemaError(f"{blob_path}: blob holds {len(raw)} bytes, "
                           f"want {4 * n_values} for shape {shape}")
@@ -133,8 +137,9 @@ def load_record(stem):
     return np.array(types), coords, grid
 
 
-def save_record(stem, types, coords, grid, units=None):
-    """Write the two record files. The grid must be endpoint-exclusive."""
+def save_record(stem, types, coords, grid):
+    """Write the two record files, in Bohr and e-/Bohr^3. The grid must be
+    endpoint-exclusive."""
     stem = os.fspath(stem)
     types = np.asarray(types, dtype=int)
     coords = np.asarray(coords, dtype=float)
@@ -146,8 +151,7 @@ def save_record(stem, types, coords, grid, units=None):
         "origin": np.asarray(grid.origin).tolist(),
         "pbc": bool(grid.pbc),
         "endpoint_inclusive": False,
-        "units": units if units is not None
-        else {"length": "bohr", "density": "e/bohr^3"},
+        "units": {"length": "bohr", "density": "e/bohr^3"},
     }
     with open(stem + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -166,6 +170,29 @@ def list_records(dirpath):
         if os.path.exists(stem + ".bin"):
             stems.append(stem)
     return stems
+
+
+@contextlib.contextmanager
+def replace_file(path, what, mode="w", **kw):
+    """A sibling temp file, opened with ``mode`` ("w" or "wb") and ``kw``,
+    that is synced and renamed over ``path`` when the block ends, so a crash
+    leaves the old file whole. On failure it is removed, and an ``OSError``
+    becomes a DomainError naming ``what`` and ``path``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "x" + mode[1:], **kw) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DomainError(f"cannot write {what} {os.fspath(path)!r}: "
+                              f"{exc.strerror or exc}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +217,7 @@ def export_cube(path, grid, atom_numbers, atom_coords, comment="density"):
     for row_start in range(0, flat.size, 6):
         chunk = flat[row_start:row_start + 6]
         lines.append(" ".join("%13.5E" % v for v in chunk))
-    with open(path, "w") as fh:
+    with replace_file(path, "cube") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from .errors import DomainError
 
 _SYM_TOL = 1e-10
@@ -218,10 +219,8 @@ def _max_diff(a, b):
 
 
 def graphon_demo_report(n_nodes=256, seed=0, json_path=None, csv_path=None):
-    """All equivalence checks in one serializable report.
-
-    Writes the JSON report and an eigenvalue-decay CSV when paths are given.
-    """
+    """All equivalence checks in one serializable report, also written as
+    JSON, with an eigenvalue-decay CSV, to the paths given."""
     rng = np.random.default_rng(seed)
     grid = uniform_grid(n_nodes)
     f = rng.standard_normal(n_nodes)
@@ -268,11 +267,11 @@ def graphon_demo_report(n_nodes=256, seed=0, json_path=None, csv_path=None):
     report["pass"] = all(c["pass"] for c in report["checks"].values())
 
     if json_path is not None:
-        with open(json_path, "w") as fh:
+        with dataio.replace_file(json_path, "report") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
+        with dataio.replace_file(csv_path, "CSV", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "min_kernel", "rank3_fourier"])
             for i in range(8):

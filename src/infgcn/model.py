@@ -6,33 +6,27 @@ basis function psi_{nlm} centered on that atom, so the network output is
 read off directly as a coefficient field and expanded with the shared
 radial table. Densities are in electrons per Bohr^3 throughout.
 
-The pass has two stages. `encode` runs the graph layers (embeddings, then
-conv + gate per layer) and returns the coefficient field; it never sees a
-query. The decode stage expands that field at the queries and adds the
-residual layer. `predict_density` runs both, or only the decode when given
-``coeffs=``, so a molecule is encoded once and decoded per query batch;
-`forward_trace` runs both and keeps what the backward pass reads.
+`encode` runs the graph layers and never sees a query; the decode expands
+its field at the queries and adds the residual layer. `predict_density`
+runs both, or only the decode when given ``coeffs=``.
 
 Every trainable array is a view into one float64 vector, ``params.flat``,
 laid out by `ParamRegistry`; a checkpoint's blob is that vector.
 """
-import contextlib
 import json
 import os
-import secrets
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import basis, geometry, layers, schema, so3
+from . import basis, dataio, geometry, layers, schema, so3
 from .errors import DomainError, NonFiniteError
 
 __all__ = [
     "ModelConfig",
     "ModelParams",
     "ParamRegistry",
-    "NMAEAccumulator",
     "init_params",
     "bind",
     "init_features",
@@ -50,6 +44,9 @@ _MAGIC = b"INFGCN1\n"
 # the most parameters a config may ask for: one flat vector is then 800 MB,
 # and training holds four (parameters, gradient, Adam's two moments)
 _MAX_PARAMS = 10**8
+# the highest degree cap: a cold `layers.conv_plan` grows about as L^5.5 and
+# took 40 s at L = 20 (one process, BLAS on 1 thread)
+_MAX_L = 20
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,9 @@ class ModelConfig:
     def __post_init__(self):
         schema.check(self, DomainError)
         basis.make_exponents(self.r_min, self.r_max, 2)  # r_min < r_max
+        if self.l_max > _MAX_L:
+            raise DomainError(f"l_max must be at most {_MAX_L}, got "
+                              f"{self.l_max}")
         if self.n_params() > _MAX_PARAMS:
             raise DomainError("l_max, channels, n_layers, vocab and mode ask "
                               f"for over {_MAX_PARAMS:,} parameters")
@@ -283,8 +283,7 @@ def encode(params, graph, counters=None):
 def forward_trace(params, graph, queries, counters=None):
     """Encode and decode, keeping the intermediates the adjoint pass needs:
     each layer's input and pre-gate output, and the caches its backward
-    reads (``conv_caches`` per layer, ``basis_cache``, ``residual_cache``).
-    """
+    reads (``conv_caches`` per layer, ``basis_cache``, ``residual_cache``)."""
     return _forward(params, graph, queries, counters, keep=True)
 
 
@@ -308,64 +307,30 @@ def loss_l2(pred, target, volume_weight=1.0):
 
 def nmae(pred, target):
     """Sum |pred - target| / sum |target|, reported as a percentage."""
-    return NMAEAccumulator().add(pred, target).value()
-
-
-class NMAEAccumulator:
-    """Streaming NMAE over partitioned batches.
-
-    Accumulating the two sums batch by batch makes the final value
-    independent of how the grid was partitioned.
-    """
-
-    def __init__(self):
-        self.abs_err = 0.0
-        self.abs_target = 0.0
-
-    def add(self, pred, target):
-        pred = np.asarray(pred, dtype=float)
-        target = np.asarray(target, dtype=float)
-        if pred.shape != target.shape:
-            raise DomainError("prediction and target lengths differ")
-        self.abs_err += float(np.sum(np.abs(pred - target)))
-        self.abs_target += float(np.sum(np.abs(target)))
-        return self
-
-    def value(self):
-        if self.abs_target == 0.0:
-            raise DomainError("NMAE undefined for an all-zero target")
-        return 100.0 * self.abs_err / self.abs_target
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise DomainError("prediction and target lengths differ")
+    abs_target = float(np.sum(np.abs(target)))
+    if abs_target == 0.0:
+        raise DomainError("NMAE undefined for an all-zero target")
+    return 100.0 * float(np.sum(np.abs(pred - target))) / abs_target
 
 
 def save_checkpoint(params, path):
-    """Magic line, JSON header, then a little-endian float64 blob. An
-    ``OSError`` while writing or replacing becomes a DomainError naming
-    ``path``."""
+    """Magic line, JSON header, then a little-endian float64 blob, written
+    through `dataio.replace_file`: a crash leaves the previous checkpoint
+    intact, and an ``OSError`` becomes a DomainError naming ``path``."""
     header = {
         "config": asdict(params.config),
         "arrays": [[name, list(a.shape)] for name, a in params.named_arrays()],
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
-    # write a sibling temp file, then rename it over the target: a crash
-    # mid-write leaves the previous checkpoint intact
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(hbytes)))
-            fh.write(hbytes)
-            fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise DomainError(f"cannot write checkpoint {os.fspath(path)!r}: "
-                              f"{exc.strerror or exc}") from None
-        raise
+    with dataio.replace_file(path, "checkpoint", "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", len(hbytes)))
+        fh.write(hbytes)
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
 def load_checkpoint(path):
@@ -409,12 +374,9 @@ def load_checkpoint(path):
 
 
 def equivariance_report(params, graph, queries, seed=0):
-    """Two-branch rotation comparison; returns the worst relative deviation.
-
-    Each of 20 random rotations drawn from ``seed`` is applied to atoms and
-    queries about the centroid of the query cloud; the rotated-branch
-    prediction is compared against the unrotated one pointwise.
-    """
+    """The worst pointwise deviation, relative to the prediction's scale,
+    over 20 rotations from ``seed`` of atoms and queries about the queries'
+    centroid."""
     rng = np.random.default_rng(seed)
     rotations = [so3.random_rotation(rng) for _ in range(20)]
     queries = np.asarray(queries, dtype=float)

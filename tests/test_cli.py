@@ -507,6 +507,47 @@ def test_main_train_names_an_unwritable_checkpoint(tmp_path, capsys):
     assert list((out / "model.ckpt").iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["config", "record", "log", "cube",
+                                    "report"])
+def test_main_names_a_directory_where_a_file_goes(tmp_path, capsys, target):
+    # each file main reads or writes, made a directory: the OSError leaves
+    # main as a typed error naming the path, and no temp file is left
+    data, ckpt = oracle_instance(tmp_path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, data, out, n_iter=1)
+    path = {"config": tmp_path / "config.d", "record": data / "orc.bin",
+            "log": out / "train_log.jsonl", "cube": out / "orc.pred.cube",
+            "report": out / "report.json"}[target]
+    if target == "record":
+        path.unlink()
+    path.mkdir(parents=True)
+    argv = {"config": ["train", "--config", str(path)],
+            "record": ["train", "--config", str(config)],
+            "log": ["train", "--config", str(config)],
+            "cube": ["predict", "--config", str(config),
+                     "--checkpoint", str(ckpt)],
+            "report": ["graphon-demo", "--out", str(out), "--nodes", "16"]}
+    assert cli.main(argv[target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_eval_and_predict_score_a_record_alike(tmp_path):
+    # both decode a record through one routine and score the whole
+    # prediction, so they report the same float
+    data, _ = oracle_instance(tmp_path, seed=12)
+    ckpt = tmp_path / "other.ckpt"
+    model.save_checkpoint(model.init_params(
+        model.ModelConfig(**SMALL_MODEL), seed=78, zero_heads=False), ckpt)
+    cfg = cli.load_run_config(write_config(tmp_path, data, tmp_path / "out",
+                                           inf_sample=37))
+    scored = cli.cmd_eval(cfg, ckpt, deterministic=True)["records"]["orc"]
+    predicted = cli.cmd_predict(cfg, ckpt)["records"]["orc"]["nmae"]
+    assert scored > 1.0  # mismatched params, so the score is far from zero
+    assert scored == predicted
+
+
 def test_predict_round_trips_through_cube(tmp_path):
     data, ckpt = oracle_instance(tmp_path, seed=11)
     cfg = cli.load_run_config(write_config(tmp_path, data, tmp_path / "out"))

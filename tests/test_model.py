@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from infgcn import basis, geometry, layers, model, so3
+from infgcn import basis, dataio, geometry, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError
 
 SMALL = model.ModelConfig(l_max=2, channels=3, n_layers=2, cutoff=3.0,
@@ -39,7 +39,7 @@ def test_config_defaults():
     ("vocab", None), ("residual", 2), ("residual", "no"), ("cutoff", True),
     ("r_max", True), ("cutoff", "3"), ("r_min", "x"), ("cutoff", 10**400),
     ("r_max", float("inf")), ("channels", 10**12), ("l_max", 10**6),
-    ("vocab", 10**12)])
+    ("vocab", 10**12), ("l_max", 21), ("l_max", 100)])
 def test_config_rejects_unknown_choice_naming_field(field, value):
     with pytest.raises(DomainError, match=field):
         model.ModelConfig(**{field: value})
@@ -236,18 +236,6 @@ def test_nmae_examples():
     assert abs(model.nmae(1.1 * t, t) - 10.0) < 1e-9
     with pytest.raises(DomainError):
         model.nmae(t, np.zeros(3))
-
-
-def test_nmae_accumulator_partition_invariant():
-    rng = np.random.default_rng(6)
-    pred = rng.standard_normal(541)
-    target = rng.standard_normal(541) + 2.0
-    whole = model.NMAEAccumulator().add(pred, target).value()
-    acc = model.NMAEAccumulator()
-    for start in range(0, 541, 97):
-        acc.add(pred[start:start + 97], target[start:start + 97])
-    assert abs(acc.value() - whole) < 1e-12
-    assert abs(whole - model.nmae(pred, target)) < 1e-12
 
 
 def test_count_parameters_closed_form():
@@ -447,7 +435,7 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     model.save_checkpoint(model.init_params(SMALL, seed=11), path)
     before = path.read_bytes()
     # writes 1-3 are the magic, header length and header; 4 is the blob
-    monkeypatch.setattr(model, "open",
+    monkeypatch.setattr(dataio, "open",
                         lambda *a, **kw: _DiskFullAt(open(*a, **kw), 4),
                         raising=False)
     with pytest.raises(DomainError, match="model.ckpt.*No space left"):

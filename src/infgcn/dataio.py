@@ -62,7 +62,7 @@ def load_record(stem):
     except OSError as exc:
         raise SchemaError(f"{meta_path}: cannot read record "
                           f"({exc.strerror or exc})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
         raise SchemaError(f"{meta_path}: invalid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise SchemaError(f"{meta_path}: metadata must be an object")

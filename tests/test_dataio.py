@@ -115,9 +115,10 @@ def test_schema_errors_name_the_field(tmp_path):
         (tmp_path / "rec.json").write_text(json.dumps(meta))
         with pytest.raises(SchemaError, match=needle):
             dataio.load_record(stem)
-    (tmp_path / "rec.json").write_text("{not json")
-    with pytest.raises(SchemaError, match="invalid JSON"):
-        dataio.load_record(stem)
+    for raw in (b"{not json", b"\xff{}"):
+        (tmp_path / "rec.json").write_bytes(raw)
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            dataio.load_record(stem)
 
 
 _META_FIELDS = ["atom_type", "atom_coord", "shape", "cell", "origin", "pbc",

@@ -43,17 +43,7 @@ class RunConfig:
 
 
 def load_run_config(path):
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read config "
-                          f"({exc.strerror or exc})") from None
-    except ValueError as exc:  # bad JSON, or an int past the digit limit
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(d, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
-    return schema.from_dict(RunConfig, d,
+    return schema.from_dict(RunConfig, dataio.read_json(path, "config"),
                             lambda msg: SchemaError(f"{path}: {msg}"))
 
 
@@ -129,12 +119,8 @@ def _sample_nmae(params, recs, cfg, step):
 
 def _write_log(path, text, mode="a"):
     """Write to the training log; an OSError becomes a DomainError."""
-    try:
-        with open(path, mode) as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DomainError(f"cannot write training log {path!r}: "
-                          f"{exc.strerror or exc}") from None
+    with dataio.open_file(path, "training log", mode, DomainError) as fh:
+        fh.write(text)
 
 
 def cmd_train(cfg, deterministic=False):

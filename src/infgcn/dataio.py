@@ -6,6 +6,10 @@ endpoint_inclusive, optional units) and `<stem>.bin` holds the density as
 flat little-endian float32 in the package's x-fastest grid order. All
 lengths are Bohr and densities e-/Bohr^3 internally; Angstrom input is
 converted at the loader boundary.
+
+Every named file the package reads or writes goes through `open_file`,
+`read_json` or `replace_file`, which turn an ``OSError`` into the
+package's typed errors.
 """
 
 import contextlib
@@ -56,16 +60,7 @@ def load_record(stem):
     stem = os.fspath(stem)
     meta_path = stem + ".json"
     blob_path = stem + ".bin"
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"{meta_path}: cannot read record "
-                          f"({exc.strerror or exc})") from None
-    except ValueError as exc:  # malformed JSON, or bytes that are not text
-        raise SchemaError(f"{meta_path}: invalid JSON ({exc})") from None
-    if not isinstance(meta, dict):
-        raise SchemaError(f"{meta_path}: metadata must be an object")
+    meta = read_json(meta_path, "record metadata")
 
     types = _field(meta, "atom_type", meta_path)
     if not (isinstance(types, list) and types
@@ -107,12 +102,8 @@ def load_record(stem):
             f"{meta_path}: unknown density unit {density_unit!r}")
 
     n_values = shape[0] * shape[1] * shape[2]
-    try:
-        with open(blob_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise SchemaError(f"{blob_path}: cannot read density blob "
-                          f"({exc.strerror or exc})") from None
+    with open_file(blob_path, "density blob", "rb") as fh:
+        raw = fh.read()
     if len(raw) != 4 * n_values:
         raise SchemaError(f"{blob_path}: blob holds {len(raw)} bytes, "
                           f"want {4 * n_values} for shape {shape}")
@@ -153,10 +144,11 @@ def save_record(stem, types, coords, grid):
         "endpoint_inclusive": False,
         "units": {"length": "bohr", "density": "e/bohr^3"},
     }
-    with open(stem + ".json", "w") as fh:
+    with replace_file(stem + ".json", "record metadata") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    np.asarray(grid.values, dtype="<f4").tofile(stem + ".bin")
+    with replace_file(stem + ".bin", "density blob", "wb") as fh:
+        fh.write(np.ascontiguousarray(grid.values, dtype="<f4"))
 
 
 def list_records(dirpath):
@@ -173,6 +165,39 @@ def list_records(dirpath):
 
 
 @contextlib.contextmanager
+def _typed_os_errors(path, what, verb, error):
+    """Turn an ``OSError`` raised in the block into ``error``: "cannot
+    <verb> <what> '<path>': <reason>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot {verb} {what} {os.fspath(path)!r}: "
+                    f"{exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def open_file(path, what, mode="r", error=SchemaError):
+    """``open(path, mode)``; an ``OSError`` raised while the file is opened
+    or used in the block becomes ``error`` naming ``what`` and ``path``."""
+    verb = "read" if mode.startswith("r") else "write"
+    with _typed_os_errors(path, what, verb, error), open(path, mode) as fh:
+        yield fh
+
+
+def read_json(path, what):
+    """The JSON object in ``path``; a SchemaError naming ``path`` when it
+    cannot be read, is not JSON or is not an object."""
+    with open_file(path, what) as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:  # bad JSON, non-text bytes, huge ints
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: {what} must be a JSON object")
+    return value
+
+
+@contextlib.contextmanager
 def replace_file(path, what, mode="w", **kw):
     """A sibling temp file, opened with ``mode`` ("w" or "wb") and ``kw``,
     that is synced and renamed over ``path`` when the block ends, so a crash
@@ -181,17 +206,15 @@ def replace_file(path, what, mode="w", **kw):
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
     try:
-        with open(tmp, "x" + mode[1:], **kw) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException as exc:
+        with _typed_os_errors(path, what, "write", DomainError):
+            with open(tmp, "x" + mode[1:], **kw) as fh:
+                yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+    except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise DomainError(f"cannot write {what} {os.fspath(path)!r}: "
-                              f"{exc.strerror or exc}") from None
         raise
 
 
@@ -223,9 +246,10 @@ def export_cube(path, grid, atom_numbers, atom_coords, comment="density"):
 
 def read_cube(path):
     """Parse a CUBE written by export_cube back into arrays and a grid."""
-    with open(path) as fh:
-        tokens_by_line = [line.split() for line in fh]
+    with open_file(path, "cube", "rb") as fh:
+        raw = fh.read()
     try:
+        tokens_by_line = [line.split() for line in raw.decode().splitlines()]
         natoms_line = tokens_by_line[2]
         natoms = int(natoms_line[0])
         origin = np.array([float(v) for v in natoms_line[1:4]])
@@ -291,7 +315,7 @@ def make_synthetic_dataset(dirpath, n_records=1, seed=0, n_atoms=5,
         grid = geometry.VoxelGrid(grid_shape, cell, origin, values)
         stem = os.path.join(os.fspath(dirpath), f"rec{rec:03d}")
         save_record(stem, types, coords, grid)
-        with open(stem + ".truth.json", "w") as fh:
+        with replace_file(stem + ".truth.json", "truth") as fh:
             json.dump({"exponents": list(map(float, exponents)),
                        "l_max": l_max,
                        "radial_indices": list(radial_indices),

@@ -275,6 +275,6 @@ def graphon_demo_report(n_nodes=256, seed=0, json_path=None, csv_path=None):
             writer = csv.writer(fh)
             writer.writerow(["k", "min_kernel", "rank3_fourier"])
             for i in range(8):
-                writer.writerow([i + 1, repr(dm.eigenvalues[i]),
-                                 repr(full.eigenvalues[i])])
+                writer.writerow([i + 1, float(dm.eigenvalues[i]),
+                                 float(full.eigenvalues[i])])
     return report

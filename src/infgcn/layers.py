@@ -350,7 +350,6 @@ def radial_backward(params, grad_out, grads, cache):
 class ConvLayerParams:
     l_max: int
     channels: int
-    cutoff: float
     mode: str  # "channel" or "fc"
     paths: tuple
     radial: RadialNetParams
@@ -370,8 +369,7 @@ def init_conv_layer(rng, l_max, channels, cutoff, mode="channel",
     radial = init_radial_net(rng, cutoff, len(paths) * per_path,
                              zero_head=zero_head)
     return ConvLayerParams(
-        l_max=l_max, channels=channels, cutoff=float(cutoff), mode=mode,
-        paths=paths, radial=radial,
+        l_max=l_max, channels=channels, mode=mode, paths=paths, radial=radial,
         self_w=np.ones((l_max + 1, channels)))
 
 

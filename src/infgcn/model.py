@@ -14,7 +14,6 @@ Every trainable array is a view into one float64 vector, ``params.flat``,
 laid out by `ParamRegistry`; a checkpoint's blob is that vector.
 """
 import json
-import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
@@ -334,12 +333,7 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DomainError(f"cannot read checkpoint {os.fspath(path)!r}: "
-                          f"{exc.strerror or exc}") from None
-    with fh:
+    with dataio.open_file(path, "checkpoint", "rb", DomainError) as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise DomainError("not a model checkpoint (bad magic)")

@@ -216,13 +216,9 @@ def sh_monomials(l_max):
 # ---------------------------------------------------------------------------
 
 def _cg_complex_scalar(j1, m1, j2, m2, J, M):
-    """Exact coupling coefficient <j1 m1 j2 m2 | J M> in the complex basis."""
-    if m1 + m2 != M:
-        return 0.0
-    if not abs(j1 - j2) <= J <= j1 + j2:
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(M) > J:
-        return 0.0
+    """Exact coupling coefficient <j1 m1 j2 m2 | J M> in the complex basis.
+    The caller ensures M = m1 + m2, |j1 - j2| <= J <= j1 + j2, |m1| <= j1,
+    |m2| <= j2 and |M| <= J; outside that range the result is undefined."""
     f = math.factorial
     # exact rationals as integer numerator / denominator; int true division
     # rounds correctly, so each ratio is converted to float exactly once

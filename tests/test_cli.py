@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import time
 from pathlib import Path
 
@@ -531,6 +532,19 @@ def test_main_names_a_directory_where_a_file_goes(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
+                    reason="needs Linux /proc/self/mem")
+def test_main_names_a_checkpoint_that_fails_after_open(tmp_path, capsys):
+    # /proc/self/mem opens, and its first read fails with EIO: an error
+    # past the open must leave main typed, naming the path
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    assert cli.main(["eval", "--config", str(config),
+                     "--checkpoint", "/proc/self/mem"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read checkpoint '/proc/self/mem': ")
 
 
 def test_eval_and_predict_score_a_record_alike(tmp_path):

@@ -1,10 +1,15 @@
+import ast
+import builtins
+import dataclasses
 import gc
 import json
+import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from disk_full import DiskFullAt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from json_values import EDGES, NUMBERS, VALUES
@@ -192,6 +197,26 @@ def test_truncated_blob_fuzz(tmp_path):
         dataio.load_record(stem)
 
 
+@pytest.mark.parametrize("suffix", [".json", ".bin"])
+def test_record_write_failure_keeps_previous(tmp_path, monkeypatch, suffix):
+    stem, types, coords, grid = toy_record(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the first write into the temp file of rec<suffix> stores half its
+    # bytes and fails; fail_at 0 never fails
+    monkeypatch.setattr(
+        dataio, "open", lambda f, *a, **kw: DiskFullAt(
+            open(f, *a, **kw), int(f".rec{suffix}." in os.fspath(f))),
+        raising=False)
+    with pytest.raises(DomainError, match=rf"rec\{suffix}'.*No space left"):
+        dataio.save_record(stem, types, coords + 0.5, dataclasses.replace(
+            grid, values=grid.values + 1.0))
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)  # no temp file left
+    assert after["rec" + suffix] == before["rec" + suffix]
+    if suffix == ".json":  # the blob is written second, so never reached
+        assert after == before
+
+
 def test_list_records_skips_partials_and_truth(tmp_path):
     toy_record(tmp_path, name="b")
     toy_record(tmp_path, name="a")
@@ -228,8 +253,16 @@ def test_cube_value_order_and_round_trip(tmp_path):
 
 def test_cube_rejects_malformed(tmp_path):
     path = tmp_path / "bad.cube"
-    path.write_text("only\ntwo lines\n")
-    with pytest.raises(SchemaError, match="malformed"):
+    for raw in (b"only\ntwo lines\n", b"\xff not text\n"):
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match="malformed"):
+            dataio.read_cube(path)
+
+
+def test_read_cube_types_a_missing_file(tmp_path):
+    path = tmp_path / "missing.cube"
+    with pytest.raises(SchemaError, match=f"^cannot read cube {str(path)!r}: "
+                       "No such file"):
         dataio.read_cube(path)
 
 
@@ -250,3 +283,33 @@ def test_synthetic_dataset_matches_truth(tmp_path):
         assert abs(ladder[idx] - a) < 1e-12
     with pytest.raises(SchemaError, match="32"):
         dataio.make_synthetic_dataset(tmp_path / "big", shape=(33, 8, 8))
+
+
+def _catches_os_error(handler):
+    """Whether an ``except`` clause names OSError or a builtin subclass."""
+    kind = handler.type
+    names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+    caught = [getattr(builtins, n.id, None) for n in names
+              if isinstance(n, ast.Name)]
+    return any(isinstance(c, type) and issubclass(c, OSError)
+               for c in caught)
+
+
+def test_only_dataio_opens_files_or_catches_os_errors():
+    # every named file goes through dataio's open_file, read_json or
+    # replace_file; cli._make_out_dir names the setting, not a file
+    found = set()
+    for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
+        if path.stem == "dataio":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"):
+                    found.add((path.stem, getattr(top, "name", None), "open"))
+                if (isinstance(node, ast.ExceptHandler) and node.type
+                        and _catches_os_error(node)):
+                    found.add((path.stem, getattr(top, "name", None),
+                               "except OSError"))
+    assert found == {("cli", "_make_out_dir", "except OSError")}

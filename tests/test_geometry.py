@@ -130,6 +130,40 @@ def test_graph_validates_edge_arrays_naming_field(src, dst, vec, field):
                                 np.array(src), np.array(dst), vec, 3.0)
 
 
+_NO_EDGES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: geometry.MolecularGraph([[0, 1]], np.zeros((2, 3)), *_NO_EDGES,
+                                     3.0), "atom_type"),
+    (lambda: geometry.MolecularGraph([0, -1], np.zeros((2, 3)), *_NO_EDGES,
+                                     3.0), "atom_type"),
+    (lambda: geometry.MolecularGraph([0, 1], np.zeros((3, 3)), *_NO_EDGES,
+                                     3.0), "atom_coord"),
+    (lambda: geometry.MolecularGraph([0, 1], np.zeros((2, 2)), *_NO_EDGES,
+                                     3.0), "atom_coord"),
+    (lambda: geometry.VoxelGrid((2, 2), np.eye(3), np.zeros(3), np.zeros(4)),
+     "shape"),
+    (lambda: geometry.VoxelGrid((2, 0, 2), np.eye(3), np.zeros(3), []),
+     "shape"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(2), np.zeros(3),
+                                np.zeros(8)), "cell"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.zeros((3, 3)), np.zeros(3),
+                                np.zeros(8)), "cell"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3),
+                                np.zeros(7)), "values"),
+    (lambda: geometry.QuerySample(np.zeros((4, 3)), np.zeros(3), 1.0),
+     "points"),
+    (lambda: geometry.QuerySample(np.zeros((4, 2)), np.zeros(4), 1.0),
+     "points"),
+], ids=["type_2d", "type_negative", "coord_rows", "coord_2d", "shape_2",
+        "shape_zero", "cell_2x2", "cell_singular", "values_short",
+        "targets_short", "points_2d"])
+def test_constructors_reject_bad_fields_naming_them(build, field):
+    with pytest.raises(DomainError, match=f"^{field}"):
+        build()
+
+
 def test_grid_coordinates_trivial():
     g = geometry.VoxelGrid((2, 1, 1), 2.0 * np.eye(3), np.zeros(3), np.zeros(2))
     got = geometry.grid_coordinates(g)

@@ -224,6 +224,17 @@ def test_non_finite_gradient_aborts():
         grad.optimize_step(state, p, np.array([np.nan]), reg)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_gradient_of_wrong_length_is_rejected(n):
+    p = ScalarParams(1.0)
+    reg = grad.ParamRegistry(p)
+    state = grad.init_optimizer(reg)
+    with pytest.raises(DomainError, match="^gradient length does not "
+                       "match optimizer state$"):
+        grad.optimize_step(state, p, np.zeros(n), reg)
+    assert p.flat[0] == 1.0 and state.step == 0
+
+
 def test_non_finite_gradient_names_its_array():
     cfg = model.ModelConfig(l_max=1, channels=2, n_layers=2, cutoff=3.0,
                             vocab=3, r_max=3.0)

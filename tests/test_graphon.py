@@ -228,3 +228,11 @@ def test_demo_report(tmp_path):
     lines = cp.read_text().strip().splitlines()
     assert lines[0] == "k,min_kernel,rank3_fourier"
     assert len(lines) == 9
+    grid = graphon.uniform_grid(128)
+    want = [graphon.nystrom_eigs(k, grid, 8).eigenvalues
+            for k in (graphon.min_kernel(),
+                      graphon.fourier_kernel([1.0, 0.5, 0.25]))]
+    for i, line in enumerate(lines[1:]):
+        k, *cells = line.split(",")
+        assert int(k) == i + 1
+        assert [float(c) for c in cells] == [w[i] for w in want]

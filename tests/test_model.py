@@ -1,10 +1,10 @@
 import dataclasses
-import errno
 import json
 import struct
 
 import numpy as np
 import pytest
+from disk_full import DiskFullAt
 
 from infgcn import basis, dataio, geometry, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError
@@ -174,6 +174,27 @@ def test_predict_rejects_bad_coeffs_naming_them():
         bad[2, 1, 3] = value
         with pytest.raises(NonFiniteError, match="coeffs"):
             model.predict_density(params, graph, q, coeffs=bad)
+
+
+def test_predict_rejects_coincident_atoms():
+    # build_radius_graph keeps the zero-length edges of two atoms at one
+    # point, and conv refuses them rather than pick a direction
+    params = model.init_params(SMALL, seed=25, zero_heads=False)
+    graph = geometry.MolecularGraph.from_coords(
+        [0, 1, 2], [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+        SMALL.cutoff)
+    with pytest.raises(DomainError, match="^coincident atoms produce "
+                       "directionless edges$"):
+        model.predict_density(params, graph, np.zeros((2, 3)))
+
+
+def test_predict_names_the_conv_layer_that_goes_non_finite():
+    rng = np.random.default_rng(26)
+    params = model.init_params(SMALL, seed=27, zero_heads=False)
+    params.convs[0].self_w[0, 1] = np.inf
+    with pytest.raises(NonFiniteError, match=r"conv_forward\[0\]$"):
+        model.predict_density(params, small_instance(rng),
+                              rng.uniform(-1, 1, size=(4, 3)))
 
 
 def test_full_model_equivariance():
@@ -406,37 +427,13 @@ def test_checkpoint_loads_with_or_without_exponents_entry(tmp_path):
         assert loaded.flat.tobytes() == params.flat.tobytes()
 
 
-class _DiskFullAt:
-    """File wrapper whose ``fail_at``-th write stores half its bytes, then
-    raises as a full disk would."""
-
-    def __init__(self, fh, fail_at):
-        self.fh, self.fail_at, self.writes = fh, fail_at, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes == self.fail_at:
-            self.fh.write(data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self.fh.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-
 def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(model.init_params(SMALL, seed=11), path)
     before = path.read_bytes()
     # writes 1-3 are the magic, header length and header; 4 is the blob
     monkeypatch.setattr(dataio, "open",
-                        lambda *a, **kw: _DiskFullAt(open(*a, **kw), 4),
+                        lambda *a, **kw: DiskFullAt(open(*a, **kw), 4),
                         raising=False)
     with pytest.raises(DomainError, match="model.ckpt.*No space left"):
         model.save_checkpoint(

@@ -151,13 +151,10 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
     Without a ``cache``, queries that are exactly a box (`_box_axes`) are
     decoded from per-axis factor tables instead (`_expand_box`).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    centers = geometry.check_points("centers", centers)
-    queries = geometry.check_points("queries", queries)
-    if coeffs.shape != (centers.shape[0], spec.n_radial, spec.n_sh):
-        raise DomainError(
-            f"coeffs shape {coeffs.shape} does not match spec/centers "
-            f"({centers.shape[0]}, {spec.n_radial}, {spec.n_sh})")
+    centers = geometry.check_array("centers", centers, (None, 3), finite=True)
+    queries = geometry.check_array("queries", queries, (None, 3), finite=True)
+    coeffs = geometry.check_array("coeffs", coeffs,
+                                  (len(centers), spec.n_radial, spec.n_sh))
     cf = coeffs * _norm_columns(spec)
     axes = None if cache is not None else _box_axes(queries)
     if axes is not None:
@@ -231,13 +228,9 @@ def expand_density_backward(spec, grad_out, centers, queries, cache):
     """Adjoint of expand_density with respect to the coefficients, from the
     factors in the ``cache`` that ``expand_density`` filled for the same
     centers and queries."""
-    centers = geometry.check_points("centers", centers)
-    queries = geometry.check_points("queries", queries)
-    grad_out = np.asarray(grad_out, dtype=float)
-    if grad_out.shape != (queries.shape[0],):
-        raise DomainError(
-            f"grad_out shape {grad_out.shape} does not match queries "
-            f"({queries.shape[0]},)")
+    centers = geometry.check_array("centers", centers, (None, 3), finite=True)
+    queries = geometry.check_array("queries", queries, (None, 3), finite=True)
+    grad_out = geometry.check_array("grad_out", grad_out, (len(queries),))
     grad = np.zeros((centers.shape[0], spec.n_radial, spec.n_sh))
     for sl, (E, Y) in cache["chunks"]:
         grad += E.transpose(0, 2, 1) @ (Y * grad_out[sl, None])

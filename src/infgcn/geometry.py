@@ -1,4 +1,4 @@
-"""Discrete geometry: point checks, radius pairs and graphs, voxel grids,
+"""Discrete geometry: array checks, radius pairs and graphs, voxel grids,
 query sampling, resampling.
 
 Conventions fixed here and relied on everywhere downstream:
@@ -24,7 +24,7 @@ __all__ = [
     "MolecularGraph",
     "VoxelGrid",
     "QuerySample",
-    "check_points",
+    "check_array",
     "radius_pairs",
     "build_radius_graph",
     "grid_coordinates",
@@ -37,14 +37,18 @@ __all__ = [
 ]
 
 
-def check_points(name, a):
-    """``a`` as a finite (N, 3) float array; DomainError naming ``name``
-    otherwise. A NaN point would fail every cutoff test and silently drop
-    out of the pairs."""
+def check_array(name, a, shape, finite=False):
+    """``a`` as a float array of ``shape``, where ``None`` matches any
+    length, and with ``finite`` every entry finite; DomainError naming
+    ``name`` otherwise. A NaN point would fail every cutoff test and
+    silently drop out of the pairs, so point sets ask for ``finite``."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 3:
-        raise DomainError(f"{name} must have shape (N, 3), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim != len(shape) or any(want is not None and want != got
+                                   for want, got in zip(shape, a.shape)):
+        dims = ", ".join("*" if want is None else str(want) for want in shape)
+        dims += "," if len(shape) == 1 else ""
+        raise DomainError(f"{name} must have shape ({dims}), got {a.shape}")
+    if finite and not np.all(np.isfinite(a)):
         raise DomainError(f"{name} must be finite")
     return a
 
@@ -52,7 +56,7 @@ def check_points(name, a):
 def radius_pairs(centers, points, cutoff):
     """Every (center, point) pair within ``cutoff``, sorted by (i, j).
 
-    ``centers`` and ``points`` are (N, 3) arrays as ``check_points``
+    ``centers`` and ``points`` are finite (N, 3) arrays, as ``check_array``
     returns them. Returns (i, j, vec, dist) with vec[e] = points[j[e]] -
     centers[i[e]] and dist[e] = |vec[e]| <= cutoff. The one cutoff search
     of the package: the radius graph and the residual layer's query-atom
@@ -73,7 +77,7 @@ def build_radius_graph(coords, cutoff):
     Self edges are dropped by index, so two coincident atoms keep their
     zero-length edges and fail conv's check instead of vanishing.
     """
-    coords = check_points("coords", coords)
+    coords = check_array("coords", coords, (None, 3), finite=True)
     src, dst, vec, _ = radius_pairs(coords, coords, cutoff)
     keep = src != dst
     return src[keep], dst[keep], vec[keep]
@@ -103,20 +107,15 @@ class MolecularGraph:
 
     def __post_init__(self):
         types = np.asarray(self.atom_type, dtype=int)
-        coords = np.asarray(self.atom_coord, dtype=float)
         if types.ndim != 1 or np.any(types < 0):
             raise DomainError("atom_type must be 1-D non-negative integers")
-        if coords.shape != (types.size, 3):
-            raise DomainError("atom_coord must have shape (n_atoms, 3)")
+        coords = check_array("atom_coord", self.atom_coord, (types.size, 3))
         src = _atom_indices("edge_src", self.edge_src, types.size)
         dst = _atom_indices("edge_dst", self.edge_dst, types.size)
-        vec = np.asarray(self.edge_vec, dtype=float)
         if dst.shape != src.shape:
             raise DomainError(f"edge_dst has {dst.size} entries, edge_src "
                               f"{src.size}")
-        if vec.shape != (src.size, 3):
-            raise DomainError(f"edge_vec must have shape ({src.size}, 3), "
-                              f"got {vec.shape}")
+        vec = check_array("edge_vec", self.edge_vec, (src.size, 3))
         if np.any(src[1:] < src[:-1]):
             # the layers sum messages over runs of one source
             raise DomainError("edge_src must be sorted")
@@ -158,9 +157,7 @@ class VoxelGrid:
         shape = tuple(int(s) for s in self.shape)
         if len(shape) != 3 or any(s < 1 for s in shape):
             raise DomainError("shape must be three positive integers")
-        cell = np.asarray(self.cell, dtype=float)
-        if cell.shape != (3, 3):
-            raise DomainError("cell must be a 3x3 matrix")
+        cell = check_array("cell", self.cell, (3, 3))
         with np.errstate(over="ignore", invalid="ignore"):
             volume = abs(np.linalg.det(cell))
         if not 1e-300 <= volume < np.inf:  # NaN fails too
@@ -194,10 +191,8 @@ class QuerySample:
     indices: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        tg = np.asarray(self.targets, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or tg.shape != (pts.shape[0],):
-            raise DomainError("points (k, 3) and targets (k,) must align")
+        pts = check_array("points", self.points, (None, 3))
+        tg = check_array("targets", self.targets, (len(pts),))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "targets", tg)
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import basis, layers, model, schema
+from . import basis, geometry, layers, model, schema
 from .errors import DomainError, NonFiniteError
 from .model import ParamRegistry
 
@@ -170,9 +170,9 @@ def optimize_step(state, params, grads, registry):
     The whole gradient is checked before any entry is written, so a
     non-finite gradient raises, naming the first array it reaches, with
     parameters and state untouched."""
-    g = np.asarray(grads, dtype=float)
-    if g.shape != (registry.n_params,) or g.shape != state.m.shape:
-        raise DomainError("gradient length does not match optimizer state")
+    g = geometry.check_array("gradient", grads, (registry.n_params,))
+    # a state made for another registry fits no gradient
+    geometry.check_array("gradient", g, state.m.shape)
     if not np.all(np.isfinite(g)):
         name, _ = registry.slot_of(int(np.isfinite(g).argmin()))
         raise NonFiniteError(f"non-finite gradient for {name}")

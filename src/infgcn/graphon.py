@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio
+from . import dataio, geometry
 from .errors import DomainError
 
 _SYM_TOL = 1e-10
@@ -69,9 +69,9 @@ def quad_inner(grid, f, g):
 
 
 def kernel_matrix(kernel, grid):
-    K = np.asarray(kernel.fn(grid.nodes, grid.nodes), dtype=float)
-    if K.shape != (grid.n, grid.n):
-        raise DomainError("kernel evaluation has wrong shape")
+    K = geometry.check_array(f"kernel {kernel.name!r}",
+                             kernel.fn(grid.nodes, grid.nodes),
+                             (grid.n, grid.n))
     if np.abs(K - K.T).max() > _SYM_TOL:
         raise DomainError(f"kernel {kernel.name!r} is not symmetric")
     return K
@@ -139,9 +139,7 @@ def zero_kernel(d=1):
 
 def apply_operator(kernel, f, grid):
     """(T_W f)(x_i) = sum_j w_j W(x_i, x_j) f(x_j)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n,):
-        raise DomainError("sample vector length does not match grid")
+    f = geometry.check_array("f", f, (grid.n,))
     K = kernel_matrix(kernel, grid)
     return K @ (grid.weights * f)
 

@@ -373,22 +373,15 @@ def init_conv_layer(rng, l_max, channels, cutoff, mode="channel",
         self_w=np.ones((l_max + 1, channels)))
 
 
-def _check_shape(name, a, shape):
-    """``a`` as a float array of ``shape``; DomainError naming ``name``
-    otherwise. A ``None`` entry matches any length, and the last axis of a
-    3-D feature array must hold whole degrees, (l_max+1)^2 entries."""
-    a = np.asarray(a, dtype=float)
-    ok = a.ndim == len(shape) and all(
-        want is None or want == got for want, got in zip(shape, a.shape))
-    if ok and a.ndim == 3:
-        ok = a.shape[2] > 0 and math.isqrt(a.shape[2]) ** 2 == a.shape[2]
-    if not ok:
-        dims = ["*" if w is None else str(w) for w in shape]
-        if len(shape) == 3 and shape[2] is None:
-            dims[2] = "(l_max+1)^2"
-        raise DomainError(f"{name} must have shape ({', '.join(dims)}), "
-                          f"got {a.shape}")
-    return a
+def _check_gate_feats(feats):
+    """``feats`` as an (n, C, (L+1)^2) float array. The gate does not know
+    L, so it checks only that the last axis holds whole degrees."""
+    feats = geometry.check_array("feats", feats, (None, None, None))
+    S = feats.shape[2]
+    if S == 0 or math.isqrt(S) ** 2 != S:
+        raise DomainError("feats must have shape (*, *, (l_max+1)^2), got "
+                          f"{feats.shape}")
+    return feats
 
 
 def _feature_shape(n, params):
@@ -582,7 +575,8 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
 
     A ``cache`` dict receives what ``conv_backward`` reads.
     """
-    feats = _check_shape("feats", feats, _feature_shape(graph.n_atoms, params))
+    feats = geometry.check_array("feats", feats,
+                                 _feature_shape(graph.n_atoms, params))
     L, C, E = params.l_max, params.channels, graph.n_edges
     out = _per_order(params.self_w.T) * feats
     plan, vec = conv_plan(L), graph.edge_vec
@@ -626,8 +620,8 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
     ``conv_forward`` filled for the same graph and parameters.
     """
     shape = _feature_shape(graph.n_atoms, params)
-    feats = _check_shape("feats", feats, shape)
-    grad_out = _check_shape("grad_out", grad_out, shape)
+    feats = geometry.check_array("feats", feats, shape)
+    grad_out = geometry.check_array("grad_out", grad_out, shape)
     grad_f = _per_order(params.self_w.T) * grad_out
     grads.self_w[...] = _degree_sums((grad_out * feats).sum(axis=0)).T
     plan, frame, E = conv_plan(params.l_max), cache["frame"], graph.n_edges
@@ -674,7 +668,7 @@ def gate_forward(feats, act0="silu", act_l="silu"):
     ``act_l="identity"`` bypasses the gate entirely (multiplier one), so the
     layer reduces to the identity operator on every degree.
     """
-    feats = _check_shape("feats", feats, (None, None, None))
+    feats = _check_gate_feats(feats)
     out = feats.copy()
     if act_l != "identity":
         out *= _per_order(_act(act_l)[0](_gate_norms(feats)))
@@ -683,8 +677,8 @@ def gate_forward(feats, act0="silu", act_l="silu"):
 
 
 def gate_backward(feats, grad_out, act0="silu", act_l="silu"):
-    feats = _check_shape("feats", feats, (None, None, None))
-    grad_out = _check_shape("grad_out", grad_out, feats.shape)
+    feats = _check_gate_feats(feats)
+    grad_out = geometry.check_array("grad_out", grad_out, feats.shape)
     out = grad_out.copy()
     if act_l != "identity":
         nrm = _gate_norms(feats)
@@ -727,9 +721,10 @@ def residual_forward(queries, coords, feats, params, counters=None,
     whose solid harmonics vanish for k >= 1, so the pair keeps its isotropic
     k = 0 term and contributes nothing through higher degrees.
     """
-    queries = geometry.check_points("queries", queries)
-    coords = geometry.check_points("coords", coords)
-    feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
+    queries = geometry.check_array("queries", queries, (None, 3), finite=True)
+    coords = geometry.check_array("coords", coords, (None, 3), finite=True)
+    feats = geometry.check_array("feats", feats,
+                                 _feature_shape(len(coords), params))
     L, C = params.l_max, params.channels
     vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
     radial = None if cache is None else {}
@@ -762,10 +757,11 @@ def residual_backward(queries, coords, feats, params, grad_z, grads, cache):
     ``residual_forward`` filled for the same queries, coordinates, features
     and parameters.
     """
-    queries = geometry.check_points("queries", queries)
-    coords = geometry.check_points("coords", coords)
-    feats = _check_shape("feats", feats, _feature_shape(len(coords), params))
-    grad_z = _check_shape("grad_z", grad_z, (len(queries),))
+    queries = geometry.check_array("queries", queries, (None, 3), finite=True)
+    coords = geometry.check_array("coords", coords, (None, 3), finite=True)
+    feats = geometry.check_array("feats", feats,
+                                 _feature_shape(len(coords), params))
+    grad_z = geometry.check_array("grad_z", grad_z, (len(queries),))
     grad_f = np.zeros_like(feats)
     qi, phi, Y = cache["qi"], cache["phi"], cache["Y"]
     ge = grad_z[qi]

@@ -146,10 +146,7 @@ class ParamRegistry:
     def unflatten(self, params, flat):
         """Write ``flat`` into the parameter vector, which every array
         views; nothing is rebound."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise DomainError("flat vector length does not match registry")
-        params.flat[...] = flat
+        params.flat[...] = geometry.check_array("flat", flat, (self.n_params,))
         return params
 
     def slot_of(self, index):
@@ -249,7 +246,7 @@ def _forward(params, graph, queries, counters, keep, coeffs=None):
     """Encode unless ``coeffs`` is given, then decode at ``queries``. With
     ``keep`` each layer that has an adjoint fills a cache for it."""
     cfg = params.config
-    queries = geometry.check_points("queries", queries)
+    queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     if coeffs is None:
         coeffs, trace = _encode(params, graph, counters, keep)
     else:  # expand_density rejects a misshapen coeffs, naming it
@@ -297,9 +294,7 @@ def predict_density(params, graph, queries, counters=None, coeffs=None):
 def loss_l2(pred, target, volume_weight=1.0):
     """Weighted squared-error loss, a Monte-Carlo estimate of the L2 norm."""
     pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise DomainError("prediction and target lengths differ")
+    target = geometry.check_array("target", target, pred.shape)
     w = np.asarray(volume_weight, dtype=float)
     return float(np.sum(w * (pred - target) ** 2))
 
@@ -307,9 +302,7 @@ def loss_l2(pred, target, volume_weight=1.0):
 def nmae(pred, target):
     """Sum |pred - target| / sum |target|, reported as a percentage."""
     pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise DomainError("prediction and target lengths differ")
+    target = geometry.check_array("target", target, pred.shape)
     abs_target = float(np.sum(np.abs(target)))
     if abs_target == 0.0:
         raise DomainError("NMAE undefined for an all-zero target")

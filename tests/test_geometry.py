@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from infgcn import geometry, layers, so3
+from infgcn import basis, geometry, grad, graphon, layers, model, so3
 from infgcn.errors import DomainError
 
 
@@ -153,7 +154,7 @@ _NO_EDGES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)))
     (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3),
                                 np.zeros(7)), "values"),
     (lambda: geometry.QuerySample(np.zeros((4, 3)), np.zeros(3), 1.0),
-     "points"),
+     "targets"),
     (lambda: geometry.QuerySample(np.zeros((4, 2)), np.zeros(4), 1.0),
      "points"),
 ], ids=["type_2d", "type_negative", "coord_rows", "coord_2d", "shape_2",
@@ -162,6 +163,58 @@ _NO_EDGES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)))
 def test_constructors_reject_bad_fields_naming_them(build, field):
     with pytest.raises(DomainError, match=f"^{field}"):
         build()
+
+
+def _misshapen_calls():
+    """Per public array boundary, the argument name its error must give and
+    a call passing that argument with the wrong shape."""
+    spec = basis.RadialBasisSpec.default(l_max=1, n=2)
+    pts = np.zeros((4, 3))
+    coeffs = np.zeros((4, spec.n_radial, spec.n_sh))
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=1, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg)
+    reg = model.ParamRegistry(params)
+    state = grad.init_optimizer(reg)
+    qgrid = graphon.uniform_grid(4)
+    flat_kernel = graphon.GraphonKernel(d=1, fn=lambda A, B: np.zeros(4),
+                                        name="flat")
+    no_edges = (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    return {
+        "expand_density": ("coeffs", lambda: basis.expand_density(
+            spec, coeffs[1:], pts, pts)),
+        "expand_density_backward": ("grad_out", lambda:
+            basis.expand_density_backward(spec, np.zeros(3), pts, pts, {})),
+        "MolecularGraph_coord": ("atom_coord", lambda: geometry.MolecularGraph(
+            [0, 1], np.zeros((2, 2)), *no_edges, np.zeros((0, 3)), 3.0)),
+        "MolecularGraph_vec": ("edge_vec", lambda: geometry.MolecularGraph(
+            [0, 1], np.zeros((2, 3)), *no_edges, np.zeros((1, 3)), 3.0)),
+        "VoxelGrid": ("cell", lambda: geometry.VoxelGrid(
+            (2, 2, 2), np.eye(3)[:2], np.zeros(3), np.zeros(8))),
+        "QuerySample_points": ("points", lambda: geometry.QuerySample(
+            np.zeros(4), np.zeros(4), 1.0)),
+        "QuerySample_targets": ("targets", lambda: geometry.QuerySample(
+            pts, np.zeros((4, 1)), 1.0)),
+        "unflatten": ("flat", lambda: reg.unflatten(
+            params, np.zeros(reg.n_params + 1))),
+        "loss_l2": ("target", lambda: model.loss_l2(np.zeros(4),
+                                                    np.zeros(3))),
+        "nmae": ("target", lambda: model.nmae(np.zeros(4), np.ones((4, 1)))),
+        "optimize_step": ("gradient", lambda: grad.optimize_step(
+            state, params, np.zeros(reg.n_params - 1), reg)),
+        "kernel_matrix": ("kernel 'flat'", lambda: graphon.kernel_matrix(
+            flat_kernel, qgrid)),
+        "apply_operator": ("f", lambda: graphon.apply_operator(
+            graphon.min_kernel(), np.zeros(3), qgrid)),
+    }
+
+
+@pytest.mark.parametrize("boundary", list(_misshapen_calls()))
+def test_array_boundaries_name_a_misshapen_argument(boundary):
+    name, call = _misshapen_calls()[boundary]
+    with pytest.raises(DomainError,
+                       match=rf"^{re.escape(name)} must have shape \("):
+        call()
 
 
 def test_grid_coordinates_trivial():

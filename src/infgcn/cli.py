@@ -133,7 +133,6 @@ def cmd_train(cfg, deterministic=False):
     ckpt_path = os.path.join(cfg.out_dir, "model.ckpt")
     log_path = os.path.join(cfg.out_dir, "train_log.jsonl")
     model.save_checkpoint(params, ckpt_path)
-    best = math.inf
     nb = min(cfg.batch_size, len(train))
     _write_log(log_path, "", "w")
     for step in range(1, cfg.n_iter + 1):
@@ -165,16 +164,16 @@ def cmd_train(cfg, deterministic=False):
         nmae_val = None
         if step % cfg.val_every == 0 or step == cfg.n_iter:
             nmae_val = _sample_nmae(params, val, cfg, step)
-            grad.plateau_update(state, nmae_val)
-            if nmae_val < best:
-                best = nmae_val
+            if nmae_val < state.best_val:
                 model.save_checkpoint(params, ckpt_path)
+            grad.plateau_update(state, nmae_val)
         wall = 0 if deterministic else int((time.perf_counter() - t0) * 1000)
         _write_log(log_path, json.dumps(
             {"step": step, "loss": mean_loss, "nmae_val": nmae_val,
              "lr": state.lr, "wall_ms": wall}, sort_keys=True) + "\n")
     return {"steps": cfg.n_iter,
-            "best_nmae_val": None if math.isinf(best) else best,
+            "best_nmae_val": None if math.isinf(state.best_val)
+            else state.best_val,
             "checkpoint": ckpt_path, "log": log_path}
 
 

@@ -2,10 +2,15 @@
 
 A record is a pair of files sharing a stem: `<stem>.json` holds the
 metadata (atom_type, atom_coord, shape, cell, origin, pbc,
-endpoint_inclusive, optional units) and `<stem>.bin` holds the density as
-flat little-endian float32 in the package's x-fastest grid order. All
-lengths are Bohr and densities e-/Bohr^3 internally; Angstrom input is
-converted at the loader boundary.
+endpoint_inclusive, optional units and blob_crc32) and `<stem>.bin` holds
+the density as flat little-endian float32 in the package's x-fastest grid
+order. All lengths are Bohr and densities e-/Bohr^3 internally; Angstrom
+input is converted at the loader boundary.
+
+`save_record` writes the blob first and the metadata last, with the blob's
+zlib CRC-32 as blob_crc32, so a failed write leaves the previous record or
+a pair whose blob `load_record` rejects; records without the key load
+unchecked.
 
 Every named file the package reads or writes goes through `open_file`,
 `read_json` or `replace_file`, which turn an ``OSError`` into the
@@ -16,6 +21,7 @@ import contextlib
 import json
 import os
 import secrets
+import zlib
 
 import numpy as np
 
@@ -107,6 +113,9 @@ def load_record(stem):
     if len(raw) != 4 * n_values:
         raise SchemaError(f"{blob_path}: blob holds {len(raw)} bytes, "
                           f"want {4 * n_values} for shape {shape}")
+    if "blob_crc32" in meta and zlib.crc32(raw) != meta["blob_crc32"]:
+        raise SchemaError(f"{blob_path}: blob does not match the blob_crc32 "
+                          f"of {meta_path}")
     values = np.frombuffer(raw, dtype="<f4").astype(float)
 
     if length_unit == "angstrom":
@@ -129,11 +138,15 @@ def load_record(stem):
 
 
 def save_record(stem, types, coords, grid):
-    """Write the two record files, in Bohr and e-/Bohr^3. The grid must be
+    """Write the two record files, in Bohr and e-/Bohr^3: the blob, then
+    the metadata that holds its checksum. The grid must be
     endpoint-exclusive."""
     stem = os.fspath(stem)
     types = np.asarray(types, dtype=int)
     coords = np.asarray(coords, dtype=float)
+    blob = np.ascontiguousarray(grid.values, dtype="<f4")
+    with replace_file(stem + ".bin", "density blob", "wb") as fh:
+        fh.write(blob)
     meta = {
         "atom_type": types.tolist(),
         "atom_coord": coords.tolist(),
@@ -143,12 +156,11 @@ def save_record(stem, types, coords, grid):
         "pbc": bool(grid.pbc),
         "endpoint_inclusive": False,
         "units": {"length": "bohr", "density": "e/bohr^3"},
+        "blob_crc32": zlib.crc32(blob),
     }
     with replace_file(stem + ".json", "record metadata") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with replace_file(stem + ".bin", "density blob", "wb") as fh:
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f4"))
 
 
 def list_records(dirpath):
@@ -257,8 +269,6 @@ def read_cube(path):
         for line in tokens_by_line[3:6]:
             counts.append(int(line[0]))
             rows.append([float(v) for v in line[1:4]])
-        if min(counts) < 0:
-            raise SchemaError(f"{path}: Angstrom-unit CUBE not supported")
         numbers, coords = [], []
         for line in tokens_by_line[6:6 + natoms]:
             numbers.append(int(line[0]))
@@ -267,6 +277,8 @@ def read_cube(path):
                 for v in line]
     except (IndexError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed CUBE ({exc})") from None
+    if min(counts) < 0:
+        raise SchemaError(f"{path}: Angstrom-unit CUBE not supported")
     nx, ny, nz = counts
     if len(flat) != nx * ny * nz:
         raise SchemaError(f"{path}: {len(flat)} values for shape {counts}")

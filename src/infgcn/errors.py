@@ -3,8 +3,8 @@
 
 class DomainError(ValueError):
     """Input violates a documented precondition (bad rotation matrix,
-    non-unit direction, degree triple outside the triangle range, undefined
-    metric, ...)."""
+    misshapen or non-finite array, degree triple outside the triangle
+    range, undefined metric, ...)."""
 
 
 class AccuracyError(RuntimeError):

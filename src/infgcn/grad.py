@@ -165,7 +165,7 @@ def init_optimizer(registry, **options):
 
 def optimize_step(state, params, grads, registry):
     """One optimizer update of ``params.flat``, in place, from the gradient
-    vector ``loss_and_grad`` returns. Returns (params, state).
+    vector ``loss_and_grad`` returns.
 
     The whole gradient is checked before any entry is written, so a
     non-finite gradient raises, naming the first array it reaches, with
@@ -204,7 +204,6 @@ def optimize_step(state, params, grads, registry):
             upd *= state.lr
             upd /= tmp
         params.flat[sl] -= upd
-    return params, state
 
 
 def plateau_update(state, val_loss):

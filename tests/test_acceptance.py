@@ -236,7 +236,7 @@ def _train_small(mcfg, types, coords, grid, pts, vals, n_steps=250, k=512):
     for step in range(1, n_steps + 1):
         qs = geometry.sample_queries(grid, k, (909, step))
         _, grads = grad.loss_and_grad(params, graph, qs.points, qs.targets)
-        params, opt = grad.optimize_step(opt, params, grads, reg)
+        grad.optimize_step(opt, params, grads, reg)
     pred = np.zeros(len(pts))
     for lo in range(0, len(pts), 4096):
         sl = slice(lo, lo + 4096)

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_schema_errors_name_the_field(tmp_path):
 
 
 _META_FIELDS = ["atom_type", "atom_coord", "shape", "cell", "origin", "pbc",
-                "endpoint_inclusive", "units"]
+                "endpoint_inclusive", "units", "blob_crc32"]
 # besides any JSON value, rows of numbers shaped like the numeric fields
 _ROW = st.lists(EDGES | NUMBERS, min_size=3, max_size=3)
 _META_VALUES = VALUES | _ROW | st.lists(_ROW, min_size=3, max_size=3)
@@ -213,8 +214,29 @@ def test_record_write_failure_keeps_previous(tmp_path, monkeypatch, suffix):
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(after) == sorted(before)  # no temp file left
     assert after["rec" + suffix] == before["rec" + suffix]
-    if suffix == ".json":  # the blob is written second, so never reached
+    if suffix == ".bin":  # the metadata is written second, so never reached
         assert after == before
+        t2, c2, g2 = dataio.load_record(stem)
+        assert np.array_equal(t2, types) and np.array_equal(c2, coords)
+        assert np.array_equal(g2.values, grid.values.astype("<f4"))
+    else:  # the new blob beside the old metadata is never loaded
+        with pytest.raises(SchemaError, match=r"^\S*rec\.bin: blob does "
+                           "not match the blob_crc32 of "):
+            dataio.load_record(stem)
+
+
+def test_blob_crc32_is_checked_when_present(tmp_path):
+    stem, _, _, grid = toy_record(tmp_path)
+    meta = json.loads((tmp_path / "rec.json").read_text())
+    assert meta["blob_crc32"] == zlib.crc32((tmp_path / "rec.bin").read_bytes())
+    (tmp_path / "rec.bin").write_bytes(
+        np.ascontiguousarray(grid.values[::-1], dtype="<f4").tobytes())
+    with pytest.raises(SchemaError, match=r"/rec\.bin: blob does not match"):
+        dataio.load_record(stem)
+    del meta["blob_crc32"]  # as records written before the key load
+    (tmp_path / "rec.json").write_text(json.dumps(meta))
+    _, _, loaded = dataio.load_record(stem)
+    assert np.array_equal(loaded.values, grid.values[::-1].astype("<f4"))
 
 
 def test_list_records_skips_partials_and_truth(tmp_path):
@@ -257,6 +279,18 @@ def test_cube_rejects_malformed(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(SchemaError, match="malformed"):
             dataio.read_cube(path)
+
+
+def test_cube_rejects_angstrom_units_by_name(tmp_path):
+    grid = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3), np.zeros(8))
+    path = tmp_path / "a.cube"
+    dataio.export_cube(path, grid, [1], np.zeros((1, 3)))
+    lines = path.read_text().splitlines()
+    lines[3] = "   -2" + lines[3][5:]  # a negative count means Angstrom
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as info:
+        dataio.read_cube(path)
+    assert str(info.value) == f"{path}: Angstrom-unit CUBE not supported"
 
 
 def test_read_cube_types_a_missing_file(tmp_path):

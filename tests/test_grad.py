@@ -229,7 +229,7 @@ def test_gradient_of_wrong_length_is_rejected(n):
     p = ScalarParams(1.0)
     reg = grad.ParamRegistry(p)
     state = grad.init_optimizer(reg)
-    with pytest.raises(DomainError, match=rf"^gradient must have shape "
+    with pytest.raises(DomainError, match="^gradient must have shape "
                        rf"\(1,\), got \({n},\)$"):
         grad.optimize_step(state, p, np.zeros(n), reg)
     assert p.flat[0] == 1.0 and state.step == 0

@@ -14,7 +14,7 @@ Coordinates are in Bohr, densities in electrons per Bohr^3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,56 +83,33 @@ def build_radius_graph(coords, cutoff):
     return src[keep], dst[keep], vec[keep]
 
 
-def _atom_indices(name, a, n_atoms):
-    """``a`` as a 1-D integer array of atom indices in [0, n_atoms);
-    DomainError naming ``name`` otherwise."""
-    a = np.asarray(a)
-    if a.size == 0:
-        a = a.astype(np.intp)
-    if a.ndim != 1 or a.dtype.kind not in "iu":
-        raise DomainError(f"{name} must be a 1-D integer array")
-    if a.size and (a.min() < 0 or a.max() >= n_atoms):
-        raise DomainError(f"{name} holds an index outside [0, {n_atoms})")
-    return a
-
-
 @dataclass(frozen=True)
 class MolecularGraph:
     atom_type: np.ndarray
     atom_coord: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    edge_vec: np.ndarray
     cutoff: float
+    edge_src: np.ndarray = field(init=False)
+    edge_dst: np.ndarray = field(init=False)
+    edge_vec: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        types = np.asarray(self.atom_type, dtype=int)
-        if types.ndim != 1 or np.any(types < 0):
+        types = np.asarray(self.atom_type)
+        if (types.ndim != 1 or types.size and types.dtype.kind not in "iu"
+                or np.any(types < 0)):
             raise DomainError("atom_type must be 1-D non-negative integers")
-        coords = check_array("atom_coord", self.atom_coord, (types.size, 3))
-        src = _atom_indices("edge_src", self.edge_src, types.size)
-        dst = _atom_indices("edge_dst", self.edge_dst, types.size)
-        if dst.shape != src.shape:
-            raise DomainError(f"edge_dst has {dst.size} entries, edge_src "
-                              f"{src.size}")
-        vec = check_array("edge_vec", self.edge_vec, (src.size, 3))
-        if np.any(src[1:] < src[:-1]):
-            # the layers sum messages over runs of one source
-            raise DomainError("edge_src must be sorted")
-        if np.any(src == dst):
-            raise DomainError("self edges are not allowed")
-        object.__setattr__(self, "atom_type", types)
+        coords = check_array("atom_coord", self.atom_coord, (types.size, 3),
+                             finite=True)
+        src, dst, vec = build_radius_graph(coords, self.cutoff)
+        object.__setattr__(self, "atom_type", types.astype(int))
         object.__setattr__(self, "atom_coord", coords)
+        object.__setattr__(self, "cutoff", float(self.cutoff))
         object.__setattr__(self, "edge_src", src)
         object.__setattr__(self, "edge_dst", dst)
         object.__setattr__(self, "edge_vec", vec)
 
     @classmethod
     def from_coords(cls, atom_type, atom_coord, cutoff):
-        src, dst, vec = build_radius_graph(atom_coord, cutoff)
-        return cls(np.asarray(atom_type, dtype=int),
-                   np.asarray(atom_coord, dtype=float),
-                   src, dst, vec, float(cutoff))
+        return cls(atom_type, atom_coord, cutoff)
 
     @property
     def n_atoms(self):

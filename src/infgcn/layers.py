@@ -608,7 +608,7 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
         counters.add("rotation", 2 * E * C * plan.rotation)
         counters.add("mixing", phi.shape[1] * plan.mixing)
         counters.add("matvec", phi.shape[1] * (L + 1) ** 4)
-    # edges are sorted by source (MolecularGraph checks it)
+    # edges are sorted by source (build_radius_graph sorts them)
     _to_nodes(out, _segments(graph.edge_src),
               _rotate(msg, frame, plan, inverse=True))
     return out

@@ -92,7 +92,7 @@ def test_radius_graph_rejects_non_finite_coords(bad):
     coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, bad]])
     with pytest.raises(DomainError, match="^coords must be finite"):
         geometry.build_radius_graph(coords, 3.0)
-    with pytest.raises(DomainError, match="^coords must be finite"):
+    with pytest.raises(DomainError, match="^atom_coord must be finite"):
         geometry.MolecularGraph.from_coords(np.zeros(3, dtype=int), coords,
                                             3.0)
 
@@ -108,41 +108,15 @@ def test_graph_symmetry_exact():
         assert np.array_equal(pairs[(v, u)], -r)
 
 
-def test_graph_rejects_self_edges():
-    with pytest.raises(DomainError):
-        geometry.MolecularGraph(
-            np.array([0, 1]), np.zeros((2, 3)),
-            np.array([0]), np.array([0]), np.zeros((1, 3)), 3.0)
-
-
-@pytest.mark.parametrize("src, dst, vec, field", [
-    ([0, 1], [1], np.zeros((2, 3)), "edge_dst"),
-    ([0, 1], [1, 0], np.zeros((3, 3)), "edge_vec"),
-    ([0, 1], [1, 0], np.zeros((2, 2)), "edge_vec"),
-    ([0, 1], [5, 0], np.zeros((2, 3)), "edge_dst"),
-    ([-1, 1], [1, 0], np.zeros((2, 3)), "edge_src"),
-    ([1, 0], [0, 1], np.zeros((2, 3)), "edge_src"),
-    ([0.0, 1.0], [1, 0], np.zeros((2, 3)), "edge_src"),
-], ids=["dst_shorter", "vec_longer", "vec_not_3d", "dst_outside",
-        "src_negative", "src_unsorted", "src_float"])
-def test_graph_validates_edge_arrays_naming_field(src, dst, vec, field):
-    with pytest.raises(DomainError, match=f"^{field}"):
-        geometry.MolecularGraph(np.array([0, 1]), np.zeros((2, 3)),
-                                np.array(src), np.array(dst), vec, 3.0)
-
-
-_NO_EDGES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 3)))
-
-
 @pytest.mark.parametrize("build, field", [
-    (lambda: geometry.MolecularGraph([[0, 1]], np.zeros((2, 3)), *_NO_EDGES,
-                                     3.0), "atom_type"),
-    (lambda: geometry.MolecularGraph([0, -1], np.zeros((2, 3)), *_NO_EDGES,
-                                     3.0), "atom_type"),
-    (lambda: geometry.MolecularGraph([0, 1], np.zeros((3, 3)), *_NO_EDGES,
-                                     3.0), "atom_coord"),
-    (lambda: geometry.MolecularGraph([0, 1], np.zeros((2, 2)), *_NO_EDGES,
-                                     3.0), "atom_coord"),
+    (lambda: geometry.MolecularGraph([[0, 1]], np.zeros((2, 3)), 3.0),
+     "atom_type"),
+    (lambda: geometry.MolecularGraph([0, -1], np.zeros((2, 3)), 3.0),
+     "atom_type"),
+    (lambda: geometry.MolecularGraph([0, 1], np.zeros((3, 3)), 3.0),
+     "atom_coord"),
+    (lambda: geometry.MolecularGraph([0, 1], np.zeros((2, 2)), 3.0),
+     "atom_coord"),
     (lambda: geometry.VoxelGrid((2, 2), np.eye(3), np.zeros(3), np.zeros(4)),
      "shape"),
     (lambda: geometry.VoxelGrid((2, 0, 2), np.eye(3), np.zeros(3), []),
@@ -179,16 +153,13 @@ def _misshapen_calls():
     qgrid = graphon.uniform_grid(4)
     flat_kernel = graphon.GraphonKernel(d=1, fn=lambda A, B: np.zeros(4),
                                         name="flat")
-    no_edges = (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     return {
         "expand_density": ("coeffs", lambda: basis.expand_density(
             spec, coeffs[1:], pts, pts)),
         "expand_density_backward": ("grad_out", lambda:
             basis.expand_density_backward(spec, np.zeros(3), pts, pts, {})),
         "MolecularGraph_coord": ("atom_coord", lambda: geometry.MolecularGraph(
-            [0, 1], np.zeros((2, 2)), *no_edges, np.zeros((0, 3)), 3.0)),
-        "MolecularGraph_vec": ("edge_vec", lambda: geometry.MolecularGraph(
-            [0, 1], np.zeros((2, 3)), *no_edges, np.zeros((1, 3)), 3.0)),
+            [0, 1], np.zeros((2, 2)), 3.0)),
         "VoxelGrid": ("cell", lambda: geometry.VoxelGrid(
             (2, 2, 2), np.eye(3)[:2], np.zeros(3), np.zeros(8))),
         "QuerySample_points": ("points", lambda: geometry.QuerySample(

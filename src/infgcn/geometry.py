@@ -139,10 +139,8 @@ class VoxelGrid:
             volume = abs(np.linalg.det(cell))
         if not 1e-300 <= volume < np.inf:  # NaN fails too
             raise DomainError("cell is singular or its volume overflows")
-        origin = np.asarray(self.origin, dtype=float).reshape(3)
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.size != shape[0] * shape[1] * shape[2]:
-            raise DomainError("values length does not match shape product")
+        origin = check_array("origin", self.origin, (3,), finite=True)
+        values = check_array("values", self.values, (np.prod(shape),))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "origin", origin)

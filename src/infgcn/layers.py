@@ -577,6 +577,9 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     """
     feats = geometry.check_array("feats", feats,
                                  _feature_shape(graph.n_atoms, params))
+    if graph.cutoff > params.radial.cutoff:
+        raise DomainError(f"graph cutoff {graph.cutoff} exceeds the conv "
+                          f"layer's cutoff {params.radial.cutoff}")
     L, C, E = params.l_max, params.channels, graph.n_edges
     out = _per_order(params.self_w.T) * feats
     plan, vec = conv_plan(L), graph.edge_vec

@@ -108,6 +108,36 @@ def test_graph_symmetry_exact():
         assert np.array_equal(pairs[(v, u)], -r)
 
 
+def test_graph_is_the_radius_graph_of_its_atoms():
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-2.0, 2.0, size=(8, 3))
+    coords[1] = coords[0]  # coincident atoms keep their zero-length edges
+    coords[2] = (50.0, 0.0, 0.0)  # an isolated atom
+    coords[3], coords[4] = (0.0, 0.0, 10.0), (0.0, 0.0, 12.5)  # along +-z
+    types = rng.integers(0, 5, size=8)
+    g = geometry.MolecularGraph(types, coords, 3.0)
+    src, dst, vec = geometry.build_radius_graph(coords, 3.0)
+    assert np.array_equal(g.edge_src, src)
+    assert np.array_equal(g.edge_dst, dst)
+    assert np.array_equal(g.edge_vec, vec)
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    assert pairs == sorted(pairs) and not np.any(src == dst)
+    assert (0, 1) in pairs and 2 not in src and 2 not in dst
+    edge = {pair: e for e, pair in enumerate(pairs)}
+    assert np.array_equal(g.edge_vec[edge[(3, 4)]], [0.0, 0.0, 2.5])
+    for (u, v), e in edge.items():
+        assert np.array_equal(g.edge_vec[edge[(v, u)]], -g.edge_vec[e])
+    assert (g.edge_vec.tobytes()
+            == (coords[g.edge_dst] - coords[g.edge_src]).tobytes())
+    bad = coords.copy()
+    bad[5, 1] = np.nan
+    with pytest.raises(DomainError, match="^atom_coord must be finite"):
+        geometry.MolecularGraph(types, bad, 3.0)
+    for float_types in (types.astype(float), types + 0.7):
+        with pytest.raises(DomainError, match="^atom_type"):
+            geometry.MolecularGraph(float_types, coords, 3.0)
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: geometry.MolecularGraph([[0, 1]], np.zeros((2, 3)), 3.0),
      "atom_type"),
@@ -127,13 +157,17 @@ def test_graph_symmetry_exact():
                                 np.zeros(8)), "cell"),
     (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3),
                                 np.zeros(7)), "values"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(2),
+                                np.zeros(8)), "origin"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros((3, 1)),
+                                np.zeros(8)), "origin"),
     (lambda: geometry.QuerySample(np.zeros((4, 3)), np.zeros(3), 1.0),
      "targets"),
     (lambda: geometry.QuerySample(np.zeros((4, 2)), np.zeros(4), 1.0),
      "points"),
 ], ids=["type_2d", "type_negative", "coord_rows", "coord_2d", "shape_2",
         "shape_zero", "cell_2x2", "cell_singular", "values_short",
-        "targets_short", "points_2d"])
+        "origin_2", "origin_column", "targets_short", "points_2d"])
 def test_constructors_reject_bad_fields_naming_them(build, field):
     with pytest.raises(DomainError, match=f"^{field}"):
         build()

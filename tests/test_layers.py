@@ -453,6 +453,19 @@ def test_conv_layout_mismatch():
         layers.conv_forward(graph, bad, params)
 
 
+def test_conv_rejects_a_graph_built_at_a_larger_cutoff():
+    # two atoms 3.5 apart are an edge at 4.0, past the radial net's range;
+    # the check names both cutoffs before any distance is tested
+    rng = np.random.default_rng(14)
+    graph = geometry.MolecularGraph.from_coords(
+        [0, 0], [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0]], 4.0)
+    params = layers.init_conv_layer(rng, 1, 2, 3.0)
+    with pytest.raises(DomainError,
+                       match=r"^graph cutoff 4\.0 exceeds the conv layer's "
+                             r"cutoff 3\.0$"):
+        layers.conv_forward(graph, random_feats(rng, 2, 1, 2), params)
+
+
 @pytest.mark.parametrize("call, field", [
     ("conv_forward_degrees", "feats"), ("conv_forward_nodes", "feats"),
     ("conv_forward_channels", "feats"), ("conv_backward_feats", "feats"),

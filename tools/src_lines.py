@@ -1,5 +1,5 @@
 """Count the lines of the package source, split into docstring, comment and
-other lines (code and blank lines).
+other lines (code and blank lines): one line per module, then the total.
 
 A docstring line is any line of a module, class or function docstring; a
 comment line is one that holds nothing but a comment. Run from the
@@ -33,14 +33,19 @@ def count(path):
     return len(text.splitlines()), len(doc), len(comment - doc)
 
 
+def report(name, total, docs, comments):
+    print(f"{name}: {total} lines = {docs} docstring + {comments} comment "
+          f"+ {total - docs - comments} other")
+
+
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
     total = docs = comments = 0
     for path in sorted(root.rglob("*.py")):
         t, d, c = count(path)
+        report(path, t, d, c)
         total, docs, comments = total + t, docs + d, comments + c
-    print(f"{root}: {total} lines = {docs} docstring + {comments} comment "
-          f"+ {total - docs - comments} other")
+    report(root, total, docs, comments)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Discrete geometry: array checks, radius pairs and graphs, voxel grids,
-query sampling, resampling.
+query sampling, resampling. A molecular graph is built from its atoms:
+its edges are always ``build_radius_graph``'s.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -85,6 +86,9 @@ def build_radius_graph(coords, cutoff):
 
 @dataclass(frozen=True)
 class MolecularGraph:
+    """Atoms and their radius graph: the edges are ``build_radius_graph``'s
+    (src, dst, vec) at ``cutoff``, built on construction, never passed."""
+
     atom_type: np.ndarray
     atom_coord: np.ndarray
     cutoff: float

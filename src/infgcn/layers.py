@@ -416,7 +416,7 @@ class ConvPlan:
     where |m| = |m'|. ``pairs`` lists ``(l, k, p0, p1, qz, a, b, nz)`` in
     path order: the paths of one pair are ``phi[..., p0:p1]``, in
     ascending J, and row J of ``qz`` holds c_J Q_{J0} at the pair's
-    non-zero entries. Entry i lies in slot ``a[i]`` (degree l) and slot
+    non-zero entries, from ``so3.cg_m0``; no full table is built. Entry i lies in slot ``a[i]`` (degree l) and slot
     ``b[i]`` (degree k) of the (L+1)^2-slot layout, at flat index ``nz[i]``
     of the (2l+1, 2k+1) block; the first 2 min(l, k) + 1 entries have
     m = m', in ascending m, the rest m = -m' != 0. ``wigner`` holds
@@ -464,7 +464,7 @@ def _build_plan(l_max):
         ma = np.concatenate([m, -m[m != 0]])  # m = m', then m = -m' != 0
         mb = np.concatenate([m, m[m != 0]])
         qz = np.array([math.sqrt((2 * J + 1) / (4 * math.pi))
-                       * so3.cg_table(l, k, J)[J, l + ma, k + mb]
+                       * so3.cg_m0(l, k, J, ma, mb)
                        for _, _, J in paths])
         pairs.append((l, k, p0, p0 + len(qz), qz, l * l + l + ma,
                       k * k + k + mb, (l + ma) * (2 * k + 1) + k + mb))

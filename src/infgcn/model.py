@@ -43,8 +43,8 @@ _MAGIC = b"INFGCN1\n"
 # the most parameters a config may ask for: one flat vector is then 800 MB,
 # and training holds four (parameters, gradient, Adam's two moments)
 _MAX_PARAMS = 10**8
-# the highest degree cap: a cold `layers.conv_plan` grows about as L^5.5 and
-# took 40 s at L = 20 (one process, BLAS on 1 thread)
+# the highest degree cap: a cold `layers.conv_plan` grows about as L^4 and
+# took 1.4-1.7 s at L = 20 (one process, BLAS on 1 thread, 2-vCPU VM)
 _MAX_L = 20
 
 

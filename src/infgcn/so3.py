@@ -31,9 +31,11 @@ built from the exact rational coupling coefficients of the complex basis
 and the unitary real<->complex change of basis; for ``l+k+J`` odd the raw
 transform is purely imaginary and the table keeps the imaginary part, a
 unit-modulus rescaling that preserves both orthonormality and the
-intertwining property.  No table is kept: each call builds its own, and
-``layers.conv_plan``, built once per process for each l_max, is the one
-cache of coupling data.
+intertwining property.  No table is kept: each call builds its own.
+``cg_m0(l, k, J, ma, mb)`` gives entries of a table's M = 0 row, the only
+row the edge-frame convolution reads, from one exact scalar per |m| and no
+table; ``layers.conv_plan``, built from it once per process for each
+l_max, is the one cache of coupling data.
 """
 
 from __future__ import annotations
@@ -281,20 +283,52 @@ def _real_cg(l, k, J):
     return np.ascontiguousarray(table)
 
 
+def _check_triple(l, k, J):
+    if l < 0 or k < 0 or J < 0:
+        raise DomainError("degrees must be non-negative")
+    if not abs(l - k) <= J <= l + k:
+        raise DomainError(
+            f"degree triple ({l},{k},{J}) violates |l-k| <= J <= l+k")
+
+
 def cg_table(l, k, J):
     """Real Clebsch-Gordan table coupling degrees (l, k) to J: a new
     (2J+1, 2l+1, 2k+1) array, index (M, m1, m2), whose rows flattened over
     (m1, m2) are orthonormal; ``.reshape(2*J + 1, -1)`` is its m1-major
     matricization. Raises DomainError when (l, k, J) violates the triangle
     inequality. Nothing is memoized: callers that reuse tables keep what
-    they read, as ``layers.conv_plan`` keeps each path's M = 0 row.
+    they read. ``cg_m0`` gives the M = 0 row alone without the table.
     """
-    if l < 0 or k < 0 or J < 0:
-        raise DomainError("degrees must be non-negative")
-    if not abs(l - k) <= J <= l + k:
-        raise DomainError(
-            f"degree triple ({l},{k},{J}) violates |l-k| <= J <= l+k")
+    _check_triple(l, k, J)
     return _real_cg(l, k, J)
+
+
+def cg_m0(l, k, J, ma, mb):
+    """Entries ``cg_table(l, k, J)[J, l + ma, k + mb]`` of the M = 0 row,
+    built without the table, for integer order arrays with
+    ``|ma| == |mb| <= min(l, k)``, where the row's non-zero entries lie.
+
+    The real M = 0 harmonic is the complex one, so an entry is
+    sum_m A_l[ma, m] A_k[mb, -m] <l m k -m | J 0>, and row ``ma`` of A_l is
+    non-zero only at m = +-|ma|: two terms, one exact scalar per |m|, with
+    <l -m k m | J 0> = (-1)^(l+k-J) <l m k -m | J 0>. The real part is kept
+    when l + k + J is even and the imaginary part when it is odd, as in
+    ``cg_table``.
+    """
+    _check_triple(l, k, J)
+    ma, mb = np.asarray(ma), np.asarray(mb)
+    mu = np.abs(ma)
+    if ma.shape != mb.shape or np.any(mu != np.abs(mb)) \
+            or np.any(mu > min(l, k)):
+        raise DomainError("orders must satisfy |ma| == |mb| <= min(l, k)")
+    scalar = np.zeros(min(l, k) + 1)
+    for m in set(mu.tolist()):
+        scalar[m] = _cg_complex_scalar(l, m, k, -m, J, 0)
+    Al, Ak = _real_from_complex_basis(l), _real_from_complex_basis(k)
+    row = Al[l + ma, l + mu] * Ak[k + mb, k - mu]
+    flipped = (-1) ** (l + k - J) * Al[l + ma, l - mu] * Ak[k + mb, k + mu]
+    row = (row + np.where(mu > 0, flipped, 0.0)) * scalar[mu]
+    return row.real if (l + k + J) % 2 == 0 else row.imag
 
 
 # ---------------------------------------------------------------------------

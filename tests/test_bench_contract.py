@@ -1,6 +1,7 @@
 """The benchmark under ``perfbench/`` calls the package by name: the
 functions it wraps, the arguments its hooks read, and the training step it
-times. These tests import it, unchanged, and check that it still fits."""
+times. These tests import it, unchanged, check that it still fits, and
+replay some of its stored reference outputs in-process."""
 
 import inspect
 import os
@@ -77,3 +78,54 @@ def test_train_workload_reset_repeats_the_trajectory(bench, tmp_path):
     assert recs[2]["loss"] == recs[0]["loss"]
     assert (tmp_path / "traj.ckpt").exists()
     assert np.array_equal(work.params.flat, after_step1)
+
+
+@pytest.fixture
+def bench_run(bench):
+    import run
+    return (run,) + bench
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("seed", [0, 10])
+def test_train_a1_replays_its_golden_losses(bench_run, tmp_path, seed):
+    # the benchmark's stored five-step trajectory, from the inputs it
+    # generates for this seed; an op that drifts past 1e-6 fails there
+    run, child, _, _ = bench_run
+    spec = run.make_inputs("train-a1", seed, tmp_path / "data")
+    work = child.TrainWorkload(dict(spec, seed=seed))
+    want = run.load_golden("train-a1", seed)["loss"]
+    got = []
+    for _ in want:
+        rec, _ = child.run_op(work)
+        assert rec["error"] is None
+        got.append(rec["loss"])
+    assert max(map(_rel_err, got, want)) <= 1e-6, (got, want)
+
+
+def test_eval_grid_replays_its_golden_nmae_and_checksum(bench_run, tmp_path):
+    # one cmd_eval pass under the benchmark's counting hooks, as its count
+    # pass runs it: per-record and aggregate NMAE and the prediction
+    # checksum hold to 1e-9
+    run, child, probes, tracer = bench_run
+    spec = run.make_inputs("eval-grid", 0, tmp_path / "data")
+    work = child.EvalWorkload(dict(spec, seed=0))
+    want = run.load_golden("eval-grid", 0)
+    counter = tracer.Tracer(probes.TARGETS)
+    _, checksum = probes.make_hooks(counter)
+    counter.op = "count"
+    counter.install()
+    try:
+        rec, _ = child.run_op(work)
+    finally:
+        counter.uninstall()
+    assert rec["error"] is None
+    assert rec["records"].keys() == want["records"].keys()
+    for name, value in rec["records"].items():
+        assert _rel_err(value, want["records"][name]) <= 1e-9, name
+    assert _rel_err(rec["aggregate"], want["aggregate"]) <= 1e-9
+    got = checksum.value("count")
+    assert max(map(_rel_err, got, want["checksum"])) <= 1e-9, got

@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import threading
 import time
@@ -748,28 +749,72 @@ def test_conv_backward_reads_the_forwards_rotated_features(monkeypatch,
 
 
 def test_conv_plan_built_once(monkeypatch):
-    calls = []
-    real = so3.cg_table
+    # a cold plan builds no path's full table: cg_table is called only for
+    # the couplings wigner_blocks builds J_l from, the M = 0 row builder
+    # once per path, and each row takes one exact scalar per |m|
+    tables, rows = [], []
+    real_table, real_row = so3.cg_table, so3.cg_m0
+    real_scalar = so3._cg_complex_scalar
+    scalars = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_table(*args):
+        tables.append(args)
+        return real_table(*args)
 
-    monkeypatch.setattr(so3, "cg_table", counting)
+    def counting_scalar(*args):
+        scalars.append(args)
+        return real_scalar(*args)
+
+    def counting_row(l, k, J, ma, mb):
+        rows.append((l, k, J))
+        scalars.clear()
+        out = real_row(l, k, J, ma, mb)
+        assert sorted(s[1] for s in scalars) == list(range(min(l, k) + 1))
+        assert all(s == (l, s[1], k, -s[1], J, 0) for s in scalars)
+        return out
+
+    monkeypatch.setattr(so3, "cg_table", counting_table)
+    monkeypatch.setattr(so3, "cg_m0", counting_row)
+    monkeypatch.setattr(so3, "_cg_complex_scalar", counting_scalar)
     monkeypatch.setattr(layers, "_PLANS", {})
     rng = np.random.default_rng(24)
     graph, feats, params = small_instance(rng, l_max=3)
     layers.conv_forward(graph, feats, params)
-    # every path's table, and the couplings wigner_blocks builds J_l from
-    wigner = [(j - 1, 1, j) for j in range(2, 4)]
-    assert sorted(calls) == sorted(list(params.paths) + wigner)
-    calls.clear()
+    assert tables == [(j - 1, 1, j) for j in range(2, 4)]
+    assert rows == list(params.paths)
+    tables.clear()
+    rows.clear()
+    scalars.clear()
     # a built plan is read without the lock
     monkeypatch.setattr(layers, "_PLAN_LOCK", _NoLock())
     cache = {}
     layers.conv_forward(graph, feats, params, cache=cache)
     layers.conv_backward(graph, feats, params, feats, nan_twin(params), cache)
-    assert calls == []
+    assert tables == rows == scalars == []
+
+
+def test_conv_plan_matches_the_full_table_slice():
+    # every plan entry equals c_J times the M = 0 row of the full table at
+    # the pair's non-zero entries, in the layout ConvPlan documents; L = 9
+    # covers both parities of l + k + J for every (l, k) <= 9
+    for L in (0, 9):
+        plan = layers.conv_plan(L)
+        paths = layers.make_paths(L)
+        assert [p[:2] for p in plan.pairs] == sorted({p[:2] for p in paths})
+        for l, k, p0, p1, qz, a, b, nz in plan.pairs:
+            m = np.arange(-min(l, k), min(l, k) + 1)
+            ma = np.concatenate([m, -m[m != 0]])
+            mb = np.concatenate([m, m[m != 0]])
+            assert np.array_equal(a, l * l + l + ma)
+            assert np.array_equal(b, k * k + k + mb)
+            assert np.array_equal(nz, (l + ma) * (2 * k + 1) + k + mb)
+            want = np.array([math.sqrt((2 * J + 1) / (4 * math.pi))
+                             * so3.cg_table(l, k, J)[J, l + ma, k + mb]
+                             for _, _, J in paths[p0:p1]])
+            assert qz.shape == want.shape
+            assert np.abs(qz - want).max() <= 1e-15, (l, k)
+    qz = layers.conv_plan(0).pairs[0][4]
+    assert qz.tolist() == [[math.sqrt(1 / (4 * math.pi))]]
 
 
 class _NoLock:

@@ -303,6 +303,28 @@ def test_cg_triangle_violation():
         so3.cg_table(2, 0, 1)
 
 
+def test_cg_m0_is_the_tables_m0_row():
+    # the M = 0 row is non-zero only where |m1| = |m2|, and there cg_m0
+    # gives it in any order of slots, without building the table
+    for l in range(5):
+        for k in range(5):
+            for J in range(abs(l - k), l + k + 1):
+                row = cg_table(l, k, J)[J]
+                m1, m2 = np.meshgrid(np.arange(-l, l + 1),
+                                     np.arange(-k, k + 1), indexing="ij")
+                off = np.abs(m1) != np.abs(m2)
+                assert np.all(row[off] == 0.0)
+                ma, mb = m1[~off][::-1], m2[~off][::-1]
+                got = so3.cg_m0(l, k, J, ma, mb)
+                assert np.abs(got - row[l + ma, k + mb]).max() <= 1e-15
+    with pytest.raises(DomainError, match="violates"):
+        so3.cg_m0(1, 1, 3, [0], [0])
+    with pytest.raises(DomainError, match=r"\|ma\| == \|mb\|"):
+        so3.cg_m0(2, 1, 2, [1], [0])
+    with pytest.raises(DomainError, match=r"\|ma\| == \|mb\|"):
+        so3.cg_m0(2, 1, 2, [2], [-2])
+
+
 def test_cg_matches_exact_coupling_oracle():
     sympy = pytest.importorskip("sympy")
     from sympy.physics.quantum.cg import CG

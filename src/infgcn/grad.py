@@ -21,6 +21,7 @@ backward has run.
 """
 
 import math
+import mmap
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -156,11 +157,28 @@ class OptimizerState(OptimizerConfig):
     stale: int = 0
 
 
+def _mapped_zeros(n):
+    """``n`` float zeros in an anonymous mapping of their own, returned to
+    the system when the array goes. Parameter-sized state that outlives a
+    step (17 MB at the default size) is kept out of malloc's heap this way:
+    freed there, it leaves a hole that small allocations split, and the
+    next such vector extends the heap, so train-a1's peak RSS read 146 or
+    161 MiB by heap layout alone. The mapping is private, and like numpy's
+    own large arrays it asks for huge pages where the platform has them:
+    a first optimizer step on 4 KiB pages took ~25 ms longer."""
+    buf = mmap.mmap(-1, max(n, 1) * 8,
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, count=n)
+
+
 def init_optimizer(registry, **options):
     """Fresh state for ``registry``; ``options`` are `OptimizerConfig`'s."""
     cfg = schema.from_dict(OptimizerConfig, options, DomainError, "optimizer")
     n = registry.n_params
-    return OptimizerState(**asdict(cfg), m=np.zeros(n), v=np.zeros(n))
+    return OptimizerState(**asdict(cfg), m=_mapped_zeros(n),
+                          v=_mapped_zeros(n))
 
 
 def optimize_step(state, params, grads, registry):

@@ -416,10 +416,11 @@ class ConvPlan:
     where |m| = |m'|. ``pairs`` lists ``(l, k, p0, p1, qz, a, b, nz)`` in
     path order: the paths of one pair are ``phi[..., p0:p1]``, in
     ascending J, and row J of ``qz`` holds c_J Q_{J0} at the pair's
-    non-zero entries, from ``so3.cg_m0``; no full table is built. Entry i lies in slot ``a[i]`` (degree l) and slot
-    ``b[i]`` (degree k) of the (L+1)^2-slot layout, at flat index ``nz[i]``
-    of the (2l+1, 2k+1) block; the first 2 min(l, k) + 1 entries have
-    m = m', in ascending m, the rest m = -m' != 0. ``wigner`` holds
+    non-zero entries, from ``so3.cg_m0``; no full table is built. Entry
+    i lies in slot ``a[i]`` (degree l) and slot ``b[i]`` (degree k) of the
+    (L+1)^2-slot layout, at flat index ``nz[i]`` of the (2l+1, 2k+1)
+    block; the first 2 min(l, k) + 1 entries have m = m', in ascending m,
+    the rest m = -m' != 0. ``wigner`` holds
     J_l = D_l(R_x(-pi/2)), ``orders`` each slot's m and ``flip`` the slot of
     (l, -m). ``mixing`` counts that stage's multiplies per edge and
     channel entry (C of them, C * C in fc mode), ``rotation`` those of one

@@ -158,14 +158,13 @@ class OptimizerState(OptimizerConfig):
 
 
 def _mapped_zeros(n):
-    """``n`` float zeros in an anonymous mapping of their own, returned to
-    the system when the array goes. Parameter-sized state that outlives a
-    step (17 MB at the default size) is kept out of malloc's heap this way:
-    freed there, it leaves a hole that small allocations split, and the
-    next such vector extends the heap, so train-a1's peak RSS read 146 or
-    161 MiB by heap layout alone. The mapping is private, and like numpy's
-    own large arrays it asks for huge pages where the platform has them:
-    a first optimizer step on 4 KiB pages took ~25 ms longer."""
+    """``n`` float zeros in a private anonymous mapping of their own, which
+    is unmapped when the array goes. Kept in malloc's heap, parameter-sized
+    state (17 MB at the default size) leaves a hole when freed that small
+    allocations split, and train-a1's peak RSS read 146 or 161 MiB by heap
+    layout alone. It asks for huge pages as numpy does for its own large
+    arrays: a shared mapping, on 4 KiB pages, made the first optimizer
+    step on it ~25 ms slower."""
     buf = mmap.mmap(-1, max(n, 1) * 8,
                     flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):

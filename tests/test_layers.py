@@ -752,10 +752,9 @@ def test_conv_plan_built_once(monkeypatch):
     # a cold plan builds no path's full table: cg_table is called only for
     # the couplings wigner_blocks builds J_l from, the M = 0 row builder
     # once per path, and each row takes one exact scalar per |m|
-    tables, rows = [], []
+    tables, rows, scalars = [], [], []
     real_table, real_row = so3.cg_table, so3.cg_m0
     real_scalar = so3._cg_complex_scalar
-    scalars = []
 
     def counting_table(*args):
         tables.append(args)
@@ -813,8 +812,6 @@ def test_conv_plan_matches_the_full_table_slice():
                              for _, _, J in paths[p0:p1]])
             assert qz.shape == want.shape
             assert np.abs(qz - want).max() <= 1e-15, (l, k)
-    qz = layers.conv_plan(0).pairs[0][4]
-    assert qz.tolist() == [[math.sqrt(1 / (4 * math.pi))]]
 
 
 class _NoLock:

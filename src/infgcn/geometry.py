@@ -87,7 +87,9 @@ def build_radius_graph(coords, cutoff):
 @dataclass(frozen=True)
 class MolecularGraph:
     """Atoms and their radius graph: the edges are ``build_radius_graph``'s
-    (src, dst, vec) at ``cutoff``, built on construction, never passed."""
+    (src, dst, vec) at ``cutoff``, built on construction, never passed.
+    Edge ``edge_rev[e]`` is edge e reversed, -vec up to the sign of a zero,
+    so of one length bit for bit: the edges' order by (dst, src)."""
 
     atom_type: np.ndarray
     atom_coord: np.ndarray
@@ -95,6 +97,7 @@ class MolecularGraph:
     edge_src: np.ndarray = field(init=False)
     edge_dst: np.ndarray = field(init=False)
     edge_vec: np.ndarray = field(init=False)
+    edge_rev: np.ndarray = field(init=False)
 
     def __post_init__(self):
         types = np.asarray(self.atom_type)
@@ -110,6 +113,7 @@ class MolecularGraph:
         object.__setattr__(self, "edge_src", src)
         object.__setattr__(self, "edge_dst", dst)
         object.__setattr__(self, "edge_vec", vec)
+        object.__setattr__(self, "edge_rev", np.lexsort((src, dst)))
 
     @classmethod
     def from_coords(cls, atom_type, atom_coord, cutoff):

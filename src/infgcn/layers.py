@@ -34,24 +34,24 @@ only the backward reads is built only for a cache. The radial net keeps
 its activations ``e``, ``a1``, ``h1``, ``a2``, ``h2``. The convolution
 keeps its edges' frames ``frame`` (cos and sin of m phi and m theta), the
 neighbor features turned into them ``f``, the per-path radial scalars
-``phi`` (channel mode only), the radial net's cache ``radial`` and the
-edges' destination runs ``dst_order`` and ``dst_segments``. The residual
-layer keeps its query-atom pairs ``qi`` and ``vi``, sorted by atom, with
-the atoms' runs ``atom_segments``, their harmonics ``Y``, radial scalars
-``phi``, the radial cache ``radial`` and the features' projection ``s`` on
-the harmonics. A backward returns the gradient of its input and writes
-its parameter gradients into ``grads``, a twin of its parameters whose
-arrays view the flat gradient vector (``model.bind``); every entry is
-overwritten, so the twin needs no zeroing. The convolution's backward reads
-the edge-frame kernel at its non-zero entries only and never builds a
-dense W. In fc mode it redoes the radial net's head GEMM from the cached
-last hidden layer, because fc's per-path scalars are C times channel
-mode's (~53 MB per layer at L=7, C=16, 76 edges). Scatters onto nodes are
-sums over sorted runs of one index, not unbuffered scatter-adds: conv edges
-are sorted by source, and their gradients permuted into destination order,
-each run summed by one ``np.add.reduceat``; residual pairs are sorted by
-atom, and ``s`` and an atom's feature gradient are one GEMM per degree over
-its run. The residual output sums pairs per query with ``np.bincount``.
+``phi`` (channel mode only) and the radial net's cache ``radial``. The
+residual layer keeps its query-atom pairs ``qi`` and ``vi``, sorted by
+atom, with the atoms' runs ``atom_segments``, their harmonics ``Y``,
+radial scalars ``phi``, the radial cache ``radial`` and the features'
+projection ``s`` on the harmonics. A backward returns the gradient of its
+input and writes its parameter gradients into ``grads``, a twin of its
+parameters whose arrays view the flat gradient vector (``model.bind``);
+every entry is overwritten, so the twin needs no zeroing. The
+convolution's backward reads the edge-frame kernel at its non-zero entries
+only and never builds a dense W. In fc mode it redoes the radial net's
+head GEMM from the cached last hidden layer, because fc's per-path scalars
+are C times channel mode's (~53 MB per layer at L=7, C=16, 76 edges).
+Scatters onto nodes are sums over sorted runs of one index, not unbuffered
+scatter-adds: conv edges are sorted by source, and read through their
+reverses (``graph.edge_rev``) in destination order, each run summed by one
+``np.add.reduceat``; residual pairs are sorted by atom, and ``s`` and an
+atom's feature gradient are one GEMM per degree over its run. The residual
+output sums pairs per query with ``np.bincount``.
 
 The residual layer runs its radial net on every query-atom pair; uncached,
 a large batch is decoded from a checked, memoized table (``radial_forward``).
@@ -526,12 +526,21 @@ def _rotate(x, frame, plan, inverse=False):
     return turn(x, cos_phi, sin_phi) if inverse else x
 
 
-def _path_rows(phi, params):
-    """The radial net's (E, paths * X) output, X = C or in fc mode C * C, as
-    a C-contiguous (paths, E * X) array."""
+def _undirected(graph):
+    """Each undirected pair's first edge, and every edge's pair."""
+    e, rev = np.arange(graph.n_edges), graph.edge_rev
+    half = np.flatnonzero(e < rev)
+    return half, np.searchsorted(half, np.minimum(e, rev))
+
+
+def _path_rows(phi, params, pair):
+    """The radial net's (pairs, paths * X) output, X = C or in fc mode
+    C * C, as a C-contiguous (paths, E * X) array in which edge e reads
+    row ``pair[e]``. ``np.take`` writes C order; an index expression would
+    keep the transpose's strides, and the reshape would copy again."""
     shape = (len(phi), len(params.paths), math.prod(_channel_dims(params)))
-    rows = np.ascontiguousarray(phi.reshape(shape).transpose(1, 0, 2))
-    return rows.reshape(shape[1], shape[0] * shape[2])
+    rows = np.take(phi.reshape(shape).transpose(1, 0, 2), pair, axis=1)
+    return rows.reshape(shape[1], pair.size * shape[2])
 
 
 def _to_edges(x, idx):
@@ -574,7 +583,9 @@ def _kernel(zero, phi, pair, tail):
 def conv_forward(graph, feats, params, counters=None, cache=None):
     """One message-passing step: self-interaction plus neighbor messages.
 
-    A ``cache`` dict receives what ``conv_backward`` reads.
+    The radial net runs once per undirected edge: an edge and its reverse
+    (``graph.edge_rev``) have one length, bit for bit, and read one row of
+    phi. A ``cache`` dict receives what ``conv_backward`` reads.
     """
     feats = geometry.check_array("feats", feats,
                                  _feature_shape(graph.n_atoms, params))
@@ -588,14 +599,13 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     if np.any(r < _EPS_EDGE):
         raise DomainError("coincident atoms produce directionless edges")
     radial = None if cache is None else {}
-    phi = _path_rows(radial_forward(params.radial, r, counters, radial),
-                     params)
+    half, pair = _undirected(graph)
+    phi = _path_rows(radial_forward(params.radial, r[half], counters, radial),
+                     params, pair)
     frame = _frame(vec, plan)
     f = _rotate(_to_edges(feats, graph.edge_dst), frame, plan)
     if cache is not None:
-        order = np.argsort(graph.edge_dst, kind="stable")
-        cache.update(frame=frame, f=f, radial=radial, dst_order=order,
-                     dst_segments=_segments(graph.edge_dst[order]))
+        cache.update(frame=frame, f=f, radial=radial)
         if params.mode == "channel":
             # fc's phi is C times larger; its backward redoes the head GEMM
             # from the radial cache's h2 instead
@@ -630,9 +640,11 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
     grads.self_w[...] = _degree_sums((grad_out * feats).sum(axis=0)).T
     plan, frame, E = conv_plan(params.l_max), cache["frame"], graph.n_edges
     phi, f = cache.get("phi"), cache["f"]
+    half, pair = _undirected(graph)
     if phi is None:  # fc mode's forward kept no phi
         rp = params.radial
-        phi = _path_rows(cache["radial"]["h2"] @ rp.head_w + rp.head_b, params)
+        phi = _path_rows(cache["radial"]["h2"] @ rp.head_w + rp.head_b,
+                         params, pair)
     dims, (_, outer, adjoint) = _channel_dims(params), _MODES[params.mode]
     # in the edge frame the kernel is sparse: both gradients read it at its
     # non-zero entries only
@@ -650,9 +662,13 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
         grad_fe[b[0]:b[0] + d] += t[:d]
         grad_fe[b[d:]] += t[d:]
     grad_fe = _rotate(grad_fe, frame, plan, inverse=True)
-    _to_nodes(grad_f, cache["dst_segments"], grad_fe[:, cache["dst_order"]])
-    grad_phi = grad_phi.reshape((len(phi), E) + dims).swapaxes(0, 1)
-    radial_backward(params.radial, grad_phi.reshape(E, params.radial.out_dim),
+    _to_nodes(grad_f, _segments(graph.edge_src), grad_fe[:, graph.edge_rev])
+    # both directions of a pair read one radial row: their grad phi sums
+    rows = grad_phi.reshape((len(phi), E) + dims).swapaxes(0, 1)
+    grad_phi = rows[half]
+    grad_phi += rows[graph.edge_rev[half]]
+    radial_backward(params.radial,
+                    grad_phi.reshape(half.size, params.radial.out_dim),
                     grads.radial, cache["radial"])
     return grad_f
 

@@ -138,6 +138,29 @@ def test_graph_is_the_radius_graph_of_its_atoms():
             geometry.MolecularGraph(float_types, coords, 3.0)
 
 
+@pytest.mark.parametrize("case", ["random", "rounded", "one_atom", "empty"])
+def test_graph_pairs_each_edge_with_its_reverse(case):
+    # rounded coordinates give tied distances and axis-aligned edges
+    rng = np.random.default_rng(8)
+    n = {"random": 9, "rounded": 12, "one_atom": 1, "empty": 0}[case]
+    coords = rng.uniform(-2.0, 2.0, size=(n, 3))
+    if case == "rounded":
+        coords = np.round(coords)
+        coords[1] = coords[0] + (0.0, 0.0, 1.0)  # distinct atoms, along z
+    g = geometry.MolecularGraph(np.zeros(n, dtype=int), coords, 3.0)
+    rev, E = g.edge_rev, g.n_edges
+    assert rev.dtype.kind == "i" and rev.shape == (E,)
+    assert np.array_equal(rev[rev], np.arange(E))
+    assert np.array_equal(g.edge_src[rev], g.edge_dst)
+    assert np.array_equal(g.edge_dst[rev], g.edge_src)
+    # equal up to the sign of a zero component (0.0 - 0.0 is +0.0 both
+    # ways), so the squares, and with them the distances, are bit-identical
+    assert np.array_equal(g.edge_vec[rev], -g.edge_vec)
+    assert (g.edge_vec[rev] ** 2).tobytes() == (g.edge_vec ** 2).tobytes()
+    assert np.count_nonzero(np.arange(E) < rev) * 2 == E
+    assert (E > 0) == (case in ("random", "rounded"))
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: geometry.MolecularGraph([[0, 1]], np.zeros((2, 3)), 3.0),
      "atom_type"),

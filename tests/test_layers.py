@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coeff_rotation import cg_table, rotate_coeffs
 from infgcn import basis, geometry, layers, so3
@@ -741,7 +743,9 @@ def test_conv_backward_reads_the_forwards_rotated_features(monkeypatch,
     cache = {}
     assert np.array_equal(
         layers.conv_forward(graph, feats, params, cache=cache), uncached)
-    keys = {"frame", "f", "radial", "dst_order", "dst_segments"}
+    # the backward reads each edge's reverse and the source runs from the
+    # graph, so the cache keeps no edge order
+    keys = {"frame", "f", "radial"}
     assert set(cache) == (keys | {"phi"} if mode == "channel" else keys)
     layers.conv_backward(graph, feats, params, random_feats(rng, 5, 3, 3),
                          nan_twin(params), cache)
@@ -1055,6 +1059,67 @@ def test_conv_backward_matches_fd():
             if max(abs(fd), abs(got)) < 1e-8:
                 continue  # both zero at finite-difference resolution
             assert abs(fd - got) / max(abs(fd), abs(got), 1e-6) < 1e-4
+
+
+def _adjoint_graph(rng, n_random, z_pair, isolated):
+    """Up to four atoms drawn in a 3-bohr box, then optionally a pair along
+    z and an atom out of everyone's reach (also when no other atom is)."""
+    coords = [rng.uniform(-1.5, 1.5, size=(n_random, 3))]
+    if z_pair:
+        p = rng.uniform(-1.5, 1.5, size=3)
+        coords.append([p, p + (0.0, 0.0, rng.uniform(0.5, 2.5))])
+    if isolated or not (n_random or z_pair):
+        coords.append([(50.0, 0.0, 0.0)])
+    coords = np.concatenate(coords)
+    return geometry.MolecularGraph.from_coords(
+        np.zeros(len(coords), dtype=int), coords, 3.0)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_random=st.integers(0, 4),
+       z_pair=st.booleans(), isolated=st.booleans(),
+       l_max=st.integers(0, 3), channels=st.integers(1, 3),
+       mode=st.sampled_from(layers.CONV_MODES))
+@example(seed=0, n_random=0, z_pair=True, isolated=False, l_max=2,
+         channels=2, mode="channel")  # two atoms: one radial row
+@example(seed=0, n_random=0, z_pair=True, isolated=False, l_max=1,
+         channels=2, mode="fc")
+@example(seed=0, n_random=1, z_pair=False, isolated=True, l_max=2,
+         channels=2, mode="fc")  # no edges
+def test_conv_backward_is_the_adjoint_of_its_forward(
+        seed, n_random, z_pair, isolated, l_max, channels, mode):
+    # the conv output is linear in the features and in the radial head's
+    # weights and biases, so <conv(x + d) - conv(x), w> = <d, grad> holds
+    # to rounding for each of the three, with no finite differences
+    rng = np.random.default_rng(seed)
+    graph = _adjoint_graph(rng, n_random, z_pair, isolated)
+    params = layers.init_conv_layer(rng, l_max, channels, 3.0, mode=mode,
+                                    zero_head=False)
+    params.radial.head_w *= 100.0  # full Glorot scale
+    params.radial.head_b[:] = rng.standard_normal(params.radial.out_dim)
+    params.self_w[:] = rng.standard_normal(params.self_w.shape)
+    n = graph.n_atoms
+    x, w = (random_feats(rng, n, l_max, channels) for _ in range(2))
+    cache, grads = {}, nan_twin(params)
+    y = layers.conv_forward(graph, x, params, cache=cache)
+    grad_x = layers.conv_backward(graph, x, params, w, grads, cache)
+
+    def check(moved_x, moved, d, grad):
+        moved_y = layers.conv_forward(graph, moved_x, moved, cache={})
+        scale = ((np.abs(moved_y) + np.abs(y)) * np.abs(w)).sum() \
+            + (np.abs(d) * np.abs(grad)).sum()
+        err = abs(((moved_y - y) * w).sum() - (d * grad).sum())
+        assert err <= 1e-12 * scale, (err, scale)
+
+    d = random_feats(rng, n, l_max, channels)
+    check(x + d, params, d, grad_x)
+    for name in ("head_w", "head_b"):
+        moved = copy.deepcopy(params)
+        d = rng.standard_normal(getattr(params.radial, name).shape)
+        getattr(moved.radial, name)[...] += d
+        check(x, moved, d, getattr(grads.radial, name))
+    if graph.n_edges == 0:
+        assert not np.any(grads.radial.head_w)
 
 
 def test_residual_far_query_and_zero_features():

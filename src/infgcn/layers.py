@@ -34,24 +34,24 @@ only the backward reads is built only for a cache. The radial net keeps
 its activations ``e``, ``a1``, ``h1``, ``a2``, ``h2``. The convolution
 keeps its edges' frames ``frame`` (cos and sin of m phi and m theta), the
 neighbor features turned into them ``f``, the per-path radial scalars
-``phi`` (channel mode only) and the radial net's cache ``radial``. The
-residual layer keeps its query-atom pairs ``qi`` and ``vi``, sorted by
-atom, with the atoms' runs ``atom_segments``, their harmonics ``Y``,
-radial scalars ``phi``, the radial cache ``radial`` and the features'
-projection ``s`` on the harmonics. A backward returns the gradient of its
-input and writes its parameter gradients into ``grads``, a twin of its
-parameters whose arrays view the flat gradient vector (``model.bind``);
-every entry is overwritten, so the twin needs no zeroing. The
-convolution's backward reads the edge-frame kernel at its non-zero entries
-only and never builds a dense W. In fc mode it redoes the radial net's
-head GEMM from the cached last hidden layer, because fc's per-path scalars
-are C times channel mode's (~53 MB per layer at L=7, C=16, 76 edges).
-Scatters onto nodes are sums over sorted runs of one index, not unbuffered
-scatter-adds: conv edges are sorted by source, and read through their
-reverses (``graph.edge_rev``) in destination order, each run summed by one
-``np.add.reduceat``; residual pairs are sorted by atom, and ``s`` and an
-atom's feature gradient are one GEMM per degree over its run. The residual
-output sums pairs per query with ``np.bincount``.
+``phi`` (channel mode only) and the radial net's cache ``radial``, with
+one row per undirected edge, which both directions read. The residual
+layer keeps its query-atom pairs ``qi`` and ``vi``, sorted by atom, with
+the atoms' runs ``atom_segments``, their harmonics ``Y``, radial scalars
+``phi``, the radial cache ``radial`` and the features' projection ``s`` on
+the harmonics. A backward returns the gradient of its input and writes
+its parameter gradients into ``grads``, a twin of its parameters whose
+arrays view the flat gradient vector (``model.bind``); every entry is
+overwritten, so the twin needs no zeroing. The convolution's backward reads
+the edge-frame kernel at its non-zero entries only and never builds a
+dense W. In fc mode it redoes the radial net's head GEMM from the cached
+last hidden layer, because fc's per-path scalars are C times channel
+mode's (~53 MB per layer at L=7, C=16, 76 edges). Scatters onto nodes are
+sums over sorted runs of one index, not unbuffered scatter-adds: conv edges
+are sorted by source and their reverses (``edge_rev``) by destination,
+each run summed by one ``np.add.reduceat``; residual pairs are sorted by
+atom, and ``s`` and an atom's feature gradient are one GEMM per degree over
+its run. The residual output sums pairs per query with ``np.bincount``.
 
 The residual layer runs its radial net on every query-atom pair; uncached,
 a large batch is decoded from a checked, memoized table (``radial_forward``).

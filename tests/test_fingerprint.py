@@ -43,13 +43,13 @@ def _inputs(config):
     return params, graph, queries, rng.uniform(0.0, 0.5, size=40)
 
 
-def _sample_index(params):
+def _sample_index(registry):
     """``_PER_ARRAY`` fixed flat indices in each trainable array."""
-    reg, rng = model.ParamRegistry(params), np.random.default_rng(5)
-    ends = reg.offsets[1:] + [reg.n_params]
+    rng = np.random.default_rng(5)
+    ends = registry.offsets[1:] + [registry.n_params]
     return np.concatenate([np.sort(rng.choice(np.arange(lo, hi), _PER_ARRAY,
                                               replace=False))
-                           for lo, hi in zip(reg.offsets, ends)])
+                           for lo, hi in zip(registry.offsets, ends)])
 
 
 def _summary(x, index):
@@ -65,9 +65,9 @@ def fingerprint(config):
     train = layers.OpCounters()
     loss, g = grad.loss_and_grad(params, graph, queries, target,
                                  counters=train)
-    index = _sample_index(params)
-    before = params.flat.copy()
     registry = model.ParamRegistry(params)
+    index = _sample_index(registry)
+    before = params.flat.copy()
     state = grad.init_optimizer(registry, lr=1e-3)
     grad.optimize_step(state, params, g, registry)
     after = model.loss_l2(model.predict_density(params, graph, queries),

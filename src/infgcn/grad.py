@@ -9,8 +9,8 @@ parameter gradients straight into that vector, through a copy of the
 parameters bound to it (`model.bind`). The finite-difference verifier
 perturbs single entries of ``params.flat``; the two optimizers used for
 training update it in place, one ``_SLICE``-entry slice of the parameters,
-moments and gradient at a time through two slice-sized scratch buffers, so
-a step allocates nothing parameter-sized but its finiteness mask.
+moments and gradient at a time through slice-sized scratch buffers, so a
+step allocates nothing parameter-sized.
 
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is
@@ -18,10 +18,17 @@ one cache per layer, filled by its forward (`model.forward_trace`) and read
 by its backward, which requires it: no adjoint recomputes radial nets,
 harmonics, residual pairs or basis factors. Each cache is dropped once its
 backward has run.
+
+Each `loss_and_grad` and `optimize_step` call starts one worker thread and
+joins it before returning or raising. It runs the conv layers' radial net
+backwards, which write only their own nets' gradients, and the upper half
+of the optimizer's slices. Each array is written by one thread in a fixed
+order, so results do not depend on timing.
 """
 
 import math
 import mmap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -56,13 +63,21 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
             params.residual, grad_dens, grads.residual,
             cache=trace.pop("residual_cache"))
 
-    conv_caches = trace.pop("conv_caches")
-    for i in reversed(range(cfg.n_layers)):
-        g = layers.gate_backward(trace["pre_gate"][i], g, cfg.act0, cfg.act_l)
-        g = layers.conv_backward(graph, trace["pre_conv"][i], params.convs[i],
-                                 g, grads.convs[i], cache=conv_caches.pop())
+    conv_caches, jobs = trace.pop("conv_caches"), []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def submit(fn, *args):
+            jobs.append(pool.submit(fn, *args))
 
-    np.add.at(grads.embed, graph.atom_type, g[:, :, 0])
+        for i in reversed(range(cfg.n_layers)):
+            g = layers.gate_backward(trace["pre_gate"][i], g, cfg.act0,
+                                     cfg.act_l)
+            g = layers.conv_backward(
+                graph, trace["pre_conv"][i], params.convs[i], g,
+                grads.convs[i], cache=conv_caches.pop(), submit=submit)
+
+        np.add.at(grads.embed, graph.atom_type, g[:, :, 0])
+    for job in jobs:  # all have finished; the first error is raised
+        job.result()
     return loss, flat_grad
 
 
@@ -190,15 +205,32 @@ def optimize_step(state, params, grads, registry):
     g = geometry.check_array("gradient", grads, (registry.n_params,))
     # a state made for another registry fits no gradient
     geometry.check_array("gradient", g, state.m.shape)
-    if not np.all(np.isfinite(g)):
+    # a finite sum proves every entry finite; the scan, which names the
+    # first bad array, runs only when it is not (finite entries can overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = g.sum()
+    if not math.isfinite(total) and not np.all(np.isfinite(g)):
         name, _ = registry.slot_of(int(np.isfinite(g).argmin()))
         raise NonFiniteError(f"non-finite gradient for {name}")
     state.step += 1
+    # slices [0, mid) here and [mid, n) on a worker: the update is
+    # elementwise, so the split changes no bit
+    n_slices = -(-g.size // _SLICE)
+    mid = min(g.size, (n_slices + 1) // 2 * _SLICE)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        upper = pool.submit(_update, state, params, g, mid, g.size)
+        _update(state, params, g, 0, mid)
+    upper.result()
+
+
+def _update(state, params, g, start, stop):
+    """`optimize_step`'s update of entries [start, stop), one ``_SLICE``
+    at a time through a scratch buffer of its own."""
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    scratch = np.empty((2, min(_SLICE, g.size)))
-    for lo in range(0, g.size, _SLICE):
-        sl = slice(lo, lo + _SLICE)
+    scratch = np.empty((2, min(_SLICE, stop - start)))
+    for lo in range(start, stop, _SLICE):
+        sl = slice(lo, min(lo + _SLICE, stop))
         gs = g[sl]
         tmp, upd = scratch[:, :gs.size]
         if state.method == "gradient-descent":

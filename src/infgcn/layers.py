@@ -628,10 +628,15 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     return out
 
 
-def conv_backward(graph, feats, params, grad_out, grads, cache):
+def conv_backward(graph, feats, params, grad_out, grads, cache,
+                  submit=None):
     """Adjoint of conv_forward: returns the feature gradient and writes the
     parameter gradients into ``grads``, from the ``cache`` that
     ``conv_forward`` filled for the same graph and parameters.
+
+    With ``submit`` (an executor's ``submit``), the radial net's backward,
+    which writes only ``grads.radial``, is handed to it rather than run
+    before returning; the caller waits for it.
     """
     shape = _feature_shape(graph.n_atoms, params)
     feats = geometry.check_array("feats", feats, shape)
@@ -667,9 +672,12 @@ def conv_backward(graph, feats, params, grad_out, grads, cache):
     rows = grad_phi.reshape((len(phi), E) + dims).swapaxes(0, 1)
     grad_phi = rows[half]
     grad_phi += rows[graph.edge_rev[half]]
-    radial_backward(params.radial,
-                    grad_phi.reshape(half.size, params.radial.out_dim),
-                    grads.radial, cache["radial"])
+    args = (params.radial, grad_phi.reshape(half.size, params.radial.out_dim),
+            grads.radial, cache["radial"])
+    if submit is None:
+        radial_backward(*args)
+    else:
+        submit(radial_backward, *args)
     return grad_f
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cube import read_cube
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_values import VALUES
@@ -571,8 +572,8 @@ def test_predict_round_trips_through_cube(tmp_path):
     report = cli.cmd_predict(cfg, ckpt, out_dir=tmp_path / "cubes")
     entry = report["records"]["orc"]
     assert entry["nmae"] < 1e-4
-    _, _, pred_grid = dataio.read_cube(entry["pred"])
-    _, _, err_grid = dataio.read_cube(entry["err"])
+    _, _, pred_grid = read_cube(entry["pred"])
+    _, _, err_grid = read_cube(entry["err"])
     types, coords, truth = dataio.load_record(data / "orc")
     params = model.load_checkpoint(ckpt)
     graph = geometry.MolecularGraph.from_coords(types, coords,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cube import read_cube
 from disk_full import DiskFullAt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -265,7 +266,7 @@ def test_cube_value_order_and_round_trip(tmp_path):
                 want = values[i + 2 * j + 4 * k]
                 got = file_vals[4 * i + 2 * j + k]
                 assert abs(got - want) < 1e-5 * max(1.0, abs(want))
-    numbers, coords, g2 = dataio.read_cube(path)
+    numbers, coords, g2 = read_cube(path)
     assert numbers.tolist() == [8]
     assert np.abs(coords[0] - np.array([0.0, 0.1, -0.2])).max() < 1e-6
     assert g2.shape == grid.shape
@@ -278,7 +279,7 @@ def test_cube_rejects_malformed(tmp_path):
     for raw in (b"only\ntwo lines\n", b"\xff not text\n"):
         path.write_bytes(raw)
         with pytest.raises(SchemaError, match="malformed"):
-            dataio.read_cube(path)
+            read_cube(path)
 
 
 def test_cube_rejects_angstrom_units_by_name(tmp_path):
@@ -289,7 +290,7 @@ def test_cube_rejects_angstrom_units_by_name(tmp_path):
     lines[3] = "   -2" + lines[3][5:]  # a negative count means Angstrom
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError) as info:
-        dataio.read_cube(path)
+        read_cube(path)
     assert str(info.value) == f"{path}: Angstrom-unit CUBE not supported"
 
 
@@ -297,7 +298,7 @@ def test_read_cube_types_a_missing_file(tmp_path):
     path = tmp_path / "missing.cube"
     with pytest.raises(SchemaError, match=f"^cannot read cube {str(path)!r}: "
                        "No such file"):
-        dataio.read_cube(path)
+        read_cube(path)
 
 
 def test_synthetic_dataset_matches_truth(tmp_path):

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -347,8 +350,8 @@ def test_non_finite_gradient_in_last_slice_writes_nothing(monkeypatch,
 
 def test_optimizer_step_allocates_no_parameter_sized_temporary():
     # 2.2M parameters, 18 MB per flat vector: the update allocated two such
-    # temporaries (34.3 MB peak); in slices only the finiteness check's
-    # 2.2 MB mask is parameter-sized
+    # temporaries (34.3 MB peak); in slices, screened by a sum, the peak is
+    # the two threads' 1 MB scratch buffers
     params = model.init_params(model.ModelConfig(), seed=0, zero_heads=False)
     reg = grad.ParamRegistry(params)
     state = grad.init_optimizer(reg)
@@ -390,6 +393,23 @@ def test_param_arrays_stay_views_of_one_buffer(tmp_path):
     grad.optimize_step(state, loaded, grads, reg)
     assert loaded.flat is buf and not np.array_equal(loaded.flat, before)
     _assert_views_of_flat(loaded)
+
+
+def test_gradient_whose_sum_overflows_still_updates():
+    # two finite entries of 1e308 sum to inf: the screen falls back to the
+    # full scan, which finds every entry finite
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=36)
+    reg = grad.ParamRegistry(params)
+    state = grad.init_optimizer(reg, method="gradient-descent", lr=1e-3)
+    want = params.flat.copy()
+    grads = np.zeros(reg.n_params)
+    grads[[3, -2]] = 1e308
+    want -= 1e-3 * grads
+    grad.optimize_step(state, params, grads, reg)
+    assert np.array_equal(params.flat, want)
+    assert state.step == 1
 
 
 def test_bind_views_another_vector_and_leaves_params_alone():
@@ -435,6 +455,74 @@ def test_loss_and_grad_runs_radial_nets_and_harmonics_once(monkeypatch):
     _count_calls(monkeypatch, so3, "eval_real_sh", counts)
     grad.loss_and_grad(params, graph, queries, target)
     assert counts == {"radial_forward": 4, "_frame": 3, "eval_real_sh": 3}
+
+
+def _inline_backwards(monkeypatch):
+    """Make conv backwards ignore ``submit``, as direct callers run them:
+    every radial backward then runs inline."""
+    real = layers.conv_backward
+
+    def inline(*args, submit=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "conv_backward", inline)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("mode,l_max", [("channel", 7), ("fc", 3)])
+@pytest.mark.parametrize("edgeless", [False, True])
+def test_worker_backward_matches_inline_backward(monkeypatch, mode, l_max,
+                                                 residual, edgeless):
+    cfg = model.ModelConfig(mode=mode, l_max=l_max, channels=4,
+                            residual=residual)
+    params = model.init_params(cfg, seed=37, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=38, n_atoms=5,
+                                           n_queries=64)
+    if edgeless:  # no conv layer submits a row
+        graph = geometry.MolecularGraph.from_coords(
+            graph.atom_type, 4.0 * cfg.cutoff * graph.atom_coord, cfg.cutoff)
+        assert graph.n_edges == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+    try:
+        loss, vec = grad.loss_and_grad(params, graph, queries, target)
+    finally:
+        sys.setswitchinterval(interval)
+    _inline_backwards(monkeypatch)
+    want_loss, want = grad.loss_and_grad(params, graph, queries, target)
+    assert loss == want_loss
+    assert np.array_equal(vec, want)
+
+
+def test_worker_error_is_raised_after_every_job_finishes(monkeypatch):
+    cfg = model.ModelConfig(l_max=2, channels=3, n_layers=3, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=39, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=40)
+    real, main = layers.radial_backward, threading.get_ident()
+    finished, threads = [], set()
+
+    def radial_backward(net, *args):
+        if net is not params.residual.radial:
+            threads.add(threading.get_ident())
+        try:
+            # conv2's job is submitted first, conv0's last
+            if net is params.convs[2].radial:
+                raise DomainError("conv2 radial failed")
+            if net is params.convs[0].radial:
+                time.sleep(0.2)
+            real(net, *args)
+        finally:
+            finished.append(net)
+
+    monkeypatch.setattr(layers, "radial_backward", radial_backward)
+    n_threads = threading.active_count()
+    with pytest.raises(DomainError, match="^conv2 radial failed$"):
+        grad.loss_and_grad(params, graph, queries, target)
+    assert len(finished) == cfg.n_layers + 1
+    assert finished[-1] is params.convs[0].radial
+    assert threads and main not in threads
+    assert threading.active_count() == n_threads
 
 
 def _molecule(seed, n_atoms=18, half_width=2.8, min_sep=1.8):

@@ -9,7 +9,8 @@ parameter gradients straight into that vector, through a copy of the
 parameters bound to it (`model.bind`). The finite-difference verifier
 perturbs single entries of ``params.flat``; the two optimizers used for
 training update it in place, one ``_SLICE``-entry slice of the parameters,
-moments and gradient at a time through slice-sized scratch buffers, so a
+moments and gradient at a time through slice-sized scratch buffers, and
+one ``g.sum()`` screens the gradient's finiteness in place of a mask, so a
 step allocates nothing parameter-sized.
 
 There is no tape: the operation set is small and closed, so the chain is

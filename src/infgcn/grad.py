@@ -20,11 +20,15 @@ by its backward, which requires it: no adjoint recomputes radial nets,
 harmonics, residual pairs or basis factors. Each cache is dropped once its
 backward has run.
 
-Each `loss_and_grad` and `optimize_step` call starts one worker thread and
-joins it before returning or raising. It runs the conv layers' radial net
-backwards, which write only their own nets' gradients, and the upper half
-of the optimizer's slices. Each array is written by one thread in a fixed
-order, so results do not depend on timing.
+Each `loss_and_grad` call starts one worker thread and joins it before
+returning or raising. In the forward it runs the residual layer's
+query-atom pairs, radial net and harmonics while the main thread encodes
+the graph; in the backward, every radial net's backward (the residual
+net's and the conv layers'), each writing only its own net's gradients.
+`optimize_step` starts one for the upper half of the optimizer's slices
+when there is more than one slice. Each array is written by one thread in
+a fixed order, and the worker counts into an `OpCounters` of its own, so
+results do not depend on timing.
 """
 
 import math
@@ -49,26 +53,29 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
     # train-qm9 peak RSS read ~12 MB higher, from heap layout alone
     flat_grad = np.zeros(params.flat.size)
     grads = model.bind(params, flat_grad)
-    dens, trace = model.forward_trace(params, graph, queries, counters)
-    loss = model.loss_l2(dens, target, volume_weight)
-
-    w = np.asarray(volume_weight, dtype=float)
-    grad_dens = 2.0 * w * (dens - target)
-
-    g = basis.expand_density_backward(
-        trace["spec"], grad_dens, graph.atom_coord, trace["queries"],
-        cache=trace.pop("basis_cache"))
-    if params.residual is not None:
-        g += layers.residual_backward(
-            trace["queries"], graph.atom_coord, trace["coeffs"],
-            params.residual, grad_dens, grads.residual,
-            cache=trace.pop("residual_cache"))
-
-    conv_caches, jobs = trace.pop("conv_caches"), []
+    jobs = []
     with ThreadPoolExecutor(max_workers=1) as pool:
         def submit(fn, *args):
             jobs.append(pool.submit(fn, *args))
+            return jobs[-1]
 
+        dens, trace = model.forward_trace(params, graph, queries, counters,
+                                          submit=submit)
+        loss = model.loss_l2(dens, target, volume_weight)
+
+        w = np.asarray(volume_weight, dtype=float)
+        grad_dens = 2.0 * w * (dens - target)
+
+        g = basis.expand_density_backward(
+            trace["spec"], grad_dens, graph.atom_coord, trace["queries"],
+            cache=trace.pop("basis_cache"))
+        if params.residual is not None:
+            g += layers.residual_backward(
+                trace["queries"], graph.atom_coord, trace["coeffs"],
+                params.residual, grad_dens, grads.residual,
+                cache=trace.pop("residual_cache"), submit=submit)
+
+        conv_caches = trace.pop("conv_caches")
         for i in reversed(range(cfg.n_layers)):
             g = layers.gate_backward(trace["pre_gate"][i], g, cfg.act0,
                                      cfg.act_l)
@@ -215,9 +222,13 @@ def optimize_step(state, params, grads, registry):
         raise NonFiniteError(f"non-finite gradient for {name}")
     state.step += 1
     # slices [0, mid) here and [mid, n) on a worker: the update is
-    # elementwise, so the split changes no bit
+    # elementwise, so the split changes no bit. A gradient of one slice
+    # has no upper half and starts no worker
     n_slices = -(-g.size // _SLICE)
     mid = min(g.size, (n_slices + 1) // 2 * _SLICE)
+    if mid == g.size:
+        _update(state, params, g, 0, mid)
+        return
     with ThreadPoolExecutor(max_workers=1) as pool:
         upper = pool.submit(_update, state, params, g, mid, g.size)
         _update(state, params, g, 0, mid)

@@ -55,6 +55,10 @@ its run. The residual output sums pairs per query with ``np.bincount``.
 
 The residual layer runs its radial net on every query-atom pair; uncached,
 a large batch is decoded from a checked, memoized table (``radial_forward``).
+Its pairs, radial net and harmonics read no features (``_residual_pairs``):
+a training step runs them on a worker thread while the graph is encoded,
+and hands the worker the residual net's backward as it does the conv
+layers'.
 """
 from __future__ import annotations
 
@@ -327,18 +331,20 @@ def radial_forward(params, r, counters=None, cache=None):
 def radial_backward(params, grad_out, grads, cache):
     """Gradients of sum(grad_out * phi), from the activations
     ``radial_forward`` left in ``cache``, written into the six trainable
-    arrays of ``grads``."""
+    arrays of ``grads``. The layer gradients overwrite the cache's ``h2``
+    and ``h1``, so a cache serves one backward."""
     e, a1, h1, a2, h2 = (cache[k] for k in ("e", "a1", "h1", "a2", "h2"))
     # from the head down: each layer's weight and bias gradients from its
-    # input x and output gradient g, then g through the weight and the SiLU
-    # that produced x from a
+    # input x and output gradient g, then g through the weight, into x,
+    # which nothing reads again, and through the SiLU that produced x
+    # from a
     g = grad_out
     for x, w, b, a in ((h2, "head_w", "head_b", a2), (h1, "w2", "b2", a1),
                        (e, "w1", "b1", None)):
         np.matmul(x.T, g, out=getattr(grads, w))
         g.sum(axis=0, out=getattr(grads, b))
         if a is not None:
-            g = g @ getattr(params, w).T
+            g = np.matmul(g, getattr(params, w).T, out=x)
             g *= _silu_grad(a)
 
 
@@ -740,27 +746,42 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
                           cutoff=float(cutoff), radial=radial)
 
 
+def _residual_pairs(queries, coords, params, counters=None, keep=False):
+    """The residual layer's coefficient-free half, from checked arrays: its
+    query-atom pairs ``qi``, ``vi`` (sorted by atom), their radial scalars
+    ``phi``, (E, L+1, C), harmonics ``Y`` and, with ``keep``, radial cache.
+    It reads no features, so it can run while they are encoded."""
+    L, C = params.l_max, params.channels
+    vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
+    radial = {} if keep else None
+    phi = radial_forward(params.radial, r, counters, radial)
+    phi = phi.reshape(r.size, L + 1, C)
+    # vec runs from atom to query; negated it is exactly atom minus query
+    rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
+    return qi, vi, phi, so3.eval_real_sh(L, rhat), radial
+
+
 def residual_forward(queries, coords, feats, params, counters=None,
-                     cache=None):
+                     cache=None, pairs=None):
     """Invariant scalar z per query from neighborhood feature contraction.
 
     A ``cache`` dict receives what ``residual_backward`` reads. A query
     sitting exactly on an atom has no direction; it gets the zero vector,
     whose solid harmonics vanish for k >= 1, so the pair keeps its isotropic
     k = 0 term and contributes nothing through higher degrees.
+
+    ``pairs``, ``_residual_pairs``' result for the same arrays computed
+    ahead (with ``keep`` when ``cache`` is given), replaces that half here.
     """
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     coords = geometry.check_array("coords", coords, (None, 3), finite=True)
     feats = geometry.check_array("feats", feats,
                                  _feature_shape(len(coords), params))
     L, C = params.l_max, params.channels
-    vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
-    radial = None if cache is None else {}
-    phi = radial_forward(params.radial, r, counters, radial)
-    phi = phi.reshape(r.size, L + 1, C)
-    # vec runs from atom to query; negated it is exactly atom minus query
-    rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
-    Y = so3.eval_real_sh(L, rhat)
+    if pairs is None:
+        pairs = _residual_pairs(queries, coords, params, counters,
+                                keep=cache is not None)
+    qi, vi, phi, Y, radial = pairs
     # s[e, k] = Y[e, block k] @ feats[vi[e], :, block k].T, (E, L+1, C):
     # each pair's degree-k atom features projected on its harmonics, one
     # GEMM per atom run and degree
@@ -779,11 +800,13 @@ def residual_forward(queries, coords, feats, params, counters=None,
     return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
 
 
-def residual_backward(queries, coords, feats, params, grad_z, grads, cache):
+def residual_backward(queries, coords, feats, params, grad_z, grads, cache,
+                      submit=None):
     """Adjoint of residual_forward: returns the feature gradient and writes
     the radial gradients into ``grads``, from the ``cache`` that
     ``residual_forward`` filled for the same queries, coordinates, features
-    and parameters.
+    and parameters. ``submit`` takes the radial net's backward as in
+    ``conv_backward``.
     """
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     coords = geometry.check_array("coords", coords, (None, 3), finite=True)
@@ -803,7 +826,10 @@ def residual_backward(queries, coords, feats, params, grad_z, grads, cache):
             sl = so3.block_slice(k)
             grad_f[u, :, sl] = gphi[lo:hi, k].T @ Y[lo:hi, sl]
     grad_phi = ge[:, None, None] * cache["s"]
-    radial_backward(params.radial,
-                    grad_phi.reshape(qi.size, params.radial.out_dim),
-                    grads.radial, cache["radial"])
+    args = (params.radial, grad_phi.reshape(qi.size, params.radial.out_dim),
+            grads.radial, cache["radial"])
+    if submit is None:
+        radial_backward(*args)
+    else:
+        submit(radial_backward, *args)
     return grad_f

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -348,6 +349,28 @@ def test_non_finite_gradient_in_last_slice_writes_nothing(monkeypatch,
     assert state.step == 2
 
 
+def test_update_of_one_slice_starts_no_worker(monkeypatch):
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=1, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=47, zero_heads=False)
+    reg = grad.ParamRegistry(params)
+    assert reg.n_params <= grad._SLICE
+    split = model.bind(params, params.flat.copy())
+    states = [grad.init_optimizer(reg, lr=1e-2) for _ in range(2)]
+    rng = np.random.default_rng(48)
+    for _ in range(3):
+        grads = rng.standard_normal(reg.n_params)
+        with monkeypatch.context() as m:  # both halves, one on a worker
+            m.setattr(grad, "_SLICE", 7)
+            grad.optimize_step(states[1], split, grads, reg)
+        with monkeypatch.context() as m:
+            m.setattr(grad, "ThreadPoolExecutor", None)  # no pool may start
+            grad.optimize_step(states[0], params, grads, reg)
+    assert np.array_equal(params.flat, split.flat)
+    assert np.array_equal(states[0].m, states[1].m)
+    assert np.array_equal(states[0].v, states[1].v)
+
+
 def test_optimizer_step_allocates_no_parameter_sized_temporary():
     # 2.2M parameters, 18 MB per flat vector: the update allocated two such
     # temporaries (34.3 MB peak); in slices, screened by a sum, the peak is
@@ -457,15 +480,41 @@ def test_loss_and_grad_runs_radial_nets_and_harmonics_once(monkeypatch):
     assert counts == {"radial_forward": 4, "_frame": 3, "eval_real_sh": 3}
 
 
-def _inline_backwards(monkeypatch):
-    """Make conv backwards ignore ``submit``, as direct callers run them:
-    every radial backward then runs inline."""
-    real = layers.conv_backward
+def _inline_jobs(monkeypatch):
+    """Make the forward trace and every backward ignore ``submit``, as
+    direct callers run them: the residual layer's pairs and every radial
+    backward then run inline."""
+    for module, name in ((model, "forward_trace"),
+                         (layers, "residual_backward"),
+                         (layers, "conv_backward")):
+        def inline(*args, submit=None, _real=getattr(module, name), **kw):
+            return _real(*args, **kw)
 
-    def inline(*args, submit=None, **kwargs):
-        return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, inline)
 
-    monkeypatch.setattr(layers, "conv_backward", inline)
+
+def _leaves(x, path=""):
+    """``(path, array)`` of every array in nested dicts, lists and tuples."""
+    if isinstance(x, dict):
+        items = x.items()
+    elif isinstance(x, (list, tuple)):
+        items = enumerate(x)
+    else:
+        return [(path, x)] if isinstance(x, np.ndarray) else []
+    return [leaf for k, v in items for leaf in _leaves(v, f"{path}/{k}")]
+
+
+def _record_traces(monkeypatch):
+    """A list that receives a copy of every array of each forward trace."""
+    traces, real = [], model.forward_trace
+
+    def recorded(*args, **kwargs):
+        dens, trace = real(*args, **kwargs)
+        traces.append([(p, a.copy()) for p, a in _leaves(trace)])
+        return dens, trace
+
+    monkeypatch.setattr(model, "forward_trace", recorded)
+    return traces
 
 
 @pytest.mark.parametrize("residual", [True, False])
@@ -482,16 +531,57 @@ def test_worker_backward_matches_inline_backward(monkeypatch, mode, l_max,
         graph = geometry.MolecularGraph.from_coords(
             graph.atom_type, 4.0 * cfg.cutoff * graph.atom_coord, cfg.cutoff)
         assert graph.n_edges == 0
+    traces = _record_traces(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads interleave as often as they can
     try:
         loss, vec = grad.loss_and_grad(params, graph, queries, target)
     finally:
         sys.setswitchinterval(interval)
-    _inline_backwards(monkeypatch)
+    _inline_jobs(monkeypatch)
     want_loss, want = grad.loss_and_grad(params, graph, queries, target)
     assert loss == want_loss
     assert np.array_equal(vec, want)
+    got, ref = traces
+    assert [p for p, _ in got] == [p for p, _ in ref]
+    assert any("residual_cache/radial" in p for p, _ in got) == residual
+    for (path, a), (_, b) in zip(got, ref):
+        assert np.array_equal(a, b), path
+
+
+def test_worker_forward_counts_match_inline_counts():
+    # OpCounters.add is an unlocked read-modify-write: the worker's radial
+    # forward counts into a counter of its own, and only the calling thread
+    # adds to the caller's
+    cfg = model.ModelConfig(l_max=3, channels=4)
+    params = model.init_params(cfg, seed=43, zero_heads=False)
+    graph, queries, _ = make_instance(cfg, seed=44, n_atoms=5, n_queries=64)
+    want = layers.OpCounters()
+    want_dens, _ = model.forward_trace(params, graph, queries, counters=want)
+
+    class Counters(layers.OpCounters):
+        def add(self, key, n):
+            threads.add(threading.get_ident())
+            super().add(key, n)
+
+    got, threads, jobs = Counters(), set(), []
+
+    def submit(fn, *args):
+        jobs.append(pool.submit(fn, *args))
+        return jobs[-1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            dens, _ = model.forward_trace(params, graph, queries,
+                                          counters=got, submit=submit)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(jobs) == 1
+    assert np.array_equal(dens, want_dens)
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert threads == {threading.get_ident()}
 
 
 def test_worker_error_is_raised_after_every_job_finishes(monkeypatch):
@@ -500,13 +590,13 @@ def test_worker_error_is_raised_after_every_job_finishes(monkeypatch):
     params = model.init_params(cfg, seed=39, zero_heads=False)
     graph, queries, target = make_instance(cfg, seed=40)
     real, main = layers.radial_backward, threading.get_ident()
-    finished, threads = [], set()
+    finished, threads = [], {}
 
     def radial_backward(net, *args):
-        if net is not params.residual.radial:
-            threads.add(threading.get_ident())
+        threads[id(net)] = threading.get_ident()
         try:
-            # conv2's job is submitted first, conv0's last
+            # the residual net's job is submitted first, then conv2's;
+            # conv0's comes last
             if net is params.convs[2].radial:
                 raise DomainError("conv2 radial failed")
             if net is params.convs[0].radial:
@@ -519,9 +609,39 @@ def test_worker_error_is_raised_after_every_job_finishes(monkeypatch):
     n_threads = threading.active_count()
     with pytest.raises(DomainError, match="^conv2 radial failed$"):
         grad.loss_and_grad(params, graph, queries, target)
-    assert len(finished) == cfg.n_layers + 1
+    nets = [params.residual.radial] + [cp.radial for cp in params.convs]
+    assert len(finished) == len(nets)
+    assert finished[0] is params.residual.radial
     assert finished[-1] is params.convs[0].radial
-    assert threads and main not in threads
+    assert sorted(threads) == sorted(id(net) for net in nets)
+    assert main not in threads.values()
+    assert threading.active_count() == n_threads
+
+
+def test_encode_error_is_raised_after_the_forward_job_finishes(monkeypatch):
+    # the worker's residual job fails too, later: the caller gets the
+    # encode's error, as when both ran inline, and only once the job is done
+    cfg = model.ModelConfig(l_max=2, channels=3, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=45, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=46)
+    main, finished = threading.get_ident(), []
+    real_conv = layers.conv_forward
+
+    def residual_pairs(*args):
+        time.sleep(0.2)
+        finished.append(threading.get_ident())
+        raise DomainError("residual pairs failed")
+
+    def conv_forward(*args, **kwargs):
+        return np.full_like(real_conv(*args, **kwargs), np.nan)
+
+    monkeypatch.setattr(layers, "_residual_pairs", residual_pairs)
+    monkeypatch.setattr(layers, "conv_forward", conv_forward)
+    n_threads = threading.active_count()
+    with pytest.raises(NonFiniteError, match=r"conv_forward\[0\]"):
+        grad.loss_and_grad(params, graph, queries, target)
+    assert finished and main not in finished
     assert threading.active_count() == n_threads
 
 

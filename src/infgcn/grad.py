@@ -16,19 +16,23 @@ step allocates nothing parameter-sized.
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is
 one cache per layer, filled by its forward (`model.forward_trace`) and read
-by its backward, which requires it: no adjoint recomputes radial nets,
-harmonics, residual pairs or basis factors. Each cache is dropped once its
-backward has run.
+by its backward, which requires it: no adjoint recomputes harmonics,
+residual pairs, basis factors or a radial net's hidden layers (fc mode's
+conv backward redoes only the radial head's GEMM, from the cached last
+hidden layer). Each cache is dropped once its backward has run.
 
-Each `loss_and_grad` call starts one worker thread and joins it before
-returning or raising. In the forward it runs the residual layer's
-query-atom pairs, radial net and harmonics while the main thread encodes
-the graph; in the backward, every radial net's backward (the residual
-net's and the conv layers'), each writing only its own net's gradients.
-`optimize_step` starts one for the upper half of the optimizer's slices
-when there is more than one slice. Each array is written by one thread in
-a fixed order, and the worker counts into an `OpCounters` of its own, so
-results do not depend on timing.
+Each `loss_and_grad` call starts one worker thread and hands its
+executor's ``submit`` to the layers; without it every job runs inline.
+`model.forward_trace` submits the residual layer's query side
+(`layers._residual_pairs`) before encoding the graph and joins it after
+the basis expansion, where the inline pass runs it. Each backward submits
+its radial net's backward, which writes only that net's gradients.
+`loss_and_grad` joins every job before returning and raises the first
+job's error; a main-thread error is raised once they have all finished.
+Jobs count straight into the caller's `OpCounters`, whose ``add`` is
+atomic. `optimize_step` starts one worker for the upper half of the
+optimizer's slices when there is more than one. Each array is written by
+one thread in a fixed order, so results do not depend on timing.
 """
 
 import math

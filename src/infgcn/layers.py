@@ -55,10 +55,8 @@ its run. The residual output sums pairs per query with ``np.bincount``.
 
 The residual layer runs its radial net on every query-atom pair; uncached,
 a large batch is decoded from a checked, memoized table (``radial_forward``).
-Its pairs, radial net and harmonics read no features (``_residual_pairs``):
-a training step runs them on a worker thread while the graph is encoded,
-and hands the worker the residual net's backward as it does the conv
-layers'.
+Its pairs, radial net and harmonics read no features (``_residual_pairs``),
+so a training step's worker runs them during the encode (`grad`).
 """
 from __future__ import annotations
 
@@ -110,14 +108,24 @@ def make_paths(l_max):
     return tuple(out)
 
 
+_COUNT_LOCK = threading.Lock()
+
+
 @dataclass
 class OpCounters:
-    """Multiply counters keyed by stage name."""
+    """Multiply counters keyed by stage name; any thread may add."""
 
     counts: dict = field(default_factory=dict)
 
     def add(self, key, n):
-        self.counts[key] = self.counts.get(key, 0) + int(n)
+        n = int(n)
+        with _COUNT_LOCK:
+            self.counts[key] = self.counts.get(key, 0) + n
+
+
+def _run_now(fn, *args):
+    """A ``submit`` that runs the job at once, for callers without one."""
+    fn(*args)
 
 
 def _sigmoid(x):
@@ -638,11 +646,8 @@ def conv_backward(graph, feats, params, grad_out, grads, cache,
                   submit=None):
     """Adjoint of conv_forward: returns the feature gradient and writes the
     parameter gradients into ``grads``, from the ``cache`` that
-    ``conv_forward`` filled for the same graph and parameters.
-
-    With ``submit`` (an executor's ``submit``), the radial net's backward,
-    which writes only ``grads.radial``, is handed to it rather than run
-    before returning; the caller waits for it.
+    ``conv_forward`` filled for the same graph and parameters. The radial
+    net's backward goes to ``submit``, else runs at once (`grad`).
     """
     shape = _feature_shape(graph.n_atoms, params)
     feats = geometry.check_array("feats", feats, shape)
@@ -678,12 +683,9 @@ def conv_backward(graph, feats, params, grad_out, grads, cache,
     rows = grad_phi.reshape((len(phi), E) + dims).swapaxes(0, 1)
     grad_phi = rows[half]
     grad_phi += rows[graph.edge_rev[half]]
-    args = (params.radial, grad_phi.reshape(half.size, params.radial.out_dim),
-            grads.radial, cache["radial"])
-    if submit is None:
-        radial_backward(*args)
-    else:
-        submit(radial_backward, *args)
+    (submit or _run_now)(radial_backward, params.radial,
+                         grad_phi.reshape(half.size, params.radial.out_dim),
+                         grads.radial, cache["radial"])
     return grad_f
 
 
@@ -749,8 +751,7 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
 def _residual_pairs(queries, coords, params, counters=None, keep=False):
     """The residual layer's coefficient-free half, from checked arrays: its
     query-atom pairs ``qi``, ``vi`` (sorted by atom), their radial scalars
-    ``phi``, (E, L+1, C), harmonics ``Y`` and, with ``keep``, radial cache.
-    It reads no features, so it can run while they are encoded."""
+    ``phi``, (E, L+1, C), harmonics ``Y`` and, with ``keep``, radial cache."""
     L, C = params.l_max, params.channels
     vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
     radial = {} if keep else None
@@ -770,8 +771,8 @@ def residual_forward(queries, coords, feats, params, counters=None,
     whose solid harmonics vanish for k >= 1, so the pair keeps its isotropic
     k = 0 term and contributes nothing through higher degrees.
 
-    ``pairs``, ``_residual_pairs``' result for the same arrays computed
-    ahead (with ``keep`` when ``cache`` is given), replaces that half here.
+    ``pairs`` is ``_residual_pairs``' result for these arguments, computed
+    ahead (`grad`).
     """
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     coords = geometry.check_array("coords", coords, (None, 3), finite=True)
@@ -826,10 +827,7 @@ def residual_backward(queries, coords, feats, params, grad_z, grads, cache,
             sl = so3.block_slice(k)
             grad_f[u, :, sl] = gphi[lo:hi, k].T @ Y[lo:hi, sl]
     grad_phi = ge[:, None, None] * cache["s"]
-    args = (params.radial, grad_phi.reshape(qi.size, params.radial.out_dim),
-            grads.radial, cache["radial"])
-    if submit is None:
-        radial_backward(*args)
-    else:
-        submit(radial_backward, *args)
+    (submit or _run_now)(radial_backward, params.radial,
+                         grad_phi.reshape(qi.size, params.radial.out_dim),
+                         grads.radial, cache["radial"])
     return grad_f

@@ -245,18 +245,14 @@ def _encode(params, graph, counters, keep):
 def _forward(params, graph, queries, counters, keep, coeffs=None,
              submit=None):
     """Encode unless ``coeffs`` is given, then decode at ``queries``. With
-    ``keep`` each layer that has an adjoint fills a cache for it. With
-    ``submit`` the residual layer's coefficient-free half runs during the
-    encode."""
+    ``keep`` each layer that has an adjoint fills a cache for it; ``submit``
+    runs the residual layer's query side during the encode (`grad`)."""
     cfg = params.config
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     ahead = None
     if submit is not None and params.residual is not None:
-        # OpCounters.add is not atomic: the job counts into its own,
-        # merged after the join
-        local = None if counters is None else layers.OpCounters()
-        ahead = local, submit(layers._residual_pairs, queries,
-                              graph.atom_coord, params.residual, local, keep)
+        ahead = submit(layers._residual_pairs, queries, graph.atom_coord,
+                       params.residual, counters, keep)
     if coeffs is None:
         coeffs, trace = _encode(params, graph, counters, keep)
     else:  # expand_density rejects a misshapen coeffs, naming it
@@ -269,12 +265,8 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
                                 cache=basis_cache)
     _check_finite(dens, "expand_density")
     if params.residual is not None:
-        pairs = None
-        if ahead is not None:  # joined where the inline pass would run it
-            local, job = ahead
-            pairs = job.result()
-            for key, n in (local.counts.items() if local else ()):
-                counters.add(key, n)
+        # joined where the inline pass runs it
+        pairs = None if ahead is None else ahead.result()
         z = layers.residual_forward(queries, graph.atom_coord, coeffs,
                                     params.residual, counters,
                                     cache=residual_cache, pairs=pairs)
@@ -296,12 +288,7 @@ def forward_trace(params, graph, queries, counters=None, submit=None):
     """Encode and decode, keeping the intermediates the adjoint pass needs:
     each layer's input and pre-gate output, and the caches its backward
     reads (``conv_caches`` per layer, ``basis_cache``, ``residual_cache``).
-
-    With ``submit`` (an executor's ``submit``), the residual layer's
-    query-atom pairs, radial net forward and harmonics run on the executor
-    while the calling thread encodes the graph; outputs, counts and the
-    order of errors are the inline pass's. An encode error is raised
-    without waiting for the job, which the caller's executor joins."""
+    ``submit`` takes the residual layer's query side (`grad`)."""
     return _forward(params, graph, queries, counters, keep=True,
                     submit=submit)
 

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -77,6 +78,30 @@ def test_paths_count_and_triangle():
     for l, k, J in paths:
         assert abs(l - k) <= J <= l + k
     assert list(paths) == sorted(paths)
+
+
+def test_op_counters_lose_no_concurrent_add():
+    # a training step's worker and main thread add to one counter at once
+    counters, n_threads, n_adds = layers.OpCounters(), 4, 20_000
+    barrier = threading.Barrier(n_threads)
+
+    def add():
+        barrier.wait(timeout=30)
+        for _ in range(n_adds):
+            counters.add("radial", 1)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=add) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counters.counts == {"radial": n_threads * n_adds}
 
 
 def test_radial_deterministic():
@@ -1120,6 +1145,95 @@ def test_conv_backward_is_the_adjoint_of_its_forward(
         check(x, moved, d, getattr(grads.radial, name))
     if graph.n_edges == 0:
         assert not np.any(grads.radial.head_w)
+
+
+def _residual_points(rng, n_atoms, n_queries, on_atom, at_cutoff, lonely):
+    """Up to four atoms and five queries drawn around the origin, then
+    optionally a query on an atom, one exactly 3 bohr (the cutoff) from an
+    atom, and an atom out of every query's reach (also when there is no
+    other atom). Atoms sit on a 1/8-bohr lattice, so the cutoff distance is
+    exact."""
+    coords = [np.round(8.0 * rng.uniform(-1.5, 1.5, size=(n_atoms, 3))) / 8]
+    queries = [rng.uniform(-2.0, 2.0, size=(n_queries, 3))]
+    if on_atom or at_cutoff:
+        atom = np.round(8.0 * rng.uniform(-1.5, 1.5, size=3)) / 8
+        coords.append([atom])
+        if on_atom:
+            queries.append([atom])
+        if at_cutoff:
+            queries.append([atom + (0.0, 0.0, 3.0)])
+    if lonely or not (n_atoms or on_atom or at_cutoff):
+        coords.append([(50.0, 0.0, 0.0)])
+    return np.concatenate(coords), np.concatenate(queries)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(0, 4),
+       n_queries=st.integers(0, 5), on_atom=st.booleans(),
+       at_cutoff=st.booleans(), lonely=st.booleans(),
+       l_max=st.integers(0, 3), channels=st.integers(1, 3))
+@example(seed=0, n_atoms=1, n_queries=2, on_atom=True, at_cutoff=False,
+         lonely=False, l_max=2, channels=2)
+@example(seed=0, n_atoms=0, n_queries=0, on_atom=False, at_cutoff=True,
+         lonely=False, l_max=3, channels=1)
+@example(seed=0, n_atoms=2, n_queries=1, on_atom=False, at_cutoff=False,
+         lonely=True, l_max=1, channels=3)
+@example(seed=0, n_atoms=0, n_queries=3, on_atom=False, at_cutoff=False,
+         lonely=True, l_max=2, channels=2)  # no pair at all
+def test_residual_backward_is_the_adjoint_of_its_forward(
+        seed, n_atoms, n_queries, on_atom, at_cutoff, lonely, l_max,
+        channels):
+    # z is linear in the features and in the radial head's weights and
+    # biases, so <z(x + d) - z(x), w> = <d, grad> holds to rounding for
+    # each; the backward runs with no submit, then on a one-worker pool
+    rng = np.random.default_rng(seed)
+    coords, queries = _residual_points(rng, n_atoms, n_queries, on_atom,
+                                       at_cutoff, lonely)
+    _, _, _, r = geometry.radius_pairs(coords, queries, 3.0)
+    assert (3.0 in r) == at_cutoff and (0.0 in r) >= on_atom
+    params = layers.init_residual_layer(rng, l_max, channels, 3.0,
+                                        zero_head=False)
+    params.radial.head_w *= 100.0  # full Glorot scale
+    params.radial.head_b[:] = rng.standard_normal(params.radial.out_dim)
+    x = random_feats(rng, len(coords), l_max, channels)
+    w = rng.standard_normal(len(queries))
+    z = layers.residual_forward(queries, coords, x, params)
+    moves = [(None, random_feats(rng, len(coords), l_max, channels))] + [
+        (name, rng.standard_normal(getattr(params.radial, name).shape))
+        for name in ("head_w", "head_b")]
+    runs, jobs = [], []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def submit(fn, *args):
+            jobs.append(pool.submit(fn, *args))
+
+        for kw in ({}, {"submit": submit}):
+            cache, grads = {}, nan_twin(params)
+            layers.residual_forward(queries, coords, x, params, cache=cache)
+            runs.append((layers.residual_backward(
+                queries, coords, x, params, w, grads, cache, **kw), grads))
+    assert len(jobs) == 1
+    jobs[0].result()
+    for grad_x, grads in runs:
+        for name, d in moves:
+            if name is None:
+                moved, moved_x, grad = params, x + d, grad_x
+            else:
+                moved, moved_x = copy.deepcopy(params), x
+                getattr(moved.radial, name)[...] += d
+                grad = getattr(grads.radial, name)
+            moved_z = layers.residual_forward(queries, coords, moved_x,
+                                              moved)
+            scale = ((np.abs(moved_z) + np.abs(z)) * np.abs(w)).sum() \
+                + (np.abs(d) * np.abs(grad)).sum()
+            err = abs(((moved_z - z) * w).sum() - (d * grad).sum())
+            assert err <= 1e-12 * scale, (name, err, scale)
+        if r.size == 0:
+            assert not np.any(grad_x) and not np.any(grads.radial.head_w)
+    (grad_x, grads), (want_x, want) = runs
+    assert np.array_equal(grad_x, want_x)
+    for _, _, attr in grads.slots(""):
+        assert np.array_equal(getattr(grads.radial, attr),
+                              getattr(want.radial, attr))
 
 
 def test_residual_far_query_and_zero_features():

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 from disk_full import DiskFullAt
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infgcn import basis, dataio, geometry, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError
@@ -209,6 +211,51 @@ def test_full_model_equivariance():
             graph.atom_type, graph.atom_coord @ R.T, SMALL.cutoff)
         rot = model.predict_density(params, graph_r, q @ R.T)
         assert np.abs(rot - base).max() < 1e-7 * max(1.0, np.abs(base).max())
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), l_max=st.integers(0, 3),
+       channels=st.integers(1, 3), mode=st.sampled_from(layers.CONV_MODES),
+       n_layers=st.integers(1, 2), residual=st.booleans(),
+       act_l=st.sampled_from(layers.ACTIVATIONS), n_random=st.integers(0, 3),
+       z_pair=st.booleans(), isolated=st.booleans())
+@example(seed=0, l_max=2, channels=2, mode="fc", n_layers=2, residual=True,
+         act_l="silu", n_random=2, z_pair=True, isolated=True)
+@example(seed=1, l_max=2, channels=3, mode="channel", n_layers=2,
+         residual=True, act_l="identity", n_random=3, z_pair=True,
+         isolated=False)
+def test_prediction_is_equivariant_and_matches_the_trace_bitwise(
+        seed, l_max, channels, mode, n_layers, residual, act_l, n_random,
+        z_pair, isolated):
+    # under 1,024 query-atom pairs, so no decode table or second row block
+    # separates the uncached radial pass from the cached one
+    rng = np.random.default_rng(seed)
+    cfg = model.ModelConfig(l_max=l_max, channels=channels, n_layers=n_layers,
+                            cutoff=3.0, vocab=3, residual=residual, mode=mode,
+                            act_l=act_l, r_min=0.5, r_max=3.0)
+    params = model.init_params(cfg, seed=seed % 1000, zero_heads=False)
+    nets = [cp.radial for cp in params.convs]
+    for net in nets + ([params.residual.radial] if residual else []):
+        net.head_w *= 100.0  # full Glorot scale
+        net.head_b[:] = rng.standard_normal(net.out_dim)
+    coords = [rng.uniform(-1.5, 1.5, size=(n_random, 3))]
+    if z_pair:
+        p = rng.uniform(-1.5, 1.5, size=3)
+        coords.append([p, p + (0.0, 0.0, rng.uniform(0.5, 2.5))])
+    if isolated or not (n_random or z_pair):
+        coords.append([(50.0, 0.0, 0.0)])
+    coords = np.concatenate(coords)
+    types = rng.integers(0, cfg.vocab, size=len(coords))
+    graph = geometry.MolecularGraph.from_coords(types, coords, cfg.cutoff)
+    queries = rng.uniform(-2.0, 2.0, size=(16, 3))
+    base = model.predict_density(params, graph, queries)
+    traced, _ = model.forward_trace(params, graph, queries)
+    assert np.array_equal(traced, base)
+    R = so3.random_rotation(rng)
+    graph_r = geometry.MolecularGraph.from_coords(types, coords @ R.T,
+                                                  cfg.cutoff)
+    rot = model.predict_density(params, graph_r, queries @ R.T)
+    assert np.abs(rot - base).max() <= 1e-10 * np.abs(base).max()
 
 
 def test_equivariance_report():

@@ -10,27 +10,6 @@ with the real solid harmonic |d|^l Y_lm(dhat) of ``so3.eval_real_sh`` and
 (n, l, m) unit-norm in L2(R^3).  Exponents derive from characteristic radii
 r_k via a_k = 1/(2 r_k^2); radii are spaced linearly (default) or
 geometrically between r_min and r_max, so the first exponent is the tightest.
-
-The basis factors into a radial part E_n = exp(-a_n |d|^2) that does not
-depend on l and an angular part |d|^l Y_lm(dhat) that does not depend on n.
-`expand_density` folds c_{n l} into the coefficients, contracts E with them
-in one batched GEMM per chunk of queries and only then multiplies by the
-angular factor, so a chunk of q queries holds (U, q, n) and (U, q, S) arrays
-for U centers and S = (l_max+1)^2, never a (U, q, n, S) table of basis values.
-The adjoint needs the same two factors and reads them from the forward's
-cache instead of evaluating the harmonics again, at the price of holding
-every chunk's factors (~6 MB per 512 queries at 18 centers) until it runs.
-
-When the queries are a box of points (xs[i], ys[j], zs[k]) in X-fastest
-order, as `geometry.partition_grid` makes on an axis-aligned cell, and no
-cache is asked for, the harmonics are polynomials (`so3.sh_monomials`) and
-the Gaussian factors per axis, so the density is a sum of products of 1-D
-tables (x - c_x)^i exp(-a_n (x - c_x)^2), contracted in three GEMMs
-(`_expand_box`). That path evaluates no harmonic at a voxel and has no
-adjoint; other queries, and every forward that fills a cache, take the
-dense path.
-
-All lengths are Bohr; densities are e/Bohr^3.
 """
 
 from __future__ import annotations
@@ -41,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, so3
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 _CHUNK = 512  # queries per block of basis factors
 _TINY = np.finfo(float).tiny
@@ -144,12 +123,14 @@ def expand_density(spec, coeffs, centers, queries, cache=None):
     Returns (Q,).  Linear in the coefficients.  Per chunk of queries the
     radial factor E (U, q, n) meets the coefficients, with c_{n l} folded in,
     in one batched GEMM, and the result is contracted with the angular factor
-    Y (U, q, S); the chunks bound the size of Y. A ``cache`` dict receives
-    every chunk's factors under ``chunks`` for ``expand_density_backward``,
-    which holds all of them at once.
+    Y (U, q, S); the chunks bound the size of Y, and no (U, q, n, S) table
+    of basis values is formed. A ``cache`` dict receives every chunk's
+    factors under ``chunks`` for ``expand_density_backward``, which holds
+    all of them at once (~6 MB per 512 queries at 18 centers).
 
     Without a ``cache``, queries that are exactly a box (`_box_axes`) are
-    decoded from per-axis factor tables instead (`_expand_box`).
+    decoded from per-axis factor tables instead (`_expand_box`), a path
+    with no adjoint.
     """
     centers = geometry.check_array("centers", centers, (None, 3), finite=True)
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
@@ -235,50 +216,4 @@ def expand_density_backward(spec, grad_out, centers, queries, cache):
     for sl, (E, Y) in cache["chunks"]:
         grad += E.transpose(0, 2, 1) @ (Y * grad_out[sl, None])
     return grad * _norm_columns(spec)
-
-
-def overlap_integral_numeric(spec, i, j, displacement, n_points=20, tol=1e-6):
-    """Overlap  S = int psi_i(x) psi_j(x - r) d^3x  by tensor Gauss-Hermite.
-
-    ``i``/``j`` are (n, l, m) index triples into ``spec``; ``displacement`` is
-    the second center relative to the first.  The two Gaussians combine into a
-    single one; the polynomial factor has degree l_i + l_j, so the rule is
-    exact once n_points exceeds half that.  The error is estimated against a
-    larger rule; if the estimate exceeds ``tol`` an AccuracyError is raised.
-    """
-    val_lo = _overlap_gh(spec, i, j, displacement, n_points)
-    val_hi = _overlap_gh(spec, i, j, displacement, n_points + 6)
-    est = abs(val_hi - val_lo)
-    if est > tol:
-        raise AccuracyError(
-            f"overlap quadrature at {n_points} points is too coarse: "
-            f"estimated error {est:.3e} > tol {tol:.1e}")
-    return val_hi
-
-
-def _overlap_gh(spec, i, j, displacement, n_points):
-    n1, l1, m1 = i
-    n2, l2, m2 = j
-    for (n, l, m) in (i, j):
-        if not 0 <= n < spec.n_radial:
-            raise DomainError(f"radial index {n} out of range")
-        if not 0 <= l <= spec.l_max or abs(m) > l:
-            raise DomainError(f"angular index ({l},{m}) out of range")
-    r = np.asarray(displacement, dtype=float)
-    a1 = spec.exponents[n1]
-    a2 = spec.exponents[n2]
-    beta = a1 + a2
-    c = a2 * r / beta
-    mu = a1 * a2 / beta
-    t, w = np.polynomial.hermite.hermgauss(n_points)
-    scale = 1.0 / math.sqrt(beta)
-    g = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
-    x = c + g * scale
-    wt = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    s1 = so3.eval_real_sh(l1, x)[:, so3.sh_index(l1, m1)]
-    s2 = so3.eval_real_sh(l2, x - r)[:, so3.sh_index(l2, m2)]
-    c1 = float(normalization_constant(a1, l1))
-    c2 = float(normalization_constant(a2, l2))
-    total = float(np.dot(wt, s1 * s2))
-    return c1 * c2 * math.exp(-mu * float(r @ r)) * scale ** 3 * total
 

@@ -138,9 +138,8 @@ def load_record(stem):
 
 
 def save_record(stem, types, coords, grid):
-    """Write the two record files, in Bohr and e-/Bohr^3: the blob, then
-    the metadata that holds its checksum. The grid must be
-    endpoint-exclusive."""
+    """Write the two record files, in Bohr and e-/Bohr^3, in the order the
+    module docstring gives. The grid must be endpoint-exclusive."""
     stem = os.fspath(stem)
     types = np.asarray(types, dtype=int)
     coords = np.asarray(coords, dtype=float)

@@ -1,6 +1,5 @@
 """Discrete geometry: array checks, radius pairs and graphs, voxel grids,
-query sampling, resampling. A molecular graph is built from its atoms:
-its edges are always ``build_radius_graph``'s.
+query sampling, resampling.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -19,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import so3
 from .errors import DomainError
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "VoxelGrid",
     "QuerySample",
     "check_array",
+    "check_atom_types",
     "radius_pairs",
     "build_radius_graph",
     "grid_coordinates",
@@ -52,6 +53,15 @@ def check_array(name, a, shape, finite=False):
     if finite and not np.all(np.isfinite(a)):
         raise DomainError(f"{name} must be finite")
     return a
+
+
+def check_atom_types(atom_type):
+    """``atom_type`` as a 1-D array of non-negative ints, or DomainError."""
+    types = np.asarray(atom_type)
+    if (types.ndim != 1 or types.size and types.dtype.kind not in "iu"
+            or np.any(types < 0)):
+        raise DomainError("atom_type must be 1-D non-negative integers")
+    return types.astype(int)
 
 
 def radius_pairs(centers, points, cutoff):
@@ -100,14 +110,11 @@ class MolecularGraph:
     edge_rev: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        types = np.asarray(self.atom_type)
-        if (types.ndim != 1 or types.size and types.dtype.kind not in "iu"
-                or np.any(types < 0)):
-            raise DomainError("atom_type must be 1-D non-negative integers")
+        types = check_atom_types(self.atom_type)
         coords = check_array("atom_coord", self.atom_coord, (types.size, 3),
                              finite=True)
         src, dst, vec = build_radius_graph(coords, self.cutoff)
-        object.__setattr__(self, "atom_type", types.astype(int))
+        object.__setattr__(self, "atom_type", types)
         object.__setattr__(self, "atom_coord", coords)
         object.__setattr__(self, "cutoff", float(self.cutoff))
         object.__setattr__(self, "edge_src", src)
@@ -195,10 +202,9 @@ def grid_coordinates(grid):
 
 
 def fractional_coords(grid, points):
-    """Solve cell^T f = x - origin for each point; shape (..., 3)."""
-    points = np.asarray(points, dtype=float)
-    rel = points - grid.origin
-    return np.linalg.solve(grid.cell.T, rel.reshape(-1, 3).T).T.reshape(points.shape)
+    """Solve cell^T f = x - origin for each of the (N, 3) ``points``."""
+    points = check_array("points", points, (None, 3), finite=True)
+    return np.linalg.solve(grid.cell.T, (points - grid.origin).T).T
 
 
 def cell_center(grid):
@@ -285,9 +291,10 @@ def rotate_instance(atom_coord, grid, rotation):
     and origin are unchanged, which keeps the instance on the same voxel
     lattice (the evaluation protocol for rotated inference).
     """
-    R = np.asarray(rotation, dtype=float)
+    R = so3.check_rotation(rotation)
+    coords = check_array("atom_coord", atom_coord, (None, 3), finite=True)
     c = cell_center(grid)
-    coords = c + (np.asarray(atom_coord, dtype=float) - c) @ R.T
+    coords = c + (coords - c) @ R.T
     nodes = grid_coordinates(grid)
     # pull-back: row-vector form of R^T (x - c) is (x - c) @ R
     pulled = c + (nodes - c) @ R

@@ -6,12 +6,10 @@ Every differentiable operation in the package carries a hand-written adjoint
 trace into one gradient vector laid out like ``params.flat`` (the layout is
 `model.ParamRegistry`, re-exported here): each backward writes its
 parameter gradients straight into that vector, through a copy of the
-parameters bound to it (`model.bind`). The finite-difference verifier
-perturbs single entries of ``params.flat``; the two optimizers used for
-training update it in place, one ``_SLICE``-entry slice of the parameters,
-moments and gradient at a time through slice-sized scratch buffers, and
-one ``g.sum()`` screens the gradient's finiteness in place of a mask, so a
-step allocates nothing parameter-sized.
+parameters bound to it (`model.bind`). `optimize_step` updates
+``params.flat`` in place through slice-sized scratch buffers and screens
+the gradient with one ``g.sum()`` in place of a mask, so a step allocates
+nothing parameter-sized.
 
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is

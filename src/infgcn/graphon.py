@@ -3,7 +3,7 @@
 Dense uniform quadrature makes every spectral claim checkable here: applying
 the integral operator T_W, its powers, Nystrom eigendecomposition, exact
 spectral filters, and the degree-1 Chebyshev filter. Kernels with known
-spectra (truncated Fourier series, min(x,y), Gaussian) serve as oracles.
+spectra (truncated Fourier series, min(x,y)) serve as oracles.
 """
 
 import csv
@@ -118,21 +118,6 @@ def min_kernel(n_eigs=8):
                          eigenfunctions=phis, name="min")
 
 
-def gaussian_kernel(lengthscale=0.25, d=1):
-    def fn(A, B):
-        diff = A[:, None, :] - B[None, :, :]
-        d2 = np.einsum("nmx,nmx->nm", diff, diff)
-        return np.exp(-0.5 * d2 / lengthscale ** 2)
-
-    return GraphonKernel(d=d, fn=fn, name="gaussian")
-
-
-def zero_kernel(d=1):
-    return GraphonKernel(d=d, fn=lambda A, B: np.zeros((A.shape[0],
-                                                        B.shape[0])),
-                         name="zero")
-
-
 # ---------------------------------------------------------------------------
 # operator application and spectra
 
@@ -176,7 +161,7 @@ def nystrom_eigs(kernel, grid, k):
 
 def spectral_filter(decomp, transform, f):
     """sum_k F(lambda_k) <phi_k, f> phi_k under the quadrature inner product."""
-    f = np.asarray(f, dtype=float)
+    f = geometry.check_array("f", f, (decomp.grid.n,))
     w = decomp.grid.weights
     coeffs = decomp.functions.T @ (w * f)
     mu = np.array([float(transform(l)) for l in decomp.eigenvalues])

@@ -17,46 +17,17 @@ The convolution runs in each edge's frame (eSCN, arXiv 2302.03655): with
 R_e taking rhat onto z-hat, W^{lk}(r) = D_l(R_e)^T W^{lk}(z-hat) D_k(R_e),
 and only Y_J^0 survives at z-hat, so W^{lk}(z-hat) is one sparse matrix for
 every edge, non-zero where |m| = |m'| (624 of 4,096 entries at L = 7).
-D_l(R_e) = J_l Z_l(-theta) J_l^T Z_l(-phi) is never formed: J_l is fixed
-and Z_l turns each (m, -m) pair by the edge's azimuth or polar angle. A
-``ConvPlan``, built once per process for each l_max, holds J_l and each
-(l, k) pair's M = 0 CG rows at the non-zero entries, the only coupling
-data kept. Edge arrays are slot-major, ((L+1)^2, E, C). Three stages are
-metered by multiply count: ``rotation`` turns neighbor features into the
-edge frame and messages back; ``mixing`` combines each pair's radial
-scalars into its non-zero entries (one GEMM); ``matvec`` applies the
-kernel, written into a dense (2l+1) x (2k+1) block, at exactly
-|E| * C * (L+1)^4 multiplies, the compressed-vector budget.
+D_l(R_e) is never formed (`_rotate`), and a ``ConvPlan``'s M = 0 CG rows
+are the only coupling data kept. Edge arrays are slot-major, ((L+1)^2, E,
+C). Three stages are metered by multiply count: ``rotation`` turns
+neighbor features into the edge frame and messages back; ``mixing``
+combines each pair's radial scalars into its non-zero entries (one GEMM);
+``matvec`` applies the kernel, written into a dense (2l+1) x (2k+1) block,
+at exactly |E| * C * (L+1)^4 multiplies, the compressed-vector budget.
 
-Every forward with an adjoint takes an optional ``cache`` dict and fills it
-with what its backward needs, and the backward requires that dict; what
-only the backward reads is built only for a cache. The radial net keeps
-its activations ``e``, ``a1``, ``h1``, ``a2``, ``h2``. The convolution
-keeps its edges' frames ``frame`` (cos and sin of m phi and m theta), the
-neighbor features turned into them ``f``, the per-path radial scalars
-``phi`` (channel mode only) and the radial net's cache ``radial``, with
-one row per undirected edge, which both directions read. The residual
-layer keeps its query-atom pairs ``qi`` and ``vi``, sorted by atom, with
-the atoms' runs ``atom_segments``, their harmonics ``Y``, radial scalars
-``phi``, the radial cache ``radial`` and the features' projection ``s`` on
-the harmonics. A backward returns the gradient of its input and writes
-its parameter gradients into ``grads``, a twin of its parameters whose
-arrays view the flat gradient vector (``model.bind``); every entry is
-overwritten, so the twin needs no zeroing. The convolution's backward reads
-the edge-frame kernel at its non-zero entries only and never builds a
-dense W. In fc mode it redoes the radial net's head GEMM from the cached
-last hidden layer, because fc's per-path scalars are C times channel
-mode's (~53 MB per layer at L=7, C=16, 76 edges). Scatters onto nodes are
-sums over sorted runs of one index, not unbuffered scatter-adds: conv edges
-are sorted by source and their reverses (``edge_rev``) by destination,
-each run summed by one ``np.add.reduceat``; residual pairs are sorted by
-atom, and ``s`` and an atom's feature gradient are one GEMM per degree over
-its run. The residual output sums pairs per query with ``np.bincount``.
-
-The residual layer runs its radial net on every query-atom pair; uncached,
-a large batch is decoded from a checked, memoized table (``radial_forward``).
-Its pairs, radial net and harmonics read no features (``_residual_pairs``),
-so a training step's worker runs them during the encode (`grad`).
+What only a backward reads is built only when its forward is given a
+``cache``. A backward overwrites every entry of its ``grads``
+(`model.bind`), so they need no zeroing.
 """
 from __future__ import annotations
 
@@ -424,13 +395,10 @@ def _segments(idx):
 class ConvPlan:
     """The edge-frame coupling of every path up to one ``l_max``.
 
-    Turned onto z-hat, an edge keeps only its M = 0 harmonic,
-    c_J = Y_J^0(z-hat), so the kernel of a pair (l, k) is one sparse matrix
-    for every edge, W^{lk} = sum_J phi_J c_J Q_{J0}^{lk}, non-zero only
-    where |m| = |m'|. ``pairs`` lists ``(l, k, p0, p1, qz, a, b, nz)`` in
-    path order: the paths of one pair are ``phi[..., p0:p1]``, in
-    ascending J, and row J of ``qz`` holds c_J Q_{J0} at the pair's
-    non-zero entries, from ``so3.cg_m0``; no full table is built. Entry
+    ``pairs`` lists ``(l, k, p0, p1, qz, a, b, nz)`` in path order: the
+    paths of one pair are ``phi[..., p0:p1]``, in ascending J, and row J
+    of ``qz`` holds Y_J^0(z-hat) Q_{J0} at the pair's non-zero entries,
+    from ``so3.cg_m0``; no full table is built. Entry
     i lies in slot ``a[i]`` (degree l) and slot ``b[i]`` (degree k) of the
     (L+1)^2-slot layout, at flat index ``nz[i]`` of the (2l+1, 2k+1)
     block; the first 2 min(l, k) + 1 entries have m = m', in ascending m,
@@ -566,7 +534,7 @@ def _to_edges(x, idx):
 def _to_nodes(out, segments, x):
     """``out[idx[i]] += x[:, i].T`` for slot-major edge rows ``x`` and a
     sorted ``idx`` given by its ``_segments``; each run is summed with one
-    ``np.add.reduceat``."""
+    ``np.add.reduceat``, in place of an unbuffered ``np.add.at``."""
     rows, starts = segments
     out[rows] += np.add.reduceat(x, starts, axis=1).transpose(1, 2, 0)
 
@@ -598,8 +566,8 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     """One message-passing step: self-interaction plus neighbor messages.
 
     The radial net runs once per undirected edge: an edge and its reverse
-    (``graph.edge_rev``) have one length, bit for bit, and read one row of
-    phi. A ``cache`` dict receives what ``conv_backward`` reads.
+    (``graph.edge_rev``) read one row of phi. A ``cache`` dict receives
+    what ``conv_backward`` reads.
     """
     feats = geometry.check_array("feats", feats,
                                  _feature_shape(graph.n_atoms, params))
@@ -621,8 +589,9 @@ def conv_forward(graph, feats, params, counters=None, cache=None):
     if cache is not None:
         cache.update(frame=frame, f=f, radial=radial)
         if params.mode == "channel":
-            # fc's phi is C times larger; its backward redoes the head GEMM
-            # from the radial cache's h2 instead
+            # fc's phi is C times larger (~53 MB per layer at L=7, C=16,
+            # 76 edges); its backward redoes the head GEMM from the radial
+            # cache's h2 instead
             cache["phi"] = phi
     dims, spec = _channel_dims(params), _MODES[params.mode][0]
     msg = np.zeros_like(f)

@@ -5,13 +5,6 @@ The degree-l, channel-n feature of an atom doubles as the coefficient of
 basis function psi_{nlm} centered on that atom, so the network output is
 read off directly as a coefficient field and expanded with the shared
 radial table. Densities are in electrons per Bohr^3 throughout.
-
-`encode` runs the graph layers and never sees a query; the decode expands
-its field at the queries and adds the residual layer. `predict_density`
-runs both, or only the decode when given ``coeffs=``.
-
-Every trainable array is a view into one float64 vector, ``params.flat``,
-laid out by `ParamRegistry`; a checkpoint's blob is that vector.
 """
 import json
 import struct
@@ -91,7 +84,6 @@ class ModelConfig:
                 + self.residual * radial((L + 1) * C))
 
     def basis_spec(self):
-        # feature channels double as radial-basis indices
         return basis.RadialBasisSpec(
             basis.make_exponents(self.r_min, self.r_max, self.channels,
                                  self.spacing),
@@ -194,8 +186,7 @@ def bind(params, flat):
     """A copy of ``params`` whose trainable arrays view ``flat``, a vector
     in its `ParamRegistry` layout. Only ``params`` and its layer and radial
     net objects are copied; fixed arrays, such as the radial embedding's
-    centers, are shared. Bound to a gradient vector it is the twin each
-    backward pass writes its parameter gradients into."""
+    centers, are shared."""
     def twin(layer):
         return replace(layer, radial=replace(layer.radial))
 
@@ -211,9 +202,9 @@ def bind(params, flat):
 def init_features(params, atom_types):
     """Isotropic initial features, (U, channels, (l_max+1)**2): embeddings
     on degree 0, zeros above."""
-    types = np.asarray(atom_types, dtype=int)
+    types = geometry.check_atom_types(atom_types)
     cfg = params.config
-    if np.any(types < 0) or np.any(types >= cfg.vocab):
+    if np.any(types >= cfg.vocab):
         raise DomainError("atom type outside the embedding vocabulary")
     f = np.zeros((types.size, cfg.channels, so3.num_sh(cfg.l_max)))
     f[:, :, 0] = params.embed[types]
@@ -246,7 +237,7 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
              submit=None):
     """Encode unless ``coeffs`` is given, then decode at ``queries``. With
     ``keep`` each layer that has an adjoint fills a cache for it; ``submit``
-    runs the residual layer's query side during the encode (`grad`)."""
+    is `forward_trace`'s."""
     cfg = params.config
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     ahead = None
@@ -265,7 +256,6 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
                                 cache=basis_cache)
     _check_finite(dens, "expand_density")
     if params.residual is not None:
-        # joined where the inline pass runs it
         pairs = None if ahead is None else ahead.result()
         z = layers.residual_forward(queries, graph.atom_coord, coeffs,
                                     params.residual, counters,
@@ -285,10 +275,9 @@ def encode(params, graph, counters=None):
 
 
 def forward_trace(params, graph, queries, counters=None, submit=None):
-    """Encode and decode, keeping the intermediates the adjoint pass needs:
-    each layer's input and pre-gate output, and the caches its backward
-    reads (``conv_caches`` per layer, ``basis_cache``, ``residual_cache``).
-    ``submit`` takes the residual layer's query side (`grad`)."""
+    """Encode and decode, keeping in the trace each layer's input,
+    pre-gate output and cache for `grad.loss_and_grad`, whose ``submit``
+    this takes."""
     return _forward(params, graph, queries, counters, keep=True,
                     submit=submit)
 

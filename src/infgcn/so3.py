@@ -11,9 +11,6 @@ degree ``l`` orders are stored ascending, ``m = -l..l``; negative orders carry
 ``sin(|m| phi)``, positive orders ``cos(m phi)``.  The flat index of ``(l, m)``
 is ``l*l + l + m``, so degrees ``0..L`` pack into ``(L+1)**2`` slots.  For
 ``l = 1`` the components are ``(y, z, x) * sqrt(3/(4 pi))``.
-``sh_monomials(L)`` holds the same functions as polynomial coefficients;
-both come from one degree/order recursion, ``_sh_recursion``, run on point
-coordinates or on monomial coefficient arrays.
 
 ``wigner_blocks(L, R)[l]`` is the orthogonal matrix ``D`` with
 
@@ -21,21 +18,7 @@ coordinates or on monomial coefficient arrays.
 
 which is exactly the matrix that rotates coefficient vectors: expanding
 ``D @ f`` on the harmonics at ``x`` equals expanding ``f`` at ``R^-1 x``.
-With this choice ``D(R1 @ R2) = D(R1) @ D(R2)``. ``layers.conv_plan`` keeps
-``wigner_blocks(L, R_x(-pi/2))``, from which the convolution composes each
-edge's frame rotation with turns about z.
-
-``cg_table(l, k, J)`` is a (2J+1, 2l+1, 2k+1) array coupling two real
-blocks to a real block with orthonormal rows (``Q Q^T = I``).  Tables are
-built from the exact rational coupling coefficients of the complex basis
-and the unitary real<->complex change of basis; for ``l+k+J`` odd the raw
-transform is purely imaginary and the table keeps the imaginary part, a
-unit-modulus rescaling that preserves both orthonormality and the
-intertwining property.  No table is kept: each call builds its own.
-``cg_m0(l, k, J, ma, mb)`` gives entries of a table's M = 0 row, the only
-row the edge-frame convolution reads, from one exact scalar per |m| and no
-table; ``layers.conv_plan``, built from it once per process for each
-l_max, is the one cache of coupling data.
+With this choice ``D(R1 @ R2) = D(R1) @ D(R2)``.
 """
 
 from __future__ import annotations
@@ -57,10 +40,10 @@ def check_rotation(R):
     if R.shape != (3, 3):
         raise DomainError(f"rotation must be 3x3, got shape {R.shape}")
     err = np.abs(R.T @ R - np.eye(3)).max()
-    if err > 1e-12:
+    if not err <= 1e-12:  # NaN fails too
         raise DomainError(f"matrix is not orthogonal: max |R^T R - I| = {err:.3e}")
     det = np.linalg.det(R)
-    if abs(det - 1.0) > 1e-10:
+    if not abs(det - 1.0) <= 1e-10:
         raise DomainError(f"matrix is not a proper rotation: det = {det!r}")
     return R
 
@@ -73,17 +56,6 @@ def random_rotation(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
-
-
-def axis_angle_rotation(axis, angle):
-    """Rotation matrix about a (not necessarily unit) axis by angle in radians."""
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise DomainError("rotation axis must be nonzero")
-    u = axis / n
-    K = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +78,13 @@ _SH_BLOCK = 8192  # points per block of eval_real_sh
 
 
 def eval_real_sh(l_max, d):
-    """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max.
-
-    ``d`` is a (..., 3) array of displacements of any length; on unit vectors
-    this is Y_lm itself, and at d = 0 every l > 0 entry is exactly zero.
-    Returns a C-contiguous (..., (l_max+1)**2) array, flat index l*l + l + m.
-    Points are taken in blocks of ``_SH_BLOCK``. Within a block each (l, m)
-    is written as one contiguous row of an ((l_max+1)**2, n) buffer, which
-    is then transposed into the output: no write strides across the last
-    axis, and the buffer and the recursion's temporaries stay cache-sized.
+    """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max, as a
+    C-contiguous (..., (l_max+1)**2) array, at a (..., 3) array ``d`` of
+    displacements of any length. Points are taken in blocks of
+    ``_SH_BLOCK``. Within a block each (l, m) is written as one contiguous
+    row of an ((l_max+1)**2, n) buffer, which is then transposed into the
+    output: no write strides across the last axis, and the buffer and the
+    recursion's temporaries stay cache-sized.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -265,6 +235,10 @@ def _real_from_complex_basis(l):
 
 
 def _real_cg(l, k, J):
+    """The complex table in the real basis. For l + k + J odd that
+    transform is purely imaginary and the imaginary part is kept: a
+    unit-modulus rescaling, which preserves orthonormality and the
+    intertwining property."""
     C = _complex_cg(l, k, J)
     AJ = _real_from_complex_basis(J)
     Al = _real_from_complex_basis(l)
@@ -311,9 +285,8 @@ def cg_m0(l, k, J, ma, mb):
     The real M = 0 harmonic is the complex one, so an entry is
     sum_m A_l[ma, m] A_k[mb, -m] <l m k -m | J 0>, and row ``ma`` of A_l is
     non-zero only at m = +-|ma|: two terms, one exact scalar per |m|, with
-    <l -m k m | J 0> = (-1)^(l+k-J) <l m k -m | J 0>. The real part is kept
-    when l + k + J is even and the imaginary part when it is odd, as in
-    ``cg_table``.
+    <l -m k m | J 0> = (-1)^(l+k-J) <l m k -m | J 0>, and the real or the
+    imaginary part is kept as in ``_real_cg``.
     """
     _check_triple(l, k, J)
     ma, mb = np.asarray(ma), np.asarray(mb)

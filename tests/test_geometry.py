@@ -210,6 +210,9 @@ def _misshapen_calls():
     qgrid = graphon.uniform_grid(4)
     flat_kernel = graphon.GraphonKernel(d=1, fn=lambda A, B: np.zeros(4),
                                         name="flat")
+    vgrid = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3), np.zeros(8))
+    decomp = graphon.nystrom_eigs(graphon.min_kernel(),
+                                  graphon.uniform_grid(8), 3)
     return {
         "expand_density": ("coeffs", lambda: basis.expand_density(
             spec, coeffs[1:], pts, pts)),
@@ -234,6 +237,14 @@ def _misshapen_calls():
             flat_kernel, qgrid)),
         "apply_operator": ("f", lambda: graphon.apply_operator(
             graphon.min_kernel(), np.zeros(3), qgrid)),
+        "trilinear_sample": ("points", lambda: geometry.trilinear_sample(
+            vgrid, np.zeros((5, 2)))),
+        "fractional_coords": ("points", lambda: geometry.fractional_coords(
+            vgrid, np.zeros((5, 2)))),
+        "rotate_instance": ("atom_coord", lambda: geometry.rotate_instance(
+            np.zeros((5, 2)), vgrid, np.eye(3))),
+        "spectral_filter": ("f", lambda: graphon.spectral_filter(
+            decomp, lambda lam: lam, np.zeros(5))),
     }
 
 
@@ -442,6 +453,26 @@ def test_rotate_instance_matches_analytic_pullback():
     # second-order interpolation: halving h cuts the error ~4x (allow 2.5x)
     assert errs[16] < 0.2
     assert errs[32] < errs[16] / 2.5
+
+
+def test_resampling_rejects_non_finite_points():
+    # a NaN point was cast to a garbage voxel index with only a
+    # RuntimeWarning
+    g = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3), np.arange(8.0))
+    bad = np.array([[0.1, np.nan, 0.2]])
+    with pytest.raises(DomainError, match="^points must be finite"):
+        geometry.trilinear_sample(g, bad)
+    with pytest.raises(DomainError, match="^atom_coord must be finite"):
+        geometry.rotate_instance(bad, g, np.eye(3))
+
+
+@pytest.mark.parametrize("rotation", [2.0 * np.eye(3), np.eye(2),
+                                      np.full((3, 3), np.nan)],
+                         ids=["scaled", "2x2", "nan"])
+def test_rotate_instance_rejects_a_non_rotation(rotation):
+    g = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3), np.arange(8.0))
+    with pytest.raises(DomainError):
+        geometry.rotate_instance(np.zeros((1, 3)), g, rotation)
 
 
 def test_rotate_instance_back_and_forth():

@@ -71,6 +71,16 @@ def test_init_features_isotropic():
     assert np.all(z == 0.0)
 
 
+def test_init_features_rejects_non_integer_types():
+    # float types were truncated: [0.5, 1] read as types 0 and 1
+    params = model.init_params(SMALL, seed=1)
+    with pytest.raises(DomainError) as graph_err:
+        geometry.MolecularGraph([0.5, 1], np.zeros((2, 3)), 3.0)
+    with pytest.raises(DomainError) as feat_err:
+        model.init_features(params, [0.5, 1])
+    assert str(feat_err.value) == str(graph_err.value)
+
+
 def test_zero_params_zero_output():
     rng = np.random.default_rng(1)
     params = model.init_params(SMALL, seed=2, zero_heads=True)

@@ -1,11 +1,10 @@
 """Dataset directory format, Gaussian CUBE export, synthetic data.
 
 A record is a pair of files sharing a stem: `<stem>.json` holds the
-metadata (atom_type, atom_coord, shape, cell, origin, pbc,
-endpoint_inclusive, optional units and blob_crc32) and `<stem>.bin` holds
-the density as flat little-endian float32 in the package's x-fastest grid
-order. All lengths are Bohr and densities e-/Bohr^3 internally; Angstrom
-input is converted at the loader boundary.
+metadata that `RecordMeta` declares, which `schema` checks on read and on
+write, and `<stem>.bin` holds the density as flat little-endian float32 in
+the package's x-fastest grid order. All lengths are Bohr and densities
+e-/Bohr^3 internally; Angstrom input is converted at the loader boundary.
 
 `save_record` writes the blob first and the metadata last, with the blob's
 zlib CRC-32 as blob_crc32, so a failed write leaves the previous record or
@@ -18,137 +17,99 @@ package's typed errors.
 """
 
 import contextlib
+import dataclasses
 import json
+import math
 import os
 import secrets
 import zlib
 
 import numpy as np
 
-from . import basis, geometry, so3
+from . import basis, geometry, schema, so3
 from .errors import DomainError, SchemaError
 
 BOHR_PER_ANGSTROM = 1.8897259886
 
-_LENGTH_UNITS = ("bohr", "angstrom")
-_DENSITY_UNITS = ("e/bohr^3", "e/angstrom^3")
+
+@dataclasses.dataclass(frozen=True)
+class Units:
+    """The units of a record's lengths and densities."""
+    length: str = schema.spec("bohr", choices=("bohr", "angstrom"))
+    density: str = schema.spec("e/bohr^3",
+                               choices=("e/bohr^3", "e/angstrom^3"))
 
 
-def _field(meta, name, path):
-    if name not in meta:
-        raise SchemaError(f"{path}: missing field {name!r}")
-    return meta[name]
+@dataclasses.dataclass(frozen=True)
+class RecordMeta:
+    """A record's `.json`: the atoms, then the grid as `VoxelGrid` takes it."""
+    atom_type: int = schema.spec(schema.REQUIRED, shape=(None,), low=0)
+    atom_coord: float = schema.spec(schema.REQUIRED, shape=(None, 3))
+    shape: int = schema.spec(schema.REQUIRED, shape=(3,), low=1)
+    cell: float = schema.spec(schema.REQUIRED, shape=(3, 3))
+    origin: float = schema.spec(schema.REQUIRED, shape=(3,))
+    pbc: bool = schema.spec(schema.REQUIRED)
+    endpoint_inclusive: bool = schema.spec(schema.REQUIRED)
+    units: Units = schema.spec(Units())
+    blob_crc32: int = schema.spec(None, low=0)
 
 
-def _as_floats(value, shape, name, path):
-    stack = [value]
-    while stack:  # numpy would parse "1" and take true as 1.0
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif type(item) not in (int, float):
-            raise SchemaError(f"{path}: field {name!r} holds a "
-                              f"{type(item).__name__}, not a number")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{path}: field {name!r} is not numeric") from None
-    if arr.shape != shape:
-        raise SchemaError(
-            f"{path}: field {name!r} has shape {arr.shape}, want {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{path}: field {name!r} contains non-finite values")
-    return arr
+def _check_meta(meta, error):
+    """The JSON object ``meta`` as a checked `RecordMeta`, with the rules
+    that span its fields; ``error`` names the field that breaks one."""
+    rec = schema.from_dict(RecordMeta, meta, error)
+    if len(rec.atom_coord) != len(rec.atom_type):
+        raise error(f"atom_coord has {len(rec.atom_coord)} rows for "
+                    f"{len(rec.atom_type)} atom_type entries")
+    if rec.endpoint_inclusive and (rec.pbc or min(rec.shape) < 2):
+        raise error("endpoint_inclusive grids cannot be periodic (they "
+                    "duplicate the boundary plane) and need at least 2 "
+                    "nodes per axis")
+    return rec
 
 
 def load_record(stem):
     """Read `<stem>.json` + `<stem>.bin` into (types, coords, VoxelGrid)."""
     stem = os.fspath(stem)
-    meta_path = stem + ".json"
-    blob_path = stem + ".bin"
-    meta = read_json(meta_path, "record metadata")
-
-    types = _field(meta, "atom_type", meta_path)
-    if not (isinstance(types, list) and types
-            and all(type(t) is int and abs(t) < 2**63 for t in types)):
-        raise SchemaError(f"{meta_path}: field 'atom_type' must be a "
-                          "non-empty list of integers")
-    n_atoms = len(types)
-    coords = _as_floats(_field(meta, "atom_coord", meta_path),
-                        (n_atoms, 3), "atom_coord", meta_path)
-
-    shape_raw = _field(meta, "shape", meta_path)
-    if (not isinstance(shape_raw, list) or len(shape_raw) != 3
-            or any(type(s) is not int or s < 1 for s in shape_raw)):
-        raise SchemaError(f"{meta_path}: field 'shape' must be 3 positive "
-                          "integers")
-    shape = tuple(shape_raw)
-    cell = _as_floats(_field(meta, "cell", meta_path), (3, 3), "cell",
-                      meta_path)
-    origin = _as_floats(_field(meta, "origin", meta_path), (3,), "origin",
-                        meta_path)
-    for name in ("pbc", "endpoint_inclusive"):
-        if not isinstance(_field(meta, name, meta_path), bool):
-            raise SchemaError(f"{meta_path}: field {name!r} must be a bool")
-    pbc = meta["pbc"]
-    inclusive = meta["endpoint_inclusive"]
-    if pbc and inclusive:
-        raise SchemaError(f"{meta_path}: endpoint_inclusive grids duplicate "
-                          "the boundary plane and cannot be periodic")
-
-    units = meta.get("units", {})
-    if not isinstance(units, dict):
-        raise SchemaError(f"{meta_path}: field 'units' must be an object")
-    length_unit = units.get("length", "bohr")
-    density_unit = units.get("density", "e/bohr^3")
-    if length_unit not in _LENGTH_UNITS:
-        raise SchemaError(f"{meta_path}: unknown length unit {length_unit!r}")
-    if density_unit not in _DENSITY_UNITS:
-        raise SchemaError(
-            f"{meta_path}: unknown density unit {density_unit!r}")
-
-    n_values = shape[0] * shape[1] * shape[2]
+    meta_path, blob_path = stem + ".json", stem + ".bin"
+    meta = _check_meta(read_json(meta_path, "record metadata"),
+                       lambda msg: SchemaError(f"{meta_path}: {msg}"))
+    shape = tuple(meta.shape.tolist())
+    n_values = math.prod(shape)
     with open_file(blob_path, "density blob", "rb") as fh:
         raw = fh.read()
     if len(raw) != 4 * n_values:
         raise SchemaError(f"{blob_path}: blob holds {len(raw)} bytes, "
                           f"want {4 * n_values} for shape {shape}")
-    if "blob_crc32" in meta and zlib.crc32(raw) != meta["blob_crc32"]:
+    if meta.blob_crc32 is not None and zlib.crc32(raw) != meta.blob_crc32:
         raise SchemaError(f"{blob_path}: blob does not match the blob_crc32 "
                           f"of {meta_path}")
     values = np.frombuffer(raw, dtype="<f4").astype(float)
 
-    if length_unit == "angstrom":
-        coords = coords * BOHR_PER_ANGSTROM
-        cell = cell * BOHR_PER_ANGSTROM
-        origin = origin * BOHR_PER_ANGSTROM
-    if density_unit == "e/angstrom^3":
+    to_bohr = BOHR_PER_ANGSTROM if meta.units.length == "angstrom" else 1.0
+    coords, cell, origin = (a * to_bohr for a in (meta.atom_coord, meta.cell,
+                                                  meta.origin))
+    if meta.units.density == "e/angstrom^3":
         values = values / BOHR_PER_ANGSTROM ** 3
-    if inclusive:
+    if meta.endpoint_inclusive:
         # re-express nodes over [0, cell] as the endpoint-exclusive
         # convention over a stretched cell: i/(N-1)*cell == i/N * (N/(N-1))*cell
-        if min(shape) < 2:
-            raise SchemaError(f"{meta_path}: endpoint_inclusive grids need "
-                              "at least 2 nodes per axis")
         scale = np.array([n / (n - 1.0) for n in shape])
         cell = cell * scale[:, None]
 
-    grid = geometry.VoxelGrid(shape, cell, origin, values, pbc=pbc)
-    return np.array(types), coords, grid
+    grid = geometry.VoxelGrid(shape, cell, origin, values, pbc=meta.pbc)
+    return meta.atom_type, coords, grid
 
 
 def save_record(stem, types, coords, grid):
     """Write the two record files, in Bohr and e-/Bohr^3, in the order the
-    module docstring gives. The grid must be endpoint-exclusive."""
+    module docstring gives, once the metadata passes `load_record`'s checks
+    (else a DomainError naming the field). The grid is endpoint-exclusive."""
     stem = os.fspath(stem)
-    types = np.asarray(types, dtype=int)
-    coords = np.asarray(coords, dtype=float)
     blob = np.ascontiguousarray(grid.values, dtype="<f4")
-    with replace_file(stem + ".bin", "density blob", "wb") as fh:
-        fh.write(blob)
     meta = {
-        "atom_type": types.tolist(),
-        "atom_coord": coords.tolist(),
+        "atom_type": np.asarray(types).tolist(),
+        "atom_coord": np.asarray(coords).tolist(),
         "shape": list(grid.shape),
         "cell": np.asarray(grid.cell).tolist(),
         "origin": np.asarray(grid.origin).tolist(),
@@ -157,6 +118,9 @@ def save_record(stem, types, coords, grid):
         "units": {"length": "bohr", "density": "e/bohr^3"},
         "blob_crc32": zlib.crc32(blob),
     }
+    _check_meta(meta, DomainError)
+    with replace_file(stem + ".bin", "density blob", "wb") as fh:
+        fh.write(blob)
     with replace_file(stem + ".json", "record metadata") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -235,8 +199,9 @@ def replace_file(path, what, mode="w", **kw):
 
 def export_cube(path, grid, atom_numbers, atom_coords, comment="density"):
     """Write a standard CUBE file: Bohr axes, z-fastest value order."""
-    atom_numbers = np.asarray(atom_numbers, dtype=int)
-    atom_coords = np.asarray(atom_coords, dtype=float)
+    atom_numbers = geometry.check_atom_types(atom_numbers)
+    atom_coords = geometry.check_array("atom_coords", atom_coords,
+                                       (atom_numbers.size, 3), finite=True)
     nx, ny, nz = grid.shape
     steps = np.asarray(grid.cell) / np.array([nx, ny, nz])[:, None]
     lines = [comment, "generated by infgcn"]

@@ -13,8 +13,8 @@ class AccuracyError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """A serialized record does not match the documented schema. The message
-    names the offending field or file."""
+    """A config, record metadata (both checked by `schema`) or record blob
+    breaks its declaration. The message names the offending field or file."""
 
 
 class NonFiniteError(RuntimeError):

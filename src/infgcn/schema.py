@@ -1,20 +1,28 @@
-"""One declaration per config, a dataclass whose annotations give each
-field's type (a dataclass type is a nested block; types, not strings) and
-whose `spec` fields give default and range, and the one validator that
-walks it."""
+"""One declaration per config or record, a dataclass whose annotations
+give each field's type (a dataclass type is a nested block; types, not
+strings) and whose `spec` fields give default and range, and the one
+validator that walks it."""
 import dataclasses
 import math
 import numbers
 import sys
 
+import numpy as np
+
+from . import geometry
+from .errors import DomainError
+
 _TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
+REQUIRED = object()
 
 
 def spec(default, **admits):
-    """A field with ``default`` (None admitting None) that ``admits``:
-    ``low`` (an int's least, a float's exclusive bound), ``high``,
-    ``choices``, ``what`` (the error phrase), and for a ``dict`` ``of`` (a
-    block stored as a dict) or ``keys`` (names of lists of strings)."""
+    """A field with ``default`` (None admitting None; REQUIRED, always
+    given) that ``admits``: ``low`` (an int's least, a float's exclusive
+    bound), ``high``, ``choices``, ``what`` (the error phrase), for a
+    ``dict`` ``of`` (a block stored as a dict) or ``keys`` (names of
+    lists of strings), and ``shape`` (an array of the annotated type from
+    JSON numbers, finite, shaped as ``geometry.check_array`` takes it)."""
     if isinstance(default, dict):
         return dataclasses.field(default_factory=dict, metadata=admits)
     return dataclasses.field(default=default, metadata=admits)
@@ -31,6 +39,10 @@ def _known(d, names, error, label):
 def _value(f, v, error, name):
     """``v`` as field ``f`` stores it; else ``error`` naming ``name``."""
     meta, kind = f.metadata, f.type
+    if v is REQUIRED:
+        raise error(f"{name} is required")
+    if "shape" in meta:
+        return _array(v, kind, meta, error, name)
     block = meta.get("of") or (dataclasses.is_dataclass(kind) and kind)
     if (v is None and f.default is None) or (block and isinstance(v, block)):
         return v
@@ -62,6 +74,28 @@ def _value(f, v, error, name):
              }[kind])
         raise error(f"{name} must be {what}, got {v!r}")
     return kind(out)
+
+
+def _array(v, kind, meta, error, name):
+    what = "an integer" if kind is int else "a number"
+    stack = [v]
+    while stack:  # numpy would parse "1" and take true as 1
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif type(item) not in (int, kind):
+            raise error(f"{name} holds a {type(item).__name__}, not {what}")
+    try:
+        arr = np.asarray(v, dtype=kind)  # an int never passes through float
+        geometry.check_array(name, arr, meta["shape"], finite=True)
+    except DomainError as exc:
+        raise error(str(exc)) from None
+    except (ValueError, OverflowError):
+        raise error(f"{name} is ragged or holds an entry past the "
+                    f"{kind.__name__} range") from None
+    if kind is int and np.any(arr < meta["low"]):
+        raise error(f"{name} must hold integers >= {meta['low']}")
+    return arr
 
 
 def check(config, error, prefix="", given=None):

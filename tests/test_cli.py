@@ -144,6 +144,19 @@ _CONFIG_FIELDS = (
     + [("split", "train"), ("split", "val")])
 
 
+def test_every_declared_field_is_documented_in_readme():
+    # the config table, or "Data format" for a record's metadata
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    config, data = readme.split("A run config:")[1].split("## Data format")
+    data = data.split("\n## ")[0]
+    for section, classes in (
+            (config, (cli.RunConfig, model.ModelConfig, grad.OptimizerConfig)),
+            (data, (dataio.RecordMeta, dataio.Units))):
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                assert f"`{f.name}`" in section, (cls.__name__, f.name)
+
+
 def _assert_typed(obj, cls):
     """Each field of ``obj``, a ``cls`` or a dict of its fields, has its
     declared type."""

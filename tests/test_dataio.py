@@ -112,6 +112,10 @@ def test_schema_errors_name_the_field(tmp_path):
         ("set", ("shape", [True, 3, 8]), "shape"),
         ("set", ("atom_type", [[1], 6, 8]), "atom_type"),
         ("set", ("atom_coord", [[10**400, 0, 0]] * 3), "atom_coord"),
+        ("set", ("atom_type", [-1, 6, 8]), "atom_type"),
+        # unknown keys: each would otherwise load Angstrom as Bohr
+        ("set", ("units", {"lenght": "angstrom"}), "units key 'lenght'"),
+        ("set", ("unit", {"length": "angstrom"}), "key 'unit'"),
     ]
     for kind, what, needle in cases:
         meta = dict(base)
@@ -120,8 +124,9 @@ def test_schema_errors_name_the_field(tmp_path):
         else:
             meta[what[0]] = what[1]
         (tmp_path / "rec.json").write_text(json.dumps(meta))
-        with pytest.raises(SchemaError, match=needle):
+        with pytest.raises(SchemaError, match=needle) as info:
             dataio.load_record(stem)
+        assert str(info.value).startswith(f"{tmp_path / 'rec.json'}: ")
     for raw in (b"{not json", b"\xff{}"):
         (tmp_path / "rec.json").write_bytes(raw)
         with pytest.raises(SchemaError, match="invalid JSON"):
@@ -226,6 +231,27 @@ def test_record_write_failure_keeps_previous(tmp_path, monkeypatch, suffix):
             dataio.load_record(stem)
 
 
+def test_save_record_checks_before_writing(tmp_path):
+    stem, types, coords, grid = toy_record(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    inf_coords = coords.copy()
+    inf_coords[1, 2] = np.inf
+    cases = [
+        ([0.5, 1.7, 2.0], coords, "atom_type holds a float"),
+        ([1, -6, 8], coords, "atom_type must hold integers >= 0"),
+        (types, inf_coords, "atom_coord must be finite"),
+        (types, coords[:, :2], r"atom_coord must have shape \(\*, 3\)"),
+        (types, coords[:2], "atom_coord has 2 rows for 3 atom_type"),
+    ]
+    for bad_types, bad_coords, needle in cases:
+        # neither an existing record nor a new stem gets a file
+        for target in (stem, tmp_path / "new"):
+            with pytest.raises(DomainError, match=f"^{needle}"):
+                dataio.save_record(target, bad_types, bad_coords, grid)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert after == before
+
+
 def test_blob_crc32_is_checked_when_present(tmp_path):
     stem, _, _, grid = toy_record(tmp_path)
     meta = json.loads((tmp_path / "rec.json").read_text())
@@ -272,6 +298,21 @@ def test_cube_value_order_and_round_trip(tmp_path):
     assert g2.shape == grid.shape
     assert np.abs(np.asarray(g2.cell) - np.asarray(grid.cell)).max() < 1e-5
     assert np.abs(g2.values - values).max() < 1e-5
+
+
+def test_export_cube_checks_atoms(tmp_path):
+    grid = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3), np.zeros(8))
+    path = tmp_path / "a.cube"
+    cases = [
+        ([6.7], np.zeros((1, 3)), "atom_type must be 1-D non-negative"),
+        ([-1], np.zeros((1, 3)), "atom_type must be 1-D non-negative"),
+        ([6, 1], np.zeros((1, 3)), r"atom_coords must have shape \(2, 3\)"),
+        ([6], np.full((1, 3), np.nan), "atom_coords must be finite"),
+    ]
+    for numbers, coords, needle in cases:
+        with pytest.raises(DomainError, match=f"^{needle}"):
+            dataio.export_cube(path, grid, numbers, coords)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cube_rejects_malformed(tmp_path):

@@ -95,14 +95,12 @@ def _make_out_dir(path, name):
     return path
 
 
-def _decode(params, graph, batches, transform=None):
+def _decode(params, graph, batches):
     """Encode ``graph`` once and concatenate `model.predict_density` over the
-    points of each query sample in ``batches``, mapped through
-    ``transform`` when given."""
+    points of each query sample in ``batches``."""
     coeffs = model.encode(params, graph)
     return np.concatenate([
-        model.predict_density(params, graph, b.points if transform is None
-                              else transform(b.points), coeffs=coeffs)
+        model.predict_density(params, graph, b.points, coeffs=coeffs)
         for b in batches])
 
 
@@ -194,23 +192,24 @@ def _map_records(fn, jobs, *items):
     return list(map(fn, *items))
 
 
-def _eval_record(params, cfg, rotated, resample, seed, ridx, rec):
-    """Predictions over the record's (rotated) grid, and its values."""
+def _eval_record(params, cfg, rec, rotation=None, resample=True):
+    """Predictions over the record's grid, and its values. A ``rotation``
+    turns the atoms about the cell center, then resamples the values or,
+    without ``resample``, turns the cell: its nodes are the turned queries."""
     graph, coords, grid = rec["graph"], rec["coords"], rec["grid"]
-    transform = None
-    if rotated:
-        R = so3.random_rotation(np.random.default_rng((seed, 4242, ridx)))
-        c = geometry.cell_center(grid)
+    if rotation is not None:
         if resample:
-            coords, grid = geometry.rotate_instance(coords, grid, R)
+            coords, grid = geometry.rotate_instance(coords, grid, rotation)
         else:
-            # analytic variant: rotate atoms and query points, keep targets
-            coords = c + (coords - c) @ R.T
-            transform = lambda pts: c + (pts - c) @ R.T
+            c = geometry.cell_center(grid)
+            coords = c + (coords - c) @ rotation.T
+            grid = dataclasses.replace(
+                grid, cell=grid.cell @ rotation.T,
+                origin=c + (grid.origin - c) @ rotation.T)
         graph = geometry.MolecularGraph.from_coords(rec["types"], coords,
                                                     params.config.cutoff)
     batches = geometry.partition_grid(grid, cfg.inf_sample)
-    return _decode(params, graph, batches, transform), grid.values
+    return _decode(params, graph, batches), grid.values
 
 
 def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
@@ -219,10 +218,12 @@ def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
     params = _load_model(cfg, checkpoint)
     seed = cfg.seed if seed is None else seed
     _, recs = _load_dataset(cfg)
+    rotations = [so3.random_rotation(np.random.default_rng((seed, 4242, i)))
+                 if rotated else None for i in range(len(recs))]
     t0 = time.perf_counter()
     preds, targets = zip(*_map_records(
-        functools.partial(_eval_record, params, cfg, rotated, resample, seed),
-        jobs, range(len(recs)), recs))
+        functools.partial(_eval_record, params, cfg, resample=resample),
+        jobs, recs, rotations))
     report = {"checkpoint": os.fspath(checkpoint), "rotated": bool(rotated),
               "resampled": bool(resample and rotated),
               "records": {rec["name"]: model.nmae(pred, target)
@@ -247,17 +248,16 @@ def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
 
     def run(rec):
         grid = rec["grid"]
-        pred = _decode(params, rec["graph"],
-                       geometry.partition_grid(grid, cfg.inf_sample))
+        pred, values = _eval_record(params, cfg, rec)
         numbers = rec["types"] + 1  # vocab indices to nuclear charges
         paths = {}
-        for tag, values in (("pred", pred), ("err", pred - grid.values)):
+        for tag, field in (("pred", pred), ("err", pred - values)):
             path = os.path.join(out, f"{rec['name']}.{tag}.cube")
-            dataio.export_cube(path, dataclasses.replace(grid, values=values),
+            dataio.export_cube(path, dataclasses.replace(grid, values=field),
                                numbers, rec["coords"],
                                comment=f"{tag} for {rec['name']}")
             paths[tag] = path
-        return rec["name"], paths, model.nmae(pred, grid.values)
+        return rec["name"], paths, model.nmae(pred, values)
 
     rows = _map_records(run, jobs, recs)
     return {"out_dir": out,

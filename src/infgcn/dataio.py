@@ -43,6 +43,7 @@ class Units:
 @dataclasses.dataclass(frozen=True)
 class RecordMeta:
     """A record's `.json`: the atoms, then the grid as `VoxelGrid` takes it."""
+    noun = "record"  # what `schema` calls it in an unknown-key error
     atom_type: int = schema.spec(schema.REQUIRED, shape=(None,), low=0)
     atom_coord: float = schema.spec(schema.REQUIRED, shape=(None, 3))
     shape: int = schema.spec(schema.REQUIRED, shape=(3,), low=1)
@@ -108,8 +109,8 @@ def save_record(stem, types, coords, grid):
     stem = os.fspath(stem)
     blob = np.ascontiguousarray(grid.values, dtype="<f4")
     meta = {
-        "atom_type": np.asarray(types).tolist(),
-        "atom_coord": np.asarray(coords).tolist(),
+        "atom_type": types,
+        "atom_coord": coords,
         "shape": list(grid.shape),
         "cell": np.asarray(grid.cell).tolist(),
         "origin": np.asarray(grid.origin).tolist(),
@@ -118,6 +119,9 @@ def save_record(stem, types, coords, grid):
         "units": {"length": "bohr", "density": "e/bohr^3"},
         "blob_crc32": zlib.crc32(blob),
     }
+    for key in ("atom_type", "atom_coord"):
+        with contextlib.suppress(ValueError):  # ragged: `_check_meta` names it
+            meta[key] = np.asarray(meta[key]).tolist()
     _check_meta(meta, DomainError)
     with replace_file(stem + ".bin", "density blob", "wb") as fh:
         fh.write(blob)

@@ -14,6 +14,7 @@ Coordinates are in Bohr, densities in electrons per Bohr^3.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,34 +22,21 @@ import numpy as np
 from . import so3
 from .errors import DomainError
 
-__all__ = [
-    "MolecularGraph",
-    "VoxelGrid",
-    "QuerySample",
-    "check_array",
-    "check_atom_types",
-    "radius_pairs",
-    "build_radius_graph",
-    "grid_coordinates",
-    "fractional_coords",
-    "cell_center",
-    "sample_queries",
-    "partition_grid",
-    "trilinear_sample",
-    "rotate_instance",
-]
-
 
 def check_array(name, a, shape, finite=False):
     """``a`` as a float array of ``shape``, where ``None`` matches any
     length, and with ``finite`` every entry finite; DomainError naming
     ``name`` otherwise. A NaN point would fail every cutoff test and
     silently drop out of the pairs, so point sets ask for ``finite``."""
-    a = np.asarray(a, dtype=float)
+    dims = ", ".join("*" if want is None else str(want) for want in shape)
+    dims += "," if len(shape) == 1 else ""
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must have shape ({dims}), got a ragged or "
+                          f"non-numeric {type(a).__name__}") from None
     if a.ndim != len(shape) or any(want is not None and want != got
                                    for want, got in zip(shape, a.shape)):
-        dims = ", ".join("*" if want is None else str(want) for want in shape)
-        dims += "," if len(shape) == 1 else ""
         raise DomainError(f"{name} must have shape ({dims}), got {a.shape}")
     if finite and not np.all(np.isfinite(a)):
         raise DomainError(f"{name} must be finite")
@@ -57,7 +45,10 @@ def check_array(name, a, shape, finite=False):
 
 def check_atom_types(atom_type):
     """``atom_type`` as a 1-D array of non-negative ints, or DomainError."""
-    types = np.asarray(atom_type)
+    try:
+        types = np.asarray(atom_type)
+    except ValueError:  # ragged
+        types = np.asarray(None)  # 0-d, so rejected below
     if (types.ndim != 1 or types.size and types.dtype.kind not in "iu"
             or np.any(types < 0)):
         raise DomainError("atom_type must be 1-D non-negative integers")
@@ -155,7 +146,7 @@ class VoxelGrid:
         if not 1e-300 <= volume < np.inf:  # NaN fails too
             raise DomainError("cell is singular or its volume overflows")
         origin = check_array("origin", self.origin, (3,), finite=True)
-        values = check_array("values", self.values, (np.prod(shape),))
+        values = check_array("values", self.values, (math.prod(shape),))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "origin", origin)
@@ -163,8 +154,7 @@ class VoxelGrid:
 
     @property
     def n_voxels(self):
-        nx, ny, nz = self.shape
-        return nx * ny * nz
+        return math.prod(self.shape)
 
     @property
     def voxel_volume(self):
@@ -196,6 +186,11 @@ def _coords_at(grid, flat_idx):
     return grid.origin + frac @ grid.cell
 
 
+def _sample_at(grid, idx):
+    return QuerySample(points=_coords_at(grid, idx), targets=grid.values[idx],
+                       weight=grid.voxel_volume, indices=idx)
+
+
 def grid_coordinates(grid):
     """Node coordinates for every voxel, in flat (X-fastest) order."""
     return _coords_at(grid, np.arange(grid.n_voxels))
@@ -217,10 +212,7 @@ def sample_queries(grid, k, rng_seed):
         raise DomainError("sample size out of range")
     rng = np.random.default_rng(rng_seed)
     idx = rng.choice(grid.n_voxels, size=k, replace=False)
-    return QuerySample(points=_coords_at(grid, idx),
-                       targets=grid.values[idx],
-                       weight=grid.voxel_volume,
-                       indices=idx)
+    return _sample_at(grid, idx)
 
 
 def partition_grid(grid, batch_size):
@@ -235,14 +227,9 @@ def partition_grid(grid, batch_size):
     plane = grid.shape[0] * grid.shape[1]
     if batch_size >= plane:
         batch_size -= batch_size % plane
-    out = []
-    for start in range(0, grid.n_voxels, batch_size):
-        idx = np.arange(start, min(start + batch_size, grid.n_voxels))
-        out.append(QuerySample(points=_coords_at(grid, idx),
-                               targets=grid.values[idx],
-                               weight=grid.voxel_volume,
-                               indices=idx))
-    return out
+    n = grid.n_voxels
+    return [_sample_at(grid, np.arange(lo, min(lo + batch_size, n)))
+            for lo in range(0, n, batch_size)]
 
 
 def trilinear_sample(grid, points):

@@ -41,28 +41,6 @@ import numpy as np
 from . import geometry, so3
 from .errors import DomainError
 
-__all__ = [
-    "OpCounters",
-    "RadialNetParams",
-    "ConvLayerParams",
-    "ConvPlan",
-    "ResidualParams",
-    "make_paths",
-    "init_radial_net",
-    "init_conv_layer",
-    "init_residual_layer",
-    "conv_plan",
-    "radial_forward",
-    "radial_backward",
-    "conv_forward",
-    "conv_backward",
-    "gate_forward",
-    "gate_backward",
-    "residual_forward",
-    "residual_backward",
-    "silu",
-]
-
 CONV_MODES = ("channel", "fc")
 
 _EPS_NORM = 1e-12  # inside the gate's sqrt, keeps the derivative finite at 0

@@ -15,23 +15,6 @@ import numpy as np
 from . import basis, dataio, geometry, layers, schema, so3
 from .errors import DomainError, NonFiniteError
 
-__all__ = [
-    "ModelConfig",
-    "ModelParams",
-    "ParamRegistry",
-    "init_params",
-    "bind",
-    "init_features",
-    "encode",
-    "forward_trace",
-    "predict_density",
-    "loss_l2",
-    "nmae",
-    "save_checkpoint",
-    "load_checkpoint",
-    "equivariance_report",
-]
-
 _MAGIC = b"INFGCN1\n"
 # the most parameters a config may ask for: one flat vector is then 800 MB,
 # and training holds four (parameters, gradient, Adam's two moments)

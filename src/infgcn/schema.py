@@ -112,6 +112,7 @@ def check(config, error, prefix="", given=None):
 def from_dict(cls, d, error, block=""):
     """``cls`` from the JSON object ``d``, each field left out at its
     default; an unknown key or bad value raises ``error`` naming it."""
-    _known(d, cls.__dataclass_fields__, error, block or "config")
+    _known(d, cls.__dataclass_fields__, error,
+           block or getattr(cls, "noun", "config"))
     # rebuilt, so that rules across fields run on the checked values
     return dataclasses.replace(check(cls(), error, block and block + ".", d))

@@ -169,3 +169,14 @@ def test_every_public_definition_is_used_by_the_package_or_perfbench():
     unused = [f"{where[0].stem}.{name}" for name, where in defined
               if not users.get(name, set()) - {where}]
     assert not unused, unused
+
+
+def test_no_module_keeps_an_export_list():
+    # the leading underscore is the one statement of what is public
+    for path in sorted(pathlib.Path(ROOT, "src", "infgcn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            assert not any(getattr(t, "id", None) == "__all__"
+                           for t in targets), path.name

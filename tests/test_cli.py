@@ -456,6 +456,31 @@ def test_eval_rotated_exact_queries_match_unrotated(tmp_path):
     assert resampled["resampled"]
 
 
+def test_analytic_rotation_decodes_at_the_turned_nodes(tmp_path,
+                                                        monkeypatch):
+    # without resampling the cell is turned: its nodes are the record's
+    # nodes turned about the cell center, and the targets stay as stored
+    data, ckpt = oracle_instance(tmp_path, seed=11)
+    cfg = cli.load_run_config(write_config(tmp_path, data, tmp_path / "out"))
+    _, (rec,) = cli._load_dataset(cfg)
+    R = so3.random_rotation(np.random.default_rng(12))
+    queries = []
+    real = model.predict_density
+
+    def recorded(params, graph, points, **kwargs):
+        queries.append(points)
+        return real(params, graph, points, **kwargs)
+
+    monkeypatch.setattr(model, "predict_density", recorded)
+    _, values = cli._eval_record(model.load_checkpoint(ckpt), cfg, rec, R,
+                                 resample=False)
+    grid = rec["grid"]
+    c = geometry.cell_center(grid)
+    want = c + (geometry.grid_coordinates(grid) - c) @ R.T
+    assert np.allclose(np.concatenate(queries), want, rtol=0, atol=1e-12)
+    assert np.array_equal(values, grid.values)
+
+
 def test_eval_config_mismatch_rejected(tmp_path):
     data, ckpt = oracle_instance(tmp_path)
     bad = dict(SMALL_MODEL, channels=3)

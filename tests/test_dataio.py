@@ -115,7 +115,8 @@ def test_schema_errors_name_the_field(tmp_path):
         ("set", ("atom_type", [-1, 6, 8]), "atom_type"),
         # unknown keys: each would otherwise load Angstrom as Bohr
         ("set", ("units", {"lenght": "angstrom"}), "units key 'lenght'"),
-        ("set", ("unit", {"length": "angstrom"}), "key 'unit'"),
+        ("set", ("unit", {"length": "angstrom"}),
+         "unknown record key 'unit'"),
     ]
     for kind, what, needle in cases:
         meta = dict(base)
@@ -242,6 +243,10 @@ def test_save_record_checks_before_writing(tmp_path):
         (types, inf_coords, "atom_coord must be finite"),
         (types, coords[:, :2], r"atom_coord must have shape \(\*, 3\)"),
         (types, coords[:2], "atom_coord has 2 rows for 3 atom_type"),
+        # ragged: numpy cannot make an array of them
+        ([[1], [6, 8], 8], coords, "atom_type is ragged"),
+        (types, [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0]],
+         "atom_coord is ragged"),
     ]
     for bad_types, bad_coords, needle in cases:
         # neither an existing record nor a new stem gets a file

@@ -188,9 +188,24 @@ def test_graph_pairs_each_edge_with_its_reverse(case):
      "targets"),
     (lambda: geometry.QuerySample(np.zeros((4, 2)), np.zeros(4), 1.0),
      "points"),
+    # 2**64 values wrap to 0 in an int64 count
+    (lambda: geometry.VoxelGrid((2**32, 2**32, 1), np.eye(3), np.zeros(3),
+                                np.zeros(0)), "values"),
+    (lambda: geometry.MolecularGraph([[0], [1, 2]], np.zeros((2, 3)), 3.0),
+     "atom_type"),
+    (lambda: geometry.MolecularGraph([0, 1], [[1, 2, 3], [1, 2]], 3.0),
+     "atom_coord"),
+    (lambda: geometry.MolecularGraph([0, 1], [[1, 2, 3], [1, 2, "x"]], 3.0),
+     "atom_coord"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), {"a": 1}, np.zeros(3),
+                                np.zeros(8)), "cell"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), ["0", "0", "zero"],
+                                np.zeros(8)), "origin"),
 ], ids=["type_2d", "type_negative", "coord_rows", "coord_2d", "shape_2",
         "shape_zero", "cell_2x2", "cell_singular", "values_short",
-        "origin_2", "origin_column", "targets_short", "points_2d"])
+        "origin_2", "origin_column", "targets_short", "points_2d",
+        "values_overflow", "type_ragged", "coord_ragged", "coord_text",
+        "cell_dict", "origin_text"])
 def test_constructors_reject_bad_fields_naming_them(build, field):
     with pytest.raises(DomainError, match=f"^{field}"):
         build()
@@ -245,6 +260,15 @@ def _misshapen_calls():
             np.zeros((5, 2)), vgrid, np.eye(3))),
         "spectral_filter": ("f", lambda: graphon.spectral_filter(
             decomp, lambda lam: lam, np.zeros(5))),
+        # ragged or non-numeric: numpy's own conversion error, named
+        "expand_density_ragged": ("queries", lambda: basis.expand_density(
+            spec, coeffs, pts, [[0, 0, 0], [0, 0]])),
+        "nmae_text": ("target", lambda: model.nmae(np.zeros(2),
+                                                   ["one", "two"])),
+        "apply_operator_dict": ("f", lambda: graphon.apply_operator(
+            graphon.min_kernel(), {"f": 1}, qgrid)),
+        "trilinear_sample_ragged": ("points", lambda:
+            geometry.trilinear_sample(vgrid, [[0, 0, 0], [0, 0]])),
     }
 
 

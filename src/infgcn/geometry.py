@@ -24,17 +24,21 @@ from .errors import DomainError
 
 
 def check_array(name, a, shape, finite=False):
-    """``a`` as a float array of ``shape``, where ``None`` matches any
-    length, and with ``finite`` every entry finite; DomainError naming
-    ``name`` otherwise. A NaN point would fail every cutoff test and
+    """``a``, of bools, ints or floats, as a float array of ``shape``,
+    where ``None`` matches any length, and with ``finite`` every entry
+    finite; DomainError naming ``name`` otherwise. A NaN point would fail every cutoff test and
     silently drop out of the pairs, so point sets ask for ``finite``."""
     dims = ", ".join("*" if want is None else str(want) for want in shape)
     dims += "," if len(shape) == 1 else ""
     try:
-        a = np.asarray(a, dtype=float)
+        arr = np.asarray(a)
+        # numpy would parse "1", take None as NaN and drop an imaginary part
+        if arr.dtype.kind not in "biuf":
+            raise TypeError
+        a = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must have shape ({dims}), got a ragged or "
-                          f"non-numeric {type(a).__name__}") from None
+                          f"non-real {type(a).__name__}") from None
     if a.ndim != len(shape) or any(want is not None and want != got
                                    for want, got in zip(shape, a.shape)):
         raise DomainError(f"{name} must have shape ({dims}), got {a.shape}")

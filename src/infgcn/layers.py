@@ -28,6 +28,12 @@ at exactly |E| * C * (L+1)^4 multiplies, the compressed-vector budget.
 What only a backward reads is built only when its forward is given a
 ``cache``. A backward overwrites every entry of its ``grads``
 (`model.bind`), so they need no zeroing.
+
+An uncached residual forward on a batch large enough to pay for it
+decodes from a piecewise-Chebyshev table of its radial net with each
+atom's features folded in (`_folded_forward`): no pair gets radial
+outputs or a feature projection. Training and smaller batches, and every
+conv layer, run the exact nets.
 """
 from __future__ import annotations
 
@@ -166,7 +172,6 @@ def init_radial_net(rng, cutoff, out_dim, zero_head=True):
         head_w=head_w, head_b=np.zeros(out_dim))
 
 
-_TINY = np.finfo(float).tiny
 _ROWS = 1024  # rows per block of an uncached exact radial pass
 # decode tables: K intervals of [0, cutoff] at degree P from values at
 # first-kind Chebyshev nodes, checked at interval ends and quarter points
@@ -175,17 +180,23 @@ _NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
 _CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
 _CHEB[0] /= 2
 _CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
-_KEEP = 1 << 21  # bytes of the largest decode table (a conv head's is over)
+_KEEP = 1 << 21  # bytes of the largest decode table (the residual net's: 1.1 MB)
 _DECODE = None  # (bit-compared copies of the kept net's fields, its _table)
 
 
 def _embed(params, r):
-    """Gaussian embedding of distances, (E, N_EMBED), its subnormal entries
-    set to zero: GEMMs over them run several times slower, and beside the
+    """Gaussian embedding of distances, (E, N_EMBED), its entries below
+    1e-300 set to zero: their products with the first layer's weights are
+    subnormal, GEMMs over those run several times slower, and beside the
     nearest center's Gaussian (>= exp(-1/8)) they vanish in rounding."""
     e = np.exp(-0.5 * ((r[:, None] - params.centers) / params.width) ** 2)
-    np.copyto(e, 0.0, where=e < _TINY)
+    np.copyto(e, 0.0, where=e < 1e-300)
     return e
+
+
+def _row_mults(params):
+    """Multiplies of one exact row of the net."""
+    return params.w1.size + params.w2.size + params.head_w.size
 
 
 def _net(params, r, cache=None, out=None):
@@ -207,19 +218,20 @@ def _net(params, r, cache=None, out=None):
     return out
 
 
-def _table_eval(coef, h, r):
-    """The table ``coef`` on intervals of width ``h`` at ``r``: rows grouped
-    by one stable argsort, one GEMM per interval writing its rows."""
+def _table_eval(h, r, atom=None):
+    """What evaluating a table on intervals of width ``h`` at ``r`` needs:
+    the stable order that groups the rows by interval, or with ``atom`` by
+    (atom, interval); T_j(t) of the rows in that order, (E, P+1); and per
+    run of one key, (key, start, end) in that order, the key being the
+    interval, or atom * K + interval. Each run is one GEMM."""
     cell = np.minimum((r / h).astype(np.intp), _K - 1)
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    t = (r[order] - cell * h) * (2 / h) - 1
+    key = cell if atom is None else atom * _K + cell
+    order = np.argsort(key, kind="stable")
+    t = (r[order] - cell[order] * h) * (2 / h) - 1
     T = np.polynomial.chebyshev.chebvander(t, _P)  # T_j(t), (E, P+1)
-    out = np.empty((r.size, coef.shape[2]))
-    cells, starts = _segments(cell)
-    for i, lo, hi in zip(cells, starts, np.append(starts[1:], r.size)):
-        out[order[lo:hi]] = T[lo:hi] @ coef[i]
-    return out
+    keys, starts = _segments(key[order])
+    return order, T, zip(keys.tolist(), starts.tolist(),
+                         starts[1:].tolist() + [r.size])
 
 
 def _table(params):
@@ -230,7 +242,11 @@ def _table(params):
     checks = _CHECKS * params.cutoff
     exact = _net(params, np.concatenate([nodes, checks]))
     coef = np.matmul(_CHEB, exact[:nodes.size].reshape(_K, _P + 1, -1))
-    err = np.abs(_table_eval(coef, h, checks) - exact[nodes.size:]).max()
+    order, T, runs = _table_eval(h, checks)
+    got = np.empty((checks.size, coef.shape[2]))
+    for i, lo, hi in runs:
+        got[order[lo:hi]] = T[lo:hi] @ coef[i]
+    err = np.abs(got - exact[nodes.size:]).max()
     return coef if err <= 1e-13 * np.abs(exact).max() else None
 
 
@@ -251,27 +267,14 @@ def radial_forward(params, r, counters=None, cache=None):
     """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
 
     A ``cache`` dict receives the activations ``radial_backward`` reads.
-    Without one, phi, smooth in one scalar, comes from a ``_table`` when
-    the table fits in ``_KEEP`` bytes and building, checking and
-    evaluating it cost no more multiplies than the exact pass (1,425
-    distances at 128 outputs). The table, or its failed check, is kept
-    until its net's arrays change. Else the exact net runs uncached, in
-    ``_ROWS``-row blocks. ``radial`` counts the multiplies done.
+    Without one the net runs in ``_ROWS``-row blocks. ``radial`` counts the
+    multiplies done.
     """
     r = np.asarray(r, dtype=float)
     # written so that NaN fails it too
     if not np.all((r >= 0.0) & (r <= params.cutoff + 1e-9)):
         raise DomainError("distance outside [0, cutoff]")
-    row = params.w1.size + params.w2.size + params.head_w.size
-    per_row = (_P + 1) * params.out_dim
-    # the nodes' and checks' exact rows, the transform and the checks' rows
-    table = (_K * (_P + 1) + _CHECKS.size) * (row + per_row)
-    use = (cache is None and _K * per_row * 8 <= _KEEP
-           and table + r.size * per_row <= r.size * row)
-    coef, built = _decode_table(params) if use else (None, False)
-    if coef is not None:
-        out = _table_eval(coef, params.cutoff / _K, r)
-    elif cache is not None:
+    if cache is not None:
         out = _net(params, r, cache)
     else:  # cache-sized blocks, none of one row (GEMV rounds differently):
         # the cached pass's bits at 40, 128 and 5,504 outputs, not at 300
@@ -280,8 +283,7 @@ def radial_forward(params, r, counters=None, cache=None):
         for lo, hi in zip(starts, starts[1:] + [r.size]):
             _net(params, r[lo:hi], out=out[lo:hi])
     if counters is not None:
-        counters.add("radial", (table if built else 0)
-                     + r.size * (row if coef is None else per_row))
+        counters.add("radial", r.size * _row_mults(params))
     return out
 
 
@@ -695,18 +697,80 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
                           cutoff=float(cutoff), radial=radial)
 
 
-def _residual_pairs(queries, coords, params, counters=None, keep=False):
+def _residual_pairs(queries, coords, params, counters=None, keep=False,
+                    found=None):
     """The residual layer's coefficient-free half, from checked arrays: its
     query-atom pairs ``qi``, ``vi`` (sorted by atom), their radial scalars
-    ``phi``, (E, L+1, C), harmonics ``Y`` and, with ``keep``, radial cache."""
+    ``phi``, (E, L+1, C), harmonics ``Y`` and, with ``keep``, radial cache.
+    ``found`` is the pairs' ``radius_pairs`` result, if already searched."""
     L, C = params.l_max, params.channels
-    vi, qi, vec, r = geometry.radius_pairs(coords, queries, params.cutoff)
+    if found is None:
+        found = geometry.radius_pairs(coords, queries, params.cutoff)
+    vi, qi, vec, r = found
     radial = {} if keep else None
     phi = radial_forward(params.radial, r, counters, radial)
     phi = phi.reshape(r.size, L + 1, C)
+    return qi, vi, phi, _harmonics(L, vec, r), radial
+
+
+def _harmonics(L, vec, r, rows=False):
+    """Each pair's harmonics at the direction from query to atom, (E,
+    (L+1)^2), or with ``rows`` ((L+1)^2, E); a pair closer than
+    ``_EPS_EDGE`` gets the zero vector's."""
     # vec runs from atom to query; negated it is exactly atom minus query
     rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
-    return qi, vi, phi, so3.eval_real_sh(L, rhat), radial
+    return so3.eval_real_sh(L, rhat, rows=rows)
+
+
+def _residual_table(params, n, counters):
+    """The residual net's decode table, or None where it does not apply to
+    ``n`` pairs: it must fit in ``_KEEP`` bytes, and building, checking and
+    evaluating it must cost no more multiplies than the exact net (1,425
+    pairs at 128 outputs). The table, or its failed check, is kept until
+    the net's arrays change; a build is counted under ``radial``."""
+    p = params.radial
+    row, per_row = _row_mults(p), (_P + 1) * p.out_dim
+    # the nodes' and checks' exact rows, the transform and the checks' rows
+    table = (_K * (_P + 1) + _CHECKS.size) * (row + per_row)
+    if _K * per_row * 8 > _KEEP or table + n * per_row > n * row:
+        return None
+    coef, built = _decode_table(p)
+    if built and counters is not None:
+        counters.add("radial", table)
+    return coef
+
+
+def _folded_forward(found, n_queries, feats, params, coef, counters):
+    """z from the decode table ``coef`` with each atom's features folded
+    in. For atom u, B_u[cell, j, km] = sum_c coef[cell, j, k, c] f_u[c, km]
+    (one GEMM per degree), and a pair's contribution sum_km Y_km A_km(r),
+    with A = sum_j T_j(t) B_u[cell, j], is T . (B_u[cell] Y): one GEMM per
+    (atom, interval) run. The table product counts as ``radial``
+    multiplies, the fold and the dot as ``residual``."""
+    vi, qi, vec, r = found
+    L, C = params.l_max, params.channels
+    order, T, runs = _table_eval(params.cutoff / _K, r, vi)
+    # in run order; a query meets each atom once, so its pairs keep their
+    # atom order and the bincount sums them as the exact path does
+    Y = _harmonics(L, vec[order], r[order], rows=True)
+    tab = coef.reshape(_K * (_P + 1), L + 1, C)
+    B = np.empty((_K, _P + 1, len(Y)))
+    YB = np.empty((_P + 1, r.size))
+    atom = -1
+    for i, lo, hi in runs:
+        u, cell = divmod(i, _K)
+        if u != atom:  # runs come sorted by atom
+            atom = u
+            for k in range(L + 1):
+                sl = so3.block_slice(k)
+                np.matmul(tab[:, k], feats[u, :, sl],
+                          out=B.reshape(-1, len(Y))[:, sl])
+        np.matmul(B[cell], Y[:, lo:hi], out=YB[:, lo:hi])
+    if counters is not None:
+        counters.add("radial", Y.size * (_P + 1))
+        counters.add("residual", np.unique(vi).size * B.size * C + T.size)
+    return np.bincount(qi[order], weights=np.einsum("je,ej->e", YB, T),
+                       minlength=n_queries)
 
 
 def residual_forward(queries, coords, feats, params, counters=None,
@@ -719,7 +783,8 @@ def residual_forward(queries, coords, feats, params, counters=None,
     k = 0 term and contributes nothing through higher degrees.
 
     ``pairs`` is ``_residual_pairs``' result for these arguments, computed
-    ahead (`grad`).
+    ahead (`grad`). Given neither, a batch ``_residual_table`` admits is
+    decoded by `_folded_forward`.
     """
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     coords = geometry.check_array("coords", coords, (None, 3), finite=True)
@@ -727,8 +792,14 @@ def residual_forward(queries, coords, feats, params, counters=None,
                                  _feature_shape(len(coords), params))
     L, C = params.l_max, params.channels
     if pairs is None:
+        found = geometry.radius_pairs(coords, queries, params.cutoff)
+        coef = (None if cache is not None
+                else _residual_table(params, found[3].size, counters))
+        if coef is not None:
+            return _folded_forward(found, len(queries), feats, params, coef,
+                                   counters)
         pairs = _residual_pairs(queries, coords, params, counters,
-                                keep=cache is not None)
+                                keep=cache is not None, found=found)
     qi, vi, phi, Y, radial = pairs
     # s[e, k] = Y[e, block k] @ feats[vi[e], :, block k].T, (E, L+1, C):
     # each pair's degree-k atom features projected on its harmonics, one

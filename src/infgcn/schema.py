@@ -83,6 +83,8 @@ def _array(v, kind, meta, error, name):
         item = stack.pop()
         if isinstance(item, list):
             stack.extend(item)
+        elif isinstance(item, np.generic):  # a numpy scalar, as a Python one
+            stack.append(item.item())
         elif type(item) not in (int, kind):
             raise error(f"{name} holds a {type(item).__name__}, not {what}")
     try:

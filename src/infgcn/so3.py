@@ -77,14 +77,15 @@ def block_slice(l):
 _SH_BLOCK = 8192  # points per block of eval_real_sh
 
 
-def eval_real_sh(l_max, d):
+def eval_real_sh(l_max, d, rows=False):
     """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max, as a
     C-contiguous (..., (l_max+1)**2) array, at a (..., 3) array ``d`` of
     displacements of any length. Points are taken in blocks of
     ``_SH_BLOCK``. Within a block each (l, m) is written as one contiguous
     row of an ((l_max+1)**2, n) buffer, which is then transposed into the
     output: no write strides across the last axis, and the buffer and the
-    recursion's temporaries stay cache-sized.
+    recursion's temporaries stay cache-sized. With ``rows`` the result is
+    those rows, ((l_max+1)**2, ...), written in place with no transpose.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -92,13 +93,16 @@ def eval_real_sh(l_max, d):
     if d.shape[-1] != 3:
         raise DomainError("displacements must have a trailing dimension of 3")
     pts = d.reshape(-1, 3)
-    out = np.empty((pts.shape[0], num_sh(l_max)))
-    for lo in range(0, pts.shape[0], _SH_BLOCK):
+    n, S = pts.shape[0], num_sh(l_max)
+    out = np.empty((S, n) if rows else (n, S))
+    for lo in range(0, n, _SH_BLOCK):
         x, y, z = pts[lo:lo + _SH_BLOCK].T.copy()
-        rows = np.empty((num_sh(l_max), x.size))
-        _sh_recursion(l_max, x, y, z, np.ones_like(z), np.multiply, rows)
-        out[lo:lo + _SH_BLOCK] = rows.T
-    return out.reshape(d.shape[:-1] + (out.shape[1],))
+        block = out[:, lo:lo + x.size] if rows else np.empty((S, x.size))
+        _sh_recursion(l_max, x, y, z, np.ones_like(z), np.multiply, block)
+        if not rows:
+            out[lo:lo + x.size] = block.T
+    return (out.reshape((S,) + d.shape[:-1]) if rows
+            else out.reshape(d.shape[:-1] + (S,)))
 
 
 def _sh_recursion(l_max, x, y, z, one, mul, out):

@@ -87,11 +87,13 @@ def test_a1_checkpoint_decodes_from_its_checked_table(workdir):
     _, ckpt = _eval_artifacts(workdir)
     radial = model.load_checkpoint(ckpt).residual.radial
     r = np.linspace(0.0, radial.cutoff, 4 * 4096 + 1)  # every interval edge
-    counters = layers.OpCounters()
-    got = layers.radial_forward(radial, r, counters)
+    coef, _ = layers._decode_table(radial)
+    assert coef is not None  # no fallback
+    order, T, runs = layers._table_eval(radial.cutoff / layers._K, r)
+    got = np.empty((r.size, radial.out_dim))
+    for i, lo, hi in runs:
+        got[order[lo:hi]] = T[lo:hi] @ coef[i]
     exact = layers.radial_forward(radial, r, cache={})
-    row = radial.w1.size + radial.w2.size + radial.head_w.size
-    assert 2 * counters.counts["radial"] <= r.size * row  # no fallback
     assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
 

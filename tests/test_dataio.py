@@ -247,6 +247,9 @@ def test_save_record_checks_before_writing(tmp_path):
         ([[1], [6, 8], 8], coords, "atom_type is ragged"),
         (types, [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0]],
          "atom_coord is ragged"),
+        # a numpy scalar is a number: the row is what is wrong
+        (types, [[np.float64(0.0), 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0]],
+         "atom_coord is ragged"),
     ]
     for bad_types, bad_coords, needle in cases:
         # neither an existing record nor a new stem gets a file

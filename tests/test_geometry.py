@@ -201,11 +201,22 @@ def test_graph_pairs_each_edge_with_its_reverse(case):
                                 np.zeros(8)), "cell"),
     (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), ["0", "0", "zero"],
                                 np.zeros(8)), "origin"),
+    # numpy would parse these strings, read None as NaN, drop the
+    # imaginary part
+    (lambda: geometry.VoxelGrid((2, 2, 2), [["1", 0, 0], [0, "1", 0],
+                                            [0, 0, "1"]], np.zeros(3),
+                                np.zeros(8)), "cell"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3),
+                                [None] * 8), "values"),
+    (lambda: geometry.VoxelGrid((2, 2, 2), np.eye(3),
+                                np.zeros(3, dtype=complex), np.zeros(8)),
+     "origin"),
 ], ids=["type_2d", "type_negative", "coord_rows", "coord_2d", "shape_2",
         "shape_zero", "cell_2x2", "cell_singular", "values_short",
         "origin_2", "origin_column", "targets_short", "points_2d",
         "values_overflow", "type_ragged", "coord_ragged", "coord_text",
-        "cell_dict", "origin_text"])
+        "cell_dict", "origin_text", "cell_numeric_text", "values_none",
+        "origin_complex"])
 def test_constructors_reject_bad_fields_naming_them(build, field):
     with pytest.raises(DomainError, match=f"^{field}"):
         build()
@@ -269,6 +280,12 @@ def _misshapen_calls():
             graphon.min_kernel(), {"f": 1}, qgrid)),
         "trilinear_sample_ragged": ("points", lambda:
             geometry.trilinear_sample(vgrid, [[0, 0, 0], [0, 0]])),
+        "trilinear_sample_none": ("points", lambda:
+            geometry.trilinear_sample(vgrid, [[0, 0, None]])),
+        "expand_density_text": ("queries", lambda: basis.expand_density(
+            spec, coeffs, pts, [["0", "0", "0"]])),
+        "loss_l2_complex": ("target", lambda: model.loss_l2(
+            np.zeros(2), np.zeros(2, dtype=complex))),
     }
 
 

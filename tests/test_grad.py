@@ -712,3 +712,31 @@ def test_training_step_memory_stays_below_allocating_step():
         grad.optimize_step(state, params, grads, reg)
 
     assert _traced_peak(step) < 154.0
+
+
+def test_training_step_never_decodes_from_the_residual_table(monkeypatch):
+    # a batch whose prediction decodes from the residual net's table; the
+    # training step's forward keeps a cache and takes its pairs from the
+    # worker, so it runs the exact pairs and never reads the table
+    cfg = model.ModelConfig(l_max=1, channels=4, n_layers=1, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=54, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=55, n_atoms=5,
+                                           n_queries=400)
+    assert geometry.radius_pairs(graph.atom_coord, queries,
+                                 3.0)[3].size >= 1425
+    folded, real = [], layers._folded_forward
+    monkeypatch.setattr(layers, "_folded_forward",
+                        lambda *a: folded.append(a) or real(*a))
+    pred = model.predict_density(params, graph, queries)
+    assert len(folded) == 1
+
+    def fail(*args):
+        raise AssertionError("the training step read the decode table")
+
+    monkeypatch.setattr(layers, "_folded_forward", fail)
+    monkeypatch.setattr(layers, "_decode_table", fail)
+    dens, _ = model.forward_trace(params, graph, queries)
+    assert np.abs(dens - pred).max() <= 1e-12 * np.abs(pred).max()
+    loss, _ = grad.loss_and_grad(params, graph, queries, target)
+    assert np.isfinite(loss)

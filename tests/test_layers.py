@@ -135,11 +135,13 @@ def test_radial_rejects_out_of_range():
 
 def test_embed_has_no_subnormal_entries():
     # width = cutoff/63, so every r in [0, cutoff] has centers 37.6-38.6
-    # widths away, where the Gaussian is subnormal
+    # widths away, where the Gaussian is subnormal; entries kept are at
+    # least 1e-300, so their products with weights of magnitude 1e-7 or more
+    # are normal too
     rng = np.random.default_rng(3)
     p = layers.init_radial_net(rng, 3.0, 4)
     e = layers._embed(p, np.linspace(0.0, 3.0, 20001))
-    assert np.all((e == 0.0) | (e >= np.finfo(float).tiny))
+    assert np.all((e == 0.0) | (e >= 1e-300))
     assert np.all(e.max(axis=1) >= np.exp(-0.125))
 
 
@@ -159,11 +161,8 @@ def _scaled_net(scale, out_dim=8, seed=43):
 
 
 # the uncached pass runs the exact net in row blocks, the cached one on
-# whole arrays. The largest size is above the smallest batch a decode table
-# pays for (1,342 rows at out_dim 40, 1,425 at 128, the default residual
-# width), so the net's hidden weights are scaled x10, where no table passes
-# its check, and a first uncached call leaves that failed check in the
-# memo: the counted call then runs only the blocked exact pass
+# whole arrays; sizes around the block edges, at 40 outputs and at 128,
+# the default residual width
 _SIZES = [0, 1, layers._ROWS, layers._ROWS + 1, 2 * layers._ROWS + 7]
 
 
@@ -175,7 +174,6 @@ def test_uncached_radial_forward_is_bit_identical_to_cached(n, out_dim):
     p = _scaled_net(10.0, out_dim=out_dim, seed=42)
     r = rng.uniform(0.0, 3.0, size=n)
     cached = layers.radial_forward(p, r, cache={})
-    layers.radial_forward(p, r)
     counters = layers.OpCounters()
     uncached = layers.radial_forward(p, r, counters)
     assert uncached.shape == (n, out_dim)
@@ -195,35 +193,61 @@ def _decode_distances(rng, p, n=4000):
                            rng.uniform(0.0, p.cutoff, n - special.size)])
 
 
+def _table_values(p, r):
+    """The kept decode table of net ``p`` evaluated at ``r``."""
+    coef, _ = layers._decode_table(p)
+    order, T, runs = layers._table_eval(p.cutoff / layers._K, r)
+    out = np.empty((r.size, p.out_dim))
+    for i, lo, hi in runs:
+        out[order[lo:hi]] = T[lo:hi] @ coef[i]
+    return out
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_uncached_radial_decode_table_matches_exact_net(scale):
     rng = np.random.default_rng(44)
     p = _scaled_net(scale)
     r = _decode_distances(rng, p)
     exact = layers.radial_forward(p, r, cache={})
-    counters = layers.OpCounters()
-    got = layers.radial_forward(p, r, counters)
-    # the table ran: fewer multiplies than the exact pass, at most half
-    assert 2 * counters.counts["radial"] <= r.size * _row_mults(p)
+    got = _table_values(p, r)
     assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
-    assert np.array_equal(got, layers.radial_forward(p, r))
+
+
+def _on_net(radial, l_max=1):
+    """A residual layer around ``radial``, whose width must be (l_max+1) C."""
+    return layers.ResidualParams(l_max=l_max,
+                                 channels=radial.out_dim // (l_max + 1),
+                                 cutoff=radial.cutoff, radial=radial)
+
+
+def _table_batch(rng, params, n_atoms=5, n_queries=700):
+    """Queries, atoms and features of a batch with more pairs than an
+    8-output table pays for (1,296), the sizes ``_scaled_net`` makes."""
+    coords = rng.uniform(-1.5, 1.5, size=(n_atoms, 3))
+    queries = rng.uniform(-2.5, 2.5, size=(n_queries, 3))
+    feats = random_feats(rng, n_atoms, params.l_max, params.channels)
+    assert geometry.radius_pairs(coords, queries, 3.0)[3].size >= 1300
+    return queries, coords, feats
 
 
 def test_uncached_radial_decode_falls_back_on_large_weights():
-    # x10 weights: no table of this size comes within 1e-13 of scale
+    # x10 weights: no table of this size comes within 1e-13 of scale, so
+    # the residual layer runs its exact pairs, after one build and check
     rng = np.random.default_rng(45)
-    p = _scaled_net(10.0)
-    r = _decode_distances(rng, p)
+    params = _on_net(_scaled_net(10.0))
+    batch = _table_batch(rng, params)
     counters = layers.OpCounters()
-    got = layers.radial_forward(p, r, counters)
-    assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
-    assert counters.counts["radial"] > r.size * _row_mults(p)
+    got = layers.residual_forward(*batch, params, counters)
+    assert layers._decode_table(params.radial)[0] is None
+    assert np.array_equal(
+        got, layers.residual_forward(*batch, params, cache={}))
+    n_pairs = geometry.radius_pairs(batch[1], batch[0], 3.0)[3].size
+    assert counters.counts["radial"] > n_pairs * _row_mults(params.radial)
 
 
 def test_uncached_radial_fallback_runs_in_row_blocks():
-    # after a failed check the exact net runs in blocks of _ROWS rows, so
-    # the peak is a few blocks' activations, not one 128-wide activation
-    # of the whole batch
+    # the exact net runs in blocks of _ROWS rows, so the peak is a few
+    # blocks' activations, not one 128-wide activation of the whole batch
     import tracemalloc
 
     p = _scaled_net(10.0)
@@ -241,9 +265,9 @@ def test_uncached_radial_fallback_runs_in_row_blocks():
                                         (76, 5504), (3400, 300)])
 def test_conv_sized_radial_batches_never_build_a_table(monkeypatch, out_dim,
                                                        n):
-    # 5,504 = 344 paths x 16 channels, the default conv head. At 300
-    # outputs a table (2.6 MB) is over _KEEP, as a conv head's is, so 3,400
-    # distances, where one would pay for its build, still run exact
+    # 5,504 = 344 paths x 16 channels, the default conv head. The radial
+    # net alone never decodes from a table, whatever the batch: 3,400
+    # distances at 300 outputs would pay for one
     rng = np.random.default_rng(46)
     p = layers.init_radial_net(rng, 3.0, out_dim, zero_head=False)
     r = rng.uniform(0.0, 3.0, size=n)
@@ -267,34 +291,37 @@ def _counting_table(monkeypatch):
 
 def test_decode_table_is_built_once_per_net(monkeypatch):
     builds = _counting_table(monkeypatch)
-    p = _scaled_net(1.0)
-    r = np.random.default_rng(48).uniform(0.0, p.cutoff, 1400)
-    first = layers.radial_forward(p, r)
+    params = _on_net(_scaled_net(1.0))
+    batch = _table_batch(np.random.default_rng(48), params)
+    first = layers.residual_forward(*batch, params)
     counters = layers.OpCounters()
-    assert np.array_equal(layers.radial_forward(p, r, counters), first)
+    assert np.array_equal(layers.residual_forward(*batch, params, counters),
+                          first)
     assert len(builds) == 1
-    # a hit charges only the evaluation
-    assert counters.counts["radial"] == r.size * (layers._P + 1) * p.out_dim
+    # a hit charges only the evaluation: per pair, the table's P+1 rows
+    # at every (k, m) slot
+    n_pairs = geometry.radius_pairs(batch[1], batch[0], 3.0)[3].size
+    assert counters.counts["radial"] == n_pairs * (layers._P + 1) * 4
     # one bit of any array or scalar of the net is a different net
     for name in ("cutoff", "width", "centers", "w1", "b1", "w2", "b2",
                  "head_w", "head_b"):
-        q = copy.deepcopy(p)
-        value = getattr(q, name)
+        q = copy.deepcopy(params)
+        value = getattr(q.radial, name)
         if isinstance(value, float):
-            setattr(q, name, np.nextafter(value, np.inf))
+            setattr(q.radial, name, np.nextafter(value, np.inf))
         else:
             value.flat[3] = np.nextafter(value.flat[3], np.inf)
-        layers.radial_forward(q, r)
-        layers.radial_forward(p, r)
+        layers.residual_forward(*batch, q)
+        layers.residual_forward(*batch, params)
     assert len(builds) == 1 + 2 * 9
 
 
 def test_decode_table_concurrent_first_build():
     # racing first builds take no lock: every thread must still get the
     # serial result, and the memo must keep a table equal to the serial one
-    p = _scaled_net(1.0)
-    r = np.random.default_rng(50).uniform(0.0, p.cutoff, 4000)
-    want = layers.radial_forward(p, r)
+    params = _on_net(_scaled_net(1.0))
+    batch = _table_batch(np.random.default_rng(50), params, n_queries=2000)
+    want = layers.residual_forward(*batch, params)
     table = layers._DECODE[1]
     layers._DECODE = None  # restored by the autouse fixture
     n_threads = 6
@@ -303,7 +330,7 @@ def test_decode_table_concurrent_first_build():
 
     def decode(i):
         barrier.wait(timeout=30)
-        got[i] = layers.radial_forward(p, r)
+        got[i] = layers.residual_forward(*batch, params)
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -323,16 +350,18 @@ def test_decode_table_concurrent_first_build():
 
 def test_failed_decode_check_is_paid_once(monkeypatch):
     # x3 weights: this net's table misses its check, so every call runs
-    # the blocked exact pass, and only the first builds and checks a table
+    # the exact pairs, and only the first builds and checks a table
     builds = _counting_table(monkeypatch)
-    p = _scaled_net(3.0)
+    params = _on_net(_scaled_net(3.0))
     rng = np.random.default_rng(51)
     for i in range(3):
-        r = rng.uniform(0.0, p.cutoff, 3800)
+        batch = _table_batch(rng, params)
         counters = layers.OpCounters()
-        got = layers.radial_forward(p, r, counters)
-        assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
-        exact = r.size * _row_mults(p)
+        got = layers.residual_forward(*batch, params, counters)
+        assert np.array_equal(
+            got, layers.residual_forward(*batch, params, cache={}))
+        n_pairs = geometry.radius_pairs(batch[1], batch[0], 3.0)[3].size
+        exact = n_pairs * _row_mults(params.radial)
         assert (counters.counts["radial"] > exact) == (i == 0)
     assert len(builds) == 1 and layers._DECODE[1] is None
 
@@ -1408,6 +1437,72 @@ def _reference_residual_backward(queries, coords, feats, params, grad_z):
         grad_f[:, :, sl] = block
     return grad_f, {"radial": _reference_radial_backward(
         params.radial, r, grad_phi.reshape(qi.size, -1))}
+
+
+def _full_scale_batch(rng):
+    """The default residual layer (L = 7, C = 16) with its head at full
+    Glorot scale, x100 as the fingerprint has it, and a batch of well over
+    1,425 pairs. An atom at the origin sees queries along x at every table
+    interval edge, at both float neighbours of each and at the cutoff, and
+    one query sits 3e-13 bohr from another atom."""
+    params = layers.init_residual_layer(rng, 7, 16, 3.0, zero_head=False)
+    params.radial.head_w *= 100.0
+    coords = rng.uniform(-1.5, 1.5, size=(5, 3))
+    coords[0] = 0.0
+    edges = np.arange(layers._K + 1) * (3.0 / layers._K)
+    x = np.concatenate([edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 3.0)])
+    queries = np.concatenate([
+        rng.uniform(-2.5, 2.5, size=(400, 3)),
+        np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=1),
+        coords[1:2] + 3e-13])
+    feats = random_feats(rng, 5, 7, 16)
+    return queries, coords, feats, params
+
+
+def test_folded_residual_decode_matches_the_exact_forward(monkeypatch):
+    rng = np.random.default_rng(52)
+    queries, coords, feats, params = _full_scale_batch(rng)
+    vi, qi, _, r = geometry.radius_pairs(coords, queries, 3.0)
+    edges = np.arange(layers._K + 1) * (3.0 / layers._K)
+    assert r.size >= 1425 and np.isin(edges, r[vi == 0]).all()
+    assert 0.0 < r[qi == len(queries) - 1].min() < 1e-12
+    exact = layers.residual_forward(queries, coords, feats, params, cache={})
+    # no per-pair radial scalars: the uncached forward never runs the net
+    monkeypatch.setattr(layers, "radial_forward", None)
+    got = layers.residual_forward(queries, coords, feats, params)
+    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+    # with the table kept, per pair the P+1 table rows at each of the 64
+    # (k, m) slots and a dot product over them; per atom the fold
+    counters = layers.OpCounters()
+    assert np.array_equal(
+        layers.residual_forward(queries, coords, feats, params, counters),
+        got)
+    P1 = layers._P + 1
+    assert counters.counts == {"radial": r.size * 64 * P1,
+                               "residual": 5 * 64 * layers._K * P1 * 16
+                               + r.size * P1}
+
+
+@pytest.mark.parametrize("path", ["folded", "fallback", "exact", "cached"])
+def test_residual_forward_searches_its_pairs_once(monkeypatch, path):
+    # the folded decode, the exact pairs after a failed table check, a
+    # batch too small for a table and a training forward each call
+    # radius_pairs once
+    params = _on_net(_scaled_net(10.0 if path == "fallback" else 1.0))
+    batch = _table_batch(np.random.default_rng(53), params)
+    if path == "exact":
+        batch = (batch[0][:20],) + batch[1:]
+    calls, real = [], geometry.radius_pairs
+    monkeypatch.setattr(geometry, "radius_pairs",
+                        lambda *a: calls.append(a) or real(*a))
+    folded, real_fold = [], layers._folded_forward
+    monkeypatch.setattr(layers, "_folded_forward",
+                        lambda *a: folded.append(a) or real_fold(*a))
+    cache = {} if path == "cached" else None
+    layers.residual_forward(*batch, params, cache=cache)
+    assert len(calls) == 1
+    assert len(folded) == (path == "folded")
 
 
 def test_residual_layer_reads_no_coupling_tables(monkeypatch):

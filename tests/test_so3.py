@@ -129,6 +129,10 @@ def test_sh_row_major_buffer_matches_per_column_reference(shape):
     assert got.shape == shape[:-1] + (64,)
     assert got.flags.c_contiguous
     assert np.array_equal(got, _reference_eval_real_sh(7, d))
+    # the rows themselves, untransposed: the same bits
+    rows = so3.eval_real_sh(7, d, rows=True)
+    assert rows.shape == (64,) + shape[:-1] and rows.flags.c_contiguous
+    assert np.array_equal(np.moveaxis(rows, 0, -1), got)
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7])

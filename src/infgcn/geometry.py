@@ -26,8 +26,9 @@ from .errors import DomainError
 def check_array(name, a, shape, finite=False):
     """``a``, of bools, ints or floats, as a float array of ``shape``,
     where ``None`` matches any length, and with ``finite`` every entry
-    finite; DomainError naming ``name`` otherwise. A NaN point would fail every cutoff test and
-    silently drop out of the pairs, so point sets ask for ``finite``."""
+    finite; DomainError naming ``name`` otherwise. A NaN point would fail
+    every cutoff test and silently drop out of the pairs, so point sets
+    ask for ``finite``."""
     dims = ", ".join("*" if want is None else str(want) for want in shape)
     dims += "," if len(shape) == 1 else ""
     try:

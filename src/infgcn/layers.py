@@ -180,7 +180,7 @@ _NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
 _CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
 _CHEB[0] /= 2
 _CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
-_KEEP = 1 << 21  # bytes of the largest decode table (the residual net's: 1.1 MB)
+_KEEP = 1 << 21  # bytes of the largest decode table (the residual's: 1.1 MB)
 _DECODE = None  # (bit-compared copies of the kept net's fields, its _table)
 
 

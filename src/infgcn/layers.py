@@ -29,11 +29,12 @@ What only a backward reads is built only when its forward is given a
 ``cache``. A backward overwrites every entry of its ``grads``
 (`model.bind`), so they need no zeroing.
 
-An uncached residual forward on a batch large enough to pay for it
-decodes from a piecewise-Chebyshev table of its radial net with each
-atom's features folded in (`_folded_forward`): no pair gets radial
-outputs or a feature projection. Training and smaller batches, and every
-conv layer, run the exact nets.
+The residual layer sums z_e = rows_e . (B_u[cell] Y_e) over the pairs e
+of a query and atoms u (`_contract`). A row holds D values: [h2, 1], the
+radial net's last hidden layer and a ones column, or on a large uncached
+batch T_j(t) of a Chebyshev table of the net. B_u[cell, j, km] = sum_c
+tab[cell * D + j, k, c] f_u[c, km] folds in the atom's features, ``tab``
+being the head [head_w; head_b] or the table: no pair gets radial outputs.
 """
 from __future__ import annotations
 
@@ -172,7 +173,7 @@ def init_radial_net(rng, cutoff, out_dim, zero_head=True):
         head_w=head_w, head_b=np.zeros(out_dim))
 
 
-_ROWS = 1024  # rows per block of an uncached exact radial pass
+_ROWS = 1024  # pairs per block of the residual layer's uncached exact route
 # decode tables: K intervals of [0, cutoff] at degree P from values at
 # first-kind Chebyshev nodes, checked at interval ends and quarter points
 _K, _P = 64, 16
@@ -199,8 +200,9 @@ def _row_mults(params):
     return params.w1.size + params.w2.size + params.head_w.size
 
 
-def _net(params, r, cache=None, out=None):
-    """The exact net, into ``out`` if given; ``cache`` gets activations."""
+def _hidden(params, r, cache=None):
+    """The net's last hidden layer h2, (E, HIDDEN); ``cache`` gets the
+    activations a backward reads."""
     h = _embed(params, r)
     if cache is not None:
         cache["e"] = h
@@ -213,25 +215,27 @@ def _net(params, r, cache=None, out=None):
         else:
             cache[f"a{i}"] = h
             h = cache[f"h{i}"] = silu(h)
-    out = np.matmul(h, params.head_w, out=out)
+    return h
+
+
+def _net(params, r, cache=None):
+    """The exact net; ``cache`` gets activations."""
+    out = _hidden(params, r, cache) @ params.head_w
     out += params.head_b
     return out
 
 
-def _table_eval(h, r, atom=None):
+def _table_eval(h, r, atom=0):
     """What evaluating a table on intervals of width ``h`` at ``r`` needs:
-    the stable order that groups the rows by interval, or with ``atom`` by
-    (atom, interval); T_j(t) of the rows in that order, (E, P+1); and per
-    run of one key, (key, start, end) in that order, the key being the
-    interval, or atom * K + interval. Each run is one GEMM."""
+    the stable order that groups the rows by key atom * K + interval; T_j(t)
+    of the rows in that order, (E, P+1); and per run of one key, (key,
+    start, end) in that order. Each run is one GEMM."""
     cell = np.minimum((r / h).astype(np.intp), _K - 1)
-    key = cell if atom is None else atom * _K + cell
+    key = atom * _K + cell
     order = np.argsort(key, kind="stable")
     t = (r[order] - cell[order] * h) * (2 / h) - 1
     T = np.polynomial.chebyshev.chebvander(t, _P)  # T_j(t), (E, P+1)
-    keys, starts = _segments(key[order])
-    return order, T, zip(keys.tolist(), starts.tolist(),
-                         starts[1:].tolist() + [r.size])
+    return order, T, zip(*_segments(key[order]))
 
 
 def _table(params):
@@ -267,21 +271,13 @@ def radial_forward(params, r, counters=None, cache=None):
     """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
 
     A ``cache`` dict receives the activations ``radial_backward`` reads.
-    Without one the net runs in ``_ROWS``-row blocks. ``radial`` counts the
-    multiplies done.
+    ``radial`` counts the multiplies done.
     """
     r = np.asarray(r, dtype=float)
     # written so that NaN fails it too
     if not np.all((r >= 0.0) & (r <= params.cutoff + 1e-9)):
         raise DomainError("distance outside [0, cutoff]")
-    if cache is not None:
-        out = _net(params, r, cache)
-    else:  # cache-sized blocks, none of one row (GEMV rounds differently):
-        # the cached pass's bits at 40, 128 and 5,504 outputs, not at 300
-        out = np.empty((r.size, params.out_dim))
-        starts = list(range(0, max(r.size - 1, 1), _ROWS))
-        for lo, hi in zip(starts, starts[1:] + [r.size]):
-            _net(params, r[lo:hi], out=out[lo:hi])
+    out = _net(params, r, cache)
     if counters is not None:
         counters.add("radial", r.size * _row_mults(params))
     return out
@@ -292,19 +288,27 @@ def radial_backward(params, grad_out, grads, cache):
     ``radial_forward`` left in ``cache``, written into the six trainable
     arrays of ``grads``. The layer gradients overwrite the cache's ``h2``
     and ``h1``, so a cache serves one backward."""
-    e, a1, h1, a2, h2 = (cache[k] for k in ("e", "a1", "h1", "a2", "h2"))
-    # from the head down: each layer's weight and bias gradients from its
-    # input x and output gradient g, then g through the weight, into x,
-    # which nothing reads again, and through the SiLU that produced x
-    # from a
-    g = grad_out
-    for x, w, b, a in ((h2, "head_w", "head_b", a2), (h1, "w2", "b2", a1),
-                       (e, "w1", "b1", None)):
+    h2 = cache["h2"]
+    np.matmul(h2.T, grad_out, out=grads.head_w)
+    grad_out.sum(axis=0, out=grads.head_b)
+    _hidden_backward(params, np.matmul(grad_out, params.head_w.T, out=h2),
+                     grads, cache)
+
+
+def _hidden_backward(params, g, grads, cache):
+    """``radial_backward`` below the head, from ``g``, the gradient at h2;
+    ``g`` and the cache's ``h1`` are overwritten."""
+    # from the top down: g through the SiLU that produced a layer's output
+    # from a, then the layer's weight and bias gradients from its input x
+    # and g, then g through the weight, into x, which nothing reads again
+    g *= _silu_grad(cache["a2"])
+    for x, w, b, a in ((cache["h1"], "w2", "b2", "a1"),
+                       (cache["e"], "w1", "b1", None)):
         np.matmul(x.T, g, out=getattr(grads, w))
         g.sum(axis=0, out=getattr(grads, b))
         if a is not None:
             g = np.matmul(g, getattr(params, w).T, out=x)
-            g *= _silu_grad(a)
+            g *= _silu_grad(cache[a])
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +370,11 @@ def _per_order(x):
 
 
 def _segments(idx):
-    """Runs of equal values in a sorted index array: (values, run starts)."""
+    """Runs of equal values in a sorted index array: their values, starts
+    and ends, as lists."""
     starts = np.flatnonzero(np.diff(idx, prepend=-1))
-    return idx[starts], starts
+    return (idx[starts].tolist(), starts.tolist(),
+            starts[1:].tolist() + [idx.size])
 
 
 @dataclass(frozen=True)
@@ -515,7 +521,7 @@ def _to_nodes(out, segments, x):
     """``out[idx[i]] += x[:, i].T`` for slot-major edge rows ``x`` and a
     sorted ``idx`` given by its ``_segments``; each run is summed with one
     ``np.add.reduceat``, in place of an unbuffered ``np.add.at``."""
-    rows, starts = segments
+    rows, starts, _ = segments
     out[rows] += np.add.reduceat(x, starts, axis=1).transpose(1, 2, 0)
 
 
@@ -700,34 +706,72 @@ def init_residual_layer(rng, l_max, channels, cutoff, zero_head=True):
 def _residual_pairs(queries, coords, params, counters=None, keep=False,
                     found=None):
     """The residual layer's coefficient-free half, from checked arrays: its
-    query-atom pairs ``qi``, ``vi`` (sorted by atom), their radial scalars
-    ``phi``, (E, L+1, C), harmonics ``Y`` and, with ``keep``, radial cache.
-    ``found`` is the pairs' ``radius_pairs`` result, if already searched."""
-    L, C = params.l_max, params.channels
+    query-atom pairs ``qi``, ``vi`` (sorted by atom), their rows [h2, 1]
+    and harmonics ``Y``, ((L+1)^2, E), the head as `_contract`'s one-cell
+    table and, with ``keep``, radial cache. ``found`` is the pairs'
+    ``radius_pairs`` result, if already searched."""
     if found is None:
         found = geometry.radius_pairs(coords, queries, params.cutoff)
     vi, qi, vec, r = found
-    radial = {} if keep else None
-    phi = radial_forward(params.radial, r, counters, radial)
-    phi = phi.reshape(r.size, L + 1, C)
-    return qi, vi, phi, _harmonics(L, vec, r), radial
+    net, radial = params.radial, {} if keep else None
+    rows = np.ones((r.size, net.HIDDEN + 1))
+    # without a cache, blocks of _ROWS rows, none of one row (GEMV rounds
+    # differently): the cached pass's bits, with no whole-batch activation
+    starts = [0] if keep else list(range(0, max(r.size - 1, 1), _ROWS))
+    for lo, hi in zip(starts, starts[1:] + [r.size]):
+        rows[lo:hi, :-1] = _hidden(net, r[lo:hi], radial)
+    if counters is not None:
+        counters.add("radial", r.size * (net.w1.size + net.w2.size))
+    tab = np.vstack([net.head_w, net.head_b])
+    return (qi, vi, rows, _harmonics(params.l_max, vec, r),
+            tab.reshape(-1, params.l_max + 1, params.channels), radial)
 
 
-def _harmonics(L, vec, r, rows=False):
-    """Each pair's harmonics at the direction from query to atom, (E,
-    (L+1)^2), or with ``rows`` ((L+1)^2, E); a pair closer than
-    ``_EPS_EDGE`` gets the zero vector's."""
+def _harmonics(L, vec, r):
+    """Each pair's harmonics at the direction from query to atom,
+    ((L+1)^2, E); a pair closer than ``_EPS_EDGE`` gets the zero vector's."""
     # vec runs from atom to query; negated it is exactly atom minus query
     rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
-    return so3.eval_real_sh(L, rhat, rows=rows)
+    return so3.eval_real_sh(L, rhat, rows=True)
+
+
+def _contract(tab, feats, Y, rows, runs, counters, YB=None):
+    """Each pair's z_e = rows_e . (B_u[cell] Y_e), in run order, with the
+    rows B_u[cell] Y_e written into ``YB``, (E, D), if given; ``tab`` is
+    (cells * D, L+1, C) and ``runs`` (u * cells + cell, start, end), sorted
+    by atom u. The run GEMMs count as ``radial``, the fold and the dot as
+    ``residual``."""
+    (E, D), S = rows.shape, len(Y)
+    B = np.empty((len(tab) // D, D, S))
+    z, atom, folds = np.empty(E), -1, 0
+    for i, lo, hi in runs:
+        u, cell = divmod(i, len(B))
+        if u != atom:
+            atom, folds = u, folds + 1
+            for k in range(math.isqrt(S)):
+                sl = so3.block_slice(k)
+                np.matmul(tab[:, k], feats[u, :, sl],
+                          out=B.reshape(-1, S)[:, sl])
+        yb = np.matmul(Y[:, lo:hi].T, B[cell].T,
+                       out=None if YB is None else YB[lo:hi])
+        if YB is None:  # one run's rows at a time, and the same bits
+            np.einsum("ej,ej->e", yb, rows[lo:hi], out=z[lo:hi])
+    if YB is not None:  # one dot call, not one per run
+        np.einsum("ej,ej->e", YB, rows, out=z)
+    if counters is not None:
+        counters.add("radial", E * D * S)
+        counters.add("residual", folds * B.size * feats.shape[1] + rows.size)
+    return z
 
 
 def _residual_table(params, n, counters):
-    """The residual net's decode table, or None where it does not apply to
-    ``n`` pairs: it must fit in ``_KEEP`` bytes, and building, checking and
-    evaluating it must cost no more multiplies than the exact net (1,425
-    pairs at 128 outputs). The table, or its failed check, is kept until
-    the net's arrays change; a build is counted under ``radial``."""
+    """The residual net's decode table as `_contract`'s, or None where it
+    does not apply to ``n`` pairs: it must fit in ``_KEEP`` bytes, and
+    building, checking and evaluating it must cost no more multiplies than
+    ``n`` full rows of the net (``_row_mults``, 1,425 pairs at 128 outputs:
+    the head GEMM the exact route folds away still counts, so no batch
+    changes route). The table, or its failed check, is kept until the
+    net's arrays change; a build is counted under ``radial``."""
     p = params.radial
     row, per_row = _row_mults(p), (_P + 1) * p.out_dim
     # the nodes' and checks' exact rows, the transform and the checks' rows
@@ -737,40 +781,8 @@ def _residual_table(params, n, counters):
     coef, built = _decode_table(p)
     if built and counters is not None:
         counters.add("radial", table)
-    return coef
-
-
-def _folded_forward(found, n_queries, feats, params, coef, counters):
-    """z from the decode table ``coef`` with each atom's features folded
-    in. For atom u, B_u[cell, j, km] = sum_c coef[cell, j, k, c] f_u[c, km]
-    (one GEMM per degree), and a pair's contribution sum_km Y_km A_km(r),
-    with A = sum_j T_j(t) B_u[cell, j], is T . (B_u[cell] Y): one GEMM per
-    (atom, interval) run. The table product counts as ``radial``
-    multiplies, the fold and the dot as ``residual``."""
-    vi, qi, vec, r = found
-    L, C = params.l_max, params.channels
-    order, T, runs = _table_eval(params.cutoff / _K, r, vi)
-    # in run order; a query meets each atom once, so its pairs keep their
-    # atom order and the bincount sums them as the exact path does
-    Y = _harmonics(L, vec[order], r[order], rows=True)
-    tab = coef.reshape(_K * (_P + 1), L + 1, C)
-    B = np.empty((_K, _P + 1, len(Y)))
-    YB = np.empty((_P + 1, r.size))
-    atom = -1
-    for i, lo, hi in runs:
-        u, cell = divmod(i, _K)
-        if u != atom:  # runs come sorted by atom
-            atom = u
-            for k in range(L + 1):
-                sl = so3.block_slice(k)
-                np.matmul(tab[:, k], feats[u, :, sl],
-                          out=B.reshape(-1, len(Y))[:, sl])
-        np.matmul(B[cell], Y[:, lo:hi], out=YB[:, lo:hi])
-    if counters is not None:
-        counters.add("radial", Y.size * (_P + 1))
-        counters.add("residual", np.unique(vi).size * B.size * C + T.size)
-    return np.bincount(qi[order], weights=np.einsum("je,ej->e", YB, T),
-                       minlength=n_queries)
+    return coef if coef is None else coef.reshape(
+        _K * (_P + 1), params.l_max + 1, params.channels)
 
 
 def residual_forward(queries, coords, feats, params, counters=None,
@@ -784,39 +796,35 @@ def residual_forward(queries, coords, feats, params, counters=None,
 
     ``pairs`` is ``_residual_pairs``' result for these arguments, computed
     ahead (`grad`). Given neither, a batch ``_residual_table`` admits is
-    decoded by `_folded_forward`.
+    decoded from the table.
     """
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     coords = geometry.check_array("coords", coords, (None, 3), finite=True)
     feats = geometry.check_array("feats", feats,
                                  _feature_shape(len(coords), params))
-    L, C = params.l_max, params.channels
     if pairs is None:
-        found = geometry.radius_pairs(coords, queries, params.cutoff)
-        coef = (None if cache is not None
-                else _residual_table(params, found[3].size, counters))
-        if coef is not None:
-            return _folded_forward(found, len(queries), feats, params, coef,
-                                   counters)
+        found = vi, qi, vec, r = geometry.radius_pairs(coords, queries,
+                                                       params.cutoff)
+        tab = (None if cache is not None
+               else _residual_table(params, r.size, counters))
+        if tab is not None:
+            order, T, runs = _table_eval(params.cutoff / _K, r, vi)
+            # in run order; a query meets each atom once, so its pairs keep
+            # their atom order and the bincount sums them as the exact
+            # route does
+            Y = _harmonics(params.l_max, vec[order], r[order])
+            z = _contract(tab, feats, Y, T, runs, counters,
+                          np.empty(T.shape))
+            return np.bincount(qi[order], weights=z, minlength=len(queries))
         pairs = _residual_pairs(queries, coords, params, counters,
                                 keep=cache is not None, found=found)
-    qi, vi, phi, Y, radial = pairs
-    # s[e, k] = Y[e, block k] @ feats[vi[e], :, block k].T, (E, L+1, C):
-    # each pair's degree-k atom features projected on its harmonics, one
-    # GEMM per atom run and degree
-    s = np.empty((qi.size, L + 1, C))
-    rows, starts = segments = _segments(vi)
-    for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
-        for k in range(L + 1):
-            sl = so3.block_slice(k)
-            s[lo:hi, k] = Y[lo:hi, sl] @ feats[u, :, sl].T
-    if counters is not None:
-        counters.add("residual", Y.size * (C + 1))
+    qi, vi, rows, Y, tab, radial = pairs
+    YB = None if cache is None else np.empty(rows.shape)
+    z = _contract(tab, feats, Y, rows, zip(*_segments(vi)), counters, YB)
     if cache is not None:
-        cache.update(qi=qi, vi=vi, atom_segments=segments, radial=radial,
-                     phi=phi, Y=Y, s=s)
-    contrib = np.einsum("ekc,ekc->e", phi, s)
-    return np.bincount(qi, weights=contrib, minlength=queries.shape[0])
+        cache.update(qi=qi, vi=vi, rows=rows, Y=Y, tab=tab, YB=YB,
+                     radial=radial)
+    return np.bincount(qi, weights=z, minlength=len(queries))
 
 
 def residual_backward(queries, coords, feats, params, grad_z, grads, cache,
@@ -824,28 +832,36 @@ def residual_backward(queries, coords, feats, params, grad_z, grads, cache,
     """Adjoint of residual_forward: returns the feature gradient and writes
     the radial gradients into ``grads``, from the ``cache`` that
     ``residual_forward`` filled for the same queries, coordinates, features
-    and parameters. ``submit`` takes the radial net's backward as in
-    ``conv_backward``.
+    and parameters. ``submit`` takes the radial net's hidden-layer
+    backward as ``conv_backward``'s takes its radial backward.
     """
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     coords = geometry.check_array("coords", coords, (None, 3), finite=True)
     feats = geometry.check_array("feats", feats,
                                  _feature_shape(len(coords), params))
     grad_z = geometry.check_array("grad_z", grad_z, (len(queries),))
-    grad_f = np.zeros_like(feats)
-    qi, phi, Y = cache["qi"], cache["phi"], cache["Y"]
+    qi, vi, rows, Y, tab, YB = (cache[k] for k in
+                                ("qi", "vi", "rows", "Y", "tab", "YB"))
     ge = grad_z[qi]
-    # the feature gradient of atom u, degree k, sums (ge phi_k) outer Y_k
-    # over u's run of pairs: one GEMM per run and degree, with no
-    # (pairs, C, 2k+1) array of outer products
-    gphi = ge[:, None, None] * phi
-    rows, starts = cache["atom_segments"]
-    for u, lo, hi in zip(rows, starts, np.append(starts[1:], qi.size)):
-        for k in range(params.l_max + 1):
-            sl = so3.block_slice(k)
-            grad_f[u, :, sl] = gphi[lo:hi, k].T @ Y[lo:hi, sl]
-    grad_phi = ge[:, None, None] * cache["s"]
-    (submit or _run_now)(radial_backward, params.radial,
-                         grad_phi.reshape(qi.size, params.radial.out_dim),
-                         grads.radial, cache["radial"])
+    # z is linear in each atom's fold B_u (`_contract`): dB_u sums ge
+    # rows_e outer Y_e over u's pairs, one GEMM per atom, and the head's
+    # and the features' gradients follow from dB per degree
+    gY = Y * ge
+    dB = np.zeros((len(coords), rows.shape[1], len(Y)))
+    for u, lo, hi in zip(*_segments(vi)):
+        np.matmul(rows[lo:hi].T, gY[:, lo:hi].T, out=dB[u])
+    grad_f, grad_tab = np.empty_like(feats), np.empty_like(tab)
+    for k in range(params.l_max + 1):
+        sl = so3.block_slice(k)
+        grad_tab[:, k] = np.tensordot(dB[:, :, sl], feats[:, :, sl],
+                                      ([0, 2], [0, 2]))
+        grad_f[:, :, sl] = tab[:, k].T @ dB[:, :, sl]
+    p = grads.radial
+    p.head_w[...] = grad_tab[:-1].reshape(p.head_w.shape)
+    p.head_b[...] = grad_tab[-1].reshape(-1)
+    # the gradient at h2 is ge times the first HIDDEN columns of YB,
+    # written into the cache's h2, which nothing reads again
+    g = np.multiply(YB[:, :-1], ge[:, None], out=cache["radial"]["h2"])
+    (submit or _run_now)(_hidden_backward, params.radial, g, p,
+                         cache["radial"])
     return grad_f

@@ -462,22 +462,23 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 def test_loss_and_grad_runs_radial_nets_and_harmonics_once(monkeypatch):
-    # default model, 1024 queries: 3 conv layers and the residual layer run
-    # a radial net each, edge frames are built once per conv layer, and
-    # harmonics are evaluated once for the residual layer and once per
-    # 512-query basis chunk. The backward passes read the forward's caches,
-    # so these are all the calls (a backward that recomputed its forward
-    # would double every count).
+    # default model, 1024 queries: 3 conv layers run a radial net each and
+    # the residual layer its net's hidden layers alone, edge frames are
+    # built once per conv layer, and harmonics are evaluated once for the
+    # residual layer and once per 512-query basis chunk. The backward passes
+    # read the forward's caches, so these are all the calls (a backward
+    # that recomputed its forward would double every count).
     cfg = model.ModelConfig()
     params = model.init_params(cfg, seed=0, zero_heads=False)
     graph, queries, target = make_instance(cfg, seed=32, n_atoms=5,
                                            n_queries=1024)
     counts = {}
-    _count_calls(monkeypatch, layers, "radial_forward", counts)
-    _count_calls(monkeypatch, layers, "_frame", counts)
+    for name in ("radial_forward", "_hidden", "_frame"):
+        _count_calls(monkeypatch, layers, name, counts)
     _count_calls(monkeypatch, so3, "eval_real_sh", counts)
     grad.loss_and_grad(params, graph, queries, target)
-    assert counts == {"radial_forward": 4, "_frame": 3, "eval_real_sh": 3}
+    assert counts == {"radial_forward": 3, "_hidden": 4, "_frame": 3,
+                      "eval_real_sh": 3}
 
 
 def _inline_jobs(monkeypatch):
@@ -582,10 +583,12 @@ def test_worker_error_is_raised_after_every_job_finishes(monkeypatch):
                             vocab=3, r_max=3.0)
     params = model.init_params(cfg, seed=39, zero_heads=False)
     graph, queries, target = make_instance(cfg, seed=40)
-    real, main = layers.radial_backward, threading.get_ident()
+    # every net's backward ends in its hidden layers': the conv nets' run
+    # inside radial_backward, the residual net's is submitted alone
+    real, main = layers._hidden_backward, threading.get_ident()
     finished, threads = [], {}
 
-    def radial_backward(net, *args):
+    def hidden_backward(net, *args):
         threads[id(net)] = threading.get_ident()
         try:
             # the residual net's job is submitted first, then conv2's;
@@ -598,7 +601,7 @@ def test_worker_error_is_raised_after_every_job_finishes(monkeypatch):
         finally:
             finished.append(net)
 
-    monkeypatch.setattr(layers, "radial_backward", radial_backward)
+    monkeypatch.setattr(layers, "_hidden_backward", hidden_backward)
     n_threads = threading.active_count()
     with pytest.raises(DomainError, match="^conv2 radial failed$"):
         grad.loss_and_grad(params, graph, queries, target)
@@ -725,16 +728,16 @@ def test_training_step_never_decodes_from_the_residual_table(monkeypatch):
                                            n_queries=400)
     assert geometry.radius_pairs(graph.atom_coord, queries,
                                  3.0)[3].size >= 1425
-    folded, real = [], layers._folded_forward
-    monkeypatch.setattr(layers, "_folded_forward",
-                        lambda *a: folded.append(a) or real(*a))
+    tables, real = [], layers._decode_table
+    monkeypatch.setattr(layers, "_decode_table",
+                        lambda p: tables.append(p) or real(p))
     pred = model.predict_density(params, graph, queries)
-    assert len(folded) == 1
+    assert len(tables) == 1 and layers._DECODE[1] is not None
 
     def fail(*args):
         raise AssertionError("the training step read the decode table")
 
-    monkeypatch.setattr(layers, "_folded_forward", fail)
+    monkeypatch.setattr(layers, "_table_eval", fail)
     monkeypatch.setattr(layers, "_decode_table", fail)
     dens, _ = model.forward_trace(params, graph, queries)
     assert np.abs(dens - pred).max() <= 1e-12 * np.abs(pred).max()

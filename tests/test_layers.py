@@ -160,9 +160,9 @@ def _scaled_net(scale, out_dim=8, seed=43):
     return p
 
 
-# the uncached pass runs the exact net in row blocks, the cached one on
-# whole arrays; sizes around the block edges, at 40 outputs and at 128,
-# the default residual width
+# with or without a cache the net runs on the whole array; sizes around
+# the residual layer's block edges, at 40 outputs and at 128, the default
+# residual width
 _SIZES = [0, 1, layers._ROWS, layers._ROWS + 1, 2 * layers._ROWS + 7]
 
 
@@ -246,19 +246,28 @@ def test_uncached_radial_decode_falls_back_on_large_weights():
 
 
 def test_uncached_radial_fallback_runs_in_row_blocks():
-    # the exact net runs in blocks of _ROWS rows, so the peak is a few
-    # blocks' activations, not one 128-wide activation of the whole batch
+    # a failed table check leaves an uncached batch to the exact route,
+    # which runs the radial net's hidden layers in blocks of _ROWS pairs:
+    # at the default residual width and 16,698 pairs its peak must stay
+    # below 44.0e6 bytes, the 44.03e6 peak that per-pair radial outputs and
+    # projections of the whole batch reached
     import tracemalloc
 
-    p = _scaled_net(10.0)
-    r = np.random.default_rng(47).uniform(0.0, p.cutoff, 16 * layers._ROWS)
+    params = _on_net(_scaled_net(10.0, out_dim=128), l_max=7)
+    rng = np.random.default_rng(47)
+    coords = rng.uniform(-1.5, 1.5, size=(5, 3))
+    queries = rng.uniform(-2.5, 2.5, size=(5400, 3))
+    feats = random_feats(rng, 5, 7, 16)
+    assert geometry.radius_pairs(coords, queries, 3.0)[3].size > 16 * 1024
+    layers.residual_forward(queries, coords, feats, params)
+    assert layers._decode_table(params.radial)[0] is None
     tracemalloc.start()
     try:
-        layers.radial_forward(p, r)
+        layers.residual_forward(queries, coords, feats, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < r.size * 128 * 8 / 2
+    assert peak < 44.0e6
 
 
 @pytest.mark.parametrize("n, out_dim", [(20, 40), (20, 5504), (76, 40),
@@ -275,10 +284,7 @@ def test_conv_sized_radial_batches_never_build_a_table(monkeypatch, out_dim,
     counters = layers.OpCounters()
     got = layers.radial_forward(p, r, counters)
     assert counters.counts["radial"] == n * _row_mults(p)
-    cached = layers.radial_forward(p, r, cache={})
-    # the blocked exact pass; at 300 outputs it rounds unlike the cached one
-    tol = 1e-15 * np.abs(cached).max() if out_dim == 300 else 0.0
-    assert np.abs(got - cached).max() <= tol
+    assert np.array_equal(got, layers.radial_forward(p, r, cache={}))
 
 
 def _counting_table(monkeypatch):
@@ -1496,13 +1502,75 @@ def test_residual_forward_searches_its_pairs_once(monkeypatch, path):
     calls, real = [], geometry.radius_pairs
     monkeypatch.setattr(geometry, "radius_pairs",
                         lambda *a: calls.append(a) or real(*a))
-    folded, real_fold = [], layers._folded_forward
-    monkeypatch.setattr(layers, "_folded_forward",
-                        lambda *a: folded.append(a) or real_fold(*a))
+    # each contraction's cells: the table's K intervals, or the head's one
+    cells, real_contract = [], layers._contract
+
+    def contract(tab, feats, Y, rows, *args):
+        cells.append(len(tab) // rows.shape[1])
+        return real_contract(tab, feats, Y, rows, *args)
+
+    monkeypatch.setattr(layers, "_contract", contract)
     cache = {} if path == "cached" else None
     layers.residual_forward(*batch, params, cache=cache)
     assert len(calls) == 1
-    assert len(folded) == (path == "folded")
+    assert set(cells) == {layers._K if path == "folded" else 1}
+
+
+def test_no_residual_route_forms_per_pair_radial_outputs(monkeypatch):
+    # every route folds the head, or the decode table, into each atom's
+    # features and contracts a pair's row [h2, 1], or T_j(t), with it: with
+    # the full net unavailable, a training forward and backward, a small
+    # uncached batch and a table batch still give the reference's values
+    rng = np.random.default_rng(54)
+    queries, coords, feats, params = _full_scale_batch(rng)
+    params.radial.head_b[:] = rng.standard_normal(params.radial.out_dim)
+    grad_z = rng.standard_normal(len(queries))
+    want_z = _reference_residual_forward(queries, coords, feats, params)
+    want_f, want_p = _reference_residual_backward(queries, coords, feats,
+                                                  params, grad_z)
+    small = queries[:20]
+    want_small = _reference_residual_forward(small, coords, feats, params)
+    table = layers.residual_forward(queries, coords, feats, params)
+    assert layers._DECODE[1] is not None  # built and kept
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a residual route ran the full radial net")
+
+    monkeypatch.setattr(layers, "radial_forward", fail)
+    monkeypatch.setattr(layers, "_net", fail)
+    cache, grads = {}, nan_twin(params)
+    _assert_close(layers.residual_forward(queries, coords, feats, params,
+                                          cache=cache), want_z)
+    _assert_close(layers.residual_backward(queries, coords, feats, params,
+                                           grad_z, grads, cache), want_f)
+    _assert_grads_close(grads, want_p)
+    _assert_close(layers.residual_forward(small, coords, feats, params),
+                  want_small)
+    _assert_close(table, want_z)
+    assert np.array_equal(
+        layers.residual_forward(queries, coords, feats, params), table)
+
+
+@pytest.mark.parametrize("n_queries", [1, 341, 342, 683, 700])
+def test_uncached_exact_residual_is_bit_identical_to_cached(n_queries):
+    # three atoms that every query reaches: 3 n pairs, around the edges of
+    # the uncached route's _ROWS-pair blocks; a failed table check keeps
+    # every batch on the exact route
+    params = _on_net(_scaled_net(10.0, out_dim=128), l_max=7)
+    rng = np.random.default_rng(55)
+    coords = rng.uniform(-0.1, 0.1, size=(3, 3))
+    d = rng.standard_normal((n_queries, 3))
+    queries = d / np.linalg.norm(d, axis=1)[:, None] * rng.uniform(
+        0.0, 2.5, size=(n_queries, 1))
+    feats = random_feats(rng, 3, 7, 16)
+    assert geometry.radius_pairs(coords, queries, 3.0)[3].size == 3 * n_queries
+    cached = layers.residual_forward(queries, coords, feats, params, cache={})
+    counters = layers.OpCounters()
+    got = layers.residual_forward(queries, coords, feats, params, counters)
+    assert layers._DECODE is None or layers._DECODE[1] is None
+    assert np.array_equal(got, cached)
+    _assert_close(got, _reference_residual_forward(queries, coords, feats,
+                                                   params))
 
 
 def test_residual_layer_reads_no_coupling_tables(monkeypatch):
@@ -1551,13 +1619,16 @@ def test_residual_matches_reference_einsum(l_max, channels, case):
         z, layers.residual_forward(queries, coords, feats, params))
     _assert_close(z, _reference_residual_forward(queries, coords, feats,
                                                  params))
-    assert set(cache) == {"qi", "vi", "atom_segments", "radial", "phi", "Y",
-                          "s"}
+    assert set(cache) == {"qi", "vi", "radial", "Y", "rows", "tab", "YB"}
     n_pairs = cache["qi"].size
     assert (n_pairs == 0) == (case == "no_pairs")
     assert np.all(np.diff(cache["vi"]) >= 0)  # pairs come sorted by atom
+    # per atom with pairs the head folded into its features, per pair the
+    # dot of its row [h2, 1] with the fold applied to its harmonics
+    D = layers.RadialNetParams.HIDDEN + 1
+    atoms = np.unique(cache["vi"]).size
     assert counters.counts.get("residual", 0) == \
-        n_pairs * (l_max + 1) ** 2 * (channels + 1)
+        atoms * D * (l_max + 1) ** 2 * channels + n_pairs * D
     grads = nan_twin(params)
     got_f = layers.residual_backward(queries, coords, feats, params, grad_z,
                                      grads, cache)

@@ -14,6 +14,25 @@ inside the repository:
 BASE and HEAD are any commit names ``git archive`` takes; for uncommitted
 work, ``git stash create`` names a commit of the working tree without
 changing it. Nothing under ``perfbench/`` is changed.
+
+With ``--json PATH`` the run also writes one JSON object to PATH, or merges
+its workload into the object already there, so several workloads share a
+file (``BENCH_<n>.json``). Its keys:
+
+- ``base``, ``head``: the two commit names, as given.
+- ``control``: per workload, the two-core control run before and after
+  its pairs (``before``, ``after``). Each holds ``serial_s``, one process running
+  two fixed single-threaded GEMM loops in sequence; ``parallel_s``, two
+  processes running one loop each at once; and ``ratio``, serial_s over
+  parallel_s. A host that gives two cores reads near 2, one core near 1.
+- ``workloads``: per workload name, ``seeds`` (in run order),
+  ``environment`` (perfbench's block from the first run) and
+  ``metrics``. Per metric: ``unit``; ``base_median`` and
+  ``head_median``; ``base_quartiles``, [q1, q3] of BASE's runs;
+  ``change``, head_median / base_median - 1 (null when base_median is 0);
+  ``lower``, the number of pairs in which HEAD read lower, and
+  ``pairs``, the number of pairs; and ``lower_by_order``, the same two
+  counts for ``base_first`` and ``head_first`` pairs.
 """
 import argparse
 import json
@@ -22,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 
@@ -43,7 +63,8 @@ def checkout(commit, dest):
 
 
 def run_once(commit, workload, seed, seconds, dest):
-    """The result object of one perfbench run of ``commit``."""
+    """The result object of one perfbench run of ``commit``, with
+    perfbench's ``environment`` block added under that key."""
     checkout(commit, dest)
     try:
         proc = subprocess.run(
@@ -54,13 +75,42 @@ def run_once(commit, workload, seed, seconds, dest):
         shutil.rmtree(dest)
     if proc.returncode != 0:
         raise SystemExit(f"{commit} seed {seed} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    detail, result = proc.stdout.strip().splitlines()[-2:]
+    return dict(json.loads(result),
+                environment=json.loads(detail)["environment"])
 
 
-def summary(pairs):
-    """Per-metric lines over ``pairs``, a list of (order, base, head)
-    result objects; order 0 ran BASE first."""
-    lines = []
+# a fixed single-threaded GEMM loop; BLAS is pinned before numpy loads
+_LOOP = ("import os; os.environ['OPENBLAS_NUM_THREADS'] = "
+         "os.environ['OMP_NUM_THREADS'] = '1'\n"
+         "import numpy as np\n"
+         "a = np.random.default_rng(0).standard_normal((300, 300))\n"
+         "for _ in range({n}): a = np.tanh(a @ a)\n")
+
+
+def control(loops=400):
+    """The two-core control: ``serial_s`` for one process running two GEMM
+    loops in sequence, ``parallel_s`` for two processes running one each
+    at once, and their ratio."""
+    def timed(procs):
+        start = time.perf_counter()
+        for p in [subprocess.Popen([sys.executable, "-c", c])
+                  for c in procs]:
+            if p.wait() != 0:
+                raise SystemExit("the control's GEMM loop failed")
+        return time.perf_counter() - start
+
+    serial = timed([_LOOP.format(n=2 * loops)])
+    parallel = timed([_LOOP.format(n=loops)] * 2)
+    return {"serial_s": serial, "parallel_s": parallel,
+            "ratio": serial / parallel}
+
+
+def metrics(pairs):
+    """Per metric over ``pairs``, a list of (order, base, head) result
+    objects in which order 0 ran BASE first: the ``metrics`` entries of
+    the ``--json`` object."""
+    out = {}
     for name in sorted(pairs[0][1]["metrics"]):
         base = [p[1]["metrics"][name]["value"] for p in pairs]
         head = [p[2]["metrics"][name]["value"] for p in pairs]
@@ -68,15 +118,46 @@ def summary(pairs):
         q1, _, q3 = (statistics.quantiles(base, n=4) if len(base) > 1
                      else (mb, mb, mb))
         lower = [h < b for h, b in zip(head, base)]
-        per_order = ", ".join(
-            f"{'base' if order == 0 else 'head'} first "
-            f"{sum(lo for lo, p in zip(lower, pairs) if p[0] == order)}/"
-            f"{sum(p[0] == order for p in pairs)}" for order in (0, 1))
-        change = f"{100 * (mh / mb - 1):+.1f}%" if mb else "n/a"
-        lines.append(f"{name}: base {mb:.6g} (quartiles {q1:.6g}-{q3:.6g}) "
-                     f"head {mh:.6g} {change}; lower in {sum(lower)}/"
-                     f"{len(pairs)} ({per_order})")
+        out[name] = {
+            "unit": pairs[0][1]["metrics"][name]["unit"],
+            "base_median": mb, "head_median": mh, "base_quartiles": [q1, q3],
+            "change": mh / mb - 1 if mb else None,
+            "lower": sum(lower), "pairs": len(pairs),
+            "lower_by_order": {
+                side: [sum(lo for lo, p in zip(lower, pairs) if p[0] == o),
+                       sum(p[0] == o for p in pairs)]
+                for o, side in enumerate(("base_first", "head_first"))}}
+    return out
+
+
+def summary(pairs):
+    """Per-metric lines over ``pairs``, as `metrics` takes them."""
+    lines = []
+    for name, m in metrics(pairs).items():
+        (q1, q3), by = m["base_quartiles"], m["lower_by_order"]
+        change = "n/a" if m["change"] is None else f"{100 * m['change']:+.1f}%"
+        lines.append(
+            f"{name}: base {m['base_median']:.6g} (quartiles {q1:.6g}-"
+            f"{q3:.6g}) head {m['head_median']:.6g} {change}; lower in "
+            f"{m['lower']}/{m['pairs']} (base first {by['base_first'][0]}/"
+            f"{by['base_first'][1]}, head first {by['head_first'][0]}/"
+            f"{by['head_first'][1]})")
     return lines
+
+
+def write_json(path, base, head, workload, seeds, pairs, controls):
+    """Merge this run's workload into the ``--json`` object at ``path``."""
+    path = Path(path)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    if doc and (doc.get("base"), doc.get("head")) != (base, head):
+        raise SystemExit(f"{path} compares {doc.get('base')} with "
+                         f"{doc.get('head')}, not {base} with {head}")
+    doc.update(base=base, head=head)
+    doc.setdefault("control", {})[workload] = controls
+    doc.setdefault("workloads", {})[workload] = {
+        "seeds": seeds, "environment": pairs[0][1]["environment"],
+        "metrics": metrics(pairs)}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv=None):
@@ -87,9 +168,12 @@ def main(argv=None):
     ap.add_argument("--seeds", type=parse_seeds, required=True)
     ap.add_argument("--seconds", type=float, default=14)
     ap.add_argument("--workdir", type=Path)
+    ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
     work = Path(tempfile.mkdtemp(dir=args.workdir))
-    pairs = []
+    pairs, controls = [], {}
+    if args.json:
+        controls["before"] = control()
     try:
         for n, seed in enumerate(args.seeds):
             order = n % 2
@@ -106,6 +190,10 @@ def main(argv=None):
     finally:
         shutil.rmtree(work)
     print("\n".join(summary(pairs)))
+    if args.json:
+        controls["after"] = control()
+        write_json(args.json, args.base, args.head, args.workload,
+                   args.seeds, pairs, controls)
 
 
 if __name__ == "__main__":

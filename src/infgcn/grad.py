@@ -32,10 +32,15 @@ Jobs count straight into the caller's `OpCounters`, whose ``add`` is
 atomic. `optimize_step` starts one worker for the upper half of the
 optimizer's slices when there is more than one. Each array is written by
 one thread in a fixed order, so results do not depend on timing.
+The first `loss_and_grad` in a process keeps glibc's heap mapped between
+steps (`_keep_heap`), so a step does not fault in again what the last freed.
 """
 
+import ctypes
+import functools
 import math
 import mmap
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -46,10 +51,26 @@ from .errors import DomainError, NonFiniteError
 from .model import ParamRegistry
 
 
+@functools.cache
+def _keep_heap():
+    """Raise glibc's mmap and trim thresholds to 32 and 64 MiB, the ceilings
+    of its dynamic ones, so the ~45 MB a QM9-sized step frees stays mapped;
+    a no-op when the user tuned malloc or the C library has no mallopt."""
+    if (any(k.startswith("MALLOC_") for k in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
                   counters=None):
     """Loss and exact gradients of loss_l2(predict_density) in one pass,
     the gradients as one vector laid out like ``params.flat``."""
+    _keep_heap()
     cfg = params.config
     target = np.asarray(target, dtype=float)
     # allocated before the forward trace: allocated after it, train-a1 and

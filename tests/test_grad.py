@@ -1,8 +1,13 @@
+import ctypes
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -743,3 +748,107 @@ def test_training_step_never_decodes_from_the_residual_table(monkeypatch):
     assert np.abs(dens - pred).max() <= 1e-12 * np.abs(pred).max()
     loss, _ = grad.loss_and_grad(params, graph, queries, target)
     assert np.isfinite(loss)
+
+
+# seven training steps at train-qm9 size in a fresh interpreter: the malloc
+# setting is process-wide, so this process cannot show the parent's faults
+# once any test has trained. Prints the minor faults per step over the last
+# 3; the kept heap still grew in the third step of some processes
+_FAULT_STEPS = """
+import resource, sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from test_grad import _molecule
+from infgcn import grad, model
+graph = _molecule(0)
+params = model.init_params(model.ModelConfig(), seed=0, zero_heads=False)
+rng = np.random.default_rng(1)
+queries = rng.uniform(-5.0, 5.0, size=(1024, 3))
+target = rng.standard_normal(1024)
+reg = grad.ParamRegistry(params)
+state = grad.init_optimizer(reg)
+def step():
+    _, g = grad.loss_and_grad(params, graph, queries, target)
+    grad.optimize_step(state, params, g, reg)
+for _ in range(4):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_training_step_keeps_its_heap_between_steps():
+    # 18 atoms, 1024 queries, default model, BLAS on one thread: with
+    # glibc's dynamic thresholds each step trimmed the ~45 MB it freed and
+    # faulted it in again, 8,812-9,329 minor faults per step (6 processes);
+    # with the heap kept, 5-154 (20 processes; glibc 2.36, 2 vCPUs)
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env.update(PYTHONPATH=str(tests.parent / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_STEPS.format(tests=str(tests))],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert float(out.stdout) < 500
+
+
+@pytest.fixture
+def fake_libc(monkeypatch):
+    """A C library whose mallopt records its calls in ``libc.calls``, in an
+    environment with no malloc settings, and `_keep_heap` not yet run."""
+    def mallopt(param, value):
+        libc.calls.append((param, value))
+        return 1
+
+    libc = types.SimpleNamespace(mallopt=mallopt, calls=[])
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    for k in list(os.environ):
+        if k.startswith("MALLOC_") or k == "GLIBC_TUNABLES":
+            monkeypatch.delenv(k)
+    grad._keep_heap.cache_clear()
+    yield libc
+    grad._keep_heap.cache_clear()
+
+
+def test_training_steps_set_malloc_thresholds_once(fake_libc):
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=1, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=5, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=6)
+    model.predict_density(params, graph, queries)
+    assert fake_libc.calls == []  # prediction leaves malloc alone
+    for _ in range(2):
+        grad.loss_and_grad(params, graph, queries, target)
+    assert fake_libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert fake_libc.mallopt.argtypes == [ctypes.c_int] * 2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MALLOC_ARENA_MAX", "2"),
+    ("MALLOC_TRIM_THRESHOLD_", "131072"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0"),
+    ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.mmap_max=0"),
+])
+def test_user_malloc_settings_are_left_alone(fake_libc, monkeypatch, name,
+                                             value):
+    monkeypatch.setenv(name, value)
+    grad._keep_heap()
+    assert fake_libc.calls == []
+
+
+def test_other_tunables_still_keep_the_heap(fake_libc, monkeypatch):
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.pthread.rseq=0")
+    grad._keep_heap()
+    assert len(fake_libc.calls) == 2
+
+
+def test_c_library_without_mallopt_is_left_alone(fake_libc, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    grad._keep_heap()
+    grad._keep_heap()
+    assert fake_libc.calls == []

@@ -5,7 +5,10 @@ Each pair runs one seed on both commits, every run from a fresh
 directory is shared between runs. Pairs alternate the run order: even
 pairs run BASE first, odd pairs HEAD first. Prints one line per run, then
 per metric the medians, the change, and in how many pairs HEAD read lower
-(overall and per run order), with the quartiles of BASE's runs. Run from
+(overall and per run order), with the quartiles of BASE's runs. Each run
+line also gives the run's op counts and the minor page faults and system
+CPU seconds of the perfbench process tree (``resource.getrusage`` of this
+process's children, read before and after that subprocess only). Run from
 inside the repository:
 
     python tools/bench_pairs.py BASE HEAD --workload eval-grid \\
@@ -33,9 +36,16 @@ file (``BENCH_<n>.json``). Its keys:
   ``lower``, the number of pairs in which HEAD read lower, and
   ``pairs``, the number of pairs; and ``lower_by_order``, the same two
   counts for ``base_first`` and ``head_first`` pairs.
+  Per workload also ``runs``: per side (``base``, ``head``), one entry per
+  run in seed order with its ``seed``, perfbench's ``correct``,
+  ``attempted`` and ``failed`` (ops), and ``minflt`` and ``sys_s``, the
+  minor page faults and system CPU seconds of the perfbench process tree;
+  and ``rusage``: per side, the medians of ``minflt`` and ``sys_s`` over
+  its runs.
 """
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -64,20 +74,25 @@ def checkout(commit, dest):
 
 def run_once(commit, workload, seed, seconds, dest):
     """The result object of one perfbench run of ``commit``, with
-    perfbench's ``environment`` block added under that key."""
+    perfbench's ``environment`` block added under that key and the run's
+    ``minflt`` and ``sys_s`` under ``rusage``."""
     checkout(commit, dest)
     try:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds)],
             cwd=dest, capture_output=True, text=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
     finally:
         shutil.rmtree(dest)
     if proc.returncode != 0:
         raise SystemExit(f"{commit} seed {seed} failed:\n{proc.stderr}")
     detail, result = proc.stdout.strip().splitlines()[-2:]
     return dict(json.loads(result),
-                environment=json.loads(detail)["environment"])
+                environment=json.loads(detail)["environment"],
+                rusage={"minflt": after.ru_minflt - before.ru_minflt,
+                        "sys_s": after.ru_stime - before.ru_stime})
 
 
 # a fixed single-threaded GEMM loop; BLAS is pinned before numpy loads
@@ -130,6 +145,20 @@ def metrics(pairs):
     return out
 
 
+def runs(seeds, pairs):
+    """The ``runs`` and ``rusage`` entries of the ``--json`` object, from
+    ``pairs`` as `metrics` takes them, run for ``seeds`` in order."""
+    out = {"runs": {}, "rusage": {}}
+    for i, side in ((1, "base"), (2, "head")):
+        out["runs"][side] = got = [
+            {"seed": seed, "correct": p[i]["correct"],
+             "attempted": p[i]["attempted"], "failed": p[i]["failed"],
+             **p[i]["rusage"]} for seed, p in zip(seeds, pairs)]
+        out["rusage"][side] = {k: statistics.median(r[k] for r in got)
+                               for k in ("minflt", "sys_s")}
+    return out
+
+
 def summary(pairs):
     """Per-metric lines over ``pairs``, as `metrics` takes them."""
     lines = []
@@ -156,7 +185,7 @@ def write_json(path, base, head, workload, seeds, pairs, controls):
     doc.setdefault("control", {})[workload] = controls
     doc.setdefault("workloads", {})[workload] = {
         "seeds": seeds, "environment": pairs[0][1]["environment"],
-        "metrics": metrics(pairs)}
+        "metrics": metrics(pairs), **runs(seeds, pairs)}
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
@@ -185,7 +214,10 @@ def main(argv=None):
                 values = " ".join(f"{k}={v['value']:.6g}" for k, v in
                                   sorted(res["metrics"].items()))
                 print(f"seed {seed} {side}: correct={res['correct']} "
-                      f"failed={res['failed']} {values}", flush=True)
+                      f"attempted={res['attempted']} failed={res['failed']} "
+                      f"minflt={res['rusage']['minflt']} "
+                      f"sys_s={res['rusage']['sys_s']:.3f} {values}",
+                      flush=True)
             pairs.append((order, got["base"], got["head"]))
     finally:
         shutil.rmtree(work)

@@ -61,7 +61,6 @@ def _keep_heap():
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 

@@ -9,7 +9,11 @@ parameter gradients straight into that vector, through a copy of the
 parameters bound to it (`model.bind`). `optimize_step` updates
 ``params.flat`` in place through slice-sized scratch buffers and screens
 the gradient with one ``g.sum()`` in place of a mask, so a step allocates
-nothing parameter-sized.
+nothing parameter-sized. Adam keeps its moments unnormalized (m / (1 -
+beta1), v / (1 - beta2); the bias corrections fold into the step size and
+epsilon, arXiv 1412.6980 section 2), so v overflows at a steady |g| of
+~4e152, not ~1.3e154. The gradient vector is not zero-filled: a backward
+overwrites each entry but the embedding's, `np.add.at`'s target.
 
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is
@@ -29,9 +33,8 @@ layer on), which writes only that net's gradients.
 `loss_and_grad` joins every job before returning and raises the first
 job's error; a main-thread error is raised once they have all finished.
 Jobs count straight into the caller's `OpCounters`, whose ``add`` is
-atomic. `optimize_step` starts one worker for the upper half of the
-optimizer's slices when there is more than one. Each array is written by
-one thread in a fixed order, so results do not depend on timing.
+atomic. `optimize_step` splits its slices with one worker. Each array is
+written by one thread in a fixed order, so results do not depend on timing.
 The first `loss_and_grad` in a process keeps glibc's heap mapped between
 steps (`_keep_heap`), so a step does not fault in again what the last freed.
 """
@@ -74,8 +77,9 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
     target = np.asarray(target, dtype=float)
     # allocated before the forward trace: allocated after it, train-a1 and
     # train-qm9 peak RSS read ~12 MB higher, from heap layout alone
-    flat_grad = np.zeros(params.flat.size)
+    flat_grad = np.empty(params.flat.size)
     grads = model.bind(params, flat_grad)
+    grads.embed[...] = 0.0
     jobs = []
     with ThreadPoolExecutor(max_workers=1) as pool:
         def submit(fn, *args):
@@ -160,13 +164,10 @@ def check_gradient(params, graph, queries, target, n_sampled=200, h=1e-5,
         if worst is None or errs[j] > worst[0]:
             worst = (errs[j], *registry.slot_of(int(i)), fd, an)
 
-    report = {
-        "n_sampled": k,
-        "max_rel_error": float(errs.max()) if k else 0.0,
-        "median_rel_error": float(np.median(errs)) if k else 0.0,
-        "loss": loss0,
-        "h": h,
-    }
+    report = {"n_sampled": k,
+              "max_rel_error": float(errs.max()) if k else 0.0,
+              "median_rel_error": float(np.median(errs)) if k else 0.0,
+              "loss": loss0, "h": h}
     if worst is not None:
         report["worst"] = {"error": worst[0], "name": worst[1],
                            "offset": int(worst[2]), "fd": worst[3],
@@ -193,7 +194,7 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState(OptimizerConfig):
-    m: np.ndarray = None  # first and second moments, like params.flat
+    m: np.ndarray = None  # unnormalized moments (above), like params.flat
     v: np.ndarray = None
     step: int = 0
     beta1: float = 0.9
@@ -261,33 +262,29 @@ def optimize_step(state, params, grads, registry):
 def _update(state, params, g, start, stop):
     """`optimize_step`'s update of entries [start, stop), one ``_SLICE``
     at a time through a scratch buffer of its own."""
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    scratch = np.empty((2, min(_SLICE, stop - start)))
+    s = math.sqrt((1.0 - state.beta2) / (1.0 - state.beta2 ** state.step))
+    A = state.lr * (1.0 - state.beta1) / (1.0 - state.beta1 ** state.step) / s
+    E = state.eps / s
+    scratch = np.empty(min(_SLICE, stop - start))
     for lo in range(start, stop, _SLICE):
         sl = slice(lo, min(lo + _SLICE, stop))
-        gs = g[sl]
-        tmp, upd = scratch[:, :gs.size]
+        gs, tmp = g[sl], scratch[:sl.stop - lo]
         if state.method == "gradient-descent":
-            np.multiply(state.lr, gs, out=upd)
+            np.multiply(state.lr, gs, out=tmp)
         else:
-            # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g;
-            # upd = lr mhat / (sqrt(vhat) + eps), evaluated in that order
+            # m = b1 m + g;  v = b2 v + g g;  then Adam's lr mhat /
+            # (sqrt(vhat) + eps) as A m / (sqrt(v) + E), in that order
             m, v = state.m[sl], state.v[sl]
-            np.multiply(1.0 - state.beta1, gs, out=tmp)
             m *= state.beta1
-            m += tmp
-            np.multiply(1.0 - state.beta2, gs, out=tmp)
-            tmp *= gs
+            m += gs
+            np.multiply(gs, gs, out=tmp)
             v *= state.beta2
             v += tmp
-            np.divide(v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += state.eps
-            np.divide(m, c1, out=upd)
-            upd *= state.lr
-            upd /= tmp
-        params.flat[sl] -= upd
+            np.sqrt(v, out=tmp)
+            tmp += E
+            np.divide(m, tmp, out=tmp)
+            tmp *= A
+        params.flat[sl] -= tmp
 
 
 def plateau_update(state, val_loss):

@@ -201,8 +201,9 @@ def _row_mults(params):
 
 
 def _hidden(params, r, cache=None):
-    """The net's last hidden layer h2, (E, HIDDEN); ``cache`` gets the
-    activations a backward reads."""
+    """The net's last hidden layer h2, (E, HIDDEN); ``cache`` gets e, each
+    h_i and, in place of a_i, silu'(a_i) = s + h_i (1 - s), from the sigmoid
+    s that h_i = a_i s needs."""
     h = _embed(params, r)
     if cache is not None:
         cache["e"] = h
@@ -213,8 +214,11 @@ def _hidden(params, r, cache=None):
         if cache is None:
             silu(h, out=h)
         else:
-            cache[f"a{i}"] = h
-            h = cache[f"h{i}"] = silu(h)
+            s = _sigmoid(h)
+            d, h = cache[f"d{i}"], cache[f"h{i}"] = h, np.multiply(h, s)
+            np.subtract(1.0, s, out=d)  # s + h (1 - s), written over a
+            d *= h
+            d += s
     return h
 
 
@@ -270,7 +274,7 @@ def _decode_table(params):
 def radial_forward(params, r, counters=None, cache=None):
     """Per-path scalars phi(r) for a batch of distances, shape (E, out_dim).
 
-    A ``cache`` dict receives the activations ``radial_backward`` reads.
+    A ``cache`` dict receives what ``radial_backward`` reads (`_hidden`).
     ``radial`` counts the multiplies done.
     """
     r = np.asarray(r, dtype=float)
@@ -284,10 +288,9 @@ def radial_forward(params, r, counters=None, cache=None):
 
 
 def radial_backward(params, grad_out, grads, cache):
-    """Gradients of sum(grad_out * phi), from the activations
-    ``radial_forward`` left in ``cache``, written into the six trainable
-    arrays of ``grads``. The layer gradients overwrite the cache's ``h2``
-    and ``h1``, so a cache serves one backward."""
+    """Gradients of sum(grad_out * phi), from the ``cache`` radial_forward
+    filled, written into the six trainable arrays of ``grads``; they
+    overwrite its ``h2`` and ``h1``, so a cache serves one backward."""
     h2 = cache["h2"]
     np.matmul(h2.T, grad_out, out=grads.head_w)
     grad_out.sum(axis=0, out=grads.head_b)
@@ -298,17 +301,17 @@ def radial_backward(params, grad_out, grads, cache):
 def _hidden_backward(params, g, grads, cache):
     """``radial_backward`` below the head, from ``g``, the gradient at h2;
     ``g`` and the cache's ``h1`` are overwritten."""
-    # from the top down: g through the SiLU that produced a layer's output
-    # from a, then the layer's weight and bias gradients from its input x
-    # and g, then g through the weight, into x, which nothing reads again
-    g *= _silu_grad(cache["a2"])
-    for x, w, b, a in ((cache["h1"], "w2", "b2", "a1"),
+    # from the top down: g times the SiLU derivative d of a layer's output,
+    # then the layer's weight and bias gradients from its input x and g,
+    # then g through the weight, into x, which nothing reads again
+    g *= cache["d2"]
+    for x, w, b, d in ((cache["h1"], "w2", "b2", "d1"),
                        (cache["e"], "w1", "b1", None)):
         np.matmul(x.T, g, out=getattr(grads, w))
         g.sum(axis=0, out=getattr(grads, b))
-        if a is not None:
+        if d is not None:
             g = np.matmul(g, getattr(params, w).T, out=x)
-            g *= _silu_grad(cache[a])
+            g *= cache[d]
 
 
 # ---------------------------------------------------------------------------

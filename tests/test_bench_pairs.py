@@ -14,10 +14,10 @@ _SPEC.loader.exec_module(bench_pairs)
 _ENV = {"nproc": 2, "blas": "scipy-openblas 0.3.31", "blas_pin": 1}
 
 
-def _result(step, rss, minflt=1000, sys_s=0.5, failed=0):
+def _result(step, rss, minflt=1000, sys_s=0.5, failed=0, nvcsw=50):
     return {"correct": failed == 0, "attempted": 100, "failed": failed,
             "environment": _ENV,
-            "rusage": {"minflt": minflt, "sys_s": sys_s},
+            "rusage": {"minflt": minflt, "nvcsw": nvcsw, "sys_s": sys_s},
             "metrics": {"step_nominal_s.p50": {"value": step, "unit": "s"},
                         "peak_rss_mb": {"value": rss, "unit": "MiB"}}}
 
@@ -25,11 +25,14 @@ def _result(step, rss, minflt=1000, sys_s=0.5, failed=0):
 # (order, base, head): order 0 ran BASE first; HEAD's step is lower in
 # pairs 0, 1 and 3, its RSS in none (pair 2 is a tie); HEAD's run of pair
 # 2 failed 3 of its 100 ops
-_PAIRS = [(0, _result(0.10, 80.0, 9000, 1.0), _result(0.09, 81.0, 300)),
-          (1, _result(0.12, 80.0, 8000, 2.0), _result(0.11, 82.0, 200)),
-          (0, _result(0.11, 80.0, 7000, 3.0),
-           _result(0.13, 80.0, 100, failed=3)),
-          (1, _result(0.13, 79.0, 6000, 4.0), _result(0.10, 80.0, 400))]
+_PAIRS = [(0, _result(0.10, 80.0, 9000, 1.0, nvcsw=2000),
+           _result(0.09, 81.0, 300, nvcsw=10)),
+          (1, _result(0.12, 80.0, 8000, 2.0, nvcsw=1800),
+           _result(0.11, 82.0, 200, nvcsw=30)),
+          (0, _result(0.11, 80.0, 7000, 3.0, nvcsw=2200),
+           _result(0.13, 80.0, 100, failed=3, nvcsw=20)),
+          (1, _result(0.13, 79.0, 6000, 4.0, nvcsw=1900),
+           _result(0.10, 80.0, 400, nvcsw=0))]
 
 
 def test_metrics_give_medians_quartiles_and_lower_counts():
@@ -76,11 +79,12 @@ def test_json_writer_merges_workloads_of_one_comparison(tmp_path):
     assert [r["seed"] for r in got["runs"]["head"]] == got["seeds"]
     assert got["runs"]["base"][1] == {
         "seed": 7002, "correct": True, "attempted": 100, "failed": 0,
-        "minflt": 8000, "sys_s": 2.0}
+        "minflt": 8000, "nvcsw": 1800, "sys_s": 2.0}
     assert [(r["correct"], r["failed"]) for r in got["runs"]["head"]] == [
         (True, 0), (True, 0), (False, 3), (True, 0)]
-    assert got["rusage"] == {"base": {"minflt": 7500, "sys_s": 2.5},
-                             "head": {"minflt": 250, "sys_s": 0.5}}
+    assert got["rusage"] == {
+        "base": {"minflt": 7500, "nvcsw": 1950, "sys_s": 2.5},
+        "head": {"minflt": 250, "nvcsw": 15, "sys_s": 0.5}}
     with pytest.raises(SystemExit, match="compares abc with def"):
         bench_pairs.write_json(path, "abc", "xyz", "train-qm9", [1],
                                _PAIRS, control)

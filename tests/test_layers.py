@@ -405,7 +405,7 @@ def test_radial_backward_from_forward_cache_matches_reference():
     cache = {}
     out = layers.radial_forward(p, r, cache=cache)
     assert np.array_equal(out, layers.radial_forward(p, r))
-    assert sorted(cache) == ["a1", "a2", "e", "h1", "h2"]
+    assert sorted(cache) == ["d1", "d2", "e", "h1", "h2"]
     grads = nan_twin(p)
     assert layers.radial_backward(p, weight, grads, cache) is None
     _assert_grads_close(

@@ -6,9 +6,10 @@ directory is shared between runs. Pairs alternate the run order: even
 pairs run BASE first, odd pairs HEAD first. Prints one line per run, then
 per metric the medians, the change, and in how many pairs HEAD read lower
 (overall and per run order), with the quartiles of BASE's runs. Each run
-line also gives the run's op counts and the minor page faults and system
-CPU seconds of the perfbench process tree (``resource.getrusage`` of this
-process's children, read before and after that subprocess only). Run from
+line also gives the run's op counts and the minor page faults, voluntary
+context switches and system CPU seconds of the perfbench process tree
+(``resource.getrusage`` of this process's children, read before and after
+that subprocess only). Run from
 inside the repository:
 
     python tools/bench_pairs.py BASE HEAD --workload eval-grid \\
@@ -38,10 +39,12 @@ file (``BENCH_<n>.json``). Its keys:
   counts for ``base_first`` and ``head_first`` pairs.
   Per workload also ``runs``: per side (``base``, ``head``), one entry per
   run in seed order with its ``seed``, perfbench's ``correct``,
-  ``attempted`` and ``failed`` (ops), and ``minflt`` and ``sys_s``, the
-  minor page faults and system CPU seconds of the perfbench process tree;
-  and ``rusage``: per side, the medians of ``minflt`` and ``sys_s`` over
-  its runs.
+  ``attempted`` and ``failed`` (ops), and ``minflt``, ``nvcsw`` and
+  ``sys_s``: the minor page faults, the voluntary context switches (a
+  process gives up the CPU to wait, as on a lock or for I/O; the
+  children's ``ru_nvcsw``) and the system CPU seconds of the perfbench
+  process tree. And ``rusage``: per side, the medians of ``minflt``,
+  ``nvcsw`` and ``sys_s`` over its runs.
 """
 import argparse
 import json
@@ -75,7 +78,7 @@ def checkout(commit, dest):
 def run_once(commit, workload, seed, seconds, dest):
     """The result object of one perfbench run of ``commit``, with
     perfbench's ``environment`` block added under that key and the run's
-    ``minflt`` and ``sys_s`` under ``rusage``."""
+    ``minflt``, ``nvcsw`` and ``sys_s`` under ``rusage``."""
     checkout(commit, dest)
     try:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -92,6 +95,7 @@ def run_once(commit, workload, seed, seconds, dest):
     return dict(json.loads(result),
                 environment=json.loads(detail)["environment"],
                 rusage={"minflt": after.ru_minflt - before.ru_minflt,
+                        "nvcsw": after.ru_nvcsw - before.ru_nvcsw,
                         "sys_s": after.ru_stime - before.ru_stime})
 
 
@@ -155,7 +159,7 @@ def runs(seeds, pairs):
              "attempted": p[i]["attempted"], "failed": p[i]["failed"],
              **p[i]["rusage"]} for seed, p in zip(seeds, pairs)]
         out["rusage"][side] = {k: statistics.median(r[k] for r in got)
-                               for k in ("minflt", "sys_s")}
+                               for k in ("minflt", "nvcsw", "sys_s")}
     return out
 
 
@@ -216,6 +220,7 @@ def main(argv=None):
                 print(f"seed {seed} {side}: correct={res['correct']} "
                       f"attempted={res['attempted']} failed={res['failed']} "
                       f"minflt={res['rusage']['minflt']} "
+                      f"nvcsw={res['rusage']['nvcsw']} "
                       f"sys_s={res['rusage']['sys_s']:.3f} {values}",
                       flush=True)
             pairs.append((order, got["base"], got["head"]))

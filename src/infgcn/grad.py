@@ -9,11 +9,10 @@ parameter gradients straight into that vector, through a copy of the
 parameters bound to it (`model.bind`). `optimize_step` updates
 ``params.flat`` in place through slice-sized scratch buffers and screens
 the gradient with one ``g.sum()`` in place of a mask, so a step allocates
-nothing parameter-sized. Adam keeps its moments unnormalized (m / (1 -
-beta1), v / (1 - beta2); the bias corrections fold into the step size and
-epsilon, arXiv 1412.6980 section 2), so v overflows at a steady |g| of
-~4e152, not ~1.3e154. The gradient vector is not zero-filled: a backward
-overwrites each entry but the embedding's, `np.add.at`'s target.
+nothing parameter-sized. Adam's moments are kept unnormalized, m / (1 -
+beta1) and v / (1 - beta2), the bias corrections folded into step size and
+epsilon (arXiv 1412.6980, section 2): v overflows at a steady |g| of ~4e152,
+not ~1.3e154. The gradient vector is not zero-filled (`loss_and_grad`).
 
 There is no tape: the operation set is small and closed, so the chain is
 written out explicitly in `loss_and_grad`. What the trace carries instead is
@@ -79,7 +78,7 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
     # train-qm9 peak RSS read ~12 MB higher, from heap layout alone
     flat_grad = np.empty(params.flat.size)
     grads = model.bind(params, flat_grad)
-    grads.embed[...] = 0.0
+    grads.embed[...] = 0.0  # np.add.at's target; backwards write the rest
     jobs = []
     with ThreadPoolExecutor(max_workers=1) as pool:
         def submit(fn, *args):
@@ -164,10 +163,13 @@ def check_gradient(params, graph, queries, target, n_sampled=200, h=1e-5,
         if worst is None or errs[j] > worst[0]:
             worst = (errs[j], *registry.slot_of(int(i)), fd, an)
 
-    report = {"n_sampled": k,
-              "max_rel_error": float(errs.max()) if k else 0.0,
-              "median_rel_error": float(np.median(errs)) if k else 0.0,
-              "loss": loss0, "h": h}
+    report = {
+        "n_sampled": k,
+        "max_rel_error": float(errs.max()) if k else 0.0,
+        "median_rel_error": float(np.median(errs)) if k else 0.0,
+        "loss": loss0,
+        "h": h,
+    }
     if worst is not None:
         report["worst"] = {"error": worst[0], "name": worst[1],
                            "offset": int(worst[2]), "fd": worst[3],
@@ -272,8 +274,7 @@ def _update(state, params, g, start, stop):
         if state.method == "gradient-descent":
             np.multiply(state.lr, gs, out=tmp)
         else:
-            # m = b1 m + g;  v = b2 v + g g;  then Adam's lr mhat /
-            # (sqrt(vhat) + eps) as A m / (sqrt(v) + E), in that order
+            # m = b1 m + g;  v = b2 v + g g;  A m / (sqrt(v) + E), in order
             m, v = state.m[sl], state.v[sl]
             m *= state.beta1
             m += gs

@@ -201,9 +201,8 @@ def _row_mults(params):
 
 
 def _hidden(params, r, cache=None):
-    """The net's last hidden layer h2, (E, HIDDEN); ``cache`` gets e, each
-    h_i and, in place of a_i, silu'(a_i) = s + h_i (1 - s), from the sigmoid
-    s that h_i = a_i s needs."""
+    """The net's last hidden layer h2, (E, HIDDEN); ``cache`` gets e, each h_i
+    and, in place of a_i, silu'(a_i) = s + h_i (1 - s), s = sigmoid(a_i)."""
     h = _embed(params, r)
     if cache is not None:
         cache["e"] = h

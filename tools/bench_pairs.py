@@ -9,8 +9,7 @@ per metric the medians, the change, and in how many pairs HEAD read lower
 line also gives the run's op counts and the minor page faults, voluntary
 context switches and system CPU seconds of the perfbench process tree
 (``resource.getrusage`` of this process's children, read before and after
-that subprocess only). Run from
-inside the repository:
+that subprocess only). Run from inside the repository:
 
     python tools/bench_pairs.py BASE HEAD --workload eval-grid \\
         --seeds 7001-7008 [--seconds 14] [--workdir DIR]

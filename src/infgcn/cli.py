@@ -9,11 +9,13 @@ zeroed so reports for a fixed seed are byte-identical.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -182,6 +184,14 @@ def _load_model(cfg, checkpoint):
     return params
 
 
+def _map_records(fn, jobs, *items):
+    """``list(map(fn, *items))``, on ``jobs`` threads when above one."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *items))
+    return list(map(fn, *items))
+
+
 def _eval_record(params, cfg, rec, rotation=None, resample=True):
     """Predictions over the record's grid, and its values. A ``rotation``
     turns the atoms about the cell center, then resamples the values or,
@@ -204,16 +214,16 @@ def _eval_record(params, cfg, rec, rotation=None, resample=True):
 
 def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
              jobs=1, deterministic=False):
-    """Full-grid partitioned NMAE per record, decoded in turn, plus the
-    pooled aggregate; ``jobs`` is unused, kept for callers that name it."""
+    """Full-grid partitioned NMAE per record plus the pooled aggregate."""
     params = _load_model(cfg, checkpoint)
     seed = cfg.seed if seed is None else seed
     _, recs = _load_dataset(cfg)
     rotations = [so3.random_rotation(np.random.default_rng((seed, 4242, i)))
                  if rotated else None for i in range(len(recs))]
     t0 = time.perf_counter()
-    preds, targets = zip(*[_eval_record(params, cfg, rec, rotation, resample)
-                           for rec, rotation in zip(recs, rotations)])
+    preds, targets = zip(*_map_records(
+        functools.partial(_eval_record, params, cfg, resample=resample),
+        jobs, recs, rotations))
     report = {"checkpoint": os.fspath(checkpoint), "rotated": bool(rotated),
               "resampled": bool(resample and rotated),
               "records": {rec["name"]: model.nmae(pred, target)
@@ -229,26 +239,30 @@ def cmd_eval(cfg, checkpoint, rotated=False, resample=True, seed=None,
     return report
 
 
-def cmd_predict(cfg, checkpoint, out_dir=None):
+def cmd_predict(cfg, checkpoint, out_dir=None, jobs=1):
     """Full-grid prediction and error CUBE files for every record."""
     params = _load_model(cfg, checkpoint)
     out = _make_out_dir(out_dir or cfg.out_dir,
                         "--out" if out_dir else "out_dir")
     _, recs = _load_dataset(cfg)
-    records = {}
-    for rec in recs:
+
+    def run(rec):
+        grid = rec["grid"]
         pred, values = _eval_record(params, cfg, rec)
         numbers = rec["types"] + 1  # vocab indices to nuclear charges
-        row = records[rec["name"]] = {}
+        paths = {}
         for tag, field in (("pred", pred), ("err", pred - values)):
             path = os.path.join(out, f"{rec['name']}.{tag}.cube")
-            dataio.export_cube(path,
-                               dataclasses.replace(rec["grid"], values=field),
+            dataio.export_cube(path, dataclasses.replace(grid, values=field),
                                numbers, rec["coords"],
                                comment=f"{tag} for {rec['name']}")
-            row[tag] = path
-        row["nmae"] = model.nmae(pred, values)
-    return {"out_dir": out, "records": records}
+            paths[tag] = path
+        return rec["name"], paths, model.nmae(pred, values)
+
+    rows = _map_records(run, jobs, recs)
+    return {"out_dir": out,
+            "records": {name: {**paths, "nmae": err}
+                        for name, paths, err in rows}}
 
 
 def _random_instance(mcfg, seed, n_atoms=5, n_queries=64):
@@ -306,7 +320,7 @@ def _build_parser():
         description="equivariant density model and graphon laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, config="required", seed=True,
+    def command(name, summary, config="required", seed=True, jobs=False,
                 deterministic=False):
         """A subcommand with only the shared flags its cmd_* function
         reads; ``config`` is "required", "optional" or None."""
@@ -316,17 +330,22 @@ def _build_parser():
                            help="path to a run-config JSON file")
         if seed:
             p.add_argument("--seed", type=_int_at_least(0), default=None)
+        if jobs:
+            p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                           help="records evaluated at once (at least 1)")
         if deterministic:
             p.add_argument("--deterministic", action="store_true",
                            help="zero wall-clock fields in the report")
         return p
 
     command("train", "train on a dataset directory", deterministic=True)
-    pe = command("eval", "full-grid partitioned NMAE", deterministic=True)
+    pe = command("eval", "full-grid partitioned NMAE", jobs=True,
+                 deterministic=True)
     pe.add_argument("--checkpoint", required=True)
     pe.add_argument("--rotated", action="store_true",
                     help="rotate atoms and resample the target grid")
-    pp = command("predict", "write prediction and error CUBEs", seed=False)
+    pp = command("predict", "write prediction and error CUBEs", seed=False,
+                 jobs=True)
     pp.add_argument("--checkpoint", required=True)
     pp.add_argument("--out", default=None)
     command("equivariance-check", "two-branch rotation test",
@@ -352,10 +371,11 @@ def main(argv=None):
             report = cmd_train(cfg, deterministic=args.deterministic)
         elif args.command == "eval":
             report = cmd_eval(cfg, args.checkpoint, rotated=args.rotated,
-                              seed=args.seed,
+                              seed=args.seed, jobs=args.jobs,
                               deterministic=args.deterministic)
         elif args.command == "predict":
-            report = cmd_predict(cfg, args.checkpoint, out_dir=args.out)
+            report = cmd_predict(cfg, args.checkpoint, out_dir=args.out,
+                                 jobs=args.jobs)
         elif args.command == "equivariance-check":
             report = cmd_equivariance_check(cfg.model, seed=args.seed or 0)
         elif args.command == "gradcheck":

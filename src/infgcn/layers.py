@@ -415,7 +415,8 @@ _TURN_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 def conv_plan(l_max):
     """The coupling plan for ``l_max``, built once per process: the first
     build runs under a lock and checks the memo again inside it, so threads
-    asking at once share one build. A built plan is read without the lock.
+    asking at once (``eval --jobs N``) share one build. A built plan is read
+    without the lock.
     """
     plan = _PLANS.get(l_max)
     if plan is None:

@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 import os
-import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -412,8 +412,11 @@ def test_eval_partition_and_jobs_invariance(tmp_path):
     assert max(vals) - min(vals) < 1e-12
 
 
-def test_eval_and_predict_decode_on_the_calling_thread(tmp_path,
-                                                       monkeypatch):
+def test_cold_two_thread_eval_builds_the_conv_plan_once(tmp_path,
+                                                        monkeypatch):
+    # both records' encodes ask for the plan at once: one thread builds it
+    # and the other waits for that build. The build is held open long
+    # enough for both threads to reach it
     dataio.make_synthetic_dataset(tmp_path / "data", n_records=2, seed=18,
                                   shape=(8, 8, 8))
     ckpt = tmp_path / "init.ckpt"
@@ -421,19 +424,18 @@ def test_eval_and_predict_decode_on_the_calling_thread(tmp_path,
         model.ModelConfig(**SMALL_MODEL), seed=19), ckpt)
     cfg = cli.load_run_config(write_config(
         tmp_path, tmp_path / "data", tmp_path / "out"))
-    threads = []
-    real = model.predict_density
+    builds = []
+    real = layers._build_plan
 
-    def recorded(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return real(*args, **kwargs)
+    def slow(l_max):
+        builds.append(l_max)
+        time.sleep(0.2)
+        return real(l_max)
 
-    monkeypatch.setattr(model, "predict_density", recorded)
-    two = cli.cmd_eval(cfg, ckpt, jobs=2, deterministic=True)
-    cli.cmd_predict(cfg, ckpt)
-    assert len(threads) >= 4
-    assert set(threads) == {threading.get_ident()}
-    assert two == cli.cmd_eval(cfg, ckpt, jobs=1, deterministic=True)
+    monkeypatch.setattr(layers, "_build_plan", slow)
+    monkeypatch.setattr(layers, "_PLANS", {})
+    cli.cmd_eval(cfg, ckpt, jobs=2, deterministic=True)
+    assert builds == [SMALL_MODEL["l_max"]]
 
 
 def test_eval_rotated_exact_queries_match_unrotated(tmp_path):
@@ -698,8 +700,10 @@ _CKPT = ["--config", "run.json", "--checkpoint", "model.ckpt"]
 
 def test_parser_registers_flags_where_they_are_read():
     parse = cli._build_parser().parse_args
-    args = parse(["eval", *_CKPT, "--seed", "5", "--deterministic"])
-    assert (args.seed, args.deterministic) == (5, True)
+    args = parse(["eval", *_CKPT, "--jobs", "2", "--seed", "5",
+                  "--deterministic"])
+    assert (args.jobs, args.seed, args.deterministic) == (2, 5, True)
+    assert parse(["predict", *_CKPT, "--jobs", "3"]).jobs == 3
     args = parse(["train", "--config", "run.json", "--seed", "4",
                   "--deterministic"])
     assert (args.seed, args.deterministic) == (4, True)
@@ -714,8 +718,8 @@ def test_parser_registers_flags_where_they_are_read():
     (["gradcheck", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
     (["graphon-demo", "--config", "run.json"],
      "unrecognized arguments: --config run.json"),
-    (["eval", *_CKPT, "--jobs", "2"], "unrecognized arguments: --jobs 2"),
-    (["predict", *_CKPT, "--jobs", "3"], "unrecognized arguments: --jobs 3"),
+    (["eval", *_CKPT, "--jobs", "0"], "--jobs: must be at least 1, got 0"),
+    (["predict", *_CKPT, "--jobs", "-1"], "--jobs: must be at least 1"),
     (["train", "--config", "run.json", "--seed", "-1"],
      "--seed: must be at least 0, got -1"),
     (["eval", *_CKPT, "--seed", "x"], "--seed: invalid integer value: 'x'"),

@@ -33,10 +33,12 @@ _PAIRS = [(0, _result(0.10, 80.0, 9000, 1.0, nvcsw=2000),
            _result(0.13, 80.0, 100, failed=3, nvcsw=20)),
           (1, _result(0.13, 79.0, 6000, 4.0, nvcsw=1900),
            _result(0.10, 80.0, 400, nvcsw=0))]
+# the two-core control read before each pair: pairs 0 and 2 had two cores
+_CONTROLS = [1.8, 1.2, 1.6, 0.9]
 
 
 def test_metrics_give_medians_quartiles_and_lower_counts():
-    m = bench_pairs.metrics(_PAIRS)
+    m = bench_pairs.metrics(_PAIRS, _CONTROLS)
     step = m["step_nominal_s.p50"]
     assert step["unit"] == "s"
     assert step["base_median"] == pytest.approx(0.115)
@@ -51,13 +53,37 @@ def test_metrics_give_medians_quartiles_and_lower_counts():
     assert (rss["lower"], rss["lower_by_order"]["base_first"]) == (0, [0, 2])
 
 
+def test_metrics_split_the_pairs_by_their_control():
+    m = bench_pairs.metrics(_PAIRS, _CONTROLS)
+    two, one = (m["step_nominal_s.p50"]["by_control"][k]
+                for k in ("two_core", "one_core"))
+    assert (two["lower"], two["pairs"]) == (1, 2)
+    assert two["median_change"] == pytest.approx(
+        (0.09 / 0.10 + 0.13 / 0.11) / 2 - 1)
+    assert (one["lower"], one["pairs"]) == (2, 2)
+    assert one["median_change"] == pytest.approx(
+        (0.11 / 0.12 + 0.10 / 0.13) / 2 - 1)
+    rss = m["peak_rss_mb"]["by_control"]["one_core"]
+    assert (rss["lower"], rss["pairs"]) == (0, 2)
+    assert rss["median_change"] == pytest.approx((82 / 80 + 80 / 79) / 2 - 1)
+    # no pair had two cores: the split is empty, its change null
+    empty = bench_pairs.metrics(_PAIRS, [1.0] * 4)["peak_rss_mb"]
+    assert empty["by_control"]["two_core"] == {
+        "lower": 0, "pairs": 0, "median_change": None}
+    assert empty["by_control"]["one_core"]["pairs"] == 4
+
+
 def test_summary_prints_one_line_per_metric():
-    lines = bench_pairs.summary(_PAIRS)
+    lines = bench_pairs.summary(_PAIRS, _CONTROLS)
     assert len(lines) == 2
     assert lines[1].startswith("step_nominal_s.p50: base 0.115")
     assert "lower in 3/4 (base first 1/2, head first 2/2)" in lines[1]
+    assert ("control >=1.6: lower in 1/2, median paired +4.1%; "
+            "control <1.6: lower in 2/2, median paired -15.7%") in lines[1]
     zero = [(0, _result(0.1, 0.0), _result(0.1, 0.0))]
-    assert "n/a" in bench_pairs.summary(zero)[0]
+    line = bench_pairs.summary(zero, [2.0])[0]
+    assert line.count("n/a") == 3
+    assert "control <1.6: lower in 0/0" in line
 
 
 def test_json_writer_merges_workloads_of_one_comparison(tmp_path):
@@ -66,7 +92,8 @@ def test_json_writer_merges_workloads_of_one_comparison(tmp_path):
                           "ratio": 2.0 / 1.1}}
     for workload in ("train-a1", "eval-grid"):
         bench_pairs.write_json(path, "abc", "def", workload,
-                               [7001, 7002, 7003, 7004], _PAIRS, control)
+                               [7001, 7002, 7003, 7004], _PAIRS, control,
+                               _CONTROLS)
     doc = json.loads(path.read_text())
     assert (doc["base"], doc["head"]) == ("abc", "def")
     assert set(doc["workloads"]) == set(doc["control"]) == {"train-a1",
@@ -74,8 +101,10 @@ def test_json_writer_merges_workloads_of_one_comparison(tmp_path):
     got = doc["workloads"]["eval-grid"]
     assert got["seeds"] == [7001, 7002, 7003, 7004]
     assert got["environment"] == _ENV
+    assert got["pair_controls"] == _CONTROLS
+    assert doc["control"]["eval-grid"] == control
     assert got["metrics"] == json.loads(json.dumps(
-        bench_pairs.metrics(_PAIRS)))
+        bench_pairs.metrics(_PAIRS, _CONTROLS)))
     assert [r["seed"] for r in got["runs"]["head"]] == got["seeds"]
     assert got["runs"]["base"][1] == {
         "seed": 7002, "correct": True, "attempted": 100, "failed": 0,
@@ -87,4 +116,4 @@ def test_json_writer_merges_workloads_of_one_comparison(tmp_path):
         "head": {"minflt": 250, "nvcsw": 15, "sys_s": 0.5}}
     with pytest.raises(SystemExit, match="compares abc with def"):
         bench_pairs.write_json(path, "abc", "xyz", "train-qm9", [1],
-                               _PAIRS, control)
+                               _PAIRS, control, _CONTROLS)

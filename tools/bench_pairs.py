@@ -5,8 +5,8 @@ Each pair runs one seed on both commits, every run from a fresh
 directory is shared between runs. Pairs alternate the run order: even
 pairs run BASE first, odd pairs HEAD first. Prints one line per run, then
 per metric the medians, the change, and in how many pairs HEAD read lower
-(overall and per run order), with the quartiles of BASE's runs. Each run
-line also gives the run's op counts and the minor page faults, voluntary
+(overall, per run order, and split by a two-core control run before each
+pair), with the quartiles of BASE's runs. Each run line also gives the run's op counts and the minor page faults, voluntary
 context switches and system CPU seconds of the perfbench process tree
 (``resource.getrusage`` of this process's children, read before and after
 that subprocess only). Run from inside the repository:
@@ -29,13 +29,19 @@ file (``BENCH_<n>.json``). Its keys:
   processes running one loop each at once; and ``ratio``, serial_s over
   parallel_s. A host that gives two cores reads near 2, one core near 1.
 - ``workloads``: per workload name, ``seeds`` (in run order),
-  ``environment`` (perfbench's block from the first run) and
-  ``metrics``. Per metric: ``unit``; ``base_median`` and
+  ``pair_controls`` (the ``ratio`` of the control run just before each
+  pair, in run order), ``environment`` (perfbench's block from the first
+  run) and ``metrics``. Per metric: ``unit``; ``base_median`` and
   ``head_median``; ``base_quartiles``, [q1, q3] of BASE's runs;
   ``change``, head_median / base_median - 1 (null when base_median is 0);
   ``lower``, the number of pairs in which HEAD read lower, and
-  ``pairs``, the number of pairs; and ``lower_by_order``, the same two
-  counts for ``base_first`` and ``head_first`` pairs.
+  ``pairs``, the number of pairs; ``lower_by_order``, the same two
+  counts for ``base_first`` and ``head_first`` pairs; and
+  ``by_control``, the pairs split by their control: ``two_core`` holds
+  those whose ratio reads at least 1.6, ``one_core`` the rest. Each
+  holds ``lower`` and ``pairs`` as above, and ``median_change``, the
+  median over its pairs of head / base - 1 (pairs with base 0 left out;
+  null when none is left).
   Per workload also ``runs``: per side (``base``, ``head``), one entry per
   run in seed order with its ``seed``, perfbench's ``correct``,
   ``attempted`` and ``failed`` (ops), and ``minflt``, ``nvcsw`` and
@@ -124,10 +130,24 @@ def control(loops=400):
             "ratio": serial / parallel}
 
 
-def metrics(pairs):
+_TWO_CORE = 1.6  # the least control ratio that counts as a second core
+
+
+def _split(head, base, keep):
+    """``lower``, ``pairs`` and ``median_change`` over the pairs ``keep``
+    selects: a ``by_control`` entry."""
+    got = [(h, b) for h, b, k in zip(head, base, keep) if k]
+    changes = [h / b - 1 for h, b in got if b]
+    return {"lower": sum(h < b for h, b in got), "pairs": len(got),
+            "median_change": statistics.median(changes) if changes else None}
+
+
+def metrics(pairs, pair_controls):
     """Per metric over ``pairs``, a list of (order, base, head) result
-    objects in which order 0 ran BASE first: the ``metrics`` entries of
-    the ``--json`` object."""
+    objects in which order 0 ran BASE first, and ``pair_controls``, the
+    control ratio read before each: the ``metrics`` entries of the
+    ``--json`` object."""
+    two_core = [r >= _TWO_CORE for r in pair_controls]
     out = {}
     for name in sorted(pairs[0][1]["metrics"]):
         base = [p[1]["metrics"][name]["value"] for p in pairs]
@@ -144,7 +164,10 @@ def metrics(pairs):
             "lower_by_order": {
                 side: [sum(lo for lo, p in zip(lower, pairs) if p[0] == o),
                        sum(p[0] == o for p in pairs)]
-                for o, side in enumerate(("base_first", "head_first"))}}
+                for o, side in enumerate(("base_first", "head_first"))},
+            "by_control": {
+                "two_core": _split(head, base, two_core),
+                "one_core": _split(head, base, [not t for t in two_core])}}
     return out
 
 
@@ -162,22 +185,32 @@ def runs(seeds, pairs):
     return out
 
 
-def summary(pairs):
-    """Per-metric lines over ``pairs``, as `metrics` takes them."""
+def _percent(change):
+    return "n/a" if change is None else f"{100 * change:+.1f}%"
+
+
+def summary(pairs, pair_controls):
+    """Per-metric lines over ``pairs`` and ``pair_controls``, as `metrics`
+    takes them."""
     lines = []
-    for name, m in metrics(pairs).items():
+    for name, m in metrics(pairs, pair_controls).items():
         (q1, q3), by = m["base_quartiles"], m["lower_by_order"]
-        change = "n/a" if m["change"] is None else f"{100 * m['change']:+.1f}%"
+        split = "; ".join(
+            f"control {label}: lower in {c['lower']}/{c['pairs']}, median "
+            f"paired {_percent(c['median_change'])}"
+            for label, c in ((f">={_TWO_CORE}", m["by_control"]["two_core"]),
+                             (f"<{_TWO_CORE}", m["by_control"]["one_core"])))
         lines.append(
             f"{name}: base {m['base_median']:.6g} (quartiles {q1:.6g}-"
-            f"{q3:.6g}) head {m['head_median']:.6g} {change}; lower in "
-            f"{m['lower']}/{m['pairs']} (base first {by['base_first'][0]}/"
-            f"{by['base_first'][1]}, head first {by['head_first'][0]}/"
-            f"{by['head_first'][1]})")
+            f"{q3:.6g}) head {m['head_median']:.6g} {_percent(m['change'])};"
+            f" lower in {m['lower']}/{m['pairs']} (base first "
+            f"{by['base_first'][0]}/{by['base_first'][1]}, head first "
+            f"{by['head_first'][0]}/{by['head_first'][1]}); {split}")
     return lines
 
 
-def write_json(path, base, head, workload, seeds, pairs, controls):
+def write_json(path, base, head, workload, seeds, pairs, controls,
+               pair_controls):
     """Merge this run's workload into the ``--json`` object at ``path``."""
     path = Path(path)
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -187,8 +220,9 @@ def write_json(path, base, head, workload, seeds, pairs, controls):
     doc.update(base=base, head=head)
     doc.setdefault("control", {})[workload] = controls
     doc.setdefault("workloads", {})[workload] = {
-        "seeds": seeds, "environment": pairs[0][1]["environment"],
-        "metrics": metrics(pairs), **runs(seeds, pairs)}
+        "seeds": seeds, "pair_controls": pair_controls,
+        "environment": pairs[0][1]["environment"],
+        "metrics": metrics(pairs, pair_controls), **runs(seeds, pairs)}
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
@@ -203,12 +237,14 @@ def main(argv=None):
     ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
     work = Path(tempfile.mkdtemp(dir=args.workdir))
-    pairs, controls = [], {}
+    pairs, pair_controls, controls = [], [], {}
     if args.json:
         controls["before"] = control()
     try:
         for n, seed in enumerate(args.seeds):
             order = n % 2
+            pair_controls.append(control()["ratio"])
+            print(f"seed {seed} control={pair_controls[-1]:.3f}", flush=True)
             sides = [("base", args.base), ("head", args.head)]
             got = {}
             for side, commit in sides[::-1] if order else sides:
@@ -225,11 +261,11 @@ def main(argv=None):
             pairs.append((order, got["base"], got["head"]))
     finally:
         shutil.rmtree(work)
-    print("\n".join(summary(pairs)))
+    print("\n".join(summary(pairs, pair_controls)))
     if args.json:
         controls["after"] = control()
         write_json(args.json, args.base, args.head, args.workload,
-                   args.seeds, pairs, controls)
+                   args.seeds, pairs, controls, pair_controls)
 
 
 if __name__ == "__main__":

@@ -223,20 +223,27 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
     is `forward_trace`'s."""
     cfg = params.config
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
-    ahead = None
-    if submit is not None and params.residual is not None:
-        ahead = submit(layers._residual_pairs, queries, graph.atom_coord,
-                       params.residual, counters, keep)
+    spec = cfg.basis_spec()
+    chunks = filled = ahead = None
+    if submit is not None:  # the worker fills buffers allocated here
+        chunks = list(basis._empty_chunks(spec, len(graph.atom_coord),
+                                          len(queries)))
+        filled = submit(basis._fill_chunks, spec, graph.atom_coord, queries,
+                        chunks)
+        if params.residual is not None:
+            ahead = submit(layers._residual_pairs, queries, graph.atom_coord,
+                           params.residual, counters, keep)
     if coeffs is None:
         coeffs, trace = _encode(params, graph, counters, keep)
     else:  # expand_density rejects a misshapen coeffs, naming it
         coeffs, trace = np.asarray(coeffs, dtype=float), {}
         if not np.all(np.isfinite(coeffs)):
             raise NonFiniteError("coeffs holds non-finite values")
-    spec = cfg.basis_spec()
+    if filled is not None:
+        filled.result()
     basis_cache, residual_cache = ({}, {}) if keep else (None, None)
     dens = basis.expand_density(spec, coeffs, graph.atom_coord, queries,
-                                cache=basis_cache)
+                                cache=basis_cache, chunks=chunks)
     _check_finite(dens, "expand_density")
     if params.residual is not None:
         pairs = None if ahead is None else ahead.result()

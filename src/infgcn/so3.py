@@ -77,7 +77,7 @@ def block_slice(l):
 _SH_BLOCK = 8192  # points per block of eval_real_sh
 
 
-def eval_real_sh(l_max, d, rows=False):
+def eval_real_sh(l_max, d, rows=False, out=None):
     """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max, as a
     C-contiguous (..., (l_max+1)**2) array, at a (..., 3) array ``d`` of
     displacements of any length. Points are taken in blocks of
@@ -85,7 +85,8 @@ def eval_real_sh(l_max, d, rows=False):
     row of an ((l_max+1)**2, n) buffer, which is then transposed into the
     output: no write strides across the last axis, and the buffer and the
     recursion's temporaries stay cache-sized. With ``rows`` the result is
-    those rows, ((l_max+1)**2, ...), written in place with no transpose.
+    those rows, ((l_max+1)**2, ...), written in place with no transpose,
+    into ``out`` when given: a C-contiguous float array of that shape.
     """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
@@ -94,7 +95,14 @@ def eval_real_sh(l_max, d, rows=False):
         raise DomainError("displacements must have a trailing dimension of 3")
     pts = d.reshape(-1, 3)
     n, S = pts.shape[0], num_sh(l_max)
-    out = np.empty((S, n) if rows else (n, S))
+    if out is None:
+        out = np.empty((S, n) if rows else (n, S))
+    elif not (rows and isinstance(out, np.ndarray) and out.dtype == float
+              and out.flags.c_contiguous and out.shape == (S,) + d.shape[:-1]):
+        raise DomainError(f"out must be a C-contiguous float array of shape "
+                          f"{(S,) + d.shape[:-1]}, with rows")
+    else:
+        out = out.reshape(S, n)
     for lo in range(0, n, _SH_BLOCK):
         x, y, z = pts[lo:lo + _SH_BLOCK].T.copy()
         block = out[:, lo:lo + x.size] if rows else np.empty((S, x.size))

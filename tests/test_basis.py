@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -83,10 +84,11 @@ def test_normalization_by_radial_quadrature():
 
 def _eval_basis_block(spec, center, points):
     """All (n, l, m) basis functions of one center at points (Q, 3), as
-    (Q, n_radial, (l_max+1)**2), from the expansion's two factors."""
+    (Q, n_radial, (l_max+1)**2), from the expansion's two factors, which
+    come in row layout: (n_radial, Q) and ((l_max+1)**2, Q)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     E, Y = basis._factors(spec, points - np.asarray(center, dtype=float))
-    return (E[..., :, None] * basis._norm_columns(spec)) * Y[..., None, :]
+    return (E.T[:, :, None] * basis._norm_columns(spec)) * Y.T[:, None, :]
 
 
 def test_eval_at_center():
@@ -252,6 +254,39 @@ def test_expand_matches_broadcast_reference(l_max, n_queries, chunk,
         <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
 
 
+@pytest.mark.parametrize("n_centers", [1, 18])
+def test_expand_from_chunks_filled_on_another_thread_is_bit_identical(
+        n_centers):
+    # as in a training step: the calling thread allocates the chunks, a
+    # worker fills them, and the expansion and its backward read them; 1030
+    # queries end in a chunk of 6
+    spec = basis.RadialBasisSpec.default()
+    rng = np.random.default_rng(12)
+    centers = rng.standard_normal((n_centers, 3)) * 2.0
+    queries = rng.standard_normal((1030, 3)) * 3.0
+    coeffs = rng.standard_normal((n_centers, spec.n_radial, spec.n_sh))
+    g = rng.standard_normal(1030)
+    want_cache, cache = {}, {}
+    want = basis.expand_density(spec, coeffs, centers, queries,
+                                cache=want_cache)
+    chunks = list(basis._empty_chunks(spec, n_centers, 1030))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(basis._fill_chunks, spec, centers, queries,
+                    chunks).result()
+    got = basis.expand_density(spec, coeffs, centers, queries, cache=cache,
+                               chunks=chunks)
+    assert np.array_equal(got, want)
+    assert [sl for sl, _ in cache["chunks"]] == [
+        slice(0, 512), slice(512, 1024), slice(1024, 1030)]
+    for (_, (E, Y)), (_, (E0, Y0)) in zip(cache["chunks"],
+                                          want_cache["chunks"]):
+        assert E.shape == (spec.n_radial, n_centers, Y.shape[2])
+        assert np.array_equal(E, E0) and np.array_equal(Y, Y0)
+    assert np.array_equal(
+        basis.expand_density_backward(spec, g, centers, queries, cache),
+        basis.expand_density_backward(spec, g, centers, queries, want_cache))
+
+
 def test_expand_query_on_center_drops_l_above_zero():
     # at its own center only the l = 0 functions are nonzero, exactly
     spec = basis.RadialBasisSpec.default(l_max=7, n=4)
@@ -365,7 +400,7 @@ def test_expand_takes_the_box_path_only_without_a_cache(monkeypatch):
 
 
 def test_expand_peak_memory_stays_small():
-    # the factored path keeps the (U, q, n) and (U, q, S) factors of each
+    # the factored path keeps the (n, U, q) and (S, U, q) factors of each
     # 512-query chunk, ~6 MB a chunk here, not the 170 MB (q, U, n, S)
     # basis tensor of the broadcast evaluation
     import tracemalloc

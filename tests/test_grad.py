@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infgcn import geometry, grad, layers, model, so3
+from infgcn import basis, geometry, grad, layers, model, so3
 from infgcn.errors import DomainError, NonFiniteError
 
 
@@ -524,6 +524,58 @@ def test_loss_and_grad_runs_radial_nets_and_harmonics_once(monkeypatch):
                       "eval_real_sh": 3}
 
 
+def _record_basis_chunks(monkeypatch):
+    """Lists that receive ``(thread, out)`` of every `so3.eval_real_sh`
+    call and ``(thread, Y)`` of every basis chunk allocated."""
+    calls, chunks = [], []
+    real_sh, real_empty = so3.eval_real_sh, basis._empty_chunks
+
+    def eval_real_sh(l_max, d, rows=False, out=None):
+        calls.append((threading.get_ident(), out))
+        return real_sh(l_max, d, rows=rows, out=out)
+
+    def empty_chunks(*args):
+        for sl, (E, Y) in real_empty(*args):
+            chunks.append((threading.get_ident(), Y))
+            yield sl, (E, Y)
+
+    monkeypatch.setattr(so3, "eval_real_sh", eval_real_sh)
+    monkeypatch.setattr(basis, "_empty_chunks", empty_chunks)
+    return calls, chunks
+
+
+def test_training_step_fills_basis_chunks_on_the_worker(monkeypatch):
+    # 1030 queries make three basis chunks. The calling thread allocates
+    # them and the worker fills them, in the buffers given; the residual
+    # layer's harmonics, with no buffer, are the worker's too
+    cfg = model.ModelConfig(l_max=3, channels=4)
+    params = model.init_params(cfg, seed=47, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=48, n_atoms=5,
+                                           n_queries=1030)
+    main = threading.get_ident()
+    calls, chunks = _record_basis_chunks(monkeypatch)
+    grad.loss_and_grad(params, graph, queries, target)
+    assert [t for t, _ in chunks] == [main] * 3
+    assert [out for _, out in calls if out is not None] == [
+        Y for _, Y in chunks]
+    assert len(calls) == 4
+    assert main not in {t for t, _ in calls}
+
+
+def test_prediction_fills_basis_chunks_inline(monkeypatch):
+    cfg = model.ModelConfig(l_max=3, channels=4)
+    params = model.init_params(cfg, seed=47, zero_heads=False)
+    graph, queries, _ = make_instance(cfg, seed=48, n_atoms=5,
+                                      n_queries=1030)
+    main = threading.get_ident()
+    calls, chunks = _record_basis_chunks(monkeypatch)
+    model.predict_density(params, graph, queries)
+    assert [t for t, _ in chunks] == [main] * 3
+    assert [out for _, out in calls if out is not None] == [
+        Y for _, Y in chunks]
+    assert {t for t, _ in calls} == {main}
+
+
 def _inline_jobs(monkeypatch):
     """Make the forward trace and every backward ignore ``submit``, as
     direct callers run them: the residual layer's pairs and every radial
@@ -595,7 +647,8 @@ def test_worker_backward_matches_inline_backward(monkeypatch, mode, l_max,
 
 def test_worker_forward_counts_match_inline_counts():
     # the worker's radial forward counts into the caller's counters while
-    # the calling thread's conv layers do: same totals, same key order
+    # the calling thread's conv layers do: same totals, same key order. The
+    # worker runs two jobs: the basis factors, then the residual pairs
     cfg = model.ModelConfig(l_max=3, channels=4)
     params = model.init_params(cfg, seed=43, zero_heads=False)
     graph, queries, _ = make_instance(cfg, seed=44, n_atoms=5, n_queries=64)
@@ -616,7 +669,7 @@ def test_worker_forward_counts_match_inline_counts():
                                           counters=got, submit=submit)
     finally:
         sys.setswitchinterval(interval)
-    assert len(jobs) == 1
+    assert len(jobs) == 2
     assert np.array_equal(dens, want_dens)
     assert list(got.counts.items()) == list(want.counts.items())
 
@@ -679,6 +732,43 @@ def test_encode_error_is_raised_after_the_forward_job_finishes(monkeypatch):
     monkeypatch.setattr(layers, "conv_forward", conv_forward)
     n_threads = threading.active_count()
     with pytest.raises(NonFiniteError, match=r"conv_forward\[0\]"):
+        grad.loss_and_grad(params, graph, queries, target)
+    assert finished and main not in finished
+    assert threading.active_count() == n_threads
+
+
+@pytest.mark.parametrize("encode_fails", [False, True])
+def test_factor_job_error_is_raised_after_every_job_finishes(monkeypatch,
+                                                             encode_fails):
+    # the basis factors' job fails at once, while the residual job still
+    # runs: the caller gets the factors' error once that job is done. An
+    # encode error still wins, as when both ran inline
+    cfg = model.ModelConfig(l_max=2, channels=3, n_layers=2, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=45, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=46)
+    main, finished = threading.get_ident(), []
+    real_pairs, real_conv = layers._residual_pairs, layers.conv_forward
+
+    def fill_chunks(*args):
+        raise DomainError("basis factors failed")
+
+    def residual_pairs(*args):
+        time.sleep(0.2)
+        finished.append(threading.get_ident())
+        return real_pairs(*args)
+
+    def conv_forward(*args, **kwargs):
+        return np.full_like(real_conv(*args, **kwargs), np.nan)
+
+    monkeypatch.setattr(basis, "_fill_chunks", fill_chunks)
+    monkeypatch.setattr(layers, "_residual_pairs", residual_pairs)
+    if encode_fails:
+        monkeypatch.setattr(layers, "conv_forward", conv_forward)
+    n_threads = threading.active_count()
+    error, match = ((NonFiniteError, r"conv_forward\[0\]") if encode_fails
+                    else (DomainError, "^basis factors failed$"))
+    with pytest.raises(error, match=match):
         grad.loss_and_grad(params, graph, queries, target)
     assert finished and main not in finished
     assert threading.active_count() == n_threads

@@ -135,6 +135,26 @@ def test_sh_row_major_buffer_matches_per_column_reference(shape):
     assert np.array_equal(np.moveaxis(rows, 0, -1), got)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (37, 3), (4, 9, 3),
+                                   (3, so3._SH_BLOCK // 2 + 1, 3)])
+def test_sh_rows_into_out_match_a_fresh_call(shape):
+    d = 3.0 * np.random.default_rng(14).standard_normal(shape)
+    out = np.full((64,) + shape[:-1], np.nan)
+    got = so3.eval_real_sh(7, d, rows=True, out=out)
+    want = so3.eval_real_sh(7, d, rows=True)
+    assert np.array_equal(out, want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows,out", [
+    (True, np.empty((64, 36))), (True, np.empty((49, 37))),
+    (True, np.empty((37, 64)).T), (True, np.empty((64, 37), np.float32)),
+    (True, [[0.0] * 37] * 64), (False, np.empty((37, 64)))])
+def test_sh_rejects_a_misshapen_out_naming_it(rows, out):
+    d = np.random.default_rng(15).standard_normal((37, 3))
+    with pytest.raises(DomainError, match="^out must be"):
+        so3.eval_real_sh(7, d, rows=rows, out=out)
+
+
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7])
 def test_sh_monomials_reproduce_solid_harmonics(l_max):
     # sum_{ijk} T[lm, i, j, k] x^i y^j z^k = |d|^l Y_lm(dhat), within 1e-13

@@ -90,14 +90,11 @@ class RadialBasisSpec:
 
 
 def _factors(spec, d, out=None):
-    """The two factors of the basis at displacements d of shape (..., 3),
-    in row layout: E (n_radial, ...) with E[n, ...] = exp(-a_n |d|^2) and
-    Y ((l_max+1)**2, ...) with Y[lm, ...] = |d|^l Y_lm(dhat); a basis value
-    is c_{n l} E[n, ...] Y[lm, ...]. With ``out``, an (E, Y) pair of
-    C-contiguous float arrays of those shapes, they are written in place.
-    """
-    E, Y = out if out is not None else (
-        np.empty((spec.n_radial,) + d.shape[:-1]), None)
+    """The two factors of the basis at displacements d of shape (..., 3), in
+    row layout: E (n_radial, ...) with E[n] = exp(-a_n |d|^2) and
+    Y ((l_max+1)**2, ...) with Y[lm] = |d|^l Y_lm(dhat), written into
+    ``out``'s (E, Y) when given; a basis value is c_{n l} E[n] Y[lm]."""
+    E, Y = out or (np.empty((spec.n_radial,) + d.shape[:-1]), None)
     r2 = np.einsum("...i,...i->...", d, d)
     Y = so3.eval_real_sh(spec.l_max, d, rows=True, out=Y)
     np.multiply.outer(-spec.exponents, r2, out=E)
@@ -110,29 +107,23 @@ def _norm_columns(spec):
                      2 * np.arange(spec.l_max + 1) + 1, axis=1)
 
 
-def _empty_chunks(spec, n_centers, n_queries):
-    """(slice, (E, Y)) for each chunk of ``_CHUNK`` queries, the factors
-    of `_factors` at the chunk's (U, q) displacements allocated but not
-    yet written: (n_radial, U, q) and ((l_max+1)**2, U, q)."""
-    for lo in range(0, n_queries, _CHUNK):
-        q = min(_CHUNK, n_queries - lo)
-        yield slice(lo, lo + q), (np.empty((spec.n_radial, n_centers, q)),
-                                  np.empty((spec.n_sh, n_centers, q)))
-
-
 def _fill_chunks(spec, centers, queries, chunks):
-    """Write the factors of each of `_empty_chunks`' ``chunks`` in place,
-    at the displacements of its queries from every center."""
+    """Write `_factor_chunks`' ``chunks`` in place, and return them."""
     for sl, factors in chunks:
         _factors(spec, queries[None, sl] - centers[:, None], out=factors)
+    return chunks
 
 
-def _factor_chunks(spec, centers, queries):
-    """`_empty_chunks` filled one at a time, each as it is reached: the
-    two basis factors of a chunk, (n_radial, U, q) and
-    ((l_max+1)**2, U, q)."""
-    for chunk in _empty_chunks(spec, len(centers), len(queries)):
-        _fill_chunks(spec, centers, queries, [chunk])
+def _factor_chunks(spec, centers, queries, fill=True):
+    """(slice, (E, Y)) per chunk of queries, allocated as it is reached and
+    with ``fill`` filled: the basis factors at the displacements from
+    every center, (n_radial, U, q) and ((l_max+1)**2, U, q)."""
+    for lo in range(0, len(queries), _CHUNK):
+        q = min(_CHUNK, len(queries) - lo)
+        chunk = slice(lo, lo + q), (np.empty((spec.n_radial, len(centers), q)),
+                                    np.empty((spec.n_sh, len(centers), q)))
+        if fill:
+            _fill_chunks(spec, centers, queries, [chunk])
         yield chunk
 
 
@@ -142,15 +133,12 @@ def expand_density(spec, coeffs, centers, queries, cache=None, chunks=None):
     coeffs: (U, n_radial, (l_max+1)**2); centers: (U, 3); queries: (Q, 3).
     Returns (Q,).  Linear in the coefficients.  Per chunk of queries the
     coefficients, with c_{n l} folded in, meet the angular factor Y
-    (S, U, q) in one batched GEMM per center, and the (U, n, q) result is
-    contracted with the radial factor E (n, U, q): of the orders measured
-    this was the fastest, as its elementwise product is over n, not S. The
-    chunks bound the size of Y, and no (U, q, n, S) table of basis values
-    is formed. A ``cache`` dict receives every chunk's factors under
-    ``chunks`` for ``expand_density_backward``, which holds all of them at
-    once (~6 MB per 512 queries at 18 centers). ``chunks``, `_empty_chunks`
-    of these centers and queries already filled by `_fill_chunks`, are
-    read in place of evaluating the factors again.
+    (S, U, q) in one batched GEMM, and the (U, n, q) result the radial
+    factor E (n, U, q), the fastest order measured; no (U, q, n, S) table
+    of basis values is formed. A ``cache`` dict receives every chunk's
+    factors under ``chunks`` for ``expand_density_backward``, which holds
+    all of them at once (~6 MB per 512 queries at 18 centers). Filled
+    ``chunks`` (`_fill_chunks`) are read instead of evaluated.
 
     Without a ``cache``, queries that are exactly a box (`_box_axes`) are
     decoded from per-axis factor tables instead (`_expand_box`), a path
@@ -161,13 +149,11 @@ def expand_density(spec, coeffs, centers, queries, cache=None, chunks=None):
     coeffs = geometry.check_array("coeffs", coeffs,
                                   (len(centers), spec.n_radial, spec.n_sh))
     cf = coeffs * _norm_columns(spec)
-    axes = None if cache is not None or chunks is not None else \
-        _box_axes(queries)
+    axes = _box_axes(queries) if cache is None and chunks is None else None
     if axes is not None:
         return _expand_box(spec, cf, centers, axes)
     out = np.empty(queries.shape[0])
-    if chunks is None:
-        chunks = _factor_chunks(spec, centers, queries)
+    chunks = chunks or _factor_chunks(spec, centers, queries)
     if cache is not None:
         chunks = cache["chunks"] = list(chunks)
     for sl, (E, Y) in chunks:

@@ -24,11 +24,11 @@ hidden layer). Each cache is dropped once its backward has run.
 
 Each `loss_and_grad` call starts one worker thread and hands its
 executor's ``submit`` to the layers; without it every job runs inline.
-`model.forward_trace` submits the residual layer's query side
-(`layers._residual_pairs`) before encoding the graph and joins it after
-the basis expansion, where the inline pass runs it. Each backward submits
-its radial net's backward (the residual layer's from its last hidden
-layer on), which writes only that net's gradients.
+`model.forward_trace` submits the basis factors (`basis._fill_chunks`)
+and the residual layer's query side (`layers._residual_pairs`) before
+encoding the graph, and joins each where the inline pass runs it. Each
+backward submits its radial net's backward (the residual layer's from
+its last hidden layer on), which writes only that net's gradients.
 `loss_and_grad` joins every job before returning and raises the first
 job's error; a main-thread error is raised once they have all finished.
 Jobs count straight into the caller's `OpCounters`, whose ``add`` is

@@ -223,15 +223,13 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
     is `forward_trace`'s."""
     cfg = params.config
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
-    spec = cfg.basis_spec()
-    chunks = filled = ahead = None
+    spec, centers = cfg.basis_spec(), graph.atom_coord
+    filled = ahead = None
     if submit is not None:  # the worker fills buffers allocated here
-        chunks = list(basis._empty_chunks(spec, len(graph.atom_coord),
-                                          len(queries)))
-        filled = submit(basis._fill_chunks, spec, graph.atom_coord, queries,
-                        chunks)
+        filled = submit(basis._fill_chunks, spec, centers, queries, list(
+            basis._factor_chunks(spec, centers, queries, fill=False)))
         if params.residual is not None:
-            ahead = submit(layers._residual_pairs, queries, graph.atom_coord,
+            ahead = submit(layers._residual_pairs, queries, centers,
                            params.residual, counters, keep)
     if coeffs is None:
         coeffs, trace = _encode(params, graph, counters, keep)
@@ -239,17 +237,16 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
         coeffs, trace = np.asarray(coeffs, dtype=float), {}
         if not np.all(np.isfinite(coeffs)):
             raise NonFiniteError("coeffs holds non-finite values")
-    if filled is not None:
-        filled.result()
     basis_cache, residual_cache = ({}, {}) if keep else (None, None)
-    dens = basis.expand_density(spec, coeffs, graph.atom_coord, queries,
-                                cache=basis_cache, chunks=chunks)
+    dens = basis.expand_density(
+        spec, coeffs, centers, queries, cache=basis_cache,
+        chunks=None if filled is None else filled.result())
     _check_finite(dens, "expand_density")
     if params.residual is not None:
         pairs = None if ahead is None else ahead.result()
-        z = layers.residual_forward(queries, graph.atom_coord, coeffs,
-                                    params.residual, counters,
-                                    cache=residual_cache, pairs=pairs)
+        z = layers.residual_forward(queries, centers, coeffs, params.residual,
+                                    counters, cache=residual_cache,
+                                    pairs=pairs)
         _check_finite(z, "residual_forward")
         dens = dens + z
     trace.update(coeffs=coeffs, queries=queries, spec=spec,

@@ -85,9 +85,8 @@ def eval_real_sh(l_max, d, rows=False, out=None):
     row of an ((l_max+1)**2, n) buffer, which is then transposed into the
     output: no write strides across the last axis, and the buffer and the
     recursion's temporaries stay cache-sized. With ``rows`` the result is
-    those rows, ((l_max+1)**2, ...), written in place with no transpose,
-    into ``out`` when given: a C-contiguous float array of that shape.
-    """
+    those rows, ((l_max+1)**2, ...), written in place with no transpose
+    into ``out`` if given: a writeable C-contiguous float array."""
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
     d = np.asarray(d, dtype=float)
@@ -95,22 +94,20 @@ def eval_real_sh(l_max, d, rows=False, out=None):
         raise DomainError("displacements must have a trailing dimension of 3")
     pts = d.reshape(-1, 3)
     n, S = pts.shape[0], num_sh(l_max)
-    if out is None:
-        out = np.empty((S, n) if rows else (n, S))
-    elif not (rows and isinstance(out, np.ndarray) and out.dtype == float
-              and out.flags.c_contiguous and out.shape == (S,) + d.shape[:-1]):
-        raise DomainError(f"out must be a C-contiguous float array of shape "
-                          f"{(S,) + d.shape[:-1]}, with rows")
-    else:
-        out = out.reshape(S, n)
+    shape = (S,) + d.shape[:-1]
+    if out is not None and not (rows and isinstance(out, np.ndarray) and
+            out.flags.carray and (out.shape, out.dtype) == (shape, float)):
+        raise DomainError(f"out must be a writeable C-contiguous float array "
+                          f"of shape {shape}, with rows")
+    out = np.empty((S, n) if rows else (n, S)) if out is None else \
+        out.reshape(S, n)
     for lo in range(0, n, _SH_BLOCK):
         x, y, z = pts[lo:lo + _SH_BLOCK].T.copy()
         block = out[:, lo:lo + x.size] if rows else np.empty((S, x.size))
         _sh_recursion(l_max, x, y, z, np.ones_like(z), np.multiply, block)
         if not rows:
             out[lo:lo + x.size] = block.T
-    return (out.reshape((S,) + d.shape[:-1]) if rows
-            else out.reshape(d.shape[:-1] + (S,)))
+    return out.reshape(shape) if rows else out.reshape(d.shape[:-1] + (S,))
 
 
 def _sh_recursion(l_max, x, y, z, one, mul, out):

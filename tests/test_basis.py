@@ -269,7 +269,8 @@ def test_expand_from_chunks_filled_on_another_thread_is_bit_identical(
     want_cache, cache = {}, {}
     want = basis.expand_density(spec, coeffs, centers, queries,
                                 cache=want_cache)
-    chunks = list(basis._empty_chunks(spec, n_centers, 1030))
+    chunks = list(basis._factor_chunks(spec, centers, queries,
+                                       fill=False))
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(basis._fill_chunks, spec, centers, queries,
                     chunks).result()

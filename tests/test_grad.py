@@ -528,19 +528,19 @@ def _record_basis_chunks(monkeypatch):
     """Lists that receive ``(thread, out)`` of every `so3.eval_real_sh`
     call and ``(thread, Y)`` of every basis chunk allocated."""
     calls, chunks = [], []
-    real_sh, real_empty = so3.eval_real_sh, basis._empty_chunks
+    real_sh, real_chunks = so3.eval_real_sh, basis._factor_chunks
 
     def eval_real_sh(l_max, d, rows=False, out=None):
         calls.append((threading.get_ident(), out))
         return real_sh(l_max, d, rows=rows, out=out)
 
-    def empty_chunks(*args):
-        for sl, (E, Y) in real_empty(*args):
+    def factor_chunks(*args, **kwargs):
+        for sl, (E, Y) in real_chunks(*args, **kwargs):
             chunks.append((threading.get_ident(), Y))
             yield sl, (E, Y)
 
     monkeypatch.setattr(so3, "eval_real_sh", eval_real_sh)
-    monkeypatch.setattr(basis, "_empty_chunks", empty_chunks)
+    monkeypatch.setattr(basis, "_factor_chunks", factor_chunks)
     return calls, chunks
 
 

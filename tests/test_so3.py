@@ -148,6 +148,7 @@ def test_sh_rows_into_out_match_a_fresh_call(shape):
 @pytest.mark.parametrize("rows,out", [
     (True, np.empty((64, 36))), (True, np.empty((49, 37))),
     (True, np.empty((37, 64)).T), (True, np.empty((64, 37), np.float32)),
+    (True, np.frombuffer(bytes(64 * 37 * 8)).reshape(64, 37)),
     (True, [[0.0] * 37] * 64), (False, np.empty((37, 64)))])
 def test_sh_rejects_a_misshapen_out_naming_it(rows, out):
     d = np.random.default_rng(15).standard_normal((37, 3))

@@ -10,6 +10,9 @@ with the real solid harmonic |d|^l Y_lm(dhat) of ``so3.eval_real_sh`` and
 (n, l, m) unit-norm in L2(R^3).  Exponents derive from characteristic radii
 r_k via a_k = 1/(2 r_k^2); radii are spaced linearly (default) or
 geometrically between r_min and r_max, so the first exponent is the tightest.
+
+Its two factors are rows with the points last: E[n] = exp(-a_n |d|^2) and
+``so3.eval_real_sh``'s Y, so psi_{n l m} = c_{n l} E[n] Y[lm].
 """
 
 from __future__ import annotations
@@ -90,13 +93,11 @@ class RadialBasisSpec:
 
 
 def _factors(spec, d, out=None):
-    """The two factors of the basis at displacements d of shape (..., 3), in
-    row layout: E (n_radial, ...) with E[n] = exp(-a_n |d|^2) and
-    Y ((l_max+1)**2, ...) with Y[lm] = |d|^l Y_lm(dhat), written into
-    ``out``'s (E, Y) when given; a basis value is c_{n l} E[n] Y[lm]."""
+    """The basis factors (E, Y) at displacements d of shape (..., 3),
+    written into ``out``'s (E, Y) when given."""
     E, Y = out or (np.empty((spec.n_radial,) + d.shape[:-1]), None)
     r2 = np.einsum("...i,...i->...", d, d)
-    Y = so3.eval_real_sh(spec.l_max, d, rows=True, out=Y)
+    Y = so3.eval_real_sh(spec.l_max, d, out=Y)
     np.multiply.outer(-spec.exponents, r2, out=E)
     return np.exp(E, out=E), Y
 
@@ -108,23 +109,20 @@ def _norm_columns(spec):
 
 
 def _fill_chunks(spec, centers, queries, chunks):
-    """Write `_factor_chunks`' ``chunks`` in place, and return them."""
+    """Yield `_factor_chunks`' ``chunks``, each filled in place."""
     for sl, factors in chunks:
         _factors(spec, queries[None, sl] - centers[:, None], out=factors)
-    return chunks
+        yield sl, factors
 
 
-def _factor_chunks(spec, centers, queries, fill=True):
-    """(slice, (E, Y)) per chunk of queries, allocated as it is reached and
-    with ``fill`` filled: the basis factors at the displacements from
-    every center, (n_radial, U, q) and ((l_max+1)**2, U, q)."""
+def _factor_chunks(spec, centers, queries):
+    """(slice, (E, Y)) per chunk of q queries, allocated as it is reached:
+    buffers for the basis factors at the (U, q) displacements from every
+    center."""
     for lo in range(0, len(queries), _CHUNK):
         q = min(_CHUNK, len(queries) - lo)
-        chunk = slice(lo, lo + q), (np.empty((spec.n_radial, len(centers), q)),
-                                    np.empty((spec.n_sh, len(centers), q)))
-        if fill:
-            _fill_chunks(spec, centers, queries, [chunk])
-        yield chunk
+        yield slice(lo, lo + q), (np.empty((spec.n_radial, len(centers), q)),
+                                  np.empty((spec.n_sh, len(centers), q)))
 
 
 def expand_density(spec, coeffs, centers, queries, cache=None, chunks=None):
@@ -153,7 +151,8 @@ def expand_density(spec, coeffs, centers, queries, cache=None, chunks=None):
     if axes is not None:
         return _expand_box(spec, cf, centers, axes)
     out = np.empty(queries.shape[0])
-    chunks = chunks or _factor_chunks(spec, centers, queries)
+    chunks = chunks or _fill_chunks(spec, centers, queries,
+                                    _factor_chunks(spec, centers, queries))
     if cache is not None:
         chunks = cache["chunks"] = list(chunks)
     for sl, (E, Y) in chunks:

@@ -70,7 +70,8 @@ def _check_meta(meta, error):
 
 
 def load_record(stem):
-    """Read `<stem>.json` + `<stem>.bin` into (types, coords, VoxelGrid)."""
+    """Read `<stem>.json` + `<stem>.bin` into (types, coords, VoxelGrid),
+    or raise a SchemaError naming the bad file."""
     stem = os.fspath(stem)
     meta_path, blob_path = stem + ".json", stem + ".bin"
     meta = _check_meta(read_json(meta_path, "record metadata"),
@@ -86,6 +87,8 @@ def load_record(stem):
         raise SchemaError(f"{blob_path}: blob does not match the blob_crc32 "
                           f"of {meta_path}")
     values = np.frombuffer(raw, dtype="<f4").astype(float)
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{blob_path}: density holds non-finite values")
 
     to_bohr = BOHR_PER_ANGSTROM if meta.units.length == "angstrom" else 1.0
     coords, cell, origin = (a * to_bohr for a in (meta.atom_coord, meta.cell,
@@ -104,9 +107,10 @@ def load_record(stem):
 
 def save_record(stem, types, coords, grid):
     """Write the two record files, in Bohr and e-/Bohr^3, in the order the
-    module docstring gives, once the metadata passes `load_record`'s checks
-    (else a DomainError naming the field). The grid is endpoint-exclusive."""
+    module docstring gives, once they pass `load_record`'s checks (else a
+    DomainError naming the field). The grid is endpoint-exclusive."""
     stem = os.fspath(stem)
+    geometry.check_array("values", grid.values, (None,), finite=True)
     blob = np.ascontiguousarray(grid.values, dtype="<f4")
     meta = {
         "atom_type": types,

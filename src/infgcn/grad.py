@@ -73,7 +73,9 @@ def loss_and_grad(params, graph, queries, target, volume_weight=1.0,
     the gradients as one vector laid out like ``params.flat``."""
     _keep_heap()
     cfg = params.config
-    target = np.asarray(target, dtype=float)
+    queries = geometry.check_array("queries", queries, (None, 3), finite=True)
+    target = geometry.check_array("target", target, (len(queries),),
+                                  finite=True)
     # allocated before the forward trace: allocated after it, train-a1 and
     # train-qm9 peak RSS read ~12 MB higher, from heap layout alone
     flat_grad = np.empty(params.flat.size)

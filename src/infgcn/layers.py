@@ -181,7 +181,6 @@ _NODES = np.cos(np.pi * (np.arange(_P + 1) + 0.5) / (_P + 1))
 _CHEB = np.cos(np.outer(np.arange(_P + 1), np.arccos(_NODES))) * (2 / (_P + 1))
 _CHEB[0] /= 2
 _CHECKS = np.delete(np.arange(4 * _K + 1), np.s_[2::4]) / (4 * _K)
-_KEEP = 1 << 21  # bytes of the largest decode table (the residual's: 1.1 MB)
 _DECODE = None  # (bit-compared copies of the kept net's fields, its _table)
 
 
@@ -734,7 +733,7 @@ def _harmonics(L, vec, r):
     ((L+1)^2, E); a pair closer than ``_EPS_EDGE`` gets the zero vector's."""
     # vec runs from atom to query; negated it is exactly atom minus query
     rhat = -vec / np.where(r < _EPS_EDGE, np.inf, r)[:, None]
-    return so3.eval_real_sh(L, rhat, rows=True)
+    return so3.eval_real_sh(L, rhat)
 
 
 def _contract(tab, feats, Y, rows, runs, counters, YB=None):
@@ -768,17 +767,17 @@ def _contract(tab, feats, Y, rows, runs, counters, YB=None):
 
 def _residual_table(params, n, counters):
     """The residual net's decode table as `_contract`'s, or None where it
-    does not apply to ``n`` pairs: it must fit in ``_KEEP`` bytes, and
-    building, checking and evaluating it must cost no more multiplies than
-    ``n`` full rows of the net (``_row_mults``, 1,425 pairs at 128 outputs:
-    the head GEMM the exact route folds away still counts, so no batch
-    changes route). The table, or its failed check, is kept until the
-    net's arrays change; a build is counted under ``radial``."""
+    does not apply to ``n`` pairs: building, checking and evaluating it
+    must cost no more multiplies than ``n`` full rows of the net
+    (``_row_mults``, 1,425 pairs at 128 outputs: the head GEMM the exact
+    route folds away still counts, so no batch changes route). The table,
+    or its failed check, is kept until the net's arrays change; a build is
+    counted under ``radial``."""
     p = params.radial
     row, per_row = _row_mults(p), (_P + 1) * p.out_dim
     # the nodes' and checks' exact rows, the transform and the checks' rows
     table = (_K * (_P + 1) + _CHECKS.size) * (row + per_row)
-    if _K * per_row * 8 > _KEEP or table + n * per_row > n * row:
+    if table + n * per_row > n * row:
         return None
     coef, built = _decode_table(p)
     if built and counters is not None:

@@ -225,9 +225,9 @@ def _forward(params, graph, queries, counters, keep, coeffs=None,
     queries = geometry.check_array("queries", queries, (None, 3), finite=True)
     spec, centers = cfg.basis_spec(), graph.atom_coord
     filled = ahead = None
-    if submit is not None:  # the worker fills buffers allocated here
-        filled = submit(basis._fill_chunks, spec, centers, queries, list(
-            basis._factor_chunks(spec, centers, queries, fill=False)))
+    if submit is not None:  # the worker runs the fill into buffers made here
+        filled = submit(list, basis._fill_chunks(spec, centers, queries, list(
+            basis._factor_chunks(spec, centers, queries))))
         if params.residual is not None:
             ahead = submit(layers._residual_pairs, queries, centers,
                            params.residual, counters, keep)

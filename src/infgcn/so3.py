@@ -9,8 +9,10 @@ Condon-Shortley phase absorbed (no ``(-1)^m`` in the real basis).
 unit vectors, and zero at ``d = 0`` for every ``l > 0``.  Within
 degree ``l`` orders are stored ascending, ``m = -l..l``; negative orders carry
 ``sin(|m| phi)``, positive orders ``cos(m phi)``.  The flat index of ``(l, m)``
-is ``l*l + l + m``, so degrees ``0..L`` pack into ``(L+1)**2`` slots.  For
-``l = 1`` the components are ``(y, z, x) * sqrt(3/(4 pi))``.
+is ``l*l + l + m``, so degrees ``0..L`` pack into ``(L+1)**2`` slots, and the
+harmonics at points ``d`` of shape ``(..., 3)`` are rows: a C-contiguous
+``((L+1)**2,) + d.shape[:-1]`` array, one row per slot.  For ``l = 1`` the
+components are ``(y, z, x) * sqrt(3/(4 pi))``.
 
 ``wigner_blocks(L, R)[l]`` is the orthogonal matrix ``D`` with
 
@@ -77,16 +79,12 @@ def block_slice(l):
 _SH_BLOCK = 8192  # points per block of eval_real_sh
 
 
-def eval_real_sh(l_max, d, rows=False, out=None):
-    """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max, as a
-    C-contiguous (..., (l_max+1)**2) array, at a (..., 3) array ``d`` of
-    displacements of any length. Points are taken in blocks of
-    ``_SH_BLOCK``. Within a block each (l, m) is written as one contiguous
-    row of an ((l_max+1)**2, n) buffer, which is then transposed into the
-    output: no write strides across the last axis, and the buffer and the
-    recursion's temporaries stay cache-sized. With ``rows`` the result is
-    those rows, ((l_max+1)**2, ...), written in place with no transpose
-    into ``out`` if given: a writeable C-contiguous float array."""
+def eval_real_sh(l_max, d, out=None):
+    """Real solid harmonics |d|^l Y_lm(dhat) for all l <= l_max, in rows,
+    at a (..., 3) array ``d`` of displacements of any length, written into
+    ``out`` if given: a writeable C-contiguous float array of the rows'
+    shape. Points are taken in blocks of ``_SH_BLOCK``, so the recursion's
+    temporaries stay cache-sized."""
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
     d = np.asarray(d, dtype=float)
@@ -95,19 +93,16 @@ def eval_real_sh(l_max, d, rows=False, out=None):
     pts = d.reshape(-1, 3)
     n, S = pts.shape[0], num_sh(l_max)
     shape = (S,) + d.shape[:-1]
-    if out is not None and not (rows and isinstance(out, np.ndarray) and
+    if out is not None and not (isinstance(out, np.ndarray) and
             out.flags.carray and (out.shape, out.dtype) == (shape, float)):
         raise DomainError(f"out must be a writeable C-contiguous float array "
-                          f"of shape {shape}, with rows")
-    out = np.empty((S, n) if rows else (n, S)) if out is None else \
-        out.reshape(S, n)
+                          f"of shape {shape}")
+    rows = np.empty((S, n)) if out is None else out.reshape(S, n)
     for lo in range(0, n, _SH_BLOCK):
         x, y, z = pts[lo:lo + _SH_BLOCK].T.copy()
-        block = out[:, lo:lo + x.size] if rows else np.empty((S, x.size))
-        _sh_recursion(l_max, x, y, z, np.ones_like(z), np.multiply, block)
-        if not rows:
-            out[lo:lo + x.size] = block.T
-    return out.reshape(shape) if rows else out.reshape(d.shape[:-1] + (S,))
+        _sh_recursion(l_max, x, y, z, np.ones_like(z), np.multiply,
+                      rows[:, lo:lo + x.size])
+    return rows.reshape(shape)
 
 
 def _sh_recursion(l_max, x, y, z, one, mul, out):

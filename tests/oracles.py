@@ -48,8 +48,8 @@ def _overlap_gh(spec, i, j, displacement, n_points):
     g = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     x = c + g * scale
     wt = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    s1 = so3.eval_real_sh(l1, x)[:, so3.sh_index(l1, m1)]
-    s2 = so3.eval_real_sh(l2, x - r)[:, so3.sh_index(l2, m2)]
+    s1 = so3.eval_real_sh(l1, x)[so3.sh_index(l1, m1)]
+    s2 = so3.eval_real_sh(l2, x - r)[so3.sh_index(l2, m2)]
     c1 = float(basis.normalization_constant(a1, l1))
     c2 = float(basis.normalization_constant(a2, l2))
     total = float(np.dot(wt, s1 * s2))

@@ -148,7 +148,7 @@ def test_a4_so3_algebra():
         for l in range(8):
             sl = so3.block_slice(l)
             rot_id = max(rot_id,
-                         np.abs(yr[:, sl] - y[:, sl] @ blocks[l].T).max())
+                         np.abs(yr[sl] - blocks[l] @ y[sl]).max())
 
     unit = 0.0
     for l in range(8):

@@ -197,7 +197,7 @@ def _reference_eval_displacements(spec, d):
             rl = rl * r
         sl = so3.block_slice(l)
         out[..., sl] = (expo * norms[:, l])[..., None] \
-            * (rl[..., None] * Y[..., sl])[..., None, :]
+            * np.moveaxis(rl * Y[sl], 0, -1)[..., None, :]
     return out
 
 
@@ -269,11 +269,10 @@ def test_expand_from_chunks_filled_on_another_thread_is_bit_identical(
     want_cache, cache = {}, {}
     want = basis.expand_density(spec, coeffs, centers, queries,
                                 cache=want_cache)
-    chunks = list(basis._factor_chunks(spec, centers, queries,
-                                       fill=False))
+    chunks = list(basis._factor_chunks(spec, centers, queries))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(basis._fill_chunks, spec, centers, queries,
-                    chunks).result()
+        pool.submit(list, basis._fill_chunks(spec, centers, queries,
+                                             chunks)).result()
     got = basis.expand_density(spec, coeffs, centers, queries, cache=cache,
                                chunks=chunks)
     assert np.array_equal(got, want)

@@ -260,6 +260,27 @@ def test_save_record_checks_before_writing(tmp_path):
     assert after == before
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_density_is_refused_at_save_and_at_load(tmp_path, bad):
+    stem, types, coords, grid = toy_record(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    values = grid.values.copy()
+    values[5] = bad
+    with pytest.raises(DomainError, match="^values must be finite"):
+        dataio.save_record(stem, types, coords,
+                           dataclasses.replace(grid, values=values))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # the value in a blob whose blob_crc32 matches
+    blob = np.ascontiguousarray(values, dtype="<f4").tobytes()
+    meta = json.loads((tmp_path / "rec.json").read_text())
+    meta["blob_crc32"] = zlib.crc32(blob)
+    (tmp_path / "rec.bin").write_bytes(blob)
+    (tmp_path / "rec.json").write_text(json.dumps(meta))
+    with pytest.raises(SchemaError, match=r"^\S*/rec\.bin: density holds "
+                       "non-finite values$"):
+        dataio.load_record(stem)
+
+
 def test_blob_crc32_is_checked_when_present(tmp_path):
     stem, _, _, grid = toy_record(tmp_path)
     meta = json.loads((tmp_path / "rec.json").read_text())

@@ -267,6 +267,22 @@ def test_gradient_of_wrong_length_is_rejected(n):
     assert p.flat[0] == 1.0 and state.step == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_target_is_rejected_before_the_forward(monkeypatch, bad):
+    cfg = model.ModelConfig(l_max=1, channels=2, n_layers=1, cutoff=3.0,
+                            vocab=3, r_max=3.0)
+    params = model.init_params(cfg, seed=37, zero_heads=False)
+    graph, queries, target = make_instance(cfg, seed=38)
+    target[5] = bad
+
+    def forward_trace(*args, **kwargs):
+        raise AssertionError("the forward ran on a non-finite target")
+
+    monkeypatch.setattr(model, "forward_trace", forward_trace)
+    with pytest.raises(DomainError, match="^target must be finite$"):
+        grad.loss_and_grad(params, graph, queries, target)
+
+
 def test_non_finite_gradient_names_its_array():
     cfg = model.ModelConfig(l_max=1, channels=2, n_layers=2, cutoff=3.0,
                             vocab=3, r_max=3.0)
@@ -530,9 +546,9 @@ def _record_basis_chunks(monkeypatch):
     calls, chunks = [], []
     real_sh, real_chunks = so3.eval_real_sh, basis._factor_chunks
 
-    def eval_real_sh(l_max, d, rows=False, out=None):
+    def eval_real_sh(l_max, d, out=None):
         calls.append((threading.get_ident(), out))
-        return real_sh(l_max, d, rows=rows, out=out)
+        return real_sh(l_max, d, out=out)
 
     def factor_chunks(*args, **kwargs):
         for sl, (E, Y) in real_chunks(*args, **kwargs):
@@ -750,7 +766,7 @@ def test_factor_job_error_is_raised_after_every_job_finishes(monkeypatch,
     main, finished = threading.get_ident(), []
     real_pairs, real_conv = layers._residual_pairs, layers.conv_forward
 
-    def fill_chunks(*args):
+    def factors(*args, **kwargs):
         raise DomainError("basis factors failed")
 
     def residual_pairs(*args):
@@ -761,7 +777,7 @@ def test_factor_job_error_is_raised_after_every_job_finishes(monkeypatch,
     def conv_forward(*args, **kwargs):
         return np.full_like(real_conv(*args, **kwargs), np.nan)
 
-    monkeypatch.setattr(basis, "_fill_chunks", fill_chunks)
+    monkeypatch.setattr(basis, "_factors", factors)
     monkeypatch.setattr(layers, "_residual_pairs", residual_pairs)
     if encode_fails:
         monkeypatch.setattr(layers, "conv_forward", conv_forward)

@@ -616,7 +616,7 @@ def test_conv_counters_closed_form():
 
 
 def _reference_blocks(paths, Y):
-    return {(l, k, J): np.einsum("eM,Mab->eab", Y[:, so3.block_slice(J)],
+    return {(l, k, J): np.einsum("Me,Mab->eab", Y[so3.block_slice(J)],
                                  cg_table(l, k, J))
             for (l, k, J) in paths}
 
@@ -974,7 +974,7 @@ def test_edge_frame_rotation_matches_wigner_blocks():
             # nothing leaks between degrees
             assert not np.any(np.delete(D[:, e, sl], sl, axis=0))
         # D Y(rhat) = Y(R rhat) = Y(z-hat), through the same code path
-        turned = layers._rotate(np.ascontiguousarray(Y[e][:, None, None]),
+        turned = layers._rotate(np.ascontiguousarray(Y[:, e, None, None]),
                                 tuple(t[:, e:e + 1] for t in frame), plan)
         assert np.abs(turned[:, 0, 0] - z_hat).max() <= 1e-12
 
@@ -1397,7 +1397,7 @@ def _reference_coupled_harmonics(queries, coords, params, qi, vi):
     Y = so3.eval_real_sh(params.l_max, d / np.linalg.norm(d, axis=1)[:, None])
     t = []
     for k in range(params.l_max + 1):
-        tk = Y[:, so3.block_slice(k)] @ so3.cg_table(0, k, k)[:, 0, :]
+        tk = Y[so3.block_slice(k)].T @ so3.cg_table(0, k, k)[:, 0, :]
         if k > 0:
             tk[degen] = 0.0
         t.append(tk)
@@ -1488,6 +1488,21 @@ def test_folded_residual_decode_matches_the_exact_forward(monkeypatch):
     assert counters.counts == {"radial": r.size * 64 * P1,
                                "residual": 5 * 64 * layers._K * P1 * 16
                                + r.size * P1}
+
+
+def test_wide_residual_net_decodes_from_its_kept_table():
+    # 256 outputs (L = 7, C = 32), a 2.2 MB table: on a batch above the
+    # use rule (1,492 pairs at this width) it is built, kept and read
+    rng = np.random.default_rng(56)
+    params = layers.init_residual_layer(rng, 7, 32, 3.0, zero_head=False)
+    coords = rng.uniform(-1.5, 1.5, size=(5, 3))
+    queries = rng.uniform(-2.5, 2.5, size=(1000, 3))
+    feats = random_feats(rng, 5, 7, 32)
+    assert geometry.radius_pairs(coords, queries, 3.0)[3].size >= 1500
+    exact = layers.residual_forward(queries, coords, feats, params, cache={})
+    got = layers.residual_forward(queries, coords, feats, params)
+    assert layers._DECODE[1] is not None
+    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("path", ["folded", "fallback", "exact", "cached"])

@@ -41,9 +41,9 @@ def test_degree_one_is_yzx():
     d = unit_vectors(rng, 32)
     y = so3.eval_real_sh(1, d)
     c = math.sqrt(3.0 / (4.0 * math.pi))
-    assert np.allclose(y[:, 1], c * d[:, 1], atol=1e-14)
-    assert np.allclose(y[:, 2], c * d[:, 2], atol=1e-14)
-    assert np.allclose(y[:, 3], c * d[:, 0], atol=1e-14)
+    assert np.allclose(y[1], c * d[:, 1], atol=1e-14)
+    assert np.allclose(y[2], c * d[:, 2], atol=1e-14)
+    assert np.allclose(y[3], c * d[:, 0], atol=1e-14)
 
 
 def test_gram_monte_carlo():
@@ -57,7 +57,7 @@ def test_gram_monte_carlo():
     rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     d = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
     Y = so3.eval_real_sh(4, d)
-    G = (Y.T @ Y) * (4.0 * math.pi / len(d))
+    G = (Y @ Y.T) * (4.0 * math.pi / len(d))
     assert np.abs(G - np.eye(G.shape[0])).max() < 1e-3
 
 
@@ -77,17 +77,17 @@ def test_gram_deterministic_quadrature():
     # exactly, so the Gram matrix is the identity to machine precision
     dirs, w = gauss_sphere_grid()
     Y = so3.eval_real_sh(7, dirs)
-    G = np.einsum("qi,qj,q->ij", Y, Y, w)
+    G = np.einsum("iq,jq,q->ij", Y, Y, w)
     assert np.abs(G - np.eye(64)).max() < 1e-10
 
 
 def _reference_eval_real_sh(l_max, d):
-    """The per-column writer that eval_real_sh's row-major buffer replaced:
-    the same recursion, each (l, m) written straight into out[..., lm]."""
+    """eval_real_sh's recursion on all points at once, with no blocks and
+    no output buffer: each (l, m) row is built as a fresh array."""
     d = np.asarray(d, dtype=float)
     x, y, z = d[..., 0], d[..., 1], d[..., 2]
     r2 = x * x + y * y + z * z
-    out = np.empty(d.shape[:-1] + (so3.num_sh(l_max),), dtype=float)
+    out = np.empty((so3.num_sh(l_max),) + d.shape[:-1], dtype=float)
     c, s, q_mm = np.ones_like(z), np.zeros_like(z), np.ones_like(z)
     for m in range(0, l_max + 1):
         if m > 0:
@@ -109,11 +109,11 @@ def _reference_eval_real_sh(l_max, d):
             nlm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
                             * math.factorial(l - m) / math.factorial(l + m))
             if m == 0:
-                out[..., so3.sh_index(l, 0)] = nlm * q
+                out[so3.sh_index(l, 0)] = nlm * q
             else:
                 f = math.sqrt(2.0) * nlm
-                out[..., so3.sh_index(l, m)] = f * q * c
-                out[..., so3.sh_index(l, -m)] = f * q * s
+                out[so3.sh_index(l, m)] = f * q * c
+                out[so3.sh_index(l, -m)] = f * q * s
     return out
 
 
@@ -126,13 +126,8 @@ def test_sh_row_major_buffer_matches_per_column_reference(shape):
     if d.ndim > 1 and d.size:
         d[(0,) * (d.ndim - 1)] = 0.0
     got = so3.eval_real_sh(7, d)
-    assert got.shape == shape[:-1] + (64,)
-    assert got.flags.c_contiguous
+    assert got.shape == (64,) + shape[:-1] and got.flags.c_contiguous
     assert np.array_equal(got, _reference_eval_real_sh(7, d))
-    # the rows themselves, untransposed: the same bits
-    rows = so3.eval_real_sh(7, d, rows=True)
-    assert rows.shape == (64,) + shape[:-1] and rows.flags.c_contiguous
-    assert np.array_equal(np.moveaxis(rows, 0, -1), got)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (37, 3), (4, 9, 3),
@@ -140,20 +135,25 @@ def test_sh_row_major_buffer_matches_per_column_reference(shape):
 def test_sh_rows_into_out_match_a_fresh_call(shape):
     d = 3.0 * np.random.default_rng(14).standard_normal(shape)
     out = np.full((64,) + shape[:-1], np.nan)
-    got = so3.eval_real_sh(7, d, rows=True, out=out)
-    want = so3.eval_real_sh(7, d, rows=True)
+    got = so3.eval_real_sh(7, d, out=out)
+    want = so3.eval_real_sh(7, d)
     assert np.array_equal(out, want) and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("rows,out", [
+@pytest.mark.parametrize("keyword,out", [
     (True, np.empty((64, 36))), (True, np.empty((49, 37))),
     (True, np.empty((37, 64)).T), (True, np.empty((64, 37), np.float32)),
     (True, np.frombuffer(bytes(64 * 37 * 8)).reshape(64, 37)),
     (True, [[0.0] * 37] * 64), (False, np.empty((37, 64)))])
-def test_sh_rejects_a_misshapen_out_naming_it(rows, out):
+def test_sh_rejects_a_misshapen_out_naming_it(keyword, out):
+    # short, wrong degree, non-contiguous, float32, read-only, a list, and
+    # points-major, passed by keyword or as the third argument
     d = np.random.default_rng(15).standard_normal((37, 3))
     with pytest.raises(DomainError, match="^out must be"):
-        so3.eval_real_sh(7, d, rows=rows, out=out)
+        if keyword:
+            so3.eval_real_sh(7, d, out=out)
+        else:
+            so3.eval_real_sh(7, d, out)
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 7])
@@ -170,7 +170,7 @@ def test_sh_monomials_reproduce_solid_harmonics(l_max):
     got = np.einsum("sijk,qi,qj,qk->qs", table, px, py, pz)
     degree = np.repeat(np.arange(n), 2 * np.arange(n) + 1)
     scale = np.linalg.norm(d, axis=1)[:, None] ** degree
-    assert np.all(np.abs(got - so3.eval_real_sh(l_max, d)) <= 1e-13 * scale)
+    assert np.all(np.abs(got - so3.eval_real_sh(l_max, d).T) <= 1e-13 * scale)
     i, j, k = np.indices((n, n, n))
     off_degree = (i + j + k)[None] != degree[:, None, None, None]
     assert np.all(table[np.broadcast_to(off_degree, table.shape)] == 0.0)
@@ -209,11 +209,11 @@ def test_solid_harmonics_scale_with_length():
         got = so3.eval_real_sh(7, scale * u)
         for l in range(8):
             sl = so3.block_slice(l)
-            assert np.abs(got[:, sl] - scale ** l * unit[:, sl]).max() \
+            assert np.abs(got[sl] - scale ** l * unit[sl]).max() \
                 <= 1e-12 * scale ** l
     Y = so3.eval_real_sh(7, np.zeros((2, 3)))
-    assert np.all(Y[:, 0] == 1.0 / (2.0 * math.sqrt(math.pi)))
-    assert np.all(Y[:, 1:] == 0.0)
+    assert np.all(Y[0] == 1.0 / (2.0 * math.sqrt(math.pi)))
+    assert np.all(Y[1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +226,11 @@ def test_rotation_identity_all_degrees():
         R = so3.random_rotation(rng)
         d = unit_vectors(rng, 32)
         Y = so3.eval_real_sh(7, d)
-        YR = so3.eval_real_sh(7, d @ R.T)  # rows rotated by R
+        YR = so3.eval_real_sh(7, d @ R.T)  # points rotated by R
         blocks = so3.wigner_blocks(7, R)
         for l in range(8):
             sl = so3.block_slice(l)
-            assert np.abs(YR[:, sl] - Y[:, sl] @ blocks[l].T).max() < 1e-9
+            assert np.abs(YR[sl] - blocks[l] @ Y[sl]).max() < 1e-9
 
 
 def test_wigner_homomorphism():
@@ -460,11 +460,9 @@ def test_rotate_tensor_norm_and_reconstruction():
         assert abs(norm(f) - norm(g)) < 1e-10
         d = unit_vectors(rng, 100)
         Y_at = so3.eval_real_sh(3, d)
-        Y_pre = so3.eval_real_sh(3, d @ R)  # rows are R^-1 applied to d
-        lhs = sum(np.einsum("cm,qm->cq", g[l], Y_at[:, so3.block_slice(l)])
-                  for l in degrees)
-        rhs = sum(np.einsum("cm,qm->cq", f[l], Y_pre[:, so3.block_slice(l)])
-                  for l in degrees)
+        Y_pre = so3.eval_real_sh(3, d @ R)  # points are R^-1 applied to d
+        lhs = sum(g[l] @ Y_at[so3.block_slice(l)] for l in degrees)
+        rhs = sum(f[l] @ Y_pre[so3.block_slice(l)] for l in degrees)
         assert np.abs(lhs - rhs).max() < 1e-8
 
 

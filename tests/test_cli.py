@@ -253,7 +253,6 @@ def test_train_deterministic_repeat(tmp_path):
     assert logs[0] == logs[1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_aborts_on_non_finite_with_last_good(tmp_path, monkeypatch):
     dataio.make_synthetic_dataset(tmp_path / "data", seed=8, shape=(6, 6, 6))
     # the first step's gradient overflows, as a diverging run's would; a

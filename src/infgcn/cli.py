@@ -356,7 +356,7 @@ def _build_parser():
     pd = command("graphon-demo", "graphon equivalence report",
                  config=None)
     pd.add_argument("--out", default="graphon_demo")
-    pd.add_argument("--nodes", type=_int_at_least(1), default=256)
+    pd.add_argument("--nodes", type=_int_at_least(8), default=256)
     return parser
 
 

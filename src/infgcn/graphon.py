@@ -44,10 +44,6 @@ class QuadratureGrid:
     def n(self):
         return self.nodes.shape[0]
 
-    @property
-    def d(self):
-        return self.nodes.shape[1]
-
 
 def uniform_grid(n, d=1):
     """Midpoint rule on [0,1]^d with n nodes per axis."""
@@ -203,7 +199,10 @@ def _max_diff(a, b):
 
 def graphon_demo_report(n_nodes=256, seed=0, json_path=None, csv_path=None):
     """All equivalence checks in one serializable report, also written as
-    JSON, with an eigenvalue-decay CSV, to the paths given."""
+    JSON, with an eigenvalue-decay CSV, to the paths given. It takes 8
+    Nystrom eigenpairs, so it needs ``n_nodes`` >= 8."""
+    if n_nodes < 8:
+        raise DomainError(f"n_nodes must be at least 8, got {n_nodes}")
     rng = np.random.default_rng(seed)
     grid = uniform_grid(n_nodes)
     f = rng.standard_normal(n_nodes)

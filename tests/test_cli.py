@@ -727,7 +727,8 @@ def test_parser_registers_flags_where_they_are_read():
     (["eval", *_CKPT, "--seed", "x"], "--seed: invalid integer value: 'x'"),
     (["gradcheck", "--n-params", "0"], "--n-params: must be at least 1, got 0"),
     (["gradcheck", "--n-params", "-5"], "--n-params: must be at least 1"),
-    (["graphon-demo", "--nodes", "0"], "--nodes: must be at least 1, got 0"),
+    (["graphon-demo", "--nodes", "0"], "--nodes: must be at least 8, got 0"),
+    (["graphon-demo", "--nodes", "7"], "--nodes: must be at least 8, got 7"),
 ])
 def test_main_rejects_flags_the_command_does_not_read(argv, message,
                                                       capsys):

@@ -281,6 +281,27 @@ def test_non_finite_density_is_refused_at_save_and_at_load(tmp_path, bad):
         dataio.load_record(stem)
 
 
+@pytest.mark.parametrize("big", [1e39, -1e39])
+def test_density_beyond_float32_is_refused_at_save(tmp_path, big):
+    # the blob is float32: a finite float64 beyond its range would be
+    # stored as inf under a matching blob_crc32
+    grid = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3),
+                              np.full(8, big))
+    with pytest.raises(DomainError, match="^values must lie within "
+                       "float32's range$"):
+        dataio.save_record(tmp_path / "rec", [6], [[0.0, 0.0, 0.0]], grid)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_float32_max_density_round_trips(tmp_path):
+    top = float(np.finfo("<f4").max)
+    grid = geometry.VoxelGrid((2, 2, 2), np.eye(3), np.zeros(3),
+                              np.array([top, -top, 0.0, 1.0] * 2))
+    dataio.save_record(tmp_path / "rec", [6], [[0.0, 0.0, 0.0]], grid)
+    _, _, loaded = dataio.load_record(tmp_path / "rec")
+    assert np.array_equal(loaded.values, grid.values)
+
+
 def test_blob_crc32_is_checked_when_present(tmp_path):
     stem, _, _, grid = toy_record(tmp_path)
     meta = json.loads((tmp_path / "rec.json").read_text())
@@ -386,8 +407,22 @@ def test_synthetic_dataset_matches_truth(tmp_path):
     ladder = basis.make_exponents()
     for idx, a in zip(truth["radial_indices"], truth["exponents"]):
         assert abs(ladder[idx] - a) < 1e-12
-    with pytest.raises(SchemaError, match="32"):
-        dataio.make_synthetic_dataset(tmp_path / "big", shape=(33, 8, 8))
+
+
+def test_synthetic_dataset_takes_a_72_node_axis(tmp_path):
+    # the generator's nodes form a box, so expand_density decodes them from
+    # per-axis tables; the truth is expanded here on the chunked route
+    # (``cache``) instead
+    stem = dataio.make_synthetic_dataset(tmp_path, seed=4,
+                                         shape=(72, 72, 8))[0]
+    _, coords, grid = dataio.load_record(stem)
+    assert grid.shape == (72, 72, 8)
+    truth = json.loads(Path(stem + ".truth.json").read_text())
+    spec = basis.RadialBasisSpec(np.array(truth["exponents"]),
+                                 truth["l_max"])
+    want = basis.expand_density(spec, np.array(truth["coeffs"]), coords,
+                                geometry.grid_coordinates(grid), cache={})
+    assert np.abs(grid.values - want).max() < 1e-5
 
 
 def _catches_os_error(handler):

@@ -237,3 +237,11 @@ def test_demo_report(tmp_path):
         k, *cells = line.split(",")
         assert int(k) == i + 1
         assert [float(c) for c in cells] == [w[i] for w in want]
+
+
+def test_demo_report_needs_eight_nodes(tmp_path):
+    # the report takes 8 Nystrom eigenpairs and writes 8 CSV rows
+    jp, cp = tmp_path / "report.json", tmp_path / "decay.csv"
+    with pytest.raises(DomainError, match="^n_nodes must be at least 8, got 7$"):
+        graphon.graphon_demo_report(n_nodes=7, json_path=jp, csv_path=cp)
+    assert list(tmp_path.iterdir()) == []

@@ -188,7 +188,7 @@ def test_one_harmonic_recursion(monkeypatch):
         real(l_max, x, y, z, one, mul, out)
 
     monkeypatch.setattr(so3, "_sh_recursion", counting)
-    monkeypatch.setattr(so3, "_MONOMIALS", {})
+    so3.sh_monomials.cache_clear()
     so3.eval_real_sh(3, np.ones((5, 3)))
     assert calls == [(3, np.multiply)]
     table = so3.sh_monomials(3)
